@@ -19,6 +19,7 @@ from .harness import read_records_csv, render_ranking, score_track, verify
 from .io import parse_instance, parse_solution, write_instance, write_solution
 
 EXIT_CODES = {"SAT": 10, "UNSAT": 20, "OPTIMUM": 30, "UNKNOWN": 0}
+S_LINES = {"SAT": "SATISFIABLE", "UNSAT": "UNSATISFIABLE", "OPTIMUM": "OPTIMUM FOUND", "UNKNOWN": "UNKNOWN"}
 
 
 def _log_level() -> str:
@@ -40,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an XCSP3 instance")
     p_solve.add_argument("instance", help="instance XML file")
     p_solve.add_argument("--timeout", type=float, default=2400.0, help="wall-clock limit in seconds")
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--restarts", action="store_true", help="enable geometric restarts")
     p_solve.add_argument("--heuristic", choices=("dom-wdeg", "lex"), default="dom-wdeg")
     p_solve.add_argument("--all", action="store_true", help="count all solutions (CSP only)")
@@ -72,7 +72,6 @@ def _cmd_solve(args) -> int:
     instance = parse_instance(Path(args.instance).read_text())
     config = SearchConfig(
         time_limit=args.timeout,
-        seed=args.seed,
         restarts=args.restarts,
         var_heuristic=args.heuristic,
     )
@@ -84,14 +83,8 @@ def _cmd_solve(args) -> int:
             return 2
         result = enumerate_all(instance, config=config)
         _comment(f"{result.count} solution(s), exact={result.exact}")
-        if result.count == 0:
-            print("s UNSATISFIABLE")
-            return EXIT_CODES["UNSAT"]
-        witness_out = solve(instance, config)
-        print("s SATISFIABLE")
-        if witness_out.witness is not None:
-            print(f"v {write_solution(witness_out.witness)}")
-        return EXIT_CODES["SAT"]
+        status = "SAT" if result.witness is not None else "UNSAT" if result.exact else "UNKNOWN"
+        return _report(status, result.witness)
     if instance.kind == "CSP":
         out = solve(instance, config)
     else:
@@ -101,19 +94,16 @@ def _cmd_solve(args) -> int:
         f"propagations {out.stats.propagations}, elapsed {out.stats.elapsed:.3f}s",
         minimum="debug",
     )
-    if out.status == "SAT" and instance.kind == "CSP":
-        print("s SATISFIABLE")
-    elif out.status == "SAT":
-        print("s SATISFIABLE")  # timed-out COP with an incumbent
-    elif out.status == "UNSAT":
-        print("s UNSATISFIABLE")
-    elif out.status == "OPTIMUM":
-        print("s OPTIMUM FOUND")
-    else:
-        print("s UNKNOWN")
-    if out.witness is not None and out.status in ("SAT", "OPTIMUM"):
-        print(f"v {write_solution(out.witness)}")
-    return EXIT_CODES[out.status]
+    # a COP's SAT means it timed out with an incumbent
+    return _report(out.status, out.witness)
+
+
+def _report(status: str, witness) -> int:
+    """Print the ``s`` line, then the witness of a SAT/OPTIMUM claim."""
+    print(f"s {S_LINES[status]}")
+    if witness is not None and status in ("SAT", "OPTIMUM"):
+        print(f"v {write_solution(witness)}")
+    return EXIT_CODES[status]
 
 
 def _parse_params(pairs) -> dict:

@@ -189,182 +189,6 @@ def _build_extension(scope, key, store, c: Extension):
 # Intension
 
 
-def _interval(e, bounds):
-    if isinstance(e, _x.IntConst):
-        return e.value, e.value
-    if isinstance(e, _x.VarRef):
-        return bounds[e.var_id]
-    kids = [_interval(c, bounds) for c in e.children]
-    kind = e.kind
-    if kind == "neg":
-        lo, hi = kids[0]
-        return -hi, -lo
-    if kind == "abs":
-        lo, hi = kids[0]
-        if lo >= 0:
-            return lo, hi
-        if hi <= 0:
-            return -hi, -lo
-        return 0, max(-lo, hi)
-    if kind == "add":
-        return sum(k[0] for k in kids), sum(k[1] for k in kids)
-    if kind == "sub":
-        return kids[0][0] - kids[1][1], kids[0][1] - kids[1][0]
-    if kind == "mul":
-        lo, hi = kids[0]
-        for klo, khi in kids[1:]:
-            candidates = (lo * klo, lo * khi, hi * klo, hi * khi)
-            lo, hi = min(candidates), max(candidates)
-        return lo, hi
-    if kind == "dist":
-        lo = kids[0][0] - kids[1][1]
-        hi = kids[0][1] - kids[1][0]
-        if lo >= 0:
-            return lo, hi
-        if hi <= 0:
-            return -hi, -lo
-        return 0, max(-lo, hi)
-    if kind in ("eq", "ne", "lt", "le", "gt", "ge"):
-        (alo, ahi), (blo, bhi) = kids
-        if kind == "eq":
-            if ahi < blo or bhi < alo:
-                return 0, 0
-            if alo == ahi == blo == bhi:
-                return 1, 1
-            return 0, 1
-        if kind == "ne":
-            if ahi < blo or bhi < alo:
-                return 1, 1
-            if alo == ahi == blo == bhi:
-                return 0, 0
-            return 0, 1
-        if kind == "lt":
-            if ahi < blo:
-                return 1, 1
-            if alo >= bhi:
-                return 0, 0
-            return 0, 1
-        if kind == "le":
-            if ahi <= blo:
-                return 1, 1
-            if alo > bhi:
-                return 0, 0
-            return 0, 1
-        if kind == "gt":
-            if alo > bhi:
-                return 1, 1
-            if ahi <= blo:
-                return 0, 0
-            return 0, 1
-        # ge
-        if alo >= bhi:
-            return 1, 1
-        if ahi < blo:
-            return 0, 0
-        return 0, 1
-    if kind == "not":
-        lo, hi = kids[0]
-        return 1 - hi, 1 - lo
-    if kind == "and":
-        if any(hi == 0 for _, hi in kids):
-            return 0, 0
-        if all(lo == 1 for lo, _ in kids):
-            return 1, 1
-        return 0, 1
-    if kind == "or":
-        if any(lo == 1 for lo, _ in kids):
-            return 1, 1
-        if all(hi == 0 for _, hi in kids):
-            return 0, 0
-        return 0, 1
-    if kind == "xor":
-        (alo, ahi), (blo, bhi) = kids
-        if alo == ahi and blo == bhi:
-            return (int(alo != blo),) * 2
-        return 0, 1
-    if kind == "iff":
-        (alo, ahi), (blo, bhi) = kids
-        if alo == ahi and blo == bhi:
-            return (int(alo == blo),) * 2
-        return 0, 1
-    if kind == "imp":
-        (alo, ahi), (blo, bhi) = kids
-        if ahi == 0 or blo == 1:
-            return 1, 1
-        if alo == 1 and bhi == 0:
-            return 0, 0
-        return 0, 1
-    raise ValueError(f"unknown operator {kind!r}")
-
-
-def _compile(e, position):
-    if isinstance(e, _x.IntConst):
-        v = e.value
-        return lambda t: v
-    if isinstance(e, _x.VarRef):
-        i = position[e.var_id]
-        return lambda t: t[i]
-    kids = [_compile(c, position) for c in e.children]
-    kind = e.kind
-    if kind == "neg":
-        (k,) = kids
-        return lambda t: -k(t)
-    if kind == "abs":
-        (k,) = kids
-        return lambda t: abs(k(t))
-    if kind == "add":
-        return lambda t: sum(k(t) for k in kids)
-    if kind == "sub":
-        a, b = kids
-        return lambda t: a(t) - b(t)
-    if kind == "mul":
-        def product(t):
-            out = 1
-            for k in kids:
-                out *= k(t)
-            return out
-
-        return product
-    if kind == "dist":
-        a, b = kids
-        return lambda t: abs(a(t) - b(t))
-    if kind == "eq":
-        a, b = kids
-        return lambda t: int(a(t) == b(t))
-    if kind == "ne":
-        a, b = kids
-        return lambda t: int(a(t) != b(t))
-    if kind == "lt":
-        a, b = kids
-        return lambda t: int(a(t) < b(t))
-    if kind == "le":
-        a, b = kids
-        return lambda t: int(a(t) <= b(t))
-    if kind == "gt":
-        a, b = kids
-        return lambda t: int(a(t) > b(t))
-    if kind == "ge":
-        a, b = kids
-        return lambda t: int(a(t) >= b(t))
-    if kind == "not":
-        (k,) = kids
-        return lambda t: int(k(t) == 0)
-    if kind == "and":
-        return lambda t: int(all(k(t) != 0 for k in kids))
-    if kind == "or":
-        return lambda t: int(any(k(t) != 0 for k in kids))
-    if kind == "xor":
-        a, b = kids
-        return lambda t: int((a(t) != 0) != (b(t) != 0))
-    if kind == "iff":
-        a, b = kids
-        return lambda t: int((a(t) != 0) == (b(t) != 0))
-    if kind == "imp":
-        a, b = kids
-        return lambda t: int(a(t) == 0 or b(t) != 0)
-    raise ValueError(f"unknown operator {kind!r}")
-
-
 class IntensionProp(Propagator):
     """Small expressions are compiled to a support bitset at build time
     (compact-table pass); larger ones fall back to GAC scans or interval
@@ -376,7 +200,7 @@ class IntensionProp(Propagator):
         super().__init__(scope, key)
         self.expr = expression
         self.names = [store.names[x] for x in scope]
-        self.fn = _compile(expression, {name: i for i, name in enumerate(self.names)})
+        self.fn = _x.compile_expr(expression, {name: i for i, name in enumerate(self.names)})
         # an expression without variables is a constant verdict
         self.constant = bool(self.fn(())) if not scope else None
         self.supports = None
@@ -429,7 +253,7 @@ class IntensionProp(Propagator):
             name = self.names[i]
             for v in store.domain_list(x):
                 bounds[name] = (v, v)
-                _, hi = _interval(self.expr, bounds)
+                _, hi = _x.interval(self.expr, bounds)
                 if hi == 0 and not store.remove_value(x, v):
                     return False
             bounds[name] = store.bounds(x)

@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import InvalidInstanceError
-from ..model import Assignment, Instance, Objective, validate_instance
+from ..model import Assignment, Instance, Objective, objective_value, validate_instance
 from .domains import DomainStore
 from .propagators import Propagator, build_propagators, make_propagators
 
@@ -24,7 +24,6 @@ class SearchStats:
 @dataclass(frozen=True)
 class SearchConfig:
     time_limit: float = 2400.0
-    seed: int = 0
     restarts: bool = False
     var_heuristic: str = "dom-wdeg"  # dom-wdeg | lex
     val_heuristic: str = "min"  # min | max
@@ -50,6 +49,7 @@ class SolveOutcome:
 class EnumerationResult:
     count: int
     exact: bool
+    witness: Assignment | None = None  # the first solution found
 
 
 class PropagationEngine:
@@ -233,11 +233,6 @@ class _Search:
         store = self.store
         return Assignment({store.names[i]: store.value(i) for i in range(len(store))})
 
-    def _objective_cost(self) -> int:
-        from ..model import objective_value
-
-        return objective_value(self.instance.objective, self._witness())
-
     # -- main loop
 
     def run(self):
@@ -245,24 +240,23 @@ class _Search:
         deadline = t0 + self.config.time_limit
         store, engine, stats = self.store, self.engine, self.stats
         mode = self.mode
-
-        def finish(status, witness, bound):
-            stats.propagations = engine.propagations
-            stats.elapsed = time.perf_counter() - t0
-            return SolveOutcome(status, witness, bound, stats)
-
         count = 0
         best: int | None = None
-        best_witness: Assignment | None = None
+        witness: Assignment | None = None  # sat: the solution; optimize: the incumbent; count: the first
+
+        def finish(exhausted):
+            """The one exit; ``exhausted`` is true when the whole space was searched."""
+            stats.propagations = engine.propagations
+            stats.elapsed = time.perf_counter() - t0
+            if mode == "count":
+                return EnumerationResult(count, exhausted, witness)
+            if witness is None:
+                return SolveOutcome("UNSAT" if exhausted else "UNKNOWN", None, None, stats)
+            return SolveOutcome("OPTIMUM" if exhausted else "SAT", witness, best, stats)
 
         engine.enqueue_all()
-        conflict = engine.fixpoint()
-        if conflict is not None:
-            if mode == "count":
-                stats.elapsed = time.perf_counter() - t0
-                stats.propagations = engine.propagations
-                return EnumerationResult(0, True)
-            return finish("UNSAT", None, None)
+        if engine.fixpoint() is not None:
+            return finish(True)
 
         frames: list[tuple[int, int]] = []
         restarts_on = self.config.restarts and mode != "count"
@@ -272,32 +266,27 @@ class _Search:
 
         while True:
             if time.perf_counter() > deadline:
-                if mode == "count":
-                    stats.propagations = engine.propagations
-                    stats.elapsed = time.perf_counter() - t0
-                    return EnumerationResult(count, False)
-                if mode == "optimize" and best is not None:
-                    return finish("SAT", best_witness, best)
-                return finish("UNKNOWN", None, None)
+                return finish(False)
 
             if not backtracking:
                 x = self._select_var()
                 if x is None:
                     # every variable is assigned: a solution
                     if mode == "sat":
-                        return finish("SAT", self._witness(), None)
+                        witness = self._witness()
+                        return finish(False)
                     if mode == "count":
                         count += 1
+                        if witness is None:
+                            witness = self._witness()
                         if self.cap is not None and count >= self.cap:
-                            stats.propagations = engine.propagations
-                            stats.elapsed = time.perf_counter() - t0
-                            return EnumerationResult(count, False)
+                            return finish(False)
                     else:
-                        cost = self._objective_cost()
-                        best, best_witness = cost, self._witness()
-                        self.bound_prop.best = cost
+                        witness = self._witness()
+                        best = objective_value(self.instance.objective, witness)
+                        self.bound_prop.best = best
                         if self.on_bound is not None:
-                            self.on_bound(cost)
+                            self.on_bound(best)
                         engine.enqueue(len(engine.props) - 1)
                     backtracking = True
                     continue
@@ -330,15 +319,7 @@ class _Search:
                 frames.clear()
 
             if not frames:
-                if mode == "count":
-                    stats.propagations = engine.propagations
-                    stats.elapsed = time.perf_counter() - t0
-                    return EnumerationResult(count, True)
-                if mode == "optimize":
-                    if best is not None:
-                        return finish("OPTIMUM", best_witness, best)
-                    return finish("UNSAT", None, None)
-                return finish("UNSAT", None, None)
+                return finish(True)
 
             x, v = frames.pop()
             store.pop()

@@ -3,41 +3,111 @@
 Nodes are immutable; relational and logical operators evaluate to 0/1
 integers so booleans can appear inside arithmetic (e.g. ``add(b, w)`` over
 0/1 terms).
+
+``OPS`` is the one operator table: each kind's arity, value function and
+interval function. The checker (``evaluate``), the engine's compiled
+functions (``compile_expr``) and bounds reasoning (``interval``) are tree
+walks over it, so an XCSP3-core operator is added in exactly one place.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import ArityMismatchError, UnboundVariableError
 
 Expr = Union["IntConst", "VarRef", "Op"]
+Interval = tuple[int, int]
 
-# kind -> (min_arity, max_arity or None for unbounded)
-OP_ARITY: dict[str, tuple[int, int | None]] = {
-    "neg": (1, 1),
-    "abs": (1, 1),
-    "not": (1, 1),
-    "sub": (2, 2),
-    "dist": (2, 2),
-    "eq": (2, 2),
-    "ne": (2, 2),
-    "lt": (2, 2),
-    "le": (2, 2),
-    "gt": (2, 2),
-    "ge": (2, 2),
-    "xor": (2, 2),
-    "iff": (2, 2),
-    "imp": (2, 2),
-    "add": (2, None),
-    "mul": (2, None),
-    "and": (2, None),
-    "or": (2, None),
+
+class OpSpec(NamedTuple):
+    """``apply`` maps operand values to the value; ``interval`` maps operand
+    bounds ``(lo, hi)`` to bounds that contain every value. The interval
+    functions of logical operators read their operands as 0/1, which model
+    validation guarantees."""
+
+    sort: str  # "int", "rel" (0/1 of integers) or "logic" (0/1 of 0/1 operands)
+    min_arity: int
+    max_arity: int | None  # None: unbounded
+    apply: Callable[..., int]
+    interval: Callable[..., Interval]
+
+
+def _abs_iv(a: Interval) -> Interval:
+    lo, hi = a
+    if lo >= 0:
+        return a
+    if hi <= 0:
+        return -hi, -lo
+    return 0, max(-lo, hi)
+
+
+def _sub_iv(a: Interval, b: Interval) -> Interval:
+    return a[0] - b[1], a[1] - b[0]
+
+
+def _add_iv(*ivs: Interval) -> Interval:
+    lo = hi = 0
+    for klo, khi in ivs:
+        lo += klo
+        hi += khi
+    return lo, hi
+
+
+def _mul_iv(first: Interval, *rest: Interval) -> Interval:
+    lo, hi = first
+    for klo, khi in rest:
+        products = (lo * klo, lo * khi, hi * klo, hi * khi)
+        lo, hi = min(products), max(products)
+    return lo, hi
+
+
+def _truth(sure: bool, never: bool) -> Interval:
+    """Bounds of a 0/1 value that is 1 when ``sure`` and 0 when ``never``."""
+    return (1, 1) if sure else (0, 0) if never else (0, 1)
+
+
+def _when_fixed(apply: Callable[[int, int], int]) -> Callable[[Interval, Interval], Interval]:
+    """Interval of a binary operator that is known only once both operands are fixed."""
+    return lambda a, b: (apply(a[0], b[0]),) * 2 if a[0] == a[1] and b[0] == b[1] else (0, 1)
+
+
+def _xor(a: int, b: int) -> int:
+    return int((a != 0) != (b != 0))
+
+
+def _iff(a: int, b: int) -> int:
+    return int((a != 0) == (b != 0))
+
+
+OPS: dict[str, OpSpec] = {
+    "neg": OpSpec("int", 1, 1, operator.neg, lambda a: (-a[1], -a[0])),
+    "abs": OpSpec("int", 1, 1, abs, _abs_iv),
+    "add": OpSpec("int", 2, None, lambda *v: sum(v), _add_iv),
+    "sub": OpSpec("int", 2, 2, operator.sub, _sub_iv),
+    "mul": OpSpec("int", 2, None, lambda *v: math.prod(v), _mul_iv),
+    "dist": OpSpec("int", 2, 2, lambda a, b: abs(a - b), lambda a, b: _abs_iv(_sub_iv(a, b))),
+    "eq": OpSpec("rel", 2, 2, lambda a, b: int(a == b),
+                 lambda a, b: _truth(a[0] == a[1] == b[0] == b[1], a[1] < b[0] or b[1] < a[0])),
+    "ne": OpSpec("rel", 2, 2, lambda a, b: int(a != b),
+                 lambda a, b: _truth(a[1] < b[0] or b[1] < a[0], a[0] == a[1] == b[0] == b[1])),
+    "lt": OpSpec("rel", 2, 2, lambda a, b: int(a < b), lambda a, b: _truth(a[1] < b[0], a[0] >= b[1])),
+    "le": OpSpec("rel", 2, 2, lambda a, b: int(a <= b), lambda a, b: _truth(a[1] <= b[0], a[0] > b[1])),
+    "gt": OpSpec("rel", 2, 2, lambda a, b: int(a > b), lambda a, b: _truth(a[0] > b[1], a[1] <= b[0])),
+    "ge": OpSpec("rel", 2, 2, lambda a, b: int(a >= b), lambda a, b: _truth(a[0] >= b[1], a[1] < b[0])),
+    "not": OpSpec("logic", 1, 1, lambda a: int(a == 0), lambda a: (1 - a[1], 1 - a[0])),
+    "and": OpSpec("logic", 2, None, lambda *v: int(all(v)),
+                  lambda *ivs: _truth(all(lo == 1 for lo, _ in ivs), any(hi == 0 for _, hi in ivs))),
+    "or": OpSpec("logic", 2, None, lambda *v: int(any(v)),
+                 lambda *ivs: _truth(any(lo == 1 for lo, _ in ivs), all(hi == 0 for _, hi in ivs))),
+    "xor": OpSpec("logic", 2, 2, _xor, _when_fixed(_xor)),
+    "iff": OpSpec("logic", 2, 2, _iff, _when_fixed(_iff)),
+    "imp": OpSpec("logic", 2, 2, lambda a, b: int(a == 0 or b != 0),
+                  lambda a, b: _truth(a[1] == 0 or b[0] == 1, a[0] == 1 and b[1] == 0)),
 }
-
-BOOLEAN_KINDS = frozenset({"eq", "ne", "lt", "le", "gt", "ge", "not", "and", "or", "xor", "iff", "imp"})
-LOGICAL_KINDS = frozenset({"not", "and", "or", "xor", "iff", "imp"})
 
 
 @dataclass(frozen=True)
@@ -56,9 +126,10 @@ class Op:
     children: tuple[Expr, ...]
 
     def __post_init__(self):
-        if self.kind not in OP_ARITY:
+        spec = OPS.get(self.kind)
+        if spec is None:
             raise ArityMismatchError(f"unknown operator {self.kind!r}")
-        lo, hi = OP_ARITY[self.kind]
+        lo, hi = spec.min_arity, spec.max_arity
         n = len(self.children)
         if n < lo or (hi is not None and n > hi):
             raise ArityMismatchError(f"operator {self.kind!r} takes {lo}{'+' if hi is None else ''} operands, got {n}")
@@ -86,7 +157,7 @@ def expr_vars(expr: Expr) -> Iterator[str]:
 
 
 def is_boolean(expr: Expr) -> bool:
-    return isinstance(expr, Op) and expr.kind in BOOLEAN_KINDS
+    return isinstance(expr, Op) and OPS[expr.kind].sort != "int"
 
 
 def evaluate(expr: Expr, binding: Mapping[str, int]) -> int:
@@ -98,48 +169,36 @@ def evaluate(expr: Expr, binding: Mapping[str, int]) -> int:
             return binding[expr.var_id]
         except KeyError:
             raise UnboundVariableError(expr.var_id) from None
-    vals = [evaluate(child, binding) for child in expr.children]
-    kind = expr.kind
-    if kind == "neg":
-        return -vals[0]
-    if kind == "abs":
-        return abs(vals[0])
-    if kind == "add":
-        return sum(vals)
-    if kind == "sub":
-        return vals[0] - vals[1]
-    if kind == "mul":
-        out = 1
-        for v in vals:
-            out *= v
-        return out
-    if kind == "dist":
-        return abs(vals[0] - vals[1])
-    if kind == "eq":
-        return int(vals[0] == vals[1])
-    if kind == "ne":
-        return int(vals[0] != vals[1])
-    if kind == "lt":
-        return int(vals[0] < vals[1])
-    if kind == "le":
-        return int(vals[0] <= vals[1])
-    if kind == "gt":
-        return int(vals[0] > vals[1])
-    if kind == "ge":
-        return int(vals[0] >= vals[1])
-    if kind == "not":
-        return int(vals[0] == 0)
-    if kind == "and":
-        return int(all(v != 0 for v in vals))
-    if kind == "or":
-        return int(any(v != 0 for v in vals))
-    if kind == "xor":
-        return int((vals[0] != 0) != (vals[1] != 0))
-    if kind == "iff":
-        return int((vals[0] != 0) == (vals[1] != 0))
-    if kind == "imp":
-        return int(vals[0] == 0 or vals[1] != 0)
-    raise ArityMismatchError(f"unknown operator {kind!r}")
+    return OPS[expr.kind].apply(*[evaluate(child, binding) for child in expr.children])
+
+
+def interval(expr: Expr, bounds: Mapping[str, Interval]) -> Interval:
+    """Bounds ``(lo, hi)`` of the value when each variable lies in its bounds."""
+    if isinstance(expr, IntConst):
+        return expr.value, expr.value
+    if isinstance(expr, VarRef):
+        return bounds[expr.var_id]
+    return OPS[expr.kind].interval(*[interval(child, bounds) for child in expr.children])
+
+
+def compile_expr(expr: Expr, position: Mapping[str, int]) -> Callable[[tuple[int, ...]], int]:
+    """Compile to a function of a value tuple; variable ``v`` is read at
+    ``position[v]``. Closures are specialised by arity, as this runs in the
+    engine's support scans."""
+    if isinstance(expr, IntConst):
+        value = expr.value
+        return lambda t: value
+    if isinstance(expr, VarRef):
+        return operator.itemgetter(position[expr.var_id])
+    f = OPS[expr.kind].apply
+    kids = [compile_expr(child, position) for child in expr.children]
+    if len(kids) == 1:
+        (a,) = kids
+        return lambda t: f(a(t))
+    if len(kids) == 2:
+        a, b = kids
+        return lambda t: f(a(t), b(t))
+    return lambda t: f(*[k(t) for k in kids])
 
 
 def format_expr(expr: Expr) -> str:
@@ -171,7 +230,7 @@ def parse_expr(text: str) -> Expr:
         if tok in "(),":
             raise ExprSyntaxError(f"unexpected {tok!r} in {text!r}")
         if pos < len(tokens) and tokens[pos] == "(":
-            if tok not in OP_ARITY:
+            if tok not in OPS:
                 raise ExprSyntaxError(f"unknown operator {tok!r} in {text!r}")
             pos += 1
             children = [parse_node()]

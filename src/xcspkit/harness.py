@@ -314,7 +314,10 @@ def run_one(instance_path: str, solver_id: str, command_template: str, time_limi
     except OSError as exc:
         raise SpawnFailureError(f"cannot run {command[0]!r}: {exc}") from None
     elapsed = time.perf_counter() - start
-    status, bound, payload = parse_solver_output(proc.stdout)
+    try:
+        status, bound, payload = parse_solver_output(proc.stdout)
+    except ProtocolViolationError:
+        return RunRecord(instance_id, solver_id, "INVALID", None, elapsed)
     if status in ("SAT", "OPTIMUM"):
         status, bound = _verify_claim(instance_path, status, bound, payload)
     return RunRecord(instance_id, solver_id, status, bound, elapsed)
@@ -346,8 +349,9 @@ def run_campaign(
     """Run one solver over every ``*.xml`` instance in a directory.
 
     Claims of SAT/OPTIMUM are re-verified against the instance and demoted
-    to INVALID on failure; a solver that exceeds the wall clock gets
-    UNKNOWN with elapsed = time_limit."""
+    to INVALID on failure, as is a run whose output breaks the line
+    protocol; a solver that exceeds the wall clock gets UNKNOWN with
+    elapsed = time_limit."""
     paths = sorted(str(p) for p in Path(instance_dir).glob("*.xml"))
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         records = list(pool.map(lambda p: run_one(p, solver_id, command_template, time_limit), paths))

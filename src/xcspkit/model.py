@@ -767,7 +767,7 @@ def _validate_condition(cond: Condition, where: str) -> list[Violation]:
 def _validate_expr_kinds(e: Expr, where: str, report: list[Violation]) -> None:
     if not isinstance(e, _expr.Op):
         return
-    if e.kind in _expr.LOGICAL_KINDS:
+    if _expr.OPS[e.kind].sort == "logic":
         for child in e.children:
             if not is_boolean(child):
                 report.append(

@@ -71,13 +71,33 @@ class TestSolveCommand:
         assert "s OPTIMUM FOUND" in lines
         assert any(line.startswith("v ") for line in lines)
 
-    def test_enumerate_all_flag(self, tmp_path, capsys):
+    def test_enumerate_all_flag(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "langford3.xml"
         path.write_text(write_instance(gen_langford(3)))
+
+        def no_second_search(*args, **kwargs):
+            raise AssertionError("--all must not search a second time for a witness")
+
+        monkeypatch.setattr("xcspkit.cli.solve", no_second_search)
         code = main(["solve", str(path), "--all", "--timeout", "60"])
         out = capsys.readouterr().out
         assert code == 10
         assert "s SATISFIABLE" in out
+        lines = _protocol_lines(out)
+        assert "c 2 solution(s), exact=True" in lines
+        (v_line,) = [line for line in lines if line.startswith("v ")]
+        from xcspkit.harness import verify
+
+        assert verify(parse_instance(path.read_text()), parse_solution(v_line[2:])).ok
+
+    def test_enumerate_all_timeout_without_solution_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "langford8.xml"
+        path.write_text(write_instance(gen_langford(8)))
+        code = main(["solve", str(path), "--all", "--timeout", "0.3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "s UNKNOWN" in _protocol_lines(out)
+        assert "s UNSATISFIABLE" not in out
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["solve", "/nonexistent/file.xml"]) == 2

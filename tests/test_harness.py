@@ -257,6 +257,15 @@ class TestCampaign(object):
         records = run_campaign(str(instance_dir), "liar", template, time_limit=30)
         assert all(r.status == "INVALID" for r in records)
 
+    def test_stray_line_is_invalid_and_campaign_goes_on(self, tmp_path):
+        instance_dir = self._write_instances(tmp_path)
+        template = "sh -c 'case {instance} in *dubois3*) echo hello;; *) echo \"s UNKNOWN\";; esac'"
+        csv_path = tmp_path / "results.csv"
+        records = run_campaign(str(instance_dir), "chatty", template, time_limit=30, csv_path=str(csv_path))
+        by_id = {r.instance_id: r.status for r in records}
+        assert by_id == {"dubois3": "INVALID", "langford3": "UNKNOWN"}
+        assert {r.instance_id: r.status for r in read_records_csv(csv_path)} == by_id
+
     def test_timeout_yields_unknown_with_full_elapsed(self, tmp_path):
         (tmp_path / "dubois3.xml").write_text(write_instance(gen_dubois(3)))
         template = f"{sys.executable} -c \"import time; time.sleep(30)\""

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from xcspkit.errors import NotAnOptimizationInstanceError, UnboundVariableError
-from xcspkit.expr import const, op, parse_expr, var
+from xcspkit.expr import OPS, compile_expr, const, evaluate, interval, op, parse_expr, var
 from xcspkit.model import (
     STAR,
     AllDifferent,
@@ -86,6 +86,103 @@ class TestEvaluateExpr:
     def test_operators(self, text, binding, expected):
         assert evaluate_expr(parse_expr(text), Assignment(binding)) == expected
 
+
+
+# (kind, operands, value), written out by hand: the checker and the engine
+# share one operator table, so these literals are what pins its semantics.
+OPERATOR_CASES = [
+    ("neg", (5,), -5),
+    ("neg", (-3,), 3),
+    ("abs", (-4,), 4),
+    ("abs", (6,), 6),
+    ("add", (2, -5), -3),
+    ("add", (1, 2, 3), 6),
+    ("sub", (2, 9), -7),
+    ("sub", (-2, -9), 7),
+    ("mul", (-2, 3), -6),
+    ("mul", (2, -3, 4), -24),
+    ("dist", (3, 7), 4),
+    ("dist", (-2, 5), 7),
+    ("dist", (5, -2), 7),
+    ("eq", (3, 3), 1),
+    ("eq", (3, 4), 0),
+    ("ne", (3, 3), 0),
+    ("ne", (-1, 1), 1),
+    ("lt", (1, 2), 1),
+    ("lt", (2, 2), 0),
+    ("le", (2, 2), 1),
+    ("le", (3, 2), 0),
+    ("gt", (3, 2), 1),
+    ("gt", (2, 2), 0),
+    ("ge", (2, 2), 1),
+    ("ge", (1, 2), 0),
+    ("not", (0,), 1),
+    ("not", (1,), 0),
+    ("and", (1, 1), 1),
+    ("and", (1, 0), 0),
+    ("and", (1, 1, 1), 1),
+    ("and", (1, 0, 1), 0),
+    ("or", (0, 0), 0),
+    ("or", (0, 1), 1),
+    ("or", (0, 0, 0), 0),
+    ("or", (0, 0, 1), 1),
+    ("xor", (0, 0), 0),
+    ("xor", (0, 1), 1),
+    ("xor", (1, 0), 1),
+    ("xor", (1, 1), 0),
+    ("iff", (0, 0), 1),
+    ("iff", (0, 1), 0),
+    ("iff", (1, 0), 0),
+    ("iff", (1, 1), 1),
+    ("imp", (0, 0), 1),
+    ("imp", (0, 1), 1),
+    ("imp", (1, 0), 0),
+    ("imp", (1, 1), 1),
+]
+
+
+def _random_expr(rng, names, depth, boolean=False):
+    """A well-typed random expression: logical operators get 0/1-valued
+    operands, as model validation requires."""
+    if not boolean and (depth <= 0 or rng.random() < 0.3):
+        return var(rng.choice(names)) if rng.random() < 0.7 else const(rng.randint(-3, 3))
+    sorts = ("rel", "logic") if depth > 0 else ("rel",)
+    kind = rng.choice([k for k, spec in OPS.items() if not boolean or spec.sort in sorts])
+    spec = OPS[kind]
+    arity = spec.min_arity if spec.max_arity == spec.min_arity else rng.randint(spec.min_arity, spec.min_arity + 1)
+    return op(kind, *(_random_expr(rng, names, depth - 1, spec.sort == "logic") for _ in range(arity)))
+
+
+class TestOperatorTable:
+    def test_cases_cover_every_operator(self):
+        assert {kind for kind, _, _ in OPERATOR_CASES} == set(OPS)
+
+    @pytest.mark.parametrize("kind,operands,expected", OPERATOR_CASES)
+    def test_literal_semantics(self, kind, operands, expected):
+        names = [f"a{i}" for i in range(len(operands))]
+        e = op(kind, *(var(n) for n in names))
+        assert evaluate(e, dict(zip(names, operands))) == expected
+        assert evaluate(op(kind, *(const(v) for v in operands)), {}) == expected
+        assert compile_expr(e, {n: i for i, n in enumerate(names)})(operands) == expected
+        assert interval(e, {n: (v, v) for n, v in zip(names, operands)}) == (expected, expected)
+
+    def test_interval_contains_every_value(self):
+        rng = random.Random(4242)
+        names = ["x", "y", "z"]
+        for _ in range(300):
+            e = _random_expr(rng, names, 3, boolean=rng.random() < 0.5)
+            box = {}
+            for n in names:
+                lo = rng.randint(-3, 2)
+                box[n] = (lo, lo + rng.randint(0, 3))
+            lo, hi = interval(e, box)
+            fn = compile_expr(e, {n: i for i, n in enumerate(names)})
+            for values in itertools.product(*(range(box[n][0], box[n][1] + 1) for n in names)):
+                binding = dict(zip(names, values))
+                value = evaluate(e, binding)
+                assert lo <= value <= hi, (e, box, binding)
+                assert fn(values) == value, (e, binding)
+                assert interval(e, {n: (v, v) for n, v in binding.items()}) == (value, value), (e, binding)
 
 class TestConstraintSatisfied:
     def test_alldifferent(self):
