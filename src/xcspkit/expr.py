@@ -25,9 +25,10 @@ Interval = tuple[int, int]
 
 class OpSpec(NamedTuple):
     """``apply`` maps operand values to the value; ``interval`` maps operand
-    bounds ``(lo, hi)`` to bounds that contain every value. The interval
-    functions of logical operators read their operands as 0/1, which model
-    validation guarantees."""
+    bounds ``(lo, hi)`` to bounds that contain every value. Logical
+    operators read 0 as false and every other value as true, so their
+    interval functions first map each operand's bounds to truth bounds
+    (``_truth_of``) and hold on integer operands too."""
 
     sort: str  # "int", "rel" (0/1 of integers) or "logic" (0/1 of 0/1 operands)
     min_arity: int
@@ -70,6 +71,16 @@ def _truth(sure: bool, never: bool) -> Interval:
     return (1, 1) if sure else (0, 0) if never else (0, 1)
 
 
+def _truth_of(a: Interval) -> Interval:
+    """Truth bounds of an operand: ``(0, 0)`` is false, a box without 0 is true."""
+    return _truth(a[0] > 0 or a[1] < 0, a[0] == a[1] == 0)
+
+
+def _logical(interval: Callable[..., Interval]) -> Callable[..., Interval]:
+    """Interval function of a logical operator, given one over truth bounds."""
+    return lambda *ivs: interval(*[_truth_of(a) for a in ivs])
+
+
 def _when_fixed(apply: Callable[[int, int], int]) -> Callable[[Interval, Interval], Interval]:
     """Interval of a binary operator that is known only once both operands are fixed."""
     return lambda a, b: (apply(a[0], b[0]),) * 2 if a[0] == a[1] and b[0] == b[1] else (0, 1)
@@ -98,15 +109,15 @@ OPS: dict[str, OpSpec] = {
     "le": OpSpec("rel", 2, 2, lambda a, b: int(a <= b), lambda a, b: _truth(a[1] <= b[0], a[0] > b[1])),
     "gt": OpSpec("rel", 2, 2, lambda a, b: int(a > b), lambda a, b: _truth(a[0] > b[1], a[1] <= b[0])),
     "ge": OpSpec("rel", 2, 2, lambda a, b: int(a >= b), lambda a, b: _truth(a[0] >= b[1], a[1] < b[0])),
-    "not": OpSpec("logic", 1, 1, lambda a: int(a == 0), lambda a: (1 - a[1], 1 - a[0])),
+    "not": OpSpec("logic", 1, 1, lambda a: int(a == 0), _logical(lambda a: (1 - a[1], 1 - a[0]))),
     "and": OpSpec("logic", 2, None, lambda *v: int(all(v)),
-                  lambda *ivs: _truth(all(lo == 1 for lo, _ in ivs), any(hi == 0 for _, hi in ivs))),
+                  _logical(lambda *ivs: _truth(all(lo == 1 for lo, _ in ivs), any(hi == 0 for _, hi in ivs)))),
     "or": OpSpec("logic", 2, None, lambda *v: int(any(v)),
-                 lambda *ivs: _truth(any(lo == 1 for lo, _ in ivs), all(hi == 0 for _, hi in ivs))),
-    "xor": OpSpec("logic", 2, 2, _xor, _when_fixed(_xor)),
-    "iff": OpSpec("logic", 2, 2, _iff, _when_fixed(_iff)),
+                 _logical(lambda *ivs: _truth(any(lo == 1 for lo, _ in ivs), all(hi == 0 for _, hi in ivs)))),
+    "xor": OpSpec("logic", 2, 2, _xor, _logical(_when_fixed(_xor))),
+    "iff": OpSpec("logic", 2, 2, _iff, _logical(_when_fixed(_iff))),
     "imp": OpSpec("logic", 2, 2, lambda a, b: int(a == 0 or b != 0),
-                  lambda a, b: _truth(a[1] == 0 or b[0] == 1, a[0] == 1 and b[1] == 0)),
+                  _logical(lambda a, b: _truth(a[1] == 0 or b[0] == 1, a[0] == 1 and b[1] == 0))),
 }
 
 

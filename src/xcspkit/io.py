@@ -4,14 +4,21 @@ The writer emits one fixed form (declaration order, ``a..b`` run
 compression, lexicographically sorted tuples, 2-space indentation); the
 parser accepts that form plus ordinary whitespace variation, ``<group>``
 and ``<block>`` wrappers, and compact ``<slide>`` templates.
+
+``_LAYOUTS`` is the one description of each constraint element's XML
+layout: its tag, its children in canonical order with how each reads and
+formats, and how they map to the model dataclass. The reader and the
+writer are walks over it, so a constraint element is added in one place.
+Only ``intension``, ``extension`` and ``slide`` are explicit cases.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import xml.parsers.expat
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, NamedTuple, Union
 
 from . import expr as _expr
 from .errors import (
@@ -51,6 +58,7 @@ from .model import (
     Sum,
     Table,
     Variable,
+    constraint_scope,
     validate_instance,
 )
 
@@ -59,9 +67,6 @@ _RANGE_RE = re.compile(r"^([+-]?\d+)\.\.([+-]?\d+)$")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 _SIZE_RE = re.compile(r"\[(\d+)\]")
 _VAR_SPLIT_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)((?:\[\d+\])*)$")
-
-# Recognized XCSP3-core elements that this subset deliberately rejects.
-_KNOWN_UNSUPPORTED = {"mdd", "allEqual", "nValues", "minimum", "maximum"}
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +183,29 @@ def _parse_tuples(text: str, loc: SourceLocation) -> list[tuple]:
     return rows
 
 
-def _parse_mixed_tokens(text: str, known: set[str], loc: SourceLocation) -> list[Union[int, str]]:
-    """Integers and variable ids mixed (coefficient lists)."""
-    out: list[Union[int, str]] = []
-    for tok in text.split():
-        if _INT_RE.match(tok):
-            out.append(int(tok))
-        elif _VAR_SPLIT_RE.match(tok):
-            if tok not in known:
-                raise UnknownVariableError(tok, loc)
-            out.append(tok)
-        else:
-            raise XmlSyntaxError(f"bad token {tok!r}", loc)
-    return out
+def _bounds(tok: str, loc: SourceLocation) -> tuple[int, int]:
+    """Inclusive bounds of ``a..b`` or of ``a``."""
+    m = _RANGE_RE.match(tok)
+    if m:
+        return int(m.group(1)), int(m.group(2))
+    if _INT_RE.match(tok):
+        return int(tok), int(tok)
+    raise XmlSyntaxError(f"expected integer or range, got {tok!r}", loc)
+
+
+def _known_id(tok: str, known: set[str], loc: SourceLocation) -> str:
+    if tok not in known:
+        raise UnknownVariableError(tok, loc)
+    return tok
+
+
+def _term(tok: str, known: set[str], loc: SourceLocation) -> Union[int, str]:
+    """An integer or a declared variable id."""
+    if _INT_RE.match(tok):
+        return int(tok)
+    if not _VAR_SPLIT_RE.match(tok):
+        raise XmlSyntaxError(f"bad token {tok!r}", loc)
+    return _known_id(tok, known, loc)
 
 
 def _parse_condition(text: str, known: set[str], loc: SourceLocation) -> Condition:
@@ -204,15 +219,7 @@ def _parse_condition(text: str, known: set[str], loc: SourceLocation) -> Conditi
     if op not in ("lt", "le", "ge", "gt", "eq", "ne", "in"):
         raise XmlSyntaxError(f"bad condition operator {op!r}", loc)
     m = _RANGE_RE.match(rhs_text)
-    if m:
-        return Condition(op, (int(m.group(1)), int(m.group(2))))
-    if _INT_RE.match(rhs_text):
-        return Condition(op, int(rhs_text))
-    if _VAR_SPLIT_RE.match(rhs_text):
-        if rhs_text not in known:
-            raise UnknownVariableError(rhs_text, loc)
-        return Condition(op, rhs_text)
-    raise XmlSyntaxError(f"bad condition rhs {rhs_text!r}", loc)
+    return Condition(op, (int(m.group(1)), int(m.group(2))) if m else _term(rhs_text, known, loc))
 
 
 def _compress_ints(values) -> str:
@@ -230,6 +237,226 @@ def _compress_ints(values) -> str:
             parts.append(str(vals[i]))
         i = j + 1
     return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Constraint element layouts
+
+
+class _Codec(NamedTuple):
+    """How a child element's text (and attributes) reads to a value and
+    formats back."""
+
+    read: Callable[[_Node, set[str]], Any]  # (child, declared ids) -> value
+    fmt: Callable[[Any], str]
+    attrs: Callable[[Any], str] = lambda value: ""
+
+
+class _Child(NamedTuple):
+    tag: str
+    codec: _Codec
+    least: int = 1
+    most: int | None = 1  # None: unbounded; unless 1, the value is a tuple of reads
+
+
+class _Layout(NamedTuple):
+    """A constraint element: its tag and its children in canonical order.
+    ``pack`` maps the children's values to the constraint and ``unpack``
+    back; both default to the dataclass fields in order. ``pack`` raises
+    ``ValueError`` for values that do not fit together. An ``inline`` layout
+    has one child, written as the element's own text and read from it when
+    the element has no children."""
+
+    tag: str
+    children: tuple[_Child, ...]
+    pack: Callable[..., Constraint] | None = None
+    unpack: Callable[[Constraint], tuple] | None = None
+    inline: bool = False
+
+
+def _tuple_list(read_entry):
+    """Reader of ``(a,b)(c,d)`` text; ``read_entry(parts, node, known)`` reads
+    the stripped parts of one tuple."""
+
+    def read(node: _Node, known: set[str]) -> tuple:
+        text = node.text
+        stray = _TUPLE_RE.sub("", text).strip()
+        if stray:
+            raise XmlSyntaxError(f"stray content {stray!r} in <{node.tag}>", node.loc)
+        return tuple(
+            read_entry([p.strip() for p in m.group(1).split(",")], node, known) for m in _TUPLE_RE.finditer(text)
+        )
+
+    return read
+
+
+def _transition(parts, node, known):
+    if len(parts) != 3 or not _INT_RE.match(parts[1]):
+        raise XmlSyntaxError(f"bad transition ({','.join(parts)})", node.loc)
+    return parts[0], int(parts[1]), parts[2]
+
+
+def _pair(parts, node, known):
+    if len(parts) != 2:
+        raise XmlSyntaxError(f"expected (x,y) pairs, got ({','.join(parts)})", node.loc)
+    return tuple(_term(p, known, node.loc) for p in parts)
+
+
+def _origin(parts, node, known):
+    row = _pair(parts, node, known)
+    if any(isinstance(e, int) for e in row):
+        raise XmlSyntaxError("noOverlap origins must be variables", node.loc)
+    return row
+
+
+def _read_limit(node: _Node, known: set[str]) -> int:
+    cond = _parse_condition(node.text, known, node.loc)
+    if cond.operator != "le" or not isinstance(cond.rhs, int):
+        raise UnsupportedFeatureError("cumulative condition other than (le,k)", node.loc)
+    return cond.rhs
+
+
+def _instantiation(scope, values) -> Instantiation:
+    if len(values) != len(scope):
+        raise ValueError("instantiation list/values length mismatch")
+    return Instantiation(scope, values)
+
+
+def _format_ints(values) -> str:
+    return " ".join(str(v) for v in values)
+
+
+def _format_tuples(rows) -> str:
+    return "".join("(" + ",".join(str(e) for e in row) + ")" for row in rows)
+
+
+def _format_condition(cond: Condition) -> str:
+    rhs = cond.rhs
+    if isinstance(rhs, tuple):
+        body = f"{rhs[0]}..{rhs[1]}"
+    else:
+        body = str(rhs)
+    return f"({cond.operator},{body})"
+
+
+_VARS = _Codec(lambda n, known: tuple(_parse_var_list(n.text, known, n.loc)), " ".join)
+_INTS = _Codec(lambda n, known: tuple(_parse_ints(n.text, n.loc)), _format_ints)
+_TERMS = _Codec(lambda n, known: tuple(_term(t, known, n.loc) for t in n.text.split()), _format_ints)
+_WORD = _Codec(lambda n, known: n.text, str)
+_WORDS = _Codec(lambda n, known: tuple(n.text.split()), " ".join)
+_ID = _Codec(lambda n, known: _known_id(n.text, known, n.loc), str)
+_INT_OR_ID = _Codec(lambda n, known: int(n.text) if _INT_RE.match(n.text) else _ID.read(n, known), str)
+_CONDITION = _Codec(lambda n, known: _parse_condition(n.text, known, n.loc), _format_condition)
+_LIMIT = _Codec(_read_limit, lambda limit: f"(le,{limit})")
+_OCCURS = _Codec(
+    lambda n, known: tuple(_bounds(tok, n.loc) for tok in n.text.split()),
+    lambda occurs: " ".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in occurs),
+)
+_CLOSED_INTS = _Codec(
+    lambda n, known: (_INTS.read(n, known), n.attrib.get("closed", "false") == "true"),
+    lambda values: _format_ints(values[0]),
+    lambda values: f' closed="{"true" if values[1] else "false"}"',
+)
+_MATRIX = _Codec(_tuple_list(lambda parts, n, known: tuple(_known_id(p, known, n.loc) for p in parts)), _format_tuples)
+_TRANSITIONS = _Codec(_tuple_list(_transition), _format_tuples)
+_ORIGINS = _Codec(_tuple_list(_origin), _format_tuples)
+_PAIRS = _Codec(_tuple_list(_pair), _format_tuples)
+
+_LAYOUTS: dict[type, _Layout] = {
+    Regular: _Layout(
+        "regular",
+        (_Child("list", _VARS), _Child("transitions", _TRANSITIONS), _Child("start", _WORD), _Child("final", _WORDS)),
+        lambda scope, transitions, start, finals: Regular(scope, Automaton(start, transitions, finals)),
+        lambda c: (c.scope, c.automaton.transitions, c.automaton.start, c.automaton.finals),
+    ),
+    AllDifferent: _Layout("allDifferent", (_Child("list", _VARS),), inline=True),
+    AllDifferentMatrix: _Layout("allDifferent", (_Child("matrix", _MATRIX),)),
+    Ordered: _Layout("ordered", (_Child("list", _VARS), _Child("operator", _WORD))),
+    Lex: _Layout("lex", (_Child("list", _VARS, least=2, most=None), _Child("operator", _WORD))),
+    LexMatrix: _Layout("lex", (_Child("matrix", _MATRIX), _Child("operator", _WORD))),
+    Sum: _Layout(
+        "sum",
+        (_Child("list", _VARS), _Child("coeffs", _TERMS, least=0), _Child("condition", _CONDITION)),
+        lambda scope, coeffs, condition: Sum(scope, (1,) * len(scope) if coeffs is None else coeffs, condition),
+        lambda c: (c.scope, c.coeffs if any(k != 1 for k in c.coeffs) else None, c.condition),
+    ),
+    Count: _Layout("count", (_Child("list", _VARS), _Child("values", _INTS), _Child("condition", _CONDITION))),
+    Cardinality: _Layout(
+        "cardinality",
+        (_Child("list", _VARS), _Child("values", _CLOSED_INTS), _Child("occurs", _OCCURS)),
+        lambda scope, values, occurs: Cardinality(scope, values[0], occurs, values[1]),
+        lambda c: (c.scope, (c.values, c.closed), c.occurs),
+    ),
+    Element: _Layout("element", (_Child("list", _VARS), _Child("index", _ID), _Child("value", _INT_OR_ID))),
+    Channel: _Layout(
+        "channel",
+        (_Child("list", _VARS, least=2, most=2),),
+        lambda lists: Channel(*lists),
+        lambda c: ((c.list_a, c.list_b),),
+    ),
+    NoOverlap: _Layout("noOverlap", (_Child("origins", _ORIGINS), _Child("lengths", _PAIRS))),
+    Cumulative: _Layout(
+        "cumulative",
+        (_Child("origins", _VARS), _Child("lengths", _INTS), _Child("heights", _INTS), _Child("condition", _LIMIT)),
+    ),
+    Circuit: _Layout("circuit", (_Child("list", _VARS),), inline=True),
+    Instantiation: _Layout("instantiation", (_Child("list", _VARS), _Child("values", _INTS)), _instantiation),
+}
+
+# tag -> (class, layout) in table order; a tag with several layouts picks the
+# first whose first child is present (``allDifferent`` and ``lex``)
+_BY_TAG: dict[str, list[tuple[type, _Layout]]] = {}
+for _cls, _layout in _LAYOUTS.items():
+    _BY_TAG.setdefault(_layout.tag, []).append((_cls, _layout))
+
+
+def _group_children(node: _Node, most: dict[str, int | None]) -> dict[str, list[_Node]]:
+    """``node``'s children by tag. A tag outside ``most``, or repeated more
+    than ``most[tag]`` times (None: unbounded), is refused."""
+    groups: dict[str, list[_Node]] = {tag: [] for tag in most}
+    for child in node.children:
+        group = groups.get(child.tag)
+        if group is None:
+            raise XmlSyntaxError(f"<{node.tag}> does not take <{child.tag}>", child.loc)
+        limit = most[child.tag]
+        if limit is not None and len(group) == limit:
+            raise XmlSyntaxError(f"<{node.tag}> takes at most {limit} <{child.tag}>", child.loc)
+        group.append(child)
+    return groups
+
+
+def _read_layout(node: _Node, known: set[str]) -> Constraint:
+    candidates = _BY_TAG[node.tag]
+    present = {child.tag for child in node.children}
+    cls, layout = next((entry for entry in candidates if entry[1].children[0].tag in present), candidates[0])
+    groups = _group_children(node, {spec.tag: spec.most for spec in layout.children})
+    if layout.inline and not node.children:
+        groups[layout.children[0].tag] = [node]
+    values = []
+    for spec in layout.children:
+        nodes = groups[spec.tag]
+        if len(nodes) < spec.least:
+            raise XmlSyntaxError(f"<{node.tag}> needs {spec.least} <{spec.tag}>, got {len(nodes)}", node.loc)
+        reads = tuple(spec.codec.read(n, known) for n in nodes)
+        values.append(reads if spec.most != 1 else reads[0] if reads else None)
+    try:
+        return (layout.pack or cls)(*values)
+    except ValueError as exc:
+        raise XmlSyntaxError(str(exc), node.loc) from None
+
+
+def _write_layout(w: _Writer, layout: _Layout, c: Constraint) -> None:
+    values = layout.unpack(c) if layout.unpack else [getattr(c, f.name) for f in fields(c)]
+    if layout.inline:
+        w.leaf(layout.tag, layout.children[0].codec.fmt(values[0]))
+        return
+    w.open(f"<{layout.tag}>")
+    for spec, value in zip(layout.children, values):
+        if value is None:
+            continue
+        for item in (value,) if spec.most == 1 else value:
+            w.leaf(spec.tag, spec.codec.fmt(item), spec.codec.attrs(item))
+    w.close(f"</{layout.tag}>")
 
 
 # ---------------------------------------------------------------------------
@@ -380,39 +607,11 @@ def _require(node: _Node, tag: str) -> _Node:
     return child
 
 
+_EXTENSION_CHILDREN = {"list": 1, "supports": 1, "conflicts": 1}
+
+
 def _parse_constraint(node: _Node, known: set[str]) -> Constraint:
     tag = node.tag
-    if tag in _KNOWN_UNSUPPORTED:
-        raise UnsupportedFeatureError(tag, node.loc)
-
-    if tag == "extension":
-        lst = _require(node, "list")
-        scope = _parse_var_list(lst.text, known, lst.loc)
-        sup, con = node.child("supports"), node.child("conflicts")
-        if (sup is None) == (con is None):
-            raise XmlSyntaxError("<extension> needs exactly one of <supports>/<conflicts>", node.loc)
-        body = sup if sup is not None else con
-        polarity = "supports" if sup is not None else "conflicts"
-        if len(scope) == 1:
-            rows = []
-            for tok in body.text.split():
-                if tok == STAR:
-                    rows.append((STAR,))
-                else:
-                    m = _RANGE_RE.match(tok)
-                    if m:
-                        rows.extend((v,) for v in range(int(m.group(1)), int(m.group(2)) + 1))
-                    elif _INT_RE.match(tok):
-                        rows.append((int(tok),))
-                    else:
-                        raise XmlSyntaxError(f"bad unary table entry {tok!r}", body.loc)
-        else:
-            rows = _parse_tuples(body.text, body.loc)
-            for row in rows:
-                if len(row) != len(scope):
-                    raise XmlSyntaxError(f"tuple {row} does not match arity {len(scope)}", body.loc)
-        return Extension(tuple(scope), Table(len(scope), polarity, tuple(rows)))
-
     if tag == "intension":
         try:
             expression = _expr.parse_expr(node.text)
@@ -423,165 +622,37 @@ def _parse_constraint(node: _Node, known: set[str]) -> Constraint:
                 raise UnknownVariableError(vid, node.loc)
         return Intension(expression)
 
-    if tag == "regular":
-        lst = _require(node, "list")
+    if tag == "extension":
+        groups = _group_children(node, _EXTENSION_CHILDREN)
+        if not groups["list"]:
+            raise XmlSyntaxError("<extension> missing <list>", node.loc)
+        lst = groups["list"][0]
         scope = _parse_var_list(lst.text, known, lst.loc)
-        trans_node = _require(node, "transitions")
-        transitions = []
-        stripped = _TUPLE_RE.sub("", trans_node.text).strip()
-        if stripped:
-            raise XmlSyntaxError("stray content in <transitions>", trans_node.loc)
-        for m in _TUPLE_RE.finditer(trans_node.text):
-            parts = [p.strip() for p in m.group(1).split(",")]
-            if len(parts) != 3 or not _INT_RE.match(parts[1]):
-                raise XmlSyntaxError(f"bad transition ({m.group(1)})", trans_node.loc)
-            transitions.append((parts[0], int(parts[1]), parts[2]))
-        start = _require(node, "start").text
-        finals = tuple(_require(node, "final").text.split())
-        return Regular(tuple(scope), Automaton(start, tuple(transitions), finals))
-
-    if tag == "allDifferent":
-        matrix = node.child("matrix")
-        if matrix is not None:
-            return AllDifferentMatrix(_parse_matrix(matrix, known))
-        lst = node.child("list")
-        text = lst.text if lst is not None else node.text
-        loc = lst.loc if lst is not None else node.loc
-        return AllDifferent(tuple(_parse_var_list(text, known, loc)))
-
-    if tag == "ordered":
-        lst = _require(node, "list")
-        operator = _require(node, "operator").text
-        return Ordered(tuple(_parse_var_list(lst.text, known, lst.loc)), operator)
-
-    if tag == "lex":
-        operator = _require(node, "operator").text
-        matrix = node.child("matrix")
-        if matrix is not None:
-            return LexMatrix(_parse_matrix(matrix, known), operator)
-        rows = tuple(tuple(_parse_var_list(lst.text, known, lst.loc)) for lst in node.all("list"))
-        if len(rows) < 2:
-            raise XmlSyntaxError("<lex> needs at least two lists", node.loc)
-        return Lex(rows, operator)
-
-    if tag == "sum":
-        lst = _require(node, "list")
-        scope = _parse_var_list(lst.text, known, lst.loc)
-        coeffs_node = node.child("coeffs")
-        if coeffs_node is not None:
-            coeffs = tuple(_parse_mixed_tokens(coeffs_node.text, known, coeffs_node.loc))
+        bodies = groups["supports"] + groups["conflicts"]
+        if len(bodies) != 1:
+            raise XmlSyntaxError("<extension> needs exactly one of <supports>/<conflicts>", node.loc)
+        body = bodies[0]
+        if len(scope) == 1:
+            rows = []
+            for tok in body.text.split():
+                if tok == STAR:
+                    rows.append((STAR,))
+                else:
+                    lo, hi = _bounds(tok, body.loc)
+                    rows.extend((v,) for v in range(lo, hi + 1))
         else:
-            coeffs = (1,) * len(scope)
-        cond_node = _require(node, "condition")
-        return Sum(tuple(scope), coeffs, _parse_condition(cond_node.text, known, cond_node.loc))
-
-    if tag == "count":
-        lst = _require(node, "list")
-        scope = _parse_var_list(lst.text, known, lst.loc)
-        values_node = _require(node, "values")
-        values = tuple(_parse_ints(values_node.text, values_node.loc))
-        cond_node = _require(node, "condition")
-        return Count(tuple(scope), values, _parse_condition(cond_node.text, known, cond_node.loc))
-
-    if tag == "cardinality":
-        lst = _require(node, "list")
-        scope = _parse_var_list(lst.text, known, lst.loc)
-        values_node = _require(node, "values")
-        values = tuple(_parse_ints(values_node.text, values_node.loc))
-        closed = values_node.attrib.get("closed", "false") == "true"
-        occurs_node = _require(node, "occurs")
-        occurs = []
-        for tok in occurs_node.text.split():
-            m = _RANGE_RE.match(tok)
-            if m:
-                occurs.append((int(m.group(1)), int(m.group(2))))
-            elif _INT_RE.match(tok):
-                occurs.append((int(tok), int(tok)))
-            else:
-                raise XmlSyntaxError(f"bad occurs entry {tok!r}", occurs_node.loc)
-        return Cardinality(tuple(scope), values, tuple(occurs), closed)
-
-    if tag == "element":
-        lst = _require(node, "list")
-        scope = _parse_var_list(lst.text, known, lst.loc)
-        index = _require(node, "index").text
-        if index not in known:
-            raise UnknownVariableError(index, node.loc)
-        value_node = _require(node, "value")
-        vtext = value_node.text
-        if _INT_RE.match(vtext):
-            value: Union[int, str] = int(vtext)
-        else:
-            if vtext not in known:
-                raise UnknownVariableError(vtext, value_node.loc)
-            value = vtext
-        return Element(tuple(scope), index, value)
-
-    if tag == "channel":
-        lists = node.all("list")
-        if len(lists) != 2:
-            raise UnsupportedFeatureError("channel without exactly two lists", node.loc)
-        return Channel(
-            tuple(_parse_var_list(lists[0].text, known, lists[0].loc)),
-            tuple(_parse_var_list(lists[1].text, known, lists[1].loc)),
-        )
-
-    if tag == "noOverlap":
-        origins_node = _require(node, "origins")
-        lengths_node = _require(node, "lengths")
-        origins = []
-        for row in _parse_pair_tuples(origins_node.text, origins_node.loc):
-            for entry in row:
-                if isinstance(entry, int):
-                    raise XmlSyntaxError("noOverlap origins must be variables", origins_node.loc)
-                if entry not in known:
-                    raise UnknownVariableError(entry, origins_node.loc)
-            origins.append(row)
-        lengths = []
-        for row in _parse_pair_tuples(lengths_node.text, lengths_node.loc):
-            for entry in row:
-                if isinstance(entry, str) and entry not in known:
-                    raise UnknownVariableError(entry, lengths_node.loc)
-            lengths.append(row)
-        return NoOverlap(tuple(origins), tuple(lengths))
-
-    if tag == "cumulative":
-        origins_node = _require(node, "origins")
-        scope = _parse_var_list(origins_node.text, known, origins_node.loc)
-        lengths_node = _require(node, "lengths")
-        heights_node = _require(node, "heights")
-        cond_node = _require(node, "condition")
-        cond = _parse_condition(cond_node.text, known, cond_node.loc)
-        if cond.operator != "le" or not isinstance(cond.rhs, int):
-            raise UnsupportedFeatureError("cumulative condition other than (le,k)", cond_node.loc)
-        return Cumulative(
-            tuple(scope),
-            tuple(_parse_ints(lengths_node.text, lengths_node.loc)),
-            tuple(_parse_ints(heights_node.text, heights_node.loc)),
-            cond.rhs,
-        )
-
-    if tag == "circuit":
-        lst = node.child("list")
-        text = lst.text if lst is not None else node.text
-        loc = lst.loc if lst is not None else node.loc
-        return Circuit(tuple(_parse_var_list(text, known, loc)))
-
-    if tag == "instantiation":
-        lst = _require(node, "list")
-        scope = _parse_var_list(lst.text, known, lst.loc)
-        values_node = _require(node, "values")
-        values = _parse_ints(values_node.text, values_node.loc)
-        if len(values) != len(scope):
-            raise XmlSyntaxError("instantiation list/values length mismatch", node.loc)
-        return Instantiation(tuple(scope), tuple(values))
+            rows = _parse_tuples(body.text, body.loc)
+            for row in rows:
+                if len(row) != len(scope):
+                    raise XmlSyntaxError(f"tuple {row} does not match arity {len(scope)}", body.loc)
+        return Extension(tuple(scope), Table(len(scope), body.tag, tuple(rows)))
 
     if tag == "slide":
         lst = _require(node, "list")
         scope = _parse_var_list(lst.text, known, lst.loc)
         template = None
         for child in node.children:
-            if child.tag != "list":
+            if child is not lst:
                 if template is not None:
                     raise XmlSyntaxError("slide with two templates", child.loc)
                 template = child
@@ -595,6 +666,8 @@ def _parse_constraint(node: _Node, known: set[str]) -> Constraint:
             windows.append(_parse_constraint(_substitute(template, scope[i : i + arity]), known))
         return Slide(tuple(windows))
 
+    if tag in _BY_TAG:
+        return _read_layout(node, known)
     raise UnsupportedFeatureError(tag, node.loc)
 
 
@@ -606,43 +679,6 @@ def _template_arity(node: _Node) -> int:
     for child in node.children:
         best = max(best, _template_arity(child) - 1)
     return best + 1
-
-
-def _parse_pair_tuples(text: str, loc: SourceLocation) -> list[tuple]:
-    rows = []
-    stripped = _TUPLE_RE.sub("", text).strip()
-    if stripped:
-        raise XmlSyntaxError(f"stray content {stripped!r} in tuple list", loc)
-    for m in _TUPLE_RE.finditer(text):
-        entries = []
-        for part in m.group(1).split(","):
-            part = part.strip()
-            if _INT_RE.match(part):
-                entries.append(int(part))
-            elif _VAR_SPLIT_RE.match(part):
-                entries.append(part)
-            else:
-                raise XmlSyntaxError(f"bad entry {part!r}", loc)
-        if len(entries) != 2:
-            raise XmlSyntaxError(f"expected (x,y) pairs, got {m.group(0)}", loc)
-        rows.append(tuple(entries))
-    return rows
-
-
-def _parse_matrix(node: _Node, known: set[str]) -> tuple[tuple[str, ...], ...]:
-    rows = []
-    stripped = _TUPLE_RE.sub("", node.text).strip()
-    if stripped:
-        raise XmlSyntaxError("stray content in <matrix>", node.loc)
-    for m in _TUPLE_RE.finditer(node.text):
-        row = []
-        for part in m.group(1).split(","):
-            part = part.strip()
-            if part not in known:
-                raise UnknownVariableError(part, node.loc)
-            row.append(part)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def _parse_objective(node: _Node, known: set[str]) -> Objective:
@@ -769,30 +805,27 @@ def _split_id(vid: str):
 
 
 def _write_variables(w: _Writer, variables):
-    i = 0
-    n = len(variables)
+    """A maximal run of indexed ids with one stem and rank is written as
+    ``<var>``s up to the position from which the rest of the run is a full
+    array in row-major order, and that rest as one ``<array>``."""
+    split = [_split_id(v.id) for v in variables]
+    i, n = 0, len(variables)
     while i < n:
-        stem, indices = _split_id(variables[i].id)
-        if not indices:
-            w.leaf("var", _compress_ints(variables[i].domain.values), f' id="{variables[i].id}"')
-            i += 1
-            continue
-        j = i
-        run = []
-        while j < n:
-            s2, idx2 = _split_id(variables[j].id)
-            if s2 != stem or len(idx2) != len(indices):
-                break
-            run.append((variables[j], idx2))
-            j += 1
-        dims = [max(idx[d] for _, idx in run) + 1 for d in range(len(indices))]
-        expected = _cells(stem, dims)
-        if [v.id for v, _ in run] == expected:
-            _write_array(w, stem, dims, [v for v, _ in run])
-            i = j
-        else:
-            w.leaf("var", _compress_ints(variables[i].domain.values), f' id="{variables[i].id}"')
-            i += 1
+        stem, indices = split[i]
+        j = i + 1
+        if indices:
+            while j < n and split[j][0] == stem and len(split[j][1]) == len(indices):
+                j += 1
+        # the last cell of a full array fixes its dimensions, so its start
+        dims = [d + 1 for d in split[j - 1][1]]
+        start = j - math.prod(dims)
+        if not indices or start < i or [v.id for v in variables[start:j]] != _cells(stem, dims):
+            start = j
+        for v in variables[i:start]:
+            w.leaf("var", _compress_ints(v.domain.values), f' id="{v.id}"')
+        if start < j:
+            _write_array(w, stem, dims, variables[start:j])
+        i = j
 
 
 def _write_array(w: _Writer, stem: str, dims, cells):
@@ -802,45 +835,19 @@ def _write_array(w: _Writer, stem: str, dims, cells):
         w.leaf("array", _compress_ints(cells[0].domain.values), f' id="{stem}" size="{size}"')
         return
     w.open(f'<array id="{stem}" size="{size}">')
-    groups: list[tuple[Domain, list[str]]] = []
-    index = {}
+    groups: dict[Domain, list[str]] = {}
     for c in cells:
-        if c.domain in index:
-            groups[index[c.domain]][1].append(c.id)
-        else:
-            index[c.domain] = len(groups)
-            groups.append((c.domain, [c.id]))
-    for dom, ids in groups:
+        groups.setdefault(c.domain, []).append(c.id)
+    for dom, ids in groups.items():
         w.leaf("domain", _compress_ints(dom.values), f' for="{" ".join(ids)}"')
     w.close("</array>")
 
 
-def _format_entry(e) -> str:
-    return STAR if e == STAR else str(e)
-
-
-def _format_tuples(rows) -> str:
-    return "".join("(" + ",".join(_format_entry(e) for e in row) + ")" for row in rows)
-
-
-def _format_condition(cond: Condition) -> str:
-    rhs = cond.rhs
-    if isinstance(rhs, tuple):
-        body = f"{rhs[0]}..{rhs[1]}"
-    else:
-        body = str(rhs)
-    return f"({cond.operator},{body})"
-
-
-def _format_occurs(occurs) -> str:
-    parts = []
-    for lo, hi in occurs:
-        parts.append(str(lo) if lo == hi else f"{lo}..{hi}")
-    return " ".join(parts)
-
-
 def _write_constraint(w: _Writer, c: Constraint):
-    if isinstance(c, Intension):
+    layout = _LAYOUTS.get(type(c))
+    if layout is not None:
+        _write_layout(w, layout, c)
+    elif isinstance(c, Intension):
         w.leaf("intension", _expr.format_expr(c.expr))
     elif isinstance(c, Extension):
         w.open("<extension>")
@@ -854,95 +861,15 @@ def _write_constraint(w: _Writer, c: Constraint):
             body = _format_tuples(c.table.rows)
         w.leaf(c.table.polarity, body)
         w.close("</extension>")
-    elif isinstance(c, Regular):
-        w.open("<regular>")
-        w.leaf("list", " ".join(c.scope))
-        w.leaf("transitions", "".join(f"({q},{s},{r})" for q, s, r in c.automaton.transitions))
-        w.leaf("start", c.automaton.start)
-        w.leaf("final", " ".join(c.automaton.finals))
-        w.close("</regular>")
-    elif isinstance(c, AllDifferent):
-        w.leaf("allDifferent", " ".join(c.scope))
-    elif isinstance(c, AllDifferentMatrix):
-        w.open("<allDifferent>")
-        w.leaf("matrix", _format_tuples(c.grid))
-        w.close("</allDifferent>")
-    elif isinstance(c, Ordered):
-        w.open("<ordered>")
-        w.leaf("list", " ".join(c.scope))
-        w.leaf("operator", c.operator)
-        w.close("</ordered>")
-    elif isinstance(c, Lex):
-        w.open("<lex>")
-        for row in c.rows:
-            w.leaf("list", " ".join(row))
-        w.leaf("operator", c.operator)
-        w.close("</lex>")
-    elif isinstance(c, LexMatrix):
-        w.open("<lex>")
-        w.leaf("matrix", _format_tuples(c.grid))
-        w.leaf("operator", c.operator)
-        w.close("</lex>")
-    elif isinstance(c, Sum):
-        w.open("<sum>")
-        w.leaf("list", " ".join(c.scope))
-        if any(k != 1 for k in c.coeffs):
-            w.leaf("coeffs", " ".join(str(k) for k in c.coeffs))
-        w.leaf("condition", _format_condition(c.condition))
-        w.close("</sum>")
-    elif isinstance(c, Count):
-        w.open("<count>")
-        w.leaf("list", " ".join(c.scope))
-        w.leaf("values", " ".join(str(v) for v in c.values))
-        w.leaf("condition", _format_condition(c.condition))
-        w.close("</count>")
-    elif isinstance(c, Cardinality):
-        w.open("<cardinality>")
-        w.leaf("list", " ".join(c.scope))
-        w.leaf("values", " ".join(str(v) for v in c.values), f' closed="{"true" if c.closed else "false"}"')
-        w.leaf("occurs", _format_occurs(c.occurs))
-        w.close("</cardinality>")
-    elif isinstance(c, Element):
-        w.open("<element>")
-        w.leaf("list", " ".join(c.list_vars))
-        w.leaf("index", c.index)
-        w.leaf("value", str(c.value))
-        w.close("</element>")
-    elif isinstance(c, Channel):
-        w.open("<channel>")
-        w.leaf("list", " ".join(c.list_a))
-        w.leaf("list", " ".join(c.list_b))
-        w.close("</channel>")
-    elif isinstance(c, NoOverlap):
-        w.open("<noOverlap>")
-        w.leaf("origins", _format_tuples(c.origins))
-        w.leaf("lengths", _format_tuples(c.lengths))
-        w.close("</noOverlap>")
-    elif isinstance(c, Cumulative):
-        w.open("<cumulative>")
-        w.leaf("origins", " ".join(c.origins))
-        w.leaf("lengths", " ".join(str(d) for d in c.lengths))
-        w.leaf("heights", " ".join(str(h) for h in c.heights))
-        w.leaf("condition", f"(le,{c.limit})")
-        w.close("</cumulative>")
-    elif isinstance(c, Circuit):
-        w.leaf("circuit", " ".join(c.scope))
-    elif isinstance(c, Instantiation):
-        w.open("<instantiation>")
-        w.leaf("list", " ".join(c.scope))
-        w.leaf("values", " ".join(str(v) for v in c.values))
-        w.close("</instantiation>")
     elif isinstance(c, Slide):
         _write_slide(w, c)
     else:
         raise InvariantViolationError([f"cannot serialize {type(c).__name__}"])
 
 
-def _slide_layout(c: Slide):
-    """Recover (sliding list, window arity) or fail if windows are not a
-    uniform offset-1 template."""
-    from .model import constraint_scope
-
+def _write_slide(w: _Writer, c: Slide):
+    """Write the windows' one template over the sliding list, or fail if the
+    windows are not one template slid by offset 1."""
     if not c.windows:
         raise InvariantViolationError(["slide with no windows"])
     scopes = [constraint_scope(win) for win in c.windows]
@@ -955,39 +882,23 @@ def _slide_layout(c: Slide):
         if len(s) != arity or s[:-1] != overlap:
             raise InvariantViolationError(["slide windows do not slide by offset 1"])
         seq.append(s[-1])
-    return seq, arity
+    templates = {_slide_template(win, scope) for win, scope in zip(c.windows, scopes)}
+    if len(templates) != 1:
+        raise InvariantViolationError(["slide windows differ beyond their scope"])
+    w.open("<slide>")
+    w.leaf("list", " ".join(seq))
+    _write_constraint(w, templates.pop())
+    w.close("</slide>")
 
 
-def _write_slide(w: _Writer, c: Slide):
-    seq, arity = _slide_layout(c)
-    first = c.windows[0]
-    placeholders = [f"%{k}" for k in range(arity)]
-    if isinstance(first, Extension):
-        if not all(isinstance(win, Extension) and win.table == first.table for win in c.windows):
-            raise InvariantViolationError(["slide windows differ beyond their scope"])
-        w.open("<slide>")
-        w.leaf("list", " ".join(seq))
-        w.open("<extension>")
-        w.leaf("list", " ".join(placeholders))
-        w.leaf(first.table.polarity, _format_tuples(first.table.rows))
-        w.close("</extension>")
-        w.close("</slide>")
-        return
-    if isinstance(first, Intension):
-        from .model import constraint_scope
-
-        mapping = dict(zip(constraint_scope(first), placeholders))
-        template = _rename_expr(first.expr, mapping)
-        for win in c.windows:
-            win_map = dict(zip(constraint_scope(win), placeholders))
-            if not isinstance(win, Intension) or _rename_expr(win.expr, win_map) != template:
-                raise InvariantViolationError(["slide windows differ beyond their scope"])
-        w.open("<slide>")
-        w.leaf("list", " ".join(seq))
-        w.leaf("intension", _expr.format_expr(template))
-        w.close("</slide>")
-        return
-    raise InvariantViolationError([f"slide over {type(first).__name__} windows is not serializable"])
+def _slide_template(win: Constraint, scope) -> Constraint:
+    """``win`` with its variables renamed to the placeholders ``%0``, ``%1``, ..."""
+    mapping = {v: f"%{k}" for k, v in enumerate(scope)}
+    if isinstance(win, Extension):
+        return Extension(tuple(mapping[v] for v in win.scope), win.table)
+    if isinstance(win, Intension):
+        return Intension(_rename_expr(win.expr, mapping))
+    raise InvariantViolationError([f"slide over {type(win).__name__} windows is not serializable"])
 
 
 def _rename_expr(e, mapping):

@@ -1,6 +1,8 @@
 """Parser/writer tests: the spec'd fragments, error reporting with
 locations, and round-trip identity on hand-built instances."""
 
+import typing
+
 import pytest
 
 from xcspkit.errors import (
@@ -11,7 +13,7 @@ from xcspkit.errors import (
     XmlSyntaxError,
 )
 from xcspkit.expr import parse_expr
-from xcspkit.io import parse_instance, parse_solution, write_instance, write_solution
+from xcspkit.io import _LAYOUTS, parse_instance, parse_solution, write_instance, write_solution
 from xcspkit.model import (
     STAR,
     AllDifferent,
@@ -22,6 +24,7 @@ from xcspkit.model import (
     Channel,
     Circuit,
     Condition,
+    Constraint,
     Count,
     Cumulative,
     Domain,
@@ -274,6 +277,12 @@ def _kitchen_sink_instance() -> Instance:
                 Intension(parse_expr("le(x[1],x[2])")),
             )
         ),
+        Slide(
+            (
+                Extension((x[1],), supports(1, [(1,), (2,)])),
+                Extension((x[2],), supports(1, [(1,), (2,)])),
+            )
+        ),
     ]
     objective = Objective("maximize", "sum", (x[0], x[1]), (3, 4))
     return Instance("COP", tuple(variables), tuple(cs), objective, (x[0], x[1]))
@@ -290,6 +299,50 @@ def test_canonical_stability_kitchen_sink():
     inst = _kitchen_sink_instance()
     text = write_instance(inst)
     assert write_instance(parse_instance(text)) == text
+
+
+def test_every_constraint_class_has_one_layout_or_explicit_case():
+    explicit = {Intension: "intension", Extension: "extension", Slide: "slide"}
+    classes = set(typing.get_args(Constraint))
+    assert set(_LAYOUTS).isdisjoint(explicit)
+    assert set(_LAYOUTS) | set(explicit) == classes
+    assert set(explicit.values()).isdisjoint(layout.tag for layout in _LAYOUTS.values())
+    sink = _kitchen_sink_instance().constraints
+    windows = [w for c in sink if isinstance(c, Slide) for w in c.windows]
+    assert {type(c) for c in sink} | {type(w) for w in windows} == classes
+
+
+@pytest.mark.parametrize(
+    "constraint,child",
+    [
+        ("<sum> <list> a b </list>\n<coefs> 2 3 </coefs> <condition> (le,4) </condition> </sum>", "<coefs>"),
+        ("<allDifferent> <list> a b </list>\n<list> b c </list> </allDifferent>", "<list>"),
+        ("<channel> <list> a b </list> <list> b c </list>\n<list> a c </list> </channel>", "<list>"),
+        ("<extension> <list> a b </list>\n<tuples> (0,1) </tuples> <supports> (1,0) </supports> </extension>",
+         "<tuples>"),
+    ],
+    ids=["sum-coefs", "allDifferent-two-lists", "channel-three-lists", "extension-tuples"],
+)
+def test_unknown_or_repeated_child_is_refused(constraint, child):
+    text = f"""<instance format="XCSP3" type="CSP">
+    <variables> <var id="a"> 0..1 </var> <var id="b"> 0..1 </var> <var id="c"> 0..1 </var> </variables>
+    <constraints> {constraint} </constraints> </instance>"""
+    with pytest.raises(XmlSyntaxError) as err:
+        parse_instance(text)
+    assert child in str(err.value)
+    assert (err.value.location.line, err.value.location.column) == (4, 1)
+
+
+def test_indexed_variables_before_a_full_array_are_single_vars():
+    variables = tuple(Variable(v, Domain.rng(0, 1)) for v in ("y[5]", "y[0]", "y[1]"))
+    text = write_instance(Instance("CSP", variables, ()))
+    assert text.splitlines()[1:5] == [
+        "  <variables>",
+        '    <var id="y[5]"> 0..1 </var>',
+        '    <array id="y" size="[2]"> 0..1 </array>',
+        "  </variables>",
+    ]
+    assert parse_instance(text).variables == variables
 
 
 def test_array_with_mixed_domains_roundtrip():

@@ -142,15 +142,17 @@ OPERATOR_CASES = [
 
 
 def _random_expr(rng, names, depth, boolean=False):
-    """A well-typed random expression: logical operators get 0/1-valued
-    operands, as model validation requires."""
+    """A random expression. Logical operators mostly get 0/1-valued operands,
+    as model validation requires, and sometimes integer ones, which they read
+    as truth values (0 is false)."""
     if not boolean and (depth <= 0 or rng.random() < 0.3):
         return var(rng.choice(names)) if rng.random() < 0.7 else const(rng.randint(-3, 3))
     sorts = ("rel", "logic") if depth > 0 else ("rel",)
     kind = rng.choice([k for k, spec in OPS.items() if not boolean or spec.sort in sorts])
     spec = OPS[kind]
     arity = spec.min_arity if spec.max_arity == spec.min_arity else rng.randint(spec.min_arity, spec.min_arity + 1)
-    return op(kind, *(_random_expr(rng, names, depth - 1, spec.sort == "logic") for _ in range(arity)))
+    logic = spec.sort == "logic"
+    return op(kind, *(_random_expr(rng, names, depth - 1, logic and rng.random() < 0.7) for _ in range(arity)))
 
 
 class TestOperatorTable:
