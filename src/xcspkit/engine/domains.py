@@ -2,10 +2,12 @@
 
 Each variable's current domain is an int bitmask over its initial value
 list; removals are logged on a trail so that popping a level restores
-domains exactly."""
+domains exactly. Initial value lists are strictly ascending, so bit order
+is value order."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
 from ..model import Variable
@@ -74,6 +76,12 @@ class DomainStore:
                 mask |= 1 << bit
         return mask
 
+    def interval_mask(self, x: int, lo: int, hi: int) -> int:
+        """Bitmask of the initial values in ``lo..hi``."""
+        vals = self.init_values[x]
+        first, end = bisect_left(vals, lo), bisect_right(vals, hi)
+        return (1 << end) - (1 << first) if first < end else 0
+
     # -- mutation (trailed)
 
     def remove_bits(self, x: int, bits: int) -> bool:
@@ -103,6 +111,10 @@ class DomainStore:
 
     def keep_values(self, x: int, values) -> bool:
         return self.keep_bits(x, self.value_mask(x, values))
+
+    def restrict(self, x: int, lo: int, hi: int) -> bool:
+        """Keep only the values in ``lo..hi``; False when none is left."""
+        return self.keep_bits(x, self.interval_mask(x, lo, hi))
 
     # -- trail
 

@@ -358,13 +358,13 @@ class SumProp(Propagator):
             allowed_lo = tlo - rest_hi
             allowed_hi = thi - rest_lo
             if isinstance(k, int):
-                if k == 0:
-                    continue
-                for v in store.domain_list(x):
-                    t = k * v
-                    if t < allowed_lo or t > allowed_hi:
-                        if not store.remove_value(x, v):
-                            return False
+                # allowed_lo <= k * v <= allowed_hi, divided through by k
+                if k > 0:
+                    if not store.restrict(x, -(-allowed_lo // k), allowed_hi // k):
+                        return False
+                elif k < 0:
+                    if not store.restrict(x, -(-allowed_hi // k), allowed_lo // k):
+                        return False
             else:
                 cvar = k[1]
                 clo, chi = store.bounds(cvar)
@@ -386,30 +386,25 @@ class SumProp(Propagator):
 
 
 class CountProp(Propagator):
-    __slots__ = ("vars_idx", "value_set", "cond", "rhs_idx")
+    __slots__ = ("counted", "cond", "rhs_idx")
 
-    def __init__(self, vars_idx, values, cond: Condition, key, rhs_idx):
+    def __init__(self, vars_idx, values, cond: Condition, key, rhs_idx, store: DomainStore):
         scope = tuple(dict.fromkeys(vars_idx + ((rhs_idx,) if rhs_idx is not None else ())))
         super().__init__(scope, key)
-        self.vars_idx = vars_idx
-        self.value_set = frozenset(values)
+        # (variable, mask of its counted values)
+        self.counted = [(x, store.value_mask(x, values)) for x in vars_idx]
         self.cond = cond
         self.rhs_idx = rhs_idx
 
     def propagate(self, store: DomainStore) -> bool:
-        inside, maybe = [], []
+        maybe = []
         lb = ub = 0
-        masks = []
-        for x in self.vars_idx:
-            mask = store.value_mask(x, self.value_set)
+        for x, mask in self.counted:
             cur = store.masks[x]
-            hit = cur & mask
-            masks.append((x, mask))
-            if hit:
+            if cur & mask:
                 ub += 1
                 if cur & ~mask == 0:
                     lb += 1
-                    inside.append(x)
                 else:
                     maybe.append((x, mask))
 
@@ -424,12 +419,11 @@ class CountProp(Propagator):
                 return lb != k
             return True
 
-        target = _condition_targets(cond, store, self.rhs_idx)
-        tlo, thi = target
+        tlo, thi = _condition_targets(cond, store, self.rhs_idx)
         if lb > thi or ub < tlo:
             return False
         if self.rhs_idx is not None and cond.operator == "eq":
-            if not store.keep_values(self.rhs_idx, [v for v in store.values(self.rhs_idx) if lb <= v <= ub]):
+            if not store.restrict(self.rhs_idx, lb, ub):
                 return False
         if ub == tlo:
             for x, mask in maybe:
@@ -437,7 +431,7 @@ class CountProp(Propagator):
                     return False
         if lb == thi:
             for x, mask in maybe:
-                if not store.remove_bits(x, store.masks[x] & mask):
+                if not store.remove_bits(x, mask):
                     return False
         return True
 
@@ -489,25 +483,27 @@ class CardinalityProp(Propagator):
 # AllDifferent
 
 
+def _assigned_values_differ(store: DomainStore, scope) -> bool:
+    """Assigned values must differ; remove them from the unassigned."""
+    seen = set()
+    for x in scope:
+        if store.is_assigned(x):
+            v = store.value(x)
+            if v in seen:
+                return False
+            seen.add(v)
+    if seen:
+        for x in scope:
+            if not store.is_assigned(x) and not store.remove_bits(x, store.value_mask(x, seen)):
+                return False
+    return True
+
+
 class AllDifferentProp(Propagator):
     __slots__ = ()
 
     def propagate(self, store: DomainStore) -> bool:
-        # assigned values are removed everywhere else
-        seen = {}
-        for x in self.scope:
-            if store.is_assigned(x):
-                v = store.value(x)
-                if v in seen:
-                    return False
-                seen[v] = x
-        if seen:
-            for x in self.scope:
-                if not store.is_assigned(x):
-                    for v in seen:
-                        if not store.remove_value(x, v):
-                            return False
-        return self._hall_intervals(store)
+        return _assigned_values_differ(store, self.scope) and self._hall_intervals(store)
 
     def _hall_intervals(self, store: DomainStore) -> bool:
         bounds = [store.bounds(x) for x in self.scope]
@@ -525,13 +521,10 @@ class AllDifferentProp(Propagator):
                     return False
                 if len(contained) == capacity:
                     inside = set(contained)
-                    window = range(a, b + 1)
                     for i, x in enumerate(self.scope):
                         if i not in inside:
-                            mask = store.value_mask(x, window)
-                            if mask & store.masks[x]:
-                                if not store.remove_bits(x, mask & store.masks[x]):
-                                    return False
+                            if not store.remove_bits(x, store.interval_mask(x, a, b)):
+                                return False
                             bounds[i] = store.bounds(x)
         return True
 
@@ -844,20 +837,17 @@ class NoOverlapProp(Propagator, CheckerMixin):
                 must_y = yi_hi < yj_lo + hj_lo and yj_hi < yi_lo + hi_lo
                 if must_x and must_y:
                     return False
+                # forbidden starts: i would overlap every placement of j
                 if must_y and wi_lo > 0 and wj_lo > 0:
                     x_var = self.items[i][0]
-                    for v in store.domain_list(x_var):
-                        if not (v + wi_lo <= xj_hi or xj_lo + wj_lo <= v):
-                            if not store.remove_value(x_var, v):
-                                return False
+                    if not store.remove_bits(x_var, store.interval_mask(x_var, xj_hi - wi_lo + 1, xj_lo + wj_lo - 1)):
+                        return False
                     geo[i] = (*store.bounds(x_var), yi_lo, yi_hi, wi_lo, hi_lo)
                     xi_lo, xi_hi = geo[i][0], geo[i][1]
                 if must_x and hi_lo > 0 and hj_lo > 0:
                     y_var = self.items[i][1]
-                    for v in store.domain_list(y_var):
-                        if not (v + hi_lo <= yj_hi or yj_lo + hj_lo <= v):
-                            if not store.remove_value(y_var, v):
-                                return False
+                    if not store.remove_bits(y_var, store.interval_mask(y_var, yj_hi - hi_lo + 1, yj_lo + hj_lo - 1)):
+                        return False
                     geo[i] = (xi_lo, xi_hi, *store.bounds(y_var), wi_lo, hi_lo)
                     yi_lo, yi_hi = geo[i][2], geo[i][3]
         return True
@@ -877,25 +867,14 @@ class CircuitProp(Propagator, CheckerMixin):
     def propagate(self, store: DomainStore) -> bool:
         n = len(self.scope)
         for x in self.scope:
-            if store.min_value(x) < 0 or store.max_value(x) >= n:
-                if not store.keep_values(x, range(n)):
-                    return False
+            if not store.restrict(x, 0, n - 1):
+                return False
         if self._all_assigned(store):
             return self._check_assigned(store)
         # successor values are all distinct (cycle plus fixed points is a
         # permutation)
-        seen = {}
-        for pos, x in enumerate(self.scope):
-            if store.is_assigned(x):
-                v = store.value(x)
-                if v in seen:
-                    return False
-                seen[v] = pos
-        for x in self.scope:
-            if not store.is_assigned(x):
-                for v in seen:
-                    if not store.remove_value(x, v):
-                        return False
+        if not _assigned_values_differ(store, self.scope):
+            return False
 
         succ = {
             pos: store.value(x)
@@ -954,17 +933,11 @@ class OrderedProp(Propagator):
         inc = 1 if self.strict else 0
         chain = self.chain
         for i in range(1, len(chain)):
-            floor = store.min_value(chain[i - 1]) + inc
-            if store.min_value(chain[i]) < floor:
-                keep = [v for v in store.values(chain[i]) if v >= floor]
-                if not keep or not store.keep_values(chain[i], keep):
-                    return False
+            if not store.restrict(chain[i], store.min_value(chain[i - 1]) + inc, INF):
+                return False
         for i in range(len(chain) - 2, -1, -1):
-            ceil = store.max_value(chain[i + 1]) - inc
-            if store.max_value(chain[i]) > ceil:
-                keep = [v for v in store.values(chain[i]) if v <= ceil]
-                if not keep or not store.keep_values(chain[i], keep):
-                    return False
+            if not store.restrict(chain[i], -INF, store.max_value(chain[i + 1]) - inc):
+                return False
         return True
 
 
@@ -992,18 +965,10 @@ class LexPairProp(Propagator, CheckerMixin):
                 i += 1
             if i == n:
                 return not self.strict
-            strict_here = self.strict and i == n - 1
-            hi = store.max_value(b[i]) - (1 if strict_here else 0)
-            keep = [v for v in store.values(a[i]) if v <= hi]
-            if not keep:
+            gap = 1 if self.strict and i == n - 1 else 0
+            if not store.restrict(a[i], -INF, store.max_value(b[i]) - gap):
                 return False
-            if len(keep) < store.size(a[i]) and not store.keep_values(a[i], keep):
-                return False
-            lo = store.min_value(a[i]) + (1 if strict_here else 0)
-            keep = [v for v in store.values(b[i]) if v >= lo]
-            if not keep:
-                return False
-            if len(keep) < store.size(b[i]) and not store.keep_values(b[i], keep):
+            if not store.restrict(b[i], store.min_value(a[i]) + gap, INF):
                 return False
             if store.is_assigned(a[i]) and store.is_assigned(b[i]) and store.value(a[i]) == store.value(b[i]):
                 i += 1
@@ -1069,7 +1034,7 @@ def _expand(c: Constraint, key: int, store: DomainStore, name_to_idx) -> list[Pr
         return [SumProp(_idx(name_to_idx, c.scope), coeffs, c.condition, key, store, rhs_idx)]
     if isinstance(c, Count):
         rhs_idx = name_to_idx[c.condition.rhs] if isinstance(c.condition.rhs, str) else None
-        return [CountProp(_idx(name_to_idx, c.scope), c.values, c.condition, key, rhs_idx)]
+        return [CountProp(_idx(name_to_idx, c.scope), c.values, c.condition, key, rhs_idx, store)]
     if isinstance(c, Cardinality):
         return [CardinalityProp(_idx(name_to_idx, c.scope), c.values, c.occurs, c.closed, key)]
     if isinstance(c, Element):

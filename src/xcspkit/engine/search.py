@@ -8,7 +8,17 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import InvalidInstanceError
-from ..model import Assignment, Instance, Objective, objective_value, validate_instance
+from ..model import (
+    Assignment,
+    Condition,
+    Constraint,
+    Count,
+    Instance,
+    Objective,
+    Sum,
+    objective_value,
+    validate_instance,
+)
 from .domains import DomainStore
 from .propagators import Propagator, build_propagators, make_propagators
 
@@ -26,15 +36,12 @@ class SearchConfig:
     time_limit: float = 2400.0
     restarts: bool = False
     var_heuristic: str = "dom-wdeg"  # dom-wdeg | lex
-    val_heuristic: str = "min"  # min | max
 
     def __post_init__(self):
         if self.time_limit <= 0:
             raise InvalidInstanceError("time limit must be positive")
         if self.var_heuristic not in ("dom-wdeg", "lex"):
             raise InvalidInstanceError(f"unknown variable heuristic {self.var_heuristic!r}")
-        if self.val_heuristic not in ("min", "max"):
-            raise InvalidInstanceError(f"unknown value heuristic {self.val_heuristic!r}")
 
 
 @dataclass
@@ -108,72 +115,27 @@ def propagate_to_fixpoint(store: DomainStore, constraints):
     return None if failing is None else failing.key
 
 
-class _ObjectiveBound(Propagator):
-    """Dynamic strict-improvement bound posted after each solution."""
+class _NoBound(Propagator):
+    """The objective bound's slot before the first solution: it watches the
+    objective's variables and prunes nothing."""
 
-    __slots__ = ("objective", "coeffs", "minimize", "best")
-
-    def __init__(self, objective: Objective, name_to_idx):
-        scope = tuple(name_to_idx[v] for v in objective.scope)
-        super().__init__(scope, -1)
-        self.objective = objective
-        coeffs = objective.coeffs if objective.coeffs else (1,) * len(scope)
-        self.coeffs = coeffs
-        self.minimize = objective.sense == "minimize"
-        self.best: int | None = None
+    __slots__ = ()
 
     def propagate(self, store: DomainStore) -> bool:
-        if self.best is None:
-            return True
-        bound = self.best - 1 if self.minimize else self.best + 1
-        kind = self.objective.kind
-        if kind == "variable":
-            x = self.scope[0]
-            keep = [v for v in store.values(x) if (v <= bound if self.minimize else v >= bound)]
-            return bool(keep) and store.keep_values(x, keep)
-        if kind == "sum":
-            bounds = [
-                (k * lo, k * hi) if k >= 0 else (k * hi, k * lo)
-                for k, (lo, hi) in ((k, store.bounds(x)) for k, x in zip(self.coeffs, self.scope))
-            ]
-            total_lo = sum(b[0] for b in bounds)
-            total_hi = sum(b[1] for b in bounds)
-            if self.minimize:
-                if total_lo > bound:
-                    return False
-            elif total_hi < bound:
-                return False
-            for (blo, bhi), k, x in zip(bounds, self.coeffs, self.scope):
-                if k == 0:
-                    continue
-                if self.minimize:
-                    allowed_hi = bound - (total_lo - blo)
-                    for v in store.domain_list(x):
-                        if k * v > allowed_hi and not store.remove_value(x, v):
-                            return False
-                else:
-                    allowed_lo = bound - (total_hi - bhi)
-                    for v in store.domain_list(x):
-                        if k * v < allowed_lo and not store.remove_value(x, v):
-                            return False
-            return True
-        # maximum
-        if self.minimize:
-            for x in self.scope:
-                if store.max_value(x) > bound:
-                    keep = [v for v in store.values(x) if v <= bound]
-                    if not keep or not store.keep_values(x, keep):
-                        return False
-            return True
-        candidates = [x for x in self.scope if store.max_value(x) >= bound]
-        if not candidates:
-            return False
-        if len(candidates) == 1:
-            x = candidates[0]
-            keep = [v for v in store.values(x) if v >= bound]
-            if not store.keep_values(x, keep):
-                return False
         return True
+
+
+def _improving(objective: Objective, best: int, values) -> Constraint:
+    """The constraint that the objective strictly beats ``best``; ``values``
+    holds every value the objective's variables can take."""
+    scope = objective.scope
+    minimize = objective.sense == "minimize"
+    if objective.kind == "maximum":
+        if minimize:
+            return Count(scope, tuple(sorted(v for v in values if v >= best)), Condition("eq", 0))
+        return Count(scope, tuple(sorted(v for v in values if v > best)), Condition("ge", 1))
+    coeffs = objective.coeffs if objective.kind == "sum" and objective.coeffs else (1,) * len(scope)
+    return Sum(scope, coeffs, Condition("lt" if minimize else "gt", best))
 
 
 class _Search:
@@ -183,15 +145,15 @@ class _Search:
         self.mode = mode  # sat | count | optimize
         self.cap = cap
         self.on_bound = on_bound
-        self.store = DomainStore(instance.variables)
-        props = build_propagators(instance, self.store)
-        self.bound_prop: _ObjectiveBound | None = None
+        self.store = store = DomainStore(instance.variables)
+        name_to_idx = {n: i for i, n in enumerate(store.names)}
+        props = build_propagators(instance, store)
         if mode == "optimize":
-            name_to_idx = {n: i for i, n in enumerate(self.store.names)}
-            self.bound_prop = _ObjectiveBound(instance.objective, name_to_idx)
-            props.append(self.bound_prop)
-        self.engine = PropagationEngine(self.store, props)
-        name_to_idx = {n: i for i, n in enumerate(self.store.names)}
+            # the improving bound owns the last slot; see _post_bound
+            scope = tuple(name_to_idx[v] for v in instance.objective.scope)
+            self.objective_values = {v for x in scope for v in store.init_values[x]}
+            props.append(_NoBound(scope, -1))
+        self.engine = PropagationEngine(store, props)
         self.decision_idx = tuple(name_to_idx[v] for v in instance.decision_variables)
         self.stats = SearchStats()
 
@@ -224,10 +186,15 @@ class _Search:
                 return x
         return self._pick_from(range(len(self.store)))
 
-    def _select_value(self, x):
-        if self.config.val_heuristic == "max":
-            return self.store.max_value(x)
-        return self.store.min_value(x)
+    def _post_bound(self, best: int) -> None:
+        """Replace the last slot by a propagator of the improving constraint,
+        keeping the slot's weight, and queue it."""
+        engine = self.engine
+        c = _improving(self.instance.objective, best, self.objective_values)
+        prop = make_propagators([c], self.store)[0]
+        prop.weight = engine.props[-1].weight
+        engine.props[-1] = prop
+        engine.enqueue(len(engine.props) - 1)
 
     def _witness(self) -> Assignment:
         store = self.store
@@ -284,13 +251,12 @@ class _Search:
                     else:
                         witness = self._witness()
                         best = objective_value(self.instance.objective, witness)
-                        self.bound_prop.best = best
+                        self._post_bound(best)
                         if self.on_bound is not None:
                             self.on_bound(best)
-                        engine.enqueue(len(engine.props) - 1)
                     backtracking = True
                     continue
-                v = self._select_value(x)
+                v = store.min_value(x)
                 frames.append((x, v))
                 store.push()
                 stats.nodes += 1
@@ -309,7 +275,7 @@ class _Search:
                 frames.clear()
                 fails_since_restart = 0
                 fail_budget = int(fail_budget * 3 // 2)
-                if self.bound_prop is not None:
+                if mode == "optimize":
                     engine.enqueue(len(engine.props) - 1)
                 conflict = engine.fixpoint()
                 if conflict is None:

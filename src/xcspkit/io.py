@@ -538,12 +538,13 @@ def _parse_array(node: _Node) -> list[Variable]:
     if not dom_nodes:
         dom = Domain(tuple(sorted(set(_parse_ints(node.text, node.loc)))))
         return [Variable(c, dom) for c in cells]
+    known = set(cells)
     per_cell: dict[str, Domain] = {}
     for dn in dom_nodes:
         targets = dn.attrib.get("for", "").split()
         dom = Domain(tuple(sorted(set(_parse_ints(dn.text, dn.loc)))))
         for t in targets:
-            if t not in cells:
+            if t not in known:
                 raise XmlSyntaxError(f"domain for unknown cell {t!r}", dn.loc)
             if t in per_cell:
                 raise XmlSyntaxError(f"cell {t!r} has two domains", dn.loc)
@@ -716,9 +717,13 @@ def parse_solution(text: str) -> Assignment:
     lst = _require(root, "list")
     values_node = _require(root, "values")
     ids = lst.text.split()
+    seen = set()
     for vid in ids:
         if not _VAR_SPLIT_RE.match(vid):
             raise XmlSyntaxError(f"bad variable id {vid!r}", lst.loc)
+        if vid in seen:
+            raise XmlSyntaxError(f"variable {vid!r} listed twice", lst.loc)
+        seen.add(vid)
     values = []
     for tok in values_node.text.split():
         if tok == STAR:

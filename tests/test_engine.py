@@ -1,6 +1,7 @@
 """Engine tests: propagation fixpoint examples, solver verdicts against
 the generate-and-test oracle, trail exactness, determinism, bounds."""
 
+import itertools
 import random
 
 import pytest
@@ -14,11 +15,20 @@ from xcspkit.engine import (
     propagate_to_fixpoint,
     solve,
 )
+from xcspkit.engine.search import _improving
 from xcspkit.errors import InvalidInstanceError
 from xcspkit.expr import parse_expr
-from xcspkit.generators import gen_dubois, gen_golomb_ruler, gen_knapsack, gen_langford, gen_magic_square
+from xcspkit.generators import (
+    gen_dubois,
+    gen_golomb_ruler,
+    gen_graph_coloring,
+    gen_knapsack,
+    gen_langford,
+    gen_magic_square,
+)
 from xcspkit.model import (
     AllDifferent,
+    Assignment,
     Condition,
     Domain,
     Extension,
@@ -28,6 +38,7 @@ from xcspkit.model import (
     Sum,
     Variable,
     constraint_satisfied,
+    objective_value,
     supports,
 )
 
@@ -191,6 +202,8 @@ class TestEnumerate:
     def test_magic_square_3_has_8_solutions(self):
         out = enumerate_all(gen_magic_square(3))
         assert (out.count, out.exact) == (8, True)
+        # the first solution found pins the search order
+        assert tuple(out.witness.bindings.values()) == (2, 9, 4, 7, 5, 3, 6, 1, 8)
 
     def test_cap_truncation(self):
         inst = make([Variable("x", Domain.rng(0, 9))], [])
@@ -231,6 +244,68 @@ class TestVariableLengthNoOverlap:
         assert verify(inst, out.witness).ok
 
 
+class TestIntervalPrimitive:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_interval_mask_and_restrict_match_value_mask(self, seed):
+        rng = random.Random(seed)
+        values = sorted(rng.sample(range(-12, 13), rng.randint(1, 10)))
+        store = DomainStore((Variable("x", Domain(tuple(values))),))
+        for _ in range(60):
+            # bounds may cross (lo > hi) or lie outside the domain
+            lo, hi = rng.randint(-16, 16), rng.randint(-16, 16)
+            expected = store.value_mask(0, range(lo, hi + 1))
+            assert store.interval_mask(0, lo, hi) == expected
+            store.push()
+            store.remove_bits(0, rng.getrandbits(len(values) - 1))  # never the top value
+            kept = store.masks[0] & expected
+            assert store.restrict(0, lo, hi) == (kept != 0)
+            assert store.masks[0] == kept
+            store.pop()
+
+
+@pytest.mark.parametrize("sense", ["minimize", "maximize"])
+@pytest.mark.parametrize(
+    "kind, coeffs",
+    [("variable", ()), ("sum", (2, -1, 3)), ("sum", ()), ("maximum", ())],
+)
+def test_improving_constraint_holds_exactly_when_the_objective_beats_best(kind, sense, coeffs):
+    domains = {"a": (-2, 0, 1, 3), "b": (-1, 2), "c": (0, 1, 2)}
+    objective = Objective(sense, kind, ("a",) if kind == "variable" else ("a", "b", "c"), coeffs)
+    values = {v for name in objective.scope for v in domains[name]}
+    assignments = [Assignment(dict(zip(domains, combo))) for combo in itertools.product(*domains.values())]
+    costs = [objective_value(objective, a) for a in assignments]
+    for best in range(min(costs) - 1, max(costs) + 2):
+        bound = _improving(objective, best, values)
+        for a, cost in zip(assignments, costs):
+            beats = cost < best if sense == "minimize" else cost > best
+            assert constraint_satisfied(bound, a) == beats, (best, a.bindings)
+
+
+GRAPH_COLORING_DATA = {
+    "nNodes": 6,
+    "nColors": 5,
+    "edges": [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 5], [5, 3], [0, 5], [1, 4]],
+}
+
+# (status, bound, nodes, failures, propagations) of small searches. A
+# change here is a change in search behaviour and must be explained.
+PINNED_SEARCHES = {
+    "knapsack-paper": (lambda: optimize(gen_knapsack(KNAPSACK_DATA)), ("OPTIMUM", 283, 10, 0, 52)),
+    "golomb-5": (lambda: optimize(gen_golomb_ruler(5)), ("OPTIMUM", 11, 20, 19, 717)),
+    "langford-4": (lambda: solve(gen_langford(4)), ("SAT", None, 11, 9, 391)),
+    "dubois-6": (lambda: solve(gen_dubois(6)), ("UNSAT", None, 163, 164, 1600)),
+    "dubois-6-restarts": (lambda: solve(gen_dubois(6), SearchConfig(restarts=True)), ("UNSAT", None, 190, 188, 1833)),
+    "graph-coloring-maximum": (lambda: optimize(gen_graph_coloring(GRAPH_COLORING_DATA)), ("OPTIMUM", 2, 6, 6, 83)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+def test_pinned_search_fingerprint(name):
+    run, expected = PINNED_SEARCHES[name]
+    out = run()
+    assert (out.status, out.bound, out.stats.nodes, out.stats.failures, out.stats.propagations) == expected
+
+
 class TestDeterminism:
     def test_same_config_same_stats(self):
         inst = gen_langford(4)
@@ -244,7 +319,6 @@ class TestDeterminism:
         inst = gen_langford(3)
         for config in (
             SearchConfig(var_heuristic="lex"),
-            SearchConfig(val_heuristic="max"),
             SearchConfig(restarts=True),
         ):
             assert solve(inst, config).status == "SAT"

@@ -13,12 +13,13 @@ from xcspkit.harness import (
     read_records_csv,
     render_ranking,
     run_campaign,
+    run_one,
     score_track,
     verify,
     write_records_csv,
 )
 from xcspkit.io import write_instance
-from xcspkit.model import Assignment
+from xcspkit.model import Assignment, Domain, Instance, Variable
 
 KNAPSACK_DATA = {
     "capacity": 10,
@@ -265,6 +266,16 @@ class TestCampaign(object):
         by_id = {r.instance_id: r.status for r in records}
         assert by_id == {"dubois3": "INVALID", "langford3": "UNKNOWN"}
         assert {r.instance_id: r.status for r in read_records_csv(csv_path)} == by_id
+
+    def test_solution_naming_a_variable_twice_is_invalid(self, tmp_path):
+        path = tmp_path / "one.xml"
+        path.write_text(write_instance(Instance("CSP", (Variable("x", Domain.rng(0, 3)),), ())))
+        template = (
+            "sh -c 'echo \"s SATISFIABLE\"; "
+            "echo \"v <instantiation> <list> x x </list> <values> 1 2 </values> </instantiation>\"'"
+        )
+        record = run_one(str(path), "repeater", template, time_limit=30)
+        assert record.status == "INVALID"
 
     def test_timeout_yields_unknown_with_full_elapsed(self, tmp_path):
         (tmp_path / "dubois3.xml").write_text(write_instance(gen_dubois(3)))

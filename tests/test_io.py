@@ -205,6 +205,13 @@ def test_parse_solution_length_mismatch():
         parse_solution("<instantiation> <list> x y </list> <values> 1 </values> </instantiation>")
 
 
+def test_parse_solution_rejects_repeated_id():
+    text = "<instantiation>\n<list> x y x </list> <values> 1 2 3 </values> </instantiation>"
+    with pytest.raises(XmlSyntaxError, match="'x' listed twice") as err:
+        parse_solution(text)
+    assert (err.value.location.line, err.value.location.column) == (2, 1)
+
+
 def test_parse_solution_rejects_wildcard():
     with pytest.raises(UnsupportedFeatureError):
         parse_solution("<instantiation> <list> x </list> <values> * </values> </instantiation>")
@@ -368,3 +375,19 @@ def test_objective_without_coeffs_roundtrip():
     )
     back = parse_instance(write_instance(inst))
     assert back == inst
+
+
+def test_array_domain_for_a_cell_outside_the_array_is_refused():
+    text = "\n".join([
+        '<instance format="XCSP3" type="CSP">',
+        "<variables>",
+        '<array id="s" size="[2]">',
+        '<domain for="s[0]"> 0 </domain>',
+        '<domain for="s[1] s[2]"> 0..7 </domain>',
+        "</array>",
+        "</variables>",
+        "</instance>",
+    ])
+    with pytest.raises(XmlSyntaxError, match=r"domain for unknown cell 's\[2\]'") as err:
+        parse_instance(text)
+    assert (err.value.location.line, err.value.location.column) == (5, 1)
