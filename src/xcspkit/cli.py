@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance", help="instance XML file")
     p_solve.add_argument("--timeout", type=float, default=2400.0, help="wall-clock limit in seconds")
     p_solve.add_argument("--restarts", action="store_true", help="enable geometric restarts")
-    p_solve.add_argument("--heuristic", choices=("dom-wdeg", "lex"), default="dom-wdeg")
     p_solve.add_argument("--all", action="store_true", help="count all solutions (CSP only)")
 
     p_gen = sub.add_parser("generate", help="generate a benchmark instance")
@@ -70,11 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     instance = parse_instance(Path(args.instance).read_text())
-    config = SearchConfig(
-        time_limit=args.timeout,
-        restarts=args.restarts,
-        var_heuristic=args.heuristic,
-    )
+    config = SearchConfig(time_limit=args.timeout, restarts=args.restarts)
     _comment(f"instance {args.instance}: {len(instance.variables)} variables, "
              f"{len(instance.constraints)} constraints, kind {instance.kind}")
     if args.all:
@@ -121,11 +116,12 @@ def _parse_params(pairs) -> dict:
 
 def _cmd_generate(args) -> int:
     problem = canonical_problem_id(args.problem)
-    if args.data:
-        payload = json.loads(Path(args.data).read_text())
-        payload.update(_parse_params(args.param))
-    else:
-        payload = _parse_params(args.param)
+    params = _parse_params(args.param)
+    payload = json.loads(Path(args.data).read_text()) if args.data else {}
+    if isinstance(payload, dict):
+        payload.update(params)
+    elif params:
+        raise XcspError("--param applies only to a JSON object payload")
     drop = tuple(t for t in args.no_tags.split(",") if t)
     data = ProblemData(problem, payload, args.variant)
     instance = build(data, drop_tags=drop, decision_vars=not args.nodv)

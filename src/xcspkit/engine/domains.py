@@ -2,14 +2,15 @@
 
 Each variable's current domain is an int bitmask over its initial value
 list; removals are logged on a trail so that popping a level restores
-domains exactly. Initial value lists are strictly ascending, so bit order
-is value order."""
+domains exactly. Initial value lists must be strictly ascending, so bit
+order is value order; the store refuses any other."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
+from ..errors import InvalidInstanceError
 from ..model import Variable
 
 
@@ -19,6 +20,9 @@ class DomainStore:
     def __init__(self, variables: Sequence[Variable]):
         self.names = [v.id for v in variables]
         self.init_values = [tuple(v.domain.values) for v in variables]
+        for v, vals in zip(variables, self.init_values):
+            if vals != tuple(sorted(set(vals))):
+                raise InvalidInstanceError(f"domain of {v.id!r} is not strictly ascending")
         self.pos = [{val: i for i, val in enumerate(vals)} for vals in self.init_values]
         self.full = [(1 << len(vals)) - 1 for vals in self.init_values]
         self.masks = list(self.full)

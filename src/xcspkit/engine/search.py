@@ -35,13 +35,10 @@ class SearchStats:
 class SearchConfig:
     time_limit: float = 2400.0
     restarts: bool = False
-    var_heuristic: str = "dom-wdeg"  # dom-wdeg | lex
 
     def __post_init__(self):
         if self.time_limit <= 0:
             raise InvalidInstanceError("time limit must be positive")
-        if self.var_heuristic not in ("dom-wdeg", "lex"):
-            raise InvalidInstanceError(f"unknown variable heuristic {self.var_heuristic!r}")
 
 
 @dataclass
@@ -161,11 +158,6 @@ class _Search:
 
     def _pick_from(self, pool):
         store = self.store
-        if self.config.var_heuristic == "lex":
-            for x in pool:
-                if not store.is_assigned(x):
-                    return x
-            return None
         best, best_size, best_w = None, 0, 1
         for x in pool:
             if store.is_assigned(x):

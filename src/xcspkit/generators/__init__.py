@@ -8,7 +8,7 @@ point used by the CLI; the ``gen_*`` functions are the direct API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import BadParameterError, SchemaMismatchError, UnknownVariantError
 from ..model import Instance
@@ -46,6 +46,7 @@ from .structured import (
 
 __all__ = [
     "PROBLEMS",
+    "Problem",
     "ProblemData",
     "build",
     "gen_auction",
@@ -98,164 +99,54 @@ def _int_param(payload, key: str, problem: str) -> int:
     return value
 
 
-def _build_dubois(payload, variant, drop_tags, decision_vars):
-    return gen_dubois(_int_param(payload, "n", "dubois"))
+@dataclass(frozen=True)
+class Problem:
+    """One registered family.
+
+    ``gen`` receives the integer payload fields ``params`` in order, or the
+    whole payload when ``params`` is empty, then those of the keyword
+    arguments ``variant``, ``drop_tags``, ``decision_vars`` and ``clues``
+    that ``options`` names; a variant or clues the request leaves out is not
+    passed, so the generator's default applies. ``variants`` are the
+    accepted model variants.
+    """
+
+    gen: Callable[..., Instance]
+    params: tuple[str, ...] = ()
+    options: tuple[str, ...] = ()
+    variants: tuple[str, ...] = ()
 
 
-def _build_langford(payload, variant, drop_tags, decision_vars):
-    return gen_langford(_int_param(payload, "n", "langford"))
+_TAGS = ("drop_tags",)
 
-
-def _build_golomb(payload, variant, drop_tags, decision_vars):
-    return gen_golomb_ruler(_int_param(payload, "n", "golomb_ruler"), decision_vars)
-
-
-def _build_low_autocorrelation(payload, variant, drop_tags, decision_vars):
-    return gen_low_autocorrelation(_int_param(payload, "n", "low_autocorrelation"))
-
-
-def _build_magic_hexagon(payload, variant, drop_tags, decision_vars):
-    return gen_magic_hexagon(
-        _int_param(payload, "n", "magic_hexagon"),
-        _int_param(payload, "s", "magic_hexagon"),
-        drop_tags,
-    )
-
-
-def _build_magic_square(payload, variant, drop_tags, decision_vars):
-    clues = None
-    if isinstance(payload, dict) and not absent(payload.get("clues")):
-        clues = payload["clues"]
-    return gen_magic_square(_int_param(payload, "n", "magic_square"), clues)
-
-
-def _build_coloured_queens(payload, variant, drop_tags, decision_vars):
-    return gen_coloured_queens(_int_param(payload, "n", "coloured_queens"))
-
-
-def _build_social_golfers(payload, variant, drop_tags, decision_vars):
-    return gen_social_golfers(
-        _int_param(payload, "nGroups", "social_golfers"),
-        _int_param(payload, "groupSize", "social_golfers"),
-        _int_param(payload, "nWeeks", "social_golfers"),
-        drop_tags,
-    )
-
-
-def _build_sports_scheduling(payload, variant, drop_tags, decision_vars):
-    return gen_sports_scheduling(_int_param(payload, "nTeams", "sports_scheduling"), drop_tags)
-
-
-def _build_still_life(payload, variant, drop_tags, decision_vars):
-    return gen_still_life(_int_param(payload, "n", "still_life"), drop_tags)
-
-
-def _build_graceful_graph(payload, variant, drop_tags, decision_vars):
-    return gen_graceful_graph(
-        _int_param(payload, "k", "graceful_graph"),
-        _int_param(payload, "p", "graceful_graph"),
-    )
-
-
-def _build_peacable_armies(payload, variant, drop_tags, decision_vars):
-    return gen_peacable_armies(_int_param(payload, "n", "peacable_armies"), variant or "m1")
-
-
-def _build_bibd(payload, variant, drop_tags, decision_vars):
-    if variant not in (None, "sum"):
-        raise UnknownVariantError("bibd", variant)
-    return gen_bibd(
-        _int_param(payload, "v", "bibd"),
-        _int_param(payload, "b", "bibd"),
-        _int_param(payload, "r", "bibd"),
-        _int_param(payload, "k", "bibd"),
-        _int_param(payload, "lambda", "bibd"),
-        drop_tags,
-    )
-
-
-def _build_auction(payload, variant, drop_tags, decision_vars):
-    return gen_auction(payload, variant or "cnt")
-
-
-def _build_bacp(payload, variant, drop_tags, decision_vars):
-    return gen_bacp(payload, variant or "m1", decision_vars)
-
-
-def _build_knapsack(payload, variant, drop_tags, decision_vars):
-    return gen_knapsack(payload)
-
-
-def _build_car_sequencing(payload, variant, drop_tags, decision_vars):
-    return gen_car_sequencing(payload, drop_tags)
-
-
-def _build_graph_coloring(payload, variant, drop_tags, decision_vars):
-    return gen_graph_coloring(payload)
-
-
-def _build_sum_coloring(payload, variant, drop_tags, decision_vars):
-    return gen_sum_coloring(payload)
-
-
-def _build_mario(payload, variant, drop_tags, decision_vars):
-    return gen_mario(payload)
-
-
-def _build_mistery_shopper(payload, variant, drop_tags, decision_vars):
-    return gen_mistery_shopper(payload, drop_tags)
-
-
-def _build_quadratic_assignment(payload, variant, drop_tags, decision_vars):
-    return gen_quadratic_assignment(payload)
-
-
-def _build_rcpsp(payload, variant, drop_tags, decision_vars):
-    return gen_rcpsp(payload)
-
-
-def _build_strip_packing(payload, variant, drop_tags, decision_vars):
-    return gen_strip_packing(payload)
-
-
-def _build_subgraph_isomorphism(payload, variant, drop_tags, decision_vars):
-    return gen_subgraph_isomorphism(payload, drop_tags)
-
-
-def _build_tsp(payload, variant, drop_tags, decision_vars):
-    if isinstance(payload, dict):
-        return gen_tsp(payload)
-    return gen_tsp({"distances": payload})
-
-
-#: problem id -> (builder, tuple of valid variants or None)
+#: problem id -> its row; the one place a family is registered
 PROBLEMS = {
-    "auction": (_build_auction, ("cnt", "sum")),
-    "bacp": (_build_bacp, ("m1", "m2")),
-    "bibd": (_build_bibd, ("sum",)),
-    "car_sequencing": (_build_car_sequencing, None),
-    "coloured_queens": (_build_coloured_queens, None),
-    "dubois": (_build_dubois, None),
-    "golomb_ruler": (_build_golomb, None),
-    "graceful_graph": (_build_graceful_graph, None),
-    "graph_coloring": (_build_graph_coloring, None),
-    "knapsack": (_build_knapsack, None),
-    "langford": (_build_langford, None),
-    "low_autocorrelation": (_build_low_autocorrelation, None),
-    "magic_hexagon": (_build_magic_hexagon, None),
-    "magic_square": (_build_magic_square, None),
-    "mario": (_build_mario, None),
-    "mistery_shopper": (_build_mistery_shopper, None),
-    "peacable_armies": (_build_peacable_armies, ("m1", "m2")),
-    "quadratic_assignment": (_build_quadratic_assignment, None),
-    "rcpsp": (_build_rcpsp, None),
-    "social_golfers": (_build_social_golfers, None),
-    "sports_scheduling": (_build_sports_scheduling, None),
-    "still_life": (_build_still_life, None),
-    "strip_packing": (_build_strip_packing, None),
-    "subgraph_isomorphism": (_build_subgraph_isomorphism, None),
-    "sum_coloring": (_build_sum_coloring, None),
-    "travelling_salesman": (_build_tsp, None),
+    "auction": Problem(gen_auction, options=("variant",), variants=("cnt", "sum")),
+    "bacp": Problem(gen_bacp, options=("variant", "decision_vars"), variants=("m1", "m2")),
+    "bibd": Problem(gen_bibd, ("v", "b", "r", "k", "lambda"), _TAGS, ("sum",)),
+    "car_sequencing": Problem(gen_car_sequencing, options=_TAGS),
+    "coloured_queens": Problem(gen_coloured_queens, ("n",)),
+    "dubois": Problem(gen_dubois, ("n",)),
+    "golomb_ruler": Problem(gen_golomb_ruler, ("n",), ("decision_vars",)),
+    "graceful_graph": Problem(gen_graceful_graph, ("k", "p")),
+    "graph_coloring": Problem(gen_graph_coloring),
+    "knapsack": Problem(gen_knapsack),
+    "langford": Problem(gen_langford, ("n",)),
+    "low_autocorrelation": Problem(gen_low_autocorrelation, ("n",)),
+    "magic_hexagon": Problem(gen_magic_hexagon, ("n", "s"), _TAGS),
+    "magic_square": Problem(gen_magic_square, ("n",), ("clues",)),
+    "mario": Problem(gen_mario),
+    "mistery_shopper": Problem(gen_mistery_shopper, options=_TAGS),
+    "peacable_armies": Problem(gen_peacable_armies, ("n",), ("variant",), ("m1", "m2")),
+    "quadratic_assignment": Problem(gen_quadratic_assignment),
+    "rcpsp": Problem(gen_rcpsp),
+    "social_golfers": Problem(gen_social_golfers, ("nGroups", "groupSize", "nWeeks"), _TAGS),
+    "sports_scheduling": Problem(gen_sports_scheduling, ("nTeams",), _TAGS),
+    "still_life": Problem(gen_still_life, ("n",), _TAGS),
+    "strip_packing": Problem(gen_strip_packing),
+    "subgraph_isomorphism": Problem(gen_subgraph_isomorphism, options=_TAGS),
+    "sum_coloring": Problem(gen_sum_coloring),
+    "travelling_salesman": Problem(gen_tsp),
 }
 
 _ALIASES = {
@@ -276,10 +167,28 @@ def build(
     drop_tags=(),
     decision_vars: bool = True,
 ) -> Instance:
-    """Compile one problem request into a validated instance."""
+    """Compile one problem request into a validated instance.
+
+    A payload that does not fit the family's schema is refused with
+    :class:`SchemaMismatchError`, whichever field the generator tripped on.
+    """
     problem_id = canonical_problem_id(data.problem_id)
-    builder, variants = PROBLEMS[problem_id]
-    if data.variant is not None:
-        if variants is None or data.variant not in variants:
-            raise UnknownVariantError(problem_id, data.variant)
-    return builder(data.payload, data.variant, frozenset(drop_tags), decision_vars)
+    problem = PROBLEMS[problem_id]
+    if data.variant is not None and data.variant not in problem.variants:
+        raise UnknownVariantError(problem_id, data.variant)
+    payload = data.payload
+    args = [_int_param(payload, key, problem_id) for key in problem.params] or [payload]
+    clues = payload.get("clues") if isinstance(payload, dict) else None
+    given = {
+        "variant": data.variant,
+        "drop_tags": frozenset(drop_tags),
+        "decision_vars": decision_vars,
+        "clues": None if absent(clues) else clues,
+    }
+    options = {key: given[key] for key in problem.options if given[key] is not None}
+    try:
+        return problem.gen(*args, **options)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise SchemaMismatchError(
+            f"{problem_id}: payload does not fit ({type(exc).__name__}: {exc})"
+        ) from exc

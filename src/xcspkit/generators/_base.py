@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Union
 
 from .. import expr as _x
-from ..errors import BadParameterError, SchemaMismatchError
+from ..errors import BadParameterError
 from ..model import Constraint, Domain, Instance, Objective, Variable
 
 ExprLike = Union[int, str, _x.Expr]
@@ -91,9 +91,6 @@ class Builder:
         if not self._drop.intersection(tags):
             self.constraints.append(constraint)
 
-    def dropping(self, *tags: str) -> bool:
-        return bool(self._drop.intersection(tags))
-
     def instance(
         self,
         objective: Objective | None = None,
@@ -101,21 +98,6 @@ class Builder:
     ) -> Instance:
         kind = "COP" if objective is not None else "CSP"
         return Instance(kind, tuple(self.variables), tuple(self.constraints), objective, tuple(decision))
-
-
-def need(payload: dict, key: str, kind, problem: str, alt: str | None = None):
-    """Fetch a schema field, accepting an alternative spelling."""
-    if key in payload:
-        value = payload[key]
-    elif alt is not None and alt in payload:
-        value = payload[alt]
-    else:
-        raise SchemaMismatchError(f"{problem}: missing field {key!r}")
-    if kind is int and isinstance(value, bool):
-        raise SchemaMismatchError(f"{problem}: field {key!r} must be an integer")
-    if not isinstance(value, kind):
-        raise SchemaMismatchError(f"{problem}: field {key!r} has wrong type")
-    return value
 
 
 def check(cond: bool, message: str) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import SchemaMismatchError, UnknownVariantError
+from ..errors import UnknownVariantError
 from ..model import (
     AllDifferent,
     Cardinality,
@@ -26,10 +26,7 @@ from ._base import Builder, add, check, eq, iff, imp, le, lt, ne
 
 
 def gen_knapsack(data: dict) -> Instance:
-    capacity = data.get("capacity")
-    items = data.get("items")
-    if capacity is None or not isinstance(items, list):
-        raise SchemaMismatchError("knapsack: expected {capacity, items}")
+    capacity, items = data["capacity"], data["items"]
     check(len(items) >= 1, "knapsack needs at least one item")
     weights = [it["weight"] for it in items]
     values = [it["value"] for it in items]
@@ -42,9 +39,7 @@ def gen_knapsack(data: dict) -> Instance:
 
 
 def gen_auction(data: dict, variant: str = "cnt") -> Instance:
-    bids = data.get("bids")
-    if not isinstance(bids, list):
-        raise SchemaMismatchError("auction: expected {bids}")
+    bids = data["bids"]
     check(len(bids) >= 1, "auction needs at least one bid")
     values = [bid["value"] for bid in bids]
     check(all(v >= 0 for v in values), "auction bid values must be non-negative")
@@ -66,14 +61,11 @@ def gen_auction(data: dict, variant: str = "cnt") -> Instance:
 def gen_bacp(data: dict, variant: str = "m1", decision_vars: bool = True) -> Instance:
     """Balanced academic curriculum; variant m2 swaps the channeling tables
     for implication + sum forms usable by restricted solvers."""
-    try:
-        n_periods = data["nPeriods"]
-        min_credits, max_credits = data["minCredits"], data["maxCredits"]
-        min_courses, max_courses = data["minCourses"], data["maxCourses"]
-        credits = list(data["credits"])
-        prerequisites = [tuple(p) for p in data["prerequisites"]]
-    except KeyError as exc:
-        raise SchemaMismatchError(f"bacp: missing field {exc}") from None
+    n_periods = data["nPeriods"]
+    min_credits, max_credits = data["minCredits"], data["maxCredits"]
+    min_courses, max_courses = data["minCourses"], data["maxCourses"]
+    credits = list(data["credits"])
+    prerequisites = [tuple(p) for p in data["prerequisites"]]
     if variant not in ("m1", "m2"):
         raise UnknownVariantError("bacp", variant)
     check(n_periods >= 1, "bacp needs at least one period")
@@ -111,8 +103,6 @@ def gen_bacp(data: dict, variant: str = "m1", decision_vars: bool = True) -> Ins
 def gen_car_sequencing(data: dict, drop_tags=()) -> Instance:
     classes = data.get("carClasses", data.get("classes"))
     limits = data.get("optionLimits", data.get("limits"))
-    if not isinstance(classes, list) or not isinstance(limits, list):
-        raise SchemaMismatchError("car sequencing: expected {carClasses, optionLimits}")
     demands = [cla["demand"] for cla in classes]
     check(all(d >= 1 for d in demands), "car sequencing demands must be positive")
     n_cars, n_options, n_classes = sum(demands), len(limits), len(classes)
@@ -143,11 +133,8 @@ def gen_car_sequencing(data: dict, drop_tags=()) -> Instance:
 
 
 def gen_graph_coloring(data: dict) -> Instance:
-    try:
-        n_nodes, n_colors = data["nNodes"], data["nColors"]
-        edges = [tuple(e) for e in data["edges"]]
-    except KeyError as exc:
-        raise SchemaMismatchError(f"graph coloring: missing field {exc}") from None
+    n_nodes, n_colors = data["nNodes"], data["nColors"]
+    edges = [tuple(e) for e in data["edges"]]
     check(n_nodes >= 1 and n_colors >= 1, "graph coloring needs nodes and colors")
     b = Builder()
     x = [b.var(f"x[{i}]", Domain.rng(0, n_colors - 1)) for i in range(n_nodes)]
@@ -157,11 +144,8 @@ def gen_graph_coloring(data: dict) -> Instance:
 
 
 def gen_sum_coloring(data: dict) -> Instance:
-    try:
-        n_nodes = data["nNodes"]
-        edges = [tuple(e) for e in data["edges"]]
-    except KeyError as exc:
-        raise SchemaMismatchError(f"sum coloring: missing field {exc}") from None
+    n_nodes = data["nNodes"]
+    edges = [tuple(e) for e in data["edges"]]
     check(n_nodes >= 1, "sum coloring needs at least one node")
     b = Builder()
     c = [b.var(f"c[{i}]", Domain.rng(0, n_nodes - 1)) for i in range(n_nodes)]
@@ -173,12 +157,9 @@ def gen_sum_coloring(data: dict) -> Instance:
 def gen_mario(data: dict) -> Instance:
     """Prize-collecting tour: successor variables form a circuit through
     visited houses, self-loops mark skipped ones."""
-    try:
-        mario, luigi = data["marioHouse"], data["luigiHouse"]
-        fuel_limit = data["fuelLimit"]
-        houses = data["houses"]
-    except KeyError as exc:
-        raise SchemaMismatchError(f"mario: missing field {exc}") from None
+    mario, luigi = data["marioHouse"], data["luigiHouse"]
+    fuel_limit = data["fuelLimit"]
+    houses = data["houses"]
     n = len(houses)
     check(n >= 2, "mario needs at least two houses")
     check(0 <= mario < n and 0 <= luigi < n and mario != luigi, "bad mario/luigi houses")
@@ -203,11 +184,8 @@ def gen_mario(data: dict) -> Instance:
 
 
 def gen_mistery_shopper(data: dict, drop_tags=()) -> Instance:
-    try:
-        visitor_groups = list(data["visitorGroups"])
-        visitee_groups = list(data["visiteeGroups"])
-    except KeyError as exc:
-        raise SchemaMismatchError(f"mistery shopper: missing field {exc}") from None
+    visitor_groups = list(data["visitorGroups"])
+    visitee_groups = list(data["visiteeGroups"])
     n_visitors, n_visitees = sum(visitor_groups), sum(visitee_groups)
     check(n_visitees <= n_visitors, "mistery shopper needs nVisitees <= nVisitors")
     n = n_visitors
@@ -258,11 +236,8 @@ def gen_mistery_shopper(data: dict, drop_tags=()) -> Instance:
 
 
 def gen_quadratic_assignment(data: dict) -> Instance:
-    try:
-        weights = [list(row) for row in data["weights"]]
-        distances = [list(row) for row in data["distances"]]
-    except KeyError as exc:
-        raise SchemaMismatchError(f"quadratic assignment: missing field {exc}") from None
+    weights = [list(row) for row in data["weights"]]
+    distances = [list(row) for row in data["distances"]]
     n = len(weights)
     check(n >= 2 and all(len(r) == n for r in weights), "weights must be square")
     check(len(distances) == n and all(len(r) == n for r in distances), "distances must match weights")
@@ -286,12 +261,9 @@ def gen_quadratic_assignment(data: dict) -> Instance:
 
 
 def gen_rcpsp(data: dict) -> Instance:
-    try:
-        horizon = data["horizon"]
-        capacities = list(data["resourceCapacities"])
-        jobs = data["jobs"]
-    except KeyError as exc:
-        raise SchemaMismatchError(f"rcpsp: missing field {exc}") from None
+    horizon = data["horizon"]
+    capacities = list(data["resourceCapacities"])
+    jobs = data["jobs"]
     n_jobs = len(jobs)
     check(n_jobs >= 2 and horizon >= 1, "rcpsp needs jobs and a positive horizon")
     b = Builder()
@@ -317,13 +289,8 @@ def gen_rcpsp(data: dict) -> Instance:
 
 
 def gen_strip_packing(data: dict) -> Instance:
-    try:
-        container = data["container"]
-        items = data.get("rectangles", data.get("items"))
-    except KeyError as exc:
-        raise SchemaMismatchError(f"strip packing: missing field {exc}") from None
-    if not isinstance(items, list):
-        raise SchemaMismatchError("strip packing: expected rectangles list")
+    items = data.get("rectangles", data.get("items"))
+    container = data["container"]
     width, height = container["width"], container["height"]
     n = len(items)
     check(n >= 1 and width >= 1 and height >= 1, "strip packing needs items and a container")
@@ -345,12 +312,9 @@ def gen_strip_packing(data: dict) -> Instance:
 
 
 def gen_subgraph_isomorphism(data: dict, drop_tags=()) -> Instance:
-    try:
-        n_pattern, n_target = data["nPatternNodes"], data["nTargetNodes"]
-        pattern_edges = [tuple(e) for e in data["patternEdges"]]
-        target_edges = [tuple(e) for e in data["targetEdges"]]
-    except KeyError as exc:
-        raise SchemaMismatchError(f"subgraph isomorphism: missing field {exc}") from None
+    n_pattern, n_target = data["nPatternNodes"], data["nTargetNodes"]
+    pattern_edges = [tuple(e) for e in data["patternEdges"]]
+    target_edges = [tuple(e) for e in data["targetEdges"]]
     check(n_pattern >= 1 and n_target >= 1, "graphs must be non-empty")
 
     def self_loops(edges):

@@ -27,7 +27,6 @@ from .io import parse_instance, parse_solution
 from .model import Assignment, Instance, assignment_cost, constraint_satisfied
 
 PROVED_CSP = ("SAT", "UNSAT")
-STATUSES = ("SAT", "UNSAT", "OPTIMUM", "UNKNOWN", "INVALID")
 
 
 @dataclass(frozen=True)

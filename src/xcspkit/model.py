@@ -67,7 +67,7 @@ class Variable:
     domain: Domain
 
 
-def _norm_rows(arity, rows):
+def _norm_rows(rows):
     seen = set()
     out = []
     for row in rows:
@@ -89,7 +89,7 @@ class Table:
     rows: tuple[tuple, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _norm_rows(self.arity, self.rows))
+        object.__setattr__(self, "rows", _norm_rows(self.rows))
 
     def matches(self, values: Sequence[int]) -> bool:
         """True iff some row matches (STAR matches any value)."""
@@ -136,6 +136,9 @@ _REL = {
     "eq": lambda a, b: a == b,
     "ne": lambda a, b: a != b,
 }
+
+#: the operators of ``ordered``, ``lex`` and ``lexMatrix``
+_ORDERS = ("lt", "le", "ge", "gt")
 
 
 @dataclass(frozen=True)
@@ -340,10 +343,6 @@ class Instance:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "decision_variables", tuple(self.decision_variables))
 
-    @property
-    def var_map(self) -> dict[str, Variable]:
-        return {v.id: v for v in self.variables}
-
 
 # ---------------------------------------------------------------------------
 # Scope extraction
@@ -438,17 +437,11 @@ def _value(v: Union[int, str], a: Assignment) -> int:
     return a[v] if isinstance(v, str) else v
 
 
-def _lex_holds(left: Sequence[int], right: Sequence[int], operator: str) -> bool:
-    lt, rt = tuple(left), tuple(right)
-    if operator == "lt":
-        return lt < rt
-    if operator == "le":
-        return lt <= rt
-    if operator == "gt":
-        return lt > rt
-    if operator == "ge":
-        return lt >= rt
-    raise ScopeMismatchError(f"bad lex operator {operator!r}")
+def _chained(operator: str, items: Sequence) -> bool:
+    """True iff ``operator`` holds between each item and the next; lists
+    compare lexicographically."""
+    rel = _REL[operator]
+    return all(rel(x, y) for x, y in zip(items, items[1:]))
 
 
 def constraint_satisfied(c: Constraint, assignment: Assignment) -> bool:
@@ -483,20 +476,15 @@ def constraint_satisfied(c: Constraint, assignment: Assignment) -> bool:
         return True
 
     if isinstance(c, Ordered):
-        values = [a[v] for v in c.scope]
-        rel = _REL[c.operator]
-        return all(rel(x, y) for x, y in zip(values, values[1:]))
+        return _chained(c.operator, [a[v] for v in c.scope])
 
     if isinstance(c, Lex):
-        rows = [[a[v] for v in row] for row in c.rows]
-        return all(_lex_holds(x, y, c.operator) for x, y in zip(rows, rows[1:]))
+        return _chained(c.operator, [[a[v] for v in row] for row in c.rows])
 
     if isinstance(c, LexMatrix):
         rows = [[a[v] for v in row] for row in c.grid]
         cols = [[a[v] for v in col] for col in zip(*c.grid)]
-        return all(_lex_holds(x, y, c.operator) for x, y in zip(rows, rows[1:])) and all(
-            _lex_holds(x, y, c.operator) for x, y in zip(cols, cols[1:])
-        )
+        return _chained(c.operator, rows) and _chained(c.operator, cols)
 
     if isinstance(c, Sum):
         total = sum(_value(k, a) * a[v] for k, v in zip(c.coeffs, c.scope))
@@ -674,6 +662,8 @@ def _validate_constraint(c: Constraint, where: str, instance: Instance) -> list[
     def bad(code, detail):
         report.append(Violation(code, where, detail))
 
+    if isinstance(c, (Ordered, Lex, LexMatrix)) and c.operator not in _ORDERS:
+        bad("BadOperator", f"order operator must be one of {', '.join(_ORDERS)}, got {c.operator!r}")
     if isinstance(c, Intension):
         if not is_boolean(c.expr):
             bad("NotBoolean", "intension root must be a relational or logical operator")
@@ -712,9 +702,6 @@ def _validate_constraint(c: Constraint, where: str, instance: Instance) -> list[
         widths = {len(row) for row in c.rows}
         if len(widths) > 1:
             bad("RaggedMatrix", "lex rows have differing lengths")
-    elif isinstance(c, Ordered):
-        if c.operator not in _REL:
-            bad("BadOperator", f"unknown order operator {c.operator!r}")
     elif isinstance(c, Sum):
         if len(c.coeffs) != len(c.scope):
             bad("LengthMismatch", "coeffs length differs from scope length")

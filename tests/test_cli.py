@@ -153,6 +153,30 @@ class TestGenerateCommand:
             main(["generate", "dubois", "--param", "n=3", "--bogus"])
         assert err.value.code == 2
 
+    def test_list_payload(self, tmp_path, capsys):
+        data = tmp_path / "matrix.json"
+        data.write_text(json.dumps([[0, 5, 6], [5, 0, 9], [6, 9, 0]]))
+        assert main(["generate", "tsp", "--data", str(data)]) == 0
+        inst = parse_instance(capsys.readouterr().out)
+        assert len(inst.variables) == 6
+
+    def test_param_with_list_payload_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "matrix.json"
+        data.write_text(json.dumps([[0, 5, 6], [5, 0, 9], [6, 9, 0]]))
+        assert main(["generate", "tsp", "--data", str(data), "--param", "n=3"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_payload_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "k.json"
+        data.write_text(json.dumps({"capacity": 3, "items": [{"value": 1}]}))
+        assert main(["generate", "knapsack", "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "knapsack" in err and "'weight'" in err
+
+    def test_param_without_data_field_exit_2(self, capsys):
+        assert main(["generate", "tsp", "--param", "n=3"]) == 2
+        assert "'distances'" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_valid_and_invalid(self, tmp_path, capsys):

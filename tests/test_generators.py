@@ -1,13 +1,15 @@
 """Generator tests: structure counts, data oracles, constraint-mix
 conformance against the competition catalog, determinism, witnesses."""
 
+import inspect
 import itertools
 
 import pytest
 
 from helpers import brute_force
-from xcspkit.errors import BadParameterError, NonIntegralMagicError, UnknownVariantError
-from xcspkit.generators import ProblemData, build
+from xcspkit import generators
+from xcspkit.errors import BadParameterError, NonIntegralMagicError, SchemaMismatchError, UnknownVariantError
+from xcspkit.generators import PROBLEMS, ProblemData, build
 from xcspkit.generators.academic import (
     _match_number,
     gen_coloured_queens,
@@ -612,3 +614,34 @@ def test_roundtrip_through_xml(request_):
     text = write_instance(inst)
     assert parse_instance(text) == inst
     assert write_instance(parse_instance(text)) == text
+
+
+def test_every_generator_has_one_problem_row():
+    gens = {name: getattr(generators, name) for name in generators.__all__ if name.startswith("gen_")}
+    assert sorted(problem.gen.__name__ for problem in PROBLEMS.values()) == sorted(gens)
+    for problem in PROBLEMS.values():
+        assert gens[problem.gen.__name__] is problem.gen
+        assert set(problem.options) <= {"variant", "drop_tags", "decision_vars", "clues"}
+        args = [0] * len(problem.params) or [{}]
+        inspect.signature(problem.gen).bind(*args, **dict.fromkeys(problem.options))
+
+
+# every data-driven family with an empty payload, then one bad field each
+MALFORMED_REQUESTS = [ProblemData(p, {}) for p, row in sorted(PROBLEMS.items()) if not row.params] + [
+    ProblemData("knapsack", {"capacity": 3, "items": [{"value": 1}]}),
+    ProblemData("graph_coloring", {"nNodes": 2, "nColors": 2, "edges": [[0, 5]]}),
+    ProblemData("magic_square", {"n": 3, "clues": [[1]]}),
+    ProblemData("rcpsp", 5),
+]
+
+
+@pytest.mark.parametrize("request_", MALFORMED_REQUESTS, ids=lambda r: r.problem_id)
+def test_malformed_payload_is_a_schema_mismatch(request_):
+    with pytest.raises(SchemaMismatchError, match=request_.problem_id):
+        build(request_)
+
+
+def test_bare_payloads():
+    matrix = TSP_DATA["distances"]
+    assert build(ProblemData("tsp", matrix)) == build(ProblemData("travelling_salesman", TSP_DATA))
+    assert build(ProblemData("langford", 3)) == build(ProblemData("langford", {"n": 3}))

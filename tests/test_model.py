@@ -6,8 +6,15 @@ import random
 
 import pytest
 
-from xcspkit.errors import NotAnOptimizationInstanceError, UnboundVariableError
+from xcspkit.engine import solve
+from xcspkit.errors import (
+    InvalidInstanceError,
+    InvariantViolationError,
+    NotAnOptimizationInstanceError,
+    UnboundVariableError,
+)
 from xcspkit.expr import OPS, compile_expr, const, evaluate, interval, op, parse_expr, var
+from xcspkit.io import parse_instance, write_instance
 from xcspkit.model import (
     STAR,
     AllDifferent,
@@ -389,6 +396,33 @@ class TestValidation:
         )
         codes = [v.code for v in validate_instance(inst)]
         assert "NotBoolean" in codes
+
+
+_ORDER_VARS = (
+    Variable("x", Domain.of(0)),
+    Variable("y", Domain.of(1)),
+    Variable("u", Domain.of(0)),
+    Variable("v", Domain.of(1)),
+)
+_ORDER_CONSTRAINTS = {
+    "ordered": lambda operator: Ordered(("x", "y"), operator),
+    "lex": lambda operator: Lex((("x", "y"), ("u", "v")), operator),
+    "lexMatrix": lambda operator: LexMatrix((("x", "y"), ("u", "v")), operator),
+}
+
+
+@pytest.mark.parametrize("operator", ["eq", "ne"])
+@pytest.mark.parametrize("kind", sorted(_ORDER_CONSTRAINTS))
+def test_order_constraints_refuse_eq_and_ne(kind, operator):
+    make = _ORDER_CONSTRAINTS[kind]
+    inst = Instance("CSP", _ORDER_VARS, (make(operator),))
+    assert [v.code for v in validate_instance(inst)] == ["BadOperator"]
+    with pytest.raises(InvalidInstanceError):
+        solve(inst)
+    text = write_instance(Instance("CSP", _ORDER_VARS, (make("le"),)))
+    assert text.count("<operator> le </operator>") == 1
+    with pytest.raises(InvariantViolationError, match="BadOperator"):
+        parse_instance(text.replace("<operator> le </operator>", f"<operator> {operator} </operator>"))
 
 
 def _random_table(rng, arity, domain_size, polarity, star_ok=True):
