@@ -7,6 +7,7 @@ checker keeps search verdicts exact."""
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 
 from .. import expr as _x
 from ..model import (
@@ -189,12 +190,31 @@ def _build_extension(scope, key, store, c: Extension):
 # Intension
 
 
+def _defined_variable(expression):
+    """``(z, e)`` when the expression is ``eq(z, e)`` or ``eq(e, z)`` for a
+    variable ``z`` that ``e`` does not mention, else None."""
+    if isinstance(expression, _x.Op) and expression.kind == "eq":
+        for z, e in (expression.children, expression.children[::-1]):
+            if isinstance(z, _x.VarRef) and z.var_id not in set(_x.expr_vars(e)):
+                return z.var_id, e
+    return None
+
+
 class IntensionProp(Propagator):
     """Small expressions are compiled to a support bitset at build time
-    (compact-table pass); larger ones fall back to GAC scans or interval
-    filtering."""
+    (compact-table pass). Larger ones of arity <= 3 get an exact GAC pass
+    while the live domain product is at most ``_SCAN_CAP``, interval
+    filtering beyond it.
 
-    __slots__ = ("expr", "names", "fn", "supports", "constant")
+    The GAC pass seeks supports instead of evaluating the whole product.
+    ``eq(z, e)`` (or ``eq(e, z)``) with ``z`` not in ``e`` is functional: it
+    enumerates the other positions only and looks ``e``'s value up in
+    ``z``'s domain. Any other expression keeps, per (position, value), the
+    last support found as its residue (Lecoutre & Hemery, IJCAI 2007). A
+    residue is not trailed: one whose values are still live is a support,
+    a stale one is re-sought."""
+
+    __slots__ = ("expr", "names", "fn", "supports", "constant", "target", "rest_fn", "residues")
 
     def __init__(self, scope, key, store: DomainStore, expression):
         super().__init__(scope, key)
@@ -203,7 +223,7 @@ class IntensionProp(Propagator):
         self.fn = _x.compile_expr(expression, {name: i for i, name in enumerate(self.names)})
         # an expression without variables is a constant verdict
         self.constant = bool(self.fn(())) if not scope else None
-        self.supports = None
+        self.supports = self.target = self.rest_fn = self.residues = None
         product = 1
         for x in scope:
             product *= len(store.init_values[x])
@@ -217,6 +237,15 @@ class IntensionProp(Propagator):
                 if fn(combo)
             ]
             self.supports = _support_masks(store, scope, rows)
+        elif len(scope) <= 3:
+            defined = _defined_variable(expression)
+            if defined is not None:
+                z, e = defined
+                rest = [name for name in self.names if name != z]
+                self.target = self.names.index(z)
+                self.rest_fn = _x.compile_expr(e, {name: i for i, name in enumerate(rest)})
+            else:
+                self.residues = [[None] * len(store.init_values[x]) for x in scope]
 
     def propagate(self, store: DomainStore) -> bool:
         if self.constant is not None:
@@ -228,24 +257,64 @@ class IntensionProp(Propagator):
         for x in self.scope:
             product *= store.size(x)
         if arity <= 3 and product <= _SCAN_CAP:
-            return self._scan(store)
+            return self._gac(store)
         return self._interval_filter(store)
 
-    def _scan(self, store: DomainStore) -> bool:
-        domains = [store.domain_list(x) for x in self.scope]
-        supported = [set() for _ in self.scope]
-        fn = self.fn
-        for combo in itertools.product(*domains):
-            if fn(combo):
-                for i, v in enumerate(combo):
-                    supported[i].add(v)
-        for i, x in enumerate(self.scope):
-            if not supported[i]:
-                return False
-            if len(supported[i]) < store.size(x):
-                if not store.keep_values(x, supported[i]):
-                    return False
+    def _gac(self, store: DomainStore) -> bool:
+        """Supported values of every position, found against the domains at
+        the start of the call, then the rest pruned in scope order."""
+        keep = self._functional(store) if self.rest_fn is not None else self._residual(store)
+        if keep is None:
+            return False
+        for x, bits in zip(self.scope, keep):
+            store.keep_bits(x, bits)  # never empty: every position has a support
         return True
+
+    def _functional(self, store: DomainStore):
+        t = self.target
+        z = self.scope[t]
+        rest = self.scope[:t] + self.scope[t + 1 :]
+        zpos, zmask, f = store.pos[z], store.masks[z], self.rest_fn
+        zbits, rows = 0, []
+        for combo in itertools.product(*(store.domain_list(x) for x in rest)):
+            bit = zpos.get(f(combo))
+            if bit is not None and zmask >> bit & 1:
+                zbits |= 1 << bit
+                rows.append(combo)
+        if not rows:
+            return None
+        keep = [store.value_mask(x, set(column)) for x, column in zip(rest, zip(*rows))]
+        keep.insert(t, zbits)
+        return keep
+
+    def _residual(self, store: DomainStore):
+        scope, fn, residues = self.scope, self.fn, self.residues
+        live = [store.masks[x] for x in scope]
+        domains = [store.domain_list(x) for x in scope]
+        keep = [0] * len(scope)
+        for i, x in enumerate(scope):
+            seek = list(domains)
+            todo = live[i] & ~keep[i]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                bit = low.bit_length() - 1
+                res = residues[i][bit]
+                if res is None or any(not m >> b & 1 for m, b in zip(live, res)):
+                    seek[i] = (store.init_values[x][bit],)
+                    for combo in itertools.product(*seek):
+                        if fn(combo):
+                            break
+                    else:
+                        continue
+                    res = tuple(store.pos[y][v] for y, v in zip(scope, combo))
+                    for j, b in enumerate(res):
+                        residues[j][b] = res
+                for j, b in enumerate(res):
+                    keep[j] |= 1 << b
+            if not keep[i]:
+                return None
+        return keep
 
     def _interval_filter(self, store: DomainStore) -> bool:
         bounds = {name: store.bounds(x) for name, x in zip(self.names, self.scope)}
@@ -507,22 +576,27 @@ class AllDifferentProp(Propagator):
 
     def _hall_intervals(self, store: DomainStore) -> bool:
         bounds = [store.bounds(x) for x in self.scope]
+        n = len(bounds)
         mins = sorted({lo for lo, _ in bounds})
         maxs = sorted({hi for _, hi in bounds})
         for a in mins:
-            for b in maxs:
-                if b < a:
-                    continue
+            # upper bounds of the intervals starting at a or later; pruning a
+            # window a..b never moves a lower bound across a, nor the upper
+            # bound of an interval that starts at a or later, so this list
+            # holds until the next a
+            his = sorted(hi for lo, hi in bounds if lo >= a)
+            for b in maxs[bisect_left(maxs, a) :]:
                 capacity = b - a + 1
-                if capacity > len(bounds):
-                    continue
-                contained = [i for i, (lo, hi) in enumerate(bounds) if a <= lo and hi <= b]
-                if len(contained) > capacity:
+                if capacity > n:
+                    break
+                count = bisect_right(his, b)
+                if count > capacity:
                     return False
-                if len(contained) == capacity:
-                    inside = set(contained)
+                if count == capacity:
                     for i, x in enumerate(self.scope):
-                        if i not in inside:
+                        lo, hi = bounds[i]
+                        # only an interval that overlaps a..b without fitting in it loses values
+                        if (lo < a or hi > b) and lo <= b and a <= hi:
                             if not store.remove_bits(x, store.interval_mask(x, a, b)):
                                 return False
                             bounds[i] = store.bounds(x)

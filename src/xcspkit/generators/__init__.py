@@ -123,7 +123,7 @@ _TAGS = ("drop_tags",)
 PROBLEMS = {
     "auction": Problem(gen_auction, options=("variant",), variants=("cnt", "sum")),
     "bacp": Problem(gen_bacp, options=("variant", "decision_vars"), variants=("m1", "m2")),
-    "bibd": Problem(gen_bibd, ("v", "b", "r", "k", "lambda"), _TAGS, ("sum",)),
+    "bibd": Problem(gen_bibd, ("v", "b", "r", "k", "lambda"), _TAGS),
     "car_sequencing": Problem(gen_car_sequencing, options=_TAGS),
     "coloured_queens": Problem(gen_coloured_queens, ("n",)),
     "dubois": Problem(gen_dubois, ("n",)),
@@ -188,7 +188,7 @@ def build(
     options = {key: given[key] for key in problem.options if given[key] is not None}
     try:
         return problem.gen(*args, **options)
-    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
         raise SchemaMismatchError(
             f"{problem_id}: payload does not fit ({type(exc).__name__}: {exc})"
         ) from exc

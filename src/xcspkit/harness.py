@@ -317,6 +317,9 @@ def run_one(instance_path: str, solver_id: str, command_template: str, time_limi
         status, bound, payload = parse_solver_output(proc.stdout)
     except ProtocolViolationError:
         return RunRecord(instance_id, solver_id, "INVALID", None, elapsed)
+    if proc.returncode < 0 and status != "UNKNOWN":
+        # a solver killed by a signal may have printed a claim it never finished
+        return RunRecord(instance_id, solver_id, "INVALID", None, elapsed)
     if status in ("SAT", "OPTIMUM"):
         status, bound = _verify_claim(instance_path, status, bound, payload)
     return RunRecord(instance_id, solver_id, status, bound, elapsed)

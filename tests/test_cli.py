@@ -173,6 +173,20 @@ class TestGenerateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "knapsack" in err and "'weight'" in err
 
+    def test_edge_of_wrong_length_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "g.json"
+        data.write_text(json.dumps({"nNodes": 3, "nColors": 2, "edges": [[0, 1, 2]]}))
+        assert main(["generate", "graph_coloring", "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "graph_coloring" in err and "ValueError" in err
+
+    def test_bibd_has_no_variant_exit_2(self, capsys):
+        params = ["--param", "v=7", "--param", "b=7", "--param", "r=3", "--param", "k=3", "--param", "lambda=1"]
+        assert main(["generate", "bibd", *params]) == 0
+        capsys.readouterr()
+        assert main(["generate", "bibd", *params, "--variant", "sum"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_param_without_data_field_exit_2(self, capsys):
         assert main(["generate", "tsp", "--param", "n=3"]) == 2
         assert "'distances'" in capsys.readouterr().err

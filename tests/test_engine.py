@@ -15,9 +15,10 @@ from xcspkit.engine import (
     propagate_to_fixpoint,
     solve,
 )
+from xcspkit.engine.propagators import _SCAN_CAP, make_propagators
 from xcspkit.engine.search import _improving
 from xcspkit.errors import InvalidInstanceError
-from xcspkit.expr import parse_expr
+from xcspkit.expr import evaluate, expr_vars, parse_expr
 from xcspkit.generators import (
     gen_dubois,
     gen_golomb_ruler,
@@ -25,6 +26,7 @@ from xcspkit.generators import (
     gen_knapsack,
     gen_langford,
     gen_magic_square,
+    gen_still_life,
 )
 from xcspkit.model import (
     AllDifferent,
@@ -268,6 +270,66 @@ class TestIntervalPrimitive:
             store.pop()
 
 
+# (expression, whether it is eq(z, f(rest)) with z not in rest)
+SCAN_EXPRESSIONS = [
+    ("eq(z,add(x,y))", True),
+    ("eq(sub(x,y),z)", True),
+    ("eq(x,mul(y,-3))", True),
+    ("eq(x,y)", True),
+    ("eq(z,add(z,x))", False),
+    ("eq(x,dist(y,x))", False),
+    ("ge(sub(x,y),z)", False),
+    ("le(abs(x),y)", False),
+    ("or(lt(x,y),eq(z,neg(x)))", False),
+]
+
+
+def _brute_force_gac(text, store):
+    """Supported values per variable over the current domains, or None."""
+    expr = parse_expr(text)
+    supported = [set() for _ in store.names]
+    for combo in itertools.product(*(store.domain_list(x) for x in range(len(store)))):
+        if evaluate(expr, dict(zip(store.names, combo))):
+            for seen, v in zip(supported, combo):
+                seen.add(v)
+    return supported if supported[0] else None
+
+
+@pytest.mark.parametrize("text, functional", SCAN_EXPRESSIONS)
+def test_intension_gac_pass_equals_brute_force(text, functional):
+    """Intensions too large for a build-time table get the GAC pass once the
+    live product is at most _SCAN_CAP; residues survive every pop."""
+    rng = random.Random(text)
+    names = list(dict.fromkeys(expr_vars(parse_expr(text))))
+    size = 50 if len(names) == 2 else 13  # initial product above _SCAN_CAP
+    store = DomainStore(
+        [Variable(n, Domain(tuple(sorted(rng.sample(range(-40, 41), size))))) for n in names]
+    )
+    (prop,) = make_propagators([Intension(parse_expr(text))], store)
+    assert prop.supports is None and (prop.rest_fn is not None) == functional
+    outcomes = set()
+    for _ in range(30):
+        store.push()
+        for _ in range(rng.randint(1, 3)):
+            keep = rng.choice((1, 2, 4, 12))
+            for x in range(len(names)):
+                live = store.domain_list(x)
+                store.keep_values(x, rng.sample(live, min(keep, len(live))))
+            product = 1
+            for x in range(len(names)):
+                product *= store.size(x)
+            assert product <= _SCAN_CAP
+            expected = _brute_force_gac(text, store)
+            ok = prop.propagate(store)
+            outcomes.add(ok)
+            assert ok == (expected is not None)
+            if not ok:
+                break
+            assert [set(store.values(x)) for x in range(len(names))] == expected
+        store.pop()
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("sense", ["minimize", "maximize"])
 @pytest.mark.parametrize(
     "kind, coeffs",
@@ -301,6 +363,8 @@ PINNED_SEARCHES = {
     "dubois-6": (lambda: solve(gen_dubois(6)), ("UNSAT", None, 163, 164, 1600)),
     "dubois-6-restarts": (lambda: solve(gen_dubois(6), SearchConfig(restarts=True)), ("UNSAT", None, 190, 188, 1833)),
     "graph-coloring-maximum": (lambda: optimize(gen_graph_coloring(GRAPH_COLORING_DATA)), ("OPTIMUM", 2, 6, 6, 83)),
+    "golomb-6": (lambda: optimize(gen_golomb_ruler(6)), ("OPTIMUM", 17, 66, 62, 3171)),
+    "still-life-4": (lambda: optimize(gen_still_life(4)), ("OPTIMUM", 8, 192, 187, 10553)),
 }
 
 

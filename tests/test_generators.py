@@ -632,6 +632,7 @@ MALFORMED_REQUESTS = [ProblemData(p, {}) for p, row in sorted(PROBLEMS.items()) 
     ProblemData("graph_coloring", {"nNodes": 2, "nColors": 2, "edges": [[0, 5]]}),
     ProblemData("magic_square", {"n": 3, "clues": [[1]]}),
     ProblemData("rcpsp", 5),
+    ProblemData("graph_coloring", {"nNodes": 3, "nColors": 2, "edges": [[0, 1, 2]]}),
 ]
 
 
@@ -639,6 +640,11 @@ MALFORMED_REQUESTS = [ProblemData(p, {}) for p, row in sorted(PROBLEMS.items()) 
 def test_malformed_payload_is_a_schema_mismatch(request_):
     with pytest.raises(SchemaMismatchError, match=request_.problem_id):
         build(request_)
+
+
+def test_bibd_takes_no_variant():
+    with pytest.raises(UnknownVariantError):
+        build(ProblemData("bibd", {"v": 7, "b": 7, "r": 3, "k": 3, "lambda": 1}, "sum"))
 
 
 def test_bare_payloads():

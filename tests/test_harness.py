@@ -277,6 +277,21 @@ class TestCampaign(object):
         record = run_one(str(path), "repeater", template, time_limit=30)
         assert record.status == "INVALID"
 
+    @pytest.mark.parametrize(
+        "script, expected",
+        [
+            ('echo "s UNSATISFIABLE"; kill -SEGV $$', "INVALID"),
+            ('echo "s UNKNOWN"; kill -SEGV $$', "UNKNOWN"),
+            ('echo "s UNSATISFIABLE"; exit 20', "UNSAT"),
+        ],
+        ids=["killed-claim", "killed-unknown", "exit-code-20"],
+    )
+    def test_claim_of_a_solver_killed_by_a_signal_is_invalid(self, tmp_path, script, expected):
+        path = tmp_path / "dubois3.xml"
+        path.write_text(write_instance(gen_dubois(3)))
+        record = run_one(str(path), "crasher", f"sh -c '{script}'", time_limit=30)
+        assert record.status == expected
+
     def test_timeout_yields_unknown_with_full_elapsed(self, tmp_path):
         (tmp_path / "dubois3.xml").write_text(write_instance(gen_dubois(3)))
         template = f"{sys.executable} -c \"import time; time.sleep(30)\""
