@@ -7,6 +7,7 @@ import random
 import pytest
 
 from helpers import brute_force, search_space
+from test_generators import MARIO_DATA, MISTERY_DATA, RCPSP_DATA
 from xcspkit.engine import (
     DomainStore,
     SearchConfig,
@@ -20,12 +21,17 @@ from xcspkit.engine.search import _improving
 from xcspkit.errors import InvalidInstanceError
 from xcspkit.expr import evaluate, expr_vars, parse_expr
 from xcspkit.generators import (
+    gen_bibd,
+    gen_coloured_queens,
     gen_dubois,
     gen_golomb_ruler,
     gen_graph_coloring,
     gen_knapsack,
     gen_langford,
     gen_magic_square,
+    gen_mario,
+    gen_mistery_shopper,
+    gen_rcpsp,
     gen_still_life,
 )
 from xcspkit.model import (
@@ -365,6 +371,11 @@ PINNED_SEARCHES = {
     "graph-coloring-maximum": (lambda: optimize(gen_graph_coloring(GRAPH_COLORING_DATA)), ("OPTIMUM", 2, 6, 6, 83)),
     "golomb-6": (lambda: optimize(gen_golomb_ruler(6)), ("OPTIMUM", 17, 66, 62, 3171)),
     "still-life-4": (lambda: optimize(gen_still_life(4)), ("OPTIMUM", 8, 192, 187, 10553)),
+    "coloured-queens-5": (lambda: solve(gen_coloured_queens(5)), ("SAT", None, 5, 0, 196)),
+    "bibd-7-7-3-3-1": (lambda: solve(gen_bibd(7, 7, 3, 3, 1)), ("SAT", None, 175, 171, 7702)),
+    "rcpsp": (lambda: optimize(gen_rcpsp(RCPSP_DATA)), ("OPTIMUM", 7, 4, 4, 57)),
+    "mario": (lambda: optimize(gen_mario(MARIO_DATA)), ("OPTIMUM", 10, 1, 0, 57)),
+    "mistery-shopper": (lambda: solve(gen_mistery_shopper(MISTERY_DATA)), ("SAT", None, 179, 163, 16325)),
 }
 
 
