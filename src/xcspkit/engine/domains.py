@@ -15,10 +15,11 @@ from ..model import Variable
 
 
 class DomainStore:
-    __slots__ = ("names", "init_values", "pos", "full", "masks", "_trail", "_marks", "touched")
+    __slots__ = ("names", "index", "init_values", "pos", "full", "masks", "_trail", "_marks", "touched")
 
     def __init__(self, variables: Sequence[Variable]):
         self.names = [v.id for v in variables]
+        self.index = {name: x for x, name in enumerate(self.names)}
         self.init_values = [tuple(v.domain.values) for v in variables]
         for v, vals in zip(variables, self.init_values):
             if vals != tuple(sorted(set(vals))):
@@ -32,6 +33,11 @@ class DomainStore:
 
     def __len__(self) -> int:
         return len(self.names)
+
+    def indices(self, ids) -> tuple[int, ...]:
+        """The variable indices of the given variable ids."""
+        index = self.index
+        return tuple(index[v] for v in ids)
 
     # -- state inspection
 

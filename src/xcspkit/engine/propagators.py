@@ -2,11 +2,21 @@
 
 Every propagator removes only values it proves locally inconsistent; where
 filtering is partial, a full-assignment fallback to the ground-truth
-checker keeps search verdicts exact."""
+checker keeps search verdicts exact.
+
+Every propagator class is built as ``cls(constraint, key, store)`` from the
+one model constraint it enforces and keeps that constraint; ``key`` is the
+index of the instance constraint it came from. ``make_propagators`` splits
+composite constraints into such primitives and looks each one's class up
+in ``_PROPAGATORS``. A propagator watches the constraint's distinct
+variables (``model.constraint_scope``); a positional one watches
+``constraint.scope`` exactly as given, repeats included, because it reads
+the scope position by position."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 
 from .. import expr as _x
@@ -18,7 +28,6 @@ from ..model import (
     Channel,
     Circuit,
     Condition,
-    Constraint,
     Count,
     Cumulative,
     Element,
@@ -34,6 +43,7 @@ from ..model import (
     STAR,
     Sum,
     constraint_satisfied,
+    constraint_scope,
 )
 from .domains import DomainStore
 
@@ -46,10 +56,14 @@ _SCAN_CAP = 2048
 
 
 class Propagator:
-    __slots__ = ("scope", "key", "weight")
+    __slots__ = ("constraint", "scope", "key", "weight")
 
-    def __init__(self, scope: tuple[int, ...], key: int):
-        self.scope = scope
+    #: watch ``constraint.scope`` as given instead of the distinct variables
+    positional = False
+
+    def __init__(self, constraint, key: int, store: DomainStore):
+        self.constraint = constraint
+        self.scope = store.indices(constraint.scope if self.positional else constraint_scope(constraint))
         self.key = key
         self.weight = 1
 
@@ -59,13 +73,8 @@ class Propagator:
     def _all_assigned(self, store: DomainStore) -> bool:
         return all(store.is_assigned(x) for x in self.scope)
 
-
-class CheckerMixin:
-    """Exact verdict via the model checker once the scope is assigned."""
-
-    constraint: Constraint
-
     def _check_assigned(self, store: DomainStore) -> bool:
+        """Exact verdict via the model checker once the scope is assigned."""
         binding = {store.names[x]: store.value(x) for x in self.scope}
         return constraint_satisfied(self.constraint, Assignment(binding))
 
@@ -132,27 +141,29 @@ def _support_masks(store: DomainStore, scope, rows):
 
 class TableProp(Propagator):
     """Compact-table style GAC over a supports bitset (stateless: the valid
-    row set is rebuilt from current domains on every call)."""
+    row set is rebuilt from current domains on every call). A conflicts
+    table is complemented into supports over the initial domains."""
 
     __slots__ = ("supports",)
+    positional = True
 
-    def __init__(self, scope, key, store: DomainStore, rows):
-        super().__init__(scope, key)
-        self.supports = _support_masks(store, scope, rows)
+    def __init__(self, c: Extension, key, store: DomainStore):
+        super().__init__(c, key, store)
+        table, rows = c.table, c.table.rows
+        if table.polarity == "conflicts":
+            universe = itertools.product(*(store.init_values[x] for x in self.scope))
+            rows = [row for row in universe if not table.matches(row)]
+        self.supports = _support_masks(store, self.scope, rows)
 
     def propagate(self, store: DomainStore) -> bool:
         return _ct_filter(store, self.scope, self.supports)
 
 
-class NegativeTableFC(Propagator, CheckerMixin):
+class NegativeTableFC(Propagator):
     """Forward checking for conflicts tables too large to complement."""
 
-    __slots__ = ("constraint", "rows")
-
-    def __init__(self, scope, key, constraint: Extension):
-        super().__init__(scope, key)
-        self.constraint = constraint
-        self.rows = constraint.table.rows
+    __slots__ = ()
+    positional = True
 
     def propagate(self, store: DomainStore) -> bool:
         free = [i for i, x in enumerate(self.scope) if not store.is_assigned(x)]
@@ -165,7 +176,7 @@ class NegativeTableFC(Propagator, CheckerMixin):
         fixed = [store.value(v) if store.is_assigned(v) else None for v in self.scope]
         for value in store.domain_list(x):
             fixed[i] = value
-            for row in self.rows:
+            for row in self.constraint.table.rows:
                 if all(e == STAR or e == v for e, v in zip(row, fixed)):
                     if not store.remove_value(x, value):
                         return False
@@ -173,17 +184,14 @@ class NegativeTableFC(Propagator, CheckerMixin):
         return True
 
 
-def _build_extension(scope, key, store, c: Extension):
-    if c.table.polarity == "supports":
-        return TableProp(scope, key, store, c.table.rows)
-    product = 1
-    for x in scope:
-        product *= len(store.init_values[x])
+def _extension(c: Extension, key, store: DomainStore) -> Propagator:
+    """A compact table, or forward checking for a conflicts table whose
+    complement could exceed ``_COMPLEMENT_CAP`` rows."""
+    if c.table.polarity == "conflicts":
+        product = math.prod(len(store.init_values[store.index[v]]) for v in c.scope)
         if product > _COMPLEMENT_CAP:
-            return NegativeTableFC(scope, key, c)
-    universe = itertools.product(*(store.init_values[x] for x in scope))
-    complement = [row for row in universe if not c.table.matches(row)]
-    return TableProp(scope, key, store, complement)
+            return NegativeTableFC(c, key, store)
+    return TableProp(c, key, store)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +222,11 @@ class IntensionProp(Propagator):
     residue is not trailed: one whose values are still live is a support,
     a stale one is re-sought."""
 
-    __slots__ = ("expr", "names", "fn", "supports", "constant", "target", "rest_fn", "residues")
+    __slots__ = ("names", "fn", "supports", "constant", "target", "rest_fn", "residues")
 
-    def __init__(self, scope, key, store: DomainStore, expression):
-        super().__init__(scope, key)
-        self.expr = expression
+    def __init__(self, c: Intension, key, store: DomainStore):
+        super().__init__(c, key, store)
+        scope, expression = self.scope, c.expr
         self.names = [store.names[x] for x in scope]
         self.fn = _x.compile_expr(expression, {name: i for i, name in enumerate(self.names)})
         # an expression without variables is a constant verdict
@@ -322,7 +330,7 @@ class IntensionProp(Propagator):
             name = self.names[i]
             for v in store.domain_list(x):
                 bounds[name] = (v, v)
-                _, hi = _x.interval(self.expr, bounds)
+                _, hi = _x.interval(self.constraint.expr, bounds)
                 if hi == 0 and not store.remove_value(x, v):
                     return False
             bounds[name] = store.bounds(x)
@@ -361,24 +369,19 @@ class SumProp(Propagator):
     """Bounds filtering for linear forms; variable coefficients are handled
     through product intervals."""
 
-    __slots__ = ("terms", "cond", "rhs_idx")
+    __slots__ = ("terms", "rhs_idx")
 
-    def __init__(self, scope_idx, coeffs, cond: Condition, key, store: DomainStore, rhs_idx):
+    def __init__(self, c: Sum, key, store: DomainStore):
+        super().__init__(c, key, store)
+        cond = c.condition
+        self.rhs_idx = store.index[cond.rhs] if isinstance(cond.rhs, str) else None
         # terms: (coeff int | ('v', idx), var idx)
-        terms = []
-        for k, x in zip(coeffs, scope_idx):
-            terms.append((k, x))
-        if rhs_idx is not None and cond.operator != "in":
-            terms.append((-1, rhs_idx))
-        self.terms = terms
-        self.cond = cond
-        self.rhs_idx = rhs_idx
-        scope = []
-        for k, x in terms:
-            scope.append(x)
-            if not isinstance(k, int):
-                scope.append(k[1])
-        super().__init__(tuple(dict.fromkeys(scope)), key)
+        self.terms = [
+            (k if isinstance(k, int) else ("v", store.index[k]), x)
+            for k, x in zip(c.coeffs, store.indices(c.scope))
+        ]
+        if self.rhs_idx is not None and cond.operator != "in":
+            self.terms.append((-1, self.rhs_idx))
 
     def _term_bounds(self, store, k, x):
         lo, hi = store.bounds(x)
@@ -389,7 +392,7 @@ class SumProp(Propagator):
         return min(cands), max(cands)
 
     def propagate(self, store: DomainStore) -> bool:
-        cond = self.cond
+        cond = self.constraint.condition
         rhs_folded = self.rhs_idx is not None and cond.operator != "in"
         term_bounds = [self._term_bounds(store, k, x) for k, x in self.terms]
         total_lo = sum(b[0] for b in term_bounds)
@@ -455,15 +458,13 @@ class SumProp(Propagator):
 
 
 class CountProp(Propagator):
-    __slots__ = ("counted", "cond", "rhs_idx")
+    __slots__ = ("counted", "rhs_idx")
 
-    def __init__(self, vars_idx, values, cond: Condition, key, rhs_idx, store: DomainStore):
-        scope = tuple(dict.fromkeys(vars_idx + ((rhs_idx,) if rhs_idx is not None else ())))
-        super().__init__(scope, key)
+    def __init__(self, c: Count, key, store: DomainStore):
+        super().__init__(c, key, store)
         # (variable, mask of its counted values)
-        self.counted = [(x, store.value_mask(x, values)) for x in vars_idx]
-        self.cond = cond
-        self.rhs_idx = rhs_idx
+        self.counted = [(x, store.value_mask(x, c.values)) for x in store.indices(c.scope)]
+        self.rhs_idx = store.index[c.condition.rhs] if isinstance(c.condition.rhs, str) else None
 
     def propagate(self, store: DomainStore) -> bool:
         maybe = []
@@ -477,7 +478,7 @@ class CountProp(Propagator):
                 else:
                     maybe.append((x, mask))
 
-        cond = self.cond
+        cond = self.constraint.condition
         if cond.operator == "ne":
             k = cond.rhs if self.rhs_idx is None else (
                 store.value(self.rhs_idx) if store.is_assigned(self.rhs_idx) else None
@@ -506,29 +507,24 @@ class CountProp(Propagator):
 
 
 class CardinalityProp(Propagator):
-    __slots__ = ("vars_idx", "values", "occurs", "closed")
-
-    def __init__(self, vars_idx, values, occurs, closed, key):
-        super().__init__(tuple(vars_idx), key)
-        self.vars_idx = vars_idx
-        self.values = values
-        self.occurs = occurs
-        self.closed = closed
+    __slots__ = ()
+    positional = True
 
     def propagate(self, store: DomainStore) -> bool:
-        if self.closed:
-            for x in self.vars_idx:
-                if not store.keep_values(x, self.values):
+        c = self.constraint
+        if c.closed:
+            for x in self.scope:
+                if not store.keep_values(x, c.values):
                     return False
-        n = len(self.vars_idx)
-        total_lo = sum(lo for lo, _ in self.occurs)
-        total_hi = sum(hi for _, hi in self.occurs)
-        if self.closed and (total_lo > n or total_hi < n):
+        n = len(self.scope)
+        total_lo = sum(lo for lo, _ in c.occurs)
+        total_hi = sum(hi for _, hi in c.occurs)
+        if c.closed and (total_lo > n or total_hi < n):
             return False
-        for v, (lo, hi) in zip(self.values, self.occurs):
+        for v, (lo, hi) in zip(c.values, c.occurs):
             assigned, possible = 0, 0
             holders = []
-            for x in self.vars_idx:
+            for x in self.scope:
                 if store.contains(x, v):
                     possible += 1
                     if store.is_assigned(x):
@@ -570,6 +566,7 @@ def _assigned_values_differ(store: DomainStore, scope) -> bool:
 
 class AllDifferentProp(Propagator):
     __slots__ = ()
+    positional = True
 
     def propagate(self, store: DomainStore) -> bool:
         return _assigned_values_differ(store, self.scope) and self._hall_intervals(store)
@@ -613,15 +610,12 @@ class ElementProp(Propagator):
 
     __slots__ = ("list_idx", "index_idx", "value_idx", "index_bits", "cell_to_value", "const_bits")
 
-    def __init__(self, list_idx, index_idx, value, key, name_to_idx, store: DomainStore):
-        self.list_idx = list_idx
-        self.index_idx = index_idx
-        if isinstance(value, str):
-            self.value_idx = name_to_idx[value]
-        else:
-            self.value_idx = None
-        scope = tuple(dict.fromkeys(list_idx + (index_idx,) + ((self.value_idx,) if self.value_idx is not None else ())))
-        super().__init__(scope, key)
+    def __init__(self, c: Element, key, store: DomainStore):
+        super().__init__(c, key, store)
+        self.list_idx = list_idx = store.indices(c.list_vars)
+        self.index_idx = index_idx = store.index[c.index]
+        value = c.value
+        self.value_idx = store.index[value] if isinstance(value, str) else None
         # index-variable bit for each in-range list position
         self.index_bits = [0] * len(list_idx)
         for i in range(len(list_idx)):
@@ -711,10 +705,10 @@ class ElementProp(Propagator):
 class ChannelProp(Propagator):
     __slots__ = ("list_a", "list_b")
 
-    def __init__(self, list_a, list_b, key):
-        super().__init__(tuple(dict.fromkeys(list_a + list_b)), key)
-        self.list_a = list_a
-        self.list_b = list_b
+    def __init__(self, c: Channel, key, store: DomainStore):
+        super().__init__(c, key, store)
+        self.list_a = store.indices(c.list_a)
+        self.list_b = store.indices(c.list_b)
 
     def propagate(self, store: DomainStore) -> bool:
         for one, other in ((self.list_a, self.list_b), (self.list_b, self.list_a)):
@@ -735,14 +729,11 @@ class ChannelProp(Propagator):
 
 
 class InstantiationProp(Propagator):
-    __slots__ = ("values_",)
-
-    def __init__(self, scope, key, values):
-        super().__init__(scope, key)
-        self.values_ = values
+    __slots__ = ()
+    positional = True
 
     def propagate(self, store: DomainStore) -> bool:
-        for x, v in zip(self.scope, self.values_):
+        for x, v in zip(self.scope, self.constraint.values):
             if not store.assign(x, v):
                 return False
         return True
@@ -754,9 +745,11 @@ class InstantiationProp(Propagator):
 
 class RegularProp(Propagator):
     __slots__ = ("delta", "start", "finals")
+    positional = True
 
-    def __init__(self, scope, key, automaton):
-        super().__init__(scope, key)
+    def __init__(self, c: Regular, key, store: DomainStore):
+        super().__init__(c, key, store)
+        automaton = c.automaton
         self.delta = {(q, a): r for q, a, r in automaton.transitions}
         self.start = automaton.start
         self.finals = frozenset(automaton.finals)
@@ -804,21 +797,22 @@ class RegularProp(Propagator):
 
 
 class CumulativeProp(Propagator):
-    __slots__ = ("tasks", "limit")
+    __slots__ = ("tasks",)
 
-    def __init__(self, origins, lengths, heights, limit, key):
-        tasks = [
+    def __init__(self, c: Cumulative, key, store: DomainStore):
+        super().__init__(c, key, store)
+        # a task of zero length or height never loads the resource
+        self.tasks = [
             (x, d, h)
-            for x, d, h in zip(origins, lengths, heights)
+            for x, d, h in zip(store.indices(c.origins), c.lengths, c.heights)
             if d > 0 and h > 0
         ]
-        super().__init__(tuple(x for x, _, _ in tasks), key)
-        self.tasks = tasks
-        self.limit = limit
+        self.scope = tuple(x for x, _, _ in self.tasks)
 
     def propagate(self, store: DomainStore) -> bool:
         if not self.tasks:
             return True
+        limit = self.constraint.limit
         # compulsory-part profile as a difference map
         diff: dict[int, int] = {}
         comp = []
@@ -837,7 +831,7 @@ class CumulativeProp(Propagator):
         for t in points:
             load += diff[t]
             profile.append((t, load))
-            if load > self.limit:
+            if load > limit:
                 return False
 
         def load_at(t: int) -> int:
@@ -855,7 +849,7 @@ class CumulativeProp(Propagator):
                 feasible = True
                 for t in range(s, s + d):
                     own = ch if clst <= t < cect else 0
-                    if load_at(t) - own + h > self.limit:
+                    if load_at(t) - own + h > limit:
                         feasible = False
                         break
                 if not feasible and not store.remove_value(x, s):
@@ -863,26 +857,17 @@ class CumulativeProp(Propagator):
         return True
 
 
-class NoOverlapProp(Propagator, CheckerMixin):
-    __slots__ = ("constraint", "items")
+class NoOverlapProp(Propagator):
+    __slots__ = ("items",)
 
-    def __init__(self, key, constraint: NoOverlap, name_to_idx):
-        self.constraint = constraint
-        items = []
-        scope = []
-        for (x, y), (w, h) in zip(constraint.origins, constraint.lengths):
-            xi, yi = name_to_idx[x], name_to_idx[y]
-            # lengths are either fixed ints or ("var", index) pairs
-            wi = w if isinstance(w, int) else ("var", name_to_idx[w])
-            hi = h if isinstance(h, int) else ("var", name_to_idx[h])
-            items.append((xi, yi, wi, hi))
-            scope.extend([xi, yi])
-            if not isinstance(w, int):
-                scope.append(wi[1])
-            if not isinstance(h, int):
-                scope.append(hi[1])
-        super().__init__(tuple(dict.fromkeys(scope)), key)
-        self.items = items
+    def __init__(self, c: NoOverlap, key, store: DomainStore):
+        super().__init__(c, key, store)
+        index = store.index
+
+        def length(v):  # a fixed int or a ("var", index) pair
+            return v if isinstance(v, int) else ("var", index[v])
+
+        self.items = [(index[x], index[y], length(w), length(h)) for (x, y), (w, h) in zip(c.origins, c.lengths)]
 
     @staticmethod
     def _len_bounds(store, length):
@@ -931,12 +916,9 @@ class NoOverlapProp(Propagator, CheckerMixin):
 # Circuit
 
 
-class CircuitProp(Propagator, CheckerMixin):
-    __slots__ = ("constraint",)
-
-    def __init__(self, scope, key, constraint: Circuit):
-        super().__init__(scope, key)
-        self.constraint = constraint
+class CircuitProp(Propagator):
+    __slots__ = ()
+    positional = True
 
     def propagate(self, store: DomainStore) -> bool:
         n = len(self.scope)
@@ -997,11 +979,12 @@ class CircuitProp(Propagator, CheckerMixin):
 
 class OrderedProp(Propagator):
     __slots__ = ("chain", "strict")
+    positional = True
 
-    def __init__(self, scope, key, operator):
-        super().__init__(scope, key)
-        self.chain = scope if operator in ("lt", "le") else tuple(reversed(scope))
-        self.strict = operator in ("lt", "gt")
+    def __init__(self, c: Ordered, key, store: DomainStore):
+        super().__init__(c, key, store)
+        self.chain = self.scope if c.operator in ("lt", "le") else self.scope[::-1]
+        self.strict = c.operator in ("lt", "gt")
 
     def propagate(self, store: DomainStore) -> bool:
         inc = 1 if self.strict else 0
@@ -1015,18 +998,17 @@ class OrderedProp(Propagator):
         return True
 
 
-class LexPairProp(Propagator, CheckerMixin):
-    """One lexicographic row pair; multi-row lex constraints are expanded
-    into adjacent pairs."""
+class LexPairProp(Propagator):
+    """One 2-row lex constraint, kept as ``left`` <= (or <) ``right``;
+    multi-row lex constraints are split into adjacent pairs."""
 
-    __slots__ = ("constraint", "left", "right", "strict")
+    __slots__ = ("left", "right", "strict")
 
-    def __init__(self, key, constraint, left, right, strict):
-        super().__init__(tuple(dict.fromkeys(left + right)), key)
-        self.constraint = constraint
-        self.left = left
-        self.right = right
-        self.strict = strict
+    def __init__(self, c: Lex, key, store: DomainStore):
+        super().__init__(c, key, store)
+        left, right = (store.indices(row) for row in c.rows)
+        self.left, self.right = (right, left) if c.operator in ("gt", "ge") else (left, right)
+        self.strict = c.operator in ("lt", "gt")
 
     def propagate(self, store: DomainStore) -> bool:
         if self._all_assigned(store):
@@ -1054,86 +1036,56 @@ class LexPairProp(Propagator, CheckerMixin):
 # Builder
 
 
+def _primitives(c):
+    """The model constraints, one per propagator, that enforce ``c``: a
+    slide's windows, an allDifferent per matrix row then column, a 2-row
+    lex per adjacent pair of rows (a matrix's rows, then its columns)."""
+    if isinstance(c, Slide):
+        for w in c.windows:
+            yield from _primitives(w)
+    elif isinstance(c, AllDifferentMatrix):
+        for line in (*c.grid, *zip(*c.grid)):
+            yield AllDifferent(tuple(line))
+    elif isinstance(c, (Lex, LexMatrix)):
+        for rows in (c.rows,) if isinstance(c, Lex) else (c.grid, tuple(zip(*c.grid))):
+            for pair in zip(rows, rows[1:]):
+                yield Lex(pair, c.operator)
+    else:
+        yield c
+
+
+#: model constraint class -> propagator class, or a factory that picks one
+_PROPAGATORS = {
+    Intension: IntensionProp,
+    Extension: _extension,
+    Regular: RegularProp,
+    AllDifferent: AllDifferentProp,
+    Ordered: OrderedProp,
+    Lex: LexPairProp,
+    Sum: SumProp,
+    Count: CountProp,
+    Cardinality: CardinalityProp,
+    Element: ElementProp,
+    Channel: ChannelProp,
+    NoOverlap: NoOverlapProp,
+    Cumulative: CumulativeProp,
+    Circuit: CircuitProp,
+    Instantiation: InstantiationProp,
+}
+
+
 def make_propagators(constraints, store: DomainStore) -> list[Propagator]:
-    """Expand constraints into propagators; each propagator's ``key`` is
-    the index of its owning constraint."""
-    name_to_idx = {name: i for i, name in enumerate(store.names)}
+    """Build the propagators of the constraints; each propagator's ``key``
+    is the index of its owning constraint."""
     props: list[Propagator] = []
     for key, c in enumerate(constraints):
-        props.extend(_expand(c, key, store, name_to_idx))
+        for p in _primitives(c):
+            build = _PROPAGATORS.get(type(p))
+            if build is None:
+                raise TypeError(f"no propagator for {type(p).__name__}")
+            props.append(build(p, key, store))
     return props
 
 
 def build_propagators(instance, store: DomainStore) -> list[Propagator]:
     return make_propagators(instance.constraints, store)
-
-
-def _idx(name_to_idx, ids):
-    return tuple(name_to_idx[v] for v in ids)
-
-
-def _expand(c: Constraint, key: int, store: DomainStore, name_to_idx) -> list[Propagator]:
-    if isinstance(c, Slide):
-        out = []
-        for w in c.windows:
-            out.extend(_expand(w, key, store, name_to_idx))
-        return out
-    if isinstance(c, Intension):
-        scope = _idx(name_to_idx, tuple(dict.fromkeys(_x.expr_vars(c.expr))))
-        return [IntensionProp(scope, key, store, c.expr)]
-    if isinstance(c, Extension):
-        return [_build_extension(_idx(name_to_idx, c.scope), key, store, c)]
-    if isinstance(c, Regular):
-        return [RegularProp(_idx(name_to_idx, c.scope), key, c.automaton)]
-    if isinstance(c, AllDifferent):
-        return [AllDifferentProp(_idx(name_to_idx, c.scope), key)]
-    if isinstance(c, AllDifferentMatrix):
-        out = []
-        for row in c.grid:
-            out.append(AllDifferentProp(_idx(name_to_idx, row), key))
-        for col in zip(*c.grid):
-            out.append(AllDifferentProp(_idx(name_to_idx, col), key))
-        return out
-    if isinstance(c, Ordered):
-        return [OrderedProp(_idx(name_to_idx, c.scope), key, c.operator)]
-    if isinstance(c, Lex):
-        return _lex_pairs(c, c.rows, key, name_to_idx)
-    if isinstance(c, LexMatrix):
-        out = _lex_pairs(c, c.grid, key, name_to_idx)
-        out.extend(_lex_pairs(c, tuple(zip(*c.grid)), key, name_to_idx))
-        return out
-    if isinstance(c, Sum):
-        rhs_idx = name_to_idx[c.condition.rhs] if isinstance(c.condition.rhs, str) else None
-        coeffs = [k if isinstance(k, int) else ("v", name_to_idx[k]) for k in c.coeffs]
-        return [SumProp(_idx(name_to_idx, c.scope), coeffs, c.condition, key, store, rhs_idx)]
-    if isinstance(c, Count):
-        rhs_idx = name_to_idx[c.condition.rhs] if isinstance(c.condition.rhs, str) else None
-        return [CountProp(_idx(name_to_idx, c.scope), c.values, c.condition, key, rhs_idx, store)]
-    if isinstance(c, Cardinality):
-        return [CardinalityProp(_idx(name_to_idx, c.scope), c.values, c.occurs, c.closed, key)]
-    if isinstance(c, Element):
-        return [ElementProp(_idx(name_to_idx, c.list_vars), name_to_idx[c.index], c.value, key, name_to_idx, store)]
-    if isinstance(c, Channel):
-        return [ChannelProp(_idx(name_to_idx, c.list_a), _idx(name_to_idx, c.list_b), key)]
-    if isinstance(c, NoOverlap):
-        return [NoOverlapProp(key, c, name_to_idx)]
-    if isinstance(c, Cumulative):
-        return [CumulativeProp(_idx(name_to_idx, c.origins), c.lengths, c.heights, c.limit, key)]
-    if isinstance(c, Circuit):
-        return [CircuitProp(_idx(name_to_idx, c.scope), key, c)]
-    if isinstance(c, Instantiation):
-        return [InstantiationProp(_idx(name_to_idx, c.scope), key, c.values)]
-    raise TypeError(f"no propagator for {type(c).__name__}")
-
-
-def _lex_pairs(constraint, rows, key, name_to_idx) -> list[Propagator]:
-    operator = constraint.operator
-    strict = operator in ("lt", "gt")
-    out = []
-    for left, right in zip(rows, rows[1:]):
-        li, ri = _idx(name_to_idx, left), _idx(name_to_idx, right)
-        if operator in ("gt", "ge"):
-            li, ri = ri, li
-        pair_constraint = Lex((left, right), operator)
-        out.append(LexPairProp(key, pair_constraint, li, ri, strict))
-    return out

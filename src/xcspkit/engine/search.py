@@ -20,7 +20,7 @@ from ..model import (
     validate_instance,
 )
 from .domains import DomainStore
-from .propagators import Propagator, build_propagators, make_propagators
+from .propagators import Propagator, make_propagators
 
 
 @dataclass
@@ -113,10 +113,11 @@ def propagate_to_fixpoint(store: DomainStore, constraints):
 
 
 class _NoBound(Propagator):
-    """The objective bound's slot before the first solution: it watches the
-    objective's variables and prunes nothing."""
+    """The objective bound's slot before the first solution: built from the
+    objective, it watches the objective's variables and prunes nothing."""
 
     __slots__ = ()
+    positional = True
 
     def propagate(self, store: DomainStore) -> bool:
         return True
@@ -143,15 +144,13 @@ class _Search:
         self.cap = cap
         self.on_bound = on_bound
         self.store = store = DomainStore(instance.variables)
-        name_to_idx = {n: i for i, n in enumerate(store.names)}
-        props = build_propagators(instance, store)
+        props = make_propagators(instance.constraints, store)
         if mode == "optimize":
             # the improving bound owns the last slot; see _post_bound
-            scope = tuple(name_to_idx[v] for v in instance.objective.scope)
-            self.objective_values = {v for x in scope for v in store.init_values[x]}
-            props.append(_NoBound(scope, -1))
+            props.append(_NoBound(instance.objective, -1, store))
+            self.objective_values = {v for x in props[-1].scope for v in store.init_values[x]}
         self.engine = PropagationEngine(store, props)
-        self.decision_idx = tuple(name_to_idx[v] for v in instance.decision_variables)
+        self.decision_idx = store.indices(instance.decision_variables)
         self.stats = SearchStats()
 
     # -- heuristics

@@ -6,16 +6,24 @@ separately."""
 
 import itertools
 import random
+import typing
 
 import pytest
 
+from test_io import _kitchen_sink_instance
 from tiny_instances import ALL_KINDS, random_constraint, random_domains
-from xcspkit.engine import DomainStore, propagate_to_fixpoint
+from xcspkit.engine import DomainStore, make_propagators, propagate_to_fixpoint
+from xcspkit.engine.propagators import _PROPAGATORS, _primitives
 from xcspkit.model import (
+    AllDifferentMatrix,
     Assignment,
+    Constraint,
     Domain,
     Extension,
+    Lex,
+    LexMatrix,
     STAR,
+    Slide,
     Table,
     Variable,
     constraint_satisfied,
@@ -95,3 +103,48 @@ def test_gac_on_star_rows():
     assert propagate_to_fixpoint(store, (Extension(("a", "b"), table),)) is None
     assert store.domain_list(0) == [0, 1, 2]
     assert store.domain_list(1) == [0, 1, 2]
+
+
+def test_every_constraint_class_has_one_propagator_row_or_is_split():
+    split = {Slide, AllDifferentMatrix, LexMatrix}
+    classes = set(typing.get_args(Constraint))
+    assert set(_PROPAGATORS).isdisjoint(split)
+    assert set(_PROPAGATORS) | split == classes
+    sink = _kitchen_sink_instance()
+    for c in sink.constraints:
+        assert {type(p) for p in _primitives(c)} <= set(_PROPAGATORS), c
+    props = make_propagators(sink.constraints, DomainStore(sink.variables))
+    assert {type(p.constraint) for p in props} == set(_PROPAGATORS)
+    with pytest.raises(TypeError, match="no propagator for Variable"):
+        make_propagators(sink.variables[:1], DomainStore(sink.variables))
+
+
+@pytest.mark.parametrize("operator", ["lt", "le", "ge", "gt"])
+@pytest.mark.parametrize("shape", ["lex-3-rows", "lexMatrix-3x3"])
+def test_multi_pair_lex_fixpoint_is_sound(shape, operator):
+    """Lex constraints that split into several adjacent row pairs: the
+    fixpoint removes no supported value, reports a conflict only when
+    there is no solution, and accepts a full assignment only when it is a
+    solution."""
+    rng = random.Random(f"{shape}-{operator}")
+    width = 2 if shape == "lex-3-rows" else 3
+    grid = tuple(tuple(f"m{i}{j}" for j in range(width)) for i in range(3))
+    constraint = Lex(grid, operator) if shape == "lex-3-rows" else LexMatrix(grid, operator)
+    names = [v for row in grid for v in row]
+    for trial in range(60):
+        before = {v: sorted(rng.sample(range(3), rng.choice((1, 1, 1, 2, 3)))) for v in names}
+        store = DomainStore(tuple(Variable(v, Domain(tuple(before[v]))) for v in names))
+        conflict = propagate_to_fixpoint(store, (constraint,))
+        after = {name: list(store.values(i)) for i, name in enumerate(store.names)}
+        supported: dict[str, set] = {v: set() for v in names}
+        for tup in _satisfying_tuples(constraint, before):
+            for v, value in tup.items():
+                supported[v].add(value)
+        if conflict is not None:
+            assert not any(supported.values()), (trial, before)
+            continue
+        for v in names:
+            assert not (set(before[v]) - set(after[v])) & supported[v], (trial, before, v)
+        if all(len(values) == 1 for values in after.values()):
+            solution = Assignment({v: values[0] for v, values in after.items()})
+            assert constraint_satisfied(constraint, solution), (trial, before)
