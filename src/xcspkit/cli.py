@@ -15,10 +15,9 @@ from pathlib import Path
 from .engine import SearchConfig, enumerate_all, optimize, solve
 from .errors import XcspError
 from .generators import PROBLEMS, ProblemData, build, canonical_problem_id
-from .harness import read_records_csv, render_ranking, score_track, verify
+from .harness import EXIT_CODES, read_records_csv, render_ranking, score_track, verify
 from .io import parse_instance, parse_solution, write_instance, write_solution
 
-EXIT_CODES = {"SAT": 10, "UNSAT": 20, "OPTIMUM": 30, "UNKNOWN": 0}
 S_LINES = {"SAT": "SATISFIABLE", "UNSAT": "UNSATISFIABLE", "OPTIMUM": "OPTIMUM FOUND", "UNKNOWN": "UNKNOWN"}
 
 
@@ -143,9 +142,20 @@ def _cmd_verify(args) -> int:
 
 def _cmd_rank(args) -> int:
     records = read_records_csv(args.results)
+    mode = args.mode.upper()
+    senses = {r.instance_id: r.sense for r in records if r.sense}
+    if mode == "COP":
+        # which of two bounds is best depends on the sense: never guess it
+        bounds: dict[str, set[int]] = {}
+        for r in records:
+            if r.status in ("SAT", "OPTIMUM") and r.bound is not None:
+                bounds.setdefault(r.instance_id, set()).add(r.bound)
+        unknown = sorted(i for i, found in bounds.items() if len(found) > 1 and i not in senses)
+        if unknown:
+            raise XcspError(f"no objective sense recorded for {', '.join(unknown)}, whose bounds differ")
     n_instances = args.n_instances or len({r.instance_id for r in records})
-    rows, vbs = score_track(records, n_instances, args.mode.upper(), rank_by_best=args.by_best)
-    sys.stdout.write(render_ranking(rows, vbs, args.mode.upper(), fmt=args.format, rank_by_best=args.by_best))
+    rows, vbs = score_track(records, n_instances, mode, rank_by_best=args.by_best, senses=senses)
+    sys.stdout.write(render_ranking(rows, vbs, mode, fmt=args.format, rank_by_best=args.by_best))
     return 0
 
 

@@ -28,6 +28,9 @@ from .model import Assignment, Instance, assignment_cost, constraint_satisfied
 
 PROVED_CSP = ("SAT", "UNSAT")
 
+#: the protocol's exit code per claim
+EXIT_CODES = {"SAT": 10, "UNSAT": 20, "OPTIMUM": 30, "UNKNOWN": 0}
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -36,6 +39,7 @@ class RunRecord:
     status: str
     bound: int | None
     elapsed: float
+    sense: str = ""  # the instance's objective sense, when a claim was verified against a COP
 
 
 @dataclass(frozen=True)
@@ -317,27 +321,31 @@ def run_one(instance_path: str, solver_id: str, command_template: str, time_limi
         status, bound, payload = parse_solver_output(proc.stdout)
     except ProtocolViolationError:
         return RunRecord(instance_id, solver_id, "INVALID", None, elapsed)
-    if proc.returncode < 0 and status != "UNKNOWN":
-        # a solver killed by a signal may have printed a claim it never finished
+    if status != "UNKNOWN" and proc.returncode not in EXIT_CODES.values():
+        # a solver that crashed, was killed by a signal (a negative code) or
+        # failed may have printed a claim it never finished
         return RunRecord(instance_id, solver_id, "INVALID", None, elapsed)
+    sense = ""
     if status in ("SAT", "OPTIMUM"):
-        status, bound = _verify_claim(instance_path, status, bound, payload)
-    return RunRecord(instance_id, solver_id, status, bound, elapsed)
+        status, bound, sense = _verify_claim(instance_path, status, bound, payload)
+    return RunRecord(instance_id, solver_id, status, bound, elapsed, sense)
 
 
 def _verify_claim(instance_path: str, status: str, bound, payload):
+    """(status, bound, objective sense or "") after re-verifying a claim."""
     if payload is None:
-        return "INVALID", None
+        return "INVALID", None, ""
     try:
         instance = parse_instance(Path(instance_path).read_text())
         assignment = parse_solution(payload)
     except XcspError:
-        return "INVALID", None
+        return "INVALID", None, ""
+    sense = instance.objective.sense if instance.objective is not None else ""
     claimed = bound if (status == "OPTIMUM" or instance.kind == "COP") else None
     result = verify(instance, assignment, claimed)
     if not result.ok:
-        return "INVALID", None
-    return status, bound
+        return "INVALID", None, sense
+    return status, bound, sense
 
 
 def run_campaign(
@@ -352,8 +360,9 @@ def run_campaign(
 
     Claims of SAT/OPTIMUM are re-verified against the instance and demoted
     to INVALID on failure, as is a run whose output breaks the line
-    protocol; a solver that exceeds the wall clock gets UNKNOWN with
-    elapsed = time_limit."""
+    protocol and any claim but UNKNOWN from a run whose exit code is not
+    one of ``EXIT_CODES``; a solver that exceeds the wall clock gets
+    UNKNOWN with elapsed = time_limit."""
     paths = sorted(str(p) for p in Path(instance_dir).glob("*.xml"))
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         records = list(pool.map(lambda p: run_one(p, solver_id, command_template, time_limit), paths))
@@ -365,7 +374,7 @@ def run_campaign(
 def write_records_csv(records, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["instance", "solver", "status", "bound", "elapsed_s"])
+        writer.writerow(["instance", "solver", "status", "bound", "elapsed_s", "sense"])
         for r in records:
             writer.writerow(
                 [
@@ -374,6 +383,7 @@ def write_records_csv(records, path) -> None:
                     r.status,
                     "" if r.bound is None else r.bound,
                     f"{r.elapsed:.3f}",
+                    r.sense,
                 ]
             )
 
@@ -389,6 +399,7 @@ def read_records_csv(path) -> list[RunRecord]:
                     row["status"],
                     int(row["bound"]) if row["bound"] else None,
                     float(row["elapsed_s"]),
+                    row.get("sense") or "",  # absent from CSVs written before the column
                 )
             )
     return records

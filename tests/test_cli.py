@@ -240,3 +240,17 @@ class TestRankCommand:
         assert main(["rank", str(path), "--mode", "cop", "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "rank,solver,solved,sat,unsat,opt,best,pct_instances,pct_vbs"
+
+    def test_by_best_credits_the_highest_bound_of_a_maximize_instance(self, tmp_path, capsys):
+        records = [RunRecord("m", "low", "SAT", 10, 1.0, "maximize"), RunRecord("m", "high", "SAT", 12, 2.0, "maximize")]
+        path = tmp_path / "r.csv"
+        write_records_csv(records, path)
+        assert main(["rank", str(path), "--mode", "cop", "--by-best", "--format", "csv"]) == 0
+        ranked = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [(row[1], row[6]) for row in ranked] == [("high", "1"), ("low", "0")]
+
+    def test_cop_bounds_without_a_sense_are_refused(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text("instance,solver,status,bound,elapsed_s\nm,low,SAT,10,1.0\nm,high,SAT,12,2.0\n")
+        assert main(["rank", str(path), "--mode", "cop", "--by-best"]) == 2
+        assert capsys.readouterr().err.startswith("error: no objective sense recorded for m")

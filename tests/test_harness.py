@@ -1,10 +1,13 @@
 """Harness tests: verification verdicts, scoring arithmetic against the
 published tables, campaign execution over the built-in solver."""
 
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
+import xcspkit
 from xcspkit.errors import DuplicateRecordError, UnknownModeError
 from xcspkit.generators import gen_dubois, gen_knapsack, gen_langford
 from xcspkit.harness import (
@@ -241,7 +244,9 @@ class TestCampaign(object):
 
     def test_builtin_solver_campaign(self, tmp_path):
         instance_dir = self._write_instances(tmp_path)
-        template = f"{sys.executable} -m xcspkit.cli solve {{instance}} --timeout 60"
+        # the solver process imports the kit from the same source tree
+        src = shlex.quote(str(Path(xcspkit.__file__).resolve().parent.parent))
+        template = f"env PYTHONPATH={src} {sys.executable} -m xcspkit.cli solve {{instance}} --timeout 60"
         records = run_campaign(str(instance_dir), "builtin", template, time_limit=90, jobs=2)
         by_id = {r.instance_id: r for r in records}
         assert by_id["dubois3"].status == "UNSAT"
@@ -283,8 +288,10 @@ class TestCampaign(object):
             ('echo "s UNSATISFIABLE"; kill -SEGV $$', "INVALID"),
             ('echo "s UNKNOWN"; kill -SEGV $$', "UNKNOWN"),
             ('echo "s UNSATISFIABLE"; exit 20', "UNSAT"),
+            ('echo "s UNSATISFIABLE"; exit 139', "INVALID"),
+            ('echo "s UNSATISFIABLE"; exit 1', "INVALID"),
         ],
-        ids=["killed-claim", "killed-unknown", "exit-code-20"],
+        ids=["killed-claim", "killed-unknown", "exit-code-20", "exit-code-139", "exit-code-1"],
     )
     def test_claim_of_a_solver_killed_by_a_signal_is_invalid(self, tmp_path, script, expected):
         path = tmp_path / "dubois3.xml"
@@ -308,6 +315,6 @@ class TestCampaign(object):
         path = tmp_path / "results.csv"
         write_records_csv(records, path)
         header = path.read_text().splitlines()[0]
-        assert header == "instance,solver,status,bound,elapsed_s"
+        assert header == "instance,solver,status,bound,elapsed_s,sense"
         back = read_records_csv(path)
         assert back == records
