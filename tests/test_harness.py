@@ -195,6 +195,102 @@ class TestScoreTrack:
         assert csv_text.splitlines()[0].startswith("rank,solver")
 
 
+# Byte-exact ranking output. A CSP track with SAT/UNSAT/UNKNOWN/INVALID rows
+# and a score tie broken by elapsed time; a COP track with a minimize and a
+# maximize instance, tied best bounds and INVALID/UNKNOWN rows.
+PIN_CSP = [
+    RunRecord("a", "s1", "SAT", None, 1.0),
+    RunRecord("b", "s1", "UNSAT", None, 2.0),
+    RunRecord("c", "s1", "UNKNOWN", None, 3.0),
+    RunRecord("d", "s1", "INVALID", None, 0.5),
+    RunRecord("a", "s2", "SAT", None, 0.5),
+    RunRecord("b", "s2", "UNKNOWN", None, 3.0),
+    RunRecord("c", "s2", "UNSAT", None, 2.0),
+    RunRecord("d", "s2", "UNKNOWN", None, 0.5),
+    RunRecord("a", "s3", "INVALID", None, 0.1),
+    RunRecord("b", "s3", "UNSAT", None, 0.2),
+]
+PIN_COP = [
+    RunRecord("mn", "a", "OPTIMUM", 10, 1.0, "minimize"),
+    RunRecord("mx", "a", "SAT", 40, 2.0, "maximize"),
+    RunRecord("q", "a", "UNKNOWN", None, 3.0),
+    RunRecord("r", "a", "SAT", 7, 1.0, "minimize"),
+    RunRecord("mn", "b", "SAT", 10, 2.0, "minimize"),
+    RunRecord("mx", "b", "OPTIMUM", 45, 1.0, "maximize"),
+    RunRecord("q", "b", "INVALID", None, 0.5),
+    RunRecord("r", "b", "SAT", 9, 1.0, "minimize"),
+    RunRecord("mn", "c", "SAT", 12, 0.5, "minimize"),
+    RunRecord("mx", "c", "SAT", 45, 0.5, "maximize"),
+    RunRecord("q", "c", "UNKNOWN", None, 1.0),
+    RunRecord("r", "c", "INVALID", None, 1.0),
+]
+PIN_SENSES = {r.instance_id: r.sense for r in PIN_COP if r.sense}
+
+PIN_CSP_TEXT = (
+    "     solver                       #solved                         %inst.   %VBS\n"
+    "-------------------------------------------------------------------------------\n"
+    "     Virtual Best Solver (VBS)          3 1 SAT, 2 UNSAT             60%   100%\n"
+    "   1 s2                                 2 1 SAT, 1 UNSAT             40%    67%\n"
+    "   2 s1                                 2 1 SAT, 1 UNSAT             40%    67%\n"
+    "   3 s3                                 1 0 SAT, 1 UNSAT             20%    33%\n"
+)
+PIN_CSP_CSV = (
+    "rank,solver,solved,sat,unsat,opt,best,pct_instances,pct_vbs\n"
+    "VBS,VBS,3,1,2,,,60,100\n"
+    "1,s2,2,1,1,,,40,67\n"
+    "2,s1,2,1,1,,,40,67\n"
+    "3,s3,1,0,1,,,20,33\n"
+)
+PIN_COP_TEXT = (
+    "     solver                       #solved                         %inst.   %VBS\n"
+    "-------------------------------------------------------------------------------\n"
+    "     Virtual Best Solver (VBS)          2 2 OPT (3 best)             40%   100%\n"
+    "   1 b                                  1 1 OPT (2 best)             20%    50%\n"
+    "   2 a                                  1 1 OPT (2 best)             20%    50%\n"
+    "   3 c                                  0 0 OPT (1 best)              0%     0%\n"
+)
+PIN_COP_CSV = (
+    "rank,solver,solved,sat,unsat,opt,best,pct_instances,pct_vbs\n"
+    "VBS,VBS,2,,,2,3,40,100\n"
+    "1,b,1,,,1,2,20,50\n"
+    "2,a,1,,,1,2,20,50\n"
+    "3,c,0,,,0,1,0,0\n"
+)
+PIN_COP_BY_BEST_TEXT = (
+    "     solver                       #solved                         %inst.   %VBS\n"
+    "-------------------------------------------------------------------------------\n"
+    "     Virtual Best Solver (VBS)          2 3 best                     60%   100%\n"
+    "   1 b                                  1 2 best                     40%    67%\n"
+    "   2 a                                  1 2 best                     40%    67%\n"
+    "   3 c                                  0 1 best                     20%    33%\n"
+)
+PIN_COP_BY_BEST_CSV = (
+    "rank,solver,solved,sat,unsat,opt,best,pct_instances,pct_vbs\n"
+    "VBS,VBS,2,,,2,3,60,100\n"
+    "1,b,1,,,1,2,40,67\n"
+    "2,a,1,,,1,2,40,67\n"
+    "3,c,0,,,0,1,20,33\n"
+)
+
+
+@pytest.mark.parametrize(
+    "mode, rank_by_best, fmt, expected",
+    [
+        ("CSP", False, "text", PIN_CSP_TEXT),
+        ("CSP", False, "csv", PIN_CSP_CSV),
+        ("COP", False, "text", PIN_COP_TEXT),
+        ("COP", False, "csv", PIN_COP_CSV),
+        ("COP", True, "text", PIN_COP_BY_BEST_TEXT),
+        ("COP", True, "csv", PIN_COP_BY_BEST_CSV),
+    ],
+    ids=["csp-text", "csp-csv", "cop-text", "cop-csv", "cop-by-best-text", "cop-by-best-csv"],
+)
+def test_render_ranking_pins(mode, rank_by_best, fmt, expected):
+    records, senses = (PIN_CSP, None) if mode == "CSP" else (PIN_COP, PIN_SENSES)
+    rows, vbs = score_track(records, 5, mode, rank_by_best=rank_by_best, senses=senses)
+    assert render_ranking(rows, vbs, mode, fmt=fmt, rank_by_best=rank_by_best) == expected
+
+
 class TestProtocol:
     def test_parse_lines(self):
         status, bound, payload = parse_solver_output(
