@@ -15,10 +15,8 @@ from pathlib import Path
 from .engine import SearchConfig, enumerate_all, optimize, solve
 from .errors import XcspError
 from .generators import PROBLEMS, ProblemData, build, canonical_problem_id
-from .harness import EXIT_CODES, read_records_csv, render_ranking, score_track, verify
+from .harness import EXIT_CODES, S_LINES, read_records_csv, render_ranking, score_track, verify
 from .io import parse_instance, parse_solution, write_instance, write_solution
-
-S_LINES = {"SAT": "SATISFIABLE", "UNSAT": "UNSATISFIABLE", "OPTIMUM": "OPTIMUM FOUND", "UNKNOWN": "UNKNOWN"}
 
 
 def _log_level() -> str:

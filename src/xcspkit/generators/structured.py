@@ -251,10 +251,8 @@ def gen_quadratic_assignment(data: dict) -> Instance:
             if weights[i][j] != 0:
                 d[i, j] = b.var(f"d[{i}][{j}]", dist_values)
     b.post(AllDifferent(tuple(x)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if weights[i][j] > 0:
-                b.post(Extension((x[i], x[j], d[i, j]), table))
+    for (i, j), dij in d.items():
+        b.post(Extension((x[i], x[j], dij), table))
     scope = tuple(d[i, j] for i in range(n) for j in range(i + 1, n) if (i, j) in d)
     coeffs = tuple(weights[i][j] for i in range(n) for j in range(i + 1, n) if (i, j) in d)
     return b.instance(Objective("minimize", "sum", scope, coeffs))

@@ -9,6 +9,7 @@ tally."""
 from __future__ import annotations
 
 import csv
+import math
 import shlex
 import subprocess
 import time
@@ -19,6 +20,7 @@ from pathlib import Path
 from .errors import (
     DuplicateRecordError,
     ProtocolViolationError,
+    SchemaMismatchError,
     SpawnFailureError,
     UnknownModeError,
     XcspError,
@@ -27,9 +29,14 @@ from .io import parse_instance, parse_solution
 from .model import Assignment, Instance, assignment_cost, constraint_satisfied
 
 PROVED_CSP = ("SAT", "UNSAT")
+#: the claims that carry an objective bound on a COP
+CLAIMS_WITH_BOUND = ("SAT", "OPTIMUM")
 
 #: the protocol's exit code per claim
 EXIT_CODES = {"SAT": 10, "UNSAT": 20, "OPTIMUM": 30, "UNKNOWN": 0}
+#: the protocol's ``s`` line per claim
+S_LINES = {"SAT": "SATISFIABLE", "UNSAT": "UNSATISFIABLE", "OPTIMUM": "OPTIMUM FOUND", "UNKNOWN": "UNKNOWN"}
+_CLAIMS = {line: claim for claim, line in S_LINES.items()}
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,6 @@ class RankingRow:
     solved_count: int
     sat_count: int | None = None
     unsat_count: int | None = None
-    opt_count: int | None = None
     best_known_count: int | None = None
     pct_instances: int = 0
     pct_vbs: int = 0
@@ -93,6 +99,21 @@ def _pct(numerator: int, denominator: int) -> int:
     return (200 * numerator + denominator) // (2 * denominator)
 
 
+def _ties_best(r: RunRecord, best_bound: dict[str, int]) -> bool:
+    return r.status in CLAIMS_WITH_BOUND and r.bound is not None and r.bound == best_bound[r.instance_id]
+
+
+#: per mode, each count of a ranking row and the records it counts
+_TALLIES = {
+    "CSP": {
+        "solved_count": lambda r, best: r.status in PROVED_CSP,
+        "sat_count": lambda r, best: r.status == "SAT",
+        "unsat_count": lambda r, best: r.status == "UNSAT",
+    },
+    "COP": {"solved_count": lambda r, best: r.status == "OPTIMUM", "best_known_count": _ties_best},
+}
+
+
 def score_track(
     records,
     n_instances: int,
@@ -102,112 +123,49 @@ def score_track(
 ) -> tuple[list[RankingRow], RankingRow]:
     """Rank solvers from run records.
 
-    Returns (rows sorted best-first, virtual-best-solver row). ``senses``
-    maps instance id to "minimize"/"maximize" for bound comparison on COP
-    tracks (minimize assumed when absent)."""
+    Returns (rows sorted best-first, virtual-best-solver row). Every row
+    tallies a set of records: per count of ``_TALLIES[mode]``, the distinct
+    instances whose records it counts. A solver's row tallies its own
+    records and the VBS row all of them. A row's score is its proved count,
+    or its best-bound count under ``rank_by_best`` (COP only); percentages
+    are taken against ``n_instances`` and the VBS score. ``senses`` maps
+    instance id to "minimize"/"maximize" (minimize when absent)."""
     mode = mode.upper()
-    if mode not in ("CSP", "COP"):
+    if mode not in _TALLIES:
         raise UnknownModeError(f"mode must be CSP or COP, got {mode!r}")
+    if rank_by_best and mode == "CSP":
+        raise UnknownModeError("ranking by best-known bounds applies to COP tracks only")
+    everyone = list(records)
     seen = set()
     solvers: dict[str, list[RunRecord]] = {}
-    for r in records:
+    for r in everyone:
         pair = (r.solver_id, r.instance_id)
         if pair in seen:
             raise DuplicateRecordError(f"two records for solver {r.solver_id!r} on {r.instance_id!r}")
         seen.add(pair)
         solvers.setdefault(r.solver_id, []).append(r)
-
-    def proved(r: RunRecord) -> bool:
-        if mode == "CSP":
-            return r.status in PROVED_CSP
-        return r.status == "OPTIMUM"
-
-    vbs_proved: set[str] = set()
-    vbs_sat: set[str] = set()
-    vbs_unsat: set[str] = set()
-    for recs in solvers.values():
-        for r in recs:
-            if proved(r):
-                vbs_proved.add(r.instance_id)
-                if r.status == "SAT":
-                    vbs_sat.add(r.instance_id)
-                elif r.status == "UNSAT":
-                    vbs_unsat.add(r.instance_id)
-    vbs_count = len(vbs_proved)
-
     best_bound: dict[str, int] = {}
-    instances_with_bound: set[str] = set()
-    if mode == "COP":
-        for recs in solvers.values():
-            for r in recs:
-                if r.bound is None or r.status not in ("SAT", "OPTIMUM"):
-                    continue
-                instances_with_bound.add(r.instance_id)
-                sense = (senses or {}).get(r.instance_id, "minimize")
-                cur = best_bound.get(r.instance_id)
-                if cur is None or (r.bound < cur if sense == "minimize" else r.bound > cur):
-                    best_bound[r.instance_id] = r.bound
-    vbs_best = len(instances_with_bound)
+    for r in everyone:
+        if r.status in CLAIMS_WITH_BOUND and r.bound is not None:
+            pick = min if (senses or {}).get(r.instance_id, "minimize") == "minimize" else max
+            best_bound[r.instance_id] = pick(best_bound.get(r.instance_id, r.bound), r.bound)
 
-    rows = []
-    elapsed_totals = {}
-    for solver_id, recs in sorted(solvers.items()):
-        solved = sum(1 for r in recs if proved(r))
-        elapsed_totals[solver_id] = sum(r.elapsed for r in recs)
-        if mode == "CSP":
-            row = RankingRow(
-                solver_id,
-                solved,
-                sat_count=sum(1 for r in recs if r.status == "SAT"),
-                unsat_count=sum(1 for r in recs if r.status == "UNSAT"),
-                pct_instances=_pct(solved, n_instances),
-                pct_vbs=_pct(solved, vbs_count),
-            )
-        else:
-            best_known = sum(
-                1
-                for r in recs
-                if r.bound is not None
-                and r.status in ("SAT", "OPTIMUM")
-                and r.bound == best_bound.get(r.instance_id)
-            )
-            score = best_known if rank_by_best else solved
-            denominator = vbs_best if rank_by_best else vbs_count
-            row = RankingRow(
-                solver_id,
-                solved,
-                opt_count=solved,
-                best_known_count=best_known,
-                pct_instances=_pct(score, n_instances),
-                pct_vbs=_pct(score, denominator),
-            )
-        rows.append(row)
+    def tally(recs) -> dict[str, int]:
+        return {name: len({r.instance_id for r in recs if hit(r, best_bound)}) for name, hit in _TALLIES[mode].items()}
 
-    def sort_key(row: RankingRow):
-        score = row.best_known_count if rank_by_best else row.solved_count
-        return (-score, elapsed_totals[row.solver_id], row.solver_id)
+    score_of = "best_known_count" if rank_by_best else "solved_count"
+    vbs_counts = tally(everyone)
 
-    rows.sort(key=sort_key)
-    if mode == "CSP":
-        vbs = RankingRow(
-            "VBS",
-            vbs_count,
-            sat_count=len(vbs_sat),
-            unsat_count=len(vbs_unsat),
-            pct_instances=_pct(vbs_count, n_instances),
-            pct_vbs=100 if vbs_count else 0,
+    def row(solver_id: str, counts: dict[str, int]) -> RankingRow:
+        score = counts[score_of]
+        return RankingRow(
+            solver_id, **counts, pct_instances=_pct(score, n_instances), pct_vbs=_pct(score, vbs_counts[score_of])
         )
-    else:
-        score = vbs_best if rank_by_best else vbs_count
-        vbs = RankingRow(
-            "VBS",
-            vbs_count,
-            opt_count=vbs_count,
-            best_known_count=vbs_best,
-            pct_instances=_pct(score, n_instances),
-            pct_vbs=100 if score else 0,
-        )
-    return rows, vbs
+
+    rows = [row(solver_id, tally(recs)) for solver_id, recs in solvers.items()]
+    elapsed = {solver_id: sum(r.elapsed for r in recs) for solver_id, recs in solvers.items()}
+    rows.sort(key=lambda ranked: (-getattr(ranked, score_of), elapsed[ranked.solver_id], ranked.solver_id))
+    return rows, row("VBS", vbs_counts)
 
 
 def render_ranking(rows, vbs: RankingRow, mode: str, fmt: str = "text", rank_by_best: bool = False) -> str:
@@ -223,7 +181,7 @@ def render_ranking(rows, vbs: RankingRow, mode: str, fmt: str = "text", rank_by_
                         str(row.solved_count),
                         "" if row.sat_count is None else str(row.sat_count),
                         "" if row.unsat_count is None else str(row.unsat_count),
-                        "" if row.opt_count is None else str(row.opt_count),
+                        str(row.solved_count) if mode == "COP" else "",
                         "" if row.best_known_count is None else str(row.best_known_count),
                         str(row.pct_instances),
                         str(row.pct_vbs),
@@ -237,7 +195,7 @@ def render_ranking(rows, vbs: RankingRow, mode: str, fmt: str = "text", rank_by_
             return f"{row.sat_count} SAT, {row.unsat_count} UNSAT"
         if rank_by_best:
             return f"{row.best_known_count} best"
-        return f"{row.opt_count} OPT ({row.best_known_count} best)"
+        return f"{row.solved_count} OPT ({row.best_known_count} best)"
 
     vbs_label = "Virtual Best Solver (VBS)"
     names = [vbs_label] + [r.solver_id for r in rows]
@@ -280,15 +238,9 @@ def parse_solver_output(text: str):
             bound = int(parts[1])
         elif tag == "s":
             claim = line[1:].strip()
-            mapping = {
-                "SATISFIABLE": "SAT",
-                "UNSATISFIABLE": "UNSAT",
-                "OPTIMUM FOUND": "OPTIMUM",
-                "UNKNOWN": "UNKNOWN",
-            }
-            if claim not in mapping or status is not None:
+            if claim not in _CLAIMS or status is not None:
                 raise ProtocolViolationError(line)
-            status = mapping[claim]
+            status = _CLAIMS[claim]
         elif tag == "v":
             payload = line[1:].strip()
         else:
@@ -371,10 +323,16 @@ def run_campaign(
     return records
 
 
+#: the columns every campaign CSV has; ``sense`` is optional, absent from CSVs written before it
+CSV_COLUMNS = ("instance", "solver", "status", "bound", "elapsed_s")
+STATUSES = (*S_LINES, "INVALID")
+SENSES = ("", "minimize", "maximize")
+
+
 def write_records_csv(records, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["instance", "solver", "status", "bound", "elapsed_s", "sense"])
+        writer.writerow([*CSV_COLUMNS, "sense"])
         for r in records:
             writer.writerow(
                 [
@@ -389,17 +347,29 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[RunRecord]:
-    records = []
+    """Records of a campaign CSV; a missing column or a malformed row is
+    refused with ``SchemaMismatchError`` naming the line."""
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            records.append(
-                RunRecord(
-                    row["instance"],
-                    row["solver"],
-                    row["status"],
-                    int(row["bound"]) if row["bound"] else None,
-                    float(row["elapsed_s"]),
-                    row.get("sense") or "",  # absent from CSVs written before the column
-                )
-            )
-    return records
+        reader = csv.DictReader(handle)
+        try:
+            missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"no {', '.join(missing)} column")
+            return [_record_of(row) for row in reader]
+        except (ValueError, csv.Error) as exc:
+            raise SchemaMismatchError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+def _record_of(row: dict) -> RunRecord:
+    if None in row or None in row.values():
+        raise ValueError("the number of fields differs from the header")
+    status, sense = row["status"], row.get("sense", "")
+    if status not in STATUSES:
+        raise ValueError(f"unknown status {status!r}")
+    if sense not in SENSES:
+        raise ValueError(f"unknown objective sense {sense!r}")
+    bound = int(row["bound"]) if row["bound"] else None
+    elapsed = float(row["elapsed_s"])
+    if not math.isfinite(elapsed):
+        raise ValueError(f"elapsed_s {row['elapsed_s']!r} is not finite")
+    return RunRecord(row["instance"], row["solver"], status, bound, elapsed, sense)

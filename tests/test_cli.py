@@ -254,3 +254,27 @@ class TestRankCommand:
         path.write_text("instance,solver,status,bound,elapsed_s\nm,low,SAT,10,1.0\nm,high,SAT,12,2.0\n")
         assert main(["rank", str(path), "--mode", "cop", "--by-best"]) == 2
         assert capsys.readouterr().err.startswith("error: no objective sense recorded for m")
+
+    def test_by_best_on_a_csp_track_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        write_records_csv([RunRecord("a", "s1", "SAT", None, 1.0), RunRecord("a", "s2", "UNSAT", None, 1.0)], path)
+        assert main(["rank", str(path), "--mode", "csp", "--by-best"]) == 2
+        assert capsys.readouterr().err.startswith("error: ranking by best-known bounds applies to COP tracks only")
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("instance,solver,status,elapsed_s\na,s1,SAT,1.0\n", "line 1: no bound column"),
+            ("instance,solver,status,bound,elapsed_s\na,s1,SAT,x,1.0\n", "line 2: invalid literal"),
+            ("instance,solver,status,bound,elapsed_s\na,s1,SAT,,1.0\nb,s1,SAT,,fast\n", "line 3: could not convert"),
+            ("instance,solver,status,bound,elapsed_s\na,s1,MAYBE,,1.0\n", "line 2: unknown status 'MAYBE'"),
+            ("instance,solver,status,bound,elapsed_s,sense\na,s1,SAT,3,1.0,min\n", "line 2: unknown objective sense"),
+        ],
+        ids=["no-bound-column", "bound-x", "elapsed-fast", "status-maybe", "sense-min"],
+    )
+    def test_malformed_csv_is_refused(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        assert main(["rank", str(path), "--mode", "csp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}, ") and problem in err

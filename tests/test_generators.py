@@ -3,6 +3,7 @@ conformance against the competition catalog, determinism, witnesses."""
 
 import inspect
 import itertools
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ from xcspkit.generators.structured import (
     gen_knapsack,
     gen_mario,
     gen_mistery_shopper,
+    gen_quadratic_assignment,
     gen_rcpsp,
     gen_strip_packing,
     gen_subgraph_isomorphism,
@@ -430,6 +432,33 @@ class TestTsp:
     def test_asymmetric_rejected(self):
         with pytest.raises(BadParameterError):
             gen_tsp({"distances": [[0, 1, 2], [1, 0, 3], [9, 3, 0]]})
+
+
+class TestQuadraticAssignment:
+    @staticmethod
+    def _symmetric(rng, n, lo, hi):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.randint(lo, hi)
+        return m
+
+    def test_optimum_matches_permutation_enumeration_with_negative_weights(self):
+        """Every nonzero flow weight, negative ones included, ties its
+        distance variable to the sites of its two facilities."""
+        from xcspkit.engine import SearchConfig, optimize
+
+        rng = random.Random(7)
+        for _ in range(60):
+            weights = self._symmetric(rng, 4, -3, 3)
+            distances = self._symmetric(rng, 4, 1, 5)
+            best = min(
+                sum(weights[i][j] * distances[p[i]][p[j]] for i in range(4) for j in range(i + 1, 4))
+                for p in itertools.permutations(range(4))
+            )
+            instance = gen_quadratic_assignment({"weights": weights, "distances": distances})
+            out = optimize(instance, SearchConfig(time_limit=60))
+            assert (out.status, out.bound) == ("OPTIMUM", best), (weights, distances)
 
 
 class TestAuction:
