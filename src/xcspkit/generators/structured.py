@@ -253,9 +253,8 @@ def gen_quadratic_assignment(data: dict) -> Instance:
     b.post(AllDifferent(tuple(x)))
     for (i, j), dij in d.items():
         b.post(Extension((x[i], x[j], dij), table))
-    scope = tuple(d[i, j] for i in range(n) for j in range(i + 1, n) if (i, j) in d)
-    coeffs = tuple(weights[i][j] for i in range(n) for j in range(i + 1, n) if (i, j) in d)
-    return b.instance(Objective("minimize", "sum", scope, coeffs))
+    coeffs = tuple(weights[i][j] for i, j in d)
+    return b.instance(Objective("minimize", "sum", tuple(d.values()), coeffs))
 
 
 def gen_rcpsp(data: dict) -> Instance:

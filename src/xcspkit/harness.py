@@ -138,14 +138,13 @@ def score_track(
     everyone = list(records)
     seen = set()
     solvers: dict[str, list[RunRecord]] = {}
+    best_bound: dict[str, int] = {}
     for r in everyone:
         pair = (r.solver_id, r.instance_id)
         if pair in seen:
             raise DuplicateRecordError(f"two records for solver {r.solver_id!r} on {r.instance_id!r}")
         seen.add(pair)
         solvers.setdefault(r.solver_id, []).append(r)
-    best_bound: dict[str, int] = {}
-    for r in everyone:
         if r.status in CLAIMS_WITH_BOUND and r.bound is not None:
             pick = min if (senses or {}).get(r.instance_id, "minimize") == "minimize" else max
             best_bound[r.instance_id] = pick(best_bound.get(r.instance_id, r.bound), r.bound)
