@@ -376,6 +376,17 @@ PINNED_SEARCHES = {
     "rcpsp": (lambda: optimize(gen_rcpsp(RCPSP_DATA)), ("OPTIMUM", 7, 4, 4, 57)),
     "mario": (lambda: optimize(gen_mario(MARIO_DATA)), ("OPTIMUM", 10, 1, 0, 57)),
     "mistery-shopper": (lambda: solve(gen_mistery_shopper(MISTERY_DATA)), ("SAT", None, 179, 163, 16325)),
+    "langford-5": (lambda: solve(gen_langford(5)), ("UNSAT", None, 694, 695, 29363)),
+    "langford-4-restarts": (lambda: solve(gen_langford(4), SearchConfig(restarts=True)), ("SAT", None, 11, 9, 391)),
+    "golomb-5-restarts": (
+        lambda: optimize(gen_golomb_ruler(5), SearchConfig(restarts=True)),
+        ("OPTIMUM", 11, 20, 19, 717),
+    ),
+    # more than 100 failures, so the search restarts and re-posts the bound slot
+    "still-life-4-restarts": (
+        lambda: optimize(gen_still_life(4), SearchConfig(restarts=True)),
+        ("OPTIMUM", 8, 222, 211, 12237),
+    ),
 }
 
 
