@@ -19,6 +19,7 @@ from xcspkit.model import (
     Assignment,
     Constraint,
     Domain,
+    Element,
     Extension,
     Lex,
     LexMatrix,
@@ -148,3 +149,53 @@ def test_multi_pair_lex_fixpoint_is_sound(shape, operator):
         if all(len(values) == 1 for values in after.values()):
             solution = Assignment({v: values[0] for v, values in after.items()})
             assert constraint_satisfied(constraint, solution), (trial, before)
+
+
+@pytest.mark.parametrize("value", ["v", 2])
+def test_element_propagate_equals_brute_force(value):
+    """One ElementProp under push/narrow/pop rounds, with an index domain
+    reaching outside the list and a list that repeats a variable: after each
+    call the index and the result are GAC, a cell is narrowed only once the
+    index is fixed and then to exactly its supported values, and False
+    comes exactly when no support is left."""
+    rng = random.Random(f"element-{value}")
+    cells = ["a", "b", "c"]
+    constraint = Element(("a", "b", "a", "c"), "i", value)
+    variables = [Variable(x, Domain.rng(-1, 5)) for x in cells] + [Variable("i", Domain.rng(-1, 4))]
+    if value == "v":
+        variables.append(Variable("v", Domain.rng(-1, 5)))
+    names = [v.id for v in variables]
+    store = DomainStore(variables)
+    (prop,) = make_propagators([constraint], store)
+    index_at = store.index["i"]
+    seen = set()
+    for _ in range(60):
+        store.push()
+        for _ in range(rng.randint(1, 4)):
+            for x in range(len(names)):
+                live = store.domain_list(x)
+                if rng.random() < 0.5:
+                    store.keep_values(x, rng.sample(live, rng.randint(1, len(live))))
+            before = {name: store.domain_list(x) for x, name in enumerate(names)}
+            supported: dict[str, set] = {name: set() for name in names}
+            for tup in _satisfying_tuples(constraint, before):
+                for name, v in tup.items():
+                    supported[name].add(v)
+            ok = prop.propagate(store)
+            assert ok == bool(supported["i"]), before
+            if not ok:
+                seen.add("fail")
+                break
+            after = {name: store.domain_list(x) for x, name in enumerate(names)}
+            fixed = store.is_assigned(index_at)
+            for name in names:
+                if name in cells and not fixed:
+                    assert after[name] == before[name], (before, name)
+                else:
+                    assert set(after[name]) == supported[name], (before, name)
+            if fixed and any(after[name] != before[name] for name in cells):
+                seen.add("cell narrowed")
+            if set(before["i"]) - set(range(4)):
+                seen.add("index outside the list")
+        store.pop()
+    assert seen == {"fail", "cell narrowed", "index outside the list"}
