@@ -29,6 +29,8 @@ class DomainStore:
         self.masks = list(self.full)
         self._trail: list[tuple[int, int]] = []
         self._marks: list[int] = []
+        # variables changed since the engine last read them; the engine
+        # clears this list in place, so it is never rebound
         self.touched: list[int] = []
 
     def __len__(self) -> int:
@@ -144,11 +146,6 @@ class DomainStore:
     def pop_all(self) -> None:
         while self._marks:
             self.pop()
-
-    def drain_touched(self) -> list[int]:
-        out = self.touched
-        self.touched = []
-        return out
 
     def snapshot(self) -> tuple[int, ...]:
         return tuple(self.masks)

@@ -608,7 +608,7 @@ class ElementProp(Propagator):
     """GAC through per-cell bit translation tables between each list cell's
     value space and the result's value space."""
 
-    __slots__ = ("list_idx", "index_idx", "value_idx", "index_bits", "cell_to_value", "const_bits")
+    __slots__ = ("list_idx", "index_idx", "value_idx", "in_range", "position", "cell_to_value", "const_bits")
 
     def __init__(self, c: Element, key, store: DomainStore):
         super().__init__(c, key, store)
@@ -616,12 +616,15 @@ class ElementProp(Propagator):
         self.index_idx = index_idx = store.index[c.index]
         value = c.value
         self.value_idx = store.index[value] if isinstance(value, str) else None
-        # index-variable bit for each in-range list position
-        self.index_bits = [0] * len(list_idx)
+        # the index bits of the list positions, and each one's position
+        index_pos = store.pos[index_idx]
+        self.in_range = 0
+        self.position = [None] * len(store.init_values[index_idx])
         for i in range(len(list_idx)):
-            bit = store.pos[index_idx].get(i)
+            bit = index_pos.get(i)
             if bit is not None:
-                self.index_bits[i] = 1 << bit
+                self.in_range |= 1 << bit
+                self.position[bit] = i
         # cell bit -> result-space bit (result space = value var bits, or a
         # 1-bit space for a constant result)
         self.cell_to_value = []
@@ -641,57 +644,60 @@ class ElementProp(Propagator):
             self.const_bits.append(cbit)
 
     def propagate(self, store: DomainStore) -> bool:
-        n = len(self.list_idx)
-        idx = self.index_idx
-        in_range = 0
-        for i in range(n):
-            in_range |= self.index_bits[i]
-        if store.masks[idx] & ~in_range:
+        masks = store.masks
+        idx, value_idx, list_idx, position = self.index_idx, self.value_idx, self.list_idx, self.position
+        in_range = self.in_range
+        if masks[idx] & ~in_range:
             if not store.keep_bits(idx, in_range):
                 return False
-        vmask = store.masks[self.value_idx] if self.value_idx is not None else 1
         supported = 0
         reach = 0
-        imask = store.masks[idx]
-        for i in range(n):
-            bit = self.index_bits[i]
-            if not imask & bit:
-                continue
-            cell = self.list_idx[i]
-            if self.value_idx is None:
-                meet = store.masks[cell] & self.const_bits[i]
-                translated = 1 if meet else 0
-            else:
-                table = self.cell_to_value[i]
-                cmask = store.masks[cell]
+        imask = m = masks[idx]
+        if value_idx is None:
+            const_bits = self.const_bits
+            while m:
+                low = m & -m
+                i = position[low.bit_length() - 1]
+                if masks[list_idx[i]] & const_bits[i]:
+                    supported |= low
+                m ^= low
+        else:
+            vmask = masks[value_idx]
+            tables = self.cell_to_value
+            while m:
+                low = m & -m
+                i = position[low.bit_length() - 1]
+                table = tables[i]
+                cmask = masks[list_idx[i]]
                 translated = 0
                 while cmask:
-                    low = cmask & -cmask
-                    translated |= table[low.bit_length() - 1]
-                    cmask ^= low
+                    clow = cmask & -cmask
+                    translated |= table[clow.bit_length() - 1]
+                    cmask ^= clow
                 translated &= vmask
-            if translated:
-                supported |= bit
-                reach |= translated
+                if translated:
+                    supported |= low
+                    reach |= translated
+                m ^= low
         if not supported:
             return False
         if imask & ~supported:
             if not store.keep_bits(idx, supported):
                 return False
-        if self.value_idx is not None and vmask & ~reach:
-            if not store.keep_bits(self.value_idx, reach):
+        if value_idx is not None and vmask & ~reach:
+            if not store.keep_bits(value_idx, reach):
                 return False
         if store.is_assigned(idx):
             i = store.value(idx)
-            cell = self.list_idx[i]
-            if self.value_idx is None:
+            cell = list_idx[i]
+            if value_idx is None:
                 if not store.keep_bits(cell, self.const_bits[i]):
                     return False
             else:
                 table = self.cell_to_value[i]
-                vnow = store.masks[self.value_idx]
+                vnow = masks[value_idx]
                 keep = 0
-                cmask = store.masks[cell]
+                cmask = masks[cell]
                 while cmask:
                     low = cmask & -cmask
                     if table[low.bit_length() - 1] & vnow:

@@ -57,15 +57,23 @@ class EnumerationResult:
 
 
 class PropagationEngine:
-    """Constraint-oriented propagation queue over stateless propagators."""
+    """Constraint-oriented propagation queue over stateless propagators.
+
+    ``wdeg[x]`` is the weighted degree of variable ``x``: the sum of the
+    weights of its watchers, raised with them on each failure."""
 
     def __init__(self, store: DomainStore, props: list[Propagator]):
         self.store = store
         self.props = props
+        # a slot's watched variables are fixed here, also when _post_bound
+        # later replaces the slot's propagator
+        self.watched = [tuple(set(p.scope)) for p in props]
         self.watchers: list[list[int]] = [[] for _ in range(len(store))]
+        self.wdeg = [0] * len(store)
         for i, p in enumerate(props):
-            for x in set(p.scope):
+            for x in self.watched[i]:
                 self.watchers[x].append(i)
+                self.wdeg[x] += p.weight
         self.queue: deque[int] = deque()
         self.in_queue = [False] * len(props)
         self.propagations = 0
@@ -79,27 +87,41 @@ class PropagationEngine:
         for i in range(len(self.props)):
             self.enqueue(i)
 
-    def _drain_touched(self) -> None:
-        for x in self.store.drain_touched():
-            for i in self.watchers[x]:
-                self.enqueue(i)
-
     def fixpoint(self):
-        """Run to fixpoint; returns the failing propagator or None."""
-        self._drain_touched()
-        while self.queue:
-            i = self.queue.popleft()
-            self.in_queue[i] = False
-            self.propagations += 1
-            if not self.props[i].propagate(self.store):
-                self.props[i].weight += 1
-                self.store.drain_touched()
-                while self.queue:
-                    j = self.queue.pop()
-                    self.in_queue[j] = False
-                return self.props[i]
-            self._drain_touched()
-        return None
+        """Run to fixpoint; returns the failing propagator or None.
+
+        Before each call, the watchers of every variable the store touched
+        since the last call are queued, in touch order, each once."""
+        store, props, watchers, in_queue = self.store, self.props, self.watchers, self.in_queue
+        queue = self.queue
+        push, pop = queue.append, queue.popleft
+        touched = store.touched
+        calls = 0
+        while True:
+            for x in touched:
+                for i in watchers[x]:
+                    if not in_queue[i]:
+                        in_queue[i] = True
+                        push(i)
+            touched.clear()
+            if not queue:
+                self.propagations += calls
+                return None
+            i = pop()
+            in_queue[i] = False
+            calls += 1
+            prop = props[i]
+            if not prop.propagate(store):
+                prop.weight += 1
+                wdeg = self.wdeg
+                for x in self.watched[i]:
+                    wdeg[x] += 1
+                touched.clear()
+                for j in queue:
+                    in_queue[j] = False
+                queue.clear()
+                self.propagations += calls
+                return prop
 
 
 def propagate_to_fixpoint(store: DomainStore, constraints):
@@ -156,16 +178,16 @@ class _Search:
     # -- heuristics
 
     def _pick_from(self, pool):
-        store = self.store
+        """dom/wdeg: the unassigned variable of least domain size over
+        weighted degree, the first one on ties."""
+        masks, wdeg = self.store.masks, self.engine.wdeg
         best, best_size, best_w = None, 0, 1
         for x in pool:
-            if store.is_assigned(x):
+            m = masks[x]
+            if m and not m & (m - 1):
                 continue
-            w = 0
-            for i in self.engine.watchers[x]:
-                w += self.engine.props[i].weight
-            w = w or 1
-            size = store.size(x)
+            w = wdeg[x] or 1
+            size = m.bit_count()
             if best is None or size * best_w < best_size * w:
                 best, best_size, best_w = x, size, w
         return best

@@ -17,7 +17,7 @@ from xcspkit.engine import (
     solve,
 )
 from xcspkit.engine.propagators import _SCAN_CAP, make_propagators
-from xcspkit.engine.search import _improving
+from xcspkit.engine.search import _Search, _improving
 from xcspkit.errors import InvalidInstanceError
 from xcspkit.expr import evaluate, expr_vars, parse_expr
 from xcspkit.generators import (
@@ -395,6 +395,19 @@ def test_pinned_search_fingerprint(name):
     run, expected = PINNED_SEARCHES[name]
     out = run()
     assert (out.status, out.bound, out.stats.nodes, out.stats.failures, out.stats.propagations) == expected
+
+
+@pytest.mark.parametrize("mode, instance", [("sat", gen_dubois(6)), ("optimize", gen_still_life(4))])
+def test_weighted_degree_is_the_sum_of_watcher_weights(mode, instance):
+    """After a search with restarts (and, optimizing, a replaced bound
+    slot), each variable's kept weighted degree equals the sum of its
+    watchers' weights."""
+    search = _Search(instance, SearchConfig(restarts=True), mode)
+    search.run()
+    engine = search.engine
+    assert sum(p.weight for p in engine.props) > len(engine.props)
+    for x, watching in enumerate(engine.watchers):
+        assert engine.wdeg[x] == sum(engine.props[i].weight for i in watching)
 
 
 class TestDeterminism:
