@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .engine import SearchConfig, enumerate_all, optimize, solve
-from .errors import XcspError
+from .errors import BadParameterError, XcspError
 from .generators import PROBLEMS, ProblemData, build, canonical_problem_id
 from .harness import EXIT_CODES, S_LINES, read_records_csv, render_ranking, score_track, verify
 from .io import parse_instance, parse_solution, write_instance, write_solution
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="score a results CSV")
     p_rank.add_argument("results", help="CSV produced by a campaign")
     p_rank.add_argument("--mode", choices=("csp", "cop"), required=True)
-    p_rank.add_argument("--n-instances", type=int, help="track size (defaults to distinct instances)")
+    p_rank.add_argument("--n-instances", type=int, help="track size: at least the number of distinct instances, which is the default")
     p_rank.add_argument("--format", choices=("text", "csv"), default="text")
     p_rank.add_argument("--by-best", action="store_true", help="rank by best-known bounds (fast COP)")
     return parser
@@ -151,7 +151,15 @@ def _cmd_rank(args) -> int:
         unknown = sorted(i for i, found in bounds.items() if len(found) > 1 and i not in senses)
         if unknown:
             raise XcspError(f"no objective sense recorded for {', '.join(unknown)}, whose bounds differ")
-    n_instances = args.n_instances or len({r.instance_id for r in records})
+    n_instances = len({r.instance_id for r in records})
+    if args.n_instances is not None:
+        least = max(n_instances, 1)
+        if args.n_instances < least:
+            raise BadParameterError(
+                f"--n-instances {args.n_instances} is below {least}, the least track size"
+                f" for the {n_instances} distinct instances in {args.results}"
+            )
+        n_instances = args.n_instances
     rows, vbs = score_track(records, n_instances, mode, rank_by_best=args.by_best, senses=senses)
     sys.stdout.write(render_ranking(rows, vbs, mode, fmt=args.format, rank_by_best=args.by_best))
     return 0

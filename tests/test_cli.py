@@ -261,6 +261,13 @@ class TestRankCommand:
         assert main(["rank", str(path), "--mode", "csp", "--by-best"]) == 2
         assert capsys.readouterr().err.startswith("error: ranking by best-known bounds applies to COP tracks only")
 
+    @pytest.mark.parametrize("n_instances", ["2", "1", "0", "-3"])
+    def test_track_smaller_than_the_csv_is_refused(self, tmp_path, capsys, n_instances):
+        path = tmp_path / "r.csv"
+        write_records_csv([RunRecord(i, "s1", "SAT", None, 1.0) for i in "abc"], path)
+        assert main(["rank", str(path), "--mode", "csp", "--n-instances", n_instances]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --n-instances {n_instances} is below 3, the least")
+
     @pytest.mark.parametrize(
         "text, problem",
         [
