@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import shlex
+import signal
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -257,19 +259,25 @@ def run_one(instance_path: str, solver_id: str, command_template: str, time_limi
     command = shlex.split(command_template.format(instance=instance_path))
     start = time.perf_counter()
     try:
-        proc = subprocess.run(
-            command,
-            capture_output=True,
-            text=True,
-            timeout=time_limit,
+        # a session of its own, so that a timeout kills its children too
+        proc = subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
         )
-    except subprocess.TimeoutExpired:
-        return RunRecord(instance_id, solver_id, "UNKNOWN", None, time_limit)
     except OSError as exc:
         raise SpawnFailureError(f"cannot run {command[0]!r}: {exc}") from None
+    with proc:
+        try:
+            stdout, _ = proc.communicate(timeout=time_limit)
+        except subprocess.TimeoutExpired:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+            return RunRecord(instance_id, solver_id, "UNKNOWN", None, time_limit)
     elapsed = time.perf_counter() - start
     try:
-        status, bound, payload = parse_solver_output(proc.stdout)
+        status, bound, payload = parse_solver_output(stdout)
     except ProtocolViolationError:
         return RunRecord(instance_id, solver_id, "INVALID", None, elapsed)
     if status != "UNKNOWN" and proc.returncode not in EXIT_CODES.values():

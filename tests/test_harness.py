@@ -3,6 +3,7 @@ published tables, campaign execution over the built-in solver."""
 
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,15 @@ class TestEngineWitnessesVerify:
         assert solved >= 20
 
 
+def _running(pid: int) -> bool:
+    """Whether the process exists and has not exited; a zombie has exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
 class TestCampaign(object):
     def _write_instances(self, tmp_path):
         (tmp_path / "dubois3.xml").write_text(write_instance(gen_dubois(3)))
@@ -402,6 +412,19 @@ class TestCampaign(object):
         (record,) = records
         assert record.status == "UNKNOWN"
         assert record.elapsed == 1.5
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+    def test_timeout_kills_the_solver_children(self, tmp_path):
+        path = tmp_path / "dubois3.xml"
+        path.write_text(write_instance(gen_dubois(3)))
+        pid_file = tmp_path / "child.pid"
+        record = run_one(str(path), "wrapper", f"sh -c 'sleep 30 & echo $! > {pid_file}; wait'", time_limit=1.0)
+        assert record.status == "UNKNOWN"
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 10
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
 
     def test_csv_roundtrip(self, tmp_path):
         records = [
