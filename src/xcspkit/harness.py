@@ -268,12 +268,16 @@ def run_one(instance_path: str, solver_id: str, command_template: str, time_limi
     with proc:
         try:
             stdout, _ = proc.communicate(timeout=time_limit)
-        except subprocess.TimeoutExpired:
+        except BaseException as exc:
+            # its own session gets no interrupt from the terminal either, so
+            # the group goes on any exception, not only on a timeout
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             proc.wait()
+            if not isinstance(exc, subprocess.TimeoutExpired):
+                raise
             return RunRecord(instance_id, solver_id, "UNKNOWN", None, time_limit)
     elapsed = time.perf_counter() - start
     try:

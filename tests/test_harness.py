@@ -2,6 +2,7 @@
 published tables, campaign execution over the built-in solver."""
 
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -414,12 +415,24 @@ class TestCampaign(object):
         assert record.elapsed == 1.5
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
-    def test_timeout_kills_the_solver_children(self, tmp_path):
+    @pytest.mark.parametrize("stop", ["timeout", "interrupt"])
+    def test_a_stopped_run_kills_the_solver_children(self, tmp_path, monkeypatch, stop):
         path = tmp_path / "dubois3.xml"
         path.write_text(write_instance(gen_dubois(3)))
         pid_file = tmp_path / "child.pid"
-        record = run_one(str(path), "wrapper", f"sh -c 'sleep 30 & echo $! > {pid_file}; wait'", time_limit=1.0)
-        assert record.status == "UNKNOWN"
+        template = f"sh -c 'sleep 30 & echo $! > {pid_file}; wait'"
+        if stop == "timeout":
+            record = run_one(str(path), "wrapper", template, time_limit=1.0)
+            assert record.status == "UNKNOWN"
+        else:
+            def interrupted(proc, timeout=None):
+                while not pid_file.exists() or not pid_file.read_text().strip():
+                    time.sleep(0.05)
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_one(str(path), "wrapper", template, time_limit=30)
         pid = int(pid_file.read_text())
         deadline = time.monotonic() + 10
         while _running(pid) and time.monotonic() < deadline:
