@@ -687,8 +687,9 @@ class ElementProp(Propagator):
         if value_idx is not None and vmask & ~reach:
             if not store.keep_bits(value_idx, reach):
                 return False
-        if store.is_assigned(idx):
-            i = store.value(idx)
+        imask = masks[idx]
+        if not imask & (imask - 1):
+            i = position[imask.bit_length() - 1]
             cell = list_idx[i]
             if value_idx is None:
                 if not store.keep_bits(cell, self.const_bits[i]):
