@@ -11,7 +11,13 @@ composite constraints into such primitives and looks each one's class up
 in ``_PROPAGATORS``. A propagator watches the constraint's distinct
 variables (``model.constraint_scope``); a positional one watches
 ``constraint.scope`` exactly as given, repeats included, because it reads
-the scope position by position."""
+the scope position by position.
+
+Each distinct table is compiled once per ``make_propagators`` call. The
+call keeps a memo from (table, initial domains of the scope) to support
+masks and hands it to the extension row, the one builder that takes a
+fourth argument; compact tables with equal keys share one set of masks,
+which ``_ct_filter`` only reads."""
 
 from __future__ import annotations
 
@@ -142,18 +148,23 @@ def _support_masks(store: DomainStore, scope, rows):
 class TableProp(Propagator):
     """Compact-table style GAC over a supports bitset (stateless: the valid
     row set is rebuilt from current domains on every call). A conflicts
-    table is complemented into supports over the initial domains."""
+    table is complemented into supports over the initial domains. The
+    masks come from, or go into, the build call's memo ``masks``."""
 
     __slots__ = ("supports",)
     positional = True
 
-    def __init__(self, c: Extension, key, store: DomainStore):
+    def __init__(self, c: Extension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
-        table, rows = c.table, c.table.rows
-        if table.polarity == "conflicts":
-            universe = itertools.product(*(store.init_values[x] for x in self.scope))
-            rows = [row for row in universe if not table.matches(row)]
-        self.supports = _support_masks(store, self.scope, rows)
+        table = c.table
+        domains = tuple(store.init_values[x] for x in self.scope)
+        supports = masks.get((table, domains))
+        if supports is None:
+            rows = table.rows
+            if table.polarity == "conflicts":
+                rows = [row for row in itertools.product(*domains) if not table.matches(row)]
+            supports = masks[table, domains] = _support_masks(store, self.scope, rows)
+        self.supports = supports
 
     def propagate(self, store: DomainStore) -> bool:
         return _ct_filter(store, self.scope, self.supports)
@@ -184,14 +195,14 @@ class NegativeTableFC(Propagator):
         return True
 
 
-def _extension(c: Extension, key, store: DomainStore) -> Propagator:
+def _extension(c: Extension, key, store: DomainStore, masks: dict) -> Propagator:
     """A compact table, or forward checking for a conflicts table whose
     complement could exceed ``_COMPLEMENT_CAP`` rows."""
     if c.table.polarity == "conflicts":
         product = math.prod(len(store.init_values[store.index[v]]) for v in c.scope)
         if product > _COMPLEMENT_CAP:
             return NegativeTableFC(c, key, store)
-    return TableProp(c, key, store)
+    return TableProp(c, key, store, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,14 +1094,17 @@ _PROPAGATORS = {
 
 def make_propagators(constraints, store: DomainStore) -> list[Propagator]:
     """Build the propagators of the constraints; each propagator's ``key``
-    is the index of its owning constraint."""
+    is the index of its owning constraint. Compact tables over one table and
+    equal initial domains share their support masks, compiled once per
+    call."""
     props: list[Propagator] = []
+    masks: dict = {}  # (table, initial domains of the scope) -> support masks
     for key, c in enumerate(constraints):
         for p in _primitives(c):
             build = _PROPAGATORS.get(type(p))
             if build is None:
                 raise TypeError(f"no propagator for {type(p).__name__}")
-            props.append(build(p, key, store))
+            props.append(build(p, key, store, masks) if build is _extension else build(p, key, store))
     return props
 
 

@@ -14,9 +14,10 @@ import os
 import shlex
 import signal
 import subprocess
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import (
@@ -105,6 +106,38 @@ def _ties_best(r: RunRecord, best_bound: dict[str, int]) -> bool:
     return r.status in CLAIMS_WITH_BOUND and r.bound is not None and r.bound == best_bound[r.instance_id]
 
 
+def _demote_contradictions(records: list[RunRecord], senses: dict[str, str]) -> list[RunRecord]:
+    """The records, with each claim that another record contradicts made
+    INVALID. SAT and OPTIMUM claims carry verified witnesses, so an UNSAT
+    claim on their instance is false. An OPTIMUM and a verified bound
+    strictly better than it under the instance's sense (minimize when
+    absent) contradict each other, and both are demoted."""
+
+    def score(r: RunRecord) -> int:  # lower is better
+        return -r.bound if senses.get(r.instance_id) == "maximize" else r.bound
+
+    witnessed: set[str] = set()
+    best: dict[str, int] = {}  # per instance, the best verified bound's score
+    worst_optimum: dict[str, int] = {}  # and the worst OPTIMUM's
+    for r in records:
+        if r.status in CLAIMS_WITH_BOUND:
+            witnessed.add(r.instance_id)
+            if r.bound is not None:
+                best[r.instance_id] = min(best.get(r.instance_id, score(r)), score(r))
+                if r.status == "OPTIMUM":
+                    worst_optimum[r.instance_id] = max(worst_optimum.get(r.instance_id, score(r)), score(r))
+
+    def contradicted(r: RunRecord) -> bool:
+        if r.status == "UNSAT":
+            return r.instance_id in witnessed
+        if r.status not in CLAIMS_WITH_BOUND or r.bound is None:
+            return False
+        beaten = r.status == "OPTIMUM" and best[r.instance_id] < score(r)
+        return beaten or score(r) < worst_optimum.get(r.instance_id, score(r))
+
+    return [replace(r, status="INVALID", bound=None) if contradicted(r) else r for r in records]
+
+
 #: per mode, each count of a ranking row and the records it counts
 _TALLIES = {
     "CSP": {
@@ -125,13 +158,15 @@ def score_track(
 ) -> tuple[list[RankingRow], RankingRow]:
     """Rank solvers from run records.
 
-    Returns (rows sorted best-first, virtual-best-solver row). Every row
-    tallies a set of records: per count of ``_TALLIES[mode]``, the distinct
-    instances whose records it counts. A solver's row tallies its own
-    records and the VBS row all of them. A row's score is its proved count,
-    or its best-bound count under ``rank_by_best`` (COP only); percentages
-    are taken against ``n_instances`` and the VBS score. ``senses`` maps
-    instance id to "minimize"/"maximize" (minimize when absent)."""
+    Returns (rows sorted best-first, virtual-best-solver row). Claims that
+    contradict each other are first demoted to INVALID
+    (``_demote_contradictions``). Every row tallies a set of records: per
+    count of ``_TALLIES[mode]``, the distinct instances whose records it
+    counts. A solver's row tallies its own records and the VBS row all of
+    them. A row's score is its proved count, or its best-bound count under
+    ``rank_by_best`` (COP only); percentages are taken against
+    ``n_instances`` and the VBS score. ``senses`` maps instance id to
+    "minimize"/"maximize" (minimize when absent)."""
     mode = mode.upper()
     if mode not in _TALLIES:
         raise UnknownModeError(f"mode must be CSP or COP, got {mode!r}")
@@ -139,13 +174,15 @@ def score_track(
         raise UnknownModeError("ranking by best-known bounds applies to COP tracks only")
     everyone = list(records)
     seen = set()
-    solvers: dict[str, list[RunRecord]] = {}
-    best_bound: dict[str, int] = {}
     for r in everyone:
         pair = (r.solver_id, r.instance_id)
         if pair in seen:
             raise DuplicateRecordError(f"two records for solver {r.solver_id!r} on {r.instance_id!r}")
         seen.add(pair)
+    everyone = _demote_contradictions(everyone, senses or {})
+    solvers: dict[str, list[RunRecord]] = {}
+    best_bound: dict[str, int] = {}
+    for r in everyone:
         solvers.setdefault(r.solver_id, []).append(r)
         if r.status in CLAIMS_WITH_BOUND and r.bound is not None:
             pick = min if (senses or {}).get(r.instance_id, "minimize") == "minimize" else max
@@ -257,29 +294,34 @@ def run_one(instance_path: str, solver_id: str, command_template: str, time_limi
     """Run a solver on one instance and verify its claims."""
     instance_id = Path(instance_path).stem
     command = shlex.split(command_template.format(instance=instance_path))
-    start = time.perf_counter()
-    try:
-        # a session of its own, so that a timeout kills its children too
-        proc = subprocess.Popen(
-            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
-        )
-    except OSError as exc:
-        raise SpawnFailureError(f"cannot run {command[0]!r}: {exc}") from None
-    with proc:
+    # output goes to files, not pipes, so the wait ends when the solver
+    # exits, not when the last child holding its stdout closes it
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
         try:
-            stdout, _ = proc.communicate(timeout=time_limit)
-        except BaseException as exc:
-            # its own session gets no interrupt from the terminal either, so
-            # the group goes on any exception, not only on a timeout
+            # a session of its own, so that its children can be killed with it
+            proc = subprocess.Popen(command, stdout=out, stderr=err, start_new_session=True)
+        except OSError as exc:
+            raise SpawnFailureError(f"cannot run {command[0]!r}: {exc}") from None
+        try:
+            proc.communicate(timeout=time_limit)  # no pipes: this waits for the exit
+            timed_out = False
+        except subprocess.TimeoutExpired:
+            timed_out = True
+        finally:
+            # whatever ended the wait (an exit, the time limit, or an interrupt,
+            # which its own session does not get from the terminal), nothing
+            # the solver started outlives the run
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             proc.wait()
-            if not isinstance(exc, subprocess.TimeoutExpired):
-                raise
+        elapsed = time.perf_counter() - start
+        if timed_out:
             return RunRecord(instance_id, solver_id, "UNKNOWN", None, time_limit)
-    elapsed = time.perf_counter() - start
+        out.seek(0)
+        stdout = out.read()
     try:
         status, bound, payload = parse_solver_output(stdout)
     except ProtocolViolationError:

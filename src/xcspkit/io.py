@@ -10,6 +10,13 @@ layout: its tag, its children in canonical order with how each reads and
 formats, and how they map to the model dataclass. The reader and the
 writer are walks over it, so a constraint element is added in one place.
 Only ``intension``, ``extension`` and ``slide`` are explicit cases.
+
+Each distinct table is parsed and written once per call. ``parse_instance``
+keys every ``<supports>``/``<conflicts>`` body by polarity, arity and
+whitespace-normalised text, so extensions that repeat it (plain, in a
+``<group>`` or in the windows of a ``<slide>``) share one ``Table``, read
+and checked at its first occurrence. ``write_instance`` renders each
+distinct ``Table``'s body once.
 """
 
 from __future__ import annotations
@@ -479,10 +486,11 @@ def parse_instance(text: str) -> Instance:
     known = {v.id for v in variables}
 
     constraints: list[Constraint] = []
+    tables: dict[tuple, Table] = {}  # (polarity, arity, body text) -> its one Table
     ctrs_node = root.child("constraints")
     if ctrs_node is not None:
         for child in ctrs_node.children:
-            constraints.extend(_parse_constraint_item(child, known))
+            constraints.extend(_parse_constraint_item(child, known, tables))
 
     objective = None
     obj_node = root.child("objectives")
@@ -576,11 +584,11 @@ def _substitute(node: _Node, args: list[str]) -> _Node:
     return clone
 
 
-def _parse_constraint_item(node: _Node, known: set[str]) -> list[Constraint]:
+def _parse_constraint_item(node: _Node, known: set[str], tables: dict) -> list[Constraint]:
     if node.tag == "block":
         out = []
         for child in node.children:
-            out.extend(_parse_constraint_item(child, known))
+            out.extend(_parse_constraint_item(child, known, tables))
         return out
     if node.tag == "group":
         template = None
@@ -596,9 +604,9 @@ def _parse_constraint_item(node: _Node, known: set[str]) -> list[Constraint]:
             raise XmlSyntaxError("group without template", node.loc)
         out = []
         for an in args_nodes:
-            out.extend(_parse_constraint_item(_substitute(template, an.text.split()), known))
+            out.extend(_parse_constraint_item(_substitute(template, an.text.split()), known, tables))
         return out
-    return [_parse_constraint(node, known)]
+    return [_parse_constraint(node, known, tables)]
 
 
 def _require(node: _Node, tag: str) -> _Node:
@@ -611,7 +619,9 @@ def _require(node: _Node, tag: str) -> _Node:
 _EXTENSION_CHILDREN = {"list": 1, "supports": 1, "conflicts": 1}
 
 
-def _parse_constraint(node: _Node, known: set[str]) -> Constraint:
+def _parse_constraint(node: _Node, known: set[str], tables: dict) -> Constraint:
+    """One constraint element; an extension takes its Table from
+    ``tables`` when its body was read before."""
     tag = node.tag
     if tag == "intension":
         try:
@@ -633,20 +643,11 @@ def _parse_constraint(node: _Node, known: set[str]) -> Constraint:
         if len(bodies) != 1:
             raise XmlSyntaxError("<extension> needs exactly one of <supports>/<conflicts>", node.loc)
         body = bodies[0]
-        if len(scope) == 1:
-            rows = []
-            for tok in body.text.split():
-                if tok == STAR:
-                    rows.append((STAR,))
-                else:
-                    lo, hi = _bounds(tok, body.loc)
-                    rows.extend((v,) for v in range(lo, hi + 1))
-        else:
-            rows = _parse_tuples(body.text, body.loc)
-            for row in rows:
-                if len(row) != len(scope):
-                    raise XmlSyntaxError(f"tuple {row} does not match arity {len(scope)}", body.loc)
-        return Extension(tuple(scope), Table(len(scope), body.tag, tuple(rows)))
+        key = (body.tag, len(scope), body.text)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _parse_table(*key, body.loc)
+        return Extension(tuple(scope), table)
 
     if tag == "slide":
         lst = _require(node, "list")
@@ -664,12 +665,31 @@ def _parse_constraint(node: _Node, known: set[str]) -> Constraint:
             raise XmlSyntaxError("slide template arity does not fit list", node.loc)
         windows = []
         for i in range(len(scope) - arity + 1):
-            windows.append(_parse_constraint(_substitute(template, scope[i : i + arity]), known))
+            windows.append(_parse_constraint(_substitute(template, scope[i : i + arity]), known, tables))
         return Slide(tuple(windows))
 
     if tag in _BY_TAG:
         return _read_layout(node, known)
     raise UnsupportedFeatureError(tag, node.loc)
+
+
+def _parse_table(polarity: str, arity: int, text: str, loc: SourceLocation) -> Table:
+    """The Table of a ``<supports>``/``<conflicts>`` body whose normalised
+    text is ``text``."""
+    if arity == 1:
+        rows = []
+        for tok in text.split():
+            if tok == STAR:
+                rows.append((STAR,))
+            else:
+                lo, hi = _bounds(tok, loc)
+                rows.extend((v,) for v in range(lo, hi + 1))
+    else:
+        rows = _parse_tuples(text, loc)
+        for row in rows:
+            if len(row) != arity:
+                raise XmlSyntaxError(f"tuple {row} does not match arity {arity}", loc)
+    return Table(arity, polarity, tuple(rows))
 
 
 def _template_arity(node: _Node) -> int:
@@ -760,8 +780,9 @@ def write_instance(instance: Instance) -> str:
     _write_variables(w, instance.variables)
     w.close("</variables>")
     w.open("<constraints>")
+    bodies: dict[Table, str] = {}  # table -> its rendered <supports>/<conflicts> body
     for c in instance.constraints:
-        _write_constraint(w, c)
+        _write_constraint(w, c, bodies)
     w.close("</constraints>")
     if instance.objective is not None:
         w.open("<objectives>")
@@ -848,7 +869,9 @@ def _write_array(w: _Writer, stem: str, dims, cells):
     w.close("</array>")
 
 
-def _write_constraint(w: _Writer, c: Constraint):
+def _write_constraint(w: _Writer, c: Constraint, bodies: dict):
+    """Write one constraint; an extension's table body is rendered once per
+    distinct table and kept in ``bodies``."""
     layout = _LAYOUTS.get(type(c))
     if layout is not None:
         _write_layout(w, layout, c)
@@ -857,22 +880,27 @@ def _write_constraint(w: _Writer, c: Constraint):
     elif isinstance(c, Extension):
         w.open("<extension>")
         w.leaf("list", " ".join(c.scope))
-        if c.table.arity == 1:
-            ints = [row[0] for row in c.table.rows if row[0] != STAR]
-            body = _compress_ints(ints)
-            if any(row[0] == STAR for row in c.table.rows):
-                body = (body + " " + STAR).strip()
-        else:
-            body = _format_tuples(c.table.rows)
+        body = bodies.get(c.table)
+        if body is None:
+            body = bodies[c.table] = _table_body(c.table)
         w.leaf(c.table.polarity, body)
         w.close("</extension>")
     elif isinstance(c, Slide):
-        _write_slide(w, c)
+        _write_slide(w, c, bodies)
     else:
         raise InvariantViolationError([f"cannot serialize {type(c).__name__}"])
 
 
-def _write_slide(w: _Writer, c: Slide):
+def _table_body(table: Table) -> str:
+    if table.arity == 1:
+        body = _compress_ints(row[0] for row in table.rows if row[0] != STAR)
+        if any(row[0] == STAR for row in table.rows):
+            body = (body + " " + STAR).strip()
+        return body
+    return _format_tuples(table.rows)
+
+
+def _write_slide(w: _Writer, c: Slide, bodies: dict):
     """Write the windows' one template over the sliding list, or fail if the
     windows are not one template slid by offset 1."""
     if not c.windows:
@@ -892,7 +920,7 @@ def _write_slide(w: _Writer, c: Slide):
         raise InvariantViolationError(["slide windows differ beyond their scope"])
     w.open("<slide>")
     w.leaf("list", " ".join(seq))
-    _write_constraint(w, templates.pop())
+    _write_constraint(w, templates.pop(), bodies)
     w.close("</slide>")
 
 

@@ -1,6 +1,7 @@
 """Engine tests: propagation fixpoint examples, solver verdicts against
 the generate-and-test oracle, trail exactness, determinism, bounds."""
 
+import dataclasses
 import itertools
 import random
 
@@ -16,7 +17,7 @@ from xcspkit.engine import (
     propagate_to_fixpoint,
     solve,
 )
-from xcspkit.engine.propagators import _SCAN_CAP, make_propagators
+from xcspkit.engine.propagators import _SCAN_CAP, TableProp, make_propagators
 from xcspkit.engine.search import _Search, _improving
 from xcspkit.errors import InvalidInstanceError
 from xcspkit.expr import evaluate, expr_vars, parse_expr
@@ -34,6 +35,7 @@ from xcspkit.generators import (
     gen_rcpsp,
     gen_still_life,
 )
+from xcspkit.io import parse_instance, write_instance
 from xcspkit.model import (
     AllDifferent,
     Assignment,
@@ -43,8 +45,11 @@ from xcspkit.model import (
     Instance,
     Intension,
     Objective,
+    Slide,
     Sum,
+    Table,
     Variable,
+    conflicts,
     constraint_satisfied,
     objective_value,
     supports,
@@ -408,6 +413,63 @@ def test_weighted_degree_is_the_sum_of_watcher_weights(mode, instance):
     assert sum(p.weight for p in engine.props) > len(engine.props)
     for x, watching in enumerate(engine.watchers):
         assert engine.wdeg[x] == sum(engine.props[i].weight for i in watching)
+
+
+def test_compact_tables_over_one_table_and_equal_domains_share_their_masks():
+    variables = [Variable(f"b{i}", Domain.rng(0, 1)) for i in range(4)] + [Variable("t", Domain.rng(0, 2))]
+    pair, triple = supports(2, [(0, 1), (1, 0)]), conflicts(3, [(1, 1, 1)])
+    constraints = [
+        Extension(("b0", "b1"), pair),
+        Extension(("b2", "b3"), supports(2, [(1, 0), (0, 1)])),  # an equal copy
+        Extension(("b1", "b1"), pair),  # a repeated variable
+        Extension(("b0", "t"), pair),  # other initial domains
+        Extension(("b0", "b1", "b2"), triple),
+        Extension(("b1", "b2", "b3"), triple),
+    ]
+    store = DomainStore(variables)
+    props = make_propagators(constraints, store)
+    assert all(isinstance(p, TableProp) for p in props)
+    same, copy, repeated, wider, negated, other_negated = (p.supports for p in props)
+    assert copy is same and repeated is same and other_negated is negated
+    assert wider is not same and wider != same
+    # the conflicts table is shared as its complement: 7 rows over {0,1}^3
+    assert negated[0][0] | negated[0][1] == (1 << 7) - 1
+
+
+def _with_equal_copies(c):
+    """``c`` with every table replaced by an equal but distinct Table."""
+    if isinstance(c, Slide):
+        return Slide(tuple(_with_equal_copies(w) for w in c.windows))
+    if isinstance(c, Extension):
+        return Extension(c.scope, Table(c.table.arity, c.table.polarity, c.table.rows))
+    return c
+
+
+@pytest.mark.parametrize(
+    "generate, run",
+    [(lambda: gen_still_life(4), optimize), (lambda: gen_dubois(6), solve)],
+    ids=["still-life-4", "dubois-6"],
+)
+def test_shared_tables_search_as_equal_copies_do(generate, run, monkeypatch):
+    """Tables shared by parsing and masks shared by ``make_propagators``
+    give the search fingerprint of tables rebuilt as equal copies, each
+    compiled on its own."""
+    shared = parse_instance(write_instance(generate()))
+    copies = dataclasses.replace(shared, constraints=tuple(_with_equal_copies(c) for c in shared.constraints))
+
+    def masks_of(instance):
+        props = make_propagators(instance.constraints, DomainStore(instance.variables))
+        return [p.supports for p in props if isinstance(p, TableProp)]
+
+    def fingerprint(out):
+        return out.status, out.bound, out.stats.nodes, out.stats.failures, out.stats.propagations
+
+    assert len({id(m) for m in masks_of(shared)}) < len(masks_of(shared))
+    expected = fingerprint(run(shared))
+    build = TableProp.__init__
+    monkeypatch.setattr(TableProp, "__init__", lambda self, c, key, store, masks: build(self, c, key, store, {}))
+    assert len({id(m) for m in masks_of(copies)}) == len(masks_of(copies))
+    assert fingerprint(run(copies)) == expected
 
 
 class TestDeterminism:

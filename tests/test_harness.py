@@ -187,6 +187,46 @@ class TestScoreTrack:
         assert [r.solver_id for r in rows] == ["a", "b"]  # a ties best on i2 only... both tie 1; tie on elapsed then name
         assert vbs.best_known_count == 2
 
+    def test_contradicted_claims_are_demoted(self):
+        csp = [
+            RunRecord("a", "s1", "SAT", None, 1.0),
+            RunRecord("a", "s2", "UNSAT", None, 1.0),
+            RunRecord("b", "s2", "UNSAT", None, 1.0),
+        ]
+        rows, vbs = score_track(csp, 2, "CSP")
+        by_id = {r.solver_id: r for r in rows}
+        # the UNSAT claim on "a" is false: s1 holds a verified witness
+        assert (by_id["s2"].solved_count, by_id["s2"].unsat_count) == (1, 1)
+        assert (vbs.solved_count, vbs.sat_count, vbs.unsat_count) == (2, 1, 1)
+
+        cop = [
+            RunRecord("mn", "a", "OPTIMUM", 10, 1.0, "minimize"),
+            RunRecord("mn", "b", "SAT", 8, 1.0, "minimize"),
+            RunRecord("mn", "c", "SAT", 12, 1.0, "minimize"),
+            RunRecord("mx", "a", "OPTIMUM", 45, 1.0, "maximize"),
+            RunRecord("mx", "b", "OPTIMUM", 50, 1.0, "maximize"),
+            RunRecord("mx", "c", "SAT", 40, 1.0, "maximize"),
+            RunRecord("ok", "a", "OPTIMUM", 3, 1.0, "minimize"),
+            RunRecord("ok", "b", "SAT", 3, 1.0, "minimize"),
+            RunRecord("ok", "c", "UNSAT", None, 1.0),
+        ]
+        senses = {r.instance_id: r.sense for r in cop if r.sense}
+        rows, vbs = score_track(cop, 3, "COP", senses=senses)
+        by_id = {r.solver_id: r for r in rows}
+        # on "mn" the OPTIMUM 10 and the bound 8 that beats it both go, so
+        # 12 is the best bound left; on "mx" (maximize) 50 beats the OPTIMUM
+        # 45, and 40 beats nothing; on "ok" only the UNSAT claim goes
+        assert {s: (r.solved_count, r.best_known_count) for s, r in by_id.items()} == {
+            "a": (1, 1),
+            "b": (0, 1),
+            "c": (0, 2),
+        }
+        assert (vbs.solved_count, vbs.best_known_count) == (1, 3)
+        # without the maximize sense, 45 beats 50 and 40 beats both
+        rows, vbs = score_track(cop, 3, "COP", senses={"mn": "minimize"})
+        assert {r.solver_id: r.best_known_count for r in rows} == {"a": 1, "b": 1, "c": 1}
+        assert (vbs.solved_count, vbs.best_known_count) == (1, 2)
+
     def test_render_text_and_csv(self):
         records = synth_records([5, 3], 10, 6)
         rows, vbs = score_track(records, 10, "CSP")
@@ -433,6 +473,30 @@ class TestCampaign(object):
             monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 run_one(str(path), "wrapper", template, time_limit=30)
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 10
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
+
+    def test_a_child_holding_stdout_does_not_hold_the_verdict(self, tmp_path):
+        """The run ends when the solver exits, even while a background child
+        still holds its stdout."""
+        path = tmp_path / "dubois3.xml"
+        path.write_text(write_instance(gen_dubois(3)))
+        template = "sh -c 'sleep 20 & echo s UNSATISFIABLE; exit 20'"
+        record = run_one(str(path), "wrapper", template, time_limit=10)
+        assert record.status == "UNSAT"
+        assert record.elapsed < 5
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+    def test_a_finished_run_kills_the_solver_children(self, tmp_path):
+        path = tmp_path / "dubois3.xml"
+        path.write_text(write_instance(gen_dubois(3)))
+        pid_file = tmp_path / "child.pid"
+        template = f"sh -c 'sleep 21 >/dev/null 2>&1 & echo $! > {pid_file}; echo s UNSATISFIABLE; exit 20'"
+        record = run_one(str(path), "wrapper", template, time_limit=10)
+        assert record.status == "UNSAT"
         pid = int(pid_file.read_text())
         deadline = time.monotonic() + 10
         while _running(pid) and time.monotonic() < deadline:

@@ -13,6 +13,7 @@ from xcspkit.errors import (
     XmlSyntaxError,
 )
 from xcspkit.expr import parse_expr
+from xcspkit.generators import gen_still_life
 from xcspkit.io import _LAYOUTS, parse_instance, parse_solution, write_instance, write_solution
 from xcspkit.model import (
     STAR,
@@ -391,3 +392,72 @@ def test_array_domain_for_a_cell_outside_the_array_is_refused():
     with pytest.raises(XmlSyntaxError, match=r"domain for unknown cell 's\[2\]'") as err:
         parse_instance(text)
     assert (err.value.location.line, err.value.location.column) == (5, 1)
+
+
+def test_a_repeated_table_text_parses_to_one_table():
+    """Extensions that repeat a table's polarity, arity and whitespace-
+    normalised text share one Table: written out, in a <group> and in the
+    windows of a <slide>."""
+    text = """
+    <instance format="XCSP3" type="CSP">
+      <variables> <array id="x" size="[4]"> 0..2 </array> </variables>
+      <constraints>
+        <extension> <list> x[0] x[1] </list> <supports> (0,1)(1,2) </supports> </extension>
+        <extension> <list> x[2] x[3] </list> <supports>
+          (0,1)(1,2)
+        </supports> </extension>
+        <extension> <list> x[1] x[2] </list> <conflicts> (0,1)(1,2) </conflicts> </extension>
+        <extension> <list> x[0] x[1] x[2] </list> <supports> (0,1,2) </supports> </extension>
+        <group>
+          <extension> <list> %0 %1 </list> <supports> (0,1)(1,2) </supports> </extension>
+          <args> x[0] x[2] </args>
+          <args> x[1] x[3] </args>
+        </group>
+        <slide>
+          <list> x[0] x[1] x[2] x[3] </list>
+          <extension> <list> %0 %1 </list> <conflicts> (0,1)(1,2) </conflicts> </extension>
+        </slide>
+      </constraints>
+    </instance>
+    """
+    plain, spread, negated, ternary, grouped, other_grouped, slide = parse_instance(text).constraints
+    pair = plain.table
+    assert pair == supports(2, [(0, 1), (1, 2)])
+    assert all(c.table is pair for c in (spread, grouped, other_grouped))
+    assert [w.scope for w in slide.windows] == [("x[0]", "x[1]"), ("x[1]", "x[2]"), ("x[2]", "x[3]")]
+    assert all(w.table is negated.table for w in slide.windows)
+    assert negated.table == conflicts(2, [(0, 1), (1, 2)])
+    assert len({id(c.table) for c in (plain, negated, ternary)}) == 3
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("(0,1)(1,q)", "bad tuple entry 'q'"), ("(0,1)(1,2,0)", r"tuple \(1, 2, 0\) does not match arity 2")],
+    ids=["bad-entry", "bad-arity"],
+)
+def test_a_bad_tuple_in_a_repeated_table_is_reported_at_its_first_location(body, message):
+    text = "\n".join([
+        '<instance format="XCSP3" type="CSP">',
+        '<variables> <array id="x" size="[4]"> 0..2 </array> </variables>',
+        "<constraints>",
+        "<extension> <list> x[0] x[1] </list>",
+        f"<supports> {body} </supports> </extension>",
+        "<extension> <list> x[2] x[3] </list>",
+        f"<supports> {body} </supports> </extension>",
+        "</constraints>",
+        "</instance>",
+    ])
+    with pytest.raises(XmlSyntaxError, match=message) as err:
+        parse_instance(text)
+    assert (err.value.location.line, err.value.location.column) == (5, 1)
+
+
+def test_still_life_8_roundtrips_byte_for_byte():
+    text = write_instance(gen_still_life(8))
+    parsed = parse_instance(text)
+    assert write_instance(parsed) == text
+    # 64 cells share the neighbourhood table; the border slides share another
+    tables = [w.table for c in parsed.constraints for w in (c.windows if isinstance(c, Slide) else (c,))
+              if isinstance(w, Extension)]
+    assert len(tables) == 64 + 4 * 8
+    assert len({id(t) for t in tables}) == 2
