@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from test_io import _kitchen_sink_instance
 
 from xcspkit.engine import solve
 from xcspkit.errors import (
@@ -45,7 +46,9 @@ from xcspkit.model import (
     Variable,
     assignment_cost,
     conflicts,
+    constraint_kind,
     constraint_satisfied,
+    constraint_scope,
     evaluate_expr,
     supports,
     validate_instance,
@@ -533,3 +536,295 @@ class TestCheckerTotality:
             ]
             c = cands[trial % len(cands)]
             assert constraint_satisfied(c, a) in (True, False)
+
+
+# Malformed twins of each class of the kitchen sink: one per well-formedness
+# rule, a table shared by two constraints, and undeclared variables ("u",
+# "v") whose order in the report follows the scope order.
+_SHARED = supports(2, [(0, 1), (2,), (1, 2, 3)])
+_TWINS = {
+    Intension: (
+        Intension(parse_expr("add(x[0],x[1])")),
+        Intension(op("and", var("x[0]"), op("le", var("x[1]"), var("u")))),
+        Intension(op("add", op("not", op("add", var("x[0]"), const(1))), const(1))),
+    ),
+    Extension: (
+        Extension(("x[0]", "x[1]", "x[2]"), supports(2, [(0, 1)])),
+        Extension(("x[0]", "x[1]"), _SHARED),
+        Extension(("x[2]", "x[3]"), _SHARED),
+        Extension(("x[0]", "x[2]"), supports(2, [(0, 1), (2,), (1, 2, 3)])),
+        Extension(("x[0]",), Table(1, "maybe", ((0,),))),
+        Extension(("u", "x[0]"), Table(3, "maybe", ((0,), (0, 1, 2)))),
+    ),
+    Regular: (
+        Regular(("x[0]", "x[1]"), Automaton("q0", (("q0", 0, "q1"), ("q0", 0, "q0")), ("q1",))),
+        Regular(("x[0]", "x[1]"), Automaton("q0", (("q0", 0, "q1"),), ("q9", "q1", "q8"))),
+        Regular(("x[0]", "u"), Automaton("q0", (("q0", 1, "q0"), ("q0", 1, "q1")), ("q2",))),
+    ),
+    AllDifferent: (AllDifferent(("x[0]", "u", "x[1]", "u", "v")),),
+    AllDifferentMatrix: (
+        AllDifferentMatrix((("y[0][0]", "y[0][1]"), ("y[1][0]",))),
+        AllDifferentMatrix((("u", "y[0][1]"), ("y[1][0]", "v"))),
+    ),
+    Ordered: (Ordered(("x[0]", "x[1]"), "eq"), Ordered(("u", "x[1]", "u"), "le")),
+    Lex: (
+        Lex((("x[0]", "x[1]"), ("x[2]",)), "ne"),
+        Lex((("x[0]", "x[1]"), ("x[2]", "x[3]")), "eq"),
+        Lex((("x[0]", "x[1]"), ("x[2]", "x[3]"), ("u",)), "lt"),
+    ),
+    LexMatrix: (
+        LexMatrix((("y[0][0]", "y[0][1]"), ("y[1][0]",)), "eq"),
+        LexMatrix((("y[0][0]", "u"), ("y[1][0]", "y[1][1]")), "ge"),
+    ),
+    Sum: (
+        Sum(("x[0]", "x[1]"), (1,), Condition("le", 3)),
+        Sum(("x[0]",), (1,), Condition("xx", 3)),
+        Sum(("x[0]",), (1,), Condition("le", (1, 2))),
+        Sum(("x[0]",), (1,), Condition("in", (5, 1))),
+        Sum(("x[0]",), (1,), Condition("in", 3)),
+        Sum(("x[0]", "x[1]"), ("u", "x[2]"), Condition("eq", "v")),
+        Sum(("x[0]",), (2**62,), Condition("le", 0)),
+        Sum(("x[0]", "x[1]", "x[2]"), (1, 2), Condition("zz", (4, 3))),
+    ),
+    Count: (
+        Count(("x[0]",), (1,), Condition("in", (3, 2))),
+        Count(("x[0]", "u"), (1,), Condition("zz", "v")),
+        Count(("x[0]",), (1,), Condition("eq", (0, 1))),
+    ),
+    Cardinality: (
+        Cardinality(("x[0]", "x[1]"), (0, 1), ((0, 1),)),
+        Cardinality(("x[0]", "u"), (0, 1), ((2, 1), (0, 1), (3, 0))),
+    ),
+    Element: (Element((), "x[0]", 1), Element(("x[0]", "u"), "v", "w"), Element(("x[0]",), "x[1]", "u")),
+    Channel: (Channel(("x[0]", "x[1]"), ("x[2]",)), Channel(("u",), ("x[0]", "v"))),
+    NoOverlap: (
+        NoOverlap((("x[0]", "x[1]"), ("x[2]", "x[3]")), ((1, 1),)),
+        NoOverlap((("x[0]", "u"), ("x[2]", "x[3]")), ((1, "v"), ("u", "w"))),
+    ),
+    Cumulative: (
+        Cumulative(("x[0]", "x[1]"), (1,), (1, 1), 2),
+        Cumulative(("x[0]",), (-1,), (1,), 2),
+        Cumulative(("x[0]", "u", "x[1]"), (1, 1), (1, -2, 1, 1), 2),
+    ),
+    Circuit: (Circuit(("x[0]", "u", "x[1]", "u")),),
+    Instantiation: (Instantiation(("x[0]", "x[1]"), (0,)), Instantiation(("u",), (0, 1))),
+    Slide: (
+        Slide((Extension(("x[0]", "x[1]"), _SHARED), Extension(("x[1]", "x[2]"), _SHARED))),
+        Slide((Sum(("x[0]", "u"), (1,), Condition("in", 2)), Intension(parse_expr("add(x[1],u)")))),
+        Slide((Extension(("x[0]",), supports(1, [(0,)])), Variable("x[0]", Domain.rng(0, 1)))),
+        Variable("x[0]", Domain.rng(0, 1)),
+    ),
+}
+
+#: class -> (scopes of the sink's constraints of that class, their kind,
+#: the report on an instance of the class's twins as (code, where, detail))
+_PINNED = {
+    Intension: (
+        [('x[0]', 'x[1]', 'z')],
+        'intension',
+        [
+            ('NotBoolean', 'constraint 0', 'intension root must be a relational or logical operator'),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
+            ('NotBoolean', 'constraint 1', 'and requires boolean operands, got VarRef'),
+            ('NotBoolean', 'constraint 2', 'intension root must be a relational or logical operator'),
+            ('NotBoolean', 'constraint 2', 'not requires boolean operands, got Op'),
+        ],
+    ),
+    Extension: (
+        [('x[0]', 'x[1]'), ('x[0]',)],
+        'extension',
+        [
+            ('ScopeMismatch', 'constraint 0', 'table arity 2 != scope length 3'),
+            ('ScopeMismatch', 'constraint 1', 'row (1, 2, 3) does not have 2 entries'),
+            ('ScopeMismatch', 'constraint 1', 'row (2,) does not have 2 entries'),
+            ('ScopeMismatch', 'constraint 2', 'row (1, 2, 3) does not have 2 entries'),
+            ('ScopeMismatch', 'constraint 2', 'row (2,) does not have 2 entries'),
+            ('ScopeMismatch', 'constraint 3', 'row (1, 2, 3) does not have 2 entries'),
+            ('ScopeMismatch', 'constraint 3', 'row (2,) does not have 2 entries'),
+            ('BadPolarity', 'constraint 4', "unknown polarity 'maybe'"),
+            ('UnknownVariable', 'constraint 5', "references undeclared variable 'u'"),
+            ('ScopeMismatch', 'constraint 5', 'table arity 3 != scope length 2'),
+            ('ScopeMismatch', 'constraint 5', 'row (0,) does not have 3 entries'),
+            ('BadPolarity', 'constraint 5', "unknown polarity 'maybe'"),
+        ],
+    ),
+    Regular: (
+        [('x[0]', 'x[1]')],
+        'regular',
+        [
+            ('NondeterministicAutomaton', 'constraint 0', 'two transitions share (state, symbol)'),
+            ('UnreachableFinal', 'constraint 1', "final state 'q8' unreachable from start"),
+            ('UnreachableFinal', 'constraint 1', "final state 'q9' unreachable from start"),
+            ('UnknownVariable', 'constraint 2', "references undeclared variable 'u'"),
+            ('NondeterministicAutomaton', 'constraint 2', 'two transitions share (state, symbol)'),
+            ('UnreachableFinal', 'constraint 2', "final state 'q2' unreachable from start"),
+        ],
+    ),
+    AllDifferent: (
+        [('x[0]', 'x[1]', 'x[2]')],
+        'allDifferent',
+        [
+            ('UnknownVariable', 'constraint 0', "references undeclared variable 'u'"),
+            ('UnknownVariable', 'constraint 0', "references undeclared variable 'v'"),
+        ],
+    ),
+    AllDifferentMatrix: (
+        [('y[0][0]', 'y[0][1]', 'y[1][0]', 'y[1][1]')],
+        'allDifferentMatrix',
+        [
+            ('RaggedMatrix', 'constraint 0', 'matrix rows have differing lengths'),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'v'"),
+        ],
+    ),
+    Ordered: (
+        [('x[0]', 'x[1]', 'x[2]')],
+        'ordered',
+        [
+            ('BadOperator', 'constraint 0', "order operator must be one of lt, le, ge, gt, got 'eq'"),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
+        ],
+    ),
+    Lex: (
+        [('x[0]', 'x[1]', 'x[2]', 'x[3]')],
+        'lex',
+        [
+            ('BadOperator', 'constraint 0', "order operator must be one of lt, le, ge, gt, got 'ne'"),
+            ('RaggedMatrix', 'constraint 0', 'lex rows have differing lengths'),
+            ('BadOperator', 'constraint 1', "order operator must be one of lt, le, ge, gt, got 'eq'"),
+            ('UnknownVariable', 'constraint 2', "references undeclared variable 'u'"),
+            ('RaggedMatrix', 'constraint 2', 'lex rows have differing lengths'),
+        ],
+    ),
+    LexMatrix: (
+        [('y[0][0]', 'y[0][1]', 'y[1][0]', 'y[1][1]')],
+        'lexMatrix',
+        [
+            ('BadOperator', 'constraint 0', "order operator must be one of lt, le, ge, gt, got 'eq'"),
+            ('RaggedMatrix', 'constraint 0', 'matrix rows have differing lengths'),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
+        ],
+    ),
+    Sum: (
+        [('x[0]', 'x[1]'), ('x[0]', 'x[1]', 'w'), ('x[0]', 'x[1]', 'y[0][0]', 'y[0][1]')],
+        'sum',
+        [
+            ('LengthMismatch', 'constraint 0', 'coeffs length differs from scope length'),
+            ('BadOperator', 'constraint 1', "unknown condition operator 'xx'"),
+            ('BadCondition', 'constraint 2', "interval rhs only valid with operator 'in'"),
+            ('BadBounds', 'constraint 3', 'interval (5, 1) inverted'),
+            ('BadCondition', 'constraint 4', "operator 'in' requires an interval rhs"),
+            ('UnknownVariable', 'constraint 5', "references undeclared variable 'u'"),
+            ('UnknownVariable', 'constraint 5', "references undeclared variable 'v'"),
+            ('LengthMismatch', 'constraint 7', 'coeffs length differs from scope length'),
+            ('BadOperator', 'constraint 7', "unknown condition operator 'zz'"),
+            ('BadCondition', 'constraint 7', "interval rhs only valid with operator 'in'"),
+            ('BoundOverflow', 'constraint 6', 'sum can exceed 64-bit range'),
+        ],
+    ),
+    Count: (
+        [('x[0]', 'x[1]', 'x[2]')],
+        'count',
+        [
+            ('BadBounds', 'constraint 0', 'interval (3, 2) inverted'),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'v'"),
+            ('BadOperator', 'constraint 1', "unknown condition operator 'zz'"),
+            ('BadCondition', 'constraint 2', "interval rhs only valid with operator 'in'"),
+        ],
+    ),
+    Cardinality: (
+        [('x[0]', 'x[1]', 'x[2]')],
+        'cardinality',
+        [
+            ('LengthMismatch', 'constraint 0', 'values and occurs lengths differ'),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
+            ('LengthMismatch', 'constraint 1', 'values and occurs lengths differ'),
+            ('BadBounds', 'constraint 1', 'occurrence bounds 2..1 inverted'),
+            ('BadBounds', 'constraint 1', 'occurrence bounds 3..0 inverted'),
+        ],
+    ),
+    Element: (
+        [('x[0]', 'x[1]', 'x[2]', 'z'), ('x[0]', 'x[1]', 'x[2]')],
+        'element',
+        [
+            ('LengthMismatch', 'constraint 0', 'element list is empty'),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'v'"),
+            ('UnknownVariable', 'constraint 2', "references undeclared variable 'u'"),
+        ],
+    ),
+    Channel: (
+        [('x[0]', 'x[1]', 'x[2]', 'x[3]')],
+        'channel',
+        [
+            ('LengthMismatch', 'constraint 0', 'channel lists have differing lengths'),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'v'"),
+            ('LengthMismatch', 'constraint 1', 'channel lists have differing lengths'),
+        ],
+    ),
+    NoOverlap: (
+        [('x[0]', 'x[1]', 'x[2]', 'x[3]', 'h[0][1]', 'h[1][0]')],
+        'noOverlap',
+        [
+            ('LengthMismatch', 'constraint 0', 'origins and lengths differ in item count'),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'v'"),
+        ],
+    ),
+    Cumulative: (
+        [('x[0]', 'x[1]')],
+        'cumulative',
+        [
+            ('LengthMismatch', 'constraint 0', 'origins, lengths, heights must have equal lengths'),
+            ('BadBounds', 'constraint 1', 'negative task length or height'),
+            ('UnknownVariable', 'constraint 2', "references undeclared variable 'u'"),
+            ('LengthMismatch', 'constraint 2', 'origins, lengths, heights must have equal lengths'),
+            ('BadBounds', 'constraint 2', 'negative task length or height'),
+        ],
+    ),
+    Circuit: (
+        [('x[0]', 'x[1]', 'x[2]')],
+        'circuit',
+        [
+            ('UnknownVariable', 'constraint 0', "references undeclared variable 'u'"),
+        ],
+    ),
+    Instantiation: (
+        [('x[0]', 'x[1]')],
+        'instantiation',
+        [
+            ('LengthMismatch', 'constraint 0', 'scope and values lengths differ'),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
+            ('LengthMismatch', 'constraint 1', 'scope and values lengths differ'),
+        ],
+    ),
+    Slide: (
+        [('x[0]', 'x[1]', 'x[2]', 'x[3]'), ('x[0]', 'x[1]', 'x[2]'), ('x[1]', 'x[2]')],
+        'slide',
+        [
+            ('ScopeMismatch', 'constraint 0', 'row (1, 2, 3) does not have 2 entries'),
+            ('ScopeMismatch', 'constraint 0', 'row (2,) does not have 2 entries'),
+            ('ScopeMismatch', 'constraint 0', 'row (1, 2, 3) does not have 2 entries'),
+            ('ScopeMismatch', 'constraint 0', 'row (2,) does not have 2 entries'),
+            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
+            ('LengthMismatch', 'constraint 1', 'coeffs length differs from scope length'),
+            ('BadCondition', 'constraint 1', "operator 'in' requires an interval rhs"),
+            ('NotBoolean', 'constraint 1', 'intension root must be a relational or logical operator'),
+            ('UnknownConstraint', 'constraint 2', 'unknown constraint Variable'),
+            ('UnknownConstraint', 'constraint 3', 'unknown constraint Variable'),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(_TWINS), ids=lambda cls: cls.__name__)
+def test_scope_kind_and_report_of_each_class_are_pinned(cls):
+    sink = _kitchen_sink_instance()
+    scopes, kind, report = _PINNED[cls]
+    own = [c for c in sink.constraints if type(c) is cls]
+    assert [constraint_scope(c) for c in own] == scopes
+    assert {constraint_kind(c) for c in own} == {kind}
+    inst = Instance("CSP", sink.variables, _TWINS[cls])
+    assert [(v.code, v.where, v.detail) for v in validate_instance(inst)] == report
