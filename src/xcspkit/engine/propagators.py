@@ -9,9 +9,10 @@ one model constraint it enforces and keeps that constraint; ``key`` is the
 index of the instance constraint it came from. ``make_propagators`` splits
 composite constraints into such primitives and looks each one's class up
 in ``_PROPAGATORS``. A propagator watches the constraint's distinct
-variables (``model.constraint_scope``); a positional one watches
-``constraint.scope`` exactly as given, repeats included, because it reads
-the scope position by position.
+variables (``model.constraint_scope``), except for a class whose only
+variable attribute is ``scope`` (its ``model._KINDS`` row): that propagator
+watches ``constraint.scope`` exactly as given, repeats included, because it
+reads the scope position by position.
 
 Each distinct table is compiled once per ``make_propagators`` call. The
 call keeps a memo from (table, initial domains of the scope) to support
@@ -48,6 +49,7 @@ from ..model import (
     Slide,
     STAR,
     Sum,
+    _KINDS,
     constraint_satisfied,
     constraint_scope,
 )
@@ -64,12 +66,14 @@ _SCAN_CAP = 2048
 class Propagator:
     __slots__ = ("constraint", "scope", "key", "weight")
 
-    #: watch ``constraint.scope`` as given instead of the distinct variables
+    #: watch ``constraint.scope`` as given, for a propagator built from
+    #: something other than a model constraint
     positional = False
 
     def __init__(self, constraint, key: int, store: DomainStore):
         self.constraint = constraint
-        self.scope = store.indices(constraint.scope if self.positional else constraint_scope(constraint))
+        positional = self.positional or _KINDS[type(constraint)].vars == ("scope",)
+        self.scope = store.indices(constraint.scope if positional else constraint_scope(constraint))
         self.key = key
         self.weight = 1
 
@@ -152,7 +156,6 @@ class TableProp(Propagator):
     masks come from, or go into, the build call's memo ``masks``."""
 
     __slots__ = ("supports",)
-    positional = True
 
     def __init__(self, c: Extension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
@@ -174,7 +177,6 @@ class NegativeTableFC(Propagator):
     """Forward checking for conflicts tables too large to complement."""
 
     __slots__ = ()
-    positional = True
 
     def propagate(self, store: DomainStore) -> bool:
         free = [i for i, x in enumerate(self.scope) if not store.is_assigned(x)]
@@ -519,7 +521,6 @@ class CountProp(Propagator):
 
 class CardinalityProp(Propagator):
     __slots__ = ()
-    positional = True
 
     def propagate(self, store: DomainStore) -> bool:
         c = self.constraint
@@ -577,7 +578,6 @@ def _assigned_values_differ(store: DomainStore, scope) -> bool:
 
 class AllDifferentProp(Propagator):
     __slots__ = ()
-    positional = True
 
     def propagate(self, store: DomainStore) -> bool:
         return _assigned_values_differ(store, self.scope) and self._hall_intervals(store)
@@ -748,7 +748,6 @@ class ChannelProp(Propagator):
 
 class InstantiationProp(Propagator):
     __slots__ = ()
-    positional = True
 
     def propagate(self, store: DomainStore) -> bool:
         for x, v in zip(self.scope, self.constraint.values):
@@ -763,7 +762,6 @@ class InstantiationProp(Propagator):
 
 class RegularProp(Propagator):
     __slots__ = ("delta", "start", "finals")
-    positional = True
 
     def __init__(self, c: Regular, key, store: DomainStore):
         super().__init__(c, key, store)
@@ -936,7 +934,6 @@ class NoOverlapProp(Propagator):
 
 class CircuitProp(Propagator):
     __slots__ = ()
-    positional = True
 
     def propagate(self, store: DomainStore) -> bool:
         n = len(self.scope)
@@ -997,7 +994,6 @@ class CircuitProp(Propagator):
 
 class OrderedProp(Propagator):
     __slots__ = ("chain", "strict")
-    positional = True
 
     def __init__(self, c: Ordered, key, store: DomainStore):
         super().__init__(c, key, store)

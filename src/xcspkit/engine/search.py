@@ -154,8 +154,7 @@ def _improving(objective: Objective, best: int, values) -> Constraint:
         if minimize:
             return Count(scope, tuple(sorted(v for v in values if v >= best)), Condition("eq", 0))
         return Count(scope, tuple(sorted(v for v in values if v > best)), Condition("ge", 1))
-    coeffs = objective.coeffs if objective.kind == "sum" and objective.coeffs else (1,) * len(scope)
-    return Sum(scope, coeffs, Condition("lt" if minimize else "gt", best))
+    return Sum(scope, objective.weights, Condition("lt" if minimize else "gt", best))
 
 
 class _Search:

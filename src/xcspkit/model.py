@@ -4,13 +4,20 @@ Everything here is immutable after construction and safe to share across
 threads; the checkers are pure functions. They are deliberately written as
 straight transcriptions of constraint semantics, with no cleverness, so
 that the propagation engine can be tested against them.
+
+``_KINDS`` is the one constraint catalogue: a row per constraint class
+holds the attributes that carry its variable ids, its satisfaction check
+and its well-formedness check. ``constraint_scope``,
+``constraint_satisfied`` and ``validate_instance`` read the row, so a
+class's semantics live in one place; ``io._LAYOUTS`` holds its XML layout
+and ``engine.propagators._PROPAGATORS`` its propagator.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from . import expr as _expr
 from .errors import (
@@ -258,6 +265,11 @@ class NoOverlap:
     origins: tuple[tuple[str, str], ...]
     lengths: tuple[tuple[Union[int, str], Union[int, str]], ...]
 
+    @property
+    def boxes(self) -> tuple:
+        """``((x, y), (w, h))`` per item."""
+        return tuple(zip(self.origins, self.lengths))
+
 
 @dataclass(frozen=True)
 class Cumulative:
@@ -312,6 +324,12 @@ class Objective:
     scope: tuple[str, ...]
     coeffs: tuple[int, ...] = ()
 
+    @property
+    def weights(self) -> tuple[int, ...]:
+        """Each variable's weight in the objective's value: ``coeffs`` for a
+        sum that has them, otherwise 1."""
+        return self.coeffs if self.kind == "sum" and self.coeffs else (1,) * len(self.scope)
+
 
 @dataclass(frozen=True)
 class Assignment:
@@ -345,96 +363,15 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
-# Scope extraction
-
-
-def constraint_scope(c: Constraint) -> tuple[str, ...]:
-    """Referenced variable ids, in order of first appearance."""
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def add(*ids):
-        for i in ids:
-            if isinstance(i, str) and i not in seen:
-                seen.add(i)
-                out.append(i)
-
-    if isinstance(c, Intension):
-        add(*expr_vars(c.expr))
-    elif isinstance(c, (Extension, Regular, AllDifferent, Ordered, Circuit, Instantiation)):
-        add(*c.scope)
-    elif isinstance(c, (AllDifferentMatrix, LexMatrix)):
-        for row in c.grid:
-            add(*row)
-    elif isinstance(c, Lex):
-        for row in c.rows:
-            add(*row)
-    elif isinstance(c, Sum):
-        add(*c.scope)
-        add(*(k for k in c.coeffs if isinstance(k, str)))
-        if isinstance(c.condition.rhs, str):
-            add(c.condition.rhs)
-    elif isinstance(c, Count):
-        add(*c.scope)
-        if isinstance(c.condition.rhs, str):
-            add(c.condition.rhs)
-    elif isinstance(c, Cardinality):
-        add(*c.scope)
-    elif isinstance(c, Element):
-        add(*c.list_vars)
-        add(c.index)
-        add(c.value)
-    elif isinstance(c, Channel):
-        add(*c.list_a)
-        add(*c.list_b)
-    elif isinstance(c, NoOverlap):
-        for (x, y), (w, h) in zip(c.origins, c.lengths):
-            add(x, y, w, h)
-    elif isinstance(c, Cumulative):
-        add(*c.origins)
-    elif isinstance(c, Slide):
-        for w in c.windows:
-            add(*constraint_scope(w))
-    else:
-        raise TypeError(f"unknown constraint {type(c).__name__}")
-    return tuple(out)
-
-
-def constraint_kind(c: Constraint) -> str:
-    """XCSP3 element name of a constraint (``slide`` reported as such)."""
-    return {
-        Intension: "intension",
-        Extension: "extension",
-        Regular: "regular",
-        AllDifferent: "allDifferent",
-        AllDifferentMatrix: "allDifferentMatrix",
-        Ordered: "ordered",
-        Lex: "lex",
-        LexMatrix: "lexMatrix",
-        Sum: "sum",
-        Count: "count",
-        Cardinality: "cardinality",
-        Element: "element",
-        Channel: "channel",
-        NoOverlap: "noOverlap",
-        Cumulative: "cumulative",
-        Circuit: "circuit",
-        Instantiation: "instantiation",
-        Slide: "slide",
-    }[type(c)]
-
-
-# ---------------------------------------------------------------------------
-# Checkers
-
-
-def evaluate_expr(expr: Expr, assignment: Assignment) -> int:
-    """Evaluate an expression tree; booleans come back as 1/0."""
-    return evaluate(expr, assignment.bindings)
+# The catalogue
 
 
 def _value(v: Union[int, str], a: Assignment) -> int:
     return a[v] if isinstance(v, str) else v
+
+
+def _distinct(values: list) -> bool:
+    return len(set(values)) == len(values)
 
 
 def _chained(operator: str, items: Sequence) -> bool:
@@ -444,117 +381,50 @@ def _chained(operator: str, items: Sequence) -> bool:
     return all(rel(x, y) for x, y in zip(items, items[1:]))
 
 
-def constraint_satisfied(c: Constraint, assignment: Assignment) -> bool:
-    """Ground-truth satisfaction check under XCSP3-core semantics."""
-    a = assignment
-    if isinstance(c, Intension):
-        return evaluate_expr(c.expr, a) != 0
+def _extension_satisfied(c: Extension, a: Assignment) -> bool:
+    if c.table.arity != len(c.scope):
+        raise ScopeMismatchError(f"table arity {c.table.arity} != scope length {len(c.scope)}")
+    matched = c.table.matches([a[v] for v in c.scope])
+    return matched if c.table.polarity == "supports" else not matched
 
-    if isinstance(c, Extension):
-        if c.table.arity != len(c.scope):
-            raise ScopeMismatchError(f"table arity {c.table.arity} != scope length {len(c.scope)}")
-        values = [a[v] for v in c.scope]
-        matched = c.table.matches(values)
-        return matched if c.table.polarity == "supports" else not matched
 
-    if isinstance(c, Regular):
-        return c.automaton.accepts([a[v] for v in c.scope])
+def _cardinality_satisfied(c: Cardinality, a: Assignment) -> bool:
+    values = [a[v] for v in c.scope]
+    if c.closed and any(v not in c.values for v in values):
+        return False
+    return all(lo <= values.count(v) <= hi for v, (lo, hi) in zip(c.values, c.occurs))
 
-    if isinstance(c, AllDifferent):
-        values = [a[v] for v in c.scope]
-        return len(set(values)) == len(values)
 
-    if isinstance(c, AllDifferentMatrix):
-        for row in c.grid:
-            vals = [a[v] for v in row]
-            if len(set(vals)) != len(vals):
+def _element_satisfied(c: Element, a: Assignment) -> bool:
+    i = a[c.index]
+    return 0 <= i < len(c.list_vars) and a[c.list_vars[i]] == _value(c.value, a)
+
+
+def _channel_satisfied(c: Channel, a: Assignment) -> bool:
+    va = [a[v] for v in c.list_a]
+    vb = [a[v] for v in c.list_b]
+    if any(not 0 <= v < len(vb) for v in va) or any(not 0 <= v < len(va) for v in vb):
+        return False
+    return all(vb[j] == i for i, j in enumerate(va)) and all(va[i] == j for j, i in enumerate(vb))
+
+
+def _no_overlap_satisfied(c: NoOverlap, a: Assignment) -> bool:
+    boxes = [(a[x], a[y], _value(w, a), _value(h, a)) for (x, y), (w, h) in c.boxes]
+    for i, (xi, yi, wi, hi) in enumerate(boxes):
+        for xj, yj, wj, hj in boxes[i + 1 :]:
+            if xi < xj + wj and xj < xi + wi and yi < yj + hj and yj < yi + hi:
                 return False
-        for col in zip(*c.grid):
-            vals = [a[v] for v in col]
-            if len(set(vals)) != len(vals):
-                return False
-        return True
+    return True
 
-    if isinstance(c, Ordered):
-        return _chained(c.operator, [a[v] for v in c.scope])
 
-    if isinstance(c, Lex):
-        return _chained(c.operator, [[a[v] for v in row] for row in c.rows])
-
-    if isinstance(c, LexMatrix):
-        rows = [[a[v] for v in row] for row in c.grid]
-        cols = [[a[v] for v in col] for col in zip(*c.grid)]
-        return _chained(c.operator, rows) and _chained(c.operator, cols)
-
-    if isinstance(c, Sum):
-        total = sum(_value(k, a) * a[v] for k, v in zip(c.coeffs, c.scope))
-        return c.condition.holds(total, a.bindings)
-
-    if isinstance(c, Count):
-        n = sum(1 for v in c.scope if a[v] in c.values)
-        return c.condition.holds(n, a.bindings)
-
-    if isinstance(c, Cardinality):
-        values = [a[v] for v in c.scope]
-        if c.closed and any(v not in c.values for v in values):
+def _cumulative_satisfied(c: Cumulative, a: Assignment) -> bool:
+    starts = [a[v] for v in c.origins]
+    events = sorted({t for s, d in zip(starts, c.lengths) for t in (s, s + d)})
+    for t in events:
+        load = sum(h for s, d, h in zip(starts, c.lengths, c.heights) if s <= t < s + d)
+        if load > c.limit:
             return False
-        for v, (lo, hi) in zip(c.values, c.occurs):
-            if not lo <= values.count(v) <= hi:
-                return False
-        return True
-
-    if isinstance(c, Element):
-        i = a[c.index]
-        if not 0 <= i < len(c.list_vars):
-            return False
-        return a[c.list_vars[i]] == _value(c.value, a)
-
-    if isinstance(c, Channel):
-        va = [a[v] for v in c.list_a]
-        vb = [a[v] for v in c.list_b]
-        if any(not 0 <= v < len(vb) for v in va) or any(not 0 <= v < len(va) for v in vb):
-            return False
-        for i, j in enumerate(va):
-            if vb[j] != i:
-                return False
-        for j, i in enumerate(vb):
-            if va[i] != j:
-                return False
-        return True
-
-    if isinstance(c, NoOverlap):
-        boxes = []
-        for (x, y), (w, h) in zip(c.origins, c.lengths):
-            boxes.append((a[x], a[y], _value(w, a), _value(h, a)))
-        for i in range(len(boxes)):
-            xi, yi, wi, hi = boxes[i]
-            for j in range(i + 1, len(boxes)):
-                xj, yj, wj, hj = boxes[j]
-                if xi < xj + wj and xj < xi + wi and yi < yj + hj and yj < yi + hi:
-                    return False
-        return True
-
-    if isinstance(c, Cumulative):
-        starts = [a[v] for v in c.origins]
-        events = sorted({t for s, d in zip(starts, c.lengths) for t in (s, s + d)})
-        for t in events:
-            load = sum(h for s, d, h in zip(starts, c.lengths, c.heights) if s <= t < s + d)
-            if load > c.limit:
-                return False
-        return True
-
-    if isinstance(c, Circuit):
-        return _circuit_satisfied([a[v] for v in c.scope])
-
-    if isinstance(c, Instantiation):
-        if len(c.scope) != len(c.values):
-            raise ScopeMismatchError("instantiation scope/values length mismatch")
-        return all(a[v] == val for v, val in zip(c.scope, c.values))
-
-    if isinstance(c, Slide):
-        return all(constraint_satisfied(w, a) for w in c.windows)
-
-    raise TypeError(f"unknown constraint {type(c).__name__}")
+    return True
 
 
 def _circuit_satisfied(succ: list[int]) -> bool:
@@ -577,6 +447,244 @@ def _circuit_satisfied(succ: list[int]) -> bool:
     return node == start and seen == set(route)
 
 
+def _instantiation_satisfied(c: Instantiation, a: Assignment) -> bool:
+    if len(c.scope) != len(c.values):
+        raise ScopeMismatchError("instantiation scope/values length mismatch")
+    return all(a[v] == val for v, val in zip(c.scope, c.values))
+
+
+def _unless(ok, code: str, detail: str) -> tuple:
+    """The one violation ``(code, detail)``, unless ``ok`` holds."""
+    return () if ok else ((code, detail),)
+
+
+def _order(c) -> tuple:
+    return _unless(
+        c.operator in _ORDERS, "BadOperator", f"order operator must be one of {', '.join(_ORDERS)}, got {c.operator!r}"
+    )
+
+
+def _ragged(rows, what: str) -> tuple:
+    return _unless(len({len(row) for row in rows}) <= 1, "RaggedMatrix", f"{what} rows have differing lengths")
+
+
+def _condition_violations(cond: Condition):
+    if cond.operator not in ("lt", "le", "ge", "gt", "eq", "ne", "in"):
+        yield "BadOperator", f"unknown condition operator {cond.operator!r}"
+    if isinstance(cond.rhs, tuple):
+        if cond.operator != "in":
+            yield "BadCondition", "interval rhs only valid with operator 'in'"
+        elif cond.rhs[0] > cond.rhs[1]:
+            yield "BadBounds", f"interval {cond.rhs} inverted"
+    elif cond.operator == "in":
+        yield "BadCondition", "operator 'in' requires an interval rhs"
+
+
+def _operand_violations(e: Expr):
+    if not isinstance(e, _expr.Op):
+        return
+    if _expr.OPS[e.kind].sort == "logic":
+        for child in e.children:
+            if not is_boolean(child):
+                yield "NotBoolean", f"{e.kind} requires boolean operands, got {type(child).__name__}"
+    for child in e.children:
+        yield from _operand_violations(child)
+
+
+def _intension_violations(c: Intension, tables: dict):
+    if not is_boolean(c.expr):
+        yield "NotBoolean", "intension root must be a relational or logical operator"
+    yield from _operand_violations(c.expr)
+
+
+def _extension_violations(c: Extension, tables: dict):
+    """``tables`` maps ``id(table)`` to the table's row violations, so the
+    validating call walks each distinct table's rows once."""
+    table = c.table
+    if table.arity != len(c.scope):
+        yield "ScopeMismatch", f"table arity {table.arity} != scope length {len(c.scope)}"
+    rows = tables.get(id(table))
+    if rows is None:
+        rows = tables[id(table)] = [
+            f"row {row} does not have {table.arity} entries" for row in table.rows if len(row) != table.arity
+        ]
+    for detail in rows:
+        yield "ScopeMismatch", detail
+    if table.polarity not in ("supports", "conflicts"):
+        yield "BadPolarity", f"unknown polarity {table.polarity!r}"
+
+
+def _regular_violations(c: Regular, tables: dict):
+    automaton = c.automaton
+    delta_keys = [(q, s) for q, s, _ in automaton.transitions]
+    if len(delta_keys) != len(set(delta_keys)):
+        yield "NondeterministicAutomaton", "two transitions share (state, symbol)"
+    succ: dict[str, list[str]] = {}
+    for q, _, r in automaton.transitions:
+        succ.setdefault(q, []).append(r)
+    reachable = {automaton.start}
+    frontier = [automaton.start]
+    while frontier:
+        for r in succ.get(frontier.pop(), ()):
+            if r not in reachable:
+                reachable.add(r)
+                frontier.append(r)
+    for f in automaton.finals:
+        if f not in reachable:
+            yield "UnreachableFinal", f"final state {f!r} unreachable from start"
+
+
+def _cardinality_violations(c: Cardinality, tables: dict):
+    if len(c.values) != len(c.occurs):
+        yield "LengthMismatch", "values and occurs lengths differ"
+    for lo, hi in c.occurs:
+        if lo > hi:
+            yield "BadBounds", f"occurrence bounds {lo}..{hi} inverted"
+
+
+class _Kind(NamedTuple):
+    """One constraint class: the attributes that hold its variable ids, in
+    order of first appearance; its satisfaction check ``(c, assignment)``;
+    its well-formedness check ``(c, tables)``, which yields ``(code,
+    detail)`` pairs (``tables`` is the validating call's per-table memo,
+    see ``_extension_violations``)."""
+
+    vars: tuple[str, ...]
+    satisfied: Callable[..., bool]
+    violations: Callable[..., Iterable[tuple[str, str]]]
+
+
+#: the constraint catalogue, one row per class
+_KINDS = {
+    Intension: _Kind(("expr",), lambda c, a: evaluate(c.expr, a.bindings) != 0, _intension_violations),
+    Extension: _Kind(("scope",), _extension_satisfied, _extension_violations),
+    Regular: _Kind(("scope",), lambda c, a: c.automaton.accepts([a[v] for v in c.scope]), _regular_violations),
+    AllDifferent: _Kind(("scope",), lambda c, a: _distinct([a[v] for v in c.scope]), lambda c, tables: ()),
+    AllDifferentMatrix: _Kind(
+        ("grid",),
+        lambda c, a: all(_distinct([a[v] for v in line]) for line in (*c.grid, *zip(*c.grid))),
+        lambda c, tables: _ragged(c.grid, "matrix"),
+    ),
+    Ordered: _Kind(
+        ("scope",), lambda c, a: _chained(c.operator, [a[v] for v in c.scope]), lambda c, tables: _order(c)
+    ),
+    Lex: _Kind(
+        ("rows",),
+        lambda c, a: _chained(c.operator, [[a[v] for v in row] for row in c.rows]),
+        lambda c, tables: (*_order(c), *_ragged(c.rows, "lex")),
+    ),
+    LexMatrix: _Kind(
+        ("grid",),
+        lambda c, a: _chained(c.operator, [[a[v] for v in row] for row in c.grid])
+        and _chained(c.operator, [[a[v] for v in col] for col in zip(*c.grid)]),
+        lambda c, tables: (*_order(c), *_ragged(c.grid, "matrix")),
+    ),
+    Sum: _Kind(
+        ("scope", "coeffs", "condition"),
+        lambda c, a: c.condition.holds(sum(_value(k, a) * a[v] for k, v in zip(c.coeffs, c.scope)), a.bindings),
+        lambda c, tables: (
+            *_unless(len(c.coeffs) == len(c.scope), "LengthMismatch", "coeffs length differs from scope length"),
+            *_condition_violations(c.condition),
+        ),
+    ),
+    Count: _Kind(
+        ("scope", "condition"),
+        lambda c, a: c.condition.holds(sum(1 for v in c.scope if a[v] in c.values), a.bindings),
+        lambda c, tables: _condition_violations(c.condition),
+    ),
+    Cardinality: _Kind(("scope",), _cardinality_satisfied, _cardinality_violations),
+    Element: _Kind(
+        ("list_vars", "index", "value"),
+        _element_satisfied,
+        lambda c, tables: _unless(c.list_vars, "LengthMismatch", "element list is empty"),
+    ),
+    Channel: _Kind(
+        ("list_a", "list_b"),
+        _channel_satisfied,
+        lambda c, tables: _unless(
+            len(c.list_a) == len(c.list_b), "LengthMismatch", "channel lists have differing lengths"
+        ),
+    ),
+    NoOverlap: _Kind(
+        ("boxes",),
+        _no_overlap_satisfied,
+        lambda c, tables: _unless(
+            len(c.origins) == len(c.lengths), "LengthMismatch", "origins and lengths differ in item count"
+        ),
+    ),
+    Cumulative: _Kind(
+        ("origins",),
+        _cumulative_satisfied,
+        lambda c, tables: (
+            *_unless(
+                len(c.origins) == len(c.lengths) == len(c.heights),
+                "LengthMismatch",
+                "origins, lengths, heights must have equal lengths",
+            ),
+            *_unless(all(k >= 0 for k in (*c.lengths, *c.heights)), "BadBounds", "negative task length or height"),
+        ),
+    ),
+    Circuit: _Kind(("scope",), lambda c, a: _circuit_satisfied([a[v] for v in c.scope]), lambda c, tables: ()),
+    Instantiation: _Kind(
+        ("scope",),
+        _instantiation_satisfied,
+        lambda c, tables: _unless(len(c.scope) == len(c.values), "LengthMismatch", "scope and values lengths differ"),
+    ),
+    Slide: _Kind(
+        ("windows",),
+        lambda c, a: all(constraint_satisfied(w, a) for w in c.windows),
+        lambda c, tables: [v for w in c.windows for v in _KINDS[type(w)].violations(w, tables)],
+    ),
+}
+
+
+def _kind(c) -> _Kind:
+    try:
+        return _KINDS[type(c)]
+    except KeyError:
+        raise TypeError(f"unknown constraint {type(c).__name__}") from None
+
+
+def _ids(value) -> Iterator[str]:
+    """Variable ids in an attribute that a ``_KINDS`` row names, repeats
+    included: the strings of nested tuples, a condition's variable rhs, an
+    expression's variables and a slide window's ids."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            if isinstance(item, str):
+                yield item
+            else:
+                yield from _ids(item)
+    elif isinstance(value, Condition):
+        yield from _ids(value.rhs)
+    elif isinstance(value, (_expr.IntConst, _expr.VarRef, _expr.Op)):
+        yield from expr_vars(value)
+    elif not isinstance(value, int):
+        for name in _kind(value).vars:
+            yield from _ids(getattr(value, name))
+
+
+def constraint_scope(c: Constraint) -> tuple[str, ...]:
+    """Referenced variable ids, in order of first appearance."""
+    return tuple(dict.fromkeys(v for name in _kind(c).vars for v in _ids(getattr(c, name))))
+
+
+def constraint_kind(c: Constraint) -> str:
+    """Catalogue name of a constraint: its class name with the first letter
+    lowered. io writes ``allDifferentMatrix`` and ``lexMatrix`` as
+    ``allDifferent`` and ``lex`` elements."""
+    _kind(c)
+    name = type(c).__name__
+    return name[0].lower() + name[1:]
+
+
+def constraint_satisfied(c: Constraint, assignment: Assignment) -> bool:
+    """Ground-truth satisfaction check under XCSP3-core semantics."""
+    return _kind(c).satisfied(c, assignment)
+
+
 def assignment_cost(instance: Instance, assignment: Assignment) -> int:
     """Objective target value under a total assignment."""
     if instance.kind != "COP" or instance.objective is None:
@@ -588,8 +696,7 @@ def objective_value(obj: Objective, assignment: Assignment) -> int:
     if obj.kind == "variable":
         return assignment[obj.scope[0]]
     if obj.kind == "sum":
-        coeffs = obj.coeffs if obj.coeffs else (1,) * len(obj.scope)
-        return sum(k * assignment[v] for k, v in zip(coeffs, obj.scope))
+        return sum(k * assignment[v] for k, v in zip(obj.weights, obj.scope))
     if obj.kind == "maximum":
         return max(assignment[v] for v in obj.scope)
     raise NotAnOptimizationInstanceError(f"unknown objective kind {obj.kind!r}")
@@ -625,6 +732,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
         if any(x >= y for x, y in zip(vals, vals[1:])):
             report.append(Violation("UnorderedDomain", v.id, "domain values not strictly ascending"))
 
+    tables: dict = {}  # id(table) -> its row violations, see _extension_violations
     for idx, c in enumerate(instance.constraints):
         where = f"constraint {idx}"
         try:
@@ -635,7 +743,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
         for vid in scope:
             if vid not in ids:
                 report.append(Violation("UnknownVariable", where, f"references undeclared variable {vid!r}"))
-        report.extend(_validate_constraint(c, where, instance))
+        report.extend(Violation(code, where, detail) for code, detail in _KINDS[type(c)].violations(c, tables))
 
     obj = instance.objective
     if (instance.kind == "COP") != (obj is not None):
@@ -656,132 +764,23 @@ def validate_instance(instance: Instance) -> list[Violation]:
     return report
 
 
-def _validate_constraint(c: Constraint, where: str, instance: Instance) -> list[Violation]:
-    report: list[Violation] = []
-
-    def bad(code, detail):
-        report.append(Violation(code, where, detail))
-
-    if isinstance(c, (Ordered, Lex, LexMatrix)) and c.operator not in _ORDERS:
-        bad("BadOperator", f"order operator must be one of {', '.join(_ORDERS)}, got {c.operator!r}")
-    if isinstance(c, Intension):
-        if not is_boolean(c.expr):
-            bad("NotBoolean", "intension root must be a relational or logical operator")
-        _validate_expr_kinds(c.expr, where, report)
-    elif isinstance(c, Extension):
-        if c.table.arity != len(c.scope):
-            bad("ScopeMismatch", f"table arity {c.table.arity} != scope length {len(c.scope)}")
-        for row in c.table.rows:
-            if len(row) != c.table.arity:
-                bad("ScopeMismatch", f"row {row} does not have {c.table.arity} entries")
-        if c.table.polarity not in ("supports", "conflicts"):
-            bad("BadPolarity", f"unknown polarity {c.table.polarity!r}")
-    elif isinstance(c, Regular):
-        delta_keys = [(q, s) for q, s, _ in c.automaton.transitions]
-        if len(delta_keys) != len(set(delta_keys)):
-            bad("NondeterministicAutomaton", "two transitions share (state, symbol)")
-        reachable = {c.automaton.start}
-        frontier = [c.automaton.start]
-        succ: dict[str, list[str]] = {}
-        for q, _, r in c.automaton.transitions:
-            succ.setdefault(q, []).append(r)
-        while frontier:
-            q = frontier.pop()
-            for r in succ.get(q, ()):
-                if r not in reachable:
-                    reachable.add(r)
-                    frontier.append(r)
-        for f in c.automaton.finals:
-            if f not in reachable:
-                bad("UnreachableFinal", f"final state {f!r} unreachable from start")
-    elif isinstance(c, (AllDifferentMatrix, LexMatrix)):
-        widths = {len(row) for row in c.grid}
-        if len(widths) > 1:
-            bad("RaggedMatrix", "matrix rows have differing lengths")
-    elif isinstance(c, Lex):
-        widths = {len(row) for row in c.rows}
-        if len(widths) > 1:
-            bad("RaggedMatrix", "lex rows have differing lengths")
-    elif isinstance(c, Sum):
-        if len(c.coeffs) != len(c.scope):
-            bad("LengthMismatch", "coeffs length differs from scope length")
-        report.extend(_validate_condition(c.condition, where))
-    elif isinstance(c, Count):
-        report.extend(_validate_condition(c.condition, where))
-    elif isinstance(c, Cardinality):
-        if len(c.values) != len(c.occurs):
-            bad("LengthMismatch", "values and occurs lengths differ")
-        for lo, hi in c.occurs:
-            if lo > hi:
-                bad("BadBounds", f"occurrence bounds {lo}..{hi} inverted")
-    elif isinstance(c, Element):
-        if not c.list_vars:
-            bad("LengthMismatch", "element list is empty")
-    elif isinstance(c, Channel):
-        if len(c.list_a) != len(c.list_b):
-            bad("LengthMismatch", "channel lists have differing lengths")
-    elif isinstance(c, NoOverlap):
-        if len(c.origins) != len(c.lengths):
-            bad("LengthMismatch", "origins and lengths differ in item count")
-    elif isinstance(c, Cumulative):
-        if not len(c.origins) == len(c.lengths) == len(c.heights):
-            bad("LengthMismatch", "origins, lengths, heights must have equal lengths")
-        if any(d < 0 for d in c.lengths) or any(h < 0 for h in c.heights):
-            bad("BadBounds", "negative task length or height")
-    elif isinstance(c, Instantiation):
-        if len(c.scope) != len(c.values):
-            bad("LengthMismatch", "scope and values lengths differ")
-    elif isinstance(c, Slide):
-        for w in c.windows:
-            report.extend(_validate_constraint(w, where, instance))
-    return report
-
-
-def _validate_condition(cond: Condition, where: str) -> list[Violation]:
-    report = []
-    if cond.operator not in ("lt", "le", "ge", "gt", "eq", "ne", "in"):
-        report.append(Violation("BadOperator", where, f"unknown condition operator {cond.operator!r}"))
-    if isinstance(cond.rhs, tuple):
-        if cond.operator != "in":
-            report.append(Violation("BadCondition", where, "interval rhs only valid with operator 'in'"))
-        elif cond.rhs[0] > cond.rhs[1]:
-            report.append(Violation("BadBounds", where, f"interval {cond.rhs} inverted"))
-    elif cond.operator == "in":
-        report.append(Violation("BadCondition", where, "operator 'in' requires an interval rhs"))
-    return report
-
-
-def _validate_expr_kinds(e: Expr, where: str, report: list[Violation]) -> None:
-    if not isinstance(e, _expr.Op):
-        return
-    if _expr.OPS[e.kind].sort == "logic":
-        for child in e.children:
-            if not is_boolean(child):
-                report.append(
-                    Violation("NotBoolean", where, f"{e.kind} requires boolean operands, got {type(child).__name__}")
-                )
-    for child in e.children:
-        _validate_expr_kinds(child, where, report)
-
-
 def _validate_overflow(instance: Instance) -> list[Violation]:
+    """A ``Sum``, a slide's ``Sum`` window or a sum objective whose value
+    can leave the 64-bit range."""
+    bound = {v.id: max(abs(v.domain.lb), abs(v.domain.ub)) for v in instance.variables if v.domain.values}
+
+    def overflows(coeffs, scope) -> bool:
+        worst = 0
+        for k, v in zip(coeffs, scope):
+            worst += (bound.get(k, 0) if isinstance(k, str) else abs(k)) * bound.get(v, 0)
+        return worst > INT64_MAX
+
     report = []
-    bound = {}
-    for v in instance.variables:
-        if v.domain.values:
-            bound[v.id] = max(abs(v.domain.lb), abs(v.domain.ub))
     for idx, c in enumerate(instance.constraints):
-        if isinstance(c, Sum):
-            worst = 0
-            for k, v in zip(c.coeffs, c.scope):
-                kmax = bound.get(k, 0) if isinstance(k, str) else abs(k)
-                worst += kmax * bound.get(v, 0)
-            if worst > INT64_MAX:
-                report.append(Violation("BoundOverflow", f"constraint {idx}", "sum can exceed 64-bit range"))
+        windows = c.windows if isinstance(c, Slide) else (c,)
+        if any(isinstance(w, Sum) and overflows(w.coeffs, w.scope) for w in windows):
+            report.append(Violation("BoundOverflow", f"constraint {idx}", "sum can exceed 64-bit range"))
     obj = instance.objective
-    if obj is not None and obj.kind == "sum":
-        coeffs = obj.coeffs if obj.coeffs else (1,) * len(obj.scope)
-        worst = sum(abs(k) * bound.get(v, 0) for k, v in zip(coeffs, obj.scope))
-        if worst > INT64_MAX:
-            report.append(Violation("BoundOverflow", "objective", "sum can exceed 64-bit range"))
+    if obj is not None and obj.kind == "sum" and overflows(obj.weights, obj.scope):
+        report.append(Violation("BoundOverflow", "objective", "sum can exceed 64-bit range"))
     return report

@@ -3,6 +3,7 @@ validation, and the exhaustive table/channel properties."""
 
 import itertools
 import random
+import typing
 
 import pytest
 from test_io import _kitchen_sink_instance
@@ -17,6 +18,7 @@ from xcspkit.errors import (
 from xcspkit.expr import OPS, compile_expr, const, evaluate, interval, op, parse_expr, var
 from xcspkit.io import parse_instance, write_instance
 from xcspkit.model import (
+    _KINDS,
     STAR,
     AllDifferent,
     AllDifferentMatrix,
@@ -26,6 +28,7 @@ from xcspkit.model import (
     Channel,
     Circuit,
     Condition,
+    Constraint,
     Count,
     Cumulative,
     Domain,
@@ -49,7 +52,6 @@ from xcspkit.model import (
     constraint_kind,
     constraint_satisfied,
     constraint_scope,
-    evaluate_expr,
     supports,
     validate_instance,
 )
@@ -61,24 +63,24 @@ def asg(**bindings):
 
 class TestEvaluateExpr:
     def test_dist(self):
-        assert evaluate_expr(op("dist", const(3), const(7)), asg()) == 4
+        assert evaluate(op("dist", const(3), const(7)), {}) == 4
 
     def test_eq_add(self):
         e = op("eq", op("add", var("x"), var("y")), var("z"))
-        assert evaluate_expr(e, asg(x=1, y=2, z=3)) == 1
-        assert evaluate_expr(e, asg(x=1, y=2, z=4)) == 0
+        assert evaluate(e, dict(x=1, y=2, z=3)) == 1
+        assert evaluate(e, dict(x=1, y=2, z=4)) == 0
 
     def test_implication_false_antecedent(self):
         e = op("imp", op("eq", var("x"), const(0)), op("ne", var("y"), const(0)))
-        assert evaluate_expr(e, asg(x=1, y=0)) == 1
+        assert evaluate(e, dict(x=1, y=0)) == 1
 
     def test_unbound(self):
         with pytest.raises(UnboundVariableError):
-            evaluate_expr(var("q"), asg())
+            evaluate(var("q"), {})
 
     def test_parse_roundtrip(self):
         e = parse_expr("imp(eq(x,0),ne(y[2],0))")
-        assert evaluate_expr(e, asg(**{"x": 0, "y[2]": 5})) == 1
+        assert evaluate(e, {"x": 0, "y[2]": 5}) == 1
 
     @pytest.mark.parametrize(
         "text,binding,expected",
@@ -94,7 +96,7 @@ class TestEvaluateExpr:
         ],
     )
     def test_operators(self, text, binding, expected):
-        assert evaluate_expr(parse_expr(text), Assignment(binding)) == expected
+        assert evaluate(parse_expr(text), binding) == expected
 
 
 
@@ -828,3 +830,30 @@ def test_scope_kind_and_report_of_each_class_are_pinned(cls):
     assert {constraint_kind(c) for c in own} == {kind}
     inst = Instance("CSP", sink.variables, _TWINS[cls])
     assert [(v.code, v.where, v.detail) for v in validate_instance(inst)] == report
+
+
+def test_every_constraint_class_has_one_catalogue_row():
+    classes = set(typing.get_args(Constraint))
+    assert set(_KINDS) == classes
+    assert set(_TWINS) == classes
+    with pytest.raises(TypeError, match="unknown constraint Variable"):
+        constraint_kind(Variable("a", Domain.rng(0, 1)))
+
+
+def test_sum_windows_of_a_slide_are_checked_for_overflow():
+    big = 2**63 - 1
+    text = f"""<instance format="XCSP3" type="CSP">
+    <variables> <array id="x" size="[3]"> 0..3 </array> </variables>
+    <constraints> <slide> <list> x[0] x[1] x[2] </list>
+      <sum> <list> %0 %1 </list> <coeffs> {big} {big} </coeffs> <condition> (le,5) </condition> </sum>
+    </slide> </constraints> </instance>"""
+    with pytest.raises(InvariantViolationError, match="BoundOverflow at constraint 0"):
+        parse_instance(text)
+    variables = tuple(Variable(f"x[{i}]", Domain.rng(0, 3)) for i in range(3))
+    windows = (Sum(("x[0]", "x[1]"), (big, big), Condition("le", 5)), Sum(("x[1]", "x[2]"), (1, 1), Condition("le", 5)))
+    inst = Instance("CSP", variables, (Slide(windows), Slide(windows[1:])))
+    assert [(v.code, v.where, v.detail) for v in validate_instance(inst)] == [
+        ("BoundOverflow", "constraint 0", "sum can exceed 64-bit range")
+    ]
+    with pytest.raises(InvalidInstanceError):
+        solve(inst)
