@@ -65,7 +65,6 @@ from .model import (
     Sum,
     Table,
     Variable,
-    constraint_scope,
     validate_instance,
 )
 
@@ -905,7 +904,7 @@ def _write_slide(w: _Writer, c: Slide, bodies: dict):
     windows are not one template slid by offset 1."""
     if not c.windows:
         raise InvariantViolationError(["slide with no windows"])
-    scopes = [constraint_scope(win) for win in c.windows]
+    scopes = c.scopes
     arity = len(scopes[0])
     if arity < 1:
         raise InvariantViolationError(["slide window with empty scope"])

@@ -294,6 +294,11 @@ class Instantiation:
 class Slide:
     windows: tuple["Constraint", ...]
 
+    @property
+    def scopes(self) -> tuple[tuple[str, ...], ...]:
+        """Each window's ``constraint_scope``."""
+        return tuple(constraint_scope(w) for w in self.windows)
+
 
 Constraint = Union[
     Intension,
@@ -631,7 +636,7 @@ _KINDS = {
         lambda c, tables: _unless(len(c.scope) == len(c.values), "LengthMismatch", "scope and values lengths differ"),
     ),
     Slide: _Kind(
-        ("windows",),
+        ("scopes",),
         lambda c, a: all(constraint_satisfied(w, a) for w in c.windows),
         lambda c, tables: [v for w in c.windows for v in _KINDS[type(w)].violations(w, tables)],
     ),
@@ -647,8 +652,8 @@ def _kind(c) -> _Kind:
 
 def _ids(value) -> Iterator[str]:
     """Variable ids in an attribute that a ``_KINDS`` row names, repeats
-    included: the strings of nested tuples, a condition's variable rhs, an
-    expression's variables and a slide window's ids."""
+    included: the strings of nested tuples, a condition's variable rhs and
+    an expression's variables."""
     if isinstance(value, str):
         yield value
     elif isinstance(value, tuple):
@@ -659,11 +664,8 @@ def _ids(value) -> Iterator[str]:
                 yield from _ids(item)
     elif isinstance(value, Condition):
         yield from _ids(value.rhs)
-    elif isinstance(value, (_expr.IntConst, _expr.VarRef, _expr.Op)):
+    elif isinstance(value, (_expr.VarRef, _expr.Op)):
         yield from expr_vars(value)
-    elif not isinstance(value, int):
-        for name in _kind(value).vars:
-            yield from _ids(getattr(value, name))
 
 
 def constraint_scope(c: Constraint) -> tuple[str, ...]:
