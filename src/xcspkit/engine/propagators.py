@@ -66,13 +66,9 @@ _SCAN_CAP = 2048
 class Propagator:
     __slots__ = ("constraint", "scope", "key", "weight")
 
-    #: watch ``constraint.scope`` as given, for a propagator built from
-    #: something other than a model constraint
-    positional = False
-
     def __init__(self, constraint, key: int, store: DomainStore):
         self.constraint = constraint
-        positional = self.positional or _KINDS[type(constraint)].vars == ("scope",)
+        positional = _KINDS[type(constraint)].vars == ("scope",)
         self.scope = store.indices(constraint.scope if positional else constraint_scope(constraint))
         self.key = key
         self.weight = 1
@@ -224,8 +220,9 @@ def _defined_variable(expression):
 class IntensionProp(Propagator):
     """Small expressions are compiled to a support bitset at build time
     (compact-table pass). Larger ones of arity <= 3 get an exact GAC pass
-    while the live domain product is at most ``_SCAN_CAP``, interval
-    filtering beyond it.
+    while the live domain product is at most ``_SCAN_CAP``. Beyond it, and
+    at any live product above arity 3, they get interval filtering through
+    a bounds closure compiled once at build (``expr.compile_expr``).
 
     The GAC pass seeks supports instead of evaluating the whole product.
     ``eq(z, e)`` (or ``eq(e, z)``) with ``z`` not in ``e`` is functional: it
@@ -235,16 +232,17 @@ class IntensionProp(Propagator):
     residue is not trailed: one whose values are still live is a support,
     a stale one is re-sought."""
 
-    __slots__ = ("names", "fn", "supports", "constant", "target", "rest_fn", "residues")
+    __slots__ = ("fn", "bounds_fn", "supports", "constant", "target", "rest_fn", "residues")
 
     def __init__(self, c: Intension, key, store: DomainStore):
         super().__init__(c, key, store)
         scope, expression = self.scope, c.expr
-        self.names = [store.names[x] for x in scope]
-        self.fn = _x.compile_expr(expression, {name: i for i, name in enumerate(self.names)})
+        names = [store.names[x] for x in scope]
+        position = {name: i for i, name in enumerate(names)}
+        self.fn = _x.compile_expr(expression, position, bounds=False)
         # an expression without variables is a constant verdict
         self.constant = bool(self.fn(())) if not scope else None
-        self.supports = self.target = self.rest_fn = self.residues = None
+        self.supports = self.bounds_fn = self.target = self.rest_fn = self.residues = None
         product = 1
         for x in scope:
             product *= len(store.init_values[x])
@@ -258,13 +256,15 @@ class IntensionProp(Propagator):
                 if fn(combo)
             ]
             self.supports = _support_masks(store, scope, rows)
-        elif len(scope) <= 3:
+            return
+        self.bounds_fn = _x.compile_expr(expression, position, bounds=True)
+        if len(scope) <= 3:
             defined = _defined_variable(expression)
             if defined is not None:
                 z, e = defined
-                rest = [name for name in self.names if name != z]
-                self.target = self.names.index(z)
-                self.rest_fn = _x.compile_expr(e, {name: i for i, name in enumerate(rest)})
+                rest = [name for name in names if name != z]
+                self.target = names.index(z)
+                self.rest_fn = _x.compile_expr(e, {name: i for i, name in enumerate(rest)}, bounds=False)
             else:
                 self.residues = [[None] * len(store.init_values[x]) for x in scope]
 
@@ -338,15 +338,16 @@ class IntensionProp(Propagator):
         return keep
 
     def _interval_filter(self, store: DomainStore) -> bool:
-        bounds = {name: store.bounds(x) for name, x in zip(self.names, self.scope)}
+        """Remove each value whose fixing bounds the expression to false,
+        the other positions at their current bounds."""
+        f = self.bounds_fn
+        bounds = [store.bounds(x) for x in self.scope]
         for i, x in enumerate(self.scope):
-            name = self.names[i]
             for v in store.domain_list(x):
-                bounds[name] = (v, v)
-                _, hi = _x.interval(self.constraint.expr, bounds)
-                if hi == 0 and not store.remove_value(x, v):
+                bounds[i] = (v, v)
+                if f(bounds)[1] == 0 and not store.remove_value(x, v):
                     return False
-            bounds[name] = store.bounds(x)
+            bounds[i] = store.bounds(x)
         return True
 
 

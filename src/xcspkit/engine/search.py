@@ -134,17 +134,6 @@ def propagate_to_fixpoint(store: DomainStore, constraints):
     return None if failing is None else failing.key
 
 
-class _NoBound(Propagator):
-    """The objective bound's slot before the first solution: built from the
-    objective, it watches the objective's variables and prunes nothing."""
-
-    __slots__ = ()
-    positional = True
-
-    def propagate(self, store: DomainStore) -> bool:
-        return True
-
-
 def _improving(objective: Objective, best: int, values) -> Constraint:
     """The constraint that the objective strictly beats ``best``; ``values``
     holds every value the objective's variables can take."""
@@ -167,8 +156,10 @@ class _Search:
         self.store = store = DomainStore(instance.variables)
         props = make_propagators(instance.constraints, store)
         if mode == "optimize":
-            # the improving bound owns the last slot; see _post_bound
-            props.append(_NoBound(instance.objective, -1, store))
+            # the improving bound owns the last slot (see _post_bound); before
+            # the first solution it holds a count that always holds
+            always = Count(instance.objective.scope, (), Condition("ge", 0))
+            props += make_propagators([always], store)
             self.objective_values = {v for x in props[-1].scope for v in store.init_values[x]}
         self.engine = PropagationEngine(store, props)
         self.decision_idx = store.indices(instance.decision_variables)
@@ -282,8 +273,7 @@ class _Search:
 
             # backtracking
             if restarts_on and fails_since_restart >= fail_budget and frames:
-                for _ in range(len(frames)):
-                    store.pop()
+                store.pop_all()
                 frames.clear()
                 fails_since_restart = 0
                 fail_budget = int(fail_budget * 3 // 2)

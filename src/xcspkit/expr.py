@@ -5,9 +5,11 @@ integers so booleans can appear inside arithmetic (e.g. ``add(b, w)`` over
 0/1 terms).
 
 ``OPS`` is the one operator table: each kind's arity, value function and
-interval function. The checker (``evaluate``), the engine's compiled
-functions (``compile_expr``) and bounds reasoning (``interval``) are tree
-walks over it, so an XCSP3-core operator is added in exactly one place.
+interval function, so an XCSP3-core operator is added in exactly one place.
+Two walks read it. The checker's ``evaluate`` interprets the tree over a
+binding by name. ``compile_expr`` is the engine's one compiler: it turns the
+tree into a positional closure, of values from each ``apply`` or of bounds
+``(lo, hi)`` from each ``interval``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ArityMismatchError, UnboundVariableError
 
@@ -183,26 +185,21 @@ def evaluate(expr: Expr, binding: Mapping[str, int]) -> int:
     return OPS[expr.kind].apply(*[evaluate(child, binding) for child in expr.children])
 
 
-def interval(expr: Expr, bounds: Mapping[str, Interval]) -> Interval:
-    """Bounds ``(lo, hi)`` of the value when each variable lies in its bounds."""
+def compile_expr(expr: Expr, position: Mapping[str, int], *, bounds: bool) -> Callable[[Sequence], Any]:
+    """Compile to a function of a sequence whose entry ``position[v]`` stands
+    for variable ``v``. Without ``bounds`` the entries are values and the
+    function gives the value (``OPS[kind].apply``); with ``bounds`` they are
+    ``(lo, hi)`` pairs and it gives bounds that contain every value
+    (``OPS[kind].interval``), a constant being ``(v, v)``. Closures are
+    specialised by arity, as both run in the engine's inner loops."""
     if isinstance(expr, IntConst):
-        return expr.value, expr.value
-    if isinstance(expr, VarRef):
-        return bounds[expr.var_id]
-    return OPS[expr.kind].interval(*[interval(child, bounds) for child in expr.children])
-
-
-def compile_expr(expr: Expr, position: Mapping[str, int]) -> Callable[[tuple[int, ...]], int]:
-    """Compile to a function of a value tuple; variable ``v`` is read at
-    ``position[v]``. Closures are specialised by arity, as this runs in the
-    engine's support scans."""
-    if isinstance(expr, IntConst):
-        value = expr.value
+        value = (expr.value, expr.value) if bounds else expr.value
         return lambda t: value
     if isinstance(expr, VarRef):
         return operator.itemgetter(position[expr.var_id])
-    f = OPS[expr.kind].apply
-    kids = [compile_expr(child, position) for child in expr.children]
+    spec = OPS[expr.kind]
+    f = spec.interval if bounds else spec.apply
+    kids = [compile_expr(child, position, bounds=bounds) for child in expr.children]
     if len(kids) == 1:
         (a,) = kids
         return lambda t: f(a(t))

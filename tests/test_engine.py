@@ -18,7 +18,7 @@ from xcspkit.engine import (
     solve,
 )
 from xcspkit.engine.propagators import _SCAN_CAP, TableProp, make_propagators
-from xcspkit.engine.search import _Search, _improving
+from xcspkit.engine.search import PropagationEngine, _Search, _improving
 from xcspkit.errors import InvalidInstanceError
 from xcspkit.expr import evaluate, expr_vars, parse_expr
 from xcspkit.generators import (
@@ -102,6 +102,16 @@ class TestPropagateToFixpoint:
         assert propagate_to_fixpoint(store, cs) in (0, 1)
         # the wipe-out is attributed to a real constraint index
         assert propagate_to_fixpoint(DomainStore(variables), cs) < len(cs)
+
+    def test_golomb_12_root_fixpoint_is_pinned(self):
+        """Its large intensions reach interval filtering: the domain sizes
+        left and the propagations made are pinned."""
+        instance = gen_golomb_ruler(12)
+        store = DomainStore(instance.variables)
+        engine = PropagationEngine(store, make_propagators(instance.constraints, store))
+        engine.enqueue_all()
+        assert engine.fixpoint() is None
+        assert (sum(store.size(x) for x in range(len(store))), engine.propagations) == (10_672, 458)
 
     def test_unordered_initial_domain_is_refused(self):
         variables = (Variable("x", Domain((2, 0, 1))),)

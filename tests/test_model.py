@@ -15,7 +15,7 @@ from xcspkit.errors import (
     NotAnOptimizationInstanceError,
     UnboundVariableError,
 )
-from xcspkit.expr import OPS, compile_expr, const, evaluate, interval, op, parse_expr, var
+from xcspkit.expr import OPS, compile_expr, const, evaluate, op, parse_expr, var
 from xcspkit.io import parse_instance, write_instance
 from xcspkit.model import (
     _KINDS,
@@ -177,8 +177,9 @@ class TestOperatorTable:
         e = op(kind, *(var(n) for n in names))
         assert evaluate(e, dict(zip(names, operands))) == expected
         assert evaluate(op(kind, *(const(v) for v in operands)), {}) == expected
-        assert compile_expr(e, {n: i for i, n in enumerate(names)})(operands) == expected
-        assert interval(e, {n: (v, v) for n, v in zip(names, operands)}) == (expected, expected)
+        position = {n: i for i, n in enumerate(names)}
+        assert compile_expr(e, position, bounds=False)(operands) == expected
+        assert compile_expr(e, position, bounds=True)([(v, v) for v in operands]) == (expected, expected)
 
     def test_interval_contains_every_value(self):
         rng = random.Random(4242)
@@ -189,14 +190,16 @@ class TestOperatorTable:
             for n in names:
                 lo = rng.randint(-3, 2)
                 box[n] = (lo, lo + rng.randint(0, 3))
-            lo, hi = interval(e, box)
-            fn = compile_expr(e, {n: i for i, n in enumerate(names)})
+            position = {n: i for i, n in enumerate(names)}
+            fn = compile_expr(e, position, bounds=False)
+            bounds_fn = compile_expr(e, position, bounds=True)
+            lo, hi = bounds_fn([box[n] for n in names])
             for values in itertools.product(*(range(box[n][0], box[n][1] + 1) for n in names)):
                 binding = dict(zip(names, values))
                 value = evaluate(e, binding)
                 assert lo <= value <= hi, (e, box, binding)
                 assert fn(values) == value, (e, binding)
-                assert interval(e, {n: (v, v) for n, v in binding.items()}) == (value, value), (e, binding)
+                assert bounds_fn([(v, v) for v in values]) == (value, value), (e, binding)
 
 class TestConstraintSatisfied:
     def test_alldifferent(self):
