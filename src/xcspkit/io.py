@@ -9,7 +9,10 @@ and ``<block>`` wrappers, and compact ``<slide>`` templates.
 layout: its tag, its children in canonical order with how each reads and
 formats, and how they map to the model dataclass. The reader and the
 writer are walks over it, so a constraint element is added in one place.
-Only ``intension``, ``extension`` and ``slide`` are explicit cases.
+``intension`` is an inline row, read from its text or one ``<function>``.
+Only ``extension`` (its shared tables, below) and ``slide`` are explicit
+cases. A slide is written as a template only when its windows are one
+extension or intension slid by offset 1, else as its windows, one by one.
 
 Each distinct table is parsed and written once per call. ``parse_instance``
 keys every ``<supports>``/``<conflicts>`` body by polarity, arity and
@@ -322,6 +325,17 @@ def _read_limit(node: _Node, known: set[str]) -> int:
     return cond.rhs
 
 
+def _read_expr(node: _Node, known: set[str]) -> _expr.Expr:
+    try:
+        expression = _expr.parse_expr(node.text)
+    except _expr.ExprSyntaxError as exc:
+        raise UnsupportedFeatureError(f"intension form ({exc})", node.loc) from None
+    for vid in _expr.expr_vars(expression):
+        if vid not in known:
+            raise UnknownVariableError(vid, node.loc)
+    return expression
+
+
 def _instantiation(scope, values) -> Instantiation:
     if len(values) != len(scope):
         raise ValueError("instantiation list/values length mismatch")
@@ -367,8 +381,10 @@ _MATRIX = _Codec(_tuple_list(lambda parts, n, known: tuple(_known_id(p, known, n
 _TRANSITIONS = _Codec(_tuple_list(_transition), _format_tuples)
 _ORIGINS = _Codec(_tuple_list(_origin), _format_tuples)
 _PAIRS = _Codec(_tuple_list(_pair), _format_tuples)
+_EXPR = _Codec(_read_expr, _expr.format_expr)
 
 _LAYOUTS: dict[type, _Layout] = {
+    Intension: _Layout("intension", (_Child("function", _EXPR),), inline=True),
     Regular: _Layout(
         "regular",
         (_Child("list", _VARS), _Child("transitions", _TRANSITIONS), _Child("start", _WORD), _Child("final", _WORDS)),
@@ -622,16 +638,6 @@ def _parse_constraint(node: _Node, known: set[str], tables: dict) -> Constraint:
     """One constraint element; an extension takes its Table from
     ``tables`` when its body was read before."""
     tag = node.tag
-    if tag == "intension":
-        try:
-            expression = _expr.parse_expr(node.text)
-        except _expr.ExprSyntaxError as exc:
-            raise UnsupportedFeatureError(f"intension form ({exc})", node.loc) from None
-        for vid in _expr.expr_vars(expression):
-            if vid not in known:
-                raise UnknownVariableError(vid, node.loc)
-        return Intension(expression)
-
     if tag == "extension":
         groups = _group_children(node, _EXTENSION_CHILDREN)
         if not groups["list"]:
@@ -874,8 +880,6 @@ def _write_constraint(w: _Writer, c: Constraint, bodies: dict):
     layout = _LAYOUTS.get(type(c))
     if layout is not None:
         _write_layout(w, layout, c)
-    elif isinstance(c, Intension):
-        w.leaf("intension", _expr.format_expr(c.expr))
     elif isinstance(c, Extension):
         w.open("<extension>")
         w.leaf("list", " ".join(c.scope))
@@ -900,37 +904,43 @@ def _table_body(table: Table) -> str:
 
 
 def _write_slide(w: _Writer, c: Slide, bodies: dict):
-    """Write the windows' one template over the sliding list, or fail if the
-    windows are not one template slid by offset 1."""
-    if not c.windows:
-        raise InvariantViolationError(["slide with no windows"])
-    scopes = c.scopes
-    arity = len(scopes[0])
-    if arity < 1:
-        raise InvariantViolationError(["slide window with empty scope"])
-    seq = list(scopes[0])
-    for s in scopes[1:]:
-        overlap = tuple(seq[len(seq) - arity + 1 :]) if arity > 1 else ()
-        if len(s) != arity or s[:-1] != overlap:
-            raise InvariantViolationError(["slide windows do not slide by offset 1"])
-        seq.append(s[-1])
-    templates = {_slide_template(win, scope) for win, scope in zip(c.windows, scopes)}
-    if len(templates) != 1:
-        raise InvariantViolationError(["slide windows differ beyond their scope"])
+    """Write the windows' one template over the sliding list, or each window
+    as its own constraint when they are not one template slid by offset 1."""
+    found = _slide_template(c)
+    if found is None:
+        for win in c.windows:
+            _write_constraint(w, win, bodies)
+        return
+    seq, template = found
     w.open("<slide>")
     w.leaf("list", " ".join(seq))
-    _write_constraint(w, templates.pop(), bodies)
+    _write_constraint(w, template, bodies)
     w.close("</slide>")
 
 
-def _slide_template(win: Constraint, scope) -> Constraint:
-    """``win`` with its variables renamed to the placeholders ``%0``, ``%1``, ..."""
-    mapping = {v: f"%{k}" for k, v in enumerate(scope)}
-    if isinstance(win, Extension):
-        return Extension(tuple(mapping[v] for v in win.scope), win.table)
-    if isinstance(win, Intension):
-        return Intension(_rename_expr(win.expr, mapping))
-    raise InvariantViolationError([f"slide over {type(win).__name__} windows is not serializable"])
+def _slide_template(c: Slide):
+    """``(list, template)`` when the windows are one extension or intension
+    slid by offset 1 over ``list``, the template's variables renamed to the
+    placeholders ``%0``, ``%1``, ...; else None."""
+    scopes = c.scopes
+    if not scopes or not scopes[0]:
+        return None
+    arity = len(scopes[0])
+    seq = list(scopes[0])
+    for s in scopes[1:]:
+        if len(s) != arity or s[:-1] != tuple(seq[len(seq) - arity + 1 :]):
+            return None
+        seq.append(s[-1])
+    templates = set()
+    for win, scope in zip(c.windows, scopes):
+        mapping = {v: f"%{k}" for k, v in enumerate(scope)}
+        if isinstance(win, Extension):
+            templates.add(Extension(tuple(mapping[v] for v in win.scope), win.table))
+        elif isinstance(win, Intension):
+            templates.add(Intension(_rename_expr(win.expr, mapping)))
+        else:
+            return None
+    return (seq, templates.pop()) if len(templates) == 1 else None
 
 
 def _rename_expr(e, mapping):

@@ -178,6 +178,52 @@ def test_slide_compact_form_expands():
     assert c.windows[1].scope == ("x[1]", "x[2]", "x[3]")
 
 
+def _slide_over(template: str, extra: str = "") -> str:
+    return f"""
+    <instance format="XCSP3" type="CSP">
+      <variables> <array id="x" size="[4]"> 0..3 </array> {extra} </variables>
+      <constraints>
+        <slide> <list> x[0] x[1] x[2] x[3] </list> {template} </slide>
+      </constraints>
+    </instance>
+    """
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _slide_over("<sum> <list> %0 %1 </list> <coeffs> 1 2 </coeffs> <condition> (le,5) </condition> </sum>"),
+        _slide_over("<allDifferent> %0 %1 </allDifferent>"),
+        _slide_over("<intension> le(add(%0,%1),z) </intension>", '<var id="z"> 4 </var>'),
+        _slide_over("<intension> lt(%1,%0) </intension>"),
+    ],
+    ids=["sum", "allDifferent", "fixed-variable", "reversed"],
+)
+def test_slide_that_is_no_template_writes_each_window(text):
+    """A slide whose windows are not one extension or intension template
+    slid by offset 1 is written as its windows, each its own constraint."""
+    (slide,) = parse_instance(text).constraints
+    written = write_instance(parse_instance(text))
+    assert "<slide>" not in written
+    back = parse_instance(written)
+    assert back.constraints == slide.windows
+    assert write_instance(back) == written
+
+
+def test_intension_reads_a_function_child():
+    text = """
+    <instance format="XCSP3" type="CSP">
+      <variables> <var id="x"> 0 1 </var> <var id="y"> 0 1 </var> </variables>
+      <constraints> <intension> <function> ne(x,y) </function> </intension> </constraints>
+    </instance>
+    """
+    inst = parse_instance(text)
+    assert inst.constraints == (Intension(parse_expr("ne(x,y)")),)
+    written = write_instance(inst)
+    assert "<intension> ne(x,y) </intension>" in written
+    assert write_instance(parse_instance(written)) == written
+
+
 def test_domain_run_compression():
     inst = Instance("CSP", (Variable("x", Domain.of(0, 1, 2, 3, 7)),), ())
     out = write_instance(inst)
@@ -310,7 +356,7 @@ def test_canonical_stability_kitchen_sink():
 
 
 def test_every_constraint_class_has_one_layout_or_explicit_case():
-    explicit = {Intension: "intension", Extension: "extension", Slide: "slide"}
+    explicit = {Extension: "extension", Slide: "slide"}
     classes = set(typing.get_args(Constraint))
     assert set(_LAYOUTS).isdisjoint(explicit)
     assert set(_LAYOUTS) | set(explicit) == classes
