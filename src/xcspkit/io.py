@@ -452,6 +452,8 @@ def _read_layout(node: _Node, known: set[str]) -> Constraint:
     present = {child.tag for child in node.children}
     cls, layout = next((entry for entry in candidates if entry[1].children[0].tag in present), candidates[0])
     groups = _group_children(node, {spec.tag: spec.most for spec in layout.children})
+    if node.children and node.text:
+        raise XmlSyntaxError(f"<{node.tag}> has text {node.text!r} beside its child elements", node.loc)
     if layout.inline and not node.children:
         groups[layout.children[0].tag] = [node]
     values = []

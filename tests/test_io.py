@@ -387,6 +387,26 @@ def test_unknown_or_repeated_child_is_refused(constraint, child):
     assert (err.value.location.line, err.value.location.column) == (4, 1)
 
 
+@pytest.mark.parametrize(
+    "constraint, text",
+    [
+        ("<allDifferent> x y <list> a b </list> </allDifferent>", "x y"),
+        ("<intension> eq(a,b) <function> ne(a,b) </function> </intension>", "eq(a,b)"),
+        ("<sum> a b <list> a b </list> <condition> (le,1) </condition> </sum>", "a b"),
+    ],
+    ids=["allDifferent", "intension", "sum"],
+)
+def test_text_beside_child_elements_is_refused(constraint, text):
+    document = f"""<instance format="XCSP3" type="CSP">
+    <variables> <var id="a"> 0..1 </var> <var id="b"> 0..1 </var> </variables>
+    <constraints>
+{constraint} </constraints> </instance>"""
+    with pytest.raises(XmlSyntaxError, match="beside its child elements") as err:
+        parse_instance(document)
+    assert repr(text) in str(err.value)
+    assert (err.value.location.line, err.value.location.column) == (4, 1)
+
+
 def test_indexed_variables_before_a_full_array_are_single_vars():
     variables = tuple(Variable(v, Domain.rng(0, 1)) for v in ("y[5]", "y[0]", "y[1]"))
     text = write_instance(Instance("CSP", variables, ()))
