@@ -18,7 +18,9 @@ Each distinct table is compiled once per ``make_propagators`` call. The
 call keeps a memo from (table, initial domains of the scope) to support
 masks and hands it to the extension row, the one builder that takes a
 fourth argument; compact tables with equal keys share one set of masks,
-which ``_ct_filter`` only reads."""
+which ``_ct_filter`` only reads. An intension of arity <= 3 tables its
+relation into masks of its own on its first GAC call, when the table has
+at most ``_TABLE_CAP`` rows."""
 
 from __future__ import annotations
 
@@ -61,6 +63,8 @@ INF = 10**18
 _COMPLEMENT_CAP = 100_000
 # exact support scan for intension constraints up to this domain product
 _SCAN_CAP = 2048
+# an intension's relation is tabled for that scan up to this row count
+_TABLE_CAP = 8192
 
 
 class Propagator:
@@ -218,97 +222,76 @@ def _defined_variable(expression):
 
 
 class IntensionProp(Propagator):
-    """Small expressions are compiled to a support bitset at build time
-    (compact-table pass). Larger ones of arity <= 3 get an exact GAC pass
-    while the live domain product is at most ``_SCAN_CAP``. Beyond it, and
-    at any live product above arity 3, they get interval filtering through
-    a bounds closure compiled once at build (``expr.compile_expr``).
+    """An intension of arity <= 3 gets an exact GAC pass while its live
+    domain product is at most ``_SCAN_CAP``; beyond it, and at any product
+    above arity 3, it gets interval filtering through a bounds closure
+    compiled once at build (``expr.compile_expr``), unless its initial
+    product is small enough that the GAC pass is all it can ever need.
 
-    The GAC pass seeks supports instead of evaluating the whole product.
-    ``eq(z, e)`` (or ``eq(e, z)``) with ``z`` not in ``e`` is functional: it
-    enumerates the other positions only and looks ``e``'s value up in
-    ``z``'s domain. Any other expression keeps, per (position, value), the
-    last support found as its residue (Lecoutre & Hemery, IJCAI 2007). A
-    residue is not trailed: one whose values are still live is a support,
-    a stale one is re-sought."""
+    On its first GAC call the relation is tabled over the initial domains
+    as compact-table support masks when it has at most ``_TABLE_CAP`` rows:
+    ``eq(z, e)`` (or ``eq(e, z)``) with ``z`` not in ``e`` enumerates the
+    other positions only and computes ``z``; any other expression enumerates
+    the full product. The masks are read-only, so nothing is trailed, and
+    every later GAC call is a ``_ct_filter`` pass. A relation over the cap
+    keeps, per (position, value), the last support found as its residue
+    (Lecoutre & Hemery, IJCAI 2007). A residue is not trailed either: one
+    whose values are still live is a support, a stale one is re-sought."""
 
-    __slots__ = ("fn", "bounds_fn", "supports", "constant", "target", "rest_fn", "residues")
+    __slots__ = ("fn", "bounds_fn", "supports", "constant", "residues")
 
     def __init__(self, c: Intension, key, store: DomainStore):
         super().__init__(c, key, store)
-        scope, expression = self.scope, c.expr
-        names = [store.names[x] for x in scope]
-        position = {name: i for i, name in enumerate(names)}
-        self.fn = _x.compile_expr(expression, position, bounds=False)
+        position = {store.names[x]: i for i, x in enumerate(self.scope)}
+        self.fn = _x.compile_expr(c.expr, position, bounds=False)
         # an expression without variables is a constant verdict
-        self.constant = bool(self.fn(())) if not scope else None
-        self.supports = self.bounds_fn = self.target = self.rest_fn = self.residues = None
-        product = 1
-        for x in scope:
-            product *= len(store.init_values[x])
-            if product > _SCAN_CAP:
-                break
-        if len(scope) <= 3 and product <= _SCAN_CAP:
-            fn = self.fn
-            rows = [
-                combo
-                for combo in itertools.product(*(store.init_values[x] for x in scope))
-                if fn(combo)
-            ]
-            self.supports = _support_masks(store, scope, rows)
-            return
-        self.bounds_fn = _x.compile_expr(expression, position, bounds=True)
-        if len(scope) <= 3:
-            defined = _defined_variable(expression)
-            if defined is not None:
-                z, e = defined
-                rest = [name for name in names if name != z]
-                self.target = names.index(z)
-                self.rest_fn = _x.compile_expr(e, {name: i for i, name in enumerate(rest)}, bounds=False)
-            else:
-                self.residues = [[None] * len(store.init_values[x]) for x in scope]
+        self.constant = bool(self.fn(())) if not self.scope else None
+        self.supports = self.residues = self.bounds_fn = None
+        if len(self.scope) > 3 or math.prod(len(store.init_values[x]) for x in self.scope) > _SCAN_CAP:
+            self.bounds_fn = _x.compile_expr(c.expr, position, bounds=True)
 
     def propagate(self, store: DomainStore) -> bool:
         if self.constant is not None:
             return self.constant
+        scope = self.scope
+        if self.bounds_fn is not None and (len(scope) > 3 or math.prod(map(store.size, scope)) > _SCAN_CAP):
+            return self._interval_filter(store)
+        if self.supports is None and self.residues is None:
+            self._table(store)
         if self.supports is not None:
-            return _ct_filter(store, self.scope, self.supports)
-        arity = len(self.scope)
-        product = 1
-        for x in self.scope:
-            product *= store.size(x)
-        if arity <= 3 and product <= _SCAN_CAP:
-            return self._gac(store)
-        return self._interval_filter(store)
-
-    def _gac(self, store: DomainStore) -> bool:
-        """Supported values of every position, found against the domains at
-        the start of the call, then the rest pruned in scope order."""
-        keep = self._functional(store) if self.rest_fn is not None else self._residual(store)
+            return _ct_filter(store, scope, self.supports)
+        keep = self._residual(store)
         if keep is None:
             return False
-        for x, bits in zip(self.scope, keep):
+        for x, bits in zip(scope, keep):
             store.keep_bits(x, bits)  # never empty: every position has a support
         return True
 
-    def _functional(self, store: DomainStore):
-        t = self.target
-        z = self.scope[t]
-        rest = self.scope[:t] + self.scope[t + 1 :]
-        zpos, zmask, f = store.pos[z], store.masks[z], self.rest_fn
-        zbits, rows = 0, []
-        for combo in itertools.product(*(store.domain_list(x) for x in rest)):
-            bit = zpos.get(f(combo))
-            if bit is not None and zmask >> bit & 1:
-                zbits |= 1 << bit
-                rows.append(combo)
-        if not rows:
-            return None
-        keep = [store.value_mask(x, set(column)) for x, column in zip(rest, zip(*rows))]
-        keep.insert(t, zbits)
-        return keep
+    def _table(self, store: DomainStore) -> None:
+        """Support masks of the relation over the initial domains when it
+        has at most ``_TABLE_CAP`` rows, else empty residues."""
+        scope = self.scope
+        domains = [store.init_values[x] for x in scope]
+        defined = _defined_variable(self.constraint.expr)
+        if defined is not None:
+            names = [store.names[x] for x in scope]
+            t = names.index(defined[0])
+            rest = domains[:t] + domains[t + 1 :]
+            if math.prod(map(len, rest)) <= _TABLE_CAP:
+                position = {name: i for i, name in enumerate(names[:t] + names[t + 1 :])}
+                f = _x.compile_expr(defined[1], position, bounds=False)
+                rows = [c[:t] + (f(c),) + c[t:] for c in itertools.product(*rest)]
+                self.supports = _support_masks(store, scope, rows)
+                return
+        elif math.prod(map(len, domains)) <= _TABLE_CAP:
+            fn = self.fn
+            self.supports = _support_masks(store, scope, [c for c in itertools.product(*domains) if fn(c)])
+            return
+        self.residues = [[None] * len(d) for d in domains]
 
     def _residual(self, store: DomainStore):
+        """Supported values of every position, found against the domains at
+        the start of the call, or None when a position has none."""
         scope, fn, residues = self.scope, self.fn, self.residues
         live = [store.masks[x] for x in scope]
         domains = [store.domain_list(x) for x in scope]

@@ -17,7 +17,7 @@ from xcspkit.engine import (
     propagate_to_fixpoint,
     solve,
 )
-from xcspkit.engine.propagators import _SCAN_CAP, TableProp, make_propagators
+from xcspkit.engine.propagators import _SCAN_CAP, IntensionProp, TableProp, _defined_variable, make_propagators
 from xcspkit.engine.search import PropagationEngine, _Search, _improving
 from xcspkit.errors import InvalidInstanceError
 from xcspkit.expr import evaluate, expr_vars, parse_expr
@@ -112,6 +112,8 @@ class TestPropagateToFixpoint:
         engine.enqueue_all()
         assert engine.fixpoint() is None
         assert (sum(store.size(x) for x in range(len(store))), engine.propagations) == (10_672, 458)
+        # each eq(x[j], add(x[i], y[i][j])) has 20,880 rows over x[i] and y[i][j], above _TABLE_CAP
+        assert not any(isinstance(p, IntensionProp) and p.supports is not None for p in engine.props)
 
     def test_unordered_initial_domain_is_refused(self):
         variables = (Variable("x", Domain((2, 0, 1))),)
@@ -318,8 +320,9 @@ def _brute_force_gac(text, store):
 
 @pytest.mark.parametrize("text, functional", SCAN_EXPRESSIONS)
 def test_intension_gac_pass_equals_brute_force(text, functional):
-    """Intensions too large for a build-time table get the GAC pass once the
-    live product is at most _SCAN_CAP; residues survive every pop."""
+    """Intensions with an initial product above _SCAN_CAP get the GAC pass
+    once the live product is at most _SCAN_CAP, by a table built on the
+    first such call that survives every pop."""
     rng = random.Random(text)
     names = list(dict.fromkeys(expr_vars(parse_expr(text))))
     size = 50 if len(names) == 2 else 13  # initial product above _SCAN_CAP
@@ -327,7 +330,7 @@ def test_intension_gac_pass_equals_brute_force(text, functional):
         [Variable(n, Domain(tuple(sorted(rng.sample(range(-40, 41), size))))) for n in names]
     )
     (prop,) = make_propagators([Intension(parse_expr(text))], store)
-    assert prop.supports is None and (prop.rest_fn is not None) == functional
+    assert prop.supports is None and (_defined_variable(parse_expr(text)) is not None) == functional
     outcomes = set()
     for _ in range(30):
         store.push()
@@ -349,6 +352,73 @@ def test_intension_gac_pass_equals_brute_force(text, functional):
             assert [set(store.values(x)) for x in range(len(names))] == expected
         store.pop()
     assert outcomes == {True, False}
+    assert prop.supports is not None and prop.residues is None
+
+
+@pytest.mark.parametrize(
+    "text, size",
+    [("eq(z,add(x,y))", 100), ("ge(sub(x,y),z)", 25)],
+    ids=["functional-rest-above-cap", "arity-3-above-cap"],
+)
+def test_intension_gac_pass_above_the_table_cap_equals_brute_force(text, size):
+    """A relation with more than _TABLE_CAP rows (10,000 for eq(z, f(x, y))
+    over x and y; 15,625 for the full product) builds no table: residual
+    supports give the same GAC pass."""
+    rng = random.Random(text)
+    names = list(dict.fromkeys(expr_vars(parse_expr(text))))
+    store = DomainStore(
+        [Variable(n, Domain(tuple(sorted(rng.sample(range(-60, 61), size))))) for n in names]
+    )
+    (prop,) = make_propagators([Intension(parse_expr(text))], store)
+    outcomes = set()
+    for _ in range(30):
+        store.push()
+        for _ in range(rng.randint(1, 3)):
+            keep = rng.choice((1, 2, 4, 12))
+            for x in range(len(names)):
+                live = store.domain_list(x)
+                store.keep_values(x, rng.sample(live, min(keep, len(live))))
+            expected = _brute_force_gac(text, store)
+            ok = prop.propagate(store)
+            outcomes.add(ok)
+            assert ok == (expected is not None)
+            if not ok:
+                break
+            assert [set(store.values(x)) for x in range(len(names))] == expected
+        store.pop()
+    assert outcomes == {True, False}
+    assert prop.supports is None and prop.residues is not None
+
+
+def test_golomb_6_search_tables_each_intension_once(monkeypatch):
+    """Each intension tables its relation on its first GAC call and reads
+    the same masks before and after every pop."""
+    built, used, pops = {}, {}, [0]
+    table, propagate, pop = IntensionProp._table, IntensionProp.propagate, DomainStore.pop
+
+    def counted_table(self, store):
+        built[self] = built.get(self, 0) + 1
+        table(self, store)
+
+    def recorded_propagate(self, store):
+        ok = propagate(self, store)
+        if self.supports is not None:
+            used.setdefault(self, []).append((pops[0], self.supports))
+        return ok
+
+    def counted_pop(self):
+        pops[0] += 1
+        pop(self)
+
+    monkeypatch.setattr(IntensionProp, "_table", counted_table)
+    monkeypatch.setattr(IntensionProp, "propagate", recorded_propagate)
+    monkeypatch.setattr(DomainStore, "pop", counted_pop)
+    out = optimize(gen_golomb_ruler(6))
+    assert (out.status, out.bound) == ("OPTIMUM", 17)
+    assert used and set(built.values()) == {1} and set(used) <= set(built)
+    for calls in used.values():
+        assert len({id(masks) for _, masks in calls}) == 1
+    assert any(calls[0][0] < calls[-1][0] for calls in used.values())
 
 
 @pytest.mark.parametrize("sense", ["minimize", "maximize"])
