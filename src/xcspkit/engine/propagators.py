@@ -18,9 +18,13 @@ Each distinct table is compiled once per ``make_propagators`` call. The
 call keeps a memo from (table, initial domains of the scope) to support
 masks and hands it to the extension row, the one builder that takes a
 fourth argument; compact tables with equal keys share one set of masks,
-which ``_ct_filter`` only reads. An intension of arity <= 3 tables its
-relation into masks of its own on its first GAC call, when the table has
-at most ``_TABLE_CAP`` rows."""
+which ``_ct_filter`` only reads.
+
+A relation fixes its GAC pass when it is built. A supports table, a
+conflicts table over at most ``_COMPLEMENT_CAP`` tuples and an intension
+of arity <= 3 with at most ``_TABLE_CAP`` rows get the compact-table pass
+``_ct_filter`` over support masks. A larger conflicts table or intension
+gets ``_residual``, the residual-support pass over a predicate on tuples."""
 
 from __future__ import annotations
 
@@ -149,62 +153,87 @@ def _support_masks(store: DomainStore, scope, rows):
     return supports
 
 
-class TableProp(Propagator):
-    """Compact-table style GAC over a supports bitset (stateless: the valid
-    row set is rebuilt from current domains on every call). A conflicts
-    table is complemented into supports over the initial domains. The
-    masks come from, or go into, the build call's memo ``masks``."""
+def _residual(store: DomainStore, scope, allowed, residues) -> bool:
+    """One residual-support pass (Lecoutre & Hemery, IJCAI 2007): keep the
+    values of each position that have a support in the domains at the start
+    of the call, narrowing in scope order; False when a position has none.
+    ``allowed`` tells whether a tuple of values is in the relation.
+    ``residues`` keeps, per (position, value bit), the last support found.
+    A residue is not trailed: one whose values are still live is a support,
+    a stale one is re-sought."""
+    live = [store.masks[x] for x in scope]
+    domains = [store.domain_list(x) for x in scope]
+    keep = [0] * len(scope)
+    for i, x in enumerate(scope):
+        seek = list(domains)
+        todo = live[i] & ~keep[i]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            bit = low.bit_length() - 1
+            res = residues[i][bit]
+            if res is None or any(not m >> b & 1 for m, b in zip(live, res)):
+                seek[i] = (store.init_values[x][bit],)
+                for combo in itertools.product(*seek):
+                    if allowed(combo):
+                        break
+                else:
+                    continue
+                res = tuple(store.pos[y][v] for y, v in zip(scope, combo))
+                for j, b in enumerate(res):
+                    residues[j][b] = res
+            for j, b in enumerate(res):
+                keep[j] |= 1 << b
+        if not keep[i]:
+            return False
+    return all(store.keep_bits(x, bits) for x, bits in zip(scope, keep))
 
-    __slots__ = ("supports",)
+
+def _matching_none(rows):
+    """Whether a tuple of values matches none of the rows: the rows without
+    STAR are looked up in a set, the rows with one are matched one by one."""
+    plain = {row for row in rows if STAR not in row}
+    starred = [row for row in rows if STAR in row]
+
+    def allowed(combo) -> bool:
+        return combo not in plain and not any(
+            all(e == STAR or e == v for e, v in zip(row, combo)) for row in starred
+        )
+
+    return allowed
+
+
+class TableProp(Propagator):
+    """GAC over a table, its pass fixed at build. A supports table, and a
+    conflicts table over at most ``_COMPLEMENT_CAP`` tuples complemented
+    into supports over the initial domains, get the compact-table pass
+    (stateless: the valid row set is rebuilt from current domains on every
+    call); the masks come from, or go into, the build call's memo
+    ``masks``. A larger conflicts table gets the residual pass."""
+
+    __slots__ = ("supports", "allowed", "residues")
 
     def __init__(self, c: Extension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
         table = c.table
         domains = tuple(store.init_values[x] for x in self.scope)
-        supports = masks.get((table, domains))
-        if supports is None:
-            rows = table.rows
-            if table.polarity == "conflicts":
-                rows = [row for row in itertools.product(*domains) if not table.matches(row)]
-            supports = masks[table, domains] = _support_masks(store, self.scope, rows)
-        self.supports = supports
+        self.supports = masks.get((table, domains))
+        self.allowed = self.residues = None
+        if self.supports is not None:
+            return
+        rows = table.rows
+        if table.polarity == "conflicts":
+            allowed = _matching_none(rows)
+            if math.prod(map(len, domains)) > _COMPLEMENT_CAP:
+                self.allowed, self.residues = allowed, [[None] * len(d) for d in domains]
+                return
+            rows = filter(allowed, itertools.product(*domains))
+        self.supports = masks[table, domains] = _support_masks(store, self.scope, rows)
 
     def propagate(self, store: DomainStore) -> bool:
-        return _ct_filter(store, self.scope, self.supports)
-
-
-class NegativeTableFC(Propagator):
-    """Forward checking for conflicts tables too large to complement."""
-
-    __slots__ = ()
-
-    def propagate(self, store: DomainStore) -> bool:
-        free = [i for i, x in enumerate(self.scope) if not store.is_assigned(x)]
-        if not free:
-            return self._check_assigned(store)
-        if len(free) > 1:
-            return True
-        i = free[0]
-        x = self.scope[i]
-        fixed = [store.value(v) if store.is_assigned(v) else None for v in self.scope]
-        for value in store.domain_list(x):
-            fixed[i] = value
-            for row in self.constraint.table.rows:
-                if all(e == STAR or e == v for e, v in zip(row, fixed)):
-                    if not store.remove_value(x, value):
-                        return False
-                    break
-        return True
-
-
-def _extension(c: Extension, key, store: DomainStore, masks: dict) -> Propagator:
-    """A compact table, or forward checking for a conflicts table whose
-    complement could exceed ``_COMPLEMENT_CAP`` rows."""
-    if c.table.polarity == "conflicts":
-        product = math.prod(len(store.init_values[store.index[v]]) for v in c.scope)
-        if product > _COMPLEMENT_CAP:
-            return NegativeTableFC(c, key, store)
-    return TableProp(c, key, store, masks)
+        if self.supports is not None:
+            return _ct_filter(store, self.scope, self.supports)
+        return _residual(store, self.scope, self.allowed, self.residues)
 
 
 # ---------------------------------------------------------------------------
@@ -228,27 +257,32 @@ class IntensionProp(Propagator):
     compiled once at build (``expr.compile_expr``), unless its initial
     product is small enough that the GAC pass is all it can ever need.
 
-    On its first GAC call the relation is tabled over the initial domains
-    as compact-table support masks when it has at most ``_TABLE_CAP`` rows:
+    The GAC pass is fixed at build. A relation with at most ``_TABLE_CAP``
+    rows over the initial domains is tabled as compact-table support masks:
     ``eq(z, e)`` (or ``eq(e, z)``) with ``z`` not in ``e`` enumerates the
-    other positions only and computes ``z``; any other expression enumerates
-    the full product. The masks are read-only, so nothing is trailed, and
-    every later GAC call is a ``_ct_filter`` pass. A relation over the cap
-    keeps, per (position, value), the last support found as its residue
-    (Lecoutre & Hemery, IJCAI 2007). A residue is not trailed either: one
-    whose values are still live is a support, a stale one is re-sought."""
+    other positions only and computes ``z``; any other expression
+    enumerates the full product. The masks are read-only, so nothing is
+    trailed. A relation over the cap gets the residual pass."""
 
     __slots__ = ("fn", "bounds_fn", "supports", "constant", "residues")
 
     def __init__(self, c: Intension, key, store: DomainStore):
         super().__init__(c, key, store)
-        position = {store.names[x]: i for i, x in enumerate(self.scope)}
+        scope = self.scope
+        position = {store.names[x]: i for i, x in enumerate(scope)}
         self.fn = _x.compile_expr(c.expr, position, bounds=False)
         # an expression without variables is a constant verdict
-        self.constant = bool(self.fn(())) if not self.scope else None
+        self.constant = bool(self.fn(())) if not scope else None
         self.supports = self.residues = self.bounds_fn = None
-        if len(self.scope) > 3 or math.prod(len(store.init_values[x]) for x in self.scope) > _SCAN_CAP:
+        domains = [store.init_values[x] for x in scope]
+        if len(scope) > 3 or math.prod(map(len, domains)) > _SCAN_CAP:
             self.bounds_fn = _x.compile_expr(c.expr, position, bounds=True)
+        if scope and len(scope) <= 3:
+            rows = self._rows(store, domains)
+            if rows is None:
+                self.residues = [[None] * len(d) for d in domains]
+            else:
+                self.supports = _support_masks(store, scope, rows)
 
     def propagate(self, store: DomainStore) -> bool:
         if self.constant is not None:
@@ -256,69 +290,25 @@ class IntensionProp(Propagator):
         scope = self.scope
         if self.bounds_fn is not None and (len(scope) > 3 or math.prod(map(store.size, scope)) > _SCAN_CAP):
             return self._interval_filter(store)
-        if self.supports is None and self.residues is None:
-            self._table(store)
         if self.supports is not None:
             return _ct_filter(store, scope, self.supports)
-        keep = self._residual(store)
-        if keep is None:
-            return False
-        for x, bits in zip(scope, keep):
-            store.keep_bits(x, bits)  # never empty: every position has a support
-        return True
+        return _residual(store, scope, self.fn, self.residues)
 
-    def _table(self, store: DomainStore) -> None:
-        """Support masks of the relation over the initial domains when it
-        has at most ``_TABLE_CAP`` rows, else empty residues."""
-        scope = self.scope
-        domains = [store.init_values[x] for x in scope]
+    def _rows(self, store: DomainStore, domains):
+        """The relation's rows over the initial domains when it has at most
+        ``_TABLE_CAP``, else None."""
         defined = _defined_variable(self.constraint.expr)
         if defined is not None:
-            names = [store.names[x] for x in scope]
+            names = [store.names[x] for x in self.scope]
             t = names.index(defined[0])
             rest = domains[:t] + domains[t + 1 :]
             if math.prod(map(len, rest)) <= _TABLE_CAP:
                 position = {name: i for i, name in enumerate(names[:t] + names[t + 1 :])}
                 f = _x.compile_expr(defined[1], position, bounds=False)
-                rows = [c[:t] + (f(c),) + c[t:] for c in itertools.product(*rest)]
-                self.supports = _support_masks(store, scope, rows)
-                return
+                return [c[:t] + (f(c),) + c[t:] for c in itertools.product(*rest)]
         elif math.prod(map(len, domains)) <= _TABLE_CAP:
-            fn = self.fn
-            self.supports = _support_masks(store, scope, [c for c in itertools.product(*domains) if fn(c)])
-            return
-        self.residues = [[None] * len(d) for d in domains]
-
-    def _residual(self, store: DomainStore):
-        """Supported values of every position, found against the domains at
-        the start of the call, or None when a position has none."""
-        scope, fn, residues = self.scope, self.fn, self.residues
-        live = [store.masks[x] for x in scope]
-        domains = [store.domain_list(x) for x in scope]
-        keep = [0] * len(scope)
-        for i, x in enumerate(scope):
-            seek = list(domains)
-            todo = live[i] & ~keep[i]
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                bit = low.bit_length() - 1
-                res = residues[i][bit]
-                if res is None or any(not m >> b & 1 for m, b in zip(live, res)):
-                    seek[i] = (store.init_values[x][bit],)
-                    for combo in itertools.product(*seek):
-                        if fn(combo):
-                            break
-                    else:
-                        continue
-                    res = tuple(store.pos[y][v] for y, v in zip(scope, combo))
-                    for j, b in enumerate(res):
-                        residues[j][b] = res
-                for j, b in enumerate(res):
-                    keep[j] |= 1 << b
-            if not keep[i]:
-                return None
-        return keep
+            return [c for c in itertools.product(*domains) if self.fn(c)]
+        return None
 
     def _interval_filter(self, store: DomainStore) -> bool:
         """Remove each value whose fixing bounds the expression to false,
@@ -357,8 +347,6 @@ def _condition_targets(cond: Condition, store: DomainStore, rhs_idx: int | None)
         return rlo, INF
     if op == "gt":
         return rlo + 1, INF
-    if op == "in":
-        return rlo, rhi
     return None  # ne handled by callers
 
 
@@ -377,7 +365,7 @@ class SumProp(Propagator):
             (k if isinstance(k, int) else ("v", store.index[k]), x)
             for k, x in zip(c.coeffs, store.indices(c.scope))
         ]
-        if self.rhs_idx is not None and cond.operator != "in":
+        if self.rhs_idx is not None:
             self.terms.append((-1, self.rhs_idx))
 
     def _term_bounds(self, store, k, x):
@@ -390,7 +378,7 @@ class SumProp(Propagator):
 
     def propagate(self, store: DomainStore) -> bool:
         cond = self.constraint.condition
-        rhs_folded = self.rhs_idx is not None and cond.operator != "in"
+        rhs_folded = self.rhs_idx is not None
         term_bounds = [self._term_bounds(store, k, x) for k, x in self.terms]
         total_lo = sum(b[0] for b in term_bounds)
         total_hi = sum(b[1] for b in term_bounds)
@@ -450,7 +438,6 @@ class SumProp(Propagator):
                     if hi < allowed_lo or lo > allowed_hi:
                         if not store.remove_value(cvar, cv):
                             return False
-        # tighten an interval-condition rhs variable is not needed: rhs folded
         return True
 
 
@@ -825,31 +812,21 @@ class CumulativeProp(Propagator):
                 comp.append((x, lst, ect, h))
             else:
                 comp.append((x, 0, 0, 0))
-        points = sorted(diff)
-        profile: list[tuple[int, int]] = []  # (time, load from time onward)
-        load = 0
-        for t in points:
-            load += diff[t]
-            profile.append((t, load))
+        # the load from times[k] onward is loads[k]
+        times, loads = [-INF], [0]
+        for t in sorted(diff):
+            load = loads[-1] + diff[t]
             if load > limit:
                 return False
-
-        def load_at(t: int) -> int:
-            lo, hi = 0, len(profile)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if profile[mid][0] <= t:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return profile[lo - 1][1] if lo else 0
+            times.append(t)
+            loads.append(load)
 
         for (x, d, h), (_, clst, cect, ch) in zip(self.tasks, comp):
             for s in store.domain_list(x):
                 feasible = True
                 for t in range(s, s + d):
                     own = ch if clst <= t < cect else 0
-                    if load_at(t) - own + h > limit:
+                    if loads[bisect_right(times, t) - 1] - own + h > limit:
                         feasible = False
                         break
                 if not feasible and not store.remove_value(x, s):
@@ -1052,10 +1029,10 @@ def _primitives(c):
         yield c
 
 
-#: model constraint class -> propagator class, or a factory that picks one
+#: model constraint class -> propagator class
 _PROPAGATORS = {
     Intension: IntensionProp,
-    Extension: _extension,
+    Extension: TableProp,
     Regular: RegularProp,
     AllDifferent: AllDifferentProp,
     Ordered: OrderedProp,
@@ -1084,7 +1061,7 @@ def make_propagators(constraints, store: DomainStore) -> list[Propagator]:
             build = _PROPAGATORS.get(type(p))
             if build is None:
                 raise TypeError(f"no propagator for {type(p).__name__}")
-            props.append(build(p, key, store, masks) if build is _extension else build(p, key, store))
+            props.append(build(p, key, store, masks) if build is TableProp else build(p, key, store))
     return props
 
 

@@ -4,6 +4,7 @@ the generate-and-test oracle, trail exactness, determinism, bounds."""
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from xcspkit.generators import (
     gen_graph_coloring,
     gen_knapsack,
     gen_langford,
+    gen_low_autocorrelation,
     gen_magic_square,
     gen_mario,
     gen_mistery_shopper,
@@ -45,6 +47,7 @@ from xcspkit.model import (
     Instance,
     Intension,
     Objective,
+    STAR,
     Slide,
     Sum,
     Table,
@@ -307,22 +310,29 @@ SCAN_EXPRESSIONS = [
 ]
 
 
-def _brute_force_gac(text, store):
-    """Supported values per variable over the current domains, or None."""
-    expr = parse_expr(text)
+def _brute_force_gac(allowed, store):
+    """Supported values per variable over the current domains, or None;
+    ``allowed`` tells whether a tuple of values, in store order, is in the
+    relation."""
     supported = [set() for _ in store.names]
     for combo in itertools.product(*(store.domain_list(x) for x in range(len(store)))):
-        if evaluate(expr, dict(zip(store.names, combo))):
+        if allowed(combo):
             for seen, v in zip(supported, combo):
                 seen.add(v)
     return supported if supported[0] else None
 
 
+def _holds(text, names):
+    """Whether the expression holds on a tuple of values of ``names``."""
+    expr = parse_expr(text)
+    return lambda combo: evaluate(expr, dict(zip(names, combo)))
+
+
 @pytest.mark.parametrize("text, functional", SCAN_EXPRESSIONS)
 def test_intension_gac_pass_equals_brute_force(text, functional):
     """Intensions with an initial product above _SCAN_CAP get the GAC pass
-    once the live product is at most _SCAN_CAP, by a table built on the
-    first such call that survives every pop."""
+    once the live product is at most _SCAN_CAP, by a table built with the
+    propagator that survives every pop."""
     rng = random.Random(text)
     names = list(dict.fromkeys(expr_vars(parse_expr(text))))
     size = 50 if len(names) == 2 else 13  # initial product above _SCAN_CAP
@@ -330,7 +340,8 @@ def test_intension_gac_pass_equals_brute_force(text, functional):
         [Variable(n, Domain(tuple(sorted(rng.sample(range(-40, 41), size))))) for n in names]
     )
     (prop,) = make_propagators([Intension(parse_expr(text))], store)
-    assert prop.supports is None and (_defined_variable(parse_expr(text)) is not None) == functional
+    masks = prop.supports
+    assert masks is not None and (_defined_variable(parse_expr(text)) is not None) == functional
     outcomes = set()
     for _ in range(30):
         store.push()
@@ -343,7 +354,7 @@ def test_intension_gac_pass_equals_brute_force(text, functional):
             for x in range(len(names)):
                 product *= store.size(x)
             assert product <= _SCAN_CAP
-            expected = _brute_force_gac(text, store)
+            expected = _brute_force_gac(_holds(text, names), store)
             ok = prop.propagate(store)
             outcomes.add(ok)
             assert ok == (expected is not None)
@@ -352,53 +363,91 @@ def test_intension_gac_pass_equals_brute_force(text, functional):
             assert [set(store.values(x)) for x in range(len(names))] == expected
         store.pop()
     assert outcomes == {True, False}
-    assert prop.supports is not None and prop.residues is None
+    assert prop.supports is masks and prop.residues is None
+
+
+def _intension_above_the_table_cap(text, size):
+    def build(rng):
+        names = list(dict.fromkeys(expr_vars(parse_expr(text))))
+        variables = [Variable(n, Domain(tuple(sorted(rng.sample(range(-60, 61), size))))) for n in names]
+        return variables, Intension(parse_expr(text)), _holds(text, names)
+
+    return text, build
+
+
+def _conflicts_above_the_complement_cap(rng):
+    """Three 50-value domains (125,000 tuples): the first value of x is
+    forbidden with every (y, z), two STAR rows forbid more slices, and
+    about half of all tuples are forbidden one by one, so that values of
+    narrowed domains often lose their last support."""
+    domains = [tuple(sorted(rng.sample(range(-60, 61), 50))) for _ in "xyz"]
+    x, y, z = domains
+    rows = [(x[0], b, c) for b in y for c in z]
+    rows += [(STAR, y[1], STAR), (x[1], STAR, z[1])]
+    rows += [combo for combo in itertools.product(*domains) if rng.random() < 0.5]
+    forbidden = {
+        combo
+        for row in rows
+        for combo in itertools.product(*((e,) if e != STAR else d for e, d in zip(row, domains)))
+    }
+    variables = [Variable(n, Domain(d)) for n, d in zip("xyz", domains)]
+    return variables, Extension(("x", "y", "z"), conflicts(3, rows)), lambda combo: combo not in forbidden
 
 
 @pytest.mark.parametrize(
-    "text, size",
-    [("eq(z,add(x,y))", 100), ("ge(sub(x,y),z)", 25)],
-    ids=["functional-rest-above-cap", "arity-3-above-cap"],
+    "seed, build",
+    [
+        _intension_above_the_table_cap("eq(z,add(x,y))", 100),
+        _intension_above_the_table_cap("ge(sub(x,y),z)", 25),
+        ("conflicts", _conflicts_above_the_complement_cap),
+    ],
+    ids=["functional-rest-above-cap", "arity-3-above-cap", "conflicts-above-the-complement-cap"],
 )
-def test_intension_gac_pass_above_the_table_cap_equals_brute_force(text, size):
+def test_intension_gac_pass_above_the_table_cap_equals_brute_force(seed, build):
     """A relation with more than _TABLE_CAP rows (10,000 for eq(z, f(x, y))
-    over x and y; 15,625 for the full product) builds no table: residual
-    supports give the same GAC pass."""
-    rng = random.Random(text)
-    names = list(dict.fromkeys(expr_vars(parse_expr(text))))
-    store = DomainStore(
-        [Variable(n, Domain(tuple(sorted(rng.sample(range(-60, 61), size))))) for n in names]
-    )
-    (prop,) = make_propagators([Intension(parse_expr(text))], store)
+    over x and y; 15,625 for the full product) builds no table, nor does a
+    conflicts table over more than _COMPLEMENT_CAP tuples: residual
+    supports give the same GAC pass, and the first call on the initial
+    domains is quick."""
+    rng = random.Random(seed)
+    variables, constraint, allowed = build(rng)
+    n = len(variables)
+    store = DomainStore(variables)
+    (prop,) = make_propagators([constraint], store)
+    store.push()
+    start = time.perf_counter()
+    assert prop.propagate(store)
+    assert time.perf_counter() - start < 0.5
+    store.pop()
     outcomes = set()
     for _ in range(30):
         store.push()
         for _ in range(rng.randint(1, 3)):
             keep = rng.choice((1, 2, 4, 12))
-            for x in range(len(names)):
+            for x in range(n):
                 live = store.domain_list(x)
                 store.keep_values(x, rng.sample(live, min(keep, len(live))))
-            expected = _brute_force_gac(text, store)
+            expected = _brute_force_gac(allowed, store)
             ok = prop.propagate(store)
             outcomes.add(ok)
             assert ok == (expected is not None)
             if not ok:
                 break
-            assert [set(store.values(x)) for x in range(len(names))] == expected
+            assert [set(store.values(x)) for x in range(n)] == expected
         store.pop()
     assert outcomes == {True, False}
     assert prop.supports is None and prop.residues is not None
 
 
 def test_golomb_6_search_tables_each_intension_once(monkeypatch):
-    """Each intension tables its relation on its first GAC call and reads
-    the same masks before and after every pop."""
+    """Each intension tables its relation when it is built and reads the
+    same masks before and after every pop."""
     built, used, pops = {}, {}, [0]
-    table, propagate, pop = IntensionProp._table, IntensionProp.propagate, DomainStore.pop
+    init, propagate, pop = IntensionProp.__init__, IntensionProp.propagate, DomainStore.pop
 
-    def counted_table(self, store):
-        built[self] = built.get(self, 0) + 1
-        table(self, store)
+    def recorded_init(self, c, key, store):
+        init(self, c, key, store)
+        built[self] = self.supports
 
     def recorded_propagate(self, store):
         ok = propagate(self, store)
@@ -410,14 +459,14 @@ def test_golomb_6_search_tables_each_intension_once(monkeypatch):
         pops[0] += 1
         pop(self)
 
-    monkeypatch.setattr(IntensionProp, "_table", counted_table)
+    monkeypatch.setattr(IntensionProp, "__init__", recorded_init)
     monkeypatch.setattr(IntensionProp, "propagate", recorded_propagate)
     monkeypatch.setattr(DomainStore, "pop", counted_pop)
     out = optimize(gen_golomb_ruler(6))
     assert (out.status, out.bound) == ("OPTIMUM", 17)
-    assert used and set(built.values()) == {1} and set(used) <= set(built)
-    for calls in used.values():
-        assert len({id(masks) for _, masks in calls}) == 1
+    assert used and set(used) <= set(built)
+    for prop, calls in used.items():
+        assert {id(masks) for _, masks in calls} == {id(built[prop])}
     assert any(calls[0][0] < calls[-1][0] for calls in used.values())
 
 
@@ -459,6 +508,8 @@ PINNED_SEARCHES = {
     "coloured-queens-5": (lambda: solve(gen_coloured_queens(5)), ("SAT", None, 5, 0, 196)),
     "bibd-7-7-3-3-1": (lambda: solve(gen_bibd(7, 7, 3, 3, 1)), ("SAT", None, 175, 171, 7702)),
     "rcpsp": (lambda: optimize(gen_rcpsp(RCPSP_DATA)), ("OPTIMUM", 7, 4, 4, 57)),
+    # more tabled intensions (54) than any other search pinned here
+    "labs-10": (lambda: optimize(gen_low_autocorrelation(10)), ("OPTIMUM", 13, 1197, 1188, 81543)),
     "mario": (lambda: optimize(gen_mario(MARIO_DATA)), ("OPTIMUM", 10, 1, 0, 57)),
     "mistery-shopper": (lambda: solve(gen_mistery_shopper(MISTERY_DATA)), ("SAT", None, 179, 163, 16325)),
     "langford-5": (lambda: solve(gen_langford(5)), ("UNSAT", None, 694, 695, 29363)),
