@@ -73,7 +73,10 @@ class DomainStore:
             m ^= low
 
     def bounds(self, x: int) -> tuple[int, int]:
-        return self.min_value(x), self.max_value(x)
+        """``(min_value(x), max_value(x))``, from one read of the mask."""
+        m = self.masks[x]
+        vals = self.init_values[x]
+        return vals[(m & -m).bit_length() - 1], vals[m.bit_length() - 1]
 
     def domain_list(self, x: int) -> list[int]:
         return list(self.values(x))
@@ -125,7 +128,13 @@ class DomainStore:
         return self.keep_bits(x, self.value_mask(x, values))
 
     def restrict(self, x: int, lo: int, hi: int) -> bool:
-        """Keep only the values in ``lo..hi``; False when none is left."""
+        """Keep only the values in ``lo..hi``; False when none is left.
+        When the minimum and the maximum already lie in ``lo..hi`` no value
+        is removed, so it returns True at once: no mask is built, and
+        nothing is trailed or touched."""
+        vmin, vmax = self.bounds(x)
+        if lo <= vmin and vmax <= hi:
+            return True
         return self.keep_bits(x, self.interval_mask(x, lo, hi))
 
     # -- trail

@@ -15,10 +15,10 @@ watches ``constraint.scope`` exactly as given, repeats included, because it
 reads the scope position by position.
 
 Each distinct table is compiled once per ``make_propagators`` call. The
-call keeps a memo from (table, initial domains of the scope) to support
-masks and hands it to the extension row, the one builder that takes a
-fourth argument; compact tables with equal keys share one set of masks,
-which ``_ct_filter`` only reads.
+call keeps a memo from (table, initial domains of the scope, the scope's
+repeat pattern) to support masks and hands it to the extension row, the
+one builder that takes a fourth argument; compact tables with equal keys
+share one set of masks, which ``_ct_filter`` only reads.
 
 A relation fixes its GAC pass when it is built. A supports table, a
 conflicts table over at most ``_COMPLEMENT_CAP`` tuples and an intension
@@ -203,21 +203,40 @@ def _matching_none(rows):
     return allowed
 
 
+def _one_value_per_variable(rows, first):
+    """The rows that give each variable of the scope one value, where
+    position i's variable first appears at position ``first[i]``; a STAR
+    takes the value that another position of its variable has."""
+    for row in rows:
+        value = {}
+        for f, e in zip(first, row):
+            if e != STAR and value.setdefault(f, e) != e:
+                break
+        else:
+            yield tuple(value.get(f, STAR) for f in first)
+
+
 class TableProp(Propagator):
     """GAC over a table, its pass fixed at build. A supports table, and a
     conflicts table over at most ``_COMPLEMENT_CAP`` tuples complemented
     into supports over the initial domains, get the compact-table pass
     (stateless: the valid row set is rebuilt from current domains on every
     call); the masks come from, or go into, the build call's memo
-    ``masks``. A larger conflicts table gets the residual pass."""
+    ``masks``, keyed by the table, the initial domains and the scope's
+    repeat pattern. A larger conflicts table gets the residual pass.
+
+    A scope may repeat a variable: only the rows and tuples that give it
+    one value count, so the pass is GAC over the scope's variables."""
 
     __slots__ = ("supports", "allowed", "residues")
 
     def __init__(self, c: Extension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
-        table = c.table
-        domains = tuple(store.init_values[x] for x in self.scope)
-        self.supports = masks.get((table, domains))
+        table, scope = c.table, self.scope
+        domains = tuple(store.init_values[x] for x in scope)
+        first = tuple(map(scope.index, scope))
+        repeats = first != tuple(range(len(scope)))
+        self.supports = masks.get((table, domains, first))
         self.allowed = self.residues = None
         if self.supports is not None:
             return
@@ -225,10 +244,18 @@ class TableProp(Propagator):
         if table.polarity == "conflicts":
             allowed = _matching_none(rows)
             if math.prod(map(len, domains)) > _COMPLEMENT_CAP:
+                if repeats:
+                    matching_none = allowed
+
+                    def allowed(combo) -> bool:
+                        return all(combo[f] == v for f, v in zip(first, combo)) and matching_none(combo)
+
                 self.allowed, self.residues = allowed, [[None] * len(d) for d in domains]
                 return
             rows = filter(allowed, itertools.product(*domains))
-        self.supports = masks[table, domains] = _support_masks(store, self.scope, rows)
+        if repeats:
+            rows = _one_value_per_variable(rows, first)
+        self.supports = masks[table, domains, first] = _support_masks(store, scope, rows)
 
     def propagate(self, store: DomainStore) -> bool:
         if self.supports is not None:
@@ -352,9 +379,12 @@ def _condition_targets(cond: Condition, store: DomainStore, rhs_idx: int | None)
 
 class SumProp(Propagator):
     """Bounds filtering for linear forms; variable coefficients are handled
-    through product intervals."""
+    through product intervals. A variable right-hand side is folded in as
+    a ``-1`` term compared with 0, so the target interval ``(tlo, thi)``
+    depends on the constraint only and is fixed at build (None for
+    ``ne``)."""
 
-    __slots__ = ("terms", "rhs_idx")
+    __slots__ = ("terms", "rhs_idx", "target")
 
     def __init__(self, c: Sum, key, store: DomainStore):
         super().__init__(c, key, store)
@@ -367,24 +397,30 @@ class SumProp(Propagator):
         ]
         if self.rhs_idx is not None:
             self.terms.append((-1, self.rhs_idx))
-
-    def _term_bounds(self, store, k, x):
-        lo, hi = store.bounds(x)
-        if isinstance(k, int):
-            return (k * lo, k * hi) if k >= 0 else (k * hi, k * lo)
-        clo, chi = store.bounds(k[1])
-        cands = (clo * lo, clo * hi, chi * lo, chi * hi)
-        return min(cands), max(cands)
+            cond = Condition(cond.operator, 0)
+        self.target = _condition_targets(cond, store, None)
 
     def propagate(self, store: DomainStore) -> bool:
-        cond = self.constraint.condition
-        rhs_folded = self.rhs_idx is not None
-        term_bounds = [self._term_bounds(store, k, x) for k, x in self.terms]
-        total_lo = sum(b[0] for b in term_bounds)
-        total_hi = sum(b[1] for b in term_bounds)
+        bounds = store.bounds
+        term_bounds = []
+        total_lo = total_hi = 0
+        for k, x in self.terms:
+            lo, hi = bounds(x)
+            if isinstance(k, int):
+                if k < 0:
+                    lo, hi = k * hi, k * lo
+                else:
+                    lo, hi = k * lo, k * hi
+            else:
+                clo, chi = bounds(k[1])
+                cands = (clo * lo, clo * hi, chi * lo, chi * hi)
+                lo, hi = min(cands), max(cands)
+            term_bounds.append((lo, hi))
+            total_lo += lo
+            total_hi += hi
 
-        if cond.operator == "ne":
-            k = 0 if rhs_folded else cond.rhs
+        if self.target is None:  # ne
+            k = 0 if self.rhs_idx is not None else self.constraint.condition.rhs
             if total_lo == total_hi:
                 return total_lo != k
             fixed_total = 0
@@ -403,17 +439,13 @@ class SumProp(Propagator):
                     return False
             return True
 
-        effective = Condition(cond.operator, 0) if rhs_folded else cond
-        tlo, thi = _condition_targets(effective, store, None)
+        tlo, thi = self.target
         if total_lo > thi or total_hi < tlo:
             return False
 
-        for i, (k, x) in enumerate(self.terms):
-            blo, bhi = term_bounds[i]
-            rest_lo = total_lo - blo
-            rest_hi = total_hi - bhi
-            allowed_lo = tlo - rest_hi
-            allowed_hi = thi - rest_lo
+        for (k, x), (blo, bhi) in zip(self.terms, term_bounds):
+            allowed_lo = tlo - (total_hi - bhi)
+            allowed_hi = thi - (total_lo - blo)
             if isinstance(k, int):
                 # allowed_lo <= k * v <= allowed_hi, divided through by k
                 if k > 0:
@@ -424,14 +456,14 @@ class SumProp(Propagator):
                         return False
             else:
                 cvar = k[1]
-                clo, chi = store.bounds(cvar)
+                clo, chi = bounds(cvar)
                 for v in store.domain_list(x):
                     lo = min(clo * v, chi * v)
                     hi = max(clo * v, chi * v)
                     if hi < allowed_lo or lo > allowed_hi:
                         if not store.remove_value(x, v):
                             return False
-                vlo, vhi = store.bounds(x)
+                vlo, vhi = bounds(x)
                 for cv in store.domain_list(cvar):
                     lo = min(cv * vlo, cv * vhi)
                     hi = max(cv * vlo, cv * vhi)
@@ -533,16 +565,19 @@ class CardinalityProp(Propagator):
 
 def _assigned_values_differ(store: DomainStore, scope) -> bool:
     """Assigned values must differ; remove them from the unassigned."""
+    masks, init_values = store.masks, store.init_values
     seen = set()
     for x in scope:
-        if store.is_assigned(x):
-            v = store.value(x)
+        m = masks[x]
+        if m and not m & (m - 1):
+            v = init_values[x][m.bit_length() - 1]
             if v in seen:
                 return False
             seen.add(v)
     if seen:
         for x in scope:
-            if not store.is_assigned(x) and not store.remove_bits(x, store.value_mask(x, seen)):
+            m = masks[x]
+            if m & (m - 1) and not store.remove_bits(x, store.value_mask(x, seen)):
                 return False
     return True
 
@@ -554,31 +589,53 @@ class AllDifferentProp(Propagator):
         return _assigned_values_differ(store, self.scope) and self._hall_intervals(store)
 
     def _hall_intervals(self, store: DomainStore) -> bool:
-        bounds = [store.bounds(x) for x in self.scope]
-        n = len(bounds)
-        mins = sorted({lo for lo, _ in bounds})
+        """Pairwise Hall intervals: for each window ``a..b`` between a
+        lower and an upper bound, fail when more intervals fit in it than
+        it has values, and remove it from the intervals that overlap it
+        when exactly that many fit.
+
+        ``his`` holds the sorted upper bounds of the intervals that start
+        at ``a`` or later, so the intervals that fit in ``a..b`` number
+        ``bisect_right(his, b)``. A window wider than ``len(his)`` can
+        neither overflow nor be full, so the ``b`` loop stops there.
+        Pruning a window ``a..b`` never moves a lower bound across ``a``,
+        nor the upper bound of an interval that starts at ``a`` or later,
+        so ``his`` holds for the rest of this ``a``; for the next ``a`` it
+        drops the intervals that start before it, and it is rebuilt from
+        the current bounds only after a prune has moved some bound."""
+        scope = self.scope
+        bounds = [store.bounds(x) for x in scope]
         maxs = sorted({hi for _, hi in bounds})
-        for a in mins:
-            # upper bounds of the intervals starting at a or later; pruning a
-            # window a..b never moves a lower bound across a, nor the upper
-            # bound of an interval that starts at a or later, so this list
-            # holds until the next a
-            his = sorted(hi for lo, hi in bounds if lo >= a)
+        starts = sorted(bounds)  # the intervals by lower bound
+        his = sorted(hi for _, hi in bounds)
+        first = 0  # starts[first:] are the intervals in his
+        stale = False
+        for a in sorted({lo for lo, _ in bounds}):
+            if stale:
+                starts = sorted(bound for bound in bounds if bound[0] >= a)
+                his = sorted(hi for _, hi in starts)
+                first, stale = 0, False
+            while starts[first][0] < a:
+                del his[bisect_left(his, starts[first][1])]
+                first += 1
+            last = a + len(his) - 1
             for b in maxs[bisect_left(maxs, a) :]:
-                capacity = b - a + 1
-                if capacity > n:
+                if b > last:
                     break
+                capacity = b - a + 1
                 count = bisect_right(his, b)
                 if count > capacity:
                     return False
                 if count == capacity:
-                    for i, x in enumerate(self.scope):
+                    for i, x in enumerate(scope):
                         lo, hi = bounds[i]
                         # only an interval that overlaps a..b without fitting in it loses values
                         if (lo < a or hi > b) and lo <= b and a <= hi:
                             if not store.remove_bits(x, store.interval_mask(x, a, b)):
                                 return False
-                            bounds[i] = store.bounds(x)
+                            moved = store.bounds(x)
+                            if moved != bounds[i]:
+                                bounds[i], stale = moved, True
         return True
 
 
@@ -1055,7 +1112,7 @@ def make_propagators(constraints, store: DomainStore) -> list[Propagator]:
     equal initial domains share their support masks, compiled once per
     call."""
     props: list[Propagator] = []
-    masks: dict = {}  # (table, initial domains of the scope) -> support masks
+    masks: dict = {}  # (table, initial domains of the scope, repeat pattern) -> support masks
     for key, c in enumerate(constraints):
         for p in _primitives(c):
             build = _PROPAGATORS.get(type(p))

@@ -36,6 +36,7 @@ from xcspkit.generators import (
     gen_mistery_shopper,
     gen_rcpsp,
     gen_still_life,
+    gen_tsp,
 )
 from xcspkit.io import parse_instance, write_instance
 from xcspkit.model import (
@@ -117,6 +118,21 @@ class TestPropagateToFixpoint:
         assert (sum(store.size(x) for x in range(len(store))), engine.propagations) == (10_672, 458)
         # each eq(x[j], add(x[i], y[i][j])) has 20,880 rows over x[i] and y[i][j], above _TABLE_CAP
         assert not any(isinstance(p, IntensionProp) and p.supports is not None for p in engine.props)
+
+    def test_table_over_a_repeated_variable_is_gac(self):
+        """Only the rows that give a repeated variable one value count; a
+        STAR takes the value of the variable's other position."""
+        b01 = Variable("b", Domain.rng(0, 1))
+        store = DomainStore((b01,))
+        assert propagate_to_fixpoint(store, (Extension(("b", "b"), supports(2, [(0, 1), (1, 0)])),)) == 0
+        store = DomainStore((b01, Variable("c", Domain.rng(0, 1))))
+        c = Extension(("b", "c", "b"), supports(3, [(0, 1, 1), (1, 0, STAR), (STAR, 0, 0)]))
+        assert propagate_to_fixpoint(store, (c,)) is None
+        assert (store.domain_list(0), store.domain_list(1)) == ([0, 1], [0])
+        store = DomainStore((b01, Variable("c", Domain.rng(0, 1))))
+        c = Extension(("b", "c", "b"), conflicts(3, [(0, STAR, 0), (1, 1, 1)]))
+        assert propagate_to_fixpoint(store, (c,)) is None
+        assert (store.domain_list(0), store.domain_list(1)) == ([1], [0])
 
     def test_unordered_initial_domain_is_refused(self):
         variables = (Variable("x", Domain((2, 0, 1))),)
@@ -290,6 +306,12 @@ class TestIntervalPrimitive:
             assert store.interval_mask(0, lo, hi) == expected
             store.push()
             store.remove_bits(0, rng.getrandbits(len(values) - 1))  # never the top value
+            vmin, vmax = store.bounds(0)
+            assert (vmin, vmax) == (store.min_value(0), store.max_value(0))
+            # a restrict that cuts nothing trails and touches nothing
+            trail, touched = len(store._trail), list(store.touched)
+            assert store.restrict(0, vmin - rng.randint(0, 3), vmax + rng.randint(0, 3))
+            assert (len(store._trail), store.touched) == (trail, touched)
             kept = store.masks[0] & expected
             assert store.restrict(0, lo, hi) == (kept != 0)
             assert store.masks[0] == kept
@@ -394,14 +416,39 @@ def _conflicts_above_the_complement_cap(rng):
     return variables, Extension(("x", "y", "z"), conflicts(3, rows)), lambda combo: combo not in forbidden
 
 
+def _conflicts_on_a_repeated_scope_above_the_complement_cap(rng):
+    """Scope (x, y, x, z) over three 20-value domains (160,000 tuples of
+    positions): about half of the tuples that give x one value, a row that
+    gives x two values, and STAR rows, one of which forbids x[2] through
+    the second x position only."""
+    domains = [tuple(sorted(rng.sample(range(-30, 31), 20))) for _ in "xyz"]
+    x, y, z = domains
+    rows = [(a, b, a, c) for a, b, c in itertools.product(*domains) if rng.random() < 0.5]
+    rows += [(x[0], y[0], x[1], z[0]), (STAR, y[1], STAR, STAR), (STAR, STAR, x[2], STAR), (x[3], STAR, STAR, z[1])]
+    forbidden = {
+        (a, b, c)
+        for row in rows
+        for a, b, a2, c in itertools.product(*((e,) if e != STAR else d for e, d in zip(row, (x, y, x, z))))
+        if a == a2
+    }
+    variables = [Variable(n, Domain(d)) for n, d in zip("xyz", domains)]
+    return variables, Extension(("x", "y", "x", "z"), conflicts(4, rows)), lambda combo: combo not in forbidden
+
+
 @pytest.mark.parametrize(
     "seed, build",
     [
         _intension_above_the_table_cap("eq(z,add(x,y))", 100),
         _intension_above_the_table_cap("ge(sub(x,y),z)", 25),
         ("conflicts", _conflicts_above_the_complement_cap),
+        ("repeated", _conflicts_on_a_repeated_scope_above_the_complement_cap),
     ],
-    ids=["functional-rest-above-cap", "arity-3-above-cap", "conflicts-above-the-complement-cap"],
+    ids=[
+        "functional-rest-above-cap",
+        "arity-3-above-cap",
+        "conflicts-above-the-complement-cap",
+        "conflicts-on-a-repeated-scope-above-the-complement-cap",
+    ],
 )
 def test_intension_gac_pass_above_the_table_cap_equals_brute_force(seed, build):
     """A relation with more than _TABLE_CAP rows (10,000 for eq(z, f(x, y))
@@ -494,6 +541,29 @@ GRAPH_COLORING_DATA = {
     "edges": [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 5], [5, 3], [0, 5], [1, 4]],
 }
 
+# a symmetric 7-city matrix: the optimal tour costs 57
+TSP_7_DISTANCES = [
+    [0, 28, 28, 2, 3, 3, 12],
+    [28, 0, 27, 6, 24, 26, 22],
+    [28, 27, 0, 28, 10, 9, 20],
+    [2, 6, 28, 0, 7, 20, 2],
+    [3, 24, 10, 7, 0, 19, 22],
+    [3, 26, 9, 20, 19, 0, 6],
+    [12, 22, 20, 2, 22, 6, 0],
+]
+
+# 20 (weight, value) items under capacity 129: the best load is worth 544
+KNAPSACK_20_DATA = {
+    "capacity": 129,
+    "items": [
+        {"weight": w, "value": v}
+        for w, v in [
+            (14, 41), (13, 52), (24, 56), (17, 24), (18, 60), (15, 33), (9, 58), (2, 56), (1, 24), (15, 60),
+            (11, 59), (13, 28), (29, 57), (17, 11), (18, 12), (8, 15), (1, 12), (11, 12), (5, 33), (17, 24),
+        ]
+    ],
+}
+
 # (status, bound, nodes, failures, propagations) of small searches. A
 # change here is a change in search behaviour and must be explained.
 PINNED_SEARCHES = {
@@ -523,6 +593,12 @@ PINNED_SEARCHES = {
         lambda: optimize(gen_still_life(4), SearchConfig(restarts=True)),
         ("OPTIMUM", 8, 222, 211, 12237),
     ),
+    # Hall windows over the successors and a Sum objective
+    "tsp-7": (lambda: optimize(gen_tsp({"distances": TSP_7_DISTANCES})), ("OPTIMUM", 57, 304, 293, 7876)),
+    # one long le sum over 20 items
+    "knapsack-20": (lambda: optimize(gen_knapsack(KNAPSACK_20_DATA)), ("OPTIMUM", 544, 654, 584, 3653)),
+    # eq sums over rows, columns and diagonals
+    "magic-square-4": (lambda: solve(gen_magic_square(4)), ("SAT", None, 39, 34, 1011)),
 }
 
 
@@ -561,7 +637,9 @@ def test_compact_tables_over_one_table_and_equal_domains_share_their_masks():
     props = make_propagators(constraints, store)
     assert all(isinstance(p, TableProp) for p in props)
     same, copy, repeated, wider, negated, other_negated = (p.supports for p in props)
-    assert copy is same and repeated is same and other_negated is negated
+    assert copy is same and other_negated is negated
+    # a scope that repeats a variable keeps only the rows that give it one value
+    assert repeated is not same and repeated == [[0, 0], [0, 0]]
     assert wider is not same and wider != same
     # the conflicts table is shared as its complement: 7 rows over {0,1}^3
     assert negated[0][0] | negated[0][1] == (1 << 7) - 1

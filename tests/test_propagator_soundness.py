@@ -97,6 +97,36 @@ def test_extension_fixpoint_is_gac():
                 assert witness, (constraint, v, value)
 
 
+@pytest.mark.parametrize("polarity", ["supports", "conflicts"])
+def test_extension_fixpoint_is_gac_on_repeated_scopes(polarity):
+    """A table whose scope repeats a variable: at fixpoint the domains are
+    exactly the values that some solution over the scope's variables
+    uses, and a conflict is reported exactly when there is none."""
+    rng = random.Random(polarity)
+    outcomes = set()
+    for trial in range(200):
+        names = ["a", "b", "c"][: rng.randint(1, 3)]
+        scope = tuple(names) + tuple(rng.choice(names) for _ in range(rng.randint(1, 2)))
+        scope = tuple(rng.sample(scope, len(scope)))
+        domains = random_domains(rng, names, 3)
+        options = [list(domains[v]) + [STAR] for v in scope]
+        rows = tuple(tuple(rng.choice(opt) for opt in options) for _ in range(rng.randint(0, 8)))
+        constraint = Extension(scope, Table(len(scope), polarity, rows))
+        store = DomainStore(tuple(Variable(v, Domain(tuple(domains[v]))) for v in names))
+        conflict = propagate_to_fixpoint(store, (constraint,))
+        supported = {v: set() for v in names}
+        for combo in itertools.product(*(domains[v] for v in names)):
+            if constraint_satisfied(constraint, Assignment(dict(zip(names, combo)))):
+                for v, value in zip(names, combo):
+                    supported[v].add(value)
+        outcomes.add(conflict is None)
+        if conflict is not None:
+            assert not supported[names[0]], (trial, constraint)
+            continue
+        assert {v: set(store.values(i)) for i, v in enumerate(names)} == supported, (trial, constraint)
+    assert outcomes == {True, False}
+
+
 def test_gac_on_star_rows():
     variables = (Variable("a", Domain.rng(0, 2)), Variable("b", Domain.rng(0, 2)))
     table = Table(2, "supports", ((0, STAR), (STAR, 2)))
