@@ -31,6 +31,7 @@ from xcspkit.generators import (
     gen_knapsack,
     gen_langford,
     gen_low_autocorrelation,
+    gen_magic_hexagon,
     gen_magic_square,
     gen_mario,
     gen_mistery_shopper,
@@ -599,6 +600,12 @@ PINNED_SEARCHES = {
     "knapsack-20": (lambda: optimize(gen_knapsack(KNAPSACK_20_DATA)), ("OPTIMUM", 544, 654, 584, 3653)),
     # eq sums over rows, columns and diagonals
     "magic-square-4": (lambda: solve(gen_magic_square(4)), ("SAT", None, 39, 34, 1011)),
+    # the parametric solve and optimize members of the benchmark corpus
+    "langford-6": (lambda: solve(gen_langford(6)), ("UNSAT", None, 15355, 15356, 718156)),
+    "langford-7": (lambda: solve(gen_langford(7)), ("SAT", None, 8653, 8648, 475851)),
+    "dubois-12": (lambda: solve(gen_dubois(12)), ("UNSAT", None, 10249, 10250, 133012)),
+    "magic-hexagon-3-1": (lambda: solve(gen_magic_hexagon(3, 1)), ("SAT", None, 21, 18, 901)),
+    "golomb-7": (lambda: optimize(gen_golomb_ruler(7)), ("OPTIMUM", 25, 449, 443, 24578)),
 }
 
 
