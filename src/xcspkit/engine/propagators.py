@@ -583,9 +583,18 @@ def _assigned_values_differ(store: DomainStore, scope) -> bool:
 
 
 class AllDifferentProp(Propagator):
-    __slots__ = ()
+    """A scope that repeats a variable can never hold, so that propagator
+    fails on every call, decided at build."""
+
+    __slots__ = ("repeats",)
+
+    def __init__(self, c: AllDifferent, key, store: DomainStore):
+        super().__init__(c, key, store)
+        self.repeats = len(set(self.scope)) < len(self.scope)
 
     def propagate(self, store: DomainStore) -> bool:
+        if self.repeats:
+            return False
         return _assigned_values_differ(store, self.scope) and self._hall_intervals(store)
 
     def _hall_intervals(self, store: DomainStore) -> bool:

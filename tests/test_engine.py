@@ -97,6 +97,15 @@ class TestPropagateToFixpoint:
         c = AllDifferent(("a", "b", "c"))
         assert propagate_to_fixpoint(store, (c,)) == 0
 
+    def test_all_different_over_a_repeated_variable_fails_at_once(self):
+        """No assignment gives x two different values, so the root fixpoint
+        fails and the search needs no node."""
+        variables = (Variable("x", Domain.rng(0, 3)), Variable("y", Domain.rng(0, 3)))
+        c = AllDifferent(("x", "y", "x"))
+        assert propagate_to_fixpoint(DomainStore(variables), (c,)) == 0
+        out = solve(make(list(variables), [c]))
+        assert (out.status, out.stats.nodes) == ("UNSAT", 0)
+
     def test_conflict_reports_constraint_index(self):
         variables = (Variable("x", Domain.rng(0, 3)),)
         store = DomainStore(variables)

@@ -160,6 +160,9 @@ def _hall_intervals(scope, store):
 
 
 def reference_all_different(prop, store):
+    # a scope that repeats a variable can never hold
+    if len(set(prop.scope)) < len(prop.scope):
+        return False
     return _assigned_values_differ(store, prop.scope) and _hall_intervals(prop.scope, store)
 
 
