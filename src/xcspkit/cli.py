@@ -83,7 +83,7 @@ def _cmd_solve(args) -> int:
         out = optimize(instance, config, on_bound=lambda cost: print(f"o {cost}", flush=True))
     _comment(
         f"nodes {out.stats.nodes}, failures {out.stats.failures}, "
-        f"propagations {out.stats.propagations}, elapsed {out.stats.elapsed:.3f}s",
+        f"propagations {out.stats.propagations}, skipped {out.stats.skipped}, elapsed {out.stats.elapsed:.3f}s",
         minimum="debug",
     )
     # a COP's SAT means it timed out with an incumbent

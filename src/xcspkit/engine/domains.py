@@ -29,9 +29,10 @@ class DomainStore:
         self.masks = list(self.full)
         self._trail: list[tuple[int, int]] = []
         self._marks: list[int] = []
-        # variables changed since the engine last read them; the engine
-        # clears this list in place, so it is never rebound
-        self.touched: list[int] = []
+        # the removals since the engine last read them, as the trail's own
+        # (variable, removed bits) entries; the engine clears this list in
+        # place, so it is never rebound
+        self.touched: list[tuple[int, int]] = []
 
     def __len__(self) -> int:
         return len(self.names)
@@ -104,9 +105,10 @@ class DomainStore:
         if not bits:
             return True
         new = self.masks[x] & ~bits
-        self._trail.append((x, bits))
+        event = (x, bits)
+        self._trail.append(event)
         self.masks[x] = new
-        self.touched.append(x)
+        self.touched.append(event)
         return new != 0
 
     def keep_bits(self, x: int, bits: int) -> bool:

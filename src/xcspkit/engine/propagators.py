@@ -24,7 +24,25 @@ A relation fixes its GAC pass when it is built. A supports table, a
 conflicts table over at most ``_COMPLEMENT_CAP`` tuples and an intension
 of arity <= 3 with at most ``_TABLE_CAP`` rows get the compact-table pass
 ``_ct_filter`` over support masks. A larger conflicts table or intension
-gets ``_residual``, the residual-support pass over a predicate on tuples."""
+gets ``_residual``, the residual-support pass over a predicate on tuples.
+
+Two build-time declarations let the engine skip calls that cannot prune
+(``search.PropagationEngine``). A propagator is ``idempotent`` when a
+second call on the domains its call left prunes nothing, so a call queued
+only by its own prunes is skipped (Schulte and Stuckey, "Efficient
+constraint propagation engines", TOPLAS 2008). ``TableProp`` is, and so
+are an ``IntensionProp`` without a bounds closure and an ``ElementProp``
+whose index and value variables are distinct and not cells (see each
+class). An idempotent propagator may also declare a ``value_watch``: per
+variable, the value bits whose removal can let it prune, so the removal of
+other values leaves its last call's result a fixpoint (Gent, Jefferson and
+Miguel, "Watched literals for constraint propagation in Minion", CP 2006).
+Only a constant-result ``ElementProp`` declares one. Any removal from a
+variable it does not name, and from every variable of every other
+propagator, can let it prune. The engine queues a propagator on every
+removal from a variable it watches, usable or not, and skips the call at
+dequeue, so the queue order, and with it the search, is that of an engine
+that makes every call."""
 
 from __future__ import annotations
 
@@ -72,7 +90,7 @@ _TABLE_CAP = 8192
 
 
 class Propagator:
-    __slots__ = ("constraint", "scope", "key", "weight")
+    __slots__ = ("constraint", "scope", "key", "weight", "idempotent", "value_watch")
 
     def __init__(self, constraint, key: int, store: DomainStore):
         self.constraint = constraint
@@ -80,6 +98,9 @@ class Propagator:
         self.scope = store.indices(constraint.scope if positional else constraint_scope(constraint))
         self.key = key
         self.weight = 1
+        # fixed at build; see the module docstring
+        self.idempotent = False
+        self.value_watch: dict[int, int] | None = None
 
     def propagate(self, store: DomainStore) -> bool:
         raise NotImplementedError
@@ -226,12 +247,15 @@ class TableProp(Propagator):
     repeat pattern. A larger conflicts table gets the residual pass.
 
     A scope may repeat a variable: only the rows and tuples that give it
-    one value count, so the pass is GAC over the scope's variables."""
+    one value count, so the pass is GAC over the scope's variables. Either
+    pass is idempotent: every value it keeps has a support whose values it
+    keeps too."""
 
     __slots__ = ("supports", "allowed", "residues")
 
     def __init__(self, c: Extension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
+        self.idempotent = True
         table, scope = c.table, self.scope
         domains = tuple(store.init_values[x] for x in scope)
         first = tuple(map(scope.index, scope))
@@ -289,7 +313,9 @@ class IntensionProp(Propagator):
     ``eq(z, e)`` (or ``eq(e, z)``) with ``z`` not in ``e`` enumerates the
     other positions only and computes ``z``; any other expression
     enumerates the full product. The masks are read-only, so nothing is
-    trailed. A relation over the cap gets the residual pass."""
+    trailed. A relation over the cap gets the residual pass. Without a
+    bounds closure every call is the GAC pass, so the propagator is
+    idempotent; interval filtering is not."""
 
     __slots__ = ("fn", "bounds_fn", "supports", "constant", "residues")
 
@@ -310,6 +336,7 @@ class IntensionProp(Propagator):
                 self.residues = [[None] * len(d) for d in domains]
             else:
                 self.supports = _support_masks(store, scope, rows)
+        self.idempotent = self.bounds_fn is None
 
     def propagate(self, store: DomainStore) -> bool:
         if self.constant is not None:
@@ -654,7 +681,16 @@ class AllDifferentProp(Propagator):
 
 class ElementProp(Propagator):
     """GAC through per-cell bit translation tables between each list cell's
-    value space and the result's value space."""
+    value space and the result's value space.
+
+    When the index and value variables are distinct and neither is a cell,
+    the pass is idempotent. ``reach`` is built only from supported
+    positions, so every position kept on the index keeps a cell value that
+    maps into the narrowed value domain; and a singleton index narrows its
+    one cell to the values that map into that domain, which leaves the
+    position supported and ``reach`` as it was. With a constant result the
+    pass reads only whether each cell holds the constant, so it then
+    watches, per cell, the constant's bit, and any change of the index."""
 
     __slots__ = ("list_idx", "index_idx", "value_idx", "in_range", "position", "cell_to_value", "const_bits")
 
@@ -690,6 +726,9 @@ class ElementProp(Propagator):
                     cbit |= 1 << b
             self.cell_to_value.append(table)
             self.const_bits.append(cbit)
+        self.idempotent = index_idx != self.value_idx and not {index_idx, self.value_idx} & set(list_idx)
+        if self.idempotent and self.value_idx is None:
+            self.value_watch = dict(zip(list_idx, self.const_bits))
 
     def propagate(self, store: DomainStore) -> bool:
         masks = store.masks

@@ -28,7 +28,12 @@ class SearchStats:
     nodes: int = 0
     failures: int = 0
     propagations: int = 0
+    skipped: int = 0  # dequeued calls that could not prune, so were not made
     elapsed: float = 0.0
+
+
+# the states of an engine slot
+_IDLE, _CLEAN, _DIRTY = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -59,14 +64,28 @@ class EnumerationResult:
 class PropagationEngine:
     """Constraint-oriented propagation queue over stateless propagators.
 
+    Each removal the store logs, a ``(variable, removed bits)`` event,
+    queues every watcher of its variable that is not queued yet, in event
+    order, so the queue order depends on the events alone. A slot is idle,
+    queued clean or queued dirty. An event marks a watcher dirty only when
+    the watcher can use it: any event can, except one that removes none of
+    the bits of the watcher's ``value_watch`` for that variable. After the
+    call of an ``idempotent`` propagator, the prunes of that call leave its
+    own slot clean. A clean slot is skipped at dequeue, counted in
+    ``skipped`` and not in ``propagations``. Skipping instead of not
+    queuing keeps the order: a slot queued clean that a later event makes
+    dirty runs where it would have run anyway, so a skipped call is exactly
+    one that would have pruned nothing. This holds when every idle slot is
+    at its fixpoint, so the first ``fixpoint`` follows ``enqueue_all``.
+
     ``wdeg[x]`` is the weighted degree of variable ``x``: the sum of the
     weights of its watchers, raised with them on each failure."""
 
     def __init__(self, store: DomainStore, props: list[Propagator]):
         self.store = store
         self.props = props
-        # a slot's watched variables are fixed here, also when _post_bound
-        # later replaces the slot's propagator
+        # a slot's watched variables and value watch are fixed here, also
+        # when _post_bound later replaces the slot's propagator
         self.watched = [tuple(set(p.scope)) for p in props]
         self.watchers: list[list[int]] = [[] for _ in range(len(store))]
         self.wdeg = [0] * len(store)
@@ -74,41 +93,70 @@ class PropagationEngine:
             for x in self.watched[i]:
                 self.watchers[x].append(i)
                 self.wdeg[x] += p.weight
+        # per variable, None when each of its watchers watches any change,
+        # else per value bit the watchers that the bit's removal marks dirty
+        self.dirty_by_bit: list[tuple[tuple[int, ...], ...] | None] = [None] * len(store)
+        for x in {x for p in props for x in p.value_watch or ()}:
+            self.dirty_by_bit[x] = tuple(
+                tuple(i for i in self.watchers[x] if (props[i].value_watch or {}).get(x, -1) >> bit & 1)
+                for bit in range(len(store.init_values[x]))
+            )
         self.queue: deque[int] = deque()
-        self.in_queue = [False] * len(props)
+        self.state = [_IDLE] * len(props)
         self.propagations = 0
+        self.skipped = 0
 
     def enqueue(self, i: int) -> None:
-        if not self.in_queue[i]:
-            self.in_queue[i] = True
+        if self.state[i] == _IDLE:
             self.queue.append(i)
+        self.state[i] = _DIRTY
 
     def enqueue_all(self) -> None:
         for i in range(len(self.props)):
             self.enqueue(i)
 
     def fixpoint(self):
-        """Run to fixpoint; returns the failing propagator or None.
-
-        Before each call, the watchers of every variable the store touched
-        since the last call are queued, in touch order, each once."""
-        store, props, watchers, in_queue = self.store, self.props, self.watchers, self.in_queue
+        """Run to fixpoint; returns the failing propagator or None."""
+        store, props, watchers, dirty_by_bit = self.store, self.props, self.watchers, self.dirty_by_bit
+        state = self.state  # 0, 1, 2: _IDLE, _CLEAN, _DIRTY, as literals in this loop
         queue = self.queue
         push, pop = queue.append, queue.popleft
         touched = store.touched
-        calls = 0
+        calls = skipped = 0
+        own = -1  # the slot of the last call when it is idempotent
         while True:
-            for x in touched:
-                for i in watchers[x]:
-                    if not in_queue[i]:
-                        in_queue[i] = True
-                        push(i)
-            touched.clear()
+            if touched:
+                for x, bits in touched:
+                    by_bit = dirty_by_bit[x]
+                    if by_bit is None:
+                        for i in watchers[x]:
+                            if state[i] != 2:
+                                if not state[i]:
+                                    push(i)
+                                state[i] = 2
+                    else:
+                        for i in watchers[x]:
+                            if not state[i]:
+                                push(i)
+                                state[i] = 1
+                        while bits:
+                            low = bits & -bits
+                            for i in by_bit[low.bit_length() - 1]:
+                                state[i] = 2
+                            bits ^= low
+                touched.clear()
+                if own >= 0 and state[own] == 2:
+                    state[own] = 1
             if not queue:
                 self.propagations += calls
+                self.skipped += skipped
                 return None
             i = pop()
-            in_queue[i] = False
+            if state[i] == 1:
+                state[i] = 0
+                skipped += 1
+                continue
+            state[i] = 0
             calls += 1
             prop = props[i]
             if not prop.propagate(store):
@@ -118,10 +166,12 @@ class PropagationEngine:
                     wdeg[x] += 1
                 touched.clear()
                 for j in queue:
-                    in_queue[j] = False
+                    state[j] = 0
                 queue.clear()
                 self.propagations += calls
+                self.skipped += skipped
                 return prop
+            own = i if prop.idempotent else -1
 
 
 def propagate_to_fixpoint(store: DomainStore, constraints):
@@ -217,6 +267,7 @@ class _Search:
         def finish(exhausted):
             """The one exit; ``exhausted`` is true when the whole space was searched."""
             stats.propagations = engine.propagations
+            stats.skipped = engine.skipped
             stats.elapsed = time.perf_counter() - t0
             if mode == "count":
                 return EnumerationResult(count, exhausted, witness)

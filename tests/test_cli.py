@@ -125,6 +125,14 @@ class TestSolveCommand:
         debug_out = capsys.readouterr().out
         assert any(line.startswith("c ") for line in debug_out.splitlines())
 
+    def test_debug_stats_line_prints_skipped_calls_after_propagations(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "dubois6.xml"
+        path.write_text(write_instance(gen_dubois(6)))
+        monkeypatch.setenv("XCSP_MINI_LOG", "debug")
+        main(["solve", str(path)])
+        out = capsys.readouterr().out
+        assert "c nodes 163, failures 164, propagations 1142, skipped 458, elapsed " in out
+
 
 class TestGenerateCommand:
     def test_param_form(self, capsys):

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import random
 import time
+from collections import deque
 
 import pytest
 
@@ -18,8 +19,9 @@ from xcspkit.engine import (
     propagate_to_fixpoint,
     solve,
 )
+from xcspkit.engine import search
 from xcspkit.engine.propagators import _SCAN_CAP, IntensionProp, TableProp, _defined_variable, make_propagators
-from xcspkit.engine.search import PropagationEngine, _Search, _improving
+from xcspkit.engine.search import _CLEAN, PropagationEngine, _Search, _improving
 from xcspkit.errors import InvalidInstanceError
 from xcspkit.expr import evaluate, expr_vars, parse_expr
 from xcspkit.generators import (
@@ -574,47 +576,49 @@ KNAPSACK_20_DATA = {
     ],
 }
 
-# (status, bound, nodes, failures, propagations) of small searches. A
-# change here is a change in search behaviour and must be explained.
+# (status, bound, nodes, failures, propagations, dequeued) of small
+# searches, where dequeued counts the calls made and the calls skipped
+# because they could not prune. A change here is a change in search
+# behaviour and must be explained.
 PINNED_SEARCHES = {
-    "knapsack-paper": (lambda: optimize(gen_knapsack(KNAPSACK_DATA)), ("OPTIMUM", 283, 10, 0, 52)),
-    "golomb-5": (lambda: optimize(gen_golomb_ruler(5)), ("OPTIMUM", 11, 20, 19, 717)),
-    "langford-4": (lambda: solve(gen_langford(4)), ("SAT", None, 11, 9, 391)),
-    "dubois-6": (lambda: solve(gen_dubois(6)), ("UNSAT", None, 163, 164, 1600)),
-    "dubois-6-restarts": (lambda: solve(gen_dubois(6), SearchConfig(restarts=True)), ("UNSAT", None, 190, 188, 1833)),
-    "graph-coloring-maximum": (lambda: optimize(gen_graph_coloring(GRAPH_COLORING_DATA)), ("OPTIMUM", 2, 6, 6, 83)),
-    "golomb-6": (lambda: optimize(gen_golomb_ruler(6)), ("OPTIMUM", 17, 66, 62, 3171)),
-    "still-life-4": (lambda: optimize(gen_still_life(4)), ("OPTIMUM", 8, 192, 187, 10553)),
-    "coloured-queens-5": (lambda: solve(gen_coloured_queens(5)), ("SAT", None, 5, 0, 196)),
-    "bibd-7-7-3-3-1": (lambda: solve(gen_bibd(7, 7, 3, 3, 1)), ("SAT", None, 175, 171, 7702)),
-    "rcpsp": (lambda: optimize(gen_rcpsp(RCPSP_DATA)), ("OPTIMUM", 7, 4, 4, 57)),
+    "knapsack-paper": (lambda: optimize(gen_knapsack(KNAPSACK_DATA)), ("OPTIMUM", 283, 10, 0, 52, 52)),
+    "golomb-5": (lambda: optimize(gen_golomb_ruler(5)), ("OPTIMUM", 11, 20, 19, 717, 717)),
+    "langford-4": (lambda: solve(gen_langford(4)), ("SAT", None, 11, 9, 237, 391)),
+    "dubois-6": (lambda: solve(gen_dubois(6)), ("UNSAT", None, 163, 164, 1142, 1600)),
+    "dubois-6-restarts": (lambda: solve(gen_dubois(6), SearchConfig(restarts=True)), ("UNSAT", None, 190, 188, 1306, 1833)),
+    "graph-coloring-maximum": (lambda: optimize(gen_graph_coloring(GRAPH_COLORING_DATA)), ("OPTIMUM", 2, 6, 6, 75, 83)),
+    "golomb-6": (lambda: optimize(gen_golomb_ruler(6)), ("OPTIMUM", 17, 66, 62, 3171, 3171)),
+    "still-life-4": (lambda: optimize(gen_still_life(4)), ("OPTIMUM", 8, 192, 187, 9532, 10553)),
+    "coloured-queens-5": (lambda: solve(gen_coloured_queens(5)), ("SAT", None, 5, 0, 196, 196)),
+    "bibd-7-7-3-3-1": (lambda: solve(gen_bibd(7, 7, 3, 3, 1)), ("SAT", None, 175, 171, 7702, 7702)),
+    "rcpsp": (lambda: optimize(gen_rcpsp(RCPSP_DATA)), ("OPTIMUM", 7, 4, 4, 51, 57)),
     # more tabled intensions (54) than any other search pinned here
-    "labs-10": (lambda: optimize(gen_low_autocorrelation(10)), ("OPTIMUM", 13, 1197, 1188, 81543)),
-    "mario": (lambda: optimize(gen_mario(MARIO_DATA)), ("OPTIMUM", 10, 1, 0, 57)),
-    "mistery-shopper": (lambda: solve(gen_mistery_shopper(MISTERY_DATA)), ("SAT", None, 179, 163, 16325)),
-    "langford-5": (lambda: solve(gen_langford(5)), ("UNSAT", None, 694, 695, 29363)),
-    "langford-4-restarts": (lambda: solve(gen_langford(4), SearchConfig(restarts=True)), ("SAT", None, 11, 9, 391)),
+    "labs-10": (lambda: optimize(gen_low_autocorrelation(10)), ("OPTIMUM", 13, 1197, 1188, 60523, 81543)),
+    "mario": (lambda: optimize(gen_mario(MARIO_DATA)), ("OPTIMUM", 10, 1, 0, 44, 57)),
+    "mistery-shopper": (lambda: solve(gen_mistery_shopper(MISTERY_DATA)), ("SAT", None, 179, 163, 14685, 16325)),
+    "langford-5": (lambda: solve(gen_langford(5)), ("UNSAT", None, 694, 695, 17320, 29363)),
+    "langford-4-restarts": (lambda: solve(gen_langford(4), SearchConfig(restarts=True)), ("SAT", None, 11, 9, 237, 391)),
     "golomb-5-restarts": (
         lambda: optimize(gen_golomb_ruler(5), SearchConfig(restarts=True)),
-        ("OPTIMUM", 11, 20, 19, 717),
+        ("OPTIMUM", 11, 20, 19, 717, 717),
     ),
     # more than 100 failures, so the search restarts and re-posts the bound slot
     "still-life-4-restarts": (
         lambda: optimize(gen_still_life(4), SearchConfig(restarts=True)),
-        ("OPTIMUM", 8, 222, 211, 12237),
+        ("OPTIMUM", 8, 222, 211, 11067, 12237),
     ),
     # Hall windows over the successors and a Sum objective
-    "tsp-7": (lambda: optimize(gen_tsp({"distances": TSP_7_DISTANCES})), ("OPTIMUM", 57, 304, 293, 7876)),
+    "tsp-7": (lambda: optimize(gen_tsp({"distances": TSP_7_DISTANCES})), ("OPTIMUM", 57, 304, 293, 6158, 7876)),
     # one long le sum over 20 items
-    "knapsack-20": (lambda: optimize(gen_knapsack(KNAPSACK_20_DATA)), ("OPTIMUM", 544, 654, 584, 3653)),
+    "knapsack-20": (lambda: optimize(gen_knapsack(KNAPSACK_20_DATA)), ("OPTIMUM", 544, 654, 584, 3653, 3653)),
     # eq sums over rows, columns and diagonals
-    "magic-square-4": (lambda: solve(gen_magic_square(4)), ("SAT", None, 39, 34, 1011)),
+    "magic-square-4": (lambda: solve(gen_magic_square(4)), ("SAT", None, 39, 34, 1011, 1011)),
     # the parametric solve and optimize members of the benchmark corpus
-    "langford-6": (lambda: solve(gen_langford(6)), ("UNSAT", None, 15355, 15356, 718156)),
-    "langford-7": (lambda: solve(gen_langford(7)), ("SAT", None, 8653, 8648, 475851)),
-    "dubois-12": (lambda: solve(gen_dubois(12)), ("UNSAT", None, 10249, 10250, 133012)),
-    "magic-hexagon-3-1": (lambda: solve(gen_magic_hexagon(3, 1)), ("SAT", None, 21, 18, 901)),
-    "golomb-7": (lambda: optimize(gen_golomb_ruler(7)), ("OPTIMUM", 25, 449, 443, 24578)),
+    "langford-6": (lambda: solve(gen_langford(6)), ("UNSAT", None, 15355, 15356, 414471, 718156)),
+    "langford-7": (lambda: solve(gen_langford(7)), ("SAT", None, 8653, 8648, 273289, 475851)),
+    "dubois-12": (lambda: solve(gen_dubois(12)), ("UNSAT", None, 10249, 10250, 88552, 133012)),
+    "magic-hexagon-3-1": (lambda: solve(gen_magic_hexagon(3, 1)), ("SAT", None, 21, 18, 888, 901)),
+    "golomb-7": (lambda: optimize(gen_golomb_ruler(7)), ("OPTIMUM", 25, 449, 443, 24578, 24578)),
 }
 
 
@@ -622,7 +626,54 @@ PINNED_SEARCHES = {
 def test_pinned_search_fingerprint(name):
     run, expected = PINNED_SEARCHES[name]
     out = run()
-    assert (out.status, out.bound, out.stats.nodes, out.stats.failures, out.stats.propagations) == expected
+    stats = out.stats
+    dequeued = stats.propagations + stats.skipped
+    assert (out.status, out.bound, stats.nodes, stats.failures, stats.propagations, dequeued) == expected
+
+
+class _CheckingQueue(deque):
+    """An engine queue that, before the engine skips a dequeued clean
+    slot, makes the skipped call anyway and asserts that it is a no-op."""
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine = engine
+        self.checked = 0
+
+    def popleft(self):
+        i = super().popleft()
+        engine = self.engine
+        if engine.state[i] == _CLEAN:
+            store = engine.store
+            masks, trail, touched = list(store.masks), len(store._trail), len(store.touched)
+            assert engine.props[i].propagate(store)
+            assert (store.masks, len(store._trail), len(store.touched)) == (masks, trail, touched)
+            self.checked += 1
+        return i
+
+
+class _CheckingEngine(PropagationEngine):
+    def __init__(self, store, props):
+        super().__init__(store, props)
+        self.queue = _CheckingQueue(self)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+def test_skipped_calls_are_no_ops(name, monkeypatch):
+    """Every call the engine skips, made anyway, prunes nothing and holds,
+    and the search keeps its pinned fingerprint."""
+    engines = []
+
+    def engine(store, props):
+        engines.append(_CheckingEngine(store, props))
+        return engines[-1]
+
+    monkeypatch.setattr(search, "PropagationEngine", engine)
+    run, expected = PINNED_SEARCHES[name]
+    out = run()
+    stats = out.stats
+    assert (out.status, out.bound, stats.nodes, stats.failures, stats.propagations) == expected[:5]
+    assert engines[0].queue.checked == stats.skipped
 
 
 @pytest.mark.parametrize("mode, instance", [("sat", gen_dubois(6)), ("optimize", gen_still_life(4))])
