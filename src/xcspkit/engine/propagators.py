@@ -14,10 +14,13 @@ variable attribute is ``scope`` (its ``model._KINDS`` row): that propagator
 watches ``constraint.scope`` exactly as given, repeats included, because it
 reads the scope position by position.
 
-Each distinct table is compiled once per ``make_propagators`` call. The
-call keeps a memo from (table, initial domains of the scope, the scope's
-repeat pattern) to support masks and hands it to the extension row, the
-one builder that takes a fourth argument; compact tables with equal keys
+Each distinct relation is compiled once per ``make_propagators`` call.
+The call keeps one memo of support masks and hands it to the two
+relation builders, the only ones that take a fourth argument: an
+extension keys it by (table, initial domains of the scope, the scope's
+repeat pattern), a tabled intension by (positional template, initial
+domains of the scope), where the template is the expression with each
+variable replaced by its scope position. Compact tables with equal keys
 share one set of masks, which ``_ct_filter`` only reads.
 
 A relation fixes its GAC pass when it is built. A supports table, a
@@ -291,6 +294,16 @@ class TableProp(Propagator):
 # Intension
 
 
+def _template(expression, position):
+    """The expression with each variable replaced by its scope position; a
+    constant stays an ``IntConst``, so it never equals a position."""
+    if isinstance(expression, _x.VarRef):
+        return position[expression.var_id]
+    if isinstance(expression, _x.Op):
+        return (expression.kind, *(_template(e, position) for e in expression.children))
+    return expression
+
+
 def _defined_variable(expression):
     """``(z, e)`` when the expression is ``eq(z, e)`` or ``eq(e, z)`` for a
     variable ``z`` that ``e`` does not mention, else None."""
@@ -319,7 +332,7 @@ class IntensionProp(Propagator):
 
     __slots__ = ("fn", "bounds_fn", "supports", "constant", "residues")
 
-    def __init__(self, c: Intension, key, store: DomainStore):
+    def __init__(self, c: Intension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
         scope = self.scope
         position = {store.names[x]: i for i, x in enumerate(scope)}
@@ -327,15 +340,21 @@ class IntensionProp(Propagator):
         # an expression without variables is a constant verdict
         self.constant = bool(self.fn(())) if not scope else None
         self.supports = self.residues = self.bounds_fn = None
-        domains = [store.init_values[x] for x in scope]
+        domains = tuple(store.init_values[x] for x in scope)
         if len(scope) > 3 or math.prod(map(len, domains)) > _SCAN_CAP:
             self.bounds_fn = _x.compile_expr(c.expr, position, bounds=True)
         if scope and len(scope) <= 3:
-            rows = self._rows(store, domains)
-            if rows is None:
-                self.residues = [[None] * len(d) for d in domains]
+            defined = _defined_variable(c.expr)
+            t = position[defined[0]] if defined is not None else None
+            free = domains[:t] + domains[t + 1 :] if t is not None else domains
+            if math.prod(map(len, free)) <= _TABLE_CAP:
+                relation = (_template(c.expr, position), domains)
+                self.supports = masks.get(relation)
+                if self.supports is None:
+                    rows = self._rows(domains, defined, position)
+                    self.supports = masks[relation] = _support_masks(store, scope, rows)
             else:
-                self.supports = _support_masks(store, scope, rows)
+                self.residues = [[None] * len(d) for d in domains]
         self.idempotent = self.bounds_fn is None
 
     def propagate(self, store: DomainStore) -> bool:
@@ -348,21 +367,16 @@ class IntensionProp(Propagator):
             return _ct_filter(store, scope, self.supports)
         return _residual(store, scope, self.fn, self.residues)
 
-    def _rows(self, store: DomainStore, domains):
-        """The relation's rows over the initial domains when it has at most
-        ``_TABLE_CAP``, else None."""
-        defined = _defined_variable(self.constraint.expr)
-        if defined is not None:
-            names = [store.names[x] for x in self.scope]
-            t = names.index(defined[0])
-            rest = domains[:t] + domains[t + 1 :]
-            if math.prod(map(len, rest)) <= _TABLE_CAP:
-                position = {name: i for i, name in enumerate(names[:t] + names[t + 1 :])}
-                f = _x.compile_expr(defined[1], position, bounds=False)
-                return [c[:t] + (f(c),) + c[t:] for c in itertools.product(*rest)]
-        elif math.prod(map(len, domains)) <= _TABLE_CAP:
+    def _rows(self, domains, defined, position):
+        """The relation's rows over the initial domains: for ``eq(z, e)``
+        the other positions are enumerated and ``z`` computed, for any
+        other expression the full product is filtered."""
+        if defined is None:
             return [c for c in itertools.product(*domains) if self.fn(c)]
-        return None
+        z, e = defined
+        t = position[z]
+        f = _x.compile_expr(e, {name: i - (i > t) for name, i in position.items() if name != z}, bounds=False)
+        return [c[:t] + (f(c),) + c[t:] for c in itertools.product(*domains[:t], *domains[t + 1 :])]
 
     def _interval_filter(self, store: DomainStore) -> bool:
         """Remove each value whose fixing bounds the expression to false,
@@ -1156,17 +1170,18 @@ _PROPAGATORS = {
 
 def make_propagators(constraints, store: DomainStore) -> list[Propagator]:
     """Build the propagators of the constraints; each propagator's ``key``
-    is the index of its owning constraint. Compact tables over one table and
-    equal initial domains share their support masks, compiled once per
+    is the index of its owning constraint. Compact tables over one relation
+    and equal initial domains share their support masks, compiled once per
     call."""
     props: list[Propagator] = []
-    masks: dict = {}  # (table, initial domains of the scope, repeat pattern) -> support masks
+    # (table, initial domains, repeat pattern) or (template, initial domains) -> support masks
+    masks: dict = {}
     for key, c in enumerate(constraints):
         for p in _primitives(c):
             build = _PROPAGATORS.get(type(p))
             if build is None:
                 raise TypeError(f"no propagator for {type(p).__name__}")
-            props.append(build(p, key, store, masks) if build is TableProp else build(p, key, store))
+            props.append(build(p, key, store, masks) if build in (TableProp, IntensionProp) else build(p, key, store))
     return props
 
 

@@ -498,14 +498,57 @@ def test_intension_gac_pass_above_the_table_cap_equals_brute_force(seed, build):
     assert prop.supports is None and prop.residues is not None
 
 
+def test_golomb_7_intensions_share_one_table():
+    """The 21 ``eq(x[j], add(x[i], y[i][j]))`` relations are one positional
+    template over equal initial domains, so they read one set of masks."""
+    instance = gen_golomb_ruler(7)
+    store = DomainStore(instance.variables)
+    props = [p for p in make_propagators(instance.constraints, store) if isinstance(p, IntensionProp)]
+    assert len(props) == 21 and props[0].supports is not None
+    assert all(p.supports is props[0].supports for p in props)
+
+
+@pytest.mark.parametrize(
+    "texts, shared",
+    [
+        (("eq(z,add(x,y))", "eq(z,add(y,x))"), True),  # one template over equal domains
+        (("eq(z,add(x,1))", "eq(z,add(x,2))"), False),  # a constant
+        (("eq(x,add(y,1))", "eq(x,add(y,y))"), False),  # a constant, not the position it equals
+        (("gt(x,sub(y,x))", "gt(x,sub(x,y))"), False),  # operand order
+        (("eq(z,add(x,y))", "eq(w,add(x,y))"), False),  # initial domains
+    ],
+)
+def test_intensions_share_masks_only_over_one_relation(texts, shared):
+    """Tabled intensions share masks when their templates and initial
+    domains are equal, and each pass stays GAC against brute force."""
+    rng = random.Random(str(texts))
+    domains = {"x": range(0, 5), "y": range(0, 5), "z": range(0, 7), "w": range(-1, 5)}
+    store = DomainStore([Variable(n, Domain(tuple(d))) for n, d in domains.items()])
+    props = make_propagators([Intension(parse_expr(text)) for text in texts], store)
+    assert all(p.supports is not None for p in props)
+    assert (props[0].supports is props[1].supports) == shared
+    for prop, text in zip(props, texts):
+        allowed = _holds(text, store.names)
+        for _ in range(20):
+            store.push()
+            for x in range(len(store)):
+                live = store.domain_list(x)
+                store.keep_values(x, rng.sample(live, rng.randint(1, len(live))))
+            expected = _brute_force_gac(allowed, store)
+            assert prop.propagate(store) == (expected is not None)
+            if expected is not None:
+                assert [set(store.values(x)) for x in range(len(store))] == expected
+            store.pop()
+
+
 def test_golomb_6_search_tables_each_intension_once(monkeypatch):
     """Each intension tables its relation when it is built and reads the
     same masks before and after every pop."""
     built, used, pops = {}, {}, [0]
     init, propagate, pop = IntensionProp.__init__, IntensionProp.propagate, DomainStore.pop
 
-    def recorded_init(self, c, key, store):
-        init(self, c, key, store)
+    def recorded_init(self, c, key, store, masks):
+        init(self, c, key, store, masks)
         built[self] = self.supports
 
     def recorded_propagate(self, store):
