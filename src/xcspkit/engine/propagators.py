@@ -23,18 +23,21 @@ domains of the scope), where the template is the expression with each
 variable replaced by its scope position. Compact tables with equal keys
 share one set of masks, which ``_ct_filter`` only reads.
 
-A relation fixes its GAC pass when it is built. A supports table, a
+A relation fixes its pass when it is built. A supports table, a
 conflicts table over at most ``_COMPLEMENT_CAP`` tuples and an intension
-of arity <= 3 with at most ``_TABLE_CAP`` rows get the compact-table pass
-``_ct_filter`` over support masks. A larger conflicts table or intension
-gets ``_residual``, the residual-support pass over a predicate on tuples.
+of arity <= 3 with at most ``_TABLE_CAP`` rows are tables: every call is
+the compact-table pass ``_ct_filter`` over support masks. A larger
+conflicts table gets ``_residual``, the residual-support pass over a
+predicate on tuples. A larger intension, whose initial product is then
+above ``_SCAN_CAP``, gets ``_residual`` while its live product is at most
+``_SCAN_CAP`` (arity <= 3 only) and interval filtering beyond it.
 
 Two build-time declarations let the engine skip calls that cannot prune
 (``search.PropagationEngine``). A propagator is ``idempotent`` when a
 second call on the domains its call left prunes nothing, so a call queued
 only by its own prunes is skipped (Schulte and Stuckey, "Efficient
 constraint propagation engines", TOPLAS 2008). ``TableProp`` is, and so
-are an ``IntensionProp`` without a bounds closure and an ``ElementProp``
+are a tabled ``IntensionProp`` and an ``ElementProp``
 whose index and value variables are distinct and not cells (see each
 class). An idempotent propagator may also declare a ``value_watch``: per
 variable, the value bits whose removal can let it prune, so the removal of
@@ -315,20 +318,22 @@ def _defined_variable(expression):
 
 
 class IntensionProp(Propagator):
-    """An intension of arity <= 3 gets an exact GAC pass while its live
-    domain product is at most ``_SCAN_CAP``; beyond it, and at any product
-    above arity 3, it gets interval filtering through a bounds closure
-    compiled once at build (``expr.compile_expr``), unless its initial
-    product is small enough that the GAC pass is all it can ever need.
+    """An intension's pass is fixed at build. A relation of arity <= 3
+    with at most ``_TABLE_CAP`` rows over the initial domains is tabled as
+    compact-table support masks: ``eq(z, e)`` (or ``eq(e, z)``) with ``z``
+    not in ``e`` enumerates the other positions only and computes ``z``;
+    any other expression enumerates the full product. The masks come from,
+    or go into, the build call's memo ``masks``, keyed by the positional
+    template and the initial domains; they are read-only, so nothing is
+    trailed. Every call of a tabled intension is its compact-table pass,
+    so it is idempotent.
 
-    The GAC pass is fixed at build. A relation with at most ``_TABLE_CAP``
-    rows over the initial domains is tabled as compact-table support masks:
-    ``eq(z, e)`` (or ``eq(e, z)``) with ``z`` not in ``e`` enumerates the
-    other positions only and computes ``z``; any other expression
-    enumerates the full product. The masks are read-only, so nothing is
-    trailed. A relation over the cap gets the residual pass. Without a
-    bounds closure every call is the GAC pass, so the propagator is
-    idempotent; interval filtering is not."""
+    Any other intension (arity > 3, or more rows than ``_TABLE_CAP``, so an
+    initial product above ``_SCAN_CAP``) gets a bounds closure compiled
+    once at build (``expr.compile_expr``). It gets the residual GAC pass
+    while its arity is <= 3 and its live domain product at most
+    ``_SCAN_CAP``, and interval filtering otherwise, which is not
+    idempotent."""
 
     __slots__ = ("fn", "bounds_fn", "supports", "constant", "residues")
 
@@ -341,8 +346,6 @@ class IntensionProp(Propagator):
         self.constant = bool(self.fn(())) if not scope else None
         self.supports = self.residues = self.bounds_fn = None
         domains = tuple(store.init_values[x] for x in scope)
-        if len(scope) > 3 or math.prod(map(len, domains)) > _SCAN_CAP:
-            self.bounds_fn = _x.compile_expr(c.expr, position, bounds=True)
         if scope and len(scope) <= 3:
             defined = _defined_variable(c.expr)
             t = position[defined[0]] if defined is not None else None
@@ -355,16 +358,18 @@ class IntensionProp(Propagator):
                     self.supports = masks[relation] = _support_masks(store, scope, rows)
             else:
                 self.residues = [[None] * len(d) for d in domains]
+        if self.supports is None and (len(scope) > 3 or math.prod(map(len, domains)) > _SCAN_CAP):
+            self.bounds_fn = _x.compile_expr(c.expr, position, bounds=True)
         self.idempotent = self.bounds_fn is None
 
     def propagate(self, store: DomainStore) -> bool:
         if self.constant is not None:
             return self.constant
-        scope = self.scope
-        if self.bounds_fn is not None and (len(scope) > 3 or math.prod(map(store.size, scope)) > _SCAN_CAP):
-            return self._interval_filter(store)
         if self.supports is not None:
-            return _ct_filter(store, scope, self.supports)
+            return _ct_filter(store, self.scope, self.supports)
+        scope = self.scope
+        if len(scope) > 3 or math.prod(map(store.size, scope)) > _SCAN_CAP:
+            return self._interval_filter(store)
         return _residual(store, scope, self.fn, self.residues)
 
     def _rows(self, domains, defined, position):

@@ -124,8 +124,16 @@ def test_element_is_idempotent_when_index_value_and_cells_are_distinct(element, 
     assert (prop.value_watch is not None) is (idempotent and isinstance(element.value, int))
 
 
-@pytest.mark.parametrize("text, idempotent", [("ne(a,add(b,i))", True), ("ne(a,add(b,i,v))", False)])
-def test_intension_is_idempotent_without_interval_filtering(text, idempotent):
-    store = DomainStore([Variable(name, Domain.rng(0, 2)) for name in ("a", "b", "i", "v")])
+@pytest.mark.parametrize(
+    "text, size, idempotent",
+    [
+        ("ne(a,add(b,i))", 3, True),
+        ("ne(a,add(b,i,v))", 3, False),
+        # tabled (2,500 rows over b and i) although the product is above _SCAN_CAP
+        ("eq(a,add(b,i))", 50, True),
+    ],
+)
+def test_intension_is_idempotent_without_interval_filtering(text, size, idempotent):
+    store = DomainStore([Variable(name, Domain.rng(0, size - 1)) for name in ("a", "b", "i", "v")])
     (prop,) = make_propagators([Intension(parse_expr(text))], store)
     assert (prop.bounds_fn is None, prop.idempotent) == (idempotent, idempotent)
