@@ -342,13 +342,11 @@ class _Search:
 
             x, v = frames.pop()
             store.pop()
-            if store.remove_value(x, v):
-                conflict = engine.fixpoint()
-                if conflict is None:
-                    backtracking = False
-                else:
-                    stats.failures += 1
-                    fails_since_restart += 1
+            # x had two or more values when it was chosen, so this cannot wipe it out
+            store.remove_value(x, v)
+            conflict = engine.fixpoint()
+            if conflict is None:
+                backtracking = False
             else:
                 stats.failures += 1
                 fails_since_restart += 1
