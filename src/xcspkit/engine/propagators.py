@@ -14,23 +14,17 @@ variable attribute is ``scope`` (its ``model._KINDS`` row): that propagator
 watches ``constraint.scope`` exactly as given, repeats included, because it
 reads the scope position by position.
 
-Each distinct relation is compiled once per ``make_propagators`` call.
-The call keeps one memo of support masks and hands it to the two
-relation builders, the only ones that take a fourth argument: an
-extension keys it by (table, initial domains of the scope, the scope's
-repeat pattern), a tabled intension by (positional template, initial
-domains of the scope), where the template is the expression with each
-variable replaced by its scope position. Compact tables with equal keys
-share one set of masks, which ``_ct_filter`` only reads.
-
 A relation fixes its pass when it is built. A supports table, a
 conflicts table over at most ``_COMPLEMENT_CAP`` tuples and an intension
-of arity <= 3 with at most ``_TABLE_CAP`` rows are tables: every call is
-the compact-table pass ``_ct_filter`` over support masks. A larger
-conflicts table gets ``_residual``, the residual-support pass over a
-predicate on tuples. A larger intension, whose initial product is then
-above ``_SCAN_CAP``, gets ``_residual`` while its live product is at most
-``_SCAN_CAP`` (arity <= 3 only) and interval filtering beyond it.
+of arity <= 3 with at most ``_TABLE_CAP`` rows are compact tables: every
+call is ``_ct_filter`` over read-only support masks. One memo per
+``make_propagators`` call, handed to the two relation builders (the only
+ones that take a fourth argument), shares the masks of equal relations:
+an extension keys it by (table, initial domains, the scope's repeat
+pattern), a tabled intension by (positional template, initial domains).
+A larger conflicts table gets ``_residual``, the residual-support pass
+over a predicate on tuples, and so does a larger intension while its live
+product is at most ``_SCAN_CAP``.
 
 Two build-time declarations let the engine skip calls that cannot prune
 (``search.PropagationEngine``). A propagator is ``idempotent`` when a
@@ -159,12 +153,10 @@ def _support_masks(store: DomainStore, scope, rows):
     domains are dropped; STAR supports every value)."""
     kept = []
     for row in rows:
-        ok = True
         for x, entry in zip(scope, row):
             if entry != STAR and entry not in store.pos[x]:
-                ok = False
                 break
-        if ok:
+        else:
             kept.append(row)
     supports: list[list[int]] = []
     for i, x in enumerate(scope):
@@ -300,11 +292,9 @@ class TableProp(Propagator):
 def _template(expression, position):
     """The expression with each variable replaced by its scope position; a
     constant stays an ``IntConst``, so it never equals a position."""
-    if isinstance(expression, _x.VarRef):
-        return position[expression.var_id]
     if isinstance(expression, _x.Op):
         return (expression.kind, *(_template(e, position) for e in expression.children))
-    return expression
+    return position[expression.var_id] if isinstance(expression, _x.VarRef) else expression
 
 
 def _defined_variable(expression):
@@ -318,22 +308,20 @@ def _defined_variable(expression):
 
 
 class IntensionProp(Propagator):
-    """An intension's pass is fixed at build. A relation of arity <= 3
-    with at most ``_TABLE_CAP`` rows over the initial domains is tabled as
-    compact-table support masks: ``eq(z, e)`` (or ``eq(e, z)``) with ``z``
-    not in ``e`` enumerates the other positions only and computes ``z``;
-    any other expression enumerates the full product. The masks come from,
-    or go into, the build call's memo ``masks``, keyed by the positional
-    template and the initial domains; they are read-only, so nothing is
-    trailed. Every call of a tabled intension is its compact-table pass,
-    so it is idempotent.
+    """An intension's pass is fixed at build. A relation of arity <= 3 with
+    at most ``_TABLE_CAP`` rows over the initial domains is a compact table
+    on every call, so it is idempotent: ``eq(z, e)`` (or ``eq(e, z)``) with
+    ``z`` not in ``e`` enumerates the other positions only and computes
+    ``z``, any other expression the full product. Its masks are shared
+    through the build call's memo ``masks`` under its positional template
+    (the expression with each variable replaced by its scope position) and
+    initial domains; they are read-only, so nothing is trailed.
 
-    Any other intension (arity > 3, or more rows than ``_TABLE_CAP``, so an
-    initial product above ``_SCAN_CAP``) gets a bounds closure compiled
-    once at build (``expr.compile_expr``). It gets the residual GAC pass
-    while its arity is <= 3 and its live domain product at most
-    ``_SCAN_CAP``, and interval filtering otherwise, which is not
-    idempotent."""
+    Any other intension has an initial product above ``_SCAN_CAP``. It gets
+    the residual GAC pass while its arity is <= 3 and its live product is
+    at most ``_SCAN_CAP``, and beyond that interval filtering through a
+    bounds closure compiled once at build (``expr.compile_expr``), which is
+    not idempotent."""
 
     __slots__ = ("fn", "bounds_fn", "supports", "constant", "residues")
 
@@ -348,14 +336,19 @@ class IntensionProp(Propagator):
         domains = tuple(store.init_values[x] for x in scope)
         if scope and len(scope) <= 3:
             defined = _defined_variable(c.expr)
-            t = position[defined[0]] if defined is not None else None
-            free = domains[:t] + domains[t + 1 :] if t is not None else domains
-            if math.prod(map(len, free)) <= _TABLE_CAP:
+            if defined is None:
+                rest, rows = domains, filter(self.fn, itertools.product(*domains))
+            else:
+                t = position[defined[0]]
+                rest = domains[:t] + domains[t + 1 :]
+                f = _x.compile_expr(defined[1], {v: i - (i > t) for v, i in position.items() if i != t}, bounds=False)
+                rows = (r[:t] + (f(r),) + r[t:] for r in itertools.product(*rest))
+            # the rows are enumerated only when the memo lacks the relation
+            if math.prod(map(len, rest)) <= _TABLE_CAP:
                 relation = (_template(c.expr, position), domains)
-                self.supports = masks.get(relation)
-                if self.supports is None:
-                    rows = self._rows(domains, defined, position)
-                    self.supports = masks[relation] = _support_masks(store, scope, rows)
+                if relation not in masks:
+                    masks[relation] = _support_masks(store, scope, rows)
+                self.supports = masks[relation]
             else:
                 self.residues = [[None] * len(d) for d in domains]
         if self.supports is None and (len(scope) > 3 or math.prod(map(len, domains)) > _SCAN_CAP):
@@ -371,17 +364,6 @@ class IntensionProp(Propagator):
         if len(scope) > 3 or math.prod(map(store.size, scope)) > _SCAN_CAP:
             return self._interval_filter(store)
         return _residual(store, scope, self.fn, self.residues)
-
-    def _rows(self, domains, defined, position):
-        """The relation's rows over the initial domains: for ``eq(z, e)``
-        the other positions are enumerated and ``z`` computed, for any
-        other expression the full product is filtered."""
-        if defined is None:
-            return [c for c in itertools.product(*domains) if self.fn(c)]
-        z, e = defined
-        t = position[z]
-        f = _x.compile_expr(e, {name: i - (i > t) for name, i in position.items() if name != z}, bounds=False)
-        return [c[:t] + (f(c),) + c[t:] for c in itertools.product(*domains[:t], *domains[t + 1 :])]
 
     def _interval_filter(self, store: DomainStore) -> bool:
         """Remove each value whose fixing bounds the expression to false,
@@ -1179,8 +1161,7 @@ def make_propagators(constraints, store: DomainStore) -> list[Propagator]:
     and equal initial domains share their support masks, compiled once per
     call."""
     props: list[Propagator] = []
-    # (table, initial domains, repeat pattern) or (template, initial domains) -> support masks
-    masks: dict = {}
+    masks: dict = {}  # relation key (see the module docstring) -> support masks
     for key, c in enumerate(constraints):
         for p in _primitives(c):
             build = _PROPAGATORS.get(type(p))
