@@ -1161,7 +1161,7 @@ def make_propagators(constraints, store: DomainStore) -> list[Propagator]:
     and equal initial domains share their support masks, compiled once per
     call."""
     props: list[Propagator] = []
-    masks: dict = {}  # relation key (see the module docstring) -> support masks
+    masks: dict = {}  # (table, domains, repeat pattern) or (template, domains) -> support masks
     for key, c in enumerate(constraints):
         for p in _primitives(c):
             build = _PROPAGATORS.get(type(p))
