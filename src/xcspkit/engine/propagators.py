@@ -37,12 +37,14 @@ class). An idempotent propagator may also declare a ``value_watch``: per
 variable, the value bits whose removal can let it prune, so the removal of
 other values leaves its last call's result a fixpoint (Gent, Jefferson and
 Miguel, "Watched literals for constraint propagation in Minion", CP 2006).
-Only a constant-result ``ElementProp`` declares one. Any removal from a
-variable it does not name, and from every variable of every other
-propagator, can let it prune. The engine queues a propagator on every
-removal from a variable it watches, usable or not, and skips the call at
-dequeue, so the queue order, and with it the search, is that of an engine
-that makes every call."""
+Only a constant-result ``ElementProp`` declares one. The engine keeps one
+rule for every watch, a (propagator, bits) pair per watched variable whose
+bits are the value watch, or -1 (every bit) for a variable the value watch
+does not name and for every variable of every other propagator: a removal
+wakes the propagator only when it meets those bits. The engine
+queues a propagator on every removal from a variable it watches, usable or
+not, and skips the call at dequeue, so the queue order, and with it the
+search, is that of an engine that makes every call."""
 
 from __future__ import annotations
 

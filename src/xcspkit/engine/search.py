@@ -64,19 +64,22 @@ class EnumerationResult:
 class PropagationEngine:
     """Constraint-oriented propagation queue over stateless propagators.
 
-    Each removal the store logs, a ``(variable, removed bits)`` event,
-    queues every watcher of its variable that is not queued yet, in event
-    order, so the queue order depends on the events alone. A slot is idle,
-    queued clean or queued dirty. An event marks a watcher dirty only when
-    the watcher can use it: any event can, except one that removes none of
-    the bits of the watcher's ``value_watch`` for that variable. After the
-    call of an ``idempotent`` propagator, the prunes of that call leave its
-    own slot clean. A clean slot is skipped at dequeue, counted in
-    ``skipped`` and not in ``propagations``. Skipping instead of not
-    queuing keeps the order: a slot queued clean that a later event makes
-    dirty runs where it would have run anyway, so a skipped call is exactly
-    one that would have pruned nothing. This holds when every idle slot is
-    at its fixpoint, so the first ``fixpoint`` follows ``enqueue_all``.
+    A slot is idle, queued clean or queued dirty. Each watch is a
+    ``(slot, bits)`` pair in ``watchers[x]``: ``bits`` is the slot's
+    ``value_watch`` for ``x``, or -1 (every bit) when the slot watches any
+    change of ``x``. Each removal the store logs, a ``(variable, removed
+    bits)`` event, walks the watchers of its variable once, in order: a
+    dirty slot is left alone, an idle one is queued, and the slot is made
+    dirty when the removed bits meet its watched bits, else left clean. So
+    the queue order depends on the events alone, and a slot is dirty only
+    when an event removed a value it can use. After the call of an
+    ``idempotent`` propagator, the prunes of that call leave its own slot
+    clean. A clean slot is skipped at dequeue, counted in ``skipped`` and
+    not in ``propagations``. Skipping instead of not queuing keeps the
+    order: a slot queued clean that a later event makes dirty runs where it
+    would have run anyway, so a skipped call is exactly one that would have
+    pruned nothing. This holds when every idle slot is at its fixpoint, so
+    the first ``fixpoint`` follows ``enqueue_all``.
 
     ``wdeg[x]`` is the weighted degree of variable ``x``: the sum of the
     weights of its watchers, raised with them on each failure."""
@@ -87,20 +90,13 @@ class PropagationEngine:
         # a slot's watched variables and value watch are fixed here, also
         # when _post_bound later replaces the slot's propagator
         self.watched = [tuple(set(p.scope)) for p in props]
-        self.watchers: list[list[int]] = [[] for _ in range(len(store))]
+        self.watchers: list[list[tuple[int, int]]] = [[] for _ in range(len(store))]
         self.wdeg = [0] * len(store)
         for i, p in enumerate(props):
+            value_watch = p.value_watch or {}
             for x in self.watched[i]:
-                self.watchers[x].append(i)
+                self.watchers[x].append((i, value_watch.get(x, -1)))
                 self.wdeg[x] += p.weight
-        # per variable, None when each of its watchers watches any change,
-        # else per value bit the watchers that the bit's removal marks dirty
-        self.dirty_by_bit: list[tuple[tuple[int, ...], ...] | None] = [None] * len(store)
-        for x in {x for p in props for x in p.value_watch or ()}:
-            self.dirty_by_bit[x] = tuple(
-                tuple(i for i in self.watchers[x] if (props[i].value_watch or {}).get(x, -1) >> bit & 1)
-                for bit in range(len(store.init_values[x]))
-            )
         self.queue: deque[int] = deque()
         self.state = [_IDLE] * len(props)
         self.propagations = 0
@@ -117,7 +113,7 @@ class PropagationEngine:
 
     def fixpoint(self):
         """Run to fixpoint; returns the failing propagator or None."""
-        store, props, watchers, dirty_by_bit = self.store, self.props, self.watchers, self.dirty_by_bit
+        store, props, watchers = self.store, self.props, self.watchers
         state = self.state  # 0, 1, 2: _IDLE, _CLEAN, _DIRTY, as literals in this loop
         queue = self.queue
         push, pop = queue.append, queue.popleft
@@ -126,24 +122,12 @@ class PropagationEngine:
         own = -1  # the slot of the last call when it is idempotent
         while True:
             if touched:
-                for x, bits in touched:
-                    by_bit = dirty_by_bit[x]
-                    if by_bit is None:
-                        for i in watchers[x]:
-                            if state[i] != 2:
-                                if not state[i]:
-                                    push(i)
-                                state[i] = 2
-                    else:
-                        for i in watchers[x]:
+                for x, removed in touched:
+                    for i, bits in watchers[x]:
+                        if state[i] != 2:
                             if not state[i]:
                                 push(i)
-                                state[i] = 1
-                        while bits:
-                            low = bits & -bits
-                            for i in by_bit[low.bit_length() - 1]:
-                                state[i] = 2
-                            bits ^= low
+                            state[i] = 2 if removed & bits else 1
                 touched.clear()
                 if own >= 0 and state[own] == 2:
                     state[own] = 1
@@ -334,8 +318,7 @@ class _Search:
                 if conflict is None:
                     backtracking = False
                     continue
-                # root became inconsistent under the improved bound
-                frames.clear()
+                # the root became inconsistent under the improved bound: no frame is left
 
             if not frames:
                 return finish(True)

@@ -40,6 +40,7 @@ from .errors import (
     XmlSyntaxError,
 )
 from .model import (
+    INT64_MAX,
     STAR,
     AllDifferent,
     AllDifferentMatrix,
@@ -76,6 +77,8 @@ _RANGE_RE = re.compile(r"^([+-]?\d+)\.\.([+-]?\d+)$")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 _SIZE_RE = re.compile(r"\[(\d+)\]")
 _VAR_SPLIT_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)((?:\[\d+\])*)$")
+# the most values one range of a domain or of a unary table may list
+_RANGE_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +152,10 @@ def _parse_xml(text: str) -> _Node:
 def _parse_ints(text: str, loc: SourceLocation) -> list[int]:
     out: list[int] = []
     for tok in text.split():
-        m = _RANGE_RE.match(tok)
-        if m:
-            lo, hi = int(m.group(1)), int(m.group(2))
-            if lo > hi:
-                raise XmlSyntaxError(f"inverted range {tok!r}", loc)
-            out.extend(range(lo, hi + 1))
-        elif _INT_RE.match(tok):
-            out.append(int(tok))
-        else:
-            raise XmlSyntaxError(f"expected integer or range, got {tok!r}", loc)
+        values = _values(tok, loc)
+        if not values:
+            raise XmlSyntaxError(f"inverted range {tok!r}", loc)
+        out.extend(values)
     return out
 
 
@@ -173,33 +170,45 @@ def _parse_var_list(text: str, known: set[str], loc: SourceLocation) -> list[str
     return out
 
 
-def _parse_tuples(text: str, loc: SourceLocation) -> list[tuple]:
-    stripped = _TUPLE_RE.sub("", text).strip()
-    if stripped:
-        raise XmlSyntaxError(f"stray content {stripped!r} in tuple list", loc)
-    rows = []
-    for m in _TUPLE_RE.finditer(text):
-        entries = []
-        for part in m.group(1).split(","):
-            part = part.strip()
-            if part == STAR:
-                entries.append(STAR)
-            elif _INT_RE.match(part):
-                entries.append(int(part))
-            else:
-                raise XmlSyntaxError(f"bad tuple entry {part!r}", loc)
-        rows.append(tuple(entries))
-    return rows
+def _split_tuples(text: str, tag: str, loc: SourceLocation) -> list[list[str]]:
+    """The stripped parts of each ``(a,b)`` of ``text``, the body of a
+    ``<tag>``; any text outside the tuples is refused."""
+    stray = _TUPLE_RE.sub("", text).strip()
+    if stray:
+        raise XmlSyntaxError(f"stray content {stray!r} in <{tag}>", loc)
+    return [[p.strip() for p in m.group(1).split(",")] for m in _TUPLE_RE.finditer(text)]
+
+
+def _tuple_entry(part: str, loc: SourceLocation) -> Union[int, str]:
+    if part == STAR:
+        return STAR
+    if _INT_RE.match(part):
+        return int(part)
+    raise XmlSyntaxError(f"bad tuple entry {part!r}", loc)
 
 
 def _bounds(tok: str, loc: SourceLocation) -> tuple[int, int]:
-    """Inclusive bounds of ``a..b`` or of ``a``."""
+    """Inclusive bounds of ``a..b`` or of ``a``; each must be a 64-bit
+    integer."""
     m = _RANGE_RE.match(tok)
     if m:
-        return int(m.group(1)), int(m.group(2))
-    if _INT_RE.match(tok):
-        return int(tok), int(tok)
-    raise XmlSyntaxError(f"expected integer or range, got {tok!r}", loc)
+        lo, hi = int(m.group(1)), int(m.group(2))
+    elif _INT_RE.match(tok):
+        lo = hi = int(tok)
+    else:
+        raise XmlSyntaxError(f"expected integer or range, got {tok!r}", loc)
+    if not (-INT64_MAX - 1 <= lo <= INT64_MAX and -INT64_MAX - 1 <= hi <= INT64_MAX):
+        raise XmlSyntaxError(f"{tok!r} is outside the 64-bit integers", loc)
+    return lo, hi
+
+
+def _values(tok: str, loc: SourceLocation) -> range:
+    """The values of ``a..b`` or of ``a``, refused before they are listed
+    when there are more than ``_RANGE_CAP``."""
+    lo, hi = _bounds(tok, loc)
+    if hi - lo >= _RANGE_CAP:
+        raise UnsupportedFeatureError(f"range {tok!r} of more than {_RANGE_CAP} values", loc)
+    return range(lo, hi + 1)
 
 
 def _known_id(tok: str, known: set[str], loc: SourceLocation) -> str:
@@ -288,13 +297,7 @@ def _tuple_list(read_entry):
     the stripped parts of one tuple."""
 
     def read(node: _Node, known: set[str]) -> tuple:
-        text = node.text
-        stray = _TUPLE_RE.sub("", text).strip()
-        if stray:
-            raise XmlSyntaxError(f"stray content {stray!r} in <{node.tag}>", node.loc)
-        return tuple(
-            read_entry([p.strip() for p in m.group(1).split(",")], node, known) for m in _TUPLE_RE.finditer(text)
-        )
+        return tuple(read_entry(parts, node, known) for parts in _split_tuples(node.text, node.tag, node.loc))
 
     return read
 
@@ -689,10 +692,9 @@ def _parse_table(polarity: str, arity: int, text: str, loc: SourceLocation) -> T
             if tok == STAR:
                 rows.append((STAR,))
             else:
-                lo, hi = _bounds(tok, loc)
-                rows.extend((v,) for v in range(lo, hi + 1))
+                rows.extend((v,) for v in _values(tok, loc))
     else:
-        rows = _parse_tuples(text, loc)
+        rows = [tuple(_tuple_entry(part, loc) for part in parts) for parts in _split_tuples(text, polarity, loc)]
         for row in rows:
             if len(row) != arity:
                 raise XmlSyntaxError(f"tuple {row} does not match arity {arity}", loc)

@@ -133,6 +133,13 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "c nodes 163, failures 164, propagations 1142, skipped 458, elapsed " in out
 
+    @pytest.mark.parametrize("domain", ["0..99999999999999999999999", "0..9223372036854775807"])
+    def test_out_of_range_domain_exit_2(self, tmp_path, capsys, domain):
+        path = tmp_path / "wide.xml"
+        path.write_text(f'<instance format="XCSP3" type="CSP"> <variables> <var id="x"> {domain} </var> </variables> </instance>')
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestGenerateCommand:
     def test_param_form(self, capsys):

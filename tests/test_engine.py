@@ -48,6 +48,7 @@ from xcspkit.model import (
     Assignment,
     Condition,
     Domain,
+    Element,
     Extension,
     Instance,
     Intension,
@@ -727,7 +728,55 @@ def test_weighted_degree_is_the_sum_of_watcher_weights(mode, instance):
     engine = search.engine
     assert sum(p.weight for p in engine.props) > len(engine.props)
     for x, watching in enumerate(engine.watchers):
-        assert engine.wdeg[x] == sum(engine.props[i].weight for i in watching)
+        assert engine.wdeg[x] == sum(engine.props[i].weight for i, _ in watching)
+
+
+class _LoggingQueue(deque):
+    """An engine queue that logs each dequeued slot and whether the engine
+    is about to skip it."""
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine = engine
+        self.log = []
+
+    def popleft(self):
+        i = super().popleft()
+        self.log.append((i, "skip" if self.engine.state[i] == _CLEAN else "run"))
+        return i
+
+
+@pytest.mark.parametrize(
+    "removed, log",
+    [
+        # outside the Element's watched bit: it is queued clean and skipped
+        ((0,), [(0, "skip"), (1, "run")]),
+        # the watched bit: both run, in watcher order; the Element's own
+        # prune of the index queues it again, clean
+        ((1,), [(0, "run"), (1, "run"), (0, "skip")]),
+        # an unwatched removal after a watched one leaves the Element dirty
+        ((1, 0), [(0, "run"), (1, "run"), (0, "skip"), (1, "run")]),
+    ],
+)
+def test_a_variable_watched_by_value_and_plainly_wakes_each_by_its_bits(removed, log):
+    """Each cell is watched by a constant Element (slot 0, the bit of value
+    1 only) and by an AllDifferent (slot 1, every bit)."""
+    variables = [Variable(v, Domain.rng(0, 2)) for v in ("c0", "c1", "c2", "i")]
+    cells = ("c0", "c1", "c2")
+    constraints = [Element(cells, "i", 1), AllDifferent(cells)]
+    store = DomainStore(variables)
+    engine = PropagationEngine(store, make_propagators(constraints, store))
+    assert engine.props[0].value_watch is not None and engine.props[1].value_watch is None
+    engine.queue = _LoggingQueue(engine)
+    engine.enqueue_all()
+    assert engine.fixpoint() is None
+    assert sum(store.masks) == 4 * 0b111  # the root prunes nothing
+    engine.queue.log.clear()
+    c0 = store.index["c0"]
+    for v in removed:
+        store.remove_value(c0, v)
+    assert engine.fixpoint() is None
+    assert engine.queue.log == log
 
 
 def test_compact_tables_over_one_table_and_equal_domains_share_their_masks():

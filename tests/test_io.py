@@ -5,6 +5,7 @@ import typing
 
 import pytest
 
+import xcspkit.io
 from xcspkit.errors import (
     InvariantViolationError,
     LengthMismatchError,
@@ -527,3 +528,51 @@ def test_still_life_8_roundtrips_byte_for_byte():
               if isinstance(w, Extension)]
     assert len(tables) == 64 + 4 * 8
     assert len({id(t) for t in tables}) == 2
+
+
+
+_ONE_VAR = (
+    '<instance format="XCSP3" type="CSP"> <variables> <var id="x"> {domain} </var> </variables>'
+    " <constraints> <extension> <list> x </list> <supports> {supports} </supports> </extension> </constraints>"
+    " </instance>"
+)
+
+
+@pytest.mark.parametrize(
+    "domain, error, message",
+    [
+        ("0..99999999999999999999999", XmlSyntaxError, "outside the 64-bit integers"),
+        ("0 9223372036854775808", XmlSyntaxError, "outside the 64-bit integers"),
+        ("-9223372036854775809..0", XmlSyntaxError, "outside the 64-bit integers"),
+        ("0..9223372036854775807", UnsupportedFeatureError, "of more than 1048576 values"),
+    ],
+    ids=["huge-range", "above-int64", "below-int64", "int64-wide"],
+)
+def test_a_domain_outside_int64_or_too_wide_is_refused_before_it_is_listed(domain, error, message):
+    with pytest.raises(error, match=message):
+        parse_instance(_ONE_VAR.format(domain=domain, supports="0"))
+
+
+def test_the_int64_extremes_are_domain_values():
+    inst = parse_instance(_ONE_VAR.format(domain="9223372036854775807 -9223372036854775808", supports="0"))
+    assert inst.variables[0].domain.values == (-(2**63), 2**63 - 1)
+
+
+@pytest.mark.parametrize(
+    "domain, supports, error",
+    [
+        ("0..3", "0..3", None),
+        ("0..4", "0", UnsupportedFeatureError),
+        ("0..3", "0..4", UnsupportedFeatureError),
+        ("0..3", "-5..99999999999999999999999", XmlSyntaxError),
+    ],
+    ids=["at-the-cap", "wide-domain", "wide-unary-table", "huge-unary-table"],
+)
+def test_the_range_cap_holds_for_domains_and_unary_tables(domain, supports, error, monkeypatch):
+    monkeypatch.setattr(xcspkit.io, "_RANGE_CAP", 4)
+    text = _ONE_VAR.format(domain=domain, supports=supports)
+    if error is None:
+        assert len(parse_instance(text).constraints[0].table.rows) == 4
+    else:
+        with pytest.raises(error):
+            parse_instance(text)
