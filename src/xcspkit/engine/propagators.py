@@ -1,8 +1,9 @@
 """Per-constraint propagators.
 
-Every propagator removes only values it proves locally inconsistent; where
-filtering is partial, a full-assignment fallback to the ground-truth
-checker keeps search verdicts exact.
+Every propagator removes only values it proves locally inconsistent, and
+its pass fails on a full assignment of its scope exactly when the
+constraint does not hold there, so search verdicts are exact without the
+model's checker.
 
 Every propagator class is built as ``cls(constraint, key, store)`` from the
 one model constraint it enforces and keeps that constraint; ``key`` is the
@@ -56,7 +57,6 @@ from .. import expr as _x
 from ..model import (
     AllDifferent,
     AllDifferentMatrix,
-    Assignment,
     Cardinality,
     Channel,
     Circuit,
@@ -76,7 +76,6 @@ from ..model import (
     STAR,
     Sum,
     _KINDS,
-    constraint_satisfied,
     constraint_scope,
 )
 from .domains import DomainStore
@@ -92,28 +91,19 @@ _TABLE_CAP = 8192
 
 
 class Propagator:
-    __slots__ = ("constraint", "scope", "key", "weight", "idempotent", "value_watch")
+    __slots__ = ("constraint", "scope", "key", "idempotent", "value_watch")
 
     def __init__(self, constraint, key: int, store: DomainStore):
         self.constraint = constraint
         positional = _KINDS[type(constraint)].vars == ("scope",)
         self.scope = store.indices(constraint.scope if positional else constraint_scope(constraint))
         self.key = key
-        self.weight = 1
         # fixed at build; see the module docstring
         self.idempotent = False
         self.value_watch: dict[int, int] | None = None
 
     def propagate(self, store: DomainStore) -> bool:
         raise NotImplementedError
-
-    def _all_assigned(self, store: DomainStore) -> bool:
-        return all(store.is_assigned(x) for x in self.scope)
-
-    def _check_assigned(self, store: DomainStore) -> bool:
-        """Exact verdict via the model checker once the scope is assigned."""
-        binding = {store.names[x]: store.value(x) for x in self.scope}
-        return constraint_satisfied(self.constraint, Assignment(binding))
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +673,9 @@ class AllDifferentProp(Propagator):
 
 
 class ElementProp(Propagator):
-    """GAC through per-cell bit translation tables between each list cell's
-    value space and the result's value space.
+    """GAC through per-cell bit tables: a variable result translates each
+    cell bit into the result's bit, a constant result keeps per cell the
+    bit of the constant.
 
     When the index and value variables are distinct and neither is a cell,
     the pass is idempotent. ``reach`` is built only from supported
@@ -712,23 +703,15 @@ class ElementProp(Propagator):
             if bit is not None:
                 self.in_range |= 1 << bit
                 self.position[bit] = i
-        # cell bit -> result-space bit (result space = value var bits, or a
-        # 1-bit space for a constant result)
-        self.cell_to_value = []
-        self.const_bits = []
-        for cell in list_idx:
-            table = [0] * len(store.init_values[cell])
-            cbit = 0
-            for b, cell_value in enumerate(store.init_values[cell]):
-                if self.value_idx is not None:
-                    vbit = store.pos[self.value_idx].get(cell_value)
-                    if vbit is not None:
-                        table[b] = 1 << vbit
-                elif cell_value == value:
-                    table[b] = 1
-                    cbit |= 1 << b
-            self.cell_to_value.append(table)
-            self.const_bits.append(cbit)
+        # each pass builds only the table it reads
+        self.cell_to_value = self.const_bits = None
+        if self.value_idx is None:
+            self.const_bits = [store.value_mask(cell, (value,)) for cell in list_idx]
+        else:
+            value_pos = store.pos[self.value_idx]
+            self.cell_to_value = [
+                [1 << value_pos[v] if v in value_pos else 0 for v in store.init_values[cell]] for cell in list_idx
+            ]
         self.idempotent = index_idx != self.value_idx and not {index_idx, self.value_idx} & set(list_idx)
         if self.idempotent and self.value_idx is None:
             self.value_watch = dict(zip(list_idx, self.const_bits))
@@ -961,8 +944,6 @@ class NoOverlapProp(Propagator):
         return store.bounds(length[1])
 
     def propagate(self, store: DomainStore) -> bool:
-        if self._all_assigned(store):
-            return self._check_assigned(store)
         n = len(self.items)
         geo = []
         for xi, yi, wi, hi in self.items:
@@ -1009,8 +990,6 @@ class CircuitProp(Propagator):
         for x in self.scope:
             if not store.restrict(x, 0, n - 1):
                 return False
-        if self._all_assigned(store):
-            return self._check_assigned(store)
         # successor values are all distinct (cycle plus fixed points is a
         # permutation)
         if not _assigned_values_differ(store, self.scope):
@@ -1021,6 +1000,9 @@ class CircuitProp(Propagator):
             for pos, x in enumerate(self.scope)
             if store.is_assigned(x) and store.value(x) != pos
         }
+        # with every position on a self-loop there is no route
+        if not succ and all(map(store.is_assigned, self.scope)):
+            return False
         committed = {
             pos for pos, x in enumerate(self.scope) if not store.contains(x, pos)
         }
@@ -1094,8 +1076,6 @@ class LexPairProp(Propagator):
         self.strict = c.operator in ("lt", "gt")
 
     def propagate(self, store: DomainStore) -> bool:
-        if self._all_assigned(store):
-            return self._check_assigned(store)
         a, b = self.left, self.right
         n = len(a)
         i = 0

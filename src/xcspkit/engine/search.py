@@ -81,8 +81,10 @@ class PropagationEngine:
     pruned nothing. This holds when every idle slot is at its fixpoint, so
     the first ``fixpoint`` follows ``enqueue_all``.
 
-    ``wdeg[x]`` is the weighted degree of variable ``x``: the sum of the
-    weights of its watchers, raised with them on each failure."""
+    ``wdeg[x]`` is the weighted degree of variable ``x``: the number of
+    slots watching it plus their failures (Boussemart, Hemery, Lecoutre and
+    Sais, "Boosting systematic search by weighting constraints", ECAI
+    2004)."""
 
     def __init__(self, store: DomainStore, props: list[Propagator]):
         self.store = store
@@ -96,7 +98,7 @@ class PropagationEngine:
             value_watch = p.value_watch or {}
             for x in self.watched[i]:
                 self.watchers[x].append((i, value_watch.get(x, -1)))
-                self.wdeg[x] += p.weight
+                self.wdeg[x] += 1
         self.queue: deque[int] = deque()
         self.state = [_IDLE] * len(props)
         self.propagations = 0
@@ -144,7 +146,6 @@ class PropagationEngine:
             calls += 1
             prop = props[i]
             if not prop.propagate(store):
-                prop.weight += 1
                 wdeg = self.wdeg
                 for x in self.watched[i]:
                     wdeg[x] += 1
@@ -224,13 +225,11 @@ class _Search:
         return self._pick_from(range(len(self.store)))
 
     def _post_bound(self, best: int) -> None:
-        """Replace the last slot by a propagator of the improving constraint,
-        keeping the slot's weight, and queue it."""
+        """Replace the last slot by a propagator of the improving constraint
+        and queue it."""
         engine = self.engine
         c = _improving(self.instance.objective, best, self.objective_values)
-        prop = make_propagators([c], self.store)[0]
-        prop.weight = engine.props[-1].weight
-        engine.props[-1] = prop
+        engine.props[-1] = make_propagators([c], self.store)[0]
         engine.enqueue(len(engine.props) - 1)
 
     def _witness(self) -> Assignment:

@@ -721,14 +721,24 @@ def test_skipped_calls_are_no_ops(name, monkeypatch):
 @pytest.mark.parametrize("mode, instance", [("sat", gen_dubois(6)), ("optimize", gen_still_life(4))])
 def test_weighted_degree_is_the_sum_of_watcher_weights(mode, instance):
     """After a search with restarts (and, optimizing, a replaced bound
-    slot), each variable's kept weighted degree equals the sum of its
-    watchers' weights."""
+    slot), each variable's kept weighted degree equals the sum over its
+    watchers of one plus the failures counted at each fixpoint."""
     search = _Search(instance, SearchConfig(restarts=True), mode)
-    search.run()
     engine = search.engine
-    assert sum(p.weight for p in engine.props) > len(engine.props)
+    failures = [0] * len(engine.props)
+    fixpoint = engine.fixpoint
+
+    def counting_fixpoint():
+        failing = fixpoint()
+        if failing is not None:
+            failures[[p is failing for p in engine.props].index(True)] += 1
+        return failing
+
+    engine.fixpoint = counting_fixpoint
+    search.run()
+    assert sum(failures) > 0
     for x, watching in enumerate(engine.watchers):
-        assert engine.wdeg[x] == sum(engine.props[i].weight for i, _ in watching)
+        assert engine.wdeg[x] == sum(1 + failures[i] for i, _ in watching)
 
 
 class _LoggingQueue(deque):

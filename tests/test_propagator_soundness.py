@@ -17,6 +17,7 @@ from xcspkit.engine.propagators import _PROPAGATORS, _primitives
 from xcspkit.model import (
     AllDifferentMatrix,
     Assignment,
+    Circuit,
     Constraint,
     Domain,
     Element,
@@ -74,6 +75,36 @@ def test_no_unsound_removals(kind):
             removed = set(before[v]) - set(after[v])
             bad = removed & supported[v]
             assert not bad, (kind, trial, constraint, v, sorted(bad))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_full_assignment_fails_exactly_when_the_constraint_does_not_hold(kind):
+    """With every variable fixed, the fixpoint reports a conflict exactly
+    when the checker rejects the assignment: each pass decides a full
+    assignment on its own."""
+    rng = random.Random(f"full-{kind}")
+    names = [f"v{i}" for i in range(6)]
+    verdicts = set()
+    for trial in range(400):
+        domains = random_domains(rng, names, 4)
+        constraint = random_constraint(rng, names, domains, kind)
+        # small values too, so that positional constraints such as a circuit can hold
+        values = {v: rng.choice(domains[v]) if rng.random() < 0.5 else rng.randrange(4) for v in names}
+        store = DomainStore(tuple(Variable(v, Domain((values[v],))) for v in names))
+        holds = constraint_satisfied(constraint, Assignment(values))
+        assert (propagate_to_fixpoint(store, (constraint,)) is None) == holds, (trial, constraint, values)
+        verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("succ, holds", [((0, 1, 2), False), ((1, 2, 0), True), ((1, 0, 2), True), ((1, 0, 0), False)])
+def test_a_full_circuit_without_a_route_fails(succ, holds):
+    """Every position on a self-loop leaves no route, which the checker
+    rejects, so the pass fails too."""
+    names = ("a", "b", "c")
+    store = DomainStore(tuple(Variable(v, Domain((s,))) for v, s in zip(names, succ)))
+    assert constraint_satisfied(Circuit(names), Assignment(dict(zip(names, succ)))) == holds
+    assert (propagate_to_fixpoint(store, (Circuit(names),)) is None) == holds
 
 
 def test_extension_fixpoint_is_gac():
