@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -23,6 +24,15 @@ from .errors import ArityMismatchError, UnboundVariableError
 
 Expr = Union["IntConst", "VarRef", "Op"]
 Interval = tuple[int, int]
+
+#: the one integer grammar of instance and solver text, ASCII digits only:
+#: ``int`` reads other digits too, and ``isdigit`` some that ``int`` refuses
+INT_RE = re.compile(r"[+-]?[0-9]+")
+#: XCSP3 integers are 64-bit
+INT64_MAX = 2**63 - 1
+#: the deepest operator nesting ``parse_expr`` accepts; the checker, the
+#: validator and the compiler all recurse over the tree
+MAX_DEPTH = 100
 
 
 class OpSpec(NamedTuple):
@@ -227,24 +237,29 @@ def parse_expr(text: str) -> Expr:
     tokens = _tokenize(text)
     pos = 0
 
-    def parse_node() -> Expr:
+    def parse_node(depth: int) -> Expr:
         nonlocal pos
         if pos >= len(tokens):
             raise ExprSyntaxError(f"unexpected end of expression in {text!r}")
         tok = tokens[pos]
         pos += 1
-        if tok.lstrip("-").isdigit():
-            return IntConst(int(tok))
+        if INT_RE.fullmatch(tok):
+            value = int(tok)
+            if not -INT64_MAX - 1 <= value <= INT64_MAX:
+                raise ExprSyntaxError(f"{tok!r} is outside the 64-bit integers")
+            return IntConst(value)
         if tok in "(),":
             raise ExprSyntaxError(f"unexpected {tok!r} in {text!r}")
         if pos < len(tokens) and tokens[pos] == "(":
             if tok not in OPS:
                 raise ExprSyntaxError(f"unknown operator {tok!r} in {text!r}")
+            if depth == MAX_DEPTH:
+                raise ExprSyntaxError(f"operators nested deeper than {MAX_DEPTH}")
             pos += 1
-            children = [parse_node()]
+            children = [parse_node(depth + 1)]
             while pos < len(tokens) and tokens[pos] == ",":
                 pos += 1
-                children.append(parse_node())
+                children.append(parse_node(depth + 1))
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ExprSyntaxError(f"missing ')' in {text!r}")
             pos += 1
@@ -254,7 +269,7 @@ def parse_expr(text: str) -> Expr:
                 raise ExprSyntaxError(str(exc)) from None
         return VarRef(tok)
 
-    node = parse_node()
+    node = parse_node(0)
     if pos != len(tokens):
         raise ExprSyntaxError(f"trailing tokens in {text!r}")
     return node

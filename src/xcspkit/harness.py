@@ -28,6 +28,7 @@ from .errors import (
     UnknownModeError,
     XcspError,
 )
+from .expr import INT_RE
 from .io import parse_instance, parse_solution
 from .model import Assignment, Instance, assignment_cost, constraint_satisfied
 
@@ -271,7 +272,7 @@ def parse_solver_output(text: str):
             continue
         if tag == "o":
             parts = line.split()
-            if len(parts) != 2 or not _is_int(parts[1]):
+            if len(parts) != 2 or not INT_RE.fullmatch(parts[1]):
                 raise ProtocolViolationError(line)
             bound = int(parts[1])
         elif tag == "s":
@@ -284,10 +285,6 @@ def parse_solver_output(text: str):
         else:
             raise ProtocolViolationError(line)
     return status or "UNKNOWN", bound, payload
-
-
-def _is_int(token: str) -> bool:
-    return token.lstrip("+-").isdigit()
 
 
 def run_one(instance_path: str, solver_id: str, command_template: str, time_limit: float) -> RunRecord:

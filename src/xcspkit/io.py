@@ -40,7 +40,6 @@ from .errors import (
     XmlSyntaxError,
 )
 from .model import (
-    INT64_MAX,
     STAR,
     AllDifferent,
     AllDifferentMatrix,
@@ -72,12 +71,12 @@ from .model import (
     validate_instance,
 )
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_RANGE_RE = re.compile(r"^([+-]?\d+)\.\.([+-]?\d+)$")
+_RANGE_RE = re.compile(rf"({_expr.INT_RE.pattern})\.\.({_expr.INT_RE.pattern})")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
-_SIZE_RE = re.compile(r"\[(\d+)\]")
+_SIZE_RE = re.compile(r"\[([0-9]+)\]")
 _VAR_SPLIT_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)((?:\[\d+\])*)$")
-# the most values one range of a domain or of a unary table may list
+# the most values one range of a domain or of a unary table may list, and
+# the most cells of an array
 _RANGE_CAP = 1 << 20
 
 
@@ -179,26 +178,33 @@ def _split_tuples(text: str, tag: str, loc: SourceLocation) -> list[list[str]]:
     return [[p.strip() for p in m.group(1).split(",")] for m in _TUPLE_RE.finditer(text)]
 
 
+def _int(tok: str, loc: SourceLocation) -> int | None:
+    """The integer ``tok`` (``expr.INT_RE``), which must be a 64-bit one;
+    None when ``tok`` is no integer."""
+    if not _expr.INT_RE.fullmatch(tok):
+        return None
+    value = int(tok)
+    if not -_expr.INT64_MAX - 1 <= value <= _expr.INT64_MAX:
+        raise XmlSyntaxError(f"{tok!r} is outside the 64-bit integers", loc)
+    return value
+
+
 def _tuple_entry(part: str, loc: SourceLocation) -> Union[int, str]:
     if part == STAR:
         return STAR
-    if _INT_RE.match(part):
-        return int(part)
-    raise XmlSyntaxError(f"bad tuple entry {part!r}", loc)
+    value = _int(part, loc)
+    if value is None:
+        raise XmlSyntaxError(f"bad tuple entry {part!r}", loc)
+    return value
 
 
 def _bounds(tok: str, loc: SourceLocation) -> tuple[int, int]:
     """Inclusive bounds of ``a..b`` or of ``a``; each must be a 64-bit
     integer."""
-    m = _RANGE_RE.match(tok)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-    elif _INT_RE.match(tok):
-        lo = hi = int(tok)
-    else:
+    m = _RANGE_RE.fullmatch(tok)
+    lo, hi = (_int(m[1], loc), _int(m[2], loc)) if m else (_int(tok, loc),) * 2
+    if lo is None:
         raise XmlSyntaxError(f"expected integer or range, got {tok!r}", loc)
-    if not (-INT64_MAX - 1 <= lo <= INT64_MAX and -INT64_MAX - 1 <= hi <= INT64_MAX):
-        raise XmlSyntaxError(f"{tok!r} is outside the 64-bit integers", loc)
     return lo, hi
 
 
@@ -219,8 +225,9 @@ def _known_id(tok: str, known: set[str], loc: SourceLocation) -> str:
 
 def _term(tok: str, known: set[str], loc: SourceLocation) -> Union[int, str]:
     """An integer or a declared variable id."""
-    if _INT_RE.match(tok):
-        return int(tok)
+    value = _int(tok, loc)
+    if value is not None:
+        return value
     if not _VAR_SPLIT_RE.match(tok):
         raise XmlSyntaxError(f"bad token {tok!r}", loc)
     return _known_id(tok, known, loc)
@@ -236,8 +243,7 @@ def _parse_condition(text: str, known: set[str], loc: SourceLocation) -> Conditi
     op, rhs_text = parts
     if op not in ("lt", "le", "ge", "gt", "eq", "ne", "in"):
         raise XmlSyntaxError(f"bad condition operator {op!r}", loc)
-    m = _RANGE_RE.match(rhs_text)
-    return Condition(op, (int(m.group(1)), int(m.group(2))) if m else _term(rhs_text, known, loc))
+    return Condition(op, _bounds(rhs_text, loc) if _RANGE_RE.fullmatch(rhs_text) else _term(rhs_text, known, loc))
 
 
 def _compress_ints(values) -> str:
@@ -303,7 +309,7 @@ def _tuple_list(read_entry):
 
 
 def _transition(parts, node, known):
-    if len(parts) != 3 or not _INT_RE.match(parts[1]):
+    if len(parts) != 3 or _int(parts[1], node.loc) is None:
         raise XmlSyntaxError(f"bad transition ({','.join(parts)})", node.loc)
     return parts[0], int(parts[1]), parts[2]
 
@@ -368,7 +374,7 @@ _TERMS = _Codec(lambda n, known: tuple(_term(t, known, n.loc) for t in n.text.sp
 _WORD = _Codec(lambda n, known: n.text, str)
 _WORDS = _Codec(lambda n, known: tuple(n.text.split()), " ".join)
 _ID = _Codec(lambda n, known: _known_id(n.text, known, n.loc), str)
-_INT_OR_ID = _Codec(lambda n, known: int(n.text) if _INT_RE.match(n.text) else _ID.read(n, known), str)
+_INT_OR_ID = _Codec(lambda n, known: _term(n.text, known, n.loc), str)
 _CONDITION = _Codec(lambda n, known: _parse_condition(n.text, known, n.loc), _format_condition)
 _LIMIT = _Codec(_read_limit, lambda limit: f"(le,{limit})")
 _OCCURS = _Codec(
@@ -561,6 +567,8 @@ def _parse_array(node: _Node) -> list[Variable]:
     dims = [int(m.group(1)) for m in _SIZE_RE.finditer(size)]
     if not dims or _SIZE_RE.sub("", size).strip():
         raise XmlSyntaxError(f"bad array size {size!r}", node.loc)
+    if math.prod(dims) > _RANGE_CAP:
+        raise UnsupportedFeatureError(f"array {vid!r} of more than {_RANGE_CAP} cells", node.loc)
     cells = _cells(vid, dims)
     dom_nodes = node.all("domain")
     if not dom_nodes:
@@ -757,9 +765,10 @@ def parse_solution(text: str) -> Assignment:
     for tok in values_node.text.split():
         if tok == STAR:
             raise UnsupportedFeatureError("wildcard value in solution", values_node.loc)
-        if not _INT_RE.match(tok):
+        value = _int(tok, values_node.loc)
+        if value is None:
             raise XmlSyntaxError(f"bad value {tok!r}", values_node.loc)
-        values.append(int(tok))
+        values.append(value)
     if len(ids) != len(values):
         raise LengthMismatchError(f"{len(ids)} variables but {len(values)} values")
     return Assignment(dict(zip(ids, values)))

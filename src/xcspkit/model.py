@@ -25,12 +25,10 @@ from .errors import (
     ScopeMismatchError,
     UnboundVariableError,
 )
-from .expr import Expr, evaluate, expr_vars, is_boolean
+from .expr import INT64_MAX, Expr, evaluate, expr_vars, is_boolean
 
 #: Wildcard table entry matching any domain value.
 STAR = "*"
-
-INT64_MAX = 2**63 - 1
 
 _ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*(\[\d+\])*$")
 

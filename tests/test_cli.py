@@ -140,6 +140,16 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_deeply_nested_intension_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.xml"
+        deep = "neg(" * 2000 + "x" + ")" * 2000
+        path.write_text(
+            '<instance format="XCSP3" type="CSP"> <variables> <var id="x"> 0..1 </var> </variables>'
+            f" <constraints> <intension> eq({deep},0) </intension> </constraints> </instance>"
+        )
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestGenerateCommand:
     def test_param_form(self, capsys):

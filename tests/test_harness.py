@@ -350,6 +350,13 @@ class TestProtocol:
         with pytest.raises(ProtocolViolationError):
             parse_solver_output("hello world\n")
 
+    @pytest.mark.parametrize("line", ["o --3", "o +-5", "o \u00b2"])
+    def test_a_malformed_bound_is_a_protocol_violation(self, line):
+        from xcspkit.errors import ProtocolViolationError
+
+        with pytest.raises(ProtocolViolationError):
+            parse_solver_output(line + "\ns UNKNOWN\n")
+
     def test_missing_s_line_is_unknown(self):
         status, bound, payload = parse_solver_output("c nothing\n")
         assert status == "UNKNOWN"
@@ -418,6 +425,11 @@ class TestCampaign(object):
         by_id = {r.instance_id: r.status for r in records}
         assert by_id == {"dubois3": "INVALID", "langford3": "UNKNOWN"}
         assert {r.instance_id: r.status for r in read_records_csv(csv_path)} == by_id
+
+    def test_a_malformed_bound_is_invalid_and_campaign_goes_on(self, tmp_path):
+        instance_dir = self._write_instances(tmp_path)
+        records = run_campaign(str(instance_dir), "miscounter", "sh -c 'echo o --3; echo s UNKNOWN'", time_limit=30)
+        assert sorted((r.instance_id, r.status) for r in records) == [("dubois3", "INVALID"), ("langford3", "INVALID")]
 
     def test_solution_naming_a_variable_twice_is_invalid(self, tmp_path):
         path = tmp_path / "one.xml"

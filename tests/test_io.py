@@ -11,9 +11,10 @@ from xcspkit.errors import (
     LengthMismatchError,
     UnknownVariableError,
     UnsupportedFeatureError,
+    XcspError,
     XmlSyntaxError,
 )
-from xcspkit.expr import parse_expr
+from xcspkit.expr import INT64_MAX, MAX_DEPTH, ExprSyntaxError, parse_expr
 from xcspkit.generators import gen_still_life
 from xcspkit.io import _LAYOUTS, parse_instance, parse_solution, write_instance, write_solution
 from xcspkit.model import (
@@ -576,3 +577,68 @@ def test_the_range_cap_holds_for_domains_and_unary_tables(domain, supports, erro
     else:
         with pytest.raises(error):
             parse_instance(text)
+
+
+_THREE_VARS = (
+    '<instance format="XCSP3" type="CSP"> <variables> <var id="x"> 0..1 </var> <var id="y"> 0..1 </var>'
+    ' <var id="i"> 0..1 </var> </variables> <constraints> {} </constraints> </instance>'
+)
+
+
+@pytest.mark.parametrize(
+    "parse, text, error",
+    [
+        (parse_instance, _THREE_VARS.format("<extension> <list> x y </list> <supports> (0,{n}) </supports> </extension>"), XmlSyntaxError),
+        (parse_instance, _THREE_VARS.format("<sum> <list> x y </list> <condition> (le,{n}) </condition> </sum>"), XmlSyntaxError),
+        (parse_instance, _THREE_VARS.format("<sum> <list> x y </list> <condition> (in,{n}..{n}) </condition> </sum>"), XmlSyntaxError),
+        (parse_instance, _THREE_VARS.format("<element> <list> x y </list> <index> i </index> <value> {n} </value> </element>"), XmlSyntaxError),
+        (parse_instance, _THREE_VARS.format("<intension> le(x,{n}) </intension>"), XcspError),
+        (parse_solution, "<instantiation> <list> x </list> <values> {n} </values> </instantiation>", XmlSyntaxError),
+    ],
+    ids=["table-tuple", "condition-value", "condition-range", "element-value", "intension-constant", "solution-value"],
+)
+def test_every_integer_io_reads_is_a_64_bit_one(parse, text, error):
+    for n in (INT64_MAX, -INT64_MAX - 1):
+        parse(text.replace("{n}", str(n)))
+    for n in ("99999999999999999999999", str(-INT64_MAX - 2)):
+        with pytest.raises(error, match="outside the 64-bit integers"):
+            parse(text.replace("{n}", n))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # a superscript two passes ``isdigit`` but is no integer, so it is a name
+        (_THREE_VARS.format("<intension> eq(x,\u00b2) </intension>"), UnknownVariableError),
+        # an Arabic-Indic three is a digit to ``int`` but not to the XCSP3 grammar
+        (_ONE_VAR.format(domain="\u0663", supports="0"), XmlSyntaxError),
+        (_THREE_VARS.format("<intension> eq(x,\u0663) </intension>"), UnknownVariableError),
+    ],
+    ids=["superscript-in-intension", "arabic-indic-in-domain", "arabic-indic-in-intension"],
+)
+def test_an_integer_is_ascii_digits_with_an_optional_sign(text, error):
+    with pytest.raises(error):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize("size, error", [("[4]", None), ("[2][2]", None), ("[5]", UnsupportedFeatureError), ("[2][3]", UnsupportedFeatureError)])
+def test_the_range_cap_holds_for_array_cells(size, error, monkeypatch):
+    monkeypatch.setattr(xcspkit.io, "_RANGE_CAP", 4)
+    text = f'<instance format="XCSP3" type="CSP"> <variables> <array id="x" size="{size}"> 0..1 </array> </variables> </instance>'
+    if error is None:
+        assert len(parse_instance(text).variables) == 4
+    else:
+        with pytest.raises(error, match="of more than 4 cells"):
+            parse_instance(text)
+
+
+def _nested(depth: int) -> str:
+    return "neg(" * depth + "x" + ")" * depth
+
+
+def test_an_expression_nested_beyond_the_depth_cap_is_refused():
+    assert parse_expr(_nested(MAX_DEPTH)).kind == "neg"
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
+        parse_expr(_nested(MAX_DEPTH + 1))
+    with pytest.raises(UnsupportedFeatureError, match="nested deeper"):
+        parse_instance(_THREE_VARS.format(f"<intension> eq({_nested(2000)},0) </intension>"))
