@@ -583,8 +583,9 @@ class CardinalityProp(Propagator):
 # AllDifferent
 
 
-def _assigned_values_differ(store: DomainStore, scope) -> bool:
-    """Assigned values must differ; remove them from the unassigned."""
+def _assigned_values(store: DomainStore, scope) -> set | None:
+    """The values assigned in ``scope`` (an empty set when none is), or
+    None when two of them are equal."""
     masks, init_values = store.masks, store.init_values
     seen = set()
     for x in scope:
@@ -592,54 +593,99 @@ def _assigned_values_differ(store: DomainStore, scope) -> bool:
         if m and not m & (m - 1):
             v = init_values[x][m.bit_length() - 1]
             if v in seen:
-                return False
+                return None
             seen.add(v)
-    if seen:
-        for x in scope:
-            m = masks[x]
-            if m & (m - 1) and not store.remove_bits(x, store.value_mask(x, seen)):
-                return False
-    return True
+    return seen
 
 
 class AllDifferentProp(Propagator):
-    """A scope that repeats a variable can never hold, so that propagator
-    fails on every call, decided at build."""
+    """Assigned values must differ, and are removed from the unassigned
+    variables; then Hall intervals (``_hall_intervals``) prune the rest. A
+    scope that repeats a variable can never hold, so that propagator fails
+    on every call, decided at build. ``same_domains`` says, at build, that
+    every variable of the scope has one initial value list, so that one
+    mask of the assigned values serves them all."""
 
-    __slots__ = ("repeats",)
+    __slots__ = ("repeats", "same_domains")
 
     def __init__(self, c: AllDifferent, key, store: DomainStore):
         super().__init__(c, key, store)
         self.repeats = len(set(self.scope)) < len(self.scope)
+        self.same_domains = len({store.init_values[x] for x in self.scope}) == 1
 
     def propagate(self, store: DomainStore) -> bool:
         if self.repeats:
             return False
-        return _assigned_values_differ(store, self.scope) and self._hall_intervals(store)
-
-    def _hall_intervals(self, store: DomainStore) -> bool:
-        """Pairwise Hall intervals: for each window ``a..b`` between a
-        lower and an upper bound, fail when more intervals fit in it than
-        it has values, and remove it from the intervals that overlap it
-        when exactly that many fit.
-
-        ``his`` holds the sorted upper bounds of the intervals that start
-        at ``a`` or later, so the intervals that fit in ``a..b`` number
-        ``bisect_right(his, b)``. A window wider than ``len(his)`` can
-        neither overflow nor be full, so the ``b`` loop stops there.
-        Pruning a window ``a..b`` never moves a lower bound across ``a``,
-        nor the upper bound of an interval that starts at ``a`` or later,
-        so ``his`` holds for the rest of this ``a``; for the next ``a`` it
-        drops the intervals that start before it, and it is rebuilt from
-        the current bounds only after a prune has moved some bound."""
         scope = self.scope
-        bounds = [store.bounds(x) for x in scope]
-        maxs = sorted({hi for _, hi in bounds})
+        assigned = _assigned_values(store, scope)
+        if assigned is None:
+            return False
+        masks, init_values = store.masks, store.init_values
+        shared = store.value_mask(scope[0], assigned) if assigned and self.same_domains else None
+        # one read of each mask: the assigned values leave the unassigned
+        # variables, then the mask left gives the variable's bounds
+        bounds = []
+        for x in scope:
+            m = masks[x]
+            if assigned and m & (m - 1):
+                cut = m & (store.value_mask(x, assigned) if shared is None else shared)
+                if cut:
+                    if not store.remove_bits(x, cut):
+                        return False
+                    m = masks[x]
+            vals = init_values[x]
+            bounds.append((vals[(m & -m).bit_length() - 1], vals[m.bit_length() - 1]))
+        return self._hall_intervals(store, bounds, assigned)
+
+    def _hall_intervals(self, store: DomainStore, bounds, assigned) -> bool:
+        """Pairwise Hall intervals over the ``bounds`` of the scope: for
+        each window ``a..b`` from a lower to an upper bound, fail when more
+        intervals fit in it than it has values, and remove it from the
+        intervals that overlap it when exactly that many fit.
+
+        ``a`` runs over the lower bounds of the intervals when the windows
+        began, in ascending order. ``his`` holds the sorted upper bounds of
+        the intervals that start at ``a`` or later. A window ``a..a + j``
+        has ``j + 1`` values, and at least that many intervals fit in it
+        exactly when ``his[j] <= a + j``; the window is then full, or it
+        overflows when ``his[j + 1]`` fits too. Every other window can
+        neither overflow nor be full, so only these are visited, in
+        ascending ``j``, and none is wider than ``len(his)``.
+
+        Pruning a window ``a..b`` moves the upper bound only of an interval
+        that starts before ``a``, and a lower bound only past ``b``. So
+        ``his`` holds for the rest of this ``a``; for the next ``a`` it
+        drops the intervals that start before it, and it is rebuilt from
+        the current bounds only after a prune has moved some bound. It
+        follows that every bound in ``his`` is an upper bound from when the
+        windows began. A window ``a..a + j`` that is full or overflows
+        while ``a + j`` is none of those bounds holds no more intervals
+        than the narrower window up to the largest ``his`` value below
+        ``a + j``, which therefore overflows and ends the pass first. So
+        every window that acts ends at an upper bound of the start.
+
+        A full window is scanned for intervals to cut unless one of two
+        tests shows the scan cuts nothing:
+        - ``a == b`` is a value in ``assigned``, the values assigned when
+          the call began: its variable fills the window alone, and every
+          other variable lost that value before the windows. The test is
+          on ``assigned``, not on ``a == b``: a variable fixed by a prune
+          during the pass has not had its value removed from the others.
+        - Every interval that overlaps ``a..b`` fits in it. ``los`` and
+          ``ends`` are the sorted lower and upper bounds when the windows
+          began, so ``bisect_right(los, b) - bisect_left(ends, a)``
+          intervals overlapped ``a..b`` then. Bounds only shrink, so no
+          more overlap it now, and ``j + 1`` of them fit in it.
+        A cut takes only the window's values that are still in the domain,
+        and the bounds are read again only after a cut."""
+        scope, masks = self.scope, store.masks
         starts = sorted(bounds)  # the intervals by lower bound
-        his = sorted(hi for _, hi in bounds)
+        los = [lo for lo, _ in starts]
+        ends = sorted(hi for _, hi in bounds)
+        his = list(ends)
         first = 0  # starts[first:] are the intervals in his
         stale = False
-        for a in sorted({lo for lo, _ in bounds}):
+        for a in sorted(set(los)):
             if stale:
                 starts = sorted(bound for bound in bounds if bound[0] >= a)
                 his = sorted(hi for _, hi in starts)
@@ -647,20 +693,22 @@ class AllDifferentProp(Propagator):
             while starts[first][0] < a:
                 del his[bisect_left(his, starts[first][1])]
                 first += 1
-            last = a + len(his) - 1
-            for b in maxs[bisect_left(maxs, a) :]:
-                if b > last:
-                    break
-                capacity = b - a + 1
-                count = bisect_right(his, b)
-                if count > capacity:
+            ended = bisect_left(ends, a)  # the intervals that ended before a
+            for j, hi_j in enumerate(his):
+                b = a + j
+                if hi_j > b:
+                    continue
+                if j + 1 < len(his) and his[j + 1] <= b:
                     return False
-                if count == capacity:
-                    for i, x in enumerate(scope):
-                        lo, hi = bounds[i]
-                        # only an interval that overlaps a..b without fitting in it loses values
-                        if (lo < a or hi > b) and lo <= b and a <= hi:
-                            if not store.remove_bits(x, store.interval_mask(x, a, b)):
+                if (j == 0 and a in assigned) or bisect_right(los, b) - ended == j + 1:
+                    continue
+                for i, x in enumerate(scope):
+                    lo, hi = bounds[i]
+                    # only an interval that overlaps a..b without fitting in it loses values
+                    if (lo < a or hi > b) and lo <= b and a <= hi:
+                        cut = masks[x] & store.interval_mask(x, a, b)
+                        if cut:
+                            if not store.remove_bits(x, cut):
                                 return False
                             moved = store.bounds(x)
                             if moved != bounds[i]:
@@ -992,8 +1040,14 @@ class CircuitProp(Propagator):
                 return False
         # successor values are all distinct (cycle plus fixed points is a
         # permutation)
-        if not _assigned_values_differ(store, self.scope):
+        seen = _assigned_values(store, self.scope)
+        if seen is None:
             return False
+        if seen:
+            for x in self.scope:
+                m = store.masks[x]
+                if m & (m - 1) and not store.remove_bits(x, store.value_mask(x, seen)):
+                    return False
 
         succ = {
             pos: store.value(x)

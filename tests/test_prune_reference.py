@@ -230,8 +230,13 @@ def _one_call(prop, store, propagate):
         # many variables over few values, so that Hall windows fill and
         # their prunes move bounds that later windows read
         (AllDifferentProp, (10, range(0, 7), 5), _random_all_different, reference_all_different),
+        # a permutation, like TSP's successors and magic squares: up to 16
+        # variables over 0..15, many of them assigned
+        (AllDifferentProp, (16, range(0, 2), 14), _random_all_different, reference_all_different),
+        # a wide one, like Golomb's differences: up to 20 variables over 0..51
+        (AllDifferentProp, (20, range(0, 40), 12), _random_all_different, reference_all_different),
     ],
-    ids=["sum", "all-different"],
+    ids=["sum", "all-different", "all-different-permutation", "all-different-wide"],
 )
 @pytest.mark.parametrize("seed", range(4))
 def test_one_call_prunes_as_the_reference_pass(cls, shape, build, reference, seed):
@@ -248,3 +253,18 @@ def test_one_call_prunes_as_the_reference_pass(cls, shape, build, reference, see
         outcomes.add(expected[0])
         pruned += bool(expected[2])
     assert outcomes == {True, False} and pruned > 25
+
+
+def test_a_variable_fixed_by_a_hall_prune_still_cuts_its_singleton_window():
+    """No variable is assigned when the call begins. The full window 1..2
+    (``a`` and ``b``) fixes ``c`` to 4; the singleton window 4..4 that
+    follows must then take 4 from ``d``, although that window is ``a..a``:
+    only the values assigned at the start of the call have left the other
+    domains."""
+    domains = {"a": (1, 2), "b": (1, 2), "c": (2, 4), "d": (4, 5)}
+    store = DomainStore([Variable(name, Domain(values)) for name, values in domains.items()])
+    (prop,) = make_propagators([AllDifferent(tuple(domains))], store)
+    expected = _one_call(prop, store, reference_all_different)
+    assert _one_call(prop, store, AllDifferentProp.propagate) == expected
+    assert prop.propagate(store)
+    assert [store.domain_list(x) for x in range(4)] == [[1, 2], [1, 2], [4], [5]]
