@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -28,7 +29,7 @@ from .errors import (
     UnknownModeError,
     XcspError,
 )
-from .expr import INT_RE
+from .expr import INT64_MAX, INT_RE
 from .io import parse_instance, parse_solution
 from .model import Assignment, Instance, assignment_cost, constraint_satisfied
 
@@ -258,6 +259,15 @@ def render_ranking(rows, vbs: RankingRow, mode: str, fmt: str = "text", rank_by_
 # Campaigns
 
 
+def _int64(tok: str) -> int | None:
+    """The integer ``tok`` (``expr.INT_RE``) when it is a 64-bit one, as
+    every ``io`` reader requires; None otherwise."""
+    if not INT_RE.fullmatch(tok):
+        return None
+    value = int(tok)
+    return value if -INT64_MAX - 1 <= value <= INT64_MAX else None
+
+
 def parse_solver_output(text: str):
     """Parse the line protocol; returns (status, bound, v_payload)."""
     status = None
@@ -272,9 +282,9 @@ def parse_solver_output(text: str):
             continue
         if tag == "o":
             parts = line.split()
-            if len(parts) != 2 or not INT_RE.fullmatch(parts[1]):
+            bound = _int64(parts[1]) if len(parts) == 2 else None
+            if bound is None:
                 raise ProtocolViolationError(line)
-            bound = int(parts[1])
         elif tag == "s":
             claim = line[1:].strip()
             if claim not in _CLAIMS or status is not None:
@@ -377,6 +387,10 @@ def run_campaign(
 CSV_COLUMNS = ("instance", "solver", "status", "bound", "elapsed_s")
 STATUSES = (*S_LINES, "INVALID")
 SENSES = ("", "minimize", "maximize")
+#: an ``elapsed_s`` value as ``write_records_csv`` writes it: ASCII digits,
+#: an optional minus and fraction (``float`` also reads ``1_5``, `` 7``,
+#: ``inf`` and other scripts' digits)
+_DECIMAL_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
 
 def write_records_csv(records, path) -> None:
@@ -418,7 +432,13 @@ def _record_of(row: dict) -> RunRecord:
         raise ValueError(f"unknown status {status!r}")
     if sense not in SENSES:
         raise ValueError(f"unknown objective sense {sense!r}")
-    bound = int(row["bound"]) if row["bound"] else None
+    bound = None
+    if row["bound"]:
+        bound = _int64(row["bound"])
+        if bound is None:
+            raise ValueError(f"invalid literal for bound: {row['bound']!r} is not a 64-bit integer")
+    if not _DECIMAL_RE.fullmatch(row["elapsed_s"]):
+        raise ValueError(f"could not convert elapsed_s {row['elapsed_s']!r}: not a decimal number")
     elapsed = float(row["elapsed_s"])
     if not math.isfinite(elapsed):
         raise ValueError(f"elapsed_s {row['elapsed_s']!r} is not finite")

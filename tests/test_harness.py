@@ -1,6 +1,7 @@
 """Harness tests: verification verdicts, scoring arithmetic against the
 published tables, campaign execution over the built-in solver."""
 
+import random
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import xcspkit
-from xcspkit.errors import DuplicateRecordError, UnknownModeError
+from xcspkit.errors import DuplicateRecordError, SchemaMismatchError, UnknownModeError, XcspError
 from xcspkit.generators import gen_dubois, gen_knapsack, gen_langford
 from xcspkit.harness import (
     RunRecord,
@@ -350,12 +351,16 @@ class TestProtocol:
         with pytest.raises(ProtocolViolationError):
             parse_solver_output("hello world\n")
 
-    @pytest.mark.parametrize("line", ["o --3", "o +-5", "o \u00b2"])
+    @pytest.mark.parametrize("line", ["o --3", "o +-5", "o \u00b2", "o 9223372036854775808", "o -9223372036854775809"])
     def test_a_malformed_bound_is_a_protocol_violation(self, line):
         from xcspkit.errors import ProtocolViolationError
 
         with pytest.raises(ProtocolViolationError):
             parse_solver_output(line + "\ns UNKNOWN\n")
+
+    def test_a_bound_at_the_64_bit_limits_is_read(self):
+        assert parse_solver_output("o 9223372036854775807\ns SATISFIABLE\n")[1] == 2**63 - 1
+        assert parse_solver_output("o -9223372036854775808\ns SATISFIABLE\n")[1] == -(2**63)
 
     def test_missing_s_line_is_unknown(self):
         status, bound, payload = parse_solver_output("c nothing\n")
@@ -388,6 +393,17 @@ def _running(pid: int) -> bool:
     except FileNotFoundError:
         return False
     return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+# every record a campaign can write, the 64-bit bounds included
+CSV_RECORDS = [
+    RunRecord("a", "s1", "SAT", None, 1.25),
+    RunRecord("b", "s1", "OPTIMUM", 42, 0.5),
+    RunRecord("c", "s1", "OPTIMUM", 2**63 - 1, 0.0, "maximize"),
+    RunRecord("d", "s2", "SAT", -(2**63), 1234.5, "minimize"),
+    RunRecord("e", "s2", "UNKNOWN", None, -1.0),
+    RunRecord("f", "s2", "INVALID", None, 0.001),
+]
 
 
 class TestCampaign(object):
@@ -516,13 +532,91 @@ class TestCampaign(object):
         assert not _running(pid)
 
     def test_csv_roundtrip(self, tmp_path):
-        records = [
-            RunRecord("a", "s1", "SAT", None, 1.25),
-            RunRecord("b", "s1", "OPTIMUM", 42, 0.5),
-        ]
+        records = CSV_RECORDS
         path = tmp_path / "results.csv"
         write_records_csv(records, path)
         header = path.read_text().splitlines()[0]
         assert header == "instance,solver,status,bound,elapsed_s,sense"
         back = read_records_csv(path)
         assert back == records
+
+
+class TestCampaignCsv:
+    @pytest.mark.parametrize(
+        "bound, elapsed",
+        [
+            ("1_000", "1.0"),
+            ("\u0663", "1.0"),
+            (" 7", "1.0"),
+            ("9223372036854775808", "1.0"),
+            ("-9223372036854775809", "1.0"),
+            ("", "1_5"),
+            ("", "\u0663"),
+            ("", " 1.0"),
+            ("", "1e3"),
+            ("", "inf"),
+            ("", "1" * 400),
+        ],
+    )
+    def test_a_number_outside_the_one_grammar_is_refused(self, tmp_path, bound, elapsed):
+        path = tmp_path / "results.csv"
+        path.write_text(f"instance,solver,status,bound,elapsed_s\na,s1,SAT,3,1.0\nb,s1,SAT,{bound},{elapsed}\n")
+        with pytest.raises(SchemaMismatchError, match=f"{path}, line 3: "):
+            read_records_csv(path)
+
+
+_PROTOCOL_OUTPUT = (
+    "c a comment\no 120\no 97\ns OPTIMUM FOUND\n"
+    "v <instantiation> <list> x[0] x[1] </list> <values> 3 -4 </values> </instantiation>\n"
+)
+# what a mutation inserts: digits, signs, separators, quotes, spaces,
+# tags, an underscore and non-ASCII digits
+_INSERTS = "0123456789+-_.,\"' \t\nosvc\u0663\u00b2e"
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    """``text`` after one to three seeded deletions, insertions or digit swaps."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        at = rng.randrange(len(text) + 1)
+        digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+        if kind == 0 and at < len(text):
+            text = text[:at] + text[at + 1 :]
+        elif kind == 1 or not digits:
+            # now and then a run of 25, which makes a number too wide
+            text = text[:at] + rng.choice(_INSERTS) * rng.choice((1, 1, 1, 25)) + text[at:]
+        else:
+            at = rng.choice(digits)
+            text = text[:at] + rng.choice("0123456789") + text[at + 1 :]
+    return text
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_mutated_campaign_output_is_read_or_refused_with_a_typed_error(tmp_path, seed):
+    """Seeded mutations of a campaign CSV and of solver output: every
+    mutant reads, within the readers' own bounds, or is refused with an
+    ``XcspError``; no other exception escapes."""
+    rng = random.Random(seed)
+    path = tmp_path / "results.csv"
+    write_records_csv(CSV_RECORDS, path)
+    written = path.read_text()
+    outcomes = set()
+    for _ in range(1500):
+        path.write_text(_mutant(rng, written))
+        try:
+            records = read_records_csv(path)
+        except XcspError:
+            outcomes.add("refused")
+            continue
+        outcomes.add("read")
+        for r in records:
+            assert r.bound is None or -(2**63) <= r.bound < 2**63
+    for _ in range(1500):
+        try:
+            _, bound, _ = parse_solver_output(_mutant(rng, _PROTOCOL_OUTPUT))
+        except XcspError:
+            outcomes.add("violation")
+            continue
+        outcomes.add("parsed")
+        assert bound is None or -(2**63) <= bound < 2**63
+    assert outcomes == {"refused", "read", "violation", "parsed"}
