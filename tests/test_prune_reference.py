@@ -257,11 +257,10 @@ def test_one_call_prunes_as_the_reference_pass(cls, shape, build, reference, see
 
 def test_a_variable_fixed_by_a_hall_prune_still_cuts_its_singleton_window():
     """No variable is assigned when the call begins. The full window 1..2
-    (``a`` and ``b``) fixes ``c`` to 4; the singleton window 4..4 that
-    follows must then take 4 from ``d``, although that window is ``a..a``:
-    only the values assigned at the start of the call have left the other
-    domains."""
-    domains = {"a": (1, 2), "b": (1, 2), "c": (2, 4), "d": (4, 5)}
+    (``p`` and ``q``) fixes ``r`` to 4; the one-value window 4..4 that
+    follows must then take 4 from ``s``: only the values assigned at the
+    start of the call have left the other domains."""
+    domains = {"p": (1, 2), "q": (1, 2), "r": (2, 4), "s": (4, 5)}
     store = DomainStore([Variable(name, Domain(values)) for name, values in domains.items()])
     (prop,) = make_propagators([AllDifferent(tuple(domains))], store)
     expected = _one_call(prop, store, reference_all_different)
