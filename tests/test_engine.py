@@ -39,6 +39,7 @@ from xcspkit.generators import (
     gen_mario,
     gen_mistery_shopper,
     gen_rcpsp,
+    gen_social_golfers,
     gen_still_life,
     gen_tsp,
 )
@@ -53,6 +54,7 @@ from xcspkit.model import (
     Instance,
     Intension,
     Objective,
+    Ordered,
     STAR,
     Slide,
     Sum,
@@ -78,6 +80,15 @@ KNAPSACK_DATA = {
 
 def make(variables, constraints, objective=None, decision=()):
     return Instance("COP" if objective else "CSP", tuple(variables), tuple(constraints), objective, decision)
+
+
+def _root_fixpoint(instance):
+    """The store and the engine after the root fixpoint, which must hold."""
+    store = DomainStore(instance.variables)
+    engine = PropagationEngine(store, make_propagators(instance.constraints, store))
+    engine.enqueue_all()
+    assert engine.fixpoint() is None
+    return store, engine
 
 
 class TestPropagateToFixpoint:
@@ -122,8 +133,8 @@ class TestPropagateToFixpoint:
         assert propagate_to_fixpoint(DomainStore(variables), cs) < len(cs)
 
     def test_golomb_12_root_fixpoint_is_pinned(self):
-        """Its large intensions reach interval filtering: the domain sizes
-        left and the propagations made are pinned."""
+        """Its large intensions are linear, so they reach the Sum pass: the
+        domain sizes left and the propagations made are pinned."""
         instance = gen_golomb_ruler(12)
         store = DomainStore(instance.variables)
         engine = PropagationEngine(store, make_propagators(instance.constraints, store))
@@ -132,6 +143,37 @@ class TestPropagateToFixpoint:
         assert (sum(store.size(x) for x in range(len(store))), engine.propagations) == (10_672, 458)
         # each eq(x[j], add(x[i], y[i][j])) has 20,880 rows over x[i] and y[i][j], above _TABLE_CAP
         assert not any(isinstance(p, IntensionProp) and p.supports is not None for p in engine.props)
+
+    @pytest.mark.parametrize(
+        "build, values, propagations",
+        [
+            # 720 arity-4 or(ne, ne), each tabled (256 rows)
+            (lambda: gen_social_golfers(4, 4, 4), 172, 1_278),
+            # 9 linear ge(sub(v, v), c) above _TABLE_CAP
+            (lambda: gen_still_life(8), 1_389, 180),
+        ],
+        ids=["social-golfers-4-4-4", "still-life-8"],
+    )
+    def test_root_fixpoint_is_pinned(self, build, values, propagations):
+        store, engine = _root_fixpoint(build())
+        assert (sum(store.size(x) for x in range(len(store))), engine.propagations) == (values, propagations)
+
+    def test_no_load_instance_filters_an_intension_value_by_value(self, monkeypatch):
+        """The large generator instances have no intension that reaches the
+        per-value bounds closure: each is tabled or linear."""
+
+        def refuse(prop, store):
+            raise AssertionError(f"_interval_filter on {prop.constraint}")
+
+        monkeypatch.setattr(IntensionProp, "_interval_filter", refuse)
+        for instance in (
+            gen_golomb_ruler(12),
+            gen_social_golfers(4, 4, 4),
+            gen_still_life(8),
+            gen_still_life(12),
+            gen_low_autocorrelation(40),
+        ):
+            _root_fixpoint(instance)
 
     def test_table_over_a_repeated_variable_is_gac(self):
         """Only the rows that give a repeated variable one value count; a
@@ -147,6 +189,19 @@ class TestPropagateToFixpoint:
         c = Extension(("b", "c", "b"), conflicts(3, [(0, STAR, 0), (1, 1, 1)]))
         assert propagate_to_fixpoint(store, (c,)) is None
         assert (store.domain_list(0), store.domain_list(1)) == ([1], [0])
+
+    def test_an_open_side_reaches_beyond_every_64_bit_value(self):
+        """``x <= y`` keeps y = 2e18, and ``x + y <= 5`` keeps x = -5e18
+        (with y = 0), although both lie beyond 10**18."""
+        variables = (Variable("x", Domain.of(0)), Variable("y", Domain((0, 2 * 10**18))))
+        store = DomainStore(variables)
+        assert propagate_to_fixpoint(store, (Ordered(("x", "y"), "le"),)) is None
+        assert store.domain_list(1) == [0, 2 * 10**18]
+        huge = Domain((-5 * 10**18, *range(100)))
+        for c in (Sum(("x", "y"), (1, 1), Condition("le", 5)), Intension(parse_expr("le(add(x,y),5)"))):
+            store = DomainStore((Variable("x", huge), Variable("y", huge)))
+            assert propagate_to_fixpoint(store, (c,)) is None
+            assert store.min_value(0) == -5 * 10**18
 
     def test_unordered_initial_domain_is_refused(self):
         variables = (Variable("x", Domain((2, 0, 1))),)
@@ -495,6 +550,34 @@ def test_intension_gac_pass_above_the_table_cap_equals_brute_force(seed, build):
         store.pop()
     assert outcomes == {True, False}
     assert prop.supports is None and prop.residues is not None
+
+
+def test_a_wide_intension_above_the_table_cap_is_gac_at_a_small_live_product():
+    """Arity 4 and 10,000 rows: no table, and the residual GAC pass on
+    every call whose live product is at most _SCAN_CAP, as at arity 3."""
+    rng = random.Random(4)
+    _, build = _intension_above_the_table_cap("eq(dist(w,x),dist(y,z))", 10)
+    variables, constraint, allowed = build(rng)
+    store = DomainStore(variables)
+    (prop,) = make_propagators([constraint], store)
+    assert prop.residues is not None and prop.bounds_fn is not None
+    outcomes, pruned = set(), 0
+    for _ in range(60):
+        store.push()
+        for x in range(4):
+            live = store.domain_list(x)
+            store.keep_values(x, rng.sample(live, rng.choice((1, 2, 4, 6))))
+        assert math.prod(map(store.size, range(4))) <= _SCAN_CAP
+        expected = _brute_force_gac(allowed, store)
+        before = [store.size(x) for x in range(4)]
+        ok = prop.propagate(store)
+        outcomes.add(ok)
+        assert ok == (expected is not None)
+        if ok:
+            assert [set(store.values(x)) for x in range(4)] == expected
+            pruned += [store.size(x) for x in range(4)] != before
+        store.pop()
+    assert outcomes == {True, False} and pruned > 10
 
 
 def test_golomb_7_intensions_share_one_table():

@@ -125,16 +125,24 @@ def test_element_is_idempotent_when_index_value_and_cells_are_distinct(element, 
 
 
 @pytest.mark.parametrize(
-    "text, idempotent",
+    "text, bounds_pass",
     [
-        ("ne(a,add(b,i))", True),
-        ("ne(a,add(b,i,v))", False),
+        ("ne(a,add(b,i))", None),
+        # arity 4, tabled at any arity (81 rows)
+        ("ne(a,add(b,i,v))", None),
         # tabled (2,500 rows over y and z) although its product is above _SCAN_CAP
-        ("eq(x,add(y,z))", True),
+        ("eq(x,add(y,z))", None),
+        # 125,000 rows: above both caps, and linear
+        ("le(add(x,y,z),70)", "linear"),
+        # 125,000 rows, not linear
+        ("ne(x,mul(y,z))", "bounds_fn"),
     ],
 )
-def test_intension_is_idempotent_without_interval_filtering(text, idempotent):
+def test_intension_is_idempotent_without_interval_filtering(text, bounds_pass):
+    """Only a pass that narrows bounds, the Sum pass or the bounds closure,
+    may leave a prune for a second call."""
     variables = [Variable(name, Domain.rng(0, 2)) for name in ("a", "b", "i", "v")]
     store = DomainStore(variables + [Variable(name, Domain.rng(0, 49)) for name in ("x", "y", "z")])
     (prop,) = make_propagators([Intension(parse_expr(text))], store)
-    assert (prop.bounds_fn is None, prop.idempotent) == (idempotent, idempotent)
+    built = [name for name in ("supports", "linear", "bounds_fn") if getattr(prop, name) is not None]
+    assert (built, prop.idempotent) == ([bounds_pass or "supports"], bounds_pass is None)

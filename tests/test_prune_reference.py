@@ -4,16 +4,23 @@ that read each bound through ``min_value``/``max_value``, narrow through
 ``keep_bits(interval_mask(...))``, rebuild the Sum target on every call
 and rebuild the Hall upper bounds for every window start. Both must leave
 the same domains, the same trail entries in the same order, the same
-touched list and the same return value."""
+touched list and the same return value.
 
+A large linear intension runs the Sum pass where it ran interval
+filtering, kept here as a reference too: both must reach the same
+fixpoint when no variable repeats, and with repeats a fixpoint between
+brute-force GAC and the reference's."""
+
+import itertools
 import random
 from bisect import bisect_left, bisect_right
 
 import pytest
 
-from xcspkit.engine import DomainStore
-from xcspkit.engine.propagators import INF, AllDifferentProp, SumProp, make_propagators
-from xcspkit.model import AllDifferent, Condition, Domain, Sum, Variable
+from xcspkit.engine import DomainStore, propagators
+from xcspkit.engine.propagators import INF, AllDifferentProp, IntensionProp, SumProp, make_propagators
+from xcspkit.expr import compile_expr, const, op, var
+from xcspkit.model import AllDifferent, Condition, Domain, Intension, Sum, Variable
 
 # -- reference passes
 
@@ -166,6 +173,19 @@ def reference_all_different(prop, store):
     return _assigned_values_differ(store, prop.scope) and _hall_intervals(prop.scope, store)
 
 
+def reference_interval_filter(bounds_fn, scope, store):
+    """Remove each value whose fixing bounds the expression to false, the
+    other positions at their current bounds."""
+    bounds = [store.bounds(x) for x in scope]
+    for i, x in enumerate(scope):
+        for v in store.domain_list(x):
+            bounds[i] = (v, v)
+            if bounds_fn(bounds)[1] == 0 and not store.remove_value(x, v):
+                return False
+        bounds[i] = store.bounds(x)
+    return True
+
+
 # -- random cases
 
 
@@ -267,3 +287,111 @@ def test_a_variable_fixed_by_a_hall_prune_still_cuts_its_singleton_window():
     assert _one_call(prop, store, AllDifferentProp.propagate) == expected
     assert prop.propagate(store)
     assert [store.domain_list(x) for x in range(4)] == [[1, 2], [1, 2], [4], [5]]
+
+
+# -- large linear intensions: the Sum pass against interval filtering
+
+
+def _random_side(rng, leaf, depth):
+    """A linear side: ``add``, ``sub``, ``neg`` and ``mul`` by a constant
+    (possibly 0 or negative) over the leaves ``leaf`` draws."""
+    if depth == 0 or rng.random() < 0.3:
+        return leaf()
+    kind = rng.choice(("add", "sub", "neg", "mul"))
+    if kind == "neg":
+        return op("neg", _random_side(rng, leaf, depth - 1))
+    if kind == "mul":
+        factors = [const(rng.randint(-3, 3)), _random_side(rng, leaf, depth - 1)]
+        rng.shuffle(factors)
+        return op("mul", *factors)
+    arity = 2 if kind == "sub" else rng.randint(2, 3)
+    return op(kind, *(_random_side(rng, leaf, depth - 1) for _ in range(arity)))
+
+
+def _random_linear(rng, names, repeats):
+    """A comparison of two linear sides over ``names``, each at most once
+    unless ``repeats``; a leaf is a constant one time in four, and always
+    once the names are used up."""
+    unused = list(names)
+    rng.shuffle(unused)
+
+    def leaf():
+        if rng.random() < 0.25 or not (repeats or unused):
+            return const(rng.randint(-4, 4))
+        return var(rng.choice(names) if repeats else unused.pop())
+
+    kind = rng.choice(("eq", "ne", "lt", "le", "gt", "ge"))
+    return op(kind, _random_side(rng, leaf, 3), _random_side(rng, leaf, 3))
+
+
+def _fixpoint(propagate, store):
+    """Call ``propagate`` until it fails or prunes nothing; the live
+    values of every variable, or None on a failure."""
+    while True:
+        masks = list(store.masks)
+        if not propagate(store):
+            return None
+        if store.masks == masks:
+            return [store.domain_list(x) for x in range(len(store.names))]
+
+
+def _gac(fn, scope, store):
+    """Brute-force GAC of a predicate on tuples of ``scope``'s values."""
+    kept = [set() for _ in scope]
+    for combo in itertools.product(*(store.domain_list(x) for x in scope)):
+        if fn(combo):
+            for seen, v in zip(kept, combo):
+                seen.add(v)
+    if not all(kept):
+        return None
+    values = [store.domain_list(x) for x in range(len(store.names))]
+    for x, seen in zip(scope, kept):
+        values[x] = sorted(seen)
+    return values
+
+
+def _within(inner, outer):
+    """Whether every domain of ``inner`` lies inside ``outer``'s; a failure
+    (None) lies inside anything and contains only a failure."""
+    if inner is None:
+        return True
+    return outer is not None and all(set(a) <= set(b) for a, b in zip(inner, outer))
+
+
+@pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_linear_intension_reaches_the_fixpoint_of_interval_filtering(repeats, seed, monkeypatch):
+    """Both caps at 0, so that every call is the Sum pass, as for a live
+    product above ``_SCAN_CAP``. Stores have holes, assigned variables and
+    narrowed ones; sides have negative and zero coefficients and constants."""
+    monkeypatch.setattr(propagators, "_TABLE_CAP", 0)
+    monkeypatch.setattr(propagators, "_SCAN_CAP", 0)
+    rng = random.Random(f"linear-{repeats}-{seed}")
+    outcomes, pruned, narrower = set(), 0, 0
+    for _ in range(400):
+        store = _store(rng, rng.randint(1, 4), range(-6, 5), 8)
+        expression = _random_linear(rng, store.names, repeats)
+        (prop,) = make_propagators([Intension(expression)], store)
+        if not prop.scope:
+            continue
+        assert isinstance(prop, IntensionProp) and prop.linear is not None and not prop.idempotent
+        position = {store.names[x]: i for i, x in enumerate(prop.scope)}
+        store.push()
+        got = _fixpoint(prop.propagate, store)
+        store.pop()
+        store.push()
+        bounds_fn = compile_expr(expression, position, bounds=True)
+        expected = _fixpoint(lambda s: reference_interval_filter(bounds_fn, prop.scope, s), store)
+        store.pop()
+        gac = _gac(compile_expr(expression, position, bounds=False), prop.scope, store)
+        pruned += got is not None and got != [store.domain_list(x) for x in range(len(store.names))]
+        assert _within(gac, got), expression
+        if repeats:
+            assert _within(got, expected), expression
+            narrower += got != expected
+        else:
+            assert got == expected, expression
+        outcomes.add(got is None)
+    assert outcomes == {True, False} and pruned > 25
+    if repeats:
+        assert narrower > 0
