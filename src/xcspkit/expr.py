@@ -275,24 +275,14 @@ def parse_expr(text: str) -> Expr:
     return node
 
 
+#: the first character that no token starts or continues with
+_BAD_CHAR_RE = re.compile(r"[^\s(),\w\[\]-]")
+#: a token: punctuation, a lone or leading ``-``, or a name or number
+_TOKEN_RE = re.compile(r"[(),]|-[\w\[\]]*|[\w\[\]]+")
+
+
 def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            if ch == "-":
-                j += 1
-            while j < len(text) and (text[j].isalnum() or text[j] in "_[]"):
-                j += 1
-            if j == i:
-                raise ExprSyntaxError(f"bad character {ch!r} in {text!r}")
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ExprSyntaxError(f"bad character {bad.group()!r} in {text!r}")
+    return _TOKEN_RE.findall(text)

@@ -1,6 +1,7 @@
 """Parser/writer tests: the spec'd fragments, error reporting with
 locations, and round-trip identity on hand-built instances."""
 
+import random
 import typing
 
 import pytest
@@ -13,8 +14,8 @@ from xcspkit.errors import (
     UnsupportedFeatureError,
     XmlSyntaxError,
 )
-from xcspkit.expr import INT64_MAX, MAX_DEPTH, ExprSyntaxError, parse_expr
-from xcspkit.generators import gen_still_life
+from xcspkit.expr import INT64_MAX, MAX_DEPTH, ExprSyntaxError, _tokenize, format_expr, parse_expr
+from xcspkit.generators import gen_low_autocorrelation, gen_social_golfers, gen_still_life
 from xcspkit.io import _LAYOUTS, parse_instance, parse_solution, write_instance, write_solution
 from xcspkit.model import (
     STAR,
@@ -648,3 +649,60 @@ def test_an_expression_nested_beyond_the_depth_cap_is_refused():
         parse_expr(_nested(MAX_DEPTH + 1))
     with pytest.raises(UnsupportedFeatureError, match="nested deeper"):
         parse_instance(_THREE_VARS.format(f"<intension> eq({_nested(2000)},0) </intension>"))
+
+
+def _reference_tokenize(text: str) -> list[str]:
+    """The character loop that the tokenizer's two regular expressions
+    replaced."""
+    tokens: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "(),":
+            tokens.append(ch)
+            i += 1
+        else:
+            j = i
+            if ch == "-":
+                j += 1
+            while j < len(text) and (text[j].isalnum() or text[j] in "_[]"):
+                j += 1
+            if j == i:
+                raise ExprSyntaxError(f"bad character {ch!r} in {text!r}")
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as exc:
+        return str(exc)
+
+
+# ASCII token characters, Unicode spaces, letters, digits that only
+# ``isalnum`` knows (superscript two, Arabic-Indic three), a combining
+# accent and characters no token holds
+_TOKEN_ALPHABET = "ax9_0[]()-,  \t\n\x0b\x1c\u00a0\u2003é中\u00b2\u0663\u0301+.$;"
+
+
+def test_the_tokenizer_splits_as_the_character_loop_it_replaced():
+    texts = [
+        format_expr(c.expr)
+        for instance in (gen_low_autocorrelation(40), gen_social_golfers(4, 4, 4))
+        for c in instance.constraints
+        if isinstance(c, Intension)
+    ]
+    assert len(texts) > 1_000
+    texts += ["", "-", "--3", "a-b", "x[-1]", "- 3", "eq(x,-)", "add(x,+1)", "3x[0]y"]
+    rng = random.Random(2009)
+    texts += ["".join(rng.choices(_TOKEN_ALPHABET, k=rng.randint(1, 12))) for _ in range(20_000)]
+    outcomes = set()
+    for text in texts:
+        expected = _tokens_or_error(_reference_tokenize, text)
+        assert _tokens_or_error(_tokenize, text) == expected, text
+        outcomes.add(type(expected))
+    assert outcomes == {list, str}
