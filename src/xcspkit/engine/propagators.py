@@ -26,10 +26,10 @@ pattern), a tabled intension by (positional template, initial domains).
 A larger conflicts table gets ``_residual``, the residual-support pass
 over a predicate on tuples, and so does a larger intension while its live
 product is at most ``_SCAN_CAP``. Above that, a larger intension that
-compares two linear sides is pruned as the primitive it is, by the bounds
-pass of its equivalent ``Sum`` (XCSP3-core, Boussemart et al.,
-arXiv:2009.00514); only a non-linear one is filtered value by value
-through a bounds closure.
+compares two linear sides, and whose sum stays in the 64-bit range, is
+pruned as the primitive it is, by the bounds pass of its equivalent
+``Sum`` (XCSP3-core, Boussemart et al., arXiv:2009.00514); any other one
+is filtered value by value through a bounds closure.
 
 Two build-time declarations let the engine skip calls that cannot prune
 (``search.PropagationEngine``). A propagator is ``idempotent`` when a
@@ -86,7 +86,9 @@ from ..model import (
 from .domains import DomainStore
 
 # an unbounded side of a target or a restriction: beyond any value and any
-# sum of products of the 64-bit integers an instance holds
+# sum whose terms' magnitudes add up to at most INT64_MAX, the bound that
+# model._validate_overflow keeps on a Sum and _within_int64 on one built
+# from an intension
 INF = 2**256
 
 # conflicts tables are complemented into supports up to this tuple count
@@ -319,9 +321,10 @@ class IntensionProp(Propagator):
 
     Any other intension gets the residual GAC pass while its live product
     is at most ``_SCAN_CAP``. Beyond that, a linear one (``_linear_sum``)
-    runs the bounds pass of its equivalent ``Sum``, whose ``SumProp`` is
-    built once, and any other one interval filtering through a bounds
-    closure compiled once (``expr.compile_expr``). Neither is idempotent."""
+    whose sum stays in the 64-bit range (``_within_int64``) runs the bounds
+    pass of its equivalent ``Sum``, whose ``SumProp`` is built once, and
+    any other one interval filtering through a bounds closure compiled once
+    (``expr.compile_expr``). Neither is idempotent."""
 
     __slots__ = ("fn", "bounds_fn", "linear", "supports", "constant", "residues")
 
@@ -351,12 +354,15 @@ class IntensionProp(Propagator):
                 self.supports = masks[relation]
             else:
                 self.residues = [[None] * len(d) for d in domains]
-        if self.residues is not None and math.prod(map(len, domains)) > _SCAN_CAP:
-            linear = _linear_sum(c.expr)
-            if linear is not None:
-                self.linear = SumProp(linear, key, store)
-            else:
-                self.bounds_fn = _x.compile_expr(c.expr, position, bounds=True)
+                # always true while _TABLE_CAP >= _SCAN_CAP; with a lower
+                # table cap, it keeps a relation that never leaves the
+                # residual pass idempotent
+                if math.prod(map(len, domains)) > _SCAN_CAP:
+                    linear = _linear_sum(c.expr)
+                    if linear is not None and _within_int64(linear, store):
+                        self.linear = SumProp(linear, key, store)
+                    else:
+                        self.bounds_fn = _x.compile_expr(c.expr, position, bounds=True)
         self.idempotent = self.bounds_fn is None and self.linear is None
 
     def propagate(self, store: DomainStore) -> bool:
@@ -440,6 +446,21 @@ def _linear_sum(expression) -> Sum | None:
     coeffs, k = _added([left, _scaled(right, -1)])
     scope = tuple(v for v, a in coeffs.items() if a)
     return Sum(scope, tuple(coeffs[v] for v in scope), Condition(expression.kind, -k))
+
+
+def _within_int64(c: Sum, store: DomainStore) -> bool:
+    """Whether the sum of ``|a| * max |v|`` over the terms of ``c``, plus
+    ``|k|`` of its right-hand side, is at most ``INT64_MAX`` over the
+    initial domains: the bound ``model._validate_overflow`` holds an
+    instance's ``Sum`` to, under which ``INF`` exceeds every sum the pass
+    forms. ``mul`` folds any number of 64-bit constants into one
+    coefficient, so a ``Sum`` built from an intension may exceed it."""
+    worst = abs(c.condition.rhs)
+    for a, x in zip(c.coeffs, store.indices(c.scope)):
+        values = store.init_values[x]
+        if values:
+            worst += abs(a) * max(-values[0], values[-1])
+    return worst <= _x.INT64_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +584,10 @@ class SumProp(Propagator):
                             return False
         return True
 
-    # a linear ``IntensionProp`` calls the pass by the name above, so that
-    # a wrapper of ``propagate`` (perfbench's traced run) counts its calls
-    # under ``IntensionProp`` only
+    # a second name for the pass, kept only for the traced counters: a
+    # linear ``IntensionProp`` calls ``bounds_pass``, so a wrapper of each
+    # class's ``propagate`` (perfbench's traced run) counts that nested call
+    # under ``IntensionProp`` alone, not under ``SumProp`` as well
     propagate = bounds_pass
 
 

@@ -395,3 +395,14 @@ def test_a_linear_intension_reaches_the_fixpoint_of_interval_filtering(repeats, 
     assert outcomes == {True, False} and pruned > 25
     if repeats:
         assert narrower > 0
+
+
+def test_a_linear_intension_beyond_64_bits_keeps_interval_filtering():
+    """``mul`` folds its constants into one coefficient, here 2**310, far
+    beyond the 64-bit sums the Sum pass's infinite bounds are sized for:
+    that pass would round ``x <= 0`` to ``x = 0`` and lose ``x = -1``."""
+    store = DomainStore([Variable("x", Domain((-1, *range(9001))))])
+    expression = op("le", op("mul", *(const(2**62) for _ in range(5)), var("x")), const(0))
+    (prop,) = make_propagators([Intension(expression)], store)
+    assert prop.linear is None and prop.bounds_fn is not None
+    assert _fixpoint(prop.propagate, store) == [[-1, 0]]
