@@ -7,16 +7,17 @@ Exit codes follow the competition convention on ``solve``: 10 SAT,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
+# A competition starts the solver afresh for every instance, so ``solve``
+# loads only the parser, the model and the engine: ``generate`` imports the
+# generators, and ``verify`` and ``rank`` the harness, when they run.
 from .engine import SearchConfig, enumerate_all, optimize, solve
 from .errors import BadParameterError, XcspError
-from .generators import PROBLEMS, ProblemData, build, canonical_problem_id
-from .harness import EXIT_CODES, S_LINES, read_records_csv, render_ranking, score_track, verify
-from .io import parse_instance, parse_solution, write_instance, write_solution
+from .expr import int64
+from .io import EXIT_CODES, S_LINES, parse_instance, parse_solution, write_instance, write_solution
 
 
 def _log_level() -> str:
@@ -31,7 +32,8 @@ def _comment(text: str, minimum: str = "info") -> None:
         print(f"c {text}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(problems=None) -> argparse.ArgumentParser:
+    """The parser; ``generate``'s help lists ``problems`` when given."""
     parser = argparse.ArgumentParser(prog="xcspkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -42,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--all", action="store_true", help="count all solutions (CSP only)")
 
     p_gen = sub.add_parser("generate", help="generate a benchmark instance")
-    p_gen.add_argument("problem", help=f"one of: {', '.join(sorted(PROBLEMS))}")
+    p_gen.add_argument("problem", help=f"one of: {', '.join(sorted(problems))}" if problems else "a problem id")
     p_gen.add_argument("--data", help="JSON data file")
     p_gen.add_argument("--param", action="append", default=[], metavar="K=V", help="scalar parameter")
     p_gen.add_argument("--variant", help="model variant where the problem has several")
@@ -53,12 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a claimed solution")
     p_verify.add_argument("instance")
     p_verify.add_argument("solution", help="instantiation fragment XML file")
-    p_verify.add_argument("--bound", type=int, help="claimed objective value")
+    p_verify.add_argument("--bound", help="claimed objective value, a 64-bit integer")
 
     p_rank = sub.add_parser("rank", help="score a results CSV")
     p_rank.add_argument("results", help="CSV produced by a campaign")
     p_rank.add_argument("--mode", choices=("csp", "cop"), required=True)
-    p_rank.add_argument("--n-instances", type=int, help="track size: at least the number of distinct instances, which is the default")
+    p_rank.add_argument("--n-instances", help="track size: at least the number of distinct instances, which is the default")
     p_rank.add_argument("--format", choices=("text", "csv"), default="text")
     p_rank.add_argument("--by-best", action="store_true", help="rank by best-known bounds (fast COP)")
     return parser
@@ -98,23 +100,36 @@ def _report(status: str, witness) -> int:
     return EXIT_CODES[status]
 
 
+def _int_option(name: str, text: str) -> int:
+    """``text`` read as an integer of ``io``'s grammar (``expr.INT_RE``,
+    within int64)."""
+    value = int64(text)
+    if value is None:
+        raise BadParameterError(f"{name} must be a 64-bit integer, got {text!r}")
+    return value
+
+
 def _parse_params(pairs) -> dict:
     payload = {}
     for pair in pairs:
         if "=" not in pair:
             raise XcspError(f"bad --param {pair!r}, expected K=V")
         key, _, value = pair.partition("=")
-        try:
-            payload[key] = int(value)
-        except ValueError:
-            raise XcspError(f"--param {key} must be an integer, got {value!r}") from None
+        payload[key] = _int_option(f"--param {key}", value)
     return payload
 
 
 def _cmd_generate(args) -> int:
+    import json
+
+    from .generators import ProblemData, build, canonical_problem_id
+
     problem = canonical_problem_id(args.problem)
     params = _parse_params(args.param)
-    payload = json.loads(Path(args.data).read_text()) if args.data else {}
+    try:
+        payload = json.loads(Path(args.data).read_text()) if args.data else {}
+    except json.JSONDecodeError as exc:
+        raise XcspError(str(exc)) from None
     if isinstance(payload, dict):
         payload.update(params)
     elif params:
@@ -131,14 +146,19 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import verify
+
+    bound = None if args.bound is None else _int_option("--bound", args.bound)
     instance = parse_instance(Path(args.instance).read_text())
     assignment = parse_solution(Path(args.solution).read_text())
-    result = verify(instance, assignment, args.bound)
+    result = verify(instance, assignment, bound)
     print(str(result))
     return 0 if result.ok else 1
 
 
 def _cmd_rank(args) -> int:
+    from .harness import read_records_csv, render_ranking, score_track
+
     records = read_records_csv(args.results)
     mode = args.mode.upper()
     senses = {r.instance_id: r.sense for r in records if r.sense}
@@ -153,21 +173,25 @@ def _cmd_rank(args) -> int:
             raise XcspError(f"no objective sense recorded for {', '.join(unknown)}, whose bounds differ")
     n_instances = len({r.instance_id for r in records})
     if args.n_instances is not None:
+        track = _int_option("--n-instances", args.n_instances)
         least = max(n_instances, 1)
-        if args.n_instances < least:
+        if track < least:
             raise BadParameterError(
-                f"--n-instances {args.n_instances} is below {least}, the least track size"
+                f"--n-instances {track} is below {least}, the least track size"
                 f" for the {n_instances} distinct instances in {args.results}"
             )
-        n_instances = args.n_instances
+        n_instances = track
     rows, vbs = score_track(records, n_instances, mode, rank_by_best=args.by_best, senses=senses)
     sys.stdout.write(render_ranking(rows, vbs, mode, fmt=args.format, rank_by_best=args.by_best))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    problems = None
+    if argv[:1] == ["generate"]:
+        from .generators import PROBLEMS as problems
+    args = _build_parser(problems).parse_args(argv)
     handlers = {
         "solve": _cmd_solve,
         "generate": _cmd_generate,
@@ -176,10 +200,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except XcspError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (XcspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,6 +35,15 @@ INT64_MAX = 2**63 - 1
 MAX_DEPTH = 100
 
 
+def int64(tok: str) -> int | None:
+    """The integer ``tok`` (``INT_RE``) when it is a 64-bit one, as every
+    ``io`` reader requires; None otherwise."""
+    if not INT_RE.fullmatch(tok):
+        return None
+    value = int(tok)
+    return value if -INT64_MAX - 1 <= value <= INT64_MAX else None
+
+
 class OpSpec(NamedTuple):
     """``apply`` maps operand values to the value; ``interval`` maps operand
     bounds ``(lo, hi)`` to bounds that contain every value. Logical

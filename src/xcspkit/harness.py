@@ -29,19 +29,13 @@ from .errors import (
     UnknownModeError,
     XcspError,
 )
-from .expr import INT64_MAX, INT_RE
-from .io import parse_instance, parse_solution
+from .expr import int64
+from .io import CLAIMS, EXIT_CODES, S_LINES, parse_instance, parse_solution
 from .model import Assignment, Instance, assignment_cost, constraint_satisfied
 
 PROVED_CSP = ("SAT", "UNSAT")
 #: the claims that carry an objective bound on a COP
 CLAIMS_WITH_BOUND = ("SAT", "OPTIMUM")
-
-#: the protocol's exit code per claim
-EXIT_CODES = {"SAT": 10, "UNSAT": 20, "OPTIMUM": 30, "UNKNOWN": 0}
-#: the protocol's ``s`` line per claim
-S_LINES = {"SAT": "SATISFIABLE", "UNSAT": "UNSATISFIABLE", "OPTIMUM": "OPTIMUM FOUND", "UNKNOWN": "UNKNOWN"}
-_CLAIMS = {line: claim for claim, line in S_LINES.items()}
 
 
 @dataclass(frozen=True)
@@ -259,15 +253,6 @@ def render_ranking(rows, vbs: RankingRow, mode: str, fmt: str = "text", rank_by_
 # Campaigns
 
 
-def _int64(tok: str) -> int | None:
-    """The integer ``tok`` (``expr.INT_RE``) when it is a 64-bit one, as
-    every ``io`` reader requires; None otherwise."""
-    if not INT_RE.fullmatch(tok):
-        return None
-    value = int(tok)
-    return value if -INT64_MAX - 1 <= value <= INT64_MAX else None
-
-
 def parse_solver_output(text: str):
     """Parse the line protocol; returns (status, bound, v_payload)."""
     status = None
@@ -282,14 +267,14 @@ def parse_solver_output(text: str):
             continue
         if tag == "o":
             parts = line.split()
-            bound = _int64(parts[1]) if len(parts) == 2 else None
+            bound = int64(parts[1]) if len(parts) == 2 else None
             if bound is None:
                 raise ProtocolViolationError(line)
         elif tag == "s":
             claim = line[1:].strip()
-            if claim not in _CLAIMS or status is not None:
+            if claim not in CLAIMS or status is not None:
                 raise ProtocolViolationError(line)
-            status = _CLAIMS[claim]
+            status = CLAIMS[claim]
         elif tag == "v":
             payload = line[1:].strip()
         else:
@@ -434,7 +419,7 @@ def _record_of(row: dict) -> RunRecord:
         raise ValueError(f"unknown objective sense {sense!r}")
     bound = None
     if row["bound"]:
-        bound = _int64(row["bound"])
+        bound = int64(row["bound"])
         if bound is None:
             raise ValueError(f"invalid literal for bound: {row['bound']!r} is not a 64-bit integer")
     if not _DECIMAL_RE.fullmatch(row["elapsed_s"]):

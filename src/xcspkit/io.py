@@ -774,6 +774,15 @@ def parse_solution(text: str) -> Assignment:
     return Assignment(dict(zip(ids, values)))
 
 
+#: the solver protocol's exit code per claim
+EXIT_CODES = {"SAT": 10, "UNSAT": 20, "OPTIMUM": 30, "UNKNOWN": 0}
+#: the solver protocol's ``s`` line per claim; ``write_solution`` writes
+#: the ``v`` line's witness
+S_LINES = {"SAT": "SATISFIABLE", "UNSAT": "UNSATISFIABLE", "OPTIMUM": "OPTIMUM FOUND", "UNKNOWN": "UNKNOWN"}
+#: the claim per ``s`` line
+CLAIMS = {line: claim for claim, line in S_LINES.items()}
+
+
 def write_solution(assignment: Assignment) -> str:
     ids = list(assignment.bindings)
     values = [assignment.bindings[v] for v in ids]

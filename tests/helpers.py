@@ -1,6 +1,7 @@
 """Test-side oracle: chronological generate-and-test over the declared
 variable order, checking each constraint as soon as its scope is fully
-assigned. Uses only the model-core checkers, never the engine."""
+assigned. Uses only the model-core checkers, never the engine. Also the
+seeded text mutator of the reader fuzz tests."""
 
 from xcspkit.errors import UnboundVariableError
 from xcspkit.model import Assignment, constraint_satisfied, constraint_scope, objective_value
@@ -73,3 +74,22 @@ def search_space(instance):
     for v in instance.variables:
         size *= len(v.domain.values)
     return size
+
+
+def mutant(rng, text: str, inserts: str, runs=(1, 1, 1, 25)) -> str:
+    """``text`` after one to three seeded deletions, insertions (of a
+    character of ``inserts``, repeated a choice of ``runs`` times) or
+    digit swaps."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        at = rng.randrange(len(text) + 1)
+        digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+        if kind == 0 and at < len(text):
+            text = text[:at] + text[at + 1 :]
+        elif kind == 1 or not digits:
+            # a long run makes a number too wide
+            text = text[:at] + rng.choice(inserts) * rng.choice(runs) + text[at:]
+        else:
+            at = rng.choice(digits)
+            text = text[:at] + rng.choice("0123456789") + text[at + 1 :]
+    return text

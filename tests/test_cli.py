@@ -1,11 +1,16 @@
 """CLI tests: protocol output, exit codes, subcommand plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import xcspkit
 from xcspkit.cli import main
-from xcspkit.generators import gen_dubois, gen_knapsack, gen_langford
+from xcspkit.generators import PROBLEMS, gen_dubois, gen_knapsack, gen_langford
 from xcspkit.harness import RunRecord, write_records_csv
 from xcspkit.io import parse_instance, parse_solution, write_instance, write_solution
 from xcspkit.model import Assignment
@@ -24,6 +29,16 @@ KNAPSACK_DATA = {
 
 def _protocol_lines(output):
     return [line for line in output.splitlines() if line]
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter running ``code`` on this checkout's package."""
+    src = str(Path(xcspkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+_MODULES = "import sys; print(' '.join(sorted(sys.modules)))"
 
 
 class TestSolveCommand:
@@ -99,6 +114,26 @@ class TestSolveCommand:
         assert "s UNKNOWN" in _protocol_lines(out)
         assert "s UNSATISFIABLE" not in out
 
+    def test_solve_loads_neither_the_generators_nor_the_harness(self, tmp_path):
+        """A competition starts the solver once per instance, so ``solve``
+        imports only what it solves with."""
+        path = tmp_path / "langford3.xml"
+        path.write_text(write_instance(gen_langford(3)))
+        run = _python(f"import sys; from xcspkit.cli import main; code = main(sys.argv[1:]); {_MODULES}; sys.exit(code)",
+                      "solve", str(path))
+        assert run.returncode == 10, run.stderr
+        *protocol, modules = run.stdout.splitlines()
+        assert [line for line in protocol if line[:2] in ("s ", "v ")] == [
+            "s SATISFIABLE",
+            "v <instantiation> <list> v[0] v[1] v[2] v[3] v[4] v[5] p[0] p[1] p[2] p[3] p[4] p[5] </list>"
+            " <values> 2 3 1 2 1 3 4 2 3 0 5 1 </values> </instantiation>",
+        ]
+        loaded = set(modules.split())
+        assert {"xcspkit.engine", "xcspkit.io"} <= loaded
+        assert not loaded & {"xcspkit.generators", "xcspkit.harness"}
+        bare = set(_python(_MODULES).stdout.split())
+        assert not loaded & ({"subprocess", "concurrent.futures", "csv", "json"} - bare)
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["solve", "/nonexistent/file.xml"]) == 2
         assert "error" in capsys.readouterr().err
@@ -161,6 +196,15 @@ class TestGenerateCommand:
     def test_unknown_problem_exit_2(self, capsys):
         assert main(["generate", "nonsense", "--param", "n=3"]) == 2
 
+    def test_help_lists_every_problem_and_an_unknown_one_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["generate", "--help"])
+        assert done.value.code == 0
+        listed = capsys.readouterr().out.split("one of: ", 1)[1].split("\n\n", 1)[0]
+        assert [problem.strip() for problem in listed.split(",")] == sorted(PROBLEMS)
+        assert main(["generate", "nonsense"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_no_tags_flag(self, capsys):
         assert main(["generate", "magic-hexagon", "--param", "n=3", "--param", "s=1"]) == 0
         full = parse_instance(capsys.readouterr().out)
@@ -215,6 +259,44 @@ class TestGenerateCommand:
     def test_param_without_data_field_exit_2(self, capsys):
         assert main(["generate", "tsp", "--param", "n=3"]) == 2
         assert "'distances'" in capsys.readouterr().err
+
+
+# outside the one integer grammar of ``io`` (``expr.INT_RE``, within int64),
+# though ``int`` reads all but the last
+NOT_INT64 = ["1_0", " 4", "4 ", "\u0664", "9223372036854775808"]
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize("token", NOT_INT64)
+    def test_a_param_outside_the_grammar_exits_2(self, capsys, token):
+        assert main(["generate", "langford", "--param", f"n={token}"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --param n must be a 64-bit integer, got {token!r}")
+
+    @pytest.mark.parametrize("token", NOT_INT64)
+    def test_a_bound_outside_the_grammar_exits_2(self, tmp_path, capsys, token):
+        inst_path = tmp_path / "k.xml"
+        inst_path.write_text(write_instance(gen_knapsack(KNAPSACK_DATA)))
+        sol = tmp_path / "sol.xml"
+        sol.write_text(write_solution(Assignment({f"x[{i}]": 1 for i in range(5)})))
+        assert main(["verify", str(inst_path), str(sol), "--bound", token]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --bound must be a 64-bit integer, got {token!r}")
+
+    @pytest.mark.parametrize("token", NOT_INT64)
+    def test_a_track_size_outside_the_grammar_exits_2(self, tmp_path, capsys, token):
+        path = tmp_path / "r.csv"
+        write_records_csv([RunRecord("a", "s1", "SAT", None, 1.0)], path)
+        assert main(["rank", str(path), "--mode", "csp", "--n-instances", token]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --n-instances must be a 64-bit integer, got {token!r}")
+
+    def test_signed_and_extreme_integers_are_read(self, tmp_path, capsys):
+        assert main(["generate", "langford", "--param", "n=+3"]) == 0
+        assert len(parse_instance(capsys.readouterr().out).variables) == 12
+        inst_path = tmp_path / "k.xml"
+        inst_path.write_text(write_instance(gen_knapsack(KNAPSACK_DATA)))
+        sol = tmp_path / "sol.xml"
+        sol.write_text(write_solution(Assignment({f"x[{i}]": 1 for i in range(5)})))
+        assert main(["verify", str(inst_path), str(sol), "--bound", "-9223372036854775808"]) == 1
+        assert "CostMismatch" in capsys.readouterr().out
 
 
 class TestVerifyCommand:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import xcspkit
+from helpers import mutant
 from xcspkit.errors import DuplicateRecordError, SchemaMismatchError, UnknownModeError, XcspError
 from xcspkit.generators import gen_dubois, gen_knapsack, gen_langford
 from xcspkit.harness import (
@@ -574,23 +575,6 @@ _PROTOCOL_OUTPUT = (
 _INSERTS = "0123456789+-_.,\"' \t\nosvc\u0663\u00b2e"
 
 
-def _mutant(rng: random.Random, text: str) -> str:
-    """``text`` after one to three seeded deletions, insertions or digit swaps."""
-    for _ in range(rng.randint(1, 3)):
-        kind = rng.randrange(3)
-        at = rng.randrange(len(text) + 1)
-        digits = [i for i, ch in enumerate(text) if ch.isdigit()]
-        if kind == 0 and at < len(text):
-            text = text[:at] + text[at + 1 :]
-        elif kind == 1 or not digits:
-            # now and then a run of 25, which makes a number too wide
-            text = text[:at] + rng.choice(_INSERTS) * rng.choice((1, 1, 1, 25)) + text[at:]
-        else:
-            at = rng.choice(digits)
-            text = text[:at] + rng.choice("0123456789") + text[at + 1 :]
-    return text
-
-
 @pytest.mark.parametrize("seed", range(2))
 def test_mutated_campaign_output_is_read_or_refused_with_a_typed_error(tmp_path, seed):
     """Seeded mutations of a campaign CSV and of solver output: every
@@ -602,7 +586,7 @@ def test_mutated_campaign_output_is_read_or_refused_with_a_typed_error(tmp_path,
     written = path.read_text()
     outcomes = set()
     for _ in range(1500):
-        path.write_text(_mutant(rng, written))
+        path.write_text(mutant(rng, written, _INSERTS))
         try:
             records = read_records_csv(path)
         except XcspError:
@@ -613,7 +597,7 @@ def test_mutated_campaign_output_is_read_or_refused_with_a_typed_error(tmp_path,
             assert r.bound is None or -(2**63) <= r.bound < 2**63
     for _ in range(1500):
         try:
-            _, bound, _ = parse_solver_output(_mutant(rng, _PROTOCOL_OUTPUT))
+            _, bound, _ = parse_solver_output(mutant(rng, _PROTOCOL_OUTPUT, _INSERTS))
         except XcspError:
             outcomes.add("violation")
             continue

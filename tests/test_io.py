@@ -2,20 +2,30 @@
 locations, and round-trip identity on hand-built instances."""
 
 import random
+import time
 import typing
 
 import pytest
 
 import xcspkit.io
+from helpers import mutant
 from xcspkit.errors import (
     InvariantViolationError,
     LengthMismatchError,
     UnknownVariableError,
     UnsupportedFeatureError,
+    XcspError,
     XmlSyntaxError,
 )
 from xcspkit.expr import INT64_MAX, MAX_DEPTH, ExprSyntaxError, _tokenize, format_expr, parse_expr
-from xcspkit.generators import gen_low_autocorrelation, gen_social_golfers, gen_still_life
+from xcspkit.generators import (
+    gen_dubois,
+    gen_golomb_ruler,
+    gen_langford,
+    gen_low_autocorrelation,
+    gen_social_golfers,
+    gen_still_life,
+)
 from xcspkit.io import _LAYOUTS, parse_instance, parse_solution, write_instance, write_solution
 from xcspkit.model import (
     STAR,
@@ -47,6 +57,7 @@ from xcspkit.model import (
     Variable,
     conflicts,
     supports,
+    validate_instance,
 )
 
 
@@ -706,3 +717,55 @@ def test_the_tokenizer_splits_as_the_character_loop_it_replaced():
         assert _tokens_or_error(_tokenize, text) == expected, text
         outcomes.add(type(expected))
     assert outcomes == {list, str}
+
+
+# what a mutation of an instance or solution inserts: digits, signs, XML
+# and tuple punctuation, spaces, a wildcard, an underscore, letters of
+# names and operators, and non-ASCII digits
+_XML_INSERTS = "0123456789+-_.,()<>/=\"' \t\n*[]%xeqltd\u0663\u00b2"
+# runs of 7 make ranges too long to list, runs of 25 numbers beyond int64
+_XML_RUNS = (1, 1, 1, 7, 25)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_mutated_instances_and_solutions_are_read_or_refused_with_a_typed_error(seed):
+    """Seeded mutations of written instances and solution fragments: every
+    mutant reads into a valid instance or assignment, within the readers'
+    own bounds, or is refused with an ``XcspError``; no other exception
+    escapes, and no read is slow."""
+    rng = random.Random(seed)
+    instances = [
+        write_instance(inst)
+        for inst in (_kitchen_sink_instance(), gen_langford(3), gen_golomb_ruler(4), gen_low_autocorrelation(5), gen_dubois(3))
+    ]
+    solutions = [
+        write_solution(Assignment({"x[0]": 3, "x[1]": -4, "y[0][1]": 0})),
+        write_solution(Assignment({"z": INT64_MAX, "w": -INT64_MAX - 1})),
+    ]
+    outcomes = set()
+    slowest = 0.0
+    for text in instances:
+        for _ in range(150):
+            start = time.perf_counter()
+            try:
+                instance = parse_instance(mutant(rng, text, _XML_INSERTS, _XML_RUNS))
+            except XcspError:
+                outcomes.add("refused")
+            else:
+                outcomes.add("read")
+                assert validate_instance(instance) == []
+                for v in instance.variables:
+                    values = v.domain.values
+                    assert len(values) <= 1 << 20 and -INT64_MAX - 1 <= values[0] and values[-1] <= INT64_MAX
+            slowest = max(slowest, time.perf_counter() - start)
+    for text in solutions:
+        for _ in range(300):
+            try:
+                assignment = parse_solution(mutant(rng, text, _XML_INSERTS, _XML_RUNS))
+            except XcspError:
+                outcomes.add("solution refused")
+            else:
+                outcomes.add("solution read")
+                assert all(-INT64_MAX - 1 <= x <= INT64_MAX for x in assignment.bindings.values())
+    assert outcomes == {"refused", "read", "solution refused", "solution read"}
+    assert slowest < 1.0
