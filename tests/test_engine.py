@@ -40,6 +40,7 @@ from xcspkit.generators import (
     gen_mistery_shopper,
     gen_rcpsp,
     gen_social_golfers,
+    gen_sports_scheduling,
     gen_still_life,
     gen_tsp,
 )
@@ -253,6 +254,12 @@ class TestSolve:
         out = solve(inst)
         assert out.status == "UNSAT"
         assert out.stats.nodes == 0
+
+    @pytest.mark.parametrize("text, count", [("eq(1,1)", 3), ("lt(2,1)", 0), ("ne(add(3,1),4)", 0), ("le(abs(-2),mul(2,1))", 3)])
+    def test_a_variable_free_intension_is_a_constant_verdict(self, text, count):
+        inst = make([Variable("x", Domain.rng(0, 2))], [Intension(parse_expr(text))])
+        assert enumerate_all(inst).count == count
+        assert solve(inst).status == ("SAT" if count else "UNSAT")
 
     def test_requires_csp(self):
         inst = make(
@@ -744,6 +751,10 @@ PINNED_SEARCHES = {
     "dubois-12": (lambda: solve(gen_dubois(12)), ("UNSAT", None, 10249, 10250, 88552, 133012)),
     "magic-hexagon-3-1": (lambda: solve(gen_magic_hexagon(3, 1)), ("SAT", None, 21, 18, 888, 901)),
     "golomb-7": (lambda: optimize(gen_golomb_ruler(7)), ("OPTIMUM", 25, 446, 440, 18448, 24506)),
+    # cardinalities: each team plays once or twice per period, each group
+    # holds its size of golfers per week
+    "sports-scheduling-8": (lambda: solve(gen_sports_scheduling(8)), ("SAT", None, 21, 8, 1150, 1376)),
+    "social-golfers-4-3-3": (lambda: solve(gen_social_golfers(4, 3, 3)), ("SAT", None, 78, 70, 9006, 9079)),
 }
 
 

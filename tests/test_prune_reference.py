@@ -6,6 +6,11 @@ and rebuild the Hall upper bounds for every window start. Both must leave
 the same domains, the same trail entries in the same order, the same
 touched list and the same return value.
 
+``CountProp`` and ``CardinalityProp`` are held to the value-by-value
+passes they replaced in the same way, except that a failing call need only
+fail: a closed cardinality may fail before it prunes the variables ahead
+of the one that wipes out, and search pops those prunes anyway.
+
 A large linear intension runs the Sum pass where it ran interval
 filtering, kept here as a reference too: both must reach the same
 fixpoint when no variable repeats, and with repeats a fixpoint between
@@ -18,9 +23,17 @@ from bisect import bisect_left, bisect_right
 import pytest
 
 from xcspkit.engine import DomainStore, propagators
-from xcspkit.engine.propagators import INF, AllDifferentProp, IntensionProp, SumProp, make_propagators
+from xcspkit.engine.propagators import (
+    INF,
+    AllDifferentProp,
+    CardinalityProp,
+    CountProp,
+    IntensionProp,
+    SumProp,
+    make_propagators,
+)
 from xcspkit.expr import compile_expr, const, op, var
-from xcspkit.model import AllDifferent, Condition, Domain, Intension, Sum, Variable
+from xcspkit.model import AllDifferent, Cardinality, Condition, Count, Domain, Intension, Sum, Variable
 
 # -- reference passes
 
@@ -173,6 +186,81 @@ def reference_all_different(prop, store):
     return _assigned_values_differ(store, prop.scope) and _hall_intervals(prop.scope, store)
 
 
+def reference_count(prop, store):
+    c = prop.constraint
+    rhs_idx = store.index[c.condition.rhs] if isinstance(c.condition.rhs, str) else None
+    maybe = []
+    lb = ub = 0
+    for x in store.indices(c.scope):
+        mask = store.value_mask(x, c.values)
+        cur = store.masks[x]
+        if cur & mask:
+            ub += 1
+            if cur & ~mask == 0:
+                lb += 1
+            else:
+                maybe.append((x, mask))
+
+    cond = c.condition
+    if cond.operator == "ne":
+        k = cond.rhs if rhs_idx is None else (store.value(rhs_idx) if store.is_assigned(rhs_idx) else None)
+        if k is None:
+            return True
+        if lb == ub:
+            return lb != k
+        return True
+
+    tlo, thi = _condition_targets(cond, store, rhs_idx)
+    if lb > thi or ub < tlo:
+        return False
+    if rhs_idx is not None and cond.operator == "eq":
+        if not _restrict(store, rhs_idx, lb, ub):
+            return False
+    if ub == tlo:
+        for x, mask in maybe:
+            if not store.keep_bits(x, mask):
+                return False
+    if lb == thi:
+        for x, mask in maybe:
+            if not store.remove_bits(x, mask):
+                return False
+    return True
+
+
+def reference_cardinality(prop, store):
+    c = prop.constraint
+    if c.closed:
+        for x in prop.scope:
+            if not store.keep_values(x, c.values):
+                return False
+    n = len(prop.scope)
+    total_lo = sum(lo for lo, _ in c.occurs)
+    total_hi = sum(hi for _, hi in c.occurs)
+    if c.closed and (total_lo > n or total_hi < n):
+        return False
+    for v, (lo, hi) in zip(c.values, c.occurs):
+        assigned, possible = 0, 0
+        holders = []
+        for x in prop.scope:
+            if store.contains(x, v):
+                possible += 1
+                if store.is_assigned(x):
+                    assigned += 1
+                else:
+                    holders.append(x)
+        if possible < lo or assigned > hi:
+            return False
+        if possible == lo:
+            for x in holders:
+                if not store.assign(x, v):
+                    return False
+        elif assigned == hi:
+            for x in holders:
+                if not store.remove_value(x, v):
+                    return False
+    return True
+
+
 def reference_interval_filter(bounds_fn, scope, store):
     """Remove each value whose fixing bounds the expression to false, the
     other positions at their current bounds."""
@@ -233,6 +321,46 @@ def _random_all_different(rng, names):
     return AllDifferent(tuple(rng.choice(names) for _ in range(rng.randint(1, len(names) + 1))))
 
 
+def _random_count(rng, store):
+    """A count over up to 5 positions (a variable may repeat) of up to 4
+    values from -1..6, under any operator, its rhs a constant, a variable
+    (possibly in the scope) or an interval."""
+    names = store.names
+    scope = tuple(rng.choice(names) for _ in range(rng.randint(1, 5)))
+    values = tuple(sorted(rng.sample(range(-1, 7), rng.randint(0, 4))))
+    operator = rng.choice(("lt", "le", "ge", "gt", "eq", "ne", "in"))
+    if operator == "in":
+        lo = rng.randint(-1, 5)
+        rhs = (lo, lo + rng.randint(0, 3))
+    elif rng.random() < 0.4:
+        rhs = rng.choice(names)
+    else:
+        rhs = rng.randint(-1, 6)
+    return Count(scope, values, Condition(operator, rhs))
+
+
+def _random_cardinality(rng, store):
+    """An open or closed cardinality over up to 8 positions (a variable may
+    repeat). Its bounds are each value's count, or one off it, in a witness
+    drawn mostly from the live values, so that most calls hold and many
+    prune; half of them also count a value from -1..8, possibly outside
+    every domain."""
+    scope = tuple(rng.choice(store.names) for _ in range(rng.randint(1, 8)))
+    witness = [
+        rng.choice(store.init_values[x] if rng.random() < 0.2 else store.domain_list(x))
+        for x in store.indices(scope)
+    ]
+    values = rng.sample(sorted(set(witness)), rng.randint(1, len(set(witness))))
+    extra = rng.randint(-1, 8)
+    if extra not in values and rng.random() < 0.5:
+        values.append(extra)
+    occurs = []
+    for v in values:
+        k = witness.count(v)
+        occurs.append((max(0, k - rng.randint(0, 1)), k + rng.randint(0, 1)))
+    return Cardinality(scope, tuple(values), tuple(occurs), closed=rng.random() < 0.5)
+
+
 def _one_call(prop, store, propagate):
     store.push()
     ok = propagate(prop, store)
@@ -270,6 +398,32 @@ def test_one_call_prunes_as_the_reference_pass(cls, shape, build, reference, see
         assert isinstance(prop, cls)
         expected = _one_call(prop, store, reference)
         assert _one_call(prop, store, cls.propagate) == expected
+        outcomes.add(expected[0])
+        pruned += bool(expected[2])
+    assert outcomes == {True, False} and pruned > 25
+
+
+@pytest.mark.parametrize(
+    "cls, build, reference",
+    [(CountProp, _random_count, reference_count), (CardinalityProp, _random_cardinality, reference_cardinality)],
+    ids=["count", "cardinality"],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_one_count_call_prunes_as_the_reference_pass(cls, build, reference, seed):
+    """Stores of up to 8 variables over values in 0..6, many of them
+    narrowed or assigned."""
+    rng = random.Random(f"{cls.__name__}-{seed}")
+    outcomes = set()
+    pruned = 0
+    for _ in range(500):
+        store = _store(rng, rng.randint(1, 8), range(0, 4), 3)
+        (prop,) = make_propagators([build(rng, store)], store)
+        assert isinstance(prop, cls)
+        expected = _one_call(prop, store, reference)
+        got = _one_call(prop, store, cls.propagate)
+        assert got[0] == expected[0]
+        if expected[0]:
+            assert got == expected
         outcomes.add(expected[0])
         pruned += bool(expected[2])
     assert outcomes == {True, False} and pruned > 25
