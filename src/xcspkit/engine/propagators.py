@@ -15,6 +15,12 @@ variable attribute is ``scope`` (its ``model._KINDS`` row): that propagator
 watches ``constraint.scope`` exactly as given, repeats included, because it
 reads the scope position by position.
 
+Counting has one pass, ``_count_bounds`` then ``_count_prune``, over
+(variable, counted-values mask) pairs. ``CountProp`` runs it once,
+``CardinalityProp`` once per value (XCSP3-core's cardinality is one count
+per value; Boussemart et al., arXiv:2009.00514), and an intension without
+variables is split into the constant ``Count`` of no variable.
+
 A relation fixes its pass when it is built. A supports table, a
 conflicts table over at most ``_COMPLEMENT_CAP`` tuples and an intension
 with at most ``_TABLE_CAP`` rows, at any arity, are compact tables: every
@@ -326,48 +332,43 @@ class IntensionProp(Propagator):
     any other one interval filtering through a bounds closure compiled once
     (``expr.compile_expr``). Neither is idempotent."""
 
-    __slots__ = ("fn", "bounds_fn", "linear", "supports", "constant", "residues")
+    __slots__ = ("fn", "bounds_fn", "linear", "supports", "residues")
 
     def __init__(self, c: Intension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
         scope = self.scope
         position = {store.names[x]: i for i, x in enumerate(scope)}
         self.fn = _x.compile_expr(c.expr, position, bounds=False)
-        # an expression without variables is a constant verdict
-        self.constant = bool(self.fn(())) if not scope else None
         self.supports = self.residues = self.bounds_fn = self.linear = None
         domains = tuple(store.init_values[x] for x in scope)
-        if scope:
-            defined = _defined_variable(c.expr)
-            if defined is None:
-                rest, rows = domains, filter(self.fn, itertools.product(*domains))
-            else:
-                t = position[defined[0]]
-                rest = domains[:t] + domains[t + 1 :]
-                f = _x.compile_expr(defined[1], {v: i - (i > t) for v, i in position.items() if i != t}, bounds=False)
-                rows = (r[:t] + (f(r),) + r[t:] for r in itertools.product(*rest))
-            # the rows are enumerated only when the memo lacks the relation
-            if math.prod(map(len, rest)) <= _TABLE_CAP:
-                relation = (_template(c.expr, position), domains)
-                if relation not in masks:
-                    masks[relation] = _support_masks(store, scope, rows)
-                self.supports = masks[relation]
-            else:
-                self.residues = [[None] * len(d) for d in domains]
-                # always true while _TABLE_CAP >= _SCAN_CAP; with a lower
-                # table cap, it keeps a relation that never leaves the
-                # residual pass idempotent
-                if math.prod(map(len, domains)) > _SCAN_CAP:
-                    linear = _linear_sum(c.expr)
-                    if linear is not None and _within_int64(linear, store):
-                        self.linear = SumProp(linear, key, store)
-                    else:
-                        self.bounds_fn = _x.compile_expr(c.expr, position, bounds=True)
+        defined = _defined_variable(c.expr)
+        if defined is None:
+            rest, rows = domains, filter(self.fn, itertools.product(*domains))
+        else:
+            t = position[defined[0]]
+            rest = domains[:t] + domains[t + 1 :]
+            f = _x.compile_expr(defined[1], {v: i - (i > t) for v, i in position.items() if i != t}, bounds=False)
+            rows = (r[:t] + (f(r),) + r[t:] for r in itertools.product(*rest))
+        # the rows are enumerated only when the memo lacks the relation
+        if math.prod(map(len, rest)) <= _TABLE_CAP:
+            relation = (_template(c.expr, position), domains)
+            if relation not in masks:
+                masks[relation] = _support_masks(store, scope, rows)
+            self.supports = masks[relation]
+        else:
+            self.residues = [[None] * len(d) for d in domains]
+            # always true while _TABLE_CAP >= _SCAN_CAP; with a lower table
+            # cap, it keeps a relation that never leaves the residual pass
+            # idempotent
+            if math.prod(map(len, domains)) > _SCAN_CAP:
+                linear = _linear_sum(c.expr)
+                if linear is not None and _within_int64(linear, store):
+                    self.linear = SumProp(linear, key, store)
+                else:
+                    self.bounds_fn = _x.compile_expr(c.expr, position, bounds=True)
         self.idempotent = self.bounds_fn is None and self.linear is None
 
     def propagate(self, store: DomainStore) -> bool:
-        if self.constant is not None:
-            return self.constant
         if self.supports is not None:
             return _ct_filter(store, self.scope, self.supports)
         scope = self.scope
@@ -591,6 +592,40 @@ class SumProp(Propagator):
     propagate = bounds_pass
 
 
+def _count_bounds(store: DomainStore, counted):
+    """``(lb, ub, maybe)`` of a count over ``counted``, its (variable, mask
+    of its counted values) pairs: ``lb`` variables hold only counted
+    values, ``ub`` hold some, and ``maybe`` lists the pairs of the
+    variables that hold both kinds."""
+    masks = store.masks
+    maybe = []
+    lb = ub = 0
+    for x, mask in counted:
+        cur = masks[x]
+        if cur & mask:
+            ub += 1
+            if cur & ~mask == 0:
+                lb += 1
+            else:
+                maybe.append((x, mask))
+    return lb, ub, maybe
+
+
+def _count_prune(store: DomainStore, lb: int, ub: int, maybe, tlo: int, thi: int) -> bool:
+    """With the count's bounds ``lb..ub`` meeting ``tlo..thi``: a count
+    whose ``ub`` is ``tlo`` keeps only counted values in ``maybe``, one
+    whose ``lb`` is ``thi`` removes them."""
+    if ub == tlo:
+        for x, mask in maybe:
+            if not store.keep_bits(x, mask):
+                return False
+    if lb == thi:
+        for x, mask in maybe:
+            if not store.remove_bits(x, mask):
+                return False
+    return True
+
+
 class CountProp(Propagator):
     __slots__ = ("counted", "rhs_idx")
 
@@ -601,79 +636,49 @@ class CountProp(Propagator):
         self.rhs_idx = store.index[c.condition.rhs] if isinstance(c.condition.rhs, str) else None
 
     def propagate(self, store: DomainStore) -> bool:
-        maybe = []
-        lb = ub = 0
-        for x, mask in self.counted:
-            cur = store.masks[x]
-            if cur & mask:
-                ub += 1
-                if cur & ~mask == 0:
-                    lb += 1
-                else:
-                    maybe.append((x, mask))
-
+        lb, ub, maybe = _count_bounds(store, self.counted)
         cond = self.constraint.condition
         if cond.operator == "ne":
-            k = cond.rhs if self.rhs_idx is None else (
-                store.value(self.rhs_idx) if store.is_assigned(self.rhs_idx) else None
-            )
-            if k is None:
-                return True
-            if lb == ub:
-                return lb != k
-            return True
-
+            rhs = self.rhs_idx
+            k = cond.rhs if rhs is None else store.value(rhs) if store.is_assigned(rhs) else None
+            # only a fixed count can equal k
+            return k is None or lb != ub or lb != k
         tlo, thi = _condition_targets(cond, store, self.rhs_idx)
         if lb > thi or ub < tlo:
             return False
         if self.rhs_idx is not None and cond.operator == "eq":
             if not store.restrict(self.rhs_idx, lb, ub):
                 return False
-        if ub == tlo:
-            for x, mask in maybe:
-                if not store.keep_bits(x, mask):
-                    return False
-        if lb == thi:
-            for x, mask in maybe:
-                if not store.remove_bits(x, mask):
-                    return False
-        return True
+        return _count_prune(store, lb, ub, maybe, tlo, thi)
 
 
 class CardinalityProp(Propagator):
-    __slots__ = ()
+    """A list of counts, built once, each ``(counted, lo, hi)``: the count
+    of the scope positions over a value, within that value's occurrence
+    bounds, after, when the cardinality is closed, the count over all the
+    values within ``n..n`` for a scope of ``n`` positions. A closed one
+    whose bounds cannot sum to ``n`` fails on every call, decided at
+    build."""
+
+    __slots__ = ("counts", "infeasible")
+
+    def __init__(self, c: Cardinality, key, store: DomainStore):
+        super().__init__(c, key, store)
+        n = len(self.scope)
+        bounded = [(c.values, (n, n))] if c.closed else []
+        bounded += [((v,), bounds) for v, bounds in zip(c.values, c.occurs)]
+        self.counts = [
+            ([(x, store.value_mask(x, values)) for x in self.scope], lo, hi) for values, (lo, hi) in bounded
+        ]
+        self.infeasible = c.closed and not sum(lo for lo, _ in c.occurs) <= n <= sum(hi for _, hi in c.occurs)
 
     def propagate(self, store: DomainStore) -> bool:
-        c = self.constraint
-        if c.closed:
-            for x in self.scope:
-                if not store.keep_values(x, c.values):
-                    return False
-        n = len(self.scope)
-        total_lo = sum(lo for lo, _ in c.occurs)
-        total_hi = sum(hi for _, hi in c.occurs)
-        if c.closed and (total_lo > n or total_hi < n):
+        if self.infeasible:
             return False
-        for v, (lo, hi) in zip(c.values, c.occurs):
-            assigned, possible = 0, 0
-            holders = []
-            for x in self.scope:
-                if store.contains(x, v):
-                    possible += 1
-                    if store.is_assigned(x):
-                        assigned += 1
-                    else:
-                        holders.append(x)
-            if possible < lo or assigned > hi:
+        for counted, lo, hi in self.counts:
+            lb, ub, maybe = _count_bounds(store, counted)
+            if lb > hi or ub < lo or not _count_prune(store, lb, ub, maybe, lo, hi):
                 return False
-            if possible == lo:
-                for x in holders:
-                    if not store.assign(x, v):
-                        return False
-            elif assigned == hi:
-                for x in holders:
-                    if not store.remove_value(x, v):
-                        return False
         return True
 
 
@@ -1254,8 +1259,12 @@ class LexPairProp(Propagator):
 def _primitives(c):
     """The model constraints, one per propagator, that enforce ``c``: a
     slide's windows, an allDifferent per matrix row then column, a 2-row
-    lex per adjacent pair of rows (a matrix's rows, then its columns)."""
-    if isinstance(c, Slide):
+    lex per adjacent pair of rows (a matrix's rows, then its columns). An
+    intension without variables is a constant verdict: the count of no
+    variable, which is at least 0 and never at least 1."""
+    if isinstance(c, Intension) and next(_x.expr_vars(c.expr), None) is None:
+        yield Count((), (), Condition("ge", 0 if _x.evaluate(c.expr, {}) else 1))
+    elif isinstance(c, Slide):
         for w in c.windows:
             yield from _primitives(w)
     elif isinstance(c, AllDifferentMatrix):
