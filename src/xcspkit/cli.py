@@ -17,7 +17,7 @@ from pathlib import Path
 from .engine import SearchConfig, enumerate_all, optimize, solve
 from .errors import BadParameterError, XcspError
 from .expr import int64
-from .io import EXIT_CODES, S_LINES, parse_instance, parse_solution, write_instance, write_solution
+from .io import CLAIMS_WITH_BOUND, EXIT_CODES, S_LINES, parse_instance, parse_solution, write_instance, write_solution
 
 
 def _log_level() -> str:
@@ -95,7 +95,7 @@ def _cmd_solve(args) -> int:
 def _report(status: str, witness) -> int:
     """Print the ``s`` line, then the witness of a SAT/OPTIMUM claim."""
     print(f"s {S_LINES[status]}")
-    if witness is not None and status in ("SAT", "OPTIMUM"):
+    if witness is not None and status in CLAIMS_WITH_BOUND:
         print(f"v {write_solution(witness)}")
     return EXIT_CODES[status]
 
@@ -166,7 +166,7 @@ def _cmd_rank(args) -> int:
         # which of two bounds is best depends on the sense: never guess it
         bounds: dict[str, set[int]] = {}
         for r in records:
-            if r.status in ("SAT", "OPTIMUM") and r.bound is not None:
+            if r.status in CLAIMS_WITH_BOUND and r.bound is not None:
                 bounds.setdefault(r.instance_id, set()).add(r.bound)
         unknown = sorted(i for i, found in bounds.items() if len(found) > 1 and i not in senses)
         if unknown:

@@ -30,12 +30,10 @@ from .errors import (
     XcspError,
 )
 from .expr import int64
-from .io import CLAIMS, EXIT_CODES, S_LINES, parse_instance, parse_solution
+from .io import CLAIMS, CLAIMS_WITH_BOUND, EXIT_CODES, S_LINES, parse_instance, parse_solution
 from .model import Assignment, Instance, assignment_cost, constraint_satisfied
 
 PROVED_CSP = ("SAT", "UNSAT")
-#: the claims that carry an objective bound on a COP
-CLAIMS_WITH_BOUND = ("SAT", "OPTIMUM")
 
 
 @dataclass(frozen=True)
@@ -323,7 +321,7 @@ def run_one(instance_path: str, solver_id: str, command_template: str, time_limi
         # failed may have printed a claim it never finished
         return RunRecord(instance_id, solver_id, "INVALID", None, elapsed)
     sense = ""
-    if status in ("SAT", "OPTIMUM"):
+    if status in CLAIMS_WITH_BOUND:
         status, bound, sense = _verify_claim(instance_path, status, bound, payload)
     return RunRecord(instance_id, solver_id, status, bound, elapsed, sense)
 

@@ -74,7 +74,9 @@ from .model import (
 _RANGE_RE = re.compile(rf"({_expr.INT_RE.pattern})\.\.({_expr.INT_RE.pattern})")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 _SIZE_RE = re.compile(r"\[([0-9]+)\]")
-_VAR_SPLIT_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)((?:\[\d+\])*)$")
+_VAR_SPLIT_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)((?:\[[0-9]+\])*)$")
+# a group template's %k placeholder
+_PLACEHOLDER_RE = re.compile(r"%([0-9]+)")
 # the most values one range of a domain or of a unary table may list, and
 # the most cells of an array
 _RANGE_CAP = 1 << 20
@@ -604,7 +606,7 @@ def _substitute(node: _Node, args: list[str]) -> _Node:
                 raise XmlSyntaxError(f"placeholder %{k} without argument", node.loc)
             return args[k]
 
-        return re.sub(r"%(\d+)", repl, t)
+        return _PLACEHOLDER_RE.sub(repl, t)
 
     clone = _Node(node.tag, dict(node.attrib), node.loc)
     clone.text_parts = [sub_text(t) for t in node.text_parts]
@@ -712,7 +714,7 @@ def _parse_table(polarity: str, arity: int, text: str, loc: SourceLocation) -> T
 def _template_arity(node: _Node) -> int:
     best = -1
     for part in node.text_parts:
-        for m in re.finditer(r"%(\d+)", part):
+        for m in _PLACEHOLDER_RE.finditer(part):
             best = max(best, int(m.group(1)))
     for child in node.children:
         best = max(best, _template_arity(child) - 1)
@@ -781,6 +783,8 @@ EXIT_CODES = {"SAT": 10, "UNSAT": 20, "OPTIMUM": 30, "UNKNOWN": 0}
 S_LINES = {"SAT": "SATISFIABLE", "UNSAT": "UNSATISFIABLE", "OPTIMUM": "OPTIMUM FOUND", "UNKNOWN": "UNKNOWN"}
 #: the claim per ``s`` line
 CLAIMS = {line: claim for claim, line in S_LINES.items()}
+#: the claims that carry a witness, and on a COP an objective bound
+CLAIMS_WITH_BOUND = ("SAT", "OPTIMUM")
 
 
 def write_solution(assignment: Assignment) -> str:
@@ -853,7 +857,7 @@ class _Writer:
 def _split_id(vid: str):
     m = _VAR_SPLIT_RE.match(vid)
     stem = m.group(1)
-    indices = tuple(int(x) for x in re.findall(r"\[(\d+)\]", m.group(2)))
+    indices = tuple(int(x) for x in _SIZE_RE.findall(m.group(2)))
     return stem, indices
 
 

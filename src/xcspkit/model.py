@@ -30,7 +30,7 @@ from .expr import INT64_MAX, Expr, evaluate, expr_vars, is_boolean
 #: Wildcard table entry matching any domain value.
 STAR = "*"
 
-_ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*(\[\d+\])*$")
+_ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*(\[[0-9]+\])*$")
 
 
 @dataclass(frozen=True)
@@ -540,6 +540,8 @@ def _regular_violations(c: Regular, tables: dict):
 def _cardinality_violations(c: Cardinality, tables: dict):
     if len(c.values) != len(c.occurs):
         yield "LengthMismatch", "values and occurs lengths differ"
+    if len(set(c.values)) < len(c.values):
+        yield "RepeatedValue", "a value is listed twice"
     for lo, hi in c.occurs:
         if lo > hi:
             yield "BadBounds", f"occurrence bounds {lo}..{hi} inverted"

@@ -152,6 +152,31 @@ def test_group_expansion():
     assert inst.constraints[1] == Intension(parse_expr("lt(x[1],x[2])"))
 
 
+@pytest.mark.parametrize(
+    "variables, constraints, error",
+    [
+        # an index in Arabic-Indic digits
+        ('<var id="x[٤]"> 0 1 </var>', "", InvariantViolationError),
+        # a placeholder in them is no placeholder, so its % is left in the expression
+        (
+            '<array id="x" size="[2]"> 0..4 </array>',
+            "<group> <intension> lt(%0,%٠) </intension> <args> x[0] x[1] </args> </group>",
+            UnsupportedFeatureError,
+        ),
+    ],
+    ids=["identifier", "placeholder"],
+)
+def test_ids_and_placeholders_take_only_ascii_digits(variables, constraints, error):
+    text = f"""
+    <instance format="XCSP3" type="CSP">
+      <variables> {variables} </variables>
+      <constraints> {constraints} </constraints>
+    </instance>
+    """
+    with pytest.raises(error):
+        parse_instance(text)
+
+
 def test_block_flattening():
     text = """
     <instance format="XCSP3" type="CSP">

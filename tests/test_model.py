@@ -8,7 +8,7 @@ import typing
 import pytest
 from test_io import _kitchen_sink_instance
 
-from xcspkit.engine import solve
+from xcspkit.engine import enumerate_all, solve
 from xcspkit.errors import (
     InvalidInstanceError,
     InvariantViolationError,
@@ -433,6 +433,22 @@ def test_order_constraints_refuse_eq_and_ne(kind, operator):
         parse_instance(text.replace("<operator> le </operator>", f"<operator> {operator} </operator>"))
 
 
+def test_cardinality_refuses_a_repeated_value():
+    """Each listed value has its own bounds, so a repeated value would be
+    bounded twice. Closed over x in {0, 1}, this one held at x = 0 for the
+    checker, yet the search found it UNSAT: the sum of the bounds, 2, was
+    more than the one position."""
+    c = Cardinality(("x",), (0, 0), ((1, 1), (1, 1)), closed=True)
+    inst = Instance("CSP", (Variable("x", Domain.rng(0, 1)),), (c,))
+    assert [v.code for v in validate_instance(inst)] == ["RepeatedValue"]
+    for run in (solve, enumerate_all):
+        with pytest.raises(InvalidInstanceError):
+            run(inst)
+    text = write_instance(Instance("CSP", inst.variables, (Cardinality(("x",), (0, 1), ((1, 1), (1, 1)), closed=True),)))
+    with pytest.raises(InvariantViolationError, match="RepeatedValue"):
+        parse_instance(text.replace("<values closed=\"true\"> 0 1 </values>", "<values closed=\"true\"> 0 0 </values>"))
+
+
 def _random_table(rng, arity, domain_size, polarity, star_ok=True):
     rows = []
     for _ in range(rng.randint(0, domain_size**arity)):
@@ -599,6 +615,7 @@ _TWINS = {
     Cardinality: (
         Cardinality(("x[0]", "x[1]"), (0, 1), ((0, 1),)),
         Cardinality(("x[0]", "u"), (0, 1), ((2, 1), (0, 1), (3, 0))),
+        Cardinality(("x[0]",), (1, 0, 1), ((0, 1),) * 3),
     ),
     Element: (Element((), "x[0]", 1), Element(("x[0]", "u"), "v", "w"), Element(("x[0]",), "x[1]", "u")),
     Channel: (Channel(("x[0]", "x[1]"), ("x[2]",)), Channel(("u",), ("x[0]", "v"))),
@@ -747,6 +764,7 @@ _PINNED = {
             ('LengthMismatch', 'constraint 1', 'values and occurs lengths differ'),
             ('BadBounds', 'constraint 1', 'occurrence bounds 2..1 inverted'),
             ('BadBounds', 'constraint 1', 'occurrence bounds 3..0 inverted'),
+            ('RepeatedValue', 'constraint 2', 'a value is listed twice'),
         ],
     ),
     Element: (
