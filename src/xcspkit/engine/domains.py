@@ -141,10 +141,6 @@ class DomainStore:
 
     # -- trail
 
-    @property
-    def level(self) -> int:
-        return len(self._marks)
-
     def push(self) -> None:
         self._marks.append(len(self._trail))
 
@@ -157,6 +153,3 @@ class DomainStore:
     def pop_all(self) -> None:
         while self._marks:
             self.pop()
-
-    def snapshot(self) -> tuple[int, ...]:
-        return tuple(self.masks)

@@ -215,22 +215,22 @@ class TestTrailExactness:
         rng = random.Random(5)
         variables = tuple(Variable(f"v{i}", Domain.rng(0, 4)) for i in range(4))
         store = DomainStore(variables)
-        baseline = store.snapshot()
+        baseline = tuple(store.masks)
         snapshots = [baseline]
         for _ in range(60):
             action = rng.random()
-            if action < 0.45 or store.level == 0:
+            if action < 0.45 or len(snapshots) == 1:
                 store.push()
                 x = rng.randrange(4)
                 if store.size(x) > 1:
                     store.remove_value(x, next(iter(store.values(x))))
-                snapshots.append(store.snapshot())
+                snapshots.append(tuple(store.masks))
             else:
                 store.pop()
                 snapshots.pop()
-                assert store.snapshot() == snapshots[-1]
+                assert tuple(store.masks) == snapshots[-1]
         store.pop_all()
-        assert store.snapshot() == baseline
+        assert tuple(store.masks) == baseline
 
 
 class TestSolve:
