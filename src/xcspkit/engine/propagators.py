@@ -653,12 +653,11 @@ class CountProp(Propagator):
 
 
 class CardinalityProp(Propagator):
-    """A list of counts, built once, each ``(counted, lo, hi)``: the count
-    of the scope positions over a value, within that value's occurrence
-    bounds, after, when the cardinality is closed, the count over all the
-    values within ``n..n`` for a scope of ``n`` positions. A closed one
-    whose bounds cannot sum to ``n`` fails on every call, decided at
-    build."""
+    """One count per value, built once as ``(counted, lo, hi)``: the scope
+    positions that take the value, within its occurrence bounds. A closed
+    cardinality of ``n`` positions first counts them over all its values,
+    within ``n..n``; one whose occurrence bounds cannot sum to ``n`` fails
+    on every call, decided at build."""
 
     __slots__ = ("counts", "infeasible")
 
