@@ -1,6 +1,7 @@
 """Generator tests: structure counts, data oracles, constraint-mix
 conformance against the competition catalog, determinism, witnesses."""
 
+import hashlib
 import inspect
 import itertools
 import random
@@ -643,6 +644,47 @@ def test_roundtrip_through_xml(request_):
     text = write_instance(inst)
     assert parse_instance(text) == inst
     assert write_instance(parse_instance(text)) == text
+
+
+# sha256 of each request's canonical XML: a refactor of the generators or
+# of the expression builder must write every instance byte for byte as before
+WRITTEN_DIGESTS = {
+    "auction-cnt": "307dffc31382a2787c52b18ac202eece3c3a1c2fe69d63e4f1f419e5c1aedb66",
+    "auction-sum": "c9b187d8160b3b9cb412a79998979632794e5e6738e07f4ce445b4dafd282324",
+    "bacp-m1": "7020a21b58159b34a2e3fcbcab4b6a53f2dfb70a66b28a54245cb5d968644ebf",
+    "bacp-m2": "24bda6adbc8fb664d195542510de95895b87e73858acdb8b5cf6a082582891d2",
+    "bibd-base": "91afa490951ccfae9ebc1a088e2d1990aa132cb53603dd658b8bc2969ba58b19",
+    "car_sequencing-base": "d54d796225f2df0e94b0f454161d097aed41831185ddd4d946e8062c6d5f2448",
+    "coloured_queens-base": "0ce565750d36f43f785222369f73b167ae2aa0b56b0335c6a1e108e9aafad1a3",
+    "dubois-base": "e77e92bb8799bbf9523224ad1b46ec6e1b25f02a21d2521d747ab5af8c217709",
+    "golomb_ruler-base": "4f7507a9668f96da681c6eade73b84e59dea14a65567832df8b78fd38b4a3649",
+    "graceful_graph-base": "e28dc0a08413c403b95e60106baa9a8889d5a4c8d3008a084d30d2c2a0ab9b1a",
+    "graph_coloring-base": "f7a466b66c404abcec971a406e30aa94b14d410481a4f9511295abb2c3b56446",
+    "knapsack-base": "63fa96458040d7d6d09ea6b6945f35e3eb7d4b3cf65408e3ebb9c7b0a580c49f",
+    "langford-base": "a4a559a1b92270c368d7c047e9f7391dbce917144a756886d79131ff06e1cd59",
+    "low_autocorrelation-base": "79fbbcc107f32ae38fd13050c437588cccf78c1a12cd5487e6884dd0d883cfe6",
+    "magic_hexagon-base": "d65ad3cc04069ec1837b849beb21c98f5c2b9029861ff81826202e9e7065895e",
+    "magic_square-base": "e91b6a346dbb6224be242982f12d8148b32fcb9a4cb5a588ec82cf21ec93054f",
+    "mario-base": "bf64573c31f63b2dcbe830b5ca940d30e16cb02c280a711bdd9cf8685a505c98",
+    "mistery_shopper-base": "4b5ec1cebbf12dce4a3b4617c0a01f846b776c7af491d85da5f48dc766a2a601",
+    "peacable_armies-m1": "5927d3639c28e55198a698910090ef09ed8b1e29b68129978395d263348606a1",
+    "peacable_armies-m2": "5a2d71bae4524f88e9a35aa90996184614485e05a56dc3b4bbdca37ec4352441",
+    "quadratic_assignment-base": "9ca74d041cfda09da7534a602678571d56b6e60a0f8f2fb9996a66f96461c4e8",
+    "rcpsp-base": "d7aefbe1d8af599565a889437c78bd5fcc8d501f9e427e93ec5ca52fc4885034",
+    "social_golfers-base": "f0cd4c70fd36eb2117747086a81d8e9e472f3f9bd351d04332ce0c3621c58fb0",
+    "sports_scheduling-base": "dc2fc8a9aac97f4e9a843f74fc01d225b8efb1e16bbf8c40260e5f079542f816",
+    "still_life-base": "bcf66d4d4cf33edb14de05a4e44cebd0f0d5cf20735eec66fc84a7d4199dd986",
+    "strip_packing-base": "4aea39ec27429b0cc41420c897e26a4c60c9dd474191eae319d9c8c917e10d34",
+    "subgraph_isomorphism-base": "dd13cef91e2d51522ec56db2edbd31ac6b4272c68b1e09a6569b359f21d503bf",
+    "sum_coloring-base": "5fc0f3575b801a108303b259e71d121d1e927d4f299c64a3cf30e70c233b78ec",
+    "travelling_salesman-base": "1c6ea49f6cd7f6007fb56ee3f701f2c40e2b495404091c5aca6bce59a34c6857",
+}
+
+
+@pytest.mark.parametrize("request_", ALL_REQUESTS, ids=lambda r: f"{r.problem_id}-{r.variant or 'base'}")
+def test_written_instance_is_pinned(request_):
+    digest = hashlib.sha256(write_instance(build(request_)).encode()).hexdigest()
+    assert digest == WRITTEN_DIGESTS[f"{request_.problem_id}-{request_.variant or 'base'}"]
 
 
 def test_every_generator_has_one_problem_row():
