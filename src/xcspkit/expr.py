@@ -167,7 +167,10 @@ class Op:
             raise ArityMismatchError(f"operator {self.kind!r} takes {lo}{'+' if hi is None else ''} operands, got {n}")
 
 
-def op(kind: str, *children: Expr) -> Op:
+def op(kind: str, *operands: int | str | Expr) -> Op:
+    """The one expression builder: the ``kind`` node over ``operands``, where
+    an int is an ``IntConst``, a str a ``VarRef`` and an ``Expr`` is kept."""
+    children = [IntConst(x) if isinstance(x, int) else VarRef(x) if isinstance(x, str) else x for x in operands]
     return Op(kind, tuple(children))
 
 

@@ -2,73 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from functools import partial
+from typing import Iterable
 
 from .. import expr as _x
 from ..errors import BadParameterError
 from ..model import Constraint, Domain, Instance, Objective, Variable
 
-ExprLike = Union[int, str, _x.Expr]
-
-
-def _e(v: ExprLike) -> _x.Expr:
-    if isinstance(v, int):
-        return _x.IntConst(v)
-    if isinstance(v, str):
-        return _x.VarRef(v)
-    return v
-
-
-def eq(a: ExprLike, b: ExprLike) -> _x.Expr:
-    return _x.op("eq", _e(a), _e(b))
-
-
-def ne(a: ExprLike, b: ExprLike) -> _x.Expr:
-    return _x.op("ne", _e(a), _e(b))
-
-
-def lt(a: ExprLike, b: ExprLike) -> _x.Expr:
-    return _x.op("lt", _e(a), _e(b))
-
-
-def le(a: ExprLike, b: ExprLike) -> _x.Expr:
-    return _x.op("le", _e(a), _e(b))
-
-
-def ge(a: ExprLike, b: ExprLike) -> _x.Expr:
-    return _x.op("ge", _e(a), _e(b))
-
-
-def gt(a: ExprLike, b: ExprLike) -> _x.Expr:
-    return _x.op("gt", _e(a), _e(b))
-
-
-def add(*xs: ExprLike) -> _x.Expr:
-    return _x.op("add", *(_e(v) for v in xs))
-
-
-def sub(a: ExprLike, b: ExprLike) -> _x.Expr:
-    return _x.op("sub", _e(a), _e(b))
-
-
-def mul(*xs: ExprLike) -> _x.Expr:
-    return _x.op("mul", *(_e(v) for v in xs))
-
-
-def dist(a: ExprLike, b: ExprLike) -> _x.Expr:
-    return _x.op("dist", _e(a), _e(b))
-
-
-def lor(*xs: _x.Expr) -> _x.Expr:
-    return _x.op("or", *xs)
-
-
-def imp(a: _x.Expr, b: _x.Expr) -> _x.Expr:
-    return _x.op("imp", a, b)
-
-
-def iff(a: _x.Expr, b: _x.Expr) -> _x.Expr:
-    return _x.op("iff", a, b)
+# the operators the generators build with: each is ``expr.op`` with its kind
+# bound, so an operand may be an int, a variable id or an expression
+eq, ne, lt, le, ge, gt, add, sub, mul, dist, lor, imp, iff = (
+    partial(_x.op, kind) for kind in ("eq", "ne", "lt", "le", "ge", "gt", "add", "sub", "mul", "dist", "or", "imp", "iff")
+)
 
 
 class Builder:

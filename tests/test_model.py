@@ -10,12 +10,13 @@ from test_io import _kitchen_sink_instance
 
 from xcspkit.engine import enumerate_all, solve
 from xcspkit.errors import (
+    ArityMismatchError,
     InvalidInstanceError,
     InvariantViolationError,
     NotAnOptimizationInstanceError,
     UnboundVariableError,
 )
-from xcspkit.expr import OPS, compile_expr, const, evaluate, op, parse_expr, var
+from xcspkit.expr import OPS, IntConst, Op, VarRef, compile_expr, const, evaluate, op, parse_expr, var
 from xcspkit.io import parse_instance, write_instance
 from xcspkit.model import (
     _KINDS,
@@ -59,6 +60,17 @@ from xcspkit.model import (
 
 def asg(**bindings):
     return Assignment(bindings)
+
+
+def test_op_reads_ints_as_constants_and_strings_as_variables():
+    inner = op("add", "x", 1)
+    assert inner == Op("add", (VarRef("x"), IntConst(1)))
+    outer = op("le", inner, "y[0]")
+    assert outer.children[0] is inner and outer.children[1] == VarRef("y[0]")
+    assert op("neg", -3) == Op("neg", (IntConst(-3),))
+    for kind, operands in [("eq", (1,)), ("sub", ("x", "y", 1)), ("not", ()), ("nope", ("x",))]:
+        with pytest.raises(ArityMismatchError):
+            op(kind, *operands)
 
 
 class TestEvaluateExpr:
