@@ -90,7 +90,7 @@ def gen_low_autocorrelation(n: int) -> Instance:
             y[k, i] = b.var(f"y[{k}][{i}]", Domain.of(-1, 1))
     c = [b.var(f"c[{k}]", Domain.rng(-n + k + 1, n - k - 1)) for k in range(n - 1)]
     s = [
-        b.var(f"s[{k}]", Domain(tuple(sorted({v * v for v in range(n - k)}))))
+        b.var(f"s[{k}]", Domain.of(*(v * v for v in range(n - k))))
         for k in range(n - 1)
     ]
     for k in range(n - 1):

@@ -169,7 +169,7 @@ def gen_mario(data: dict) -> Instance:
     check(fuel_limit >= 0, "fuel limit must be non-negative")
     b = Builder()
     s = [b.var(f"s[{i}]", Domain.rng(0, n - 1)) for i in range(n)]
-    f = [b.var(f"f[{i}]", Domain(tuple(sorted(set(fuel_rows[i]))))) for i in range(n)]
+    f = [b.var(f"f[{i}]", Domain.of(*fuel_rows[i])) for i in range(n)]
     g = [b.var(f"g[{i}]", Domain.of(0, golds[i])) for i in range(n)]
     for i in range(n):
         rows = [(j, fuel_rows[i][j]) for j in range(n)]
@@ -242,7 +242,7 @@ def gen_quadratic_assignment(data: dict) -> Instance:
     check(n >= 2 and all(len(r) == n for r in weights), "weights must be square")
     check(len(distances) == n and all(len(r) == n for r in distances), "distances must match weights")
     table = supports(3, [(i, j, distances[i][j]) for i in range(n) for j in range(n) if i != j])
-    dist_values = Domain(tuple(sorted({v for row in distances for v in row})))
+    dist_values = Domain.of(*(v for row in distances for v in row))
     b = Builder()
     x = [b.var(f"x[{i}]", Domain.rng(0, n - 1)) for i in range(n)]
     d: dict[tuple[int, int], str] = {}
@@ -350,7 +350,7 @@ def gen_tsp(data: dict) -> Instance:
         "distance matrix must be symmetric",
     )
     table = supports(3, [(i, j, distances[i][j]) for i in range(n) for j in range(n) if i != j])
-    values = Domain(tuple(sorted({v for row in distances for v in row})))
+    values = Domain.of(*(v for row in distances for v in row))
     b = Builder()
     c = [b.var(f"c[{i}]", Domain.rng(0, n - 1)) for i in range(n)]
     d = [b.var(f"d[{i}]", values) for i in range(n)]

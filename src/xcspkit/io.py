@@ -40,6 +40,7 @@ from .errors import (
     XmlSyntaxError,
 )
 from .model import (
+    ID_RE,
     STAR,
     AllDifferent,
     AllDifferentMatrix,
@@ -74,7 +75,6 @@ from .model import (
 _RANGE_RE = re.compile(rf"({_expr.INT_RE.pattern})\.\.({_expr.INT_RE.pattern})")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 _SIZE_RE = re.compile(r"\[([0-9]+)\]")
-_VAR_SPLIT_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)((?:\[[0-9]+\])*)$")
 # a group template's %k placeholder
 _PLACEHOLDER_RE = re.compile(r"%([0-9]+)")
 # the most values one range of a domain or of a unary table may list, and
@@ -163,7 +163,7 @@ def _parse_ints(text: str, loc: SourceLocation) -> list[int]:
 def _parse_var_list(text: str, known: set[str], loc: SourceLocation) -> list[str]:
     out = []
     for tok in text.split():
-        if not _VAR_SPLIT_RE.match(tok):
+        if not ID_RE.fullmatch(tok):
             raise XmlSyntaxError(f"bad variable id {tok!r}", loc)
         if tok not in known:
             raise UnknownVariableError(tok, loc)
@@ -230,7 +230,7 @@ def _term(tok: str, known: set[str], loc: SourceLocation) -> Union[int, str]:
     value = _int(tok, loc)
     if value is not None:
         return value
-    if not _VAR_SPLIT_RE.match(tok):
+    if not ID_RE.fullmatch(tok):
         raise XmlSyntaxError(f"bad token {tok!r}", loc)
     return _known_id(tok, known, loc)
 
@@ -546,7 +546,7 @@ def _parse_variables(node: _Node) -> list[Variable]:
             vid = child.attrib.get("id")
             if not vid:
                 raise XmlSyntaxError("<var> without id", child.loc)
-            out.append(Variable(vid, Domain(tuple(sorted(set(_parse_ints(child.text, child.loc)))))))
+            out.append(Variable(vid, Domain.of(*_parse_ints(child.text, child.loc))))
         elif child.tag == "array":
             out.extend(_parse_array(child))
         else:
@@ -574,13 +574,13 @@ def _parse_array(node: _Node) -> list[Variable]:
     cells = _cells(vid, dims)
     dom_nodes = node.all("domain")
     if not dom_nodes:
-        dom = Domain(tuple(sorted(set(_parse_ints(node.text, node.loc)))))
+        dom = Domain.of(*_parse_ints(node.text, node.loc))
         return [Variable(c, dom) for c in cells]
     known = set(cells)
     per_cell: dict[str, Domain] = {}
     for dn in dom_nodes:
         targets = dn.attrib.get("for", "").split()
-        dom = Domain(tuple(sorted(set(_parse_ints(dn.text, dn.loc)))))
+        dom = Domain.of(*_parse_ints(dn.text, dn.loc))
         for t in targets:
             if t not in known:
                 raise XmlSyntaxError(f"domain for unknown cell {t!r}", dn.loc)
@@ -621,22 +621,33 @@ def _parse_constraint_item(node: _Node, known: set[str], tables: dict) -> list[C
             out.extend(_parse_constraint_item(child, known, tables))
         return out
     if node.tag == "group":
-        template = None
-        args_nodes = []
-        for child in node.children:
-            if child.tag == "args":
-                args_nodes.append(child)
-            elif template is None:
-                template = child
-            else:
-                raise XmlSyntaxError("group with two templates", child.loc)
-        if template is None:
-            raise XmlSyntaxError("group without template", node.loc)
+        template, args_nodes = _template_and_args(node, "args")
+        arity = _template_arity(template)
         out = []
         for an in args_nodes:
-            out.extend(_parse_constraint_item(_substitute(template, an.text.split()), known, tables))
+            args = an.text.split()
+            out.extend(_parse_constraint_item(_substitute(template, args), known, tables))
+            if len(args) != arity:
+                raise XmlSyntaxError(f"<args> holds {len(args)} ids for a template of arity {arity}", an.loc)
         return out
     return [_parse_constraint(node, known, tables)]
+
+
+def _template_and_args(node: _Node, args_tag: str) -> tuple[_Node, list[_Node]]:
+    """The one template child of a ``<group>`` or ``<slide>`` and its
+    ``<args_tag>`` children, which give the template's arguments."""
+    template = None
+    args_nodes = []
+    for child in node.children:
+        if child.tag == args_tag:
+            args_nodes.append(child)
+        elif template is None:
+            template = child
+        else:
+            raise XmlSyntaxError(f"<{node.tag}> with two templates", child.loc)
+    if template is None:
+        raise XmlSyntaxError(f"<{node.tag}> without template", node.loc)
+    return template, args_nodes
 
 
 def _require(node: _Node, tag: str) -> _Node:
@@ -647,11 +658,26 @@ def _require(node: _Node, tag: str) -> _Node:
 
 
 _EXTENSION_CHILDREN = {"list": 1, "supports": 1, "conflicts": 1}
+# (tag, attribute) -> the one value of it that a constraint element or its
+# child may carry; the reader takes each with this meaning and refuses any
+# other: a circular slide, a slide list with another offset or collect, a
+# list indexed from another start and an index of another rank
+_ONLY_VALUE = {
+    ("slide", "circular"): "false",
+    ("list", "offset"): "1",
+    ("list", "collect"): "1",
+    ("list", "startIndex"): "0",
+    ("index", "rank"): "any",
+}
 
 
 def _parse_constraint(node: _Node, known: set[str], tables: dict) -> Constraint:
     """One constraint element; an extension takes its Table from
     ``tables`` when its body was read before."""
+    for n in (node, *node.children):
+        for name, value in n.attrib.items():
+            if _ONLY_VALUE.get((n.tag, name), value) != value:
+                raise UnsupportedFeatureError(f'<{n.tag} {name}="{value}">', n.loc)
     tag = node.tag
     if tag == "extension":
         groups = _group_children(node, _EXTENSION_CHILDREN)
@@ -670,16 +696,10 @@ def _parse_constraint(node: _Node, known: set[str], tables: dict) -> Constraint:
         return Extension(tuple(scope), table)
 
     if tag == "slide":
-        lst = _require(node, "list")
-        scope = _parse_var_list(lst.text, known, lst.loc)
-        template = None
-        for child in node.children:
-            if child is not lst:
-                if template is not None:
-                    raise XmlSyntaxError("slide with two templates", child.loc)
-                template = child
-        if template is None:
-            raise XmlSyntaxError("slide without template constraint", node.loc)
+        template, lists = _template_and_args(node, "list")
+        if len(lists) != 1:
+            raise XmlSyntaxError(f"<slide> needs exactly one <list>, got {len(lists)}", node.loc)
+        scope = _parse_var_list(lists[0].text, known, lists[0].loc)
         arity = _template_arity(template)
         if arity < 1 or arity > len(scope):
             raise XmlSyntaxError("slide template arity does not fit list", node.loc)
@@ -758,7 +778,7 @@ def parse_solution(text: str) -> Assignment:
     ids = lst.text.split()
     seen = set()
     for vid in ids:
-        if not _VAR_SPLIT_RE.match(vid):
+        if not ID_RE.fullmatch(vid):
             raise XmlSyntaxError(f"bad variable id {vid!r}", lst.loc)
         if vid in seen:
             raise XmlSyntaxError(f"variable {vid!r} listed twice", lst.loc)
@@ -855,7 +875,7 @@ class _Writer:
 
 
 def _split_id(vid: str):
-    m = _VAR_SPLIT_RE.match(vid)
+    m = ID_RE.fullmatch(vid)
     stem = m.group(1)
     indices = tuple(int(x) for x in _SIZE_RE.findall(m.group(2)))
     return stem, indices

@@ -30,7 +30,9 @@ from .expr import INT64_MAX, Expr, evaluate, expr_vars, is_boolean
 #: Wildcard table entry matching any domain value.
 STAR = "*"
 
-_ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*(\[[0-9]+\])*$")
+#: the one identifier grammar, matched whole (``fullmatch``): a stem and its
+#: ``[i]`` indices, ASCII digits only
+ID_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)((?:\[[0-9]+\])*)")
 
 
 @dataclass(frozen=True)
@@ -723,7 +725,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
     report: list[Violation] = []
     ids: set[str] = set()
     for v in instance.variables:
-        if not _ID_RE.match(v.id):
+        if not ID_RE.fullmatch(v.id):
             report.append(Violation("BadIdentifier", v.id, "identifier does not match the allowed pattern"))
         if v.id in ids:
             report.append(Violation("DuplicateVariable", v.id, "variable id declared twice"))

@@ -153,6 +153,83 @@ def test_group_expansion():
 
 
 @pytest.mark.parametrize(
+    "template, first",
+    [("lt(%0,1)", "x[0]"), ("lt(%0,%1)", "x[0] x[1]")],
+    ids=["one-placeholder", "two-placeholders"],
+)
+def test_group_args_hold_exactly_the_template_arity(template, first):
+    """An ``<args>`` with more ids than its template has placeholders is
+    refused at that ``<args>``, not read with its extra ids dropped."""
+    text = f"""
+    <instance format="XCSP3" type="CSP">
+      <variables> <array id="x" size="[3]"> 0..4 </array> </variables>
+      <constraints>
+        <group>
+          <intension> {template} </intension>
+          <args> {first} </args>
+          <args> x[0] x[1] x[2] </args>
+        </group>
+      </constraints>
+    </instance>
+    """
+    with pytest.raises(XmlSyntaxError) as err:
+        parse_instance(text)
+    assert err.value.location.line == 8
+
+
+def _constraints_over_x(constraints: str) -> str:
+    return f"""
+    <instance format="XCSP3" type="CSP">
+      <variables> <array id="x" size="[3]"> 0..2 </array> </variables>
+      <constraints> {constraints} </constraints>
+    </instance>
+    """
+
+
+_SLID = "<intension> lt(%0,%1) </intension>"
+
+
+def _element(list_attrs: str = "", index_attrs: str = "") -> str:
+    return f"<element> <list{list_attrs}> x[0] x[1] </list> <index{index_attrs}> x[2] </index> <value> 1 </value> </element>"
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        f'<slide circular="true"> <list> x[0] x[1] x[2] </list> {_SLID} </slide>',
+        f'<slide> <list offset="2"> x[0] x[1] x[2] </list> {_SLID} </slide>',
+        f'<slide> <list collect="2"> x[0] x[1] x[2] </list> {_SLID} </slide>',
+        _element(list_attrs=' startIndex="1"'),
+        _element(index_attrs=' rank="first"'),
+    ],
+    ids=["circular-slide", "slide-offset", "slide-collect", "list-start-index", "index-rank"],
+)
+def test_attributes_of_another_meaning_are_refused(constraint):
+    with pytest.raises(UnsupportedFeatureError):
+        parse_instance(_constraints_over_x(constraint))
+
+
+def test_attributes_with_their_default_meaning_are_read():
+    plain = f"<slide> <list> x[0] x[1] x[2] </list> {_SLID} </slide> {_element()}"
+    spelled = (
+        f'<slide circular="false"> <list offset="1" collect="1"> x[0] x[1] x[2] </list> {_SLID} </slide>'
+        + _element(' startIndex="0"', ' rank="any"')
+    )
+    assert parse_instance(_constraints_over_x(spelled)) == parse_instance(_constraints_over_x(plain))
+
+
+def test_an_identifier_is_matched_whole():
+    """A trailing newline is no part of an identifier; the writer could not
+    write such an id back in a form the parser reads."""
+    with pytest.raises(InvariantViolationError):
+        parse_instance(
+            '<instance format="XCSP3" type="CSP"> <variables> <var id="x&#10;"> 0 1 </var> </variables> </instance>'
+        )
+    report = validate_instance(Instance("CSP", (Variable("x\n", Domain.of(0, 1)),), ()))
+    assert [v.code for v in report] == ["BadIdentifier"]
+
+
+@pytest.mark.parametrize(
     "variables, constraints, error",
     [
         # an index in Arabic-Indic digits
