@@ -636,18 +636,10 @@ def _parse_constraint_item(node: _Node, known: set[str], tables: dict) -> list[C
 def _template_and_args(node: _Node, args_tag: str) -> tuple[_Node, list[_Node]]:
     """The one template child of a ``<group>`` or ``<slide>`` and its
     ``<args_tag>`` children, which give the template's arguments."""
-    template = None
-    args_nodes = []
-    for child in node.children:
-        if child.tag == args_tag:
-            args_nodes.append(child)
-        elif template is None:
-            template = child
-        else:
-            raise XmlSyntaxError(f"<{node.tag}> with two templates", child.loc)
-    if template is None:
-        raise XmlSyntaxError(f"<{node.tag}> without template", node.loc)
-    return template, args_nodes
+    templates = [child for child in node.children if child.tag != args_tag]
+    if len(templates) != 1:
+        raise XmlSyntaxError(f"<{node.tag}> needs one template, got {len(templates)}", node.loc)
+    return templates[0], node.all(args_tag)
 
 
 def _require(node: _Node, tag: str) -> _Node:
