@@ -40,7 +40,6 @@ def _build_parser(problems=None) -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an XCSP3 instance")
     p_solve.add_argument("instance", help="instance XML file")
     p_solve.add_argument("--timeout", type=float, default=2400.0, help="wall-clock limit in seconds")
-    p_solve.add_argument("--restarts", action="store_true", help="enable geometric restarts")
     p_solve.add_argument("--all", action="store_true", help="count all solutions (CSP only)")
 
     p_gen = sub.add_parser("generate", help="generate a benchmark instance")
@@ -68,7 +67,7 @@ def _build_parser(problems=None) -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     instance = parse_instance(Path(args.instance).read_text())
-    config = SearchConfig(time_limit=args.timeout, restarts=args.restarts)
+    config = SearchConfig(time_limit=args.timeout)
     _comment(f"instance {args.instance}: {len(instance.variables)} variables, "
              f"{len(instance.constraints)} constraints, kind {instance.kind}")
     if args.all:

@@ -149,7 +149,3 @@ class DomainStore:
         while len(self._trail) > mark:
             x, bits = self._trail.pop()
             self.masks[x] |= bits
-
-    def pop_all(self) -> None:
-        while self._marks:
-            self.pop()

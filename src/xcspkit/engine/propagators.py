@@ -327,8 +327,9 @@ class IntensionProp(Propagator):
 
     Any other intension gets the residual GAC pass while its live product
     is at most ``_SCAN_CAP``. Beyond that, a linear one (``_linear_sum``)
-    whose sum stays in the 64-bit range (``_within_int64``) runs the bounds
-    pass of its equivalent ``Sum``, whose ``SumProp`` is built once, and
+    whose sum stays in the 64-bit range (``_within_int64``) runs the Sum
+    pass (``_sum_pass``) of its equivalent ``Sum``, whose terms and target
+    (``_sum_terms``) are built once, and
     any other one interval filtering through a bounds closure compiled once
     (``expr.compile_expr``). Neither is idempotent."""
 
@@ -363,7 +364,7 @@ class IntensionProp(Propagator):
             if math.prod(map(len, domains)) > _SCAN_CAP:
                 linear = _linear_sum(c.expr)
                 if linear is not None and _within_int64(linear, store):
-                    self.linear = SumProp(linear, key, store)
+                    self.linear = _sum_terms(linear, store)
                 else:
                     self.bounds_fn = _x.compile_expr(c.expr, position, bounds=True)
         self.idempotent = self.bounds_fn is None and self.linear is None
@@ -375,7 +376,7 @@ class IntensionProp(Propagator):
         if math.prod(map(store.size, scope)) <= _SCAN_CAP:
             return _residual(store, scope, self.fn, self.residues)
         if self.linear is not None:
-            return self.linear.bounds_pass(store)
+            return _sum_pass(store, *self.linear)
         return self._interval_filter(store)
 
     def _interval_filter(self, store: DomainStore) -> bool:
@@ -439,7 +440,7 @@ def _linear_sum(expression) -> Sum | None:
     expression. One term per variable, not per occurrence, keeps the pass
     at least as strong as interval filtering when a variable repeats:
     ``eq(add(x, x), 1)`` is ``2x = 1``, which no integer satisfies."""
-    if not (isinstance(expression, _x.Op) and expression.kind in ("eq", "ne", "lt", "le", "gt", "ge")):
+    if not (isinstance(expression, _x.Op) and _x.OPS[expression.kind].sort == "rel"):
         return None
     left, right = (_linear(e) for e in expression.children)
     if left is None or right is None:
@@ -469,7 +470,7 @@ def _within_int64(c: Sum, store: DomainStore) -> bool:
 
 
 def _condition_targets(cond: Condition, store: DomainStore, rhs_idx: int | None):
-    """Return (lo, hi) target interval, or ('ne', k) for disequalities."""
+    """The (lo, hi) target interval; None for ``ne``."""
     op = cond.operator
     if isinstance(cond.rhs, tuple):
         return cond.rhs
@@ -490,106 +491,109 @@ def _condition_targets(cond: Condition, store: DomainStore, rhs_idx: int | None)
     return None  # ne handled by callers
 
 
+def _sum_terms(c: Sum, store: DomainStore):
+    """``(terms, target)`` of the Sum pass (``_sum_pass``) over ``c``.
+    ``terms`` are (coefficient, variable index) pairs, a coefficient being
+    an int or ``("v", index)`` of a variable one. A variable right-hand side
+    is folded in as a ``-1`` term compared with 0, so ``target`` depends on
+    the constraint only: the ``(lo, hi)`` the sum must lie in, or, for
+    ``ne``, the int it must differ from."""
+    cond = c.condition
+    terms = [(k if isinstance(k, int) else ("v", store.index[k]), x) for k, x in zip(c.coeffs, store.indices(c.scope))]
+    if isinstance(cond.rhs, str):
+        terms.append((-1, store.index[cond.rhs]))
+        cond = Condition(cond.operator, 0)
+    return terms, cond.rhs if cond.operator == "ne" else _condition_targets(cond, store, None)
+
+
+def _sum_pass(store: DomainStore, terms, target) -> bool:
+    """Bounds filtering of a linear form (``_sum_terms``); variable
+    coefficients are handled through product intervals."""
+    bounds = store.bounds
+    term_bounds = []
+    total_lo = total_hi = 0
+    for k, x in terms:
+        lo, hi = bounds(x)
+        if isinstance(k, int):
+            if k < 0:
+                lo, hi = k * hi, k * lo
+            else:
+                lo, hi = k * lo, k * hi
+        else:
+            clo, chi = bounds(k[1])
+            cands = (clo * lo, clo * hi, chi * lo, chi * hi)
+            lo, hi = min(cands), max(cands)
+        term_bounds.append((lo, hi))
+        total_lo += lo
+        total_hi += hi
+
+    if isinstance(target, int):  # ne
+        if total_lo == total_hi:
+            return total_lo != target
+        fixed_total = 0
+        free = []
+        for kk, xx in terms:
+            if isinstance(kk, int) and store.is_assigned(xx):
+                fixed_total += kk * store.value(xx)
+            elif not isinstance(kk, int) and store.is_assigned(kk[1]) and store.is_assigned(xx):
+                fixed_total += store.value(kk[1]) * store.value(xx)
+            else:
+                free.append((kk, xx))
+        if len(free) == 1 and isinstance(free[0][0], int) and free[0][0] != 0:
+            coeff, x = free[0]
+            delta = target - fixed_total
+            if delta % coeff == 0 and not store.remove_value(x, delta // coeff):
+                return False
+        return True
+
+    tlo, thi = target
+    if total_lo > thi or total_hi < tlo:
+        return False
+
+    for (k, x), (blo, bhi) in zip(terms, term_bounds):
+        allowed_lo = tlo - (total_hi - bhi)
+        allowed_hi = thi - (total_lo - blo)
+        if isinstance(k, int):
+            # allowed_lo <= k * v <= allowed_hi, divided through by k
+            if k > 0:
+                if not store.restrict(x, -(-allowed_lo // k), allowed_hi // k):
+                    return False
+            elif k < 0:
+                if not store.restrict(x, -(-allowed_hi // k), allowed_lo // k):
+                    return False
+        else:
+            cvar = k[1]
+            clo, chi = bounds(cvar)
+            for v in store.domain_list(x):
+                lo = min(clo * v, chi * v)
+                hi = max(clo * v, chi * v)
+                if hi < allowed_lo or lo > allowed_hi:
+                    if not store.remove_value(x, v):
+                        return False
+            vlo, vhi = bounds(x)
+            for cv in store.domain_list(cvar):
+                lo = min(cv * vlo, cv * vhi)
+                hi = max(cv * vlo, cv * vhi)
+                if hi < allowed_lo or lo > allowed_hi:
+                    if not store.remove_value(cvar, cv):
+                        return False
+    return True
+
+
 class SumProp(Propagator):
-    """Bounds filtering for linear forms; variable coefficients are handled
-    through product intervals. A variable right-hand side is folded in as
-    a ``-1`` term compared with 0, so the target interval ``(tlo, thi)``
-    depends on the constraint only and is fixed at build (None for
-    ``ne``)."""
+    """The Sum pass (``_sum_pass``) over the constraint's terms and target
+    (``_sum_terms``), built once."""
 
     __slots__ = ("terms", "rhs_idx", "target")
 
     def __init__(self, c: Sum, key, store: DomainStore):
         super().__init__(c, key, store)
-        cond = c.condition
-        self.rhs_idx = store.index[cond.rhs] if isinstance(cond.rhs, str) else None
-        # terms: (coeff int | ('v', idx), var idx)
-        self.terms = [
-            (k if isinstance(k, int) else ("v", store.index[k]), x)
-            for k, x in zip(c.coeffs, store.indices(c.scope))
-        ]
-        if self.rhs_idx is not None:
-            self.terms.append((-1, self.rhs_idx))
-            cond = Condition(cond.operator, 0)
-        self.target = _condition_targets(cond, store, None)
+        rhs = c.condition.rhs
+        self.rhs_idx = store.index[rhs] if isinstance(rhs, str) else None
+        self.terms, self.target = _sum_terms(c, store)
 
-    def bounds_pass(self, store: DomainStore) -> bool:
-        bounds = store.bounds
-        term_bounds = []
-        total_lo = total_hi = 0
-        for k, x in self.terms:
-            lo, hi = bounds(x)
-            if isinstance(k, int):
-                if k < 0:
-                    lo, hi = k * hi, k * lo
-                else:
-                    lo, hi = k * lo, k * hi
-            else:
-                clo, chi = bounds(k[1])
-                cands = (clo * lo, clo * hi, chi * lo, chi * hi)
-                lo, hi = min(cands), max(cands)
-            term_bounds.append((lo, hi))
-            total_lo += lo
-            total_hi += hi
-
-        if self.target is None:  # ne
-            k = 0 if self.rhs_idx is not None else self.constraint.condition.rhs
-            if total_lo == total_hi:
-                return total_lo != k
-            fixed_total = 0
-            free = []
-            for kk, xx in self.terms:
-                if isinstance(kk, int) and store.is_assigned(xx):
-                    fixed_total += kk * store.value(xx)
-                elif not isinstance(kk, int) and store.is_assigned(kk[1]) and store.is_assigned(xx):
-                    fixed_total += store.value(kk[1]) * store.value(xx)
-                else:
-                    free.append((kk, xx))
-            if len(free) == 1 and isinstance(free[0][0], int) and free[0][0] != 0:
-                coeff, x = free[0]
-                delta = k - fixed_total
-                if delta % coeff == 0 and not store.remove_value(x, delta // coeff):
-                    return False
-            return True
-
-        tlo, thi = self.target
-        if total_lo > thi or total_hi < tlo:
-            return False
-
-        for (k, x), (blo, bhi) in zip(self.terms, term_bounds):
-            allowed_lo = tlo - (total_hi - bhi)
-            allowed_hi = thi - (total_lo - blo)
-            if isinstance(k, int):
-                # allowed_lo <= k * v <= allowed_hi, divided through by k
-                if k > 0:
-                    if not store.restrict(x, -(-allowed_lo // k), allowed_hi // k):
-                        return False
-                elif k < 0:
-                    if not store.restrict(x, -(-allowed_hi // k), allowed_lo // k):
-                        return False
-            else:
-                cvar = k[1]
-                clo, chi = bounds(cvar)
-                for v in store.domain_list(x):
-                    lo = min(clo * v, chi * v)
-                    hi = max(clo * v, chi * v)
-                    if hi < allowed_lo or lo > allowed_hi:
-                        if not store.remove_value(x, v):
-                            return False
-                vlo, vhi = bounds(x)
-                for cv in store.domain_list(cvar):
-                    lo = min(cv * vlo, cv * vhi)
-                    hi = max(cv * vlo, cv * vhi)
-                    if hi < allowed_lo or lo > allowed_hi:
-                        if not store.remove_value(cvar, cv):
-                            return False
-        return True
-
-    # a second name for the pass, kept only for the traced counters: a
-    # linear ``IntensionProp`` calls ``bounds_pass``, so a wrapper of each
-    # class's ``propagate`` (perfbench's traced run) counts that nested call
-    # under ``IntensionProp`` alone, not under ``SumProp`` as well
-    propagate = bounds_pass
+    def propagate(self, store: DomainStore) -> bool:
+        return _sum_pass(store, self.terms, self.target)
 
 
 def _count_bounds(store: DomainStore, counted):

@@ -1,5 +1,5 @@
-"""Depth-first search with 2-way branching, dom/wdeg ordering, optional
-geometric restarts, and branch-and-bound optimization."""
+"""Depth-first search with 2-way branching, dom/wdeg ordering and
+branch-and-bound optimization."""
 
 from __future__ import annotations
 
@@ -38,12 +38,13 @@ _IDLE, _CLEAN, _DIRTY = 0, 1, 2
 
 @dataclass(frozen=True)
 class SearchConfig:
-    time_limit: float = 2400.0
-    restarts: bool = False
+    time_limit: float = 2400.0  # seconds; inf is no limit
 
     def __post_init__(self):
-        if self.time_limit <= 0:
-            raise InvalidInstanceError("time limit must be positive")
+        # not `<= 0`: NaN compares false with everything, so it would pass
+        # and no deadline would ever be reached
+        if not self.time_limit > 0:
+            raise InvalidInstanceError(f"time limit must be positive, got {self.time_limit}")
 
 
 @dataclass
@@ -263,9 +264,6 @@ class _Search:
             return finish(True)
 
         frames: list[tuple[int, int]] = []
-        restarts_on = self.config.restarts and mode != "count"
-        fail_budget = 100
-        fails_since_restart = 0
         backtracking = False
 
         while True:
@@ -301,24 +299,10 @@ class _Search:
                 conflict = engine.fixpoint()
                 if conflict is not None:
                     stats.failures += 1
-                    fails_since_restart += 1
                     backtracking = True
                 continue
 
             # backtracking
-            if restarts_on and fails_since_restart >= fail_budget and frames:
-                store.pop_all()
-                frames.clear()
-                fails_since_restart = 0
-                fail_budget = int(fail_budget * 3 // 2)
-                if mode == "optimize":
-                    engine.enqueue(len(engine.props) - 1)
-                conflict = engine.fixpoint()
-                if conflict is None:
-                    backtracking = False
-                    continue
-                # the root became inconsistent under the improved bound: no frame is left
-
             if not frames:
                 return finish(True)
 
@@ -331,7 +315,6 @@ class _Search:
                 backtracking = False
             else:
                 stats.failures += 1
-                fails_since_restart += 1
 
 
 def _require_valid(instance: Instance, kind: str):

@@ -40,6 +40,7 @@ from .errors import (
     XmlSyntaxError,
 )
 from .model import (
+    CONDITION_OPERATORS,
     ID_RE,
     STAR,
     AllDifferent,
@@ -243,7 +244,7 @@ def _parse_condition(text: str, known: set[str], loc: SourceLocation) -> Conditi
     if len(parts) != 2:
         raise XmlSyntaxError(f"bad condition {text!r}", loc)
     op, rhs_text = parts
-    if op not in ("lt", "le", "ge", "gt", "eq", "ne", "in"):
+    if op not in CONDITION_OPERATORS:
         raise XmlSyntaxError(f"bad condition operator {op!r}", loc)
     return Condition(op, _bounds(rhs_text, loc) if _RANGE_RE.fullmatch(rhs_text) else _term(rhs_text, known, loc))
 
@@ -599,14 +600,8 @@ def _substitute(node: _Node, args: list[str]) -> _Node:
     def sub_text(t: str) -> str:
         if "%..." in t:
             raise UnsupportedFeatureError("group remaining-args placeholder '%...'", node.loc)
-
-        def repl(m):
-            k = int(m.group(1))
-            if k >= len(args):
-                raise XmlSyntaxError(f"placeholder %{k} without argument", node.loc)
-            return args[k]
-
-        return _PLACEHOLDER_RE.sub(repl, t)
+        # callers pass at least ``_template_arity(node)`` ids
+        return _PLACEHOLDER_RE.sub(lambda m: args[int(m.group(1))], t)
 
     clone = _Node(node.tag, dict(node.attrib), node.loc)
     clone.text_parts = [sub_text(t) for t in node.text_parts]
@@ -626,7 +621,12 @@ def _parse_constraint_item(node: _Node, known: set[str], tables: dict) -> list[C
         out = []
         for an in args_nodes:
             args = an.text.split()
-            out.extend(_parse_constraint_item(_substitute(template, args), known, tables))
+            # too few ids would leave a placeholder unfilled, so they are
+            # refused unexpanded; extra ids after expansion, so that a `%`
+            # before non-ASCII digits, which the arity does not count, fails
+            # as an unsupported expression first
+            if len(args) >= arity:
+                out.extend(_parse_constraint_item(_substitute(template, args), known, tables))
             if len(args) != arity:
                 raise XmlSyntaxError(f"<args> holds {len(args)} ids for a template of arity {arity}", an.loc)
         return out

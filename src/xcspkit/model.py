@@ -118,9 +118,13 @@ def conflicts(arity: int, rows) -> Table:
 ConditionRhs = Union[int, str, tuple[int, int]]
 
 
+#: the operators of a Condition: the six relations of ``expr.OPS`` and ``in``
+CONDITION_OPERATORS = ("lt", "le", "ge", "gt", "eq", "ne", "in")
+
+
 @dataclass(frozen=True)
 class Condition:
-    operator: str  # lt | le | ge | gt | eq | ne | in
+    operator: str  # one of CONDITION_OPERATORS
     rhs: ConditionRhs
 
     def holds(self, lhs: int, binding: Mapping[str, int]) -> bool:
@@ -132,17 +136,17 @@ class Condition:
         if self.operator == "in":
             lo, hi = rhs
             return lo <= lhs <= hi
-        return _REL[self.operator](lhs, rhs)
+        return bool(_relation(self.operator)(lhs, rhs))
 
 
-_REL = {
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "ge": lambda a, b: a >= b,
-    "gt": lambda a, b: a > b,
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-}
+def _relation(operator: str) -> Callable:
+    """The 0/1 function of a relational operator of ``expr.OPS``; KeyError
+    for any other operator."""
+    spec = _expr.OPS[operator]
+    if spec.sort != "rel":
+        raise KeyError(operator)
+    return spec.apply
+
 
 #: the operators of ``ordered``, ``lex`` and ``lexMatrix``
 _ORDERS = ("lt", "le", "ge", "gt")
@@ -382,7 +386,7 @@ def _distinct(values: list) -> bool:
 def _chained(operator: str, items: Sequence) -> bool:
     """True iff ``operator`` holds between each item and the next; lists
     compare lexicographically."""
-    rel = _REL[operator]
+    rel = _relation(operator)
     return all(rel(x, y) for x, y in zip(items, items[1:]))
 
 
@@ -474,7 +478,7 @@ def _ragged(rows, what: str) -> tuple:
 
 
 def _condition_violations(cond: Condition):
-    if cond.operator not in ("lt", "le", "ge", "gt", "eq", "ne", "in"):
+    if cond.operator not in CONDITION_OPERATORS:
         yield "BadOperator", f"unknown condition operator {cond.operator!r}"
     if isinstance(cond.rhs, tuple):
         if cond.operator != "in":

@@ -185,6 +185,22 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_nan_timeout_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "dubois3.xml"
+        path.write_text(write_instance(gen_dubois(3)))
+        assert main(["solve", str(path), "--timeout", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert not any(line.startswith("s ") for line in captured.out.splitlines())
+
+    def test_restarts_flag_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "dubois3.xml"
+        path.write_text(write_instance(gen_dubois(3)))
+        with pytest.raises(SystemExit) as done:
+            main(["solve", str(path), "--restarts"])
+        assert done.value.code == 2
+        assert "unrecognized arguments: --restarts" in capsys.readouterr().err
+
 
 class TestGenerateCommand:
     def test_param_form(self, capsys):

@@ -229,7 +229,9 @@ class TestTrailExactness:
                 store.pop()
                 snapshots.pop()
                 assert tuple(store.masks) == snapshots[-1]
-        store.pop_all()
+        while len(snapshots) > 1:
+            store.pop()
+            snapshots.pop()
         assert tuple(store.masks) == baseline
 
 
@@ -351,6 +353,14 @@ class TestTimeouts:
         assert out.status in ("SAT", "OPTIMUM")
         assert out.witness is not None
         assert verify(inst, out.witness, out.bound).ok
+
+    def test_a_nan_time_limit_is_refused(self):
+        # every comparison with NaN is false, so its deadline would never pass
+        with pytest.raises(InvalidInstanceError):
+            SearchConfig(time_limit=math.nan)
+
+    def test_an_infinite_time_limit_is_no_limit(self):
+        assert solve(gen_langford(3), SearchConfig(time_limit=math.inf)).status == "SAT"
 
 
 class TestVariableLengthNoOverlap:
@@ -717,7 +727,6 @@ PINNED_SEARCHES = {
     "golomb-5": (lambda: optimize(gen_golomb_ruler(5)), ("OPTIMUM", 11, 20, 19, 567, 717)),
     "langford-4": (lambda: solve(gen_langford(4)), ("SAT", None, 11, 9, 237, 391)),
     "dubois-6": (lambda: solve(gen_dubois(6)), ("UNSAT", None, 163, 164, 1142, 1600)),
-    "dubois-6-restarts": (lambda: solve(gen_dubois(6), SearchConfig(restarts=True)), ("UNSAT", None, 190, 188, 1306, 1833)),
     "graph-coloring-maximum": (lambda: optimize(gen_graph_coloring(GRAPH_COLORING_DATA)), ("OPTIMUM", 2, 6, 6, 75, 83)),
     "golomb-6": (lambda: optimize(gen_golomb_ruler(6)), ("OPTIMUM", 17, 65, 61, 2418, 3166)),
     "still-life-4": (lambda: optimize(gen_still_life(4)), ("OPTIMUM", 8, 192, 187, 9467, 10553)),
@@ -729,16 +738,6 @@ PINNED_SEARCHES = {
     "mario": (lambda: optimize(gen_mario(MARIO_DATA)), ("OPTIMUM", 10, 1, 0, 44, 57)),
     "mistery-shopper": (lambda: solve(gen_mistery_shopper(MISTERY_DATA)), ("SAT", None, 179, 163, 14685, 16325)),
     "langford-5": (lambda: solve(gen_langford(5)), ("UNSAT", None, 694, 695, 17320, 29363)),
-    "langford-4-restarts": (lambda: solve(gen_langford(4), SearchConfig(restarts=True)), ("SAT", None, 11, 9, 237, 391)),
-    "golomb-5-restarts": (
-        lambda: optimize(gen_golomb_ruler(5), SearchConfig(restarts=True)),
-        ("OPTIMUM", 11, 20, 19, 567, 717),
-    ),
-    # more than 100 failures, so the search restarts and re-posts the bound slot
-    "still-life-4-restarts": (
-        lambda: optimize(gen_still_life(4), SearchConfig(restarts=True)),
-        ("OPTIMUM", 8, 222, 211, 11010, 12237),
-    ),
     # Hall windows over the successors and a Sum objective
     "tsp-7": (lambda: optimize(gen_tsp({"distances": TSP_7_DISTANCES})), ("OPTIMUM", 57, 304, 293, 6158, 7876)),
     # one long le sum over 20 items
@@ -814,10 +813,10 @@ def test_skipped_calls_are_no_ops(name, monkeypatch):
 
 @pytest.mark.parametrize("mode, instance", [("sat", gen_dubois(6)), ("optimize", gen_still_life(4))])
 def test_weighted_degree_is_the_sum_of_watcher_weights(mode, instance):
-    """After a search with restarts (and, optimizing, a replaced bound
-    slot), each variable's kept weighted degree equals the sum over its
-    watchers of one plus the failures counted at each fixpoint."""
-    search = _Search(instance, SearchConfig(restarts=True), mode)
+    """After a search (and, optimizing, a replaced bound slot), each
+    variable's kept weighted degree equals the sum over its watchers of one
+    plus the failures counted at each fixpoint."""
+    search = _Search(instance, SearchConfig(), mode)
     engine = search.engine
     failures = [0] * len(engine.props)
     fixpoint = engine.fixpoint
@@ -950,10 +949,6 @@ class TestDeterminism:
         assert a.status == b.status
         assert a.stats.nodes == b.stats.nodes
         assert a.witness == b.witness
-
-    def test_heuristic_and_restart_configs_agree_on_verdict(self):
-        inst = gen_langford(3)
-        assert solve(inst, SearchConfig(restarts=True)).status == "SAT"
 
 
 # ---------------------------------------------------------------------------

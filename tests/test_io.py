@@ -153,13 +153,14 @@ def test_group_expansion():
 
 
 @pytest.mark.parametrize(
-    "template, first",
-    [("lt(%0,1)", "x[0]"), ("lt(%0,%1)", "x[0] x[1]")],
-    ids=["one-placeholder", "two-placeholders"],
+    "template, first, line",
+    [("lt(%0,1)", "x[0]", 8), ("lt(%0,%1)", "x[0] x[1]", 8), ("lt(%0,%1)", "x[0]", 7)],
+    ids=["one-placeholder", "two-placeholders", "too-few-ids"],
 )
-def test_group_args_hold_exactly_the_template_arity(template, first):
+def test_group_args_hold_exactly_the_template_arity(template, first, line):
     """An ``<args>`` with more ids than its template has placeholders is
-    refused at that ``<args>``, not read with its extra ids dropped."""
+    refused at that ``<args>``, not read with its extra ids dropped; one
+    with fewer is refused there too, not at the template (line 6)."""
     text = f"""
     <instance format="XCSP3" type="CSP">
       <variables> <array id="x" size="[3]"> 0..4 </array> </variables>
@@ -174,7 +175,7 @@ def test_group_args_hold_exactly_the_template_arity(template, first):
     """
     with pytest.raises(XmlSyntaxError) as err:
         parse_instance(text)
-    assert err.value.location.line == 8
+    assert err.value.location.line == line
 
 
 def _constraints_over_x(constraints: str) -> str:
