@@ -28,6 +28,7 @@ from xcspkit.generators import (
 )
 from xcspkit.io import _LAYOUTS, parse_instance, parse_solution, write_instance, write_solution
 from xcspkit.model import (
+    CONDITION_OPERATORS,
     STAR,
     AllDifferent,
     AllDifferentMatrix,
@@ -176,6 +177,49 @@ def test_group_args_hold_exactly_the_template_arity(template, first, line):
     with pytest.raises(XmlSyntaxError) as err:
         parse_instance(text)
     assert err.value.location.line == line
+
+
+def _sum_with_condition(condition: str) -> str:
+    return f"""
+    <instance format="XCSP3" type="CSP">
+      <variables> <array id="x" size="[2]"> 0..4 </array> </variables>
+      <constraints>
+        <sum> <list> x[0] x[1] </list> <condition> {condition} </condition> </sum>
+      </constraints>
+    </instance>
+    """
+
+
+@pytest.mark.parametrize("operator", CONDITION_OPERATORS)
+def test_every_condition_operator_is_read_written_and_valid(operator):
+    """Each operator of ``CONDITION_OPERATORS`` is read, written back
+    unchanged and passes the validator; the condition holds exactly where
+    its relation (or, for ``in``, the interval) does."""
+    rhs = "2..5" if operator == "in" else "3"
+    inst = parse_instance(_sum_with_condition(f"({operator},{rhs})"))
+    (c,) = inst.constraints
+    assert c == Sum(("x[0]", "x[1]"), (1, 1), Condition(operator, (2, 5) if operator == "in" else 3))
+    assert parse_instance(write_instance(inst)) == inst
+    assert validate_instance(inst) == []
+    relation = {
+        "lt": lambda s: s < 3,
+        "le": lambda s: s <= 3,
+        "ge": lambda s: s >= 3,
+        "gt": lambda s: s > 3,
+        "eq": lambda s: s == 3,
+        "ne": lambda s: s != 3,
+        "in": lambda s: 2 <= s <= 5,
+    }[operator]
+    assert [c.condition.holds(s, {}) for s in range(9)] == [relation(s) for s in range(9)]
+
+
+@pytest.mark.parametrize("operator", ["add", "and", "LE", "lex"])
+def test_a_condition_operator_outside_the_list_is_refused(operator):
+    """An operator of expressions that is not a relation, a relation in
+    another case, or no operator at all is refused where it is read."""
+    with pytest.raises(XmlSyntaxError, match="bad condition operator") as err:
+        parse_instance(_sum_with_condition(f"({operator},3)"))
+    assert err.value.location.line == 5
 
 
 def _constraints_over_x(constraints: str) -> str:
