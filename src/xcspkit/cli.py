@@ -7,7 +7,6 @@ Exit codes follow the competition convention on ``solve``: 10 SAT,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -18,18 +17,6 @@ from .engine import SearchConfig, enumerate_all, optimize, solve
 from .errors import BadParameterError, XcspError
 from .expr import int64
 from .io import CLAIMS_WITH_BOUND, EXIT_CODES, S_LINES, parse_instance, parse_solution, write_instance, write_solution
-
-
-def _log_level() -> str:
-    level = os.environ.get("XCSP_MINI_LOG", "info").lower()
-    return level if level in ("debug", "info", "quiet") else "info"
-
-
-def _comment(text: str, minimum: str = "info") -> None:
-    level = _log_level()
-    order = {"quiet": 0, "info": 1, "debug": 2}
-    if order[level] >= order[minimum]:
-        print(f"c {text}")
 
 
 def _build_parser(problems=None) -> argparse.ArgumentParser:
@@ -68,24 +55,23 @@ def _build_parser(problems=None) -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     instance = parse_instance(Path(args.instance).read_text())
     config = SearchConfig(time_limit=args.timeout)
-    _comment(f"instance {args.instance}: {len(instance.variables)} variables, "
-             f"{len(instance.constraints)} constraints, kind {instance.kind}")
+    print(f"c instance {args.instance}: {len(instance.variables)} variables, "
+          f"{len(instance.constraints)} constraints, kind {instance.kind}")
     if args.all:
         if instance.kind != "CSP":
             print("error: --all applies to CSP instances only", file=sys.stderr)
             return 2
         result = enumerate_all(instance, config=config)
-        _comment(f"{result.count} solution(s), exact={result.exact}")
+        print(f"c {result.count} solution(s), exact={result.exact}")
         status = "SAT" if result.witness is not None else "UNSAT" if result.exact else "UNKNOWN"
         return _report(status, result.witness)
     if instance.kind == "CSP":
         out = solve(instance, config)
     else:
         out = optimize(instance, config, on_bound=lambda cost: print(f"o {cost}", flush=True))
-    _comment(
-        f"nodes {out.stats.nodes}, failures {out.stats.failures}, "
-        f"propagations {out.stats.propagations}, skipped {out.stats.skipped}, elapsed {out.stats.elapsed:.3f}s",
-        minimum="debug",
+    print(
+        f"c nodes {out.stats.nodes}, failures {out.stats.failures}, "
+        f"propagations {out.stats.propagations}, skipped {out.stats.skipped}, elapsed {out.stats.elapsed:.3f}s"
     )
     # a COP's SAT means it timed out with an incumbent
     return _report(out.status, out.witness)

@@ -17,7 +17,6 @@ from ..model import (
     Objective,
     Sum,
     objective_value,
-    validate_instance,
 )
 from .domains import DomainStore
 from .propagators import Propagator, make_propagators
@@ -317,29 +316,29 @@ class _Search:
                 stats.failures += 1
 
 
-def _require_valid(instance: Instance, kind: str):
+def _require_kind(instance: Instance, kind: str):
     if instance.kind != kind:
         raise InvalidInstanceError(f"expected a {kind} instance, got {instance.kind}")
-    report = validate_instance(instance)
-    if report:
-        raise InvalidInstanceError("; ".join(str(v) for v in report))
 
 
 def solve(instance: Instance, config: SearchConfig | None = None) -> SolveOutcome:
-    """Find one solution of a CSP or prove there is none."""
-    _require_valid(instance, "CSP")
+    """Find one solution of a CSP or prove there is none. The instance is
+    valid by construction, so only its kind is checked."""
+    _require_kind(instance, "CSP")
     return _Search(instance, config or SearchConfig(), "sat").run()
 
 
 def optimize(instance: Instance, config: SearchConfig | None = None, on_bound=None) -> SolveOutcome:
     """Branch-and-bound: OPTIMUM on exhaustion, SAT with the best bound on
     timeout, UNSAT when no solution exists. Improving bounds stream to
-    ``on_bound``."""
-    _require_valid(instance, "COP")
+    ``on_bound``. The instance is valid by construction, so only its kind
+    is checked."""
+    _require_kind(instance, "COP")
     return _Search(instance, config or SearchConfig(), "optimize", on_bound=on_bound).run()
 
 
 def enumerate_all(instance: Instance, cap: int = 10**9, config: SearchConfig | None = None) -> EnumerationResult:
-    """Count distinct solutions, stopping at ``cap``."""
-    _require_valid(instance, "CSP")
+    """Count distinct solutions, stopping at ``cap``. The instance is valid
+    by construction, so only its kind is checked."""
+    _require_kind(instance, "CSP")
     return _Search(instance, config or SearchConfig(), "count", cap=cap).run()

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import (
+    BadParameterError,
     DuplicateRecordError,
     ProtocolViolationError,
     SchemaMismatchError,
@@ -281,7 +282,11 @@ def parse_solver_output(text: str):
 
 
 def run_one(instance_path: str, solver_id: str, command_template: str, time_limit: float) -> RunRecord:
-    """Run a solver on one instance and verify its claims."""
+    """Run a solver on one instance and verify its claims. ``time_limit``
+    must be positive; ``inf`` is no limit."""
+    # not `<= 0`: a NaN limit would pass and never expire
+    if not time_limit > 0:
+        raise BadParameterError(f"time limit must be positive, got {time_limit}")
     instance_id = Path(instance_path).stem
     command = shlex.split(command_template.format(instance=instance_path))
     # output goes to files, not pipes, so the wait ends when the solver

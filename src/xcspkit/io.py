@@ -70,7 +70,6 @@ from .model import (
     Sum,
     Table,
     Variable,
-    validate_instance,
 )
 
 _RANGE_RE = re.compile(rf"({_expr.INT_RE.pattern})\.\.({_expr.INT_RE.pattern})")
@@ -142,8 +141,7 @@ def _parse_xml(text: str) -> _Node:
             xml.parsers.expat.errors.messages[exc.code],
             SourceLocation(exc.lineno, exc.offset + 1),
         ) from None
-    if len(root) != 1:
-        raise XmlSyntaxError("expected exactly one root element", SourceLocation(1, 1))
+    # expat refuses an empty document and a second root element
     return root[0]
 
 
@@ -500,7 +498,9 @@ def _write_layout(w: _Writer, layout: _Layout, c: Constraint) -> None:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse an XCSP3 document into a validated Instance."""
+    """Parse an XCSP3 document into an Instance, which is valid by
+    construction: a well-formed document that breaks an invariant raises
+    :class:`InvariantViolationError`."""
     root = _parse_xml(text)
     if root.tag != "instance":
         raise XmlSyntaxError(f"root element must be <instance>, got <{root.tag}>", root.loc)
@@ -533,11 +533,7 @@ def parse_instance(text: str) -> Instance:
         if dec is not None:
             decision = tuple(_parse_var_list(dec.text, known, dec.loc))
 
-    instance = Instance(kind, tuple(variables), tuple(constraints), objective, decision)
-    report = validate_instance(instance)
-    if report:
-        raise InvariantViolationError(report)
-    return instance
+    return Instance(kind, tuple(variables), tuple(constraints), objective, decision)
 
 
 def _parse_variables(node: _Node) -> list[Variable]:
@@ -813,10 +809,8 @@ def write_solution(assignment: Assignment) -> str:
 
 
 def write_instance(instance: Instance) -> str:
-    """Canonical serialization; requires a valid instance."""
-    report = validate_instance(instance)
-    if report:
-        raise InvariantViolationError(report)
+    """Canonical serialization. An Instance is valid by construction, so
+    it is written without a check."""
     w = _Writer()
     w.open(f'<instance format="XCSP3" type="{instance.kind}">')
     w.open("<variables>")

@@ -5,6 +5,11 @@ threads; the checkers are pure functions. They are deliberately written as
 straight transcriptions of constraint semantics, with no cleverness, so
 that the propagation engine can be tested against them.
 
+An ``Instance`` is valid by construction: it runs ``validate_instance`` on
+itself and raises ``InvariantViolationError`` with the report unless the
+report is empty. So the parser, the writer, the search and the checkers
+take any ``Instance`` as valid, and check it no more.
+
 ``_KINDS`` is the one constraint catalogue: a row per constraint class
 holds the attributes that carry its variable ids, its satisfaction check
 and its well-formedness check. ``constraint_scope``,
@@ -21,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, 
 
 from . import expr as _expr
 from .errors import (
+    InvariantViolationError,
     NotAnOptimizationInstanceError,
     ScopeMismatchError,
     UnboundVariableError,
@@ -359,6 +365,10 @@ class Assignment:
 
 @dataclass(frozen=True)
 class Instance:
+    """A well-formed instance: construction raises
+    :class:`InvariantViolationError`, carrying ``validate_instance``'s
+    report, unless that report is empty."""
+
     kind: str  # "CSP" | "COP"
     variables: tuple[Variable, ...]
     constraints: tuple[Constraint, ...]
@@ -369,6 +379,9 @@ class Instance:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "decision_variables", tuple(self.decision_variables))
+        report = validate_instance(self)
+        if report:
+            raise InvariantViolationError(report)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +708,7 @@ def constraint_satisfied(c: Constraint, assignment: Assignment) -> bool:
 
 def assignment_cost(instance: Instance, assignment: Assignment) -> int:
     """Objective target value under a total assignment."""
-    if instance.kind != "COP" or instance.objective is None:
+    if instance.kind != "COP":
         raise NotAnOptimizationInstanceError("instance has no objective")
     return objective_value(instance.objective, assignment)
 
@@ -754,9 +767,15 @@ def validate_instance(instance: Instance) -> list[Violation]:
         report.extend(Violation(code, where, detail) for code, detail in _KINDS[type(c)].violations(c, tables))
 
     obj = instance.objective
-    if (instance.kind == "COP") != (obj is not None):
+    if instance.kind not in ("CSP", "COP"):
+        report.append(Violation("BadKind", "instance", f"kind must be CSP or COP, not {instance.kind!r}"))
+    elif (instance.kind == "COP") != (obj is not None):
         report.append(Violation("KindMismatch", "instance", "kind must be COP iff an objective is present"))
     if obj is not None:
+        if obj.sense not in ("minimize", "maximize"):
+            report.append(Violation("BadObjective", "objective", f"unknown objective sense {obj.sense!r}"))
+        if obj.kind not in ("variable", "sum", "maximum"):
+            report.append(Violation("BadObjective", "objective", f"unknown objective kind {obj.kind!r}"))
         for vid in obj.scope:
             if vid not in ids:
                 report.append(Violation("UnknownVariable", "objective", f"references undeclared variable {vid!r}"))

@@ -1,10 +1,20 @@
 """Test-side oracle: chronological generate-and-test over the declared
 variable order, checking each constraint as soon as its scope is fully
 assigned. Uses only the model-core checkers, never the engine. Also the
-seeded text mutator of the reader fuzz tests."""
+seeded text mutator of the reader fuzz tests, and ``refusal``."""
 
-from xcspkit.errors import UnboundVariableError
-from xcspkit.model import Assignment, constraint_satisfied, constraint_scope, objective_value
+import pytest
+
+from xcspkit.errors import InvariantViolationError, UnboundVariableError
+from xcspkit.model import Assignment, Instance, constraint_satisfied, constraint_scope, objective_value
+
+
+def refusal(*fields) -> list:
+    """The report of the ``InvariantViolationError`` that ``Instance(*fields)``
+    raises."""
+    with pytest.raises(InvariantViolationError) as err:
+        Instance(*fields)
+    return err.value.report
 
 
 class _View:

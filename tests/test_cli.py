@@ -148,25 +148,28 @@ class TestSolveCommand:
         assert code == 0
         assert "s UNKNOWN" in out
 
-    def test_quiet_log_level_suppresses_comments(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "dubois3.xml"
-        path.write_text(write_instance(gen_dubois(3)))
-        monkeypatch.setenv("XCSP_MINI_LOG", "quiet")
-        main(["solve", str(path)])
-        quiet_out = capsys.readouterr().out
-        assert not any(line.startswith("c ") for line in quiet_out.splitlines())
-        monkeypatch.setenv("XCSP_MINI_LOG", "debug")
-        main(["solve", str(path)])
-        debug_out = capsys.readouterr().out
-        assert any(line.startswith("c ") for line in debug_out.splitlines())
-
-    def test_debug_stats_line_prints_skipped_calls_after_propagations(self, tmp_path, capsys, monkeypatch):
+    def test_debug_stats_line_prints_skipped_calls_after_propagations(self, tmp_path, capsys):
         path = tmp_path / "dubois6.xml"
         path.write_text(write_instance(gen_dubois(6)))
-        monkeypatch.setenv("XCSP_MINI_LOG", "debug")
         main(["solve", str(path)])
         out = capsys.readouterr().out
         assert "c nodes 163, failures 164, propagations 1142, skipped 458, elapsed " in out
+
+    def test_solve_validates_the_instance_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "langford3.xml"
+        path.write_text(write_instance(gen_langford(3)))
+        original = xcspkit.model.validate_instance
+        calls = []
+
+        def counted(instance):
+            calls.append(instance)
+            return original(instance)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("xcspkit") and getattr(module, "validate_instance", None) is original:
+                monkeypatch.setattr(module, "validate_instance", counted)
+        assert main(["solve", str(path)]) == 10
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("domain", ["0..99999999999999999999999", "0..9223372036854775807"])
     def test_out_of_range_domain_exit_2(self, tmp_path, capsys, domain):

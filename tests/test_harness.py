@@ -1,6 +1,7 @@
 """Harness tests: verification verdicts, scoring arithmetic against the
 published tables, campaign execution over the built-in solver."""
 
+import math
 import random
 import shlex
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import xcspkit
 from helpers import mutant
-from xcspkit.errors import DuplicateRecordError, SchemaMismatchError, UnknownModeError, XcspError
+from xcspkit.errors import BadParameterError, DuplicateRecordError, SchemaMismatchError, UnknownModeError, XcspError
 from xcspkit.generators import gen_dubois, gen_knapsack, gen_langford
 from xcspkit.harness import (
     RunRecord,
@@ -482,6 +483,22 @@ class TestCampaign(object):
         (record,) = records
         assert record.status == "UNKNOWN"
         assert record.elapsed == 1.5
+
+    @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+    def test_a_time_limit_that_is_not_positive_is_refused_before_the_solver_runs(self, tmp_path, limit):
+        path = tmp_path / "dubois3.xml"
+        path.write_text(write_instance(gen_dubois(3)))
+        marker = tmp_path / "ran"
+        with pytest.raises(BadParameterError, match="time limit must be positive"):
+            run_one(str(path), "quitter", f"sh -c 'touch {marker}; exit 0'", time_limit=limit)
+        assert not marker.exists()
+
+    def test_an_infinite_time_limit_is_no_limit(self, tmp_path):
+        path = tmp_path / "dubois3.xml"
+        path.write_text(write_instance(gen_dubois(3)))
+        record = run_one(str(path), "quitter", "sh -c 'exit 0'", time_limit=math.inf)
+        assert record.status == "UNKNOWN"
+        assert 0 <= record.elapsed < 10
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
     @pytest.mark.parametrize("stop", ["timeout", "interrupt"])

@@ -8,7 +8,7 @@ import typing
 import pytest
 
 import xcspkit.io
-from helpers import mutant
+from helpers import mutant, refusal
 from xcspkit.errors import (
     InvariantViolationError,
     LengthMismatchError,
@@ -270,8 +270,7 @@ def test_an_identifier_is_matched_whole():
         parse_instance(
             '<instance format="XCSP3" type="CSP"> <variables> <var id="x&#10;"> 0 1 </var> </variables> </instance>'
         )
-    report = validate_instance(Instance("CSP", (Variable("x\n", Domain.of(0, 1)),), ()))
-    assert [v.code for v in report] == ["BadIdentifier"]
+    assert [v.code for v in refusal("CSP", (Variable("x\n", Domain.of(0, 1)),), ())] == ["BadIdentifier"]
 
 
 @pytest.mark.parametrize(
@@ -430,13 +429,13 @@ def test_solution_roundtrip():
 
 
 def test_write_rejects_invalid_instance():
-    bad = Instance(
+    """An invalid instance cannot be built, so it never reaches the writer."""
+    report = refusal(
         "CSP",
         (Variable("a", Domain.rng(0, 1)),),
         (Extension(("a",), supports(2, [(0, 1)])),),
     )
-    with pytest.raises(InvariantViolationError):
-        write_instance(bad)
+    assert [v.code for v in report] == ["ScopeMismatch"]
 
 
 def _kitchen_sink_instance() -> Instance:
@@ -565,6 +564,111 @@ def test_text_beside_child_elements_is_refused(constraint, text):
         parse_instance(document)
     assert repr(text) in str(err.value)
     assert (err.value.location.line, err.value.location.column) == (4, 1)
+
+
+def _over_x(body: str, kind: str = "CSP") -> str:
+    """A document whose ``body`` (constraints or objectives) starts on
+    line 3, after an array ``x`` of three 0..2 cells."""
+    return (
+        f'<instance format="XCSP3" type="{kind}">\n'
+        '<variables> <array id="x" size="[3]"> 0..2 </array> </variables>\n'
+        f"{body}\n</instance>"
+    )
+
+
+# each refusal of the reader that no other test reaches, with the line it is reported at
+_REFUSALS = {
+    "empty-document": ("", XmlSyntaxError, 1, "no element found"),
+    "second-root": ("<instance/>\n<instance/>", XmlSyntaxError, 2, "junk after document element"),
+    "root-not-instance": ("\n<variables> </variables>", XmlSyntaxError, 2, "root element must be <instance>"),
+    "no-variables": ('<instance format="XCSP3" type="CSP">\n<constraints/> </instance>', XmlSyntaxError, 1,
+                     "missing <variables>"),
+    "variables-child": ('<instance format="XCSP3" type="CSP"> <variables>\n<set id="s"/> </variables> </instance>',
+                        UnsupportedFeatureError, 2, "set"),
+    "condition-of-three-parts": (
+        _over_x("<constraints> <sum> <list> x[0] x[1] </list>\n<condition> (le,3,4) </condition>"
+                " </sum> </constraints>"),
+        XmlSyntaxError, 4, r"bad condition '\(le,3,4\)'",
+    ),
+    "transition-symbol": (
+        _over_x("<constraints> <regular> <list> x[0] x[1] </list>\n<transitions> (a,b,c) </transitions>"
+                " <start> a </start> <final> c </final> </regular> </constraints>"),
+        XmlSyntaxError, 4, r"bad transition \(a,b,c\)",
+    ),
+    "length-not-a-pair": (
+        _over_x("<constraints> <noOverlap> <origins> (x[0],x[1]) </origins>\n<lengths> (1,1,1) </lengths>"
+                " </noOverlap> </constraints>"),
+        XmlSyntaxError, 4, r"expected \(x,y\) pairs",
+    ),
+    "constant-origin": (
+        _over_x("<constraints> <noOverlap>\n<origins> (x[0],1) </origins> <lengths> (1,1) </lengths>"
+                " </noOverlap> </constraints>"),
+        XmlSyntaxError, 4, "noOverlap origins must be variables",
+    ),
+    "cumulative-condition": (
+        _over_x("<constraints> <cumulative> <origins> x[0] x[1] </origins> <lengths> 1 1 </lengths>"
+                " <heights> 1 1 </heights>\n<condition> (lt,2) </condition> </cumulative> </constraints>"),
+        UnsupportedFeatureError, 4, "cumulative condition other than",
+    ),
+    "instantiation-lengths": (
+        _over_x("<constraints> <instantiation> <list> x[0] x[1] </list>\n<values> 1 </values>"
+                " </instantiation> </constraints>"),
+        XmlSyntaxError, 3, "instantiation list/values length mismatch",
+    ),
+    "missing-child": (
+        _over_x("<constraints> <sum> <list> x[0] x[1] </list>\n</sum> </constraints>"),
+        XmlSyntaxError, 3, "<sum> needs 1 <condition>, got 0",
+    ),
+    "remaining-args-placeholder": (
+        _over_x("<constraints> <group>\n<intension> eq(%...) </intension> <args> x[0] x[1] </args>"
+                " </group> </constraints>"),
+        UnsupportedFeatureError, 4, "remaining-args placeholder",
+    ),
+    "group-without-template": (
+        _over_x("<constraints> <group>\n<args> x[0] </args> </group> </constraints>"),
+        XmlSyntaxError, 3, "<group> needs one template, got 0",
+    ),
+    "extension-without-list": (
+        _over_x("<constraints> <extension>\n<supports> (0,1) </supports> </extension> </constraints>"),
+        XmlSyntaxError, 3, "<extension> missing <list>",
+    ),
+    "extension-without-tuples": (
+        _over_x("<constraints> <extension> <list> x[0] x[1] </list>\n</extension> </constraints>"),
+        XmlSyntaxError, 3, "exactly one of <supports>/<conflicts>",
+    ),
+    "slide-with-two-lists": (
+        _over_x("<constraints> <slide> <list> x[0] x[1] </list>\n<list> x[1] x[2] </list>"
+                " <intension> lt(%0,%1) </intension> </slide> </constraints>"),
+        XmlSyntaxError, 3, "<slide> needs exactly one <list>, got 2",
+    ),
+    "objective-without-list": (
+        _over_x('<objectives>\n<minimize type="sum"> <coeffs> 1 </coeffs> </minimize> </objectives>', "COP"),
+        XmlSyntaxError, 4, "<minimize> missing <list>",
+    ),
+    "two-objectives": (
+        _over_x("<objectives> <minimize> x[0] </minimize>\n<maximize> x[1] </maximize> </objectives>", "COP"),
+        XmlSyntaxError, 3, "exactly one minimize/maximize",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_each_refusal_is_reported_at_its_line(case):
+    text, error, line, message = _REFUSALS[case]
+    with pytest.raises(error, match=message) as err:
+        parse_instance(text)
+    assert err.value.location.line == line
+
+
+def test_a_unary_table_with_a_star_roundtrips():
+    text = _over_x(
+        "<constraints> <extension> <list> x[0] </list> <conflicts> 1 * </conflicts> </extension> </constraints>"
+    )
+    instance = parse_instance(text)
+    assert instance.constraints[0].table.rows == ((1,), (STAR,))
+    written = write_instance(instance)
+    assert "<conflicts> 1 * </conflicts>" in written
+    assert parse_instance(written) == instance
 
 
 def test_indexed_variables_before_a_full_array_are_single_vars():

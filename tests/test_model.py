@@ -6,12 +6,11 @@ import random
 import typing
 
 import pytest
+from helpers import refusal
 from test_io import _kitchen_sink_instance
 
-from xcspkit.engine import enumerate_all, solve
 from xcspkit.errors import (
     ArityMismatchError,
-    InvalidInstanceError,
     InvariantViolationError,
     NotAnOptimizationInstanceError,
     UnboundVariableError,
@@ -375,47 +374,67 @@ class TestValidation:
         assert validate_instance(inst) == []
 
     def test_extension_scope_mismatch(self):
-        inst = Instance(
+        report = refusal(
             "CSP",
             (Variable("a", Domain.rng(0, 1)), Variable("b", Domain.rng(0, 1))),
             (Extension(("a", "b"), supports(3, [(0, 1, 0)])),),
         )
-        codes = [v.code for v in validate_instance(inst)]
+        codes = [v.code for v in report]
         assert "ScopeMismatch" in codes
 
     def test_objective_on_csp_kind_mismatch(self):
-        inst = Instance(
+        report = refusal(
             "CSP",
             (Variable("a", Domain.rng(0, 1)),),
             (),
             Objective("minimize", "variable", ("a",)),
         )
-        codes = [v.code for v in validate_instance(inst)]
+        codes = [v.code for v in report]
         assert "KindMismatch" in codes
 
     def test_unknown_variable(self):
-        inst = Instance("CSP", (Variable("a", Domain.rng(0, 1)),), (AllDifferent(("a", "zz")),))
-        codes = [v.code for v in validate_instance(inst)]
+        report = refusal("CSP", (Variable("a", Domain.rng(0, 1)),), (AllDifferent(("a", "zz")),))
+        codes = [v.code for v in report]
         assert "UnknownVariable" in codes
 
     def test_bound_overflow(self):
         big = Variable("a", Domain.of(0, 2**40))
-        inst = Instance(
+        report = refusal(
             "CSP",
             (big, Variable("b", Domain.of(0, 2**40))),
             (Sum(("a", "b"), (2**40, 2**40), Condition("le", 0)),),
         )
-        codes = [v.code for v in validate_instance(inst)]
+        codes = [v.code for v in report]
         assert "BoundOverflow" in codes
 
     def test_nonboolean_intension_root(self):
-        inst = Instance(
+        report = refusal(
             "CSP",
             (Variable("a", Domain.rng(0, 1)),),
             (Intension(op("add", var("a"), const(1))),),
         )
-        codes = [v.code for v in validate_instance(inst)]
+        codes = [v.code for v in report]
         assert "NotBoolean" in codes
+
+
+@pytest.mark.parametrize(
+    "kind, objective, violation",
+    [
+        ("COP", Objective("minimise", "variable", ("x",)),
+         ("BadObjective", "objective", "unknown objective sense 'minimise'")),
+        ("COP", Objective("minimize", "avg", ("x",)), ("BadObjective", "objective", "unknown objective kind 'avg'")),
+        ("csp", None, ("BadKind", "instance", "kind must be CSP or COP, not 'csp'")),
+        ("csp", Objective("minimize", "variable", ("x",)),
+         ("BadKind", "instance", "kind must be CSP or COP, not 'csp'")),
+    ],
+    ids=["sense", "objective-kind", "instance-kind", "instance-kind-with-objective"],
+)
+def test_an_unknown_sense_or_kind_is_refused(kind, objective, violation):
+    """Each would be read wrongly: the search takes any sense but
+    ``minimize`` for ``maximize``, and neither the writer's ``<minimise>``
+    nor its ``type="csp"`` parses back."""
+    report = refusal(kind, (Variable("x", Domain.rng(0, 3)),), (), objective)
+    assert [(v.code, v.where, v.detail) for v in report] == [violation]
 
 
 _ORDER_VARS = (
@@ -435,10 +454,7 @@ _ORDER_CONSTRAINTS = {
 @pytest.mark.parametrize("kind", sorted(_ORDER_CONSTRAINTS))
 def test_order_constraints_refuse_eq_and_ne(kind, operator):
     make = _ORDER_CONSTRAINTS[kind]
-    inst = Instance("CSP", _ORDER_VARS, (make(operator),))
-    assert [v.code for v in validate_instance(inst)] == ["BadOperator"]
-    with pytest.raises(InvalidInstanceError):
-        solve(inst)
+    assert [v.code for v in refusal("CSP", _ORDER_VARS, (make(operator),))] == ["BadOperator"]
     text = write_instance(Instance("CSP", _ORDER_VARS, (make("le"),)))
     assert text.count("<operator> le </operator>") == 1
     with pytest.raises(InvariantViolationError, match="BadOperator"):
@@ -451,12 +467,9 @@ def test_cardinality_refuses_a_repeated_value():
     checker, yet the search found it UNSAT: the sum of the bounds, 2, was
     more than the one position."""
     c = Cardinality(("x",), (0, 0), ((1, 1), (1, 1)), closed=True)
-    inst = Instance("CSP", (Variable("x", Domain.rng(0, 1)),), (c,))
-    assert [v.code for v in validate_instance(inst)] == ["RepeatedValue"]
-    for run in (solve, enumerate_all):
-        with pytest.raises(InvalidInstanceError):
-            run(inst)
-    text = write_instance(Instance("CSP", inst.variables, (Cardinality(("x",), (0, 1), ((1, 1), (1, 1)), closed=True),)))
+    variables = (Variable("x", Domain.rng(0, 1)),)
+    assert [v.code for v in refusal("CSP", variables, (c,))] == ["RepeatedValue"]
+    text = write_instance(Instance("CSP", variables, (Cardinality(("x",), (0, 1), ((1, 1), (1, 1)), closed=True),)))
     with pytest.raises(InvariantViolationError, match="RepeatedValue"):
         parse_instance(text.replace("<values closed=\"true\"> 0 1 </values>", "<values closed=\"true\"> 0 0 </values>"))
 
@@ -861,8 +874,7 @@ def test_scope_kind_and_report_of_each_class_are_pinned(cls):
     own = [c for c in sink.constraints if type(c) is cls]
     assert [constraint_scope(c) for c in own] == scopes
     assert {constraint_kind(c) for c in own} == {kind}
-    inst = Instance("CSP", sink.variables, _TWINS[cls])
-    assert [(v.code, v.where, v.detail) for v in validate_instance(inst)] == report
+    assert [(v.code, v.where, v.detail) for v in refusal("CSP", sink.variables, _TWINS[cls])] == report
 
 
 def test_every_constraint_class_has_one_catalogue_row():
@@ -884,9 +896,6 @@ def test_sum_windows_of_a_slide_are_checked_for_overflow():
         parse_instance(text)
     variables = tuple(Variable(f"x[{i}]", Domain.rng(0, 3)) for i in range(3))
     windows = (Sum(("x[0]", "x[1]"), (big, big), Condition("le", 5)), Sum(("x[1]", "x[2]"), (1, 1), Condition("le", 5)))
-    inst = Instance("CSP", variables, (Slide(windows), Slide(windows[1:])))
-    assert [(v.code, v.where, v.detail) for v in validate_instance(inst)] == [
+    assert [(v.code, v.where, v.detail) for v in refusal("CSP", variables, (Slide(windows), Slide(windows[1:])))] == [
         ("BoundOverflow", "constraint 0", "sum can exceed 64-bit range")
     ]
-    with pytest.raises(InvalidInstanceError):
-        solve(inst)
