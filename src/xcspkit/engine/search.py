@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 
-from ..errors import InvalidInstanceError
+from ..errors import BadParameterError, InvalidInstanceError
 from ..model import (
     Assignment,
     Condition,
@@ -18,11 +17,12 @@ from ..model import (
     Sum,
     objective_value,
 )
+from ..record import record
 from .domains import DomainStore
 from .propagators import Propagator, make_propagators
 
 
-@dataclass
+@record(frozen=False)
 class SearchStats:
     nodes: int = 0
     failures: int = 0
@@ -35,7 +35,7 @@ class SearchStats:
 _IDLE, _CLEAN, _DIRTY = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@record
 class SearchConfig:
     time_limit: float = 2400.0  # seconds; inf is no limit
 
@@ -43,10 +43,10 @@ class SearchConfig:
         # not `<= 0`: NaN compares false with everything, so it would pass
         # and no deadline would ever be reached
         if not self.time_limit > 0:
-            raise InvalidInstanceError(f"time limit must be positive, got {self.time_limit}")
+            raise BadParameterError(f"time limit must be positive, got {self.time_limit}")
 
 
-@dataclass
+@record(frozen=False)
 class SolveOutcome:
     status: str  # SAT | UNSAT | OPTIMUM | UNKNOWN
     witness: Assignment | None
@@ -54,7 +54,7 @@ class SolveOutcome:
     stats: SearchStats
 
 
-@dataclass(frozen=True)
+@record
 class EnumerationResult:
     count: int
     exact: bool

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class SourceLocation:
     """1-based position inside an XML document."""
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ArityMismatchError, UnboundVariableError
+from .record import record
 
 Expr = Union["IntConst", "VarRef", "Op"]
 Interval = tuple[int, int]
@@ -142,17 +142,17 @@ OPS: dict[str, OpSpec] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class IntConst:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class VarRef:
     var_id: str
 
 
-@dataclass(frozen=True)
+@record
 class Op:
     kind: str
     children: tuple[Expr, ...]

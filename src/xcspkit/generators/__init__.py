@@ -7,11 +7,11 @@ point used by the CLI; the ``gen_*`` functions are the direct API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import BadParameterError, SchemaMismatchError, UnknownVariantError
 from ..model import Instance
+from ..record import record
 from ._base import absent
 from .academic import (
     gen_bibd,
@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ProblemData:
     """One instance request: problem id, optional model variant, payload."""
 
@@ -99,7 +99,7 @@ def _int_param(payload, key: str, problem: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class Problem:
     """One registered family.
 

@@ -18,7 +18,6 @@ import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import (
@@ -33,11 +32,12 @@ from .errors import (
 from .expr import int64
 from .io import CLAIMS, CLAIMS_WITH_BOUND, EXIT_CODES, S_LINES, parse_instance, parse_solution
 from .model import Assignment, Instance, assignment_cost, constraint_satisfied
+from .record import record
 
 PROVED_CSP = ("SAT", "UNSAT")
 
 
-@dataclass(frozen=True)
+@record
 class RunRecord:
     instance_id: str
     solver_id: str
@@ -47,7 +47,7 @@ class RunRecord:
     sense: str = ""  # the instance's objective sense, when a claim was verified against a COP
 
 
-@dataclass(frozen=True)
+@record
 class VerifyResult:
     ok: bool
     code: str  # VALID | Incomplete | OutOfDomain | ConstraintViolated | CostMismatch
@@ -79,7 +79,7 @@ def verify(instance: Instance, assignment: Assignment, claimed_bound: int | None
 # Scoring
 
 
-@dataclass(frozen=True)
+@record
 class RankingRow:
     solver_id: str
     solved_count: int
@@ -130,7 +130,10 @@ def _demote_contradictions(records: list[RunRecord], senses: dict[str, str]) -> 
         beaten = r.status == "OPTIMUM" and best[r.instance_id] < score(r)
         return beaten or score(r) < worst_optimum.get(r.instance_id, score(r))
 
-    return [replace(r, status="INVALID", bound=None) if contradicted(r) else r for r in records]
+    return [
+        RunRecord(r.instance_id, r.solver_id, "INVALID", None, r.elapsed, r.sense) if contradicted(r) else r
+        for r in records
+    ]
 
 
 #: per mode, each count of a ranking row and the records it counts

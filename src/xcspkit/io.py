@@ -7,8 +7,9 @@ and ``<block>`` wrappers, and compact ``<slide>`` templates.
 
 ``_LAYOUTS`` is the one description of each constraint element's XML
 layout: its tag, its children in canonical order with how each reads and
-formats, and how they map to the model dataclass. The reader and the
-writer are walks over it, so a constraint element is added in one place.
+formats, and how they map to the fields of the model record. The reader
+and the writer are walks over it, so a constraint element is added in one
+place.
 ``intension`` is an inline row, read from its text or one ``<function>``.
 Only ``extension`` (its shared tables, below) and ``slide`` are explicit
 cases. A slide is written as a template only when its windows are one
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 import re
 import xml.parsers.expat
-from dataclasses import dataclass, field, fields
 from typing import Any, Callable, NamedTuple, Union
 
 from . import expr as _expr
@@ -86,13 +86,15 @@ _RANGE_CAP = 1 << 20
 # Location-aware XML layer
 
 
-@dataclass
 class _Node:
-    tag: str
-    attrib: dict[str, str]
-    loc: SourceLocation
-    children: list["_Node"] = field(default_factory=list)
-    text_parts: list[str] = field(default_factory=list)
+    __slots__ = ("tag", "attrib", "loc", "children", "text_parts")
+
+    def __init__(self, tag: str, attrib: dict[str, str], loc: SourceLocation):
+        self.tag = tag
+        self.attrib = attrib
+        self.loc = loc
+        self.children: list[_Node] = []
+        self.text_parts: list[str] = []
 
     @property
     def text(self) -> str:
@@ -287,7 +289,7 @@ class _Child(NamedTuple):
 class _Layout(NamedTuple):
     """A constraint element: its tag and its children in canonical order.
     ``pack`` maps the children's values to the constraint and ``unpack``
-    back; both default to the dataclass fields in order. ``pack`` raises
+    back; both default to the record's fields in order. ``pack`` raises
     ``ValueError`` for values that do not fit together. An ``inline`` layout
     has one child, written as the element's own text and read from it when
     the element has no children."""
@@ -480,7 +482,7 @@ def _read_layout(node: _Node, known: set[str]) -> Constraint:
 
 
 def _write_layout(w: _Writer, layout: _Layout, c: Constraint) -> None:
-    values = layout.unpack(c) if layout.unpack else [getattr(c, f.name) for f in fields(c)]
+    values = layout.unpack(c) if layout.unpack else c._values()
     if layout.inline:
         w.leaf(layout.tag, layout.children[0].codec.fmt(values[0]))
         return

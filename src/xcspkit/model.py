@@ -21,7 +21,6 @@ and ``engine.propagators._PROPAGATORS`` its propagator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from . import expr as _expr
@@ -32,6 +31,7 @@ from .errors import (
     UnboundVariableError,
 )
 from .expr import INT64_MAX, Expr, evaluate, expr_vars, is_boolean
+from .record import record
 
 #: Wildcard table entry matching any domain value.
 STAR = "*"
@@ -41,7 +41,7 @@ STAR = "*"
 ID_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)((?:\[[0-9]+\])*)")
 
 
-@dataclass(frozen=True)
+@record
 class Domain:
     """Ordered finite set of integers."""
 
@@ -74,7 +74,7 @@ class Domain:
         return Domain(tuple(range(lo, hi + 1)))
 
 
-@dataclass(frozen=True)
+@record
 class Variable:
     id: str
     domain: Domain
@@ -92,7 +92,7 @@ def _norm_rows(rows):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class Table:
     """Tuple table; rows are stored sorted and deduplicated (ints first,
     STAR last at each position) so equal tables compare equal."""
@@ -128,7 +128,7 @@ ConditionRhs = Union[int, str, tuple[int, int]]
 CONDITION_OPERATORS = ("lt", "le", "ge", "gt", "eq", "ne", "in")
 
 
-@dataclass(frozen=True)
+@record
 class Condition:
     operator: str  # one of CONDITION_OPERATORS
     rhs: ConditionRhs
@@ -158,7 +158,7 @@ def _relation(operator: str) -> Callable:
 _ORDERS = ("lt", "le", "ge", "gt")
 
 
-@dataclass(frozen=True)
+@record
 class Automaton:
     start: str
     transitions: tuple[tuple[str, int, str], ...]
@@ -183,52 +183,52 @@ class Automaton:
 # Constraints
 
 
-@dataclass(frozen=True)
+@record
 class Intension:
     expr: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Extension:
     scope: tuple[str, ...]
     table: Table
 
 
-@dataclass(frozen=True)
+@record
 class Regular:
     scope: tuple[str, ...]
     automaton: Automaton
 
 
-@dataclass(frozen=True)
+@record
 class AllDifferent:
     scope: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class AllDifferentMatrix:
     grid: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Ordered:
     scope: tuple[str, ...]
     operator: str  # lt | le | gt | ge
 
 
-@dataclass(frozen=True)
+@record
 class Lex:
     rows: tuple[tuple[str, ...], ...]
     operator: str
 
 
-@dataclass(frozen=True)
+@record
 class LexMatrix:
     grid: tuple[tuple[str, ...], ...]
     operator: str
 
 
-@dataclass(frozen=True)
+@record
 class Sum:
     """Linear (or scalar-product) constraint; coefficients may be integers
     or variable ids."""
@@ -238,14 +238,14 @@ class Sum:
     condition: Condition
 
 
-@dataclass(frozen=True)
+@record
 class Count:
     scope: tuple[str, ...]
     values: tuple[int, ...]
     condition: Condition
 
 
-@dataclass(frozen=True)
+@record
 class Cardinality:
     scope: tuple[str, ...]
     values: tuple[int, ...]
@@ -253,7 +253,7 @@ class Cardinality:
     closed: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class Element:
     """0-based value-indexed list access: list[index] = value."""
 
@@ -262,13 +262,13 @@ class Element:
     value: Union[int, str]
 
 
-@dataclass(frozen=True)
+@record
 class Channel:
     list_a: tuple[str, ...]
     list_b: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class NoOverlap:
     """2-D non-overlap; lengths entries may be variable ids or constants."""
 
@@ -281,7 +281,7 @@ class NoOverlap:
         return tuple(zip(self.origins, self.lengths))
 
 
-@dataclass(frozen=True)
+@record
 class Cumulative:
     origins: tuple[str, ...]
     lengths: tuple[int, ...]
@@ -289,18 +289,18 @@ class Cumulative:
     limit: int
 
 
-@dataclass(frozen=True)
+@record
 class Circuit:
     scope: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Instantiation:
     scope: tuple[str, ...]
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Slide:
     windows: tuple["Constraint", ...]
 
@@ -332,7 +332,7 @@ Constraint = Union[
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Objective:
     sense: str  # "minimize" | "maximize"
     kind: str  # "variable" | "sum" | "maximum"
@@ -341,12 +341,12 @@ class Objective:
 
     @property
     def weights(self) -> tuple[int, ...]:
-        """Each variable's weight in the objective's value: ``coeffs`` for a
-        sum that has them, otherwise 1."""
-        return self.coeffs if self.kind == "sum" and self.coeffs else (1,) * len(self.scope)
+        """Each variable's weight in the objective's value: its ``coeffs``,
+        which only a sum may have, otherwise 1."""
+        return self.coeffs or (1,) * len(self.scope)
 
 
-@dataclass(frozen=True)
+@record
 class Assignment:
     bindings: Mapping[str, int]
 
@@ -363,7 +363,7 @@ class Assignment:
         return var_id in self.bindings
 
 
-@dataclass(frozen=True)
+@record
 class Instance:
     """A well-formed instance: construction raises
     :class:`InvariantViolationError`, carrying ``validate_instance``'s
@@ -727,7 +727,7 @@ def objective_value(obj: Objective, assignment: Assignment) -> int:
 # Validation
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     code: str
     where: str
@@ -779,7 +779,9 @@ def validate_instance(instance: Instance) -> list[Violation]:
         for vid in obj.scope:
             if vid not in ids:
                 report.append(Violation("UnknownVariable", "objective", f"references undeclared variable {vid!r}"))
-        if obj.kind == "sum" and obj.coeffs and len(obj.coeffs) != len(obj.scope):
+        if obj.coeffs and obj.kind != "sum":
+            report.append(Violation("BadObjective", "objective", f"a {obj.kind!r} objective takes no coeffs"))
+        elif obj.coeffs and len(obj.coeffs) != len(obj.scope):
             report.append(Violation("LengthMismatch", "objective", "coeffs length differs from scope length"))
         if obj.kind == "variable" and len(obj.scope) != 1:
             report.append(Violation("LengthMismatch", "objective", "variable objective needs exactly one variable"))

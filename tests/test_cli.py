@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_io import WEIGHTED_MAXIMUM
 
 import xcspkit
 from xcspkit.cli import main
@@ -132,7 +133,7 @@ class TestSolveCommand:
         assert {"xcspkit.engine", "xcspkit.io"} <= loaded
         assert not loaded & {"xcspkit.generators", "xcspkit.harness"}
         bare = set(_python(_MODULES).stdout.split())
-        assert not loaded & ({"subprocess", "concurrent.futures", "csv", "json"} - bare)
+        assert not loaded & ({"subprocess", "concurrent.futures", "csv", "json", "dataclasses", "inspect"} - bare)
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["solve", "/nonexistent/file.xml"]) == 2
@@ -194,6 +195,14 @@ class TestSolveCommand:
         assert main(["solve", str(path), "--timeout", "nan"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert not any(line.startswith("s ") for line in captured.out.splitlines())
+
+    def test_coeffs_of_a_maximum_objective_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "weighted-maximum.xml"
+        path.write_text(WEIGHTED_MAXIMUM)
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "BadObjective" in captured.err
         assert not any(line.startswith("s ") for line in captured.out.splitlines())
 
     def test_restarts_flag_is_refused(self, tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Engine tests: propagation fixpoint examples, solver verdicts against
 the generate-and-test oracle, trail exactness, determinism, bounds."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -23,7 +22,7 @@ from xcspkit.engine import (
 from xcspkit.engine import search
 from xcspkit.engine.propagators import _SCAN_CAP, IntensionProp, TableProp, _defined_variable, make_propagators
 from xcspkit.engine.search import _CLEAN, PropagationEngine, _Search, _improving
-from xcspkit.errors import InvalidInstanceError
+from xcspkit.errors import BadParameterError, InvalidInstanceError
 from xcspkit.expr import evaluate, expr_vars, parse_expr
 from xcspkit.generators import (
     gen_bibd,
@@ -356,7 +355,7 @@ class TestTimeouts:
 
     def test_a_nan_time_limit_is_refused(self):
         # every comparison with NaN is false, so its deadline would never pass
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(BadParameterError):
             SearchConfig(time_limit=math.nan)
 
     def test_an_infinite_time_limit_is_no_limit(self):
@@ -924,7 +923,13 @@ def test_shared_tables_search_as_equal_copies_do(generate, run, monkeypatch):
     give the search fingerprint of tables rebuilt as equal copies, each
     compiled on its own."""
     shared = parse_instance(write_instance(generate()))
-    copies = dataclasses.replace(shared, constraints=tuple(_with_equal_copies(c) for c in shared.constraints))
+    copies = Instance(
+        shared.kind,
+        shared.variables,
+        tuple(_with_equal_copies(c) for c in shared.constraints),
+        shared.objective,
+        shared.decision_variables,
+    )
 
     def masks_of(instance):
         props = make_propagators(instance.constraints, DomainStore(instance.variables))

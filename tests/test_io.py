@@ -438,6 +438,25 @@ def test_write_rejects_invalid_instance():
     assert [v.code for v in report] == ["ScopeMismatch"]
 
 
+#: max(5x, y) over x, y in 0..3 as XCSP3 reads it: 15 at x = y = 3
+WEIGHTED_MAXIMUM = (
+    '<instance format="XCSP3" type="COP">\n'
+    '<variables> <var id="x"> 0..3 </var> <var id="y"> 0..3 </var> </variables>\n'
+    '<objectives> <maximize type="maximum"> <list> x y </list> <coeffs> 5 1 </coeffs> </maximize> </objectives>\n'
+    "</instance>"
+)
+
+
+def test_the_coeffs_of_a_maximum_objective_are_refused():
+    """The model has no weighted maximum: it read the coeffs and then
+    ignored them, and so answered ``OPTIMUM 3`` for this document."""
+    with pytest.raises(InvariantViolationError) as err:
+        parse_instance(WEIGHTED_MAXIMUM)
+    assert [(v.code, v.where, v.detail) for v in err.value.report] == [
+        ("BadObjective", "objective", "a 'maximum' objective takes no coeffs"),
+    ]
+
+
 def _kitchen_sink_instance() -> Instance:
     """One instance touching every serializable constraint form."""
     variables = [Variable(f"x[{i}]", Domain.rng(0, 3)) for i in range(4)]

@@ -9,6 +9,8 @@ import pytest
 from helpers import refusal
 from test_io import _kitchen_sink_instance
 
+from xcspkit.engine import DomainStore, make_propagators
+from xcspkit.engine.search import SearchStats
 from xcspkit.errors import (
     ArityMismatchError,
     InvariantViolationError,
@@ -435,6 +437,78 @@ def test_an_unknown_sense_or_kind_is_refused(kind, objective, violation):
     nor its ``type="csp"`` parses back."""
     report = refusal(kind, (Variable("x", Domain.rng(0, 3)),), (), objective)
     assert [(v.code, v.where, v.detail) for v in report] == [violation]
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [Objective("maximize", "maximum", ("x", "y"), (5, 1)), Objective("minimize", "variable", ("x",), (2,))],
+    ids=["maximum", "variable"],
+)
+def test_coeffs_on_an_objective_other_than_a_sum_are_refused(objective):
+    """Only a sum reads its coeffs: a weighted maximum was read and then
+    taken as max(x, y), so ``optimize`` answered 3 where XCSP3 gives 15."""
+    variables = (Variable("x", Domain.rng(0, 3)), Variable("y", Domain.rng(0, 3)))
+    report = refusal("COP", variables, (), objective)
+    assert [(v.code, v.where, v.detail) for v in report] == [
+        ("BadObjective", "objective", f"a {objective.kind!r} objective takes no coeffs"),
+    ]
+
+
+class TestRecord:
+    """The semantics of ``record``, which every model class is declared with."""
+
+    def test_a_record_never_equals_a_tuple_or_a_record_of_another_class(self):
+        assert AllDifferent(("x", "y")) != (("x", "y"),)
+        assert (("x", "y"),) != AllDifferent(("x", "y"))
+        assert AllDifferent(("x", "y")) != Circuit(("x", "y"))
+        assert VarRef("x") != IntConst("x")
+        assert AllDifferent(("x", "y")) == AllDifferent(("x", "y"))
+
+    def test_equal_frozen_records_hash_equal_and_are_one_dict_key(self):
+        table, copy = supports(2, [(0, 1), (1, 0)]), supports(2, [(1, 0), (0, 1)])
+        assert table is not copy and table == copy and hash(table) == hash(copy)
+        assert {table: "masks"}[copy] == "masks"
+        # so make_propagators builds the masks of equal tables once
+        store = DomainStore((Variable("x", Domain.rng(0, 1)), Variable("y", Domain.rng(0, 1))))
+        first, second = make_propagators((Extension(("x", "y"), table), Extension(("x", "y"), copy)), store)
+        assert first.supports is second.supports
+
+    def test_a_frozen_record_refuses_assignment_and_deletion(self):
+        domain = Domain.rng(0, 3)
+        with pytest.raises(AttributeError):
+            domain.values = (1,)
+        with pytest.raises(AttributeError):
+            domain.other = 1
+        with pytest.raises(AttributeError):
+            del domain.values
+        assert domain.values == (0, 1, 2, 3)
+
+    def test_a_mutable_record_is_assignable_and_unhashable(self):
+        stats = SearchStats()
+        stats.nodes += 2
+        assert stats == SearchStats(nodes=2) and stats != SearchStats()
+        with pytest.raises(TypeError):
+            hash(stats)
+
+    def test_defaults_keywords_and_post_init(self):
+        objective = Objective("minimize", "sum", ("x",))
+        assert objective.coeffs == () and objective == Objective(scope=("x",), kind="sum", sense="minimize")
+        x = Variable("x", Domain.rng(0, 1))
+        instance = Instance("CSP", [x], [])
+        assert (instance.variables, instance.constraints, instance.objective, instance.decision_variables) == (
+            (x,), (), None, ())
+        by_keyword = Instance(kind="CSP", variables=(x,), constraints=(), decision_variables=["x"])
+        assert by_keyword.decision_variables == ("x",)
+        # __post_init__ sorts and deduplicates the rows
+        assert Table(2, "supports", [[1, 0], (0, 1), (1, 0)]).rows == ((0, 1), (1, 0))
+        with pytest.raises(TypeError):
+            Objective("minimize", "sum")
+
+    def test_the_repr_of_an_op_tree_is_pinned(self):
+        assert repr(op("le", op("add", "x", 1), "y")) == (
+            "Op(kind='le', children=(Op(kind='add', children=(VarRef(var_id='x'), IntConst(value=1))),"
+            " VarRef(var_id='y')))"
+        )
 
 
 _ORDER_VARS = (
