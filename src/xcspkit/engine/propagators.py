@@ -508,19 +508,33 @@ def _sum_terms(c: Sum, store: DomainStore):
 
 def _sum_pass(store: DomainStore, terms, target) -> bool:
     """Bounds filtering of a linear form (``_sum_terms``); variable
-    coefficients are handled through product intervals."""
-    bounds = store.bounds
+    coefficients are handled through product intervals.
+
+    The totals ``total_lo..total_hi`` sum the terms' bounds at the start of
+    the call. A term with bounds ``blo..bhi`` may take only the values in
+    ``tlo - (total_hi - bhi)..thi - (total_lo - blo)``, which holds its
+    bounds exactly when its width ``bhi - blo`` is at most the slack
+    ``min(total_hi - tlo, thi - total_lo)``. Such a term can lose no value,
+    so it is skipped (Harvey and Schimpf, "Bounds consistency techniques
+    for long linear constraints", TRICS 2002); when every term fits,
+    nothing is narrowed. A variable-coefficient term fits the same
+    way, since each value's product interval lies inside its bounds, and
+    a term that fits at the start still fits after the pass narrows a
+    variable it shares with another term."""
+    masks, init_values = store.masks, store.init_values
     term_bounds = []
     total_lo = total_hi = 0
     for k, x in terms:
-        lo, hi = bounds(x)
+        m = masks[x]
+        vals = init_values[x]
+        lo, hi = vals[(m & -m).bit_length() - 1], vals[m.bit_length() - 1]
         if isinstance(k, int):
             if k < 0:
                 lo, hi = k * hi, k * lo
             else:
                 lo, hi = k * lo, k * hi
         else:
-            clo, chi = bounds(k[1])
+            clo, chi = store.bounds(k[1])
             cands = (clo * lo, clo * hi, chi * lo, chi * hi)
             lo, hi = min(cands), max(cands)
         term_bounds.append((lo, hi))
@@ -550,7 +564,10 @@ def _sum_pass(store: DomainStore, terms, target) -> bool:
     if total_lo > thi or total_hi < tlo:
         return False
 
+    slack = min(total_hi - tlo, thi - total_lo)  # >= 0, so a 0 coefficient is skipped
     for (k, x), (blo, bhi) in zip(terms, term_bounds):
+        if bhi - blo <= slack:
+            continue
         allowed_lo = tlo - (total_hi - bhi)
         allowed_hi = thi - (total_lo - blo)
         if isinstance(k, int):
@@ -558,19 +575,18 @@ def _sum_pass(store: DomainStore, terms, target) -> bool:
             if k > 0:
                 if not store.restrict(x, -(-allowed_lo // k), allowed_hi // k):
                     return False
-            elif k < 0:
-                if not store.restrict(x, -(-allowed_hi // k), allowed_lo // k):
-                    return False
+            elif not store.restrict(x, -(-allowed_hi // k), allowed_lo // k):
+                return False
         else:
             cvar = k[1]
-            clo, chi = bounds(cvar)
+            clo, chi = store.bounds(cvar)
             for v in store.domain_list(x):
                 lo = min(clo * v, chi * v)
                 hi = max(clo * v, chi * v)
                 if hi < allowed_lo or lo > allowed_hi:
                     if not store.remove_value(x, v):
                         return False
-            vlo, vhi = bounds(x)
+            vlo, vhi = store.bounds(x)
             for cv in store.domain_list(cvar):
                 lo = min(cv * vlo, cv * vhi)
                 hi = max(cv * vlo, cv * vhi)
@@ -584,12 +600,10 @@ class SumProp(Propagator):
     """The Sum pass (``_sum_pass``) over the constraint's terms and target
     (``_sum_terms``), built once."""
 
-    __slots__ = ("terms", "rhs_idx", "target")
+    __slots__ = ("terms", "target")
 
     def __init__(self, c: Sum, key, store: DomainStore):
         super().__init__(c, key, store)
-        rhs = c.condition.rhs
-        self.rhs_idx = store.index[rhs] if isinstance(rhs, str) else None
         self.terms, self.target = _sum_terms(c, store)
 
     def propagate(self, store: DomainStore) -> bool:
@@ -756,7 +770,10 @@ class AllDifferentProp(Propagator):
         exactly when ``his[j] <= a + j``; the window is then full, or it
         overflows when ``his[j + 1]`` fits too. Every other window can
         neither overflow nor be full, so only these are visited, in
-        ascending ``j``, and none is wider than ``len(his)``.
+        ascending ``j``, and none is wider than ``len(his)``. ``his``
+        ascends, so when ``his[j] > a + j`` every ``j'`` below
+        ``his[j] - a`` has ``his[j'] >= his[j] > a + j'`` too, and the scan
+        jumps straight to ``j = his[j] - a``.
 
         Pruning a window ``a..b`` moves the upper bound only of an interval
         that starts before ``a``, and a lower bound only past ``b``. So
@@ -800,25 +817,27 @@ class AllDifferentProp(Propagator):
                 del his[bisect_left(his, starts[first][1])]
                 first += 1
             ended = bisect_left(ends, a)  # the intervals that ended before a
-            for j, hi_j in enumerate(his):
+            j, n = 0, len(his)
+            while j < n:
                 b = a + j
-                if hi_j > b:
+                if his[j] > b:
+                    j = his[j] - a
                     continue
-                if j + 1 < len(his) and his[j + 1] <= b:
+                if j + 1 < n and his[j + 1] <= b:
                     return False
-                if (j == 0 and a in assigned) or bisect_right(los, b) - ended == j + 1:
-                    continue
-                for i, x in enumerate(scope):
-                    lo, hi = bounds[i]
-                    # only an interval that overlaps a..b without fitting in it loses values
-                    if (lo < a or hi > b) and lo <= b and a <= hi:
-                        cut = masks[x] & store.interval_mask(x, a, b)
-                        if cut:
-                            if not store.remove_bits(x, cut):
-                                return False
-                            moved = store.bounds(x)
-                            if moved != bounds[i]:
-                                bounds[i], stale = moved, True
+                if not ((j == 0 and a in assigned) or bisect_right(los, b) - ended == j + 1):
+                    for i, x in enumerate(scope):
+                        lo, hi = bounds[i]
+                        # only an interval that overlaps a..b without fitting in it loses values
+                        if (lo < a or hi > b) and lo <= b and a <= hi:
+                            cut = masks[x] & store.interval_mask(x, a, b)
+                            if cut:
+                                if not store.remove_bits(x, cut):
+                                    return False
+                                moved = store.bounds(x)
+                                if moved != bounds[i]:
+                                    bounds[i], stale = moved, True
+                j += 1
         return True
 
 

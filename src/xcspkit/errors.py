@@ -61,11 +61,14 @@ class UnsupportedFeatureError(XcspError):
 
 
 class InvariantViolationError(XcspError):
-    """Raised when an instance fails validation; carries the full report."""
+    """Raised when an instance fails validation; carries the full report
+    and, for a parsed document, where the first violation's element is."""
 
-    def __init__(self, report):
-        super().__init__("; ".join(str(v) for v in report))
+    def __init__(self, report, location: SourceLocation | None = None):
+        where = f" ({location})" if location else ""
+        super().__init__("; ".join(str(v) for v in report) + where)
         self.report = list(report)
+        self.location = location
 
 
 class LengthMismatchError(XcspError):

@@ -502,7 +502,8 @@ def _write_layout(w: _Writer, layout: _Layout, c: Constraint) -> None:
 def parse_instance(text: str) -> Instance:
     """Parse an XCSP3 document into an Instance, which is valid by
     construction: a well-formed document that breaks an invariant raises
-    :class:`InvariantViolationError`."""
+    :class:`InvariantViolationError`, located at the element its first
+    violation names (``_violation_node``)."""
     root = _parse_xml(text)
     if root.tag != "instance":
         raise XmlSyntaxError(f"root element must be <instance>, got <{root.tag}>", root.loc)
@@ -535,7 +536,33 @@ def parse_instance(text: str) -> Instance:
         if dec is not None:
             decision = tuple(_parse_var_list(dec.text, known, dec.loc))
 
-    return Instance(kind, tuple(variables), tuple(constraints), objective, decision)
+    try:
+        return Instance(kind, tuple(variables), tuple(constraints), objective, decision)
+    except InvariantViolationError as exc:
+        node = _violation_node(root, exc.report[0].where, known)
+        raise InvariantViolationError(exc.report, node.loc if node else None) from None
+
+
+def _violation_node(root: _Node, where: str, known: set[str]) -> _Node | None:
+    """The element behind a violation's ``where``: for ``constraint i`` the
+    ``<constraints>`` child that read constraint ``i`` (a ``<group>``,
+    ``<slide>`` or ``<block>`` is one child); the objective's
+    ``<minimize>``/``<maximize>``; the root for ``instance``; ``<decision>``
+    for ``annotations``. Children are counted by reading them again, so
+    only a refused document pays for it. None for any other ``where``."""
+    if where == "instance":
+        return root
+    if where == "objective":
+        return next(c for c in root.child("objectives").children if c.tag in ("minimize", "maximize"))
+    if where == "annotations":
+        return root.child("annotations").child("decision")
+    if where.startswith("constraint "):
+        idx = int(where.split()[1])
+        for child in root.child("constraints").children:
+            idx -= len(_parse_constraint_item(child, known, {}))
+            if idx < 0:
+                return child
+    return None
 
 
 def _parse_variables(node: _Node) -> list[Variable]:

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_io import WEIGHTED_MAXIMUM
+from test_io import SHORT_COEFFS, WEIGHTED_MAXIMUM
 
 import xcspkit
 from xcspkit.cli import main
@@ -204,6 +204,20 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "BadObjective" in captured.err
         assert not any(line.startswith("s ") for line in captured.out.splitlines())
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (WEIGHTED_MAXIMUM, "BadObjective at objective: a 'maximum' objective takes no coeffs (line 3, column 14)"),
+            (SHORT_COEFFS, "LengthMismatch at constraint 2: coeffs length differs from scope length (line 5, column 1)"),
+        ],
+        ids=["objective", "constraint"],
+    )
+    def test_a_model_check_refusal_names_its_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "refused.xml"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_restarts_flag_is_refused(self, tmp_path, capsys):
         path = tmp_path / "dubois3.xml"

@@ -12,6 +12,7 @@ from helpers import mutant, refusal
 from xcspkit.errors import (
     InvariantViolationError,
     LengthMismatchError,
+    SourceLocation,
     UnknownVariableError,
     UnsupportedFeatureError,
     XcspError,
@@ -677,6 +678,47 @@ def test_each_refusal_is_reported_at_its_line(case):
     with pytest.raises(error, match=message) as err:
         parse_instance(text)
     assert err.value.location.line == line
+
+
+# a <sum> whose <coeffs> is one short, on line 5, read as constraint 2
+# after a two-constraint <group>
+SHORT_COEFFS = _over_x(
+    "<constraints>\n"
+    "<group> <intension> ne(%0,%1) </intension> <args> x[0] x[1] </args> <args> x[1] x[2] </args> </group>\n"
+    "<sum> <list> x[0] x[1] x[2] </list> <coeffs> 1 2 </coeffs> <condition> (le,5) </condition> </sum>\n"
+    "</constraints>"
+)
+
+# each kind of model-check refusal of a parsed document: its codes and the
+# line and column of the element its first violation names
+_MODEL_REFUSALS = {
+    "objective": (WEIGHTED_MAXIMUM, ["BadObjective"], 3, 14),
+    "constraint-after-a-group": (SHORT_COEFFS, ["LengthMismatch"], 5, 1),
+    "constraint-of-a-group": (
+        _over_x(
+            "<constraints> <intension> ne(x[0],x[1]) </intension>\n"
+            "<group> <sum> <list> %0 %1 </list> <coeffs> 1 </coeffs> <condition> (le,3) </condition> </sum>"
+            " <args> x[0] x[1] </args> <args> x[1] x[2] </args> </group> </constraints>"
+        ),
+        ["LengthMismatch", "LengthMismatch"],
+        4,
+        1,
+    ),
+    "instance": (_over_x("<objectives> <minimize> x[0] </minimize> </objectives>"), ["KindMismatch"], 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_MODEL_REFUSALS))
+def test_a_model_check_refusal_is_reported_at_its_element(case):
+    """The report is that of the model check, and the error adds the line
+    of the element behind its first violation: a constraint's own element,
+    or its ``<group>``; the ``<maximize>``; the ``<instance>``."""
+    text, codes, line, column = _MODEL_REFUSALS[case]
+    with pytest.raises(InvariantViolationError) as err:
+        parse_instance(text)
+    assert [v.code for v in err.value.report] == codes
+    assert err.value.location == SourceLocation(line, column)
+    assert str(err.value) == "; ".join(map(str, err.value.report)) + f" (line {line}, column {column})"
 
 
 def test_a_unary_table_with_a_star_roundtrips():

@@ -16,6 +16,7 @@ filtering, kept here as a reference too: both must reach the same
 fixpoint when no variable repeats, and with repeats a fixpoint between
 brute-force GAC and the reference's."""
 
+import functools
 import itertools
 import random
 from bisect import bisect_left, bisect_right
@@ -78,7 +79,7 @@ def _term_bounds(store, k, x):
 
 def reference_sum(prop, store):
     cond = prop.constraint.condition
-    rhs_folded = prop.rhs_idx is not None
+    rhs_folded = isinstance(prop.constraint.condition.rhs, str)
     term_bounds = [_term_bounds(store, k, x) for k, x in prop.terms]
     total_lo = sum(b[0] for b in term_bounds)
     total_hi = sum(b[1] for b in term_bounds)
@@ -301,17 +302,32 @@ def _store(rng, n, starts, width):
     return store
 
 
-def _random_sum(rng, names):
-    scope = tuple(rng.choice(names) for _ in range(rng.randint(1, 5)))
-    coeffs = tuple(rng.choice(names) if rng.random() < 0.2 else rng.randint(-3, 3) for _ in scope)
+def _unit_store(rng, n):
+    """``n`` variables, each over 0/1 or -1/1 like knapsack's and LABS's,
+    about a quarter of them then assigned at a pushed level."""
+    store = DomainStore([Variable(f"v{i}", Domain(rng.choice(((0, 1), (-1, 1))))) for i in range(n)])
+    store.push()
+    for x in range(n):
+        if rng.random() < 0.25:
+            store.assign(x, rng.choice(store.init_values[x]))
+    store.touched.clear()
+    return store
+
+
+def _random_sum(rng, names, most=5, k=3, r=20):
+    """A sum of up to ``most`` terms (a variable may repeat), one
+    coefficient in five a variable and the others in ``-k..k``, under any
+    operator, its rhs in about ``-r..r``, a variable or an interval."""
+    scope = tuple(rng.choice(names) for _ in range(rng.randint(1, most)))
+    coeffs = tuple(rng.choice(names) if rng.random() < 0.2 else rng.randint(-k, k) for _ in scope)
     operator = rng.choice(("lt", "le", "ge", "gt", "eq", "ne", "in"))
     if operator == "in":
-        lo = rng.randint(-20, 20)
+        lo = rng.randint(-r, r)
         rhs = (lo, lo + rng.randint(-2, 15))
     elif rng.random() < 0.3:
         rhs = rng.choice(names)
     else:
-        rhs = rng.randint(-20, 20)
+        rhs = rng.randint(-r, r)
     return Sum(scope, coeffs, Condition(operator, rhs))
 
 
@@ -374,33 +390,41 @@ def _one_call(prop, store, propagate):
 @pytest.mark.parametrize(
     "cls, shape, build, reference",
     [
-        (SumProp, (7, range(-6, 5), 8), _random_sum, reference_sum),
+        (SumProp, (_store, 7, range(-6, 5), 8), _random_sum, reference_sum),
+        # a long sum, like knapsack's and LABS's: up to 20 terms over 0/1
+        # and -1/1, coefficients up to 30
+        (SumProp, (_unit_store, 20), functools.partial(_random_sum, most=20, k=30, r=60), reference_sum),
         # many variables over few values, so that Hall windows fill and
         # their prunes move bounds that later windows read
-        (AllDifferentProp, (10, range(0, 7), 5), _random_all_different, reference_all_different),
+        (AllDifferentProp, (_store, 10, range(0, 7), 5), _random_all_different, reference_all_different),
         # a permutation, like TSP's successors and magic squares: up to 16
         # variables over 0..15, many of them assigned
-        (AllDifferentProp, (16, range(0, 2), 14), _random_all_different, reference_all_different),
+        (AllDifferentProp, (_store, 16, range(0, 2), 14), _random_all_different, reference_all_different),
         # a wide one, like Golomb's differences: up to 20 variables over 0..51
-        (AllDifferentProp, (20, range(0, 40), 12), _random_all_different, reference_all_different),
+        (AllDifferentProp, (_store, 20, range(0, 40), 12), _random_all_different, reference_all_different),
     ],
-    ids=["sum", "all-different", "all-different-permutation", "all-different-wide"],
+    ids=["sum", "long-sum", "all-different", "all-different-permutation", "all-different-wide"],
 )
 @pytest.mark.parametrize("seed", range(4))
 def test_one_call_prunes_as_the_reference_pass(cls, shape, build, reference, seed):
+    """Over 500 random calls, some fail, more than 25 hold and prune
+    nothing, and more than 25 prune. A sum with an interval target that
+    holds and prunes nothing is a call in which every term fits the
+    slack."""
     rng = random.Random(f"{cls.__name__}-{seed}")
-    most, starts, width = shape
+    new_store, most, *sizes = shape
     outcomes = set()
-    pruned = 0
+    quiet = pruned = 0
     for _ in range(500):
-        store = _store(rng, rng.randint(1, most), starts, width)
+        store = new_store(rng, rng.randint(1, most), *sizes)
         (prop,) = make_propagators([build(rng, store.names)], store)
         assert isinstance(prop, cls)
         expected = _one_call(prop, store, reference)
         assert _one_call(prop, store, cls.propagate) == expected
         outcomes.add(expected[0])
+        quiet += expected[0] and not expected[2]
         pruned += bool(expected[2])
-    assert outcomes == {True, False} and pruned > 25
+    assert outcomes == {True, False} and quiet > 25 and pruned > 25
 
 
 @pytest.mark.parametrize(
@@ -441,6 +465,34 @@ def test_a_variable_fixed_by_a_hall_prune_still_cuts_its_singleton_window():
     assert _one_call(prop, store, AllDifferentProp.propagate) == expected
     assert prop.propagate(store)
     assert [store.domain_list(x) for x in range(4)] == [[1, 2], [1, 2], [4], [5]]
+
+
+def test_the_first_window_after_a_jump_is_full_and_cuts():
+    """At ``a = 0`` the upper bounds are 2, 2, 2, 4: window 0..0 is not
+    full, so the scan jumps to 0..2, which ``p``, ``q`` and ``r`` fill;
+    ``s`` overlaps it without fitting in it and loses 2."""
+    domains = {"p": (0, 1, 2), "q": (0, 1, 2), "r": (0, 1, 2), "s": (2, 3, 4)}
+    store = DomainStore([Variable(name, Domain(values)) for name, values in domains.items()])
+    (prop,) = make_propagators([AllDifferent(tuple(domains))], store)
+    expected = _one_call(prop, store, reference_all_different)
+    assert _one_call(prop, store, AllDifferentProp.propagate) == expected
+    assert prop.propagate(store)
+    assert [store.domain_list(x) for x in range(4)] == [[0, 1, 2], [0, 1, 2], [0, 1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("rhs, b", [(2, [-1, 1]), (3, [1])], ids=["widest-at-the-slack", "widest-one-past-it"])
+def test_a_term_is_narrowed_only_when_wider_than_the_slack(rhs, b):
+    """``3a + 2b + c >= rhs`` over a in 0/1, b in -1/1 and c in -1..1: the
+    terms span 0..3, -2..2 and -1..1, so the total is -3..6 and the slack
+    ``6 - rhs``. The widest term, 2b, is at the slack for rhs 2, so nothing
+    goes, and one past it for rhs 3, so b loses -1."""
+    domains = {"a": (0, 1), "b": (-1, 1), "c": (-1, 0, 1)}
+    store = DomainStore([Variable(name, Domain(values)) for name, values in domains.items()])
+    (prop,) = make_propagators([Sum(("a", "b", "c"), (3, 2, 1), Condition("ge", rhs))], store)
+    expected = _one_call(prop, store, reference_sum)
+    assert _one_call(prop, store, SumProp.propagate) == expected
+    assert prop.propagate(store)
+    assert [store.domain_list(x) for x in range(3)] == [[0, 1], b, [-1, 0, 1]]
 
 
 # -- large linear intensions: the Sum pass against interval filtering
