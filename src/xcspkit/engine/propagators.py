@@ -770,10 +770,7 @@ class AllDifferentProp(Propagator):
         exactly when ``his[j] <= a + j``; the window is then full, or it
         overflows when ``his[j + 1]`` fits too. Every other window can
         neither overflow nor be full, so only these are visited, in
-        ascending ``j``, and none is wider than ``len(his)``. ``his``
-        ascends, so when ``his[j] > a + j`` every ``j'`` below
-        ``his[j] - a`` has ``his[j'] >= his[j] > a + j'`` too, and the scan
-        jumps straight to ``j = his[j] - a``.
+        ascending ``j``, and none is wider than ``len(his)``.
 
         Pruning a window ``a..b`` moves the upper bound only of an interval
         that starts before ``a``, and a lower bound only past ``b``. So
@@ -817,27 +814,25 @@ class AllDifferentProp(Propagator):
                 del his[bisect_left(his, starts[first][1])]
                 first += 1
             ended = bisect_left(ends, a)  # the intervals that ended before a
-            j, n = 0, len(his)
-            while j < n:
+            for j, hi_j in enumerate(his):
                 b = a + j
-                if his[j] > b:
-                    j = his[j] - a
+                if hi_j > b:
                     continue
-                if j + 1 < n and his[j + 1] <= b:
+                if j + 1 < len(his) and his[j + 1] <= b:
                     return False
-                if not ((j == 0 and a in assigned) or bisect_right(los, b) - ended == j + 1):
-                    for i, x in enumerate(scope):
-                        lo, hi = bounds[i]
-                        # only an interval that overlaps a..b without fitting in it loses values
-                        if (lo < a or hi > b) and lo <= b and a <= hi:
-                            cut = masks[x] & store.interval_mask(x, a, b)
-                            if cut:
-                                if not store.remove_bits(x, cut):
-                                    return False
-                                moved = store.bounds(x)
-                                if moved != bounds[i]:
-                                    bounds[i], stale = moved, True
-                j += 1
+                if (j == 0 and a in assigned) or bisect_right(los, b) - ended == j + 1:
+                    continue
+                for i, x in enumerate(scope):
+                    lo, hi = bounds[i]
+                    # only an interval that overlaps a..b without fitting in it loses values
+                    if (lo < a or hi > b) and lo <= b and a <= hi:
+                        cut = masks[x] & store.interval_mask(x, a, b)
+                        if cut:
+                            if not store.remove_bits(x, cut):
+                                return False
+                            moved = store.bounds(x)
+                            if moved != bounds[i]:
+                                bounds[i], stale = moved, True
         return True
 
 

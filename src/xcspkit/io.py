@@ -544,21 +544,27 @@ def parse_instance(text: str) -> Instance:
 
 
 def _violation_node(root: _Node, where: str, known: set[str]) -> _Node | None:
-    """The element behind a violation's ``where``: for ``constraint i`` the
-    ``<constraints>`` child that read constraint ``i`` (a ``<group>``,
-    ``<slide>`` or ``<block>`` is one child); the objective's
-    ``<minimize>``/``<maximize>``; the root for ``instance``; ``<decision>``
-    for ``annotations``. Children are counted by reading them again, so
-    only a refused document pays for it. None for any other ``where``."""
+    """The element behind a violation's ``where`` (see :class:`Violation`):
+    for ``constraint i`` the ``<constraints>`` child that read constraint
+    ``i`` (a ``<group>``, ``<slide>`` or ``<block>`` is one child); the
+    objective's ``<minimize>``/``<maximize>``; the root for ``instance``;
+    ``<decision>`` for ``annotations``. Children are counted by reading them
+    again, so only a refused document pays for it. None for a declared id,
+    which names a variable, and for an element the document lacks."""
+    if where in known:
+        return None
     if where == "instance":
         return root
+    section = root.child({"objective": "objectives", "annotations": "annotations"}.get(where, "constraints"))
+    if section is None:
+        return None
     if where == "objective":
-        return next(c for c in root.child("objectives").children if c.tag in ("minimize", "maximize"))
+        return next((c for c in section.children if c.tag in ("minimize", "maximize")), None)
     if where == "annotations":
-        return root.child("annotations").child("decision")
+        return section.child("decision")
     if where.startswith("constraint "):
         idx = int(where.split()[1])
-        for child in root.child("constraints").children:
+        for child in section.children:
             idx -= len(_parse_constraint_item(child, known, {}))
             if idx < 0:
                 return child

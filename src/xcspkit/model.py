@@ -729,6 +729,12 @@ def objective_value(obj: Objective, assignment: Assignment) -> int:
 
 @record
 class Violation:
+    """One broken invariant. ``where`` names what breaks it: a variable's
+    id for a fault of that variable's declaration; otherwise ``instance``,
+    ``objective``, ``annotations`` or ``constraint i``, where ``i`` indexes
+    ``Instance.constraints``. The section words are valid ids too, so a
+    ``where`` that is a declared id is read as a variable first."""
+
     code: str
     where: str
     detail: str

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_io import SHORT_COEFFS, WEIGHTED_MAXIMUM
+from test_io import EMPTY_OBJECTIVE_VAR, SHORT_COEFFS, WEIGHTED_MAXIMUM
 
 import xcspkit
 from xcspkit.cli import main
@@ -218,6 +218,12 @@ class TestSolveCommand:
         path.write_text(text)
         assert main(["solve", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_refused_variable_named_objective_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "refused.xml"
+        path.write_text(EMPTY_OBJECTIVE_VAR)
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == "error: EmptyDomain at objective: domain has no values\n"
 
     def test_restarts_flag_is_refused(self, tmp_path, capsys):
         path = tmp_path / "dubois3.xml"

@@ -721,6 +721,39 @@ def test_a_model_check_refusal_is_reported_at_its_element(case):
     assert str(err.value) == "; ".join(map(str, err.value.report)) + f" (line {line}, column {column})"
 
 
+# a CSP document whose empty variable is named as the objective section
+EMPTY_OBJECTIVE_VAR = (
+    '<instance format="XCSP3" type="CSP">\n<variables> <var id="objective"> </var> </variables>\n</instance>'
+)
+
+# variables named as the sections of the report: the violation is the
+# variable's, with no location, whether or not the document has the section
+_VARIABLE_REFUSALS = {
+    "objective-without-objectives": (EMPTY_OBJECTIVE_VAR, "EmptyDomain at objective"),
+    "objective-with-a-maximize": (
+        '<instance format="XCSP3" type="COP">\n'
+        '<variables> <var id="objective"> </var> <var id="y"> 0..3 </var> </variables>\n'
+        "<objectives> <maximize> y </maximize> </objectives>\n</instance>",
+        "EmptyDomain at objective",
+    ),
+    "annotations-twice": (
+        '<instance format="XCSP3" type="CSP">\n'
+        '<variables> <var id="annotations"> 0..1 </var> <var id="annotations"> 0..1 </var> </variables>\n</instance>',
+        "DuplicateVariable at annotations",
+    ),
+    "instance": (_over_x("").replace("</variables>", '<var id="instance"> </var> </variables>'), "EmptyDomain at instance"),
+}
+
+
+@pytest.mark.parametrize("case", list(_VARIABLE_REFUSALS))
+def test_a_refused_variable_named_as_a_section_has_no_location(case):
+    text, first = _VARIABLE_REFUSALS[case]
+    with pytest.raises(InvariantViolationError) as err:
+        parse_instance(text)
+    assert str(err.value.report[0]).startswith(first)
+    assert err.value.location is None
+
+
 def test_a_unary_table_with_a_star_roundtrips():
     text = _over_x(
         "<constraints> <extension> <list> x[0] </list> <conflicts> 1 * </conflicts> </extension> </constraints>"

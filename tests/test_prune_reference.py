@@ -467,10 +467,10 @@ def test_a_variable_fixed_by_a_hall_prune_still_cuts_its_singleton_window():
     assert [store.domain_list(x) for x in range(4)] == [[1, 2], [1, 2], [4], [5]]
 
 
-def test_the_first_window_after_a_jump_is_full_and_cuts():
-    """At ``a = 0`` the upper bounds are 2, 2, 2, 4: window 0..0 is not
-    full, so the scan jumps to 0..2, which ``p``, ``q`` and ``r`` fill;
-    ``s`` overlaps it without fitting in it and loses 2."""
+def test_a_full_window_after_windows_that_cannot_be_full_cuts():
+    """At ``a = 0`` the upper bounds are 2, 2, 2, 4: windows 0..0 and 0..1
+    cannot be full, and 0..2 is, filled by ``p``, ``q`` and ``r``; ``s``
+    overlaps it without fitting in it and loses 2."""
     domains = {"p": (0, 1, 2), "q": (0, 1, 2), "r": (0, 1, 2), "s": (2, 3, 4)}
     store = DomainStore([Variable(name, Domain(values)) for name, values in domains.items()])
     (prop,) = make_propagators([AllDifferent(tuple(domains))], store)
