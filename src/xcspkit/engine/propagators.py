@@ -24,7 +24,10 @@ variables is split into the constant ``Count`` of no variable.
 A relation fixes its pass when it is built. A supports table, a
 conflicts table over at most ``_COMPLEMENT_CAP`` tuples and an intension
 with at most ``_TABLE_CAP`` rows, at any arity, are compact tables: every
-call is ``_ct_filter`` over read-only support masks. One memo per
+call is ``_ct_filter`` over read-only support masks. Such an intension
+that reads ``t = u + k`` or ``t = u + v + k`` over interval domains is the
+exception: its call shifts the domain masks (``_offset_pass``) and prunes
+exactly as the table would, with no masks built. One memo per
 ``make_propagators`` call, handed to the two relation builders (the only
 ones that take a fourth argument), shares the masks of equal relations:
 an extension keys it by (table, initial domains, the scope's repeat
@@ -323,7 +326,9 @@ class IntensionProp(Propagator):
     masks are shared through the build call's memo ``masks`` under its
     positional template (the expression with each variable replaced by its
     scope position) and initial domains; they are read-only, so nothing is
-    trailed.
+    trailed. One that reads ``t = u + k`` or ``t = u + v + k`` over
+    interval domains (``_unit_offset``) builds no table: its ``offset``
+    pass (``_offset_pass``) is the same GAC pass, by shifting masks.
 
     Any other intension gets the residual GAC pass while its live product
     is at most ``_SCAN_CAP``. Beyond that, a linear one (``_linear_sum``)
@@ -333,14 +338,14 @@ class IntensionProp(Propagator):
     any other one interval filtering through a bounds closure compiled once
     (``expr.compile_expr``). Neither is idempotent."""
 
-    __slots__ = ("fn", "bounds_fn", "linear", "supports", "residues")
+    __slots__ = ("fn", "bounds_fn", "linear", "supports", "residues", "offset")
 
     def __init__(self, c: Intension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
         scope = self.scope
         position = {store.names[x]: i for i, x in enumerate(scope)}
         self.fn = _x.compile_expr(c.expr, position, bounds=False)
-        self.supports = self.residues = self.bounds_fn = self.linear = None
+        self.supports = self.residues = self.bounds_fn = self.linear = self.offset = None
         domains = tuple(store.init_values[x] for x in scope)
         defined = _defined_variable(c.expr)
         if defined is None:
@@ -352,10 +357,12 @@ class IntensionProp(Propagator):
             rows = (r[:t] + (f(r),) + r[t:] for r in itertools.product(*rest))
         # the rows are enumerated only when the memo lacks the relation
         if math.prod(map(len, rest)) <= _TABLE_CAP:
-            relation = (_template(c.expr, position), domains)
-            if relation not in masks:
-                masks[relation] = _support_masks(store, scope, rows)
-            self.supports = masks[relation]
+            self.offset = _unit_offset(c.expr, position, domains)
+            if self.offset is None:
+                relation = (_template(c.expr, position), domains)
+                if relation not in masks:
+                    masks[relation] = _support_masks(store, scope, rows)
+                self.supports = masks[relation]
         else:
             self.residues = [[None] * len(d) for d in domains]
             # always true while _TABLE_CAP >= _SCAN_CAP; with a lower table
@@ -370,6 +377,8 @@ class IntensionProp(Propagator):
         self.idempotent = self.bounds_fn is None and self.linear is None
 
     def propagate(self, store: DomainStore) -> bool:
+        if self.offset is not None:
+            return _offset_pass(store, self.scope, *self.offset)
         if self.supports is not None:
             return _ct_filter(store, self.scope, self.supports)
         scope = self.scope
@@ -391,6 +400,81 @@ class IntensionProp(Propagator):
                     return False
             bounds[i] = store.bounds(x)
         return True
+
+
+def _unit_offset(expression, position, domains):
+    """``(s, t, u, v)`` of the offset pass (``_offset_pass``) when the
+    expression is an ``eq`` of two linear sides (``_linear``) that reads
+    ``t = u + k`` or ``t = u + v + k`` over its two or three variables
+    (scope positions; ``v`` is None for two) and every initial domain is an
+    interval, so that a value's bit is its distance from the domain's first
+    value; else None. ``s`` is the shift from the bits of ``u``, plus those
+    of ``v``, to the bits of ``t``, clamped to the widths of the domains: a
+    wider shift leaves no bit, whatever its size."""
+    if not (isinstance(expression, _x.Op) and expression.kind == "eq" and len(position) in (2, 3)):
+        return None
+    for d in domains:
+        if not d or d[-1] - d[0] != len(d) - 1:
+            return None
+    left, right = (_linear(e) for e in expression.children)
+    if left is None or right is None:
+        return None
+    coeffs, k = _added([left, _scaled(right, -1)])
+    signs = [coeffs[name] for name in position]
+    # t is the one variable whose sign the others do not share
+    t = next((i for i, a in enumerate(signs) if signs.count(a) == 1), None)
+    if t is None or not set(signs) <= {1, -1}:
+        return None
+    u, *v = (i for i in range(len(signs)) if i != t)
+    # signs[t] * (t - u - v) + k == 0
+    s = -signs[t] * k + sum(domains[i][0] for i in (u, *v)) - domains[t][0]
+    s = min(max(s, -sum(len(domains[i]) for i in (u, *v))), len(domains[t]))
+    return s, t, u, v[0] if v else None
+
+
+def _offset_pass(store: DomainStore, scope, s, t, u, v) -> bool:
+    """GAC on ``t = u + k`` or ``t = u + v + k`` (``_unit_offset``; ``t``,
+    ``u`` and ``v`` are scope positions), computed from the masks at the
+    start of the call by shifting them: ``t`` keeps the bits of ``u``, or
+    of the sums of ``u`` and ``v``, moved by ``s``, and ``u`` and ``v``
+    keep the bits that ``t`` moved back reaches. The sums take one loop
+    over the live bits of ``v``, or of ``u`` when it has fewer (the two
+    are symmetric). It fails before any removal when ``t`` keeps nothing,
+    and otherwise removes the rest in scope order, exactly as
+    ``_ct_filter`` over the relation's table."""
+    masks = store.masks
+    keep = [masks[x] for x in scope]
+    dt, du = keep[t], keep[u]
+    back = dt >> s if s >= 0 else dt << -s  # the bits of t, moved back by s
+    if v is None:
+        keep[t] &= du << s if s >= 0 else du >> -s
+        if not keep[t]:
+            return False
+        keep[u] &= back
+    else:
+        dv = keep[v]
+        if dv.bit_count() > du.bit_count():
+            u, v, du, dv = v, u, dv, du
+        sums = reach = keep[v] = 0
+        m = dv
+        while m:
+            low = m & -m
+            b = low.bit_length() - 1
+            moved = du << b
+            sums |= moved
+            reach |= back >> b
+            if moved & back:
+                keep[v] |= low
+            m ^= low
+        keep[t] &= sums << s if s >= 0 else sums >> -s
+        if not keep[t]:
+            return False
+        keep[u] &= reach
+    for x, kept in zip(scope, keep):
+        dead = masks[x] & ~kept
+        if dead and not store.remove_bits(x, dead):
+            return False
+    return True
 
 
 def _linear(expression):

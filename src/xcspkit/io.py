@@ -70,6 +70,7 @@ from .model import (
     Sum,
     Table,
     Variable,
+    Violation,
 )
 
 _RANGE_RE = re.compile(rf"({_expr.INT_RE.pattern})\.\.({_expr.INT_RE.pattern})")
@@ -539,20 +540,28 @@ def parse_instance(text: str) -> Instance:
     try:
         return Instance(kind, tuple(variables), tuple(constraints), objective, decision)
     except InvariantViolationError as exc:
-        node = _violation_node(root, exc.report[0].where, known)
+        node = _violation_node(root, exc.report[0], known)
         raise InvariantViolationError(exc.report, node.loc if node else None) from None
 
 
-def _violation_node(root: _Node, where: str, known: set[str]) -> _Node | None:
+def _violation_node(root: _Node, violation: Violation, known: set[str]) -> _Node | None:
     """The element behind a violation's ``where`` (see :class:`Violation`):
-    for ``constraint i`` the ``<constraints>`` child that read constraint
-    ``i`` (a ``<group>``, ``<slide>`` or ``<block>`` is one child); the
-    objective's ``<minimize>``/``<maximize>``; the root for ``instance``;
-    ``<decision>`` for ``annotations``. Children are counted by reading them
-    again, so only a refused document pays for it. None for a declared id,
-    which names a variable, and for an element the document lacks."""
+    for a declared id the ``<var>`` or ``<array>`` that declares it, the
+    second one for ``DuplicateVariable``; for ``constraint i`` the
+    ``<constraints>`` child that read constraint ``i`` (a ``<group>``,
+    ``<slide>`` or ``<block>`` is one child); the objective's
+    ``<minimize>``/``<maximize>``; the root for ``instance``; ``<decision>``
+    for ``annotations``. Declarations and children are read again, so only
+    a refused document pays for it. None for an element the document
+    lacks."""
+    where = violation.where
     if where in known:
-        return None
+        declared = [
+            child
+            for child in root.child("variables").children
+            if where in ((child.attrib["id"],) if child.tag == "var" else _array_cells(child))
+        ]
+        return declared[1 if violation.code == "DuplicateVariable" else 0]
     if where == "instance":
         return root
     section = root.child({"objective": "objectives", "annotations": "annotations"}.get(where, "constraints"))
@@ -593,7 +602,8 @@ def _cells(stem: str, dims: list[int]) -> list[str]:
     return cells
 
 
-def _parse_array(node: _Node) -> list[Variable]:
+def _array_cells(node: _Node) -> list[str]:
+    """The ids of the cells an ``<array>`` declares."""
     vid = node.attrib.get("id")
     size = node.attrib.get("size")
     if not vid or not size:
@@ -603,7 +613,11 @@ def _parse_array(node: _Node) -> list[Variable]:
         raise XmlSyntaxError(f"bad array size {size!r}", node.loc)
     if math.prod(dims) > _RANGE_CAP:
         raise UnsupportedFeatureError(f"array {vid!r} of more than {_RANGE_CAP} cells", node.loc)
-    cells = _cells(vid, dims)
+    return _cells(vid, dims)
+
+
+def _parse_array(node: _Node) -> list[Variable]:
+    cells = _array_cells(node)
     dom_nodes = node.all("domain")
     if not dom_nodes:
         dom = Domain.of(*_parse_ints(node.text, node.loc))

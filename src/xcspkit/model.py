@@ -733,7 +733,9 @@ class Violation:
     id for a fault of that variable's declaration; otherwise ``instance``,
     ``objective``, ``annotations`` or ``constraint i``, where ``i`` indexes
     ``Instance.constraints``. The section words are valid ids too, so a
-    ``where`` that is a declared id is read as a variable first."""
+    ``where`` that is a declared id is read as a variable first: the XCSP3
+    reader locates it at the element that declares that variable, the
+    later of two for ``DuplicateVariable``."""
 
     code: str
     where: str

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_io import EMPTY_OBJECTIVE_VAR, SHORT_COEFFS, WEIGHTED_MAXIMUM
+from test_io import DUPLICATE_CELL, DUPLICATE_VAR, EMPTY_OBJECTIVE_VAR, EMPTY_VAR, SHORT_COEFFS, WEIGHTED_MAXIMUM
 
 import xcspkit
 from xcspkit.cli import main
@@ -210,8 +210,11 @@ class TestSolveCommand:
         [
             (WEIGHTED_MAXIMUM, "BadObjective at objective: a 'maximum' objective takes no coeffs (line 3, column 14)"),
             (SHORT_COEFFS, "LengthMismatch at constraint 2: coeffs length differs from scope length (line 5, column 1)"),
+            (DUPLICATE_VAR, "DuplicateVariable at x: variable id declared twice (line 3, column 1)"),
+            (EMPTY_VAR, "EmptyDomain at x: domain has no values (line 3, column 3)"),
+            (DUPLICATE_CELL, "DuplicateVariable at a[1]: variable id declared twice (line 3, column 1)"),
         ],
-        ids=["objective", "constraint"],
+        ids=["objective", "constraint", "variable-declared-twice", "variable-without-values", "array-cell-declared-again"],
     )
     def test_a_model_check_refusal_names_its_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "refused.xml"
@@ -223,7 +226,7 @@ class TestSolveCommand:
         path = tmp_path / "refused.xml"
         path.write_text(EMPTY_OBJECTIVE_VAR)
         assert main(["solve", str(path)]) == 2
-        assert capsys.readouterr().err == "error: EmptyDomain at objective: domain has no values\n"
+        assert capsys.readouterr().err == "error: EmptyDomain at objective: domain has no values (line 2, column 13)\n"
 
     def test_restarts_flag_is_refused(self, tmp_path, capsys):
         path = tmp_path / "dubois3.xml"

@@ -596,63 +596,120 @@ def test_a_wide_intension_above_the_table_cap_is_gac_at_a_small_live_product():
     assert outcomes == {True, False} and pruned > 10
 
 
-def test_golomb_7_intensions_share_one_table():
-    """The 21 ``eq(x[j], add(x[i], y[i][j]))`` relations are one positional
-    template over equal initial domains, so they read one set of masks."""
+def test_golomb_7_intensions_take_the_offset_pass():
+    """The 21 ``eq(x[j], add(x[i], y[i][j]))`` relations are ``t = u + v``
+    over interval domains: each takes the offset pass, one shift for all,
+    and builds no table."""
     instance = gen_golomb_ruler(7)
     store = DomainStore(instance.variables)
     props = [p for p in make_propagators(instance.constraints, store) if isinstance(p, IntensionProp)]
-    assert len(props) == 21 and props[0].supports is not None
+    assert len(props) == 21 and props[0].offset is not None
+    assert all(p.offset == props[0].offset and p.supports is None for p in props)
+
+
+def test_social_golfers_intensions_share_one_table():
+    """The 198 tabled intensions of social-golfers-4-3-3 are one positional
+    template over equal initial domains, so they read one set of masks."""
+    instance = gen_social_golfers(4, 3, 3)
+    store = DomainStore(instance.variables)
+    props = [p for p in make_propagators(instance.constraints, store) if isinstance(p, IntensionProp)]
+    assert len(props) == 198 and props[0].supports is not None
     assert all(p.supports is props[0].supports for p in props)
+
+
+def _gac_on_random_stores(prop, text, store, rng):
+    """Twenty calls on random narrowings, each GAC against brute force."""
+    allowed = _holds(text, store.names)
+    for _ in range(20):
+        store.push()
+        for x in range(len(store)):
+            live = store.domain_list(x)
+            store.keep_values(x, rng.sample(live, rng.randint(1, len(live))))
+        expected = _brute_force_gac(allowed, store)
+        assert prop.propagate(store) == (expected is not None)
+        if expected is not None:
+            assert [set(store.values(x)) for x in range(len(store))] == expected
+        store.pop()
+
+
+# the initial domains of the sharing and offset tests
+_XYZW = {"x": range(0, 5), "y": range(0, 5), "z": range(0, 7), "w": range(-1, 5)}
 
 
 @pytest.mark.parametrize(
     "texts, shared",
     [
-        (("eq(z,add(x,y))", "eq(z,add(y,x))"), True),  # one template over equal domains
-        (("eq(z,add(x,1))", "eq(z,add(x,2))"), False),  # a constant
-        (("eq(x,add(y,1))", "eq(x,add(y,y))"), False),  # a constant, not the position it equals
+        (("eq(z,mul(x,y))", "eq(z,mul(y,x))"), True),  # one template over equal domains
+        (("ne(z,add(x,1))", "ne(z,add(x,2))"), False),  # a constant
+        (("ne(x,add(y,1))", "ne(x,add(y,y))"), False),  # a constant, not the position it equals
         (("gt(x,sub(y,x))", "gt(x,sub(x,y))"), False),  # operand order
-        (("eq(z,add(x,y))", "eq(w,add(x,y))"), False),  # initial domains
+        (("eq(z,mul(x,y))", "eq(w,mul(x,y))"), False),  # initial domains
     ],
 )
 def test_intensions_share_masks_only_over_one_relation(texts, shared):
     """Tabled intensions share masks when their templates and initial
     domains are equal, and each pass stays GAC against brute force."""
     rng = random.Random(str(texts))
-    domains = {"x": range(0, 5), "y": range(0, 5), "z": range(0, 7), "w": range(-1, 5)}
-    store = DomainStore([Variable(n, Domain(tuple(d))) for n, d in domains.items()])
+    store = DomainStore([Variable(n, Domain(tuple(d))) for n, d in _XYZW.items()])
     props = make_propagators([Intension(parse_expr(text)) for text in texts], store)
     assert all(p.supports is not None for p in props)
     assert (props[0].supports is props[1].supports) == shared
     for prop, text in zip(props, texts):
-        allowed = _holds(text, store.names)
-        for _ in range(20):
-            store.push()
-            for x in range(len(store)):
-                live = store.domain_list(x)
-                store.keep_values(x, rng.sample(live, rng.randint(1, len(live))))
-            expected = _brute_force_gac(allowed, store)
-            assert prop.propagate(store) == (expected is not None)
-            if expected is not None:
-                assert [set(store.values(x)) for x in range(len(store))] == expected
-            store.pop()
+        _gac_on_random_stores(prop, text, store, rng)
 
 
-def test_golomb_6_search_tables_each_intension_once(monkeypatch):
-    """Each intension tables its relation when it is built and reads the
-    same masks before and after every pop."""
-    built, used, pops = {}, {}, [0]
+@pytest.mark.parametrize(
+    "text, holes, offset",
+    [
+        ("eq(z,add(x,y))", {}, True),
+        ("eq(z,add(y,x))", {}, True),
+        ("eq(z,add(x,1))", {}, True),
+        ("eq(x,add(y,-3))", {}, True),
+        ("eq(w,add(x,y,1))", {}, True),
+        ("eq(z,sub(x,y))", {}, True),  # x = z + y
+        ("eq(sub(x,y),3)", {}, True),
+        ("eq(x,add(y,7))", {}, True),  # past every value of x: no support
+        ("eq(x,add(y,y))", {}, False),  # a coefficient of 2
+        ("eq(add(x,y),3)", {}, False),  # u + v = k
+        ("eq(z,add(x,y,w))", {}, False),  # four variables
+        ("ne(z,add(x,y))", {}, False),
+        ("eq(z,add(x,y))", {"z": (0, 1, 3, 4, 5, 6)}, False),  # a domain with a hole
+    ],
+)
+def test_unit_linear_equalities_take_the_offset_pass(text, holes, offset):
+    """``t = u + k`` and ``t = u + v + k`` over interval domains build no
+    table, and their pass is GAC against brute force; any other relation
+    at most ``_TABLE_CAP`` rows is tabled."""
+    rng = random.Random(text)
+    domains = {**_XYZW, **holes}
+    store = DomainStore([Variable(n, Domain(tuple(d))) for n, d in domains.items()])
+    (prop,) = make_propagators([Intension(parse_expr(text))], store)
+    assert (prop.offset is not None, prop.supports is not None) == (offset, not offset)
+    _gac_on_random_stores(prop, text, store, rng)
+
+
+@pytest.mark.parametrize(
+    "build, built, outcome",
+    [
+        (lambda: optimize(gen_golomb_ruler(6)), "offset", ("OPTIMUM", 17)),
+        (lambda: solve(gen_social_golfers(4, 3, 3)), "supports", ("SAT", None)),
+    ],
+    ids=["golomb-6", "social-golfers-4-3-3"],
+)
+def test_each_intension_builds_its_pass_once(build, built, outcome, monkeypatch):
+    """Each intension builds its pass when it is built, Golomb's the offset
+    pass and the golfers' a table, and reads the same data before and
+    after every pop."""
+    made, used, pops = {}, {}, [0]
     init, propagate, pop = IntensionProp.__init__, IntensionProp.propagate, DomainStore.pop
 
     def recorded_init(self, c, key, store, masks):
         init(self, c, key, store, masks)
-        built[self] = self.supports
+        made[self] = getattr(self, built)
 
     def recorded_propagate(self, store):
         ok = propagate(self, store)
-        if self.supports is not None:
-            used.setdefault(self, []).append((pops[0], self.supports))
+        used.setdefault(self, []).append((pops[0], getattr(self, built)))
         return ok
 
     def counted_pop(self):
@@ -662,11 +719,11 @@ def test_golomb_6_search_tables_each_intension_once(monkeypatch):
     monkeypatch.setattr(IntensionProp, "__init__", recorded_init)
     monkeypatch.setattr(IntensionProp, "propagate", recorded_propagate)
     monkeypatch.setattr(DomainStore, "pop", counted_pop)
-    out = optimize(gen_golomb_ruler(6))
-    assert (out.status, out.bound) == ("OPTIMUM", 17)
-    assert used and set(used) <= set(built)
+    out = build()
+    assert (out.status, out.bound) == outcome
+    assert used and set(used) <= set(made) and None not in made.values()
     for prop, calls in used.items():
-        assert {id(masks) for _, masks in calls} == {id(built[prop])}
+        assert {id(data) for _, data in calls} == {id(made[prop])}
     assert any(calls[0][0] < calls[-1][0] for calls in used.values())
 
 

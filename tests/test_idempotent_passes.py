@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from test_prune_reference import _store
+from test_prune_reference import _random_offset, _store
 from xcspkit.engine import DomainStore, propagators
 from xcspkit.engine.propagators import ElementProp, IntensionProp, TableProp, make_propagators
 from xcspkit.expr import parse_expr
@@ -29,7 +29,7 @@ def _random_table(rng, store, polarity):
 
 
 _INTENSIONS = (
-    "eq({0},add({1},{2}))",
+    "eq({0},mul({1},{2}))",
     "ne({0},{1})",
     "le(add({0},{1}),{k})",
     "eq(dist({0},{1}),{2})",
@@ -57,6 +57,7 @@ _CASES = {
     "compact-table": lambda rng, store: _random_table(rng, store, rng.choice(("supports", "conflicts"))),
     "residual-table": lambda rng, store: _random_table(rng, store, "conflicts"),
     "tabled-intension": _random_intension,
+    "offset-intension": lambda rng, store: _random_offset(rng, store.names),
     "residual-intension": _random_intension,
     "element-constant": lambda rng, store: _random_element(rng, store, True),
     "element-variable": lambda rng, store: _random_element(rng, store, False),
@@ -67,6 +68,7 @@ _SHAPES = {
     "compact-table": (TableProp, lambda p: p.supports is not None, None),
     "residual-table": (TableProp, lambda p: p.residues is not None, "_COMPLEMENT_CAP"),
     "tabled-intension": (IntensionProp, lambda p: p.supports is not None, None),
+    "offset-intension": (IntensionProp, lambda p: p.offset is not None, None),
     "residual-intension": (IntensionProp, lambda p: p.residues is not None, "_TABLE_CAP"),
     "element-constant": (ElementProp, lambda p: p.value_watch is not None, None),
     "element-variable": (ElementProp, lambda p: p.value_watch is None, None),
@@ -91,7 +93,8 @@ def test_a_second_call_prunes_nothing(case, seed, monkeypatch):
     rng = random.Random(f"{case}-{seed}")
     held = pruned = 0
     for _ in range(300):
-        store = _store(rng, rng.randint(3, 7), range(-1, 3), 4)
+        # the offset pass needs interval initial domains
+        store = _store(rng, rng.randint(3, 7), range(-1, 3), 4, holes=case != "offset-intension")
         (prop,) = make_propagators([_CASES[case](rng, store)], store)
         assert isinstance(prop, cls) and prop.idempotent and shape(prop)
         mark = len(store._trail)
@@ -125,24 +128,26 @@ def test_element_is_idempotent_when_index_value_and_cells_are_distinct(element, 
 
 
 @pytest.mark.parametrize(
-    "text, bounds_pass",
+    "text, built",
     [
-        ("ne(a,add(b,i))", None),
+        ("ne(a,add(b,i))", "supports"),
         # arity 4, tabled at any arity (81 rows)
-        ("ne(a,add(b,i,v))", None),
+        ("ne(a,add(b,i,v))", "supports"),
         # tabled (2,500 rows over y and z) although its product is above _SCAN_CAP
-        ("eq(x,add(y,z))", None),
+        ("eq(x,mul(y,z))", "supports"),
+        # at most _TABLE_CAP rows (2,500 over y and z), and x = y + z
+        ("eq(x,add(y,z))", "offset"),
         # 125,000 rows: above both caps, and linear
         ("le(add(x,y,z),70)", "linear"),
         # 125,000 rows, not linear
         ("ne(x,mul(y,z))", "bounds_fn"),
     ],
 )
-def test_intension_is_idempotent_without_interval_filtering(text, bounds_pass):
+def test_intension_is_idempotent_without_interval_filtering(text, built):
     """Only a pass that narrows bounds, the Sum pass or the bounds closure,
     may leave a prune for a second call."""
     variables = [Variable(name, Domain.rng(0, 2)) for name in ("a", "b", "i", "v")]
     store = DomainStore(variables + [Variable(name, Domain.rng(0, 49)) for name in ("x", "y", "z")])
     (prop,) = make_propagators([Intension(parse_expr(text))], store)
-    built = [name for name in ("supports", "linear", "bounds_fn") if getattr(prop, name) is not None]
-    assert (built, prop.idempotent) == ([bounds_pass or "supports"], bounds_pass is None)
+    passes = [name for name in ("supports", "offset", "linear", "bounds_fn") if getattr(prop, name) is not None]
+    assert (passes, prop.idempotent) == ([built], built in ("supports", "offset"))

@@ -689,6 +689,24 @@ SHORT_COEFFS = _over_x(
     "</constraints>"
 )
 
+# x declared on lines 2 and 3
+DUPLICATE_VAR = (
+    '<instance format="XCSP3" type="CSP">\n<variables> <var id="x"> 0..1 </var>\n'
+    '<var id="x"> 0..2 </var> </variables>\n</instance>'
+)
+
+# x without values, on line 3 after a y
+EMPTY_VAR = (
+    '<instance format="XCSP3" type="CSP">\n<variables> <var id="y"> 0..1 </var>\n'
+    '  <var id="x"> </var> </variables>\n</instance>'
+)
+
+# a[1] declared by the array on line 2 and again on line 3
+DUPLICATE_CELL = (
+    '<instance format="XCSP3" type="CSP">\n<variables> <array id="a" size="[2]"> 0..1 </array>\n'
+    '<var id="a[1]"> 0..1 </var> </variables>\n</instance>'
+)
+
 # each kind of model-check refusal of a parsed document: its codes and the
 # line and column of the element its first violation names
 _MODEL_REFUSALS = {
@@ -705,6 +723,9 @@ _MODEL_REFUSALS = {
         1,
     ),
     "instance": (_over_x("<objectives> <minimize> x[0] </minimize> </objectives>"), ["KindMismatch"], 1, 1),
+    "variable-declared-twice": (DUPLICATE_VAR, ["DuplicateVariable"], 3, 1),
+    "variable-without-values": (EMPTY_VAR, ["EmptyDomain"], 3, 3),
+    "array-cell-declared-again": (DUPLICATE_CELL, ["DuplicateVariable"], 3, 1),
 }
 
 
@@ -712,7 +733,9 @@ _MODEL_REFUSALS = {
 def test_a_model_check_refusal_is_reported_at_its_element(case):
     """The report is that of the model check, and the error adds the line
     of the element behind its first violation: a constraint's own element,
-    or its ``<group>``; the ``<maximize>``; the ``<instance>``."""
+    or its ``<group>``; the ``<maximize>``; the ``<instance>``; the
+    ``<var>`` or ``<array>`` that declares a variable, the later one for a
+    variable declared twice."""
     text, codes, line, column = _MODEL_REFUSALS[case]
     with pytest.raises(InvariantViolationError) as err:
         parse_instance(text)
@@ -727,31 +750,38 @@ EMPTY_OBJECTIVE_VAR = (
 )
 
 # variables named as the sections of the report: the violation is the
-# variable's, with no location, whether or not the document has the section
+# variable's, located at its <var> on line 2 (the column given), whether or
+# not the document has the section
 _VARIABLE_REFUSALS = {
-    "objective-without-objectives": (EMPTY_OBJECTIVE_VAR, "EmptyDomain at objective"),
+    "objective-without-objectives": (EMPTY_OBJECTIVE_VAR, "EmptyDomain at objective", 13),
     "objective-with-a-maximize": (
         '<instance format="XCSP3" type="COP">\n'
         '<variables> <var id="objective"> </var> <var id="y"> 0..3 </var> </variables>\n'
         "<objectives> <maximize> y </maximize> </objectives>\n</instance>",
         "EmptyDomain at objective",
+        13,
     ),
     "annotations-twice": (
         '<instance format="XCSP3" type="CSP">\n'
         '<variables> <var id="annotations"> 0..1 </var> <var id="annotations"> 0..1 </var> </variables>\n</instance>',
         "DuplicateVariable at annotations",
+        48,
     ),
-    "instance": (_over_x("").replace("</variables>", '<var id="instance"> </var> </variables>'), "EmptyDomain at instance"),
+    "instance": (
+        _over_x("").replace("</variables>", '<var id="instance"> </var> </variables>'),
+        "EmptyDomain at instance",
+        53,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(_VARIABLE_REFUSALS))
-def test_a_refused_variable_named_as_a_section_has_no_location(case):
-    text, first = _VARIABLE_REFUSALS[case]
+def test_a_refused_variable_named_as_a_section_is_located_at_its_declaration(case):
+    text, first, column = _VARIABLE_REFUSALS[case]
     with pytest.raises(InvariantViolationError) as err:
         parse_instance(text)
     assert str(err.value.report[0]).startswith(first)
-    assert err.value.location is None
+    assert err.value.location == SourceLocation(2, column)
 
 
 def test_a_unary_table_with_a_star_roundtrips():

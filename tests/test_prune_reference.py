@@ -14,7 +14,12 @@ of the one that wipes out, and search pops those prunes anyway.
 A large linear intension runs the Sum pass where it ran interval
 filtering, kept here as a reference too: both must reach the same
 fixpoint when no variable repeats, and with repeats a fixpoint between
-brute-force GAC and the reference's."""
+brute-force GAC and the reference's.
+
+A tabled ``t = u + k`` or ``t = u + v + k`` runs the offset pass where it
+ran the compact table, kept here as a reference over the support masks of
+the same relation: one call of each must leave the same domains, trail,
+touched list and return value."""
 
 import functools
 import itertools
@@ -33,8 +38,9 @@ from xcspkit.engine.propagators import (
     SumProp,
     make_propagators,
 )
-from xcspkit.expr import compile_expr, const, op, var
-from xcspkit.model import AllDifferent, Cardinality, Condition, Count, Domain, Intension, Sum, Variable
+from xcspkit.engine.search import solve
+from xcspkit.expr import compile_expr, const, op, parse_expr, var
+from xcspkit.model import AllDifferent, Cardinality, Condition, Count, Domain, Instance, Intension, Sum, Variable
 
 # -- reference passes
 
@@ -262,6 +268,35 @@ def reference_cardinality(prop, store):
     return True
 
 
+def reference_ct_filter(store, scope, supports):
+    """One compact-table pass over the relation's support masks."""
+    valid = -1
+    masks = store.masks
+    for i, x in enumerate(scope):
+        mask = masks[x]
+        per_value = supports[i]
+        union = 0
+        while mask:
+            low = mask & -mask
+            union |= per_value[low.bit_length() - 1]
+            mask ^= low
+        valid &= union
+        if not valid:
+            return False
+    for i, x in enumerate(scope):
+        mask = masks[x]
+        per_value = supports[i]
+        dead = 0
+        while mask:
+            low = mask & -mask
+            if not per_value[low.bit_length() - 1] & valid:
+                dead |= low
+            mask ^= low
+        if dead and not store.remove_bits(x, dead):
+            return False
+    return True
+
+
 def reference_interval_filter(bounds_fn, scope, store):
     """Remove each value whose fixing bounds the expression to false, the
     other positions at their current bounds."""
@@ -278,16 +313,16 @@ def reference_interval_filter(bounds_fn, scope, store):
 # -- random cases
 
 
-def _store(rng, n, starts, width):
+def _store(rng, n, starts, width, holes=True):
     """``n`` variables, each over the ends of an interval that starts in
     ``starts`` and is at most ``width`` wider, and about half of its inner
-    values; then narrowed at a pushed level, some to one value, some to a
-    random subset."""
+    values (all of them without ``holes``); then narrowed at a pushed
+    level, some to one value, some to a random subset."""
     variables = []
     for i in range(n):
         lo = rng.choice(starts)
         hi = lo + rng.randint(0, width)
-        values = [v for v in range(lo, hi + 1) if v in (lo, hi) or rng.random() < 0.5]
+        values = [v for v in range(lo, hi + 1) if not holes or v in (lo, hi) or rng.random() < 0.5]
         variables.append(Variable(f"v{i}", Domain(tuple(values))))
     store = DomainStore(variables)
     store.push()
@@ -612,3 +647,67 @@ def test_a_linear_intension_beyond_64_bits_keeps_interval_filtering():
     (prop,) = make_propagators([Intension(expression)], store)
     assert prop.linear is None and prop.bounds_fn is not None
     assert _fixpoint(prop.propagate, store) == [[-1, 0]]
+
+
+# -- unit linear equalities: the offset pass against the compact table
+
+_OFFSETS = (
+    "eq({0},add({1},{k}))",
+    "eq(add({k},{0}),{1})",
+    "eq({0},add({1},{2},{k}))",
+    "eq(add({0},{k}),sub({1},neg({2})))",
+    "eq({0},sub({1},{2}))",
+    "eq(sub({0},{1}),{k})",
+    "eq({0},{1})",
+)
+
+
+def _random_offset(rng, names):
+    """A unit linear equality over two or three distinct variables; its
+    offset is mostly small, negative or not, else past every domain or
+    ±10**18."""
+    far = rng.choice((-1, 1)) * rng.choice((rng.randint(9, 30), 10**18))
+    k = far if rng.random() < 0.1 else rng.randint(-4, 4)
+    return Intension(parse_expr(rng.choice(_OFFSETS).format(*rng.sample(names, 3), k=k)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_offset_call_prunes_as_the_compact_table(seed):
+    """Stores of 3 to 5 variables over intervals in -3..8, many narrowed or
+    assigned: over 500 random stores, some calls fail, more than 25 hold
+    and prune nothing, and more than 25 prune."""
+    rng = random.Random(f"offset-{seed}")
+    outcomes = set()
+    quiet = pruned = 0
+    for _ in range(500):
+        store = _store(rng, rng.randint(3, 5), range(-3, 3), 6, holes=False)
+        c = _random_offset(rng, store.names)
+        (prop,) = make_propagators([c], store)
+        assert isinstance(prop, IntensionProp) and prop.offset is not None and prop.supports is None
+        assert prop.idempotent and prop.value_watch is None
+        # a quarter of the stores start at the pass's fixpoint
+        if rng.random() < 0.25 and not prop.propagate(store):
+            continue
+        store.touched.clear()
+        domains = [store.init_values[x] for x in prop.scope]
+        rows = filter(prop.fn, itertools.product(*domains))
+        supports = propagators._support_masks(store, prop.scope, rows)
+        expected = _one_call(prop, store, lambda p, s: reference_ct_filter(s, p.scope, supports))
+        assert _one_call(prop, store, IntensionProp.propagate) == expected, c
+        outcomes.add(expected[0])
+        quiet += expected[0] and not expected[2]
+        pruned += bool(expected[2])
+    assert outcomes == {True, False} and quiet > 25 and pruned > 25
+
+
+@pytest.mark.parametrize("k", [10**18, -(10**18)])
+def test_an_offset_past_every_domain_fails_at_the_root(k):
+    """An empty relation, as its table was: the shift is clamped, so no
+    int of 10**18 bits is built."""
+    variables = (Variable("x", Domain.rng(0, 5)), Variable("y", Domain.rng(0, 5)))
+    c = Intension(parse_expr(f"eq(x,add(y,{k}))"))
+    store = DomainStore(variables)
+    (prop,) = make_propagators([c], store)
+    assert prop.offset is not None
+    out = solve(Instance("CSP", variables, (c,)))
+    assert (out.status, out.stats.nodes) == ("UNSAT", 0)
