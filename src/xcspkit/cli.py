@@ -41,7 +41,7 @@ def _build_parser(problems=None) -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a claimed solution")
     p_verify.add_argument("instance")
     p_verify.add_argument("solution", help="instantiation fragment XML file")
-    p_verify.add_argument("--bound", help="claimed objective value, a 64-bit integer")
+    p_verify.add_argument("--bound", help="claimed objective value of a COP, a 64-bit integer")
 
     p_rank = sub.add_parser("rank", help="score a results CSV")
     p_rank.add_argument("results", help="CSV produced by a campaign")
@@ -135,6 +135,8 @@ def _cmd_verify(args) -> int:
 
     bound = None if args.bound is None else _int_option("--bound", args.bound)
     instance = parse_instance(Path(args.instance).read_text())
+    if bound is not None and instance.kind == "CSP":
+        raise BadParameterError("--bound applies to COP instances only")
     assignment = parse_solution(Path(args.solution).read_text())
     result = verify(instance, assignment, bound)
     print(str(result))

@@ -27,18 +27,25 @@ with at most ``_TABLE_CAP`` rows, at any arity, are compact tables: every
 call is ``_ct_filter`` over read-only support masks. Such an intension
 that reads ``t = u + k`` or ``t = u + v + k`` over interval domains is the
 exception: its call shifts the domain masks (``_offset_pass``) and prunes
-exactly as the table would, with no masks built. One memo per
-``make_propagators`` call, handed to the two relation builders (the only
-ones that take a fourth argument), shares the masks of equal relations:
-an extension keys it by (table, initial domains, the scope's repeat
-pattern), a tabled intension by (positional template, initial domains).
+exactly as the table would, with no masks built and nothing compiled. One
+memo per ``make_propagators`` call, handed to the two relation builders
+(the only ones that take a fourth argument), shares the masks of equal
+relations: an extension keys it by (table, initial domains, the scope's
+repeat pattern), a tabled intension by (positional template, initial
+domains).
 A larger conflicts table gets ``_residual``, the residual-support pass
 over a predicate on tuples, and so does a larger intension while its live
 product is at most ``_SCAN_CAP``. Above that, a larger intension that
 compares two linear sides, and whose sum stays in the 64-bit range, is
 pruned as the primitive it is, by the bounds pass of its equivalent
 ``Sum`` (XCSP3-core, Boussemart et al., arXiv:2009.00514); any other one
-is filtered value by value through a bounds closure.
+is filtered value by value through a bounds closure. An intension picks
+its pass from its row count before it builds anything, and compiles
+(``expr.compile_expr``) only the closures that pass reads: a tabled one
+the closure that enumerates its rows, only when the memo lacks its
+relation; a larger one its value closure, the residual pass's predicate,
+and also its bounds closure when it has no Sum pass. So an intension whose
+relation is already in the memo compiles nothing.
 
 Two build-time declarations let the engine skip calls that cannot prune
 (``search.PropagationEngine``). A propagator is ``idempotent`` when a
@@ -318,62 +325,68 @@ def _defined_variable(expression):
 
 
 class IntensionProp(Propagator):
-    """An intension's pass is fixed at build. A relation with at most
-    ``_TABLE_CAP`` rows over the initial domains, at any arity, is a
-    compact table on every call, so it is idempotent: ``eq(z, e)`` (or
-    ``eq(e, z)``) with ``z`` not in ``e`` enumerates the other positions
-    only and computes ``z``, any other expression the full product. Its
-    masks are shared through the build call's memo ``masks`` under its
-    positional template (the expression with each variable replaced by its
-    scope position) and initial domains; they are read-only, so nothing is
-    trailed. One that reads ``t = u + k`` or ``t = u + v + k`` over
-    interval domains (``_unit_offset``) builds no table: its ``offset``
+    """An intension's pass is fixed at build, from its rows over the
+    initial domains, before anything is built: ``eq(z, e)`` (or
+    ``eq(e, z)``) with ``z`` not in ``e`` counts the rows of the other
+    positions, any other expression the full product. A relation with at
+    most ``_TABLE_CAP`` rows, at any arity, is a compact table on every
+    call, so it is idempotent. Its masks are shared through the build
+    call's memo ``masks`` under its positional template (the expression
+    with each variable replaced by its scope position) and initial domains;
+    they are read-only, so nothing is trailed. Its rows are enumerated only
+    when the memo lacks the relation, by the one closure it then compiles:
+    ``e``'s, which computes ``z`` from the other positions, or the
+    expression's, which filters the full product. One that reads
+    ``t = u + k`` or ``t = u + v + k`` over interval domains
+    (``_unit_offset``) builds no table and compiles nothing: its ``offset``
     pass (``_offset_pass``) is the same GAC pass, by shifting masks.
 
-    Any other intension gets the residual GAC pass while its live product
-    is at most ``_SCAN_CAP``. Beyond that, a linear one (``_linear_sum``)
-    whose sum stays in the 64-bit range (``_within_int64``) runs the Sum
-    pass (``_sum_pass``) of its equivalent ``Sum``, whose terms and target
-    (``_sum_terms``) are built once, and
-    any other one interval filtering through a bounds closure compiled once
-    (``expr.compile_expr``). Neither is idempotent."""
+    Any other intension compiles its value closure ``fn``
+    (``expr.compile_expr``) for the residual GAC pass, which it gets while
+    its live product is at most ``_SCAN_CAP``. Beyond that, a linear one
+    (``_linear_sum``) whose sum stays in the 64-bit range
+    (``_within_int64``) runs the Sum pass (``_sum_pass``) of its equivalent
+    ``Sum``, whose terms and target (``_sum_terms``) are built once, and
+    any other one interval filtering through a bounds closure ``bounds_fn``
+    compiled once. Neither is idempotent. So an offset or tabled intension
+    holds no ``fn``, and one whose relation is already in the memo compiles
+    nothing."""
 
     __slots__ = ("fn", "bounds_fn", "linear", "supports", "residues", "offset")
 
     def __init__(self, c: Intension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
-        scope = self.scope
+        scope, expression = self.scope, c.expr
         position = {store.names[x]: i for i, x in enumerate(scope)}
-        self.fn = _x.compile_expr(c.expr, position, bounds=False)
-        self.supports = self.residues = self.bounds_fn = self.linear = self.offset = None
         domains = tuple(store.init_values[x] for x in scope)
-        defined = _defined_variable(c.expr)
-        if defined is None:
-            rest, rows = domains, filter(self.fn, itertools.product(*domains))
-        else:
-            t = position[defined[0]]
-            rest = domains[:t] + domains[t + 1 :]
-            f = _x.compile_expr(defined[1], {v: i - (i > t) for v, i in position.items() if i != t}, bounds=False)
-            rows = (r[:t] + (f(r),) + r[t:] for r in itertools.product(*rest))
-        # the rows are enumerated only when the memo lacks the relation
+        self.fn = self.bounds_fn = self.linear = self.supports = self.residues = self.offset = None
+        defined = _defined_variable(expression)
+        t = None if defined is None else position[defined[0]]
+        rest = domains if t is None else domains[:t] + domains[t + 1 :]
         if math.prod(map(len, rest)) <= _TABLE_CAP:
-            self.offset = _unit_offset(c.expr, position, domains)
+            self.offset = _unit_offset(expression, position, domains)
             if self.offset is None:
-                relation = (_template(c.expr, position), domains)
+                relation = (_template(expression, position), domains)
                 if relation not in masks:
+                    if t is None:
+                        rows = filter(_x.compile_expr(expression, position, bounds=False), itertools.product(*domains))
+                    else:
+                        f = _x.compile_expr(defined[1], {v: i - (i > t) for v, i in position.items() if i != t}, bounds=False)
+                        rows = (r[:t] + (f(r),) + r[t:] for r in itertools.product(*rest))
                     masks[relation] = _support_masks(store, scope, rows)
                 self.supports = masks[relation]
         else:
+            self.fn = _x.compile_expr(expression, position, bounds=False)
             self.residues = [[None] * len(d) for d in domains]
             # always true while _TABLE_CAP >= _SCAN_CAP; with a lower table
             # cap, it keeps a relation that never leaves the residual pass
             # idempotent
             if math.prod(map(len, domains)) > _SCAN_CAP:
-                linear = _linear_sum(c.expr)
+                linear = _linear_sum(expression)
                 if linear is not None and _within_int64(linear, store):
                     self.linear = _sum_terms(linear, store)
                 else:
-                    self.bounds_fn = _x.compile_expr(c.expr, position, bounds=True)
+                    self.bounds_fn = _x.compile_expr(expression, position, bounds=True)
         self.idempotent = self.bounds_fn is None and self.linear is None
 
     def propagate(self, store: DomainStore) -> bool:
@@ -404,30 +417,28 @@ class IntensionProp(Propagator):
 
 def _unit_offset(expression, position, domains):
     """``(s, t, u, v)`` of the offset pass (``_offset_pass``) when the
-    expression is an ``eq`` of two linear sides (``_linear``) that reads
-    ``t = u + k`` or ``t = u + v + k`` over its two or three variables
-    (scope positions; ``v`` is None for two) and every initial domain is an
-    interval, so that a value's bit is its distance from the domain's first
-    value; else None. ``s`` is the shift from the bits of ``u``, plus those
-    of ``v``, to the bits of ``t``, clamped to the widths of the domains: a
-    wider shift leaves no bit, whatever its size."""
-    if not (isinstance(expression, _x.Op) and expression.kind == "eq" and len(position) in (2, 3)):
+    expression's ``Sum`` (``_linear_sum``) reads ``t = u + k`` or
+    ``t = u + v + k``: an ``eq`` with a coefficient of 1 or -1 on each of
+    its two or three variables (scope positions; ``v`` is None for two),
+    where every initial domain is an interval, so that a value's bit is its
+    distance from the domain's first value; else None. ``s`` is the shift
+    from the bits of ``u``, plus those of ``v``, to the bits of ``t``,
+    clamped to the widths of the domains: a wider shift leaves no bit,
+    whatever its size."""
+    if len(position) not in (2, 3) or any(not d or d[-1] - d[0] != len(d) - 1 for d in domains):
         return None
-    for d in domains:
-        if not d or d[-1] - d[0] != len(d) - 1:
-            return None
-    left, right = (_linear(e) for e in expression.children)
-    if left is None or right is None:
+    linear = _linear_sum(expression)
+    if linear is None or linear.condition.operator != "eq":
         return None
-    coeffs, k = _added([left, _scaled(right, -1)])
-    signs = [coeffs[name] for name in position]
+    coeffs = dict(zip(linear.scope, linear.coeffs))
+    signs = [coeffs.get(name, 0) for name in position]
     # t is the one variable whose sign the others do not share
     t = next((i for i, a in enumerate(signs) if signs.count(a) == 1), None)
     if t is None or not set(signs) <= {1, -1}:
         return None
     u, *v = (i for i in range(len(signs)) if i != t)
-    # signs[t] * (t - u - v) + k == 0
-    s = -signs[t] * k + sum(domains[i][0] for i in (u, *v)) - domains[t][0]
+    # signs[t] * (t - u - v) == rhs
+    s = signs[t] * linear.condition.rhs + sum(domains[i][0] for i in (u, *v)) - domains[t][0]
     s = min(max(s, -sum(len(domains[i]) for i in (u, *v))), len(domains[t]))
     return s, t, u, v[0] if v else None
 

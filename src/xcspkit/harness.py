@@ -335,7 +335,9 @@ def run_one(instance_path: str, solver_id: str, command_template: str, time_limi
 
 
 def _verify_claim(instance_path: str, status: str, bound, payload):
-    """(status, bound, objective sense or "") after re-verifying a claim."""
+    """(status, bound, objective sense or "") after re-verifying a claim.
+    A CSP has no objective: an OPTIMUM claim on one is INVALID, and a SAT
+    claim keeps no bound."""
     if payload is None:
         return "INVALID", None, ""
     try:
@@ -344,9 +346,8 @@ def _verify_claim(instance_path: str, status: str, bound, payload):
     except XcspError:
         return "INVALID", None, ""
     sense = instance.objective.sense if instance.objective is not None else ""
-    claimed = bound if (status == "OPTIMUM" or instance.kind == "COP") else None
-    result = verify(instance, assignment, claimed)
-    if not result.ok:
+    bound = bound if instance.kind == "COP" else None
+    if (instance.kind == "CSP" and status == "OPTIMUM") or not verify(instance, assignment, bound).ok:
         return "INVALID", None, sense
     return status, bound, sense
 

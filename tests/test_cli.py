@@ -11,6 +11,7 @@ from test_io import DUPLICATE_CELL, DUPLICATE_VAR, EMPTY_OBJECTIVE_VAR, EMPTY_VA
 
 import xcspkit
 from xcspkit.cli import main
+from xcspkit.engine import solve
 from xcspkit.generators import PROBLEMS, gen_dubois, gen_knapsack, gen_langford
 from xcspkit.harness import RunRecord, write_records_csv
 from xcspkit.io import parse_instance, parse_solution, write_instance, write_solution
@@ -374,6 +375,19 @@ class TestVerifyCommand:
         assert main(["verify", str(inst_path), str(sol)]) == 1
         out = capsys.readouterr().out
         assert "constraint" in out and any(ch.isdigit() for ch in out)
+
+    def test_a_bound_on_a_csp_exits_2(self, tmp_path, capsys):
+        """A CSP has no objective to hold a claimed bound to, even beside a
+        valid solution."""
+        inst_path = tmp_path / "langford3.xml"
+        inst_path.write_text(write_instance(gen_langford(3)))
+        sol = tmp_path / "sol.xml"
+        sol.write_text(write_solution(solve(gen_langford(3)).witness))
+        assert main(["verify", str(inst_path), str(sol)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(inst_path), str(sol), "--bound", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --bound applies to COP instances only\n"
 
 
 class TestRankCommand:

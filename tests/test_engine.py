@@ -19,7 +19,8 @@ from xcspkit.engine import (
     propagate_to_fixpoint,
     solve,
 )
-from xcspkit.engine import search
+from xcspkit import expr
+from xcspkit.engine import propagators, search
 from xcspkit.engine.propagators import _SCAN_CAP, IntensionProp, TableProp, _defined_variable, make_propagators
 from xcspkit.engine.search import _CLEAN, PropagationEngine, _Search, _improving
 from xcspkit.errors import BadParameterError, InvalidInstanceError
@@ -615,6 +616,63 @@ def test_social_golfers_intensions_share_one_table():
     props = [p for p in make_propagators(instance.constraints, store) if isinstance(p, IntensionProp)]
     assert len(props) == 198 and props[0].supports is not None
     assert all(p.supports is props[0].supports for p in props)
+
+
+def _compiled_roots(monkeypatch):
+    """The ``(expression, bounds)`` pairs that ``expr.compile_expr`` is
+    called on from outside itself, in call order; its recursive calls go
+    through the patched name too, so no root means no call at all."""
+    roots, depth = [], [0]
+    compile_expr = expr.compile_expr
+
+    def counted(e, position, *, bounds):
+        if not depth[0]:
+            roots.append((e, bounds))
+        depth[0] += 1
+        try:
+            return compile_expr(e, position, bounds=bounds)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(expr, "compile_expr", counted)
+    return roots
+
+
+@pytest.mark.parametrize(
+    "generate, relations",
+    [(lambda: gen_golomb_ruler(6), 0), (lambda: gen_langford(4), 0), (lambda: gen_social_golfers(4, 3, 3), 1)],
+    ids=["golomb-6", "langford-4", "social-golfers-4-3-3"],
+)
+def test_a_build_compiles_one_expression_per_relation_the_memo_builds(generate, relations, monkeypatch):
+    """Golomb's and Langford's intensions take the offset pass and compile
+    nothing; the golfers' 198 tabled intensions are one relation, whose
+    rows one compiled expression enumerates. No offset or tabled intension
+    holds the residual predicate."""
+    roots = _compiled_roots(monkeypatch)
+    built = []
+    support_masks = propagators._support_masks
+    monkeypatch.setattr(propagators, "_support_masks", lambda *args: built.append(args) or support_masks(*args))
+    instance = generate()
+    props = [p for p in make_propagators(instance.constraints, DomainStore(instance.variables)) if isinstance(p, IntensionProp)]
+    assert props and len(built) == relations and len(roots) <= relations
+    assert all(p.fn is None and (p.offset is not None or p.supports is not None) for p in props)
+
+
+@pytest.mark.parametrize(
+    "text, size, passes",
+    [("eq(z,add(x,y))", 100, [False]), ("eq(dist(w,x),dist(y,z))", 10, [False, True])],
+    ids=["linear", "non-linear"],
+)
+def test_an_intension_above_the_table_cap_compiles_the_closures_its_passes_read(text, size, passes, monkeypatch):
+    """Above ``_TABLE_CAP`` rows and ``_SCAN_CAP`` tuples, the residual
+    pass reads the value closure and the Sum pass reads terms built from
+    the expression, so a linear intension compiles its value closure only;
+    interval filtering reads the bounds closure too."""
+    roots = _compiled_roots(monkeypatch)
+    variables, constraint, _ = _intension_above_the_table_cap(text, size)[1](random.Random(text))
+    (prop,) = make_propagators([constraint], DomainStore(variables))
+    assert roots == [(constraint.expr, bounds) for bounds in passes]
+    assert prop.fn is not None and (prop.linear is not None) == (len(passes) == 1)
 
 
 def _gac_on_random_stores(prop, text, store, rng):

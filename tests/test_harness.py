@@ -13,6 +13,7 @@ import pytest
 
 import xcspkit
 from helpers import mutant
+from xcspkit.engine import solve
 from xcspkit.errors import BadParameterError, DuplicateRecordError, SchemaMismatchError, UnknownModeError, XcspError
 from xcspkit.generators import gen_dubois, gen_knapsack, gen_langford
 from xcspkit.harness import (
@@ -26,7 +27,7 @@ from xcspkit.harness import (
     verify,
     write_records_csv,
 )
-from xcspkit.io import write_instance
+from xcspkit.io import write_instance, write_solution
 from xcspkit.model import Assignment, Domain, Instance, Variable
 
 KNAPSACK_DATA = {
@@ -458,6 +459,21 @@ class TestCampaign(object):
         )
         record = run_one(str(path), "repeater", template, time_limit=30)
         assert record.status == "INVALID"
+
+    @pytest.mark.parametrize(
+        "claim, expected",
+        [("OPTIMUM FOUND", "INVALID"), ("SATISFIABLE", "SAT")],
+        ids=["optimum", "sat"],
+    )
+    def test_a_bound_claimed_on_a_csp_is_not_recorded(self, tmp_path, claim, expected):
+        """A CSP has no optimum, so an OPTIMUM claim on one is INVALID even
+        with a valid witness, and a SAT record of one carries no bound."""
+        path = tmp_path / "langford3.xml"
+        path.write_text(write_instance(gen_langford(3)))
+        witness = write_solution(solve(gen_langford(3)).witness)
+        template = f"sh -c 'echo o 7; echo \"s {claim}\"; echo \"v {witness}\"'"
+        record = run_one(str(path), "optimist", template, time_limit=30)
+        assert (record.status, record.bound, record.sense) == (expected, None, "")
 
     @pytest.mark.parametrize(
         "script, expected",

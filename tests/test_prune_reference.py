@@ -690,7 +690,8 @@ def test_one_offset_call_prunes_as_the_compact_table(seed):
             continue
         store.touched.clear()
         domains = [store.init_values[x] for x in prop.scope]
-        rows = filter(prop.fn, itertools.product(*domains))
+        position = {store.names[x]: i for i, x in enumerate(prop.scope)}
+        rows = filter(compile_expr(c.expr, position, bounds=False), itertools.product(*domains))
         supports = propagators._support_masks(store, prop.scope, rows)
         expected = _one_call(prop, store, lambda p, s: reference_ct_filter(s, p.scope, supports))
         assert _one_call(prop, store, IntensionProp.propagate) == expected, c
