@@ -135,10 +135,7 @@ def _cmd_verify(args) -> int:
 
     bound = None if args.bound is None else _int_option("--bound", args.bound)
     instance = parse_instance(Path(args.instance).read_text())
-    if bound is not None and instance.kind == "CSP":
-        raise BadParameterError("--bound applies to COP instances only")
-    assignment = parse_solution(Path(args.solution).read_text())
-    result = verify(instance, assignment, bound)
+    result = verify(instance, parse_solution(Path(args.solution).read_text()), bound)
     print(str(result))
     return 0 if result.ok else 1
 

@@ -13,7 +13,10 @@ in ``_PROPAGATORS``. A propagator watches the constraint's distinct
 variables (``model.constraint_scope``), except for a class whose only
 variable attribute is ``scope`` (its ``model._KINDS`` row): that propagator
 watches ``constraint.scope`` exactly as given, repeats included, because it
-reads the scope position by position.
+reads the scope position by position. An intension's is its
+``Intension.scope``, which it works out once when it is built, with its
+positional template ``Intension.template``; the engine reads both and
+walks no expression for them.
 
 Counting has one pass, ``_count_bounds`` then ``_count_prune``, over
 (variable, counted-values mask) pairs. ``CountProp`` runs it once,
@@ -31,7 +34,7 @@ exactly as the table would, with no masks built and nothing compiled. One
 memo per ``make_propagators`` call, handed to the two relation builders
 (the only ones that take a fourth argument), shares the masks of equal
 relations: an extension keys it by (table, initial domains, the scope's
-repeat pattern), a tabled intension by (positional template, initial
+repeat pattern), a tabled intension by (``Intension.template``, initial
 domains).
 A larger conflicts table gets ``_residual``, the residual-support pass
 over a predicate on tuples, and so does a larger intension while its live
@@ -306,22 +309,15 @@ class TableProp(Propagator):
 # Intension
 
 
-def _template(expression, position):
-    """The expression with each variable replaced by its scope position; a
-    constant stays an ``IntConst``, so it never equals a position."""
-    if isinstance(expression, _x.Op):
-        return (expression.kind, *(_template(e, position) for e in expression.children))
-    return position[expression.var_id] if isinstance(expression, _x.VarRef) else expression
-
-
-def _defined_variable(expression):
-    """``(z, e)`` when the expression is ``eq(z, e)`` or ``eq(e, z)`` for a
-    variable ``z`` that ``e`` does not mention, else None."""
-    if isinstance(expression, _x.Op) and expression.kind == "eq":
-        for z, e in (expression.children, expression.children[::-1]):
-            if isinstance(z, _x.VarRef) and z.var_id not in set(_x.expr_vars(e)):
-                return z.var_id, e
-    return None
+def _defined_variable(c: Intension):
+    """``(t, e)`` when the intension is ``eq(z, e)`` or ``eq(e, z)`` for a
+    variable ``z``, at scope position ``t``, that ``e`` does not mention,
+    else ``(None, None)``; read from its template."""
+    if isinstance(c.template, tuple) and c.template[0] == "eq":
+        for (t, other), e in zip((c.template[1:], c.template[:0:-1]), c.expr.children[::-1]):
+            if type(t) is int and not _x.mentions(other, t):
+                return t, e
+    return None, None
 
 
 class IntensionProp(Propagator):
@@ -331,9 +327,11 @@ class IntensionProp(Propagator):
     positions, any other expression the full product. A relation with at
     most ``_TABLE_CAP`` rows, at any arity, is a compact table on every
     call, so it is idempotent. Its masks are shared through the build
-    call's memo ``masks`` under its positional template (the expression
-    with each variable replaced by its scope position) and initial domains;
-    they are read-only, so nothing is trailed. Its rows are enumerated only
+    call's memo ``masks`` under its positional template
+    (``Intension.template``: the expression with each variable replaced by
+    its position in ``Intension.scope``, both worked out once when the
+    intension is built) and initial domains; they are read-only, so
+    nothing is trailed. Its rows are enumerated only
     when the memo lacks the relation, by the one closure it then compiles:
     ``e``'s, which computes ``z`` from the other positions, or the
     expression's, which filters the full product. One that reads
@@ -357,21 +355,20 @@ class IntensionProp(Propagator):
     def __init__(self, c: Intension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
         scope, expression = self.scope, c.expr
-        position = {store.names[x]: i for i, x in enumerate(scope)}
+        position = {v: i for i, v in enumerate(c.scope)}
         domains = tuple(store.init_values[x] for x in scope)
         self.fn = self.bounds_fn = self.linear = self.supports = self.residues = self.offset = None
-        defined = _defined_variable(expression)
-        t = None if defined is None else position[defined[0]]
+        t, e = _defined_variable(c)
         rest = domains if t is None else domains[:t] + domains[t + 1 :]
         if math.prod(map(len, rest)) <= _TABLE_CAP:
             self.offset = _unit_offset(expression, position, domains)
             if self.offset is None:
-                relation = (_template(expression, position), domains)
+                relation = (c.template, domains)
                 if relation not in masks:
                     if t is None:
                         rows = filter(_x.compile_expr(expression, position, bounds=False), itertools.product(*domains))
                     else:
-                        f = _x.compile_expr(defined[1], {v: i - (i > t) for v, i in position.items() if i != t}, bounds=False)
+                        f = _x.compile_expr(e, {v: i - (i > t) for v, i in position.items() if i != t}, bounds=False)
                         rows = (r[:t] + (f(r),) + r[t:] for r in itertools.product(*rest))
                     masks[relation] = _support_masks(store, scope, rows)
                 self.supports = masks[relation]
@@ -1374,7 +1371,7 @@ def _primitives(c):
     lex per adjacent pair of rows (a matrix's rows, then its columns). An
     intension without variables is a constant verdict: the count of no
     variable, which is at least 0 and never at least 1."""
-    if isinstance(c, Intension) and next(_x.expr_vars(c.expr), None) is None:
+    if isinstance(c, Intension) and not c.scope:
         yield Count((), (), Condition("ge", 0 if _x.evaluate(c.expr, {}) else 1))
     elif isinstance(c, Slide):
         for w in c.windows:

@@ -10,6 +10,11 @@ Two walks read it. The checker's ``evaluate`` interprets the tree over a
 binding by name. ``compile_expr`` is the engine's one compiler: it turns the
 tree into a positional closure, of values from each ``apply`` or of bounds
 ``(lo, hi)`` from each ``interval``.
+
+``scope_and_template`` is the one walk that finds an expression's
+variables: ``model.Intension`` runs it once, when it is built, and keeps
+the scope and the positional template that the model, the engine and the
+writer read.
 """
 
 from __future__ import annotations
@@ -17,12 +22,14 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ArityMismatchError, UnboundVariableError
 from .record import record
 
 Expr = Union["IntConst", "VarRef", "Op"]
+#: an expression over scope positions (``scope_and_template``)
+Template = Union[int, "IntConst", tuple]
 Interval = tuple[int, int]
 
 #: the one integer grammar of instance and solver text, ASCII digits only:
@@ -182,13 +189,26 @@ def const(value: int) -> IntConst:
     return IntConst(value)
 
 
-def expr_vars(expr: Expr) -> Iterator[str]:
-    """Yield referenced variable ids, in depth-first order (with repeats)."""
-    if isinstance(expr, VarRef):
-        yield expr.var_id
-    elif isinstance(expr, Op):
-        for child in expr.children:
-            yield from expr_vars(child)
+def scope_and_template(expression: Expr) -> tuple[tuple[str, ...], Template]:
+    """The one walk that finds an expression's variables. The scope is its
+    distinct variable ids in order of first appearance; the template is
+    the expression with each variable replaced by its position in the
+    scope and each operator by ``(kind, *children)``. A constant stays an
+    ``IntConst``, so it never equals a position."""
+    position: dict[str, int] = {}
+
+    def walk(e):
+        if isinstance(e, Op):
+            return (e.kind, *map(walk, e.children))
+        return position.setdefault(e.var_id, len(position)) if isinstance(e, VarRef) else e
+
+    template = walk(expression)
+    return tuple(position), template
+
+
+def mentions(template: Template, i: int) -> bool:
+    """Whether a template holds scope position ``i``."""
+    return any(mentions(child, i) for child in template[1:]) if isinstance(template, tuple) else template == i
 
 
 def is_boolean(expr: Expr) -> bool:

@@ -23,6 +23,7 @@ from pathlib import Path
 from .errors import (
     BadParameterError,
     DuplicateRecordError,
+    NotAnOptimizationInstanceError,
     ProtocolViolationError,
     SchemaMismatchError,
     SpawnFailureError,
@@ -58,7 +59,11 @@ class VerifyResult:
 
 
 def verify(instance: Instance, assignment: Assignment, claimed_bound: int | None = None) -> VerifyResult:
-    """Ground-truth check of a claimed solution; reports the first failure."""
+    """Ground-truth check of a claimed solution; reports the first failure.
+    A bound claimed on a CSP, which has no objective to hold it to, is
+    refused before any check (``NotAnOptimizationInstanceError``)."""
+    if claimed_bound is not None and instance.kind != "COP":
+        raise NotAnOptimizationInstanceError("a claimed bound applies to COP instances only")
     bindings = assignment.bindings
     for v in instance.variables:
         if v.id not in bindings:
@@ -68,7 +73,7 @@ def verify(instance: Instance, assignment: Assignment, claimed_bound: int | None
     for idx, c in enumerate(instance.constraints):
         if not constraint_satisfied(c, assignment):
             return VerifyResult(False, "ConstraintViolated", f"constraint {idx} is violated")
-    if instance.kind == "COP" and claimed_bound is not None:
+    if claimed_bound is not None:
         cost = assignment_cost(instance, assignment)
         if cost != claimed_bound:
             return VerifyResult(False, "CostMismatch", f"objective is {cost}, claimed {claimed_bound}")

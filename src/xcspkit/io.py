@@ -10,10 +10,13 @@ layout: its tag, its children in canonical order with how each reads and
 formats, and how they map to the fields of the model record. The reader
 and the writer are walks over it, so a constraint element is added in one
 place.
-``intension`` is an inline row, read from its text or one ``<function>``.
-Only ``extension`` (its shared tables, below) and ``slide`` are explicit
-cases. A slide is written as a template only when its windows are one
-extension or intension slid by offset 1, else as its windows, one by one.
+``intension`` is an inline row, read from its text or one ``<function>``;
+its reader checks the ``Intension.scope`` of the constraint it builds
+against the declared ids. Only ``extension`` (its shared tables, below)
+and ``slide`` are explicit cases. A slide is written as a template only
+when its windows are one extension or intension slid by offset 1, else as
+its windows, one by one; intension windows are compared by their
+``Intension.template``, and only the first is renamed for output.
 
 Each distinct table is parsed and written once per call. ``parse_instance``
 keys every ``<supports>``/``<conflicts>`` body by polarity, arity and
@@ -338,15 +341,14 @@ def _read_limit(node: _Node, known: set[str]) -> int:
     return cond.rhs
 
 
-def _read_expr(node: _Node, known: set[str]) -> _expr.Expr:
+def _read_intension(node: _Node, known: set[str]) -> Intension:
     try:
-        expression = _expr.parse_expr(node.text)
+        c = Intension(_expr.parse_expr(node.text))
     except _expr.ExprSyntaxError as exc:
         raise UnsupportedFeatureError(f"intension form ({exc})", node.loc) from None
-    for vid in _expr.expr_vars(expression):
-        if vid not in known:
-            raise UnknownVariableError(vid, node.loc)
-    return expression
+    for vid in c.scope:
+        _known_id(vid, known, node.loc)
+    return c
 
 
 def _instantiation(scope, values) -> Instantiation:
@@ -394,10 +396,10 @@ _MATRIX = _Codec(_tuple_list(lambda parts, n, known: tuple(_known_id(p, known, n
 _TRANSITIONS = _Codec(_tuple_list(_transition), _format_tuples)
 _ORIGINS = _Codec(_tuple_list(_origin), _format_tuples)
 _PAIRS = _Codec(_tuple_list(_pair), _format_tuples)
-_EXPR = _Codec(_read_expr, _expr.format_expr)
+_INTENSION = _Codec(_read_intension, lambda c: _expr.format_expr(c.expr))
 
 _LAYOUTS: dict[type, _Layout] = {
-    Intension: _Layout("intension", (_Child("function", _EXPR),), inline=True),
+    Intension: _Layout("intension", (_Child("function", _INTENSION),), lambda c: c, lambda c: (c,), inline=True),
     Regular: _Layout(
         "regular",
         (_Child("list", _VARS), _Child("transitions", _TRANSITIONS), _Child("start", _WORD), _Child("final", _WORDS)),
@@ -1001,8 +1003,10 @@ def _write_slide(w: _Writer, c: Slide, bodies: dict):
 
 def _slide_template(c: Slide):
     """``(list, template)`` when the windows are one extension or intension
-    slid by offset 1 over ``list``, the template's variables renamed to the
-    placeholders ``%0``, ``%1``, ...; else None."""
+    slid by offset 1 over ``list``: extensions of one table and one repeat
+    pattern, or intensions of one ``Intension.template``. The template is
+    the first window, its variables renamed to the placeholders ``%0``,
+    ``%1``, ...; else None."""
     scopes = c.scopes
     if not scopes or not scopes[0]:
         return None
@@ -1012,16 +1016,17 @@ def _slide_template(c: Slide):
         if len(s) != arity or s[:-1] != tuple(seq[len(seq) - arity + 1 :]):
             return None
         seq.append(s[-1])
-    templates = set()
-    for win, scope in zip(c.windows, scopes):
-        mapping = {v: f"%{k}" for k, v in enumerate(scope)}
-        if isinstance(win, Extension):
-            templates.add(Extension(tuple(mapping[v] for v in win.scope), win.table))
-        elif isinstance(win, Intension):
-            templates.add(Intension(_rename_expr(win.expr, mapping)))
-        else:
-            return None
-    return (seq, templates.pop()) if len(templates) == 1 else None
+    first, mapping = c.windows[0], {v: f"%{k}" for k, v in enumerate(scopes[0])}
+    if isinstance(first, Intension):
+        template = Intension(_rename_expr(first.expr, mapping))
+        keys = {w.template if isinstance(w, Intension) else None for w in c.windows}
+    elif isinstance(first, Extension):
+        template = Extension(tuple(mapping[v] for v in first.scope), first.table)
+        keys = {(tuple(map(scope.index, w.scope)), w.table) if isinstance(w, Extension) else None
+                for w, scope in zip(c.windows, scopes)}
+    else:
+        return None
+    return (seq, template) if len(keys) == 1 else None
 
 
 def _rename_expr(e, mapping):

@@ -15,7 +15,11 @@ holds the attributes that carry its variable ids, its satisfaction check
 and its well-formedness check. ``constraint_scope``,
 ``constraint_satisfied`` and ``validate_instance`` read the row, so a
 class's semantics live in one place; ``io._LAYOUTS`` holds its XML layout
-and ``engine.propagators._PROPAGATORS`` its propagator.
+and ``engine.propagators._PROPAGATORS`` its propagator. An intension's
+variable attribute is its ``scope``, like every positional row's: an
+``Intension`` works out its scope and positional template once, when it is
+built (``expr.scope_and_template``), and nothing walks its expression for
+them again.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
     ScopeMismatchError,
     UnboundVariableError,
 )
-from .expr import INT64_MAX, Expr, evaluate, expr_vars, is_boolean
+from .expr import INT64_MAX, Expr, evaluate, is_boolean
 from .record import record
 
 #: Wildcard table entry matching any domain value.
@@ -185,7 +189,15 @@ class Automaton:
 
 @record
 class Intension:
+    """A constraint that the expression ``expr`` holds. Its ``scope`` and
+    positional ``template`` (``expr.scope_and_template``) are worked out
+    once, here; ``expr`` stays the one field, so equality, hashing and repr
+    read it alone."""
+
     expr: Expr
+
+    def __post_init__(self):
+        self.__dict__["scope"], self.__dict__["template"] = _expr.scope_and_template(self.expr)
 
 
 @record
@@ -580,7 +592,7 @@ class _Kind(NamedTuple):
 
 #: the constraint catalogue, one row per class
 _KINDS = {
-    Intension: _Kind(("expr",), lambda c, a: evaluate(c.expr, a.bindings) != 0, _intension_violations),
+    Intension: _Kind(("scope",), lambda c, a: evaluate(c.expr, a.bindings) != 0, _intension_violations),
     Extension: _Kind(("scope",), _extension_satisfied, _extension_violations),
     Regular: _Kind(("scope",), lambda c, a: c.automaton.accepts([a[v] for v in c.scope]), _regular_violations),
     AllDifferent: _Kind(("scope",), lambda c, a: _distinct([a[v] for v in c.scope]), lambda c, tables: ()),
@@ -671,8 +683,7 @@ def _kind(c) -> _Kind:
 
 def _ids(value) -> Iterator[str]:
     """Variable ids in an attribute that a ``_KINDS`` row names, repeats
-    included: the strings of nested tuples, a condition's variable rhs and
-    an expression's variables."""
+    included: the strings of nested tuples and a condition's variable rhs."""
     if isinstance(value, str):
         yield value
     elif isinstance(value, tuple):
@@ -683,8 +694,6 @@ def _ids(value) -> Iterator[str]:
                 yield from _ids(item)
     elif isinstance(value, Condition):
         yield from _ids(value.rhs)
-    elif isinstance(value, (_expr.VarRef, _expr.Op)):
-        yield from expr_vars(value)
 
 
 def constraint_scope(c: Constraint) -> tuple[str, ...]:

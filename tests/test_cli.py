@@ -387,7 +387,7 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", str(inst_path), str(sol), "--bound", "7"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "error: --bound applies to COP instances only\n"
+        assert captured.out == "" and captured.err == "error: a claimed bound applies to COP instances only\n"
 
 
 class TestRankCommand:

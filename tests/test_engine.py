@@ -24,7 +24,7 @@ from xcspkit.engine import propagators, search
 from xcspkit.engine.propagators import _SCAN_CAP, IntensionProp, TableProp, _defined_variable, make_propagators
 from xcspkit.engine.search import _CLEAN, PropagationEngine, _Search, _improving
 from xcspkit.errors import BadParameterError, InvalidInstanceError
-from xcspkit.expr import evaluate, expr_vars, parse_expr
+from xcspkit.expr import evaluate, parse_expr
 from xcspkit.generators import (
     gen_bibd,
     gen_coloured_queens,
@@ -442,14 +442,14 @@ def test_intension_gac_pass_equals_brute_force(text, functional):
     the GAC pass on every call, whatever the live product, by a table built
     with the propagator that survives every pop."""
     rng = random.Random(text)
-    names = list(dict.fromkeys(expr_vars(parse_expr(text))))
+    names = list(Intension(parse_expr(text)).scope)
     size = 50 if len(names) == 2 else 13  # initial product above _SCAN_CAP
     store = DomainStore(
         [Variable(n, Domain(tuple(sorted(rng.sample(range(-40, 41), size))))) for n in names]
     )
     (prop,) = make_propagators([Intension(parse_expr(text))], store)
     masks = prop.supports
-    assert masks is not None and (_defined_variable(parse_expr(text)) is not None) == functional
+    assert masks is not None and (_defined_variable(Intension(parse_expr(text)))[0] is not None) == functional
     outcomes, products = set(), set()
     for _ in range(30):
         store.push()
@@ -473,7 +473,7 @@ def test_intension_gac_pass_equals_brute_force(text, functional):
 
 def _intension_above_the_table_cap(text, size):
     def build(rng):
-        names = list(dict.fromkeys(expr_vars(parse_expr(text))))
+        names = list(Intension(parse_expr(text)).scope)
         variables = [Variable(n, Domain(tuple(sorted(rng.sample(range(-60, 61), size))))) for n in names]
         return variables, Intension(parse_expr(text)), _holds(text, names)
 
@@ -656,6 +656,28 @@ def test_a_build_compiles_one_expression_per_relation_the_memo_builds(generate, 
     props = [p for p in make_propagators(instance.constraints, DomainStore(instance.variables)) if isinstance(p, IntensionProp)]
     assert props and len(built) == relations and len(roots) <= relations
     assert all(p.fn is None and (p.offset is not None or p.supports is not None) for p in props)
+
+
+@pytest.mark.parametrize(
+    "generate, relations",
+    [(lambda: gen_low_autocorrelation(40), 40), (lambda: gen_social_golfers(4, 4, 4), 1)],
+    ids=["labs-40", "social-golfers-4-4-4"],
+)
+def test_a_build_walks_no_expression(generate, relations, monkeypatch):
+    """An intension works out its scope and positional template once, when
+    it is built, so building its propagator walks its expression for
+    neither; the memo still builds one set of masks per relation."""
+    instance = generate()
+    walks = []
+    scope_and_template = expr.scope_and_template
+    monkeypatch.setattr(expr, "scope_and_template", lambda e: walks.append(e) or scope_and_template(e))
+    built = []
+    support_masks = propagators._support_masks
+    monkeypatch.setattr(propagators, "_support_masks", lambda *args: built.append(args) or support_masks(*args))
+    make_propagators(instance.constraints, DomainStore(instance.variables))
+    assert walks == [] and len(built) == relations
+    Intension(expr.VarRef("x"))  # the counter does see a construction's walk
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize(

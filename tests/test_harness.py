@@ -14,7 +14,14 @@ import pytest
 import xcspkit
 from helpers import mutant
 from xcspkit.engine import solve
-from xcspkit.errors import BadParameterError, DuplicateRecordError, SchemaMismatchError, UnknownModeError, XcspError
+from xcspkit.errors import (
+    BadParameterError,
+    DuplicateRecordError,
+    NotAnOptimizationInstanceError,
+    SchemaMismatchError,
+    UnknownModeError,
+    XcspError,
+)
 from xcspkit.generators import gen_dubois, gen_knapsack, gen_langford
 from xcspkit.harness import (
     RunRecord,
@@ -73,6 +80,17 @@ class TestVerify:
         result = verify(inst, a)
         assert not result.ok
         assert result.code == "ConstraintViolated"
+
+    def test_a_bound_claimed_on_a_csp_is_refused(self):
+        """A CSP has no objective to hold a claimed bound to: the bound is
+        refused before any other check, beside a valid witness and beside
+        an empty assignment alike."""
+        inst = gen_langford(3)
+        witness = solve(inst).witness
+        assert verify(inst, witness).ok
+        for assignment in (witness, Assignment({})):
+            with pytest.raises(NotAnOptimizationInstanceError, match="^a claimed bound applies to COP instances only$"):
+                verify(inst, assignment, 7)
 
 
 def synth_records(counts, n_instances, vbs, status="SAT"):

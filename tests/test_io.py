@@ -370,6 +370,33 @@ def test_slide_that_is_no_template_writes_each_window(text):
     assert write_instance(back) == written
 
 
+def _sliding(*windows) -> Instance:
+    return Instance("CSP", tuple(Variable(f"x[{i}]", Domain.rng(0, 3)) for i in range(4)), (Slide(windows),))
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        _sliding(Intension(parse_expr("le(add(x[0],x[1]),1)")), Intension(parse_expr("le(add(x[1],x[2]),2)"))),
+        _sliding(Intension(parse_expr("le(x[0],x[1])")), Intension(parse_expr("lt(x[1],x[2])"))),
+        _sliding(Intension(parse_expr("le(x[0],x[1])")), Intension(parse_expr("le(add(x[1],x[1]),x[2])"))),
+        _sliding(Intension(parse_expr("le(x[0],x[1])")), Extension(("x[1]", "x[2]"), supports(2, [(0, 1)]))),
+        _sliding(
+            Extension(("x[0]", "x[1]", "x[1]"), supports(3, [(0, 1, 1)])),
+            Extension(("x[1]", "x[2]", "x[1]"), supports(3, [(0, 1, 1)])),
+        ),
+    ],
+    ids=["constants", "operators", "repeat-pattern", "intension-and-extension", "extension-repeat-pattern"],
+)
+def test_sliding_windows_of_two_templates_are_written_one_by_one(instance):
+    """Windows whose scopes slide by offset 1 but whose templates differ,
+    in a constant, an operator, a repeated variable or their kind, are
+    written as their windows and read back as such."""
+    written = write_instance(instance)
+    assert "<slide>" not in written
+    assert parse_instance(written).constraints == instance.constraints[0].windows
+
+
 def test_intension_reads_a_function_child():
     text = """
     <instance format="XCSP3" type="CSP">

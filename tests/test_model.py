@@ -409,14 +409,17 @@ class TestValidation:
         codes = [v.code for v in report]
         assert "BoundOverflow" in codes
 
-    def test_nonboolean_intension_root(self):
-        report = refusal(
-            "CSP",
-            (Variable("a", Domain.rng(0, 1)),),
-            (Intension(op("add", var("a"), const(1))),),
-        )
-        codes = [v.code for v in report]
-        assert "NotBoolean" in codes
+    @pytest.mark.parametrize(
+        "root", [op("add", var("a"), const(1)), const(1), var("a")], ids=["integer-operator", "constant", "variable"]
+    )
+    def test_nonboolean_intension_root(self, root):
+        """An intension over any root constructs; an instance refuses a
+        root that is not boolean with one report."""
+        c = Intension(root)
+        report = refusal("CSP", (Variable("a", Domain.rng(0, 1)),), (c,))
+        assert [(v.code, v.where, v.detail) for v in report] == [
+            ("NotBoolean", "constraint 0", "intension root must be a relational or logical operator")
+        ]
 
 
 @pytest.mark.parametrize(
@@ -973,3 +976,70 @@ def test_sum_windows_of_a_slide_are_checked_for_overflow():
     assert [(v.code, v.where, v.detail) for v in refusal("CSP", variables, (Slide(windows), Slide(windows[1:])))] == [
         ("BoundOverflow", "constraint 0", "sum can exceed 64-bit range")
     ]
+
+
+# The scope and template of an intension, as the walks that one walk
+# replaced computed them: the distinct variables of a depth-first walk, and
+# the expression over their positions.
+
+
+def _reference_vars(expression):
+    if isinstance(expression, VarRef):
+        yield expression.var_id
+    elif isinstance(expression, Op):
+        for child in expression.children:
+            yield from _reference_vars(child)
+
+
+def _reference_template(expression, position):
+    if isinstance(expression, Op):
+        return (expression.kind, *(_reference_template(e, position) for e in expression.children))
+    return position[expression.var_id] if isinstance(expression, VarRef) else expression
+
+
+def _intensions(constraints):
+    for c in constraints:
+        if isinstance(c, Intension):
+            yield c
+        elif isinstance(c, Slide):
+            yield from _intensions(c.windows)
+
+
+def _random_expression(rng, depth):
+    """An expression over four names and the constants -1..4, so that
+    variables repeat and constants equal positions; any kind of any arity
+    its row allows, whatever the sorts of its operands."""
+    if depth == 0 or rng.random() < 0.3:
+        return VarRef(rng.choice("wxyz")) if rng.random() < 0.6 else IntConst(rng.randint(-1, 4))
+    kind = rng.choice(sorted(OPS))
+    spec = OPS[kind]
+    arity = rng.randint(spec.min_arity, spec.max_arity or 4)
+    return Op(kind, tuple(_random_expression(rng, depth - 1) for _ in range(arity)))
+
+
+def _expressions_to_compare():
+    from test_generators import ALL_REQUESTS
+    from xcspkit.generators import build, gen_golomb_ruler, gen_low_autocorrelation, gen_social_golfers, gen_still_life
+
+    instances = [build(r) for r in ALL_REQUESTS]
+    instances += [gen_still_life(12), gen_still_life(8), gen_low_autocorrelation(40), gen_golomb_ruler(12)]
+    instances.append(gen_social_golfers(4, 4, 4))
+    for instance in instances:
+        for c in _intensions(instance.constraints):
+            yield c.expr
+    rng = random.Random(31)
+    for _ in range(500):
+        yield _random_expression(rng, 4)
+    yield from (VarRef("x"), IntConst(0), IntConst(1), parse_expr("eq(x,0)"), parse_expr("add(x,y,x,1,0)"))
+
+
+def test_an_intension_keeps_the_scope_and_template_of_the_walks_it_replaced():
+    count = 0
+    for expression in _expressions_to_compare():
+        c = Intension(expression)
+        scope = tuple(dict.fromkeys(_reference_vars(expression)))
+        template = _reference_template(expression, {v: i for i, v in enumerate(scope)})
+        assert c.scope == scope and constraint_scope(c) == scope
+        assert c.template == template and repr(c.template) == repr(template)
+        count += 1
+    assert count > 2000
