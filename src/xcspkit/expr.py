@@ -181,14 +181,6 @@ def op(kind: str, *operands: int | str | Expr) -> Op:
     return Op(kind, tuple(children))
 
 
-def var(var_id: str) -> VarRef:
-    return VarRef(var_id)
-
-
-def const(value: int) -> IntConst:
-    return IntConst(value)
-
-
 def scope_and_template(expression: Expr) -> tuple[tuple[str, ...], Template]:
     """The one walk that finds an expression's variables. The scope is its
     distinct variable ids in order of first appearance; the template is

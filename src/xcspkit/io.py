@@ -13,22 +13,37 @@ place.
 ``intension`` is an inline row, read from its text or one ``<function>``;
 its reader checks the ``Intension.scope`` of the constraint it builds
 against the declared ids. Only ``extension`` (its shared tables, below)
-and ``slide`` are explicit cases. A slide is written as a template only
-when its windows are one extension or intension slid by offset 1, else as
-its windows, one by one; intension windows are compared by their
-``Intension.template``, and only the first is renamed for output.
+and ``slide`` are explicit cases.
 
-Each distinct table is parsed and written once per call. ``parse_instance``
-keys every ``<supports>``/``<conflicts>`` body by polarity, arity and
-whitespace-normalised text, so extensions that repeat it (plain, in a
-``<group>`` or in the windows of a ``<slide>``) share one ``Table``, read
-and checked at its first occurrence. ``write_instance`` renders each
-distinct ``Table``'s body once.
+The canonical form writes each template once. Constraints of one shape
+(``_shape``) are intensions of one ``Intension.template``, or extensions
+of one table and one repeat pattern of their scope. A slide is written as
+a template only when its windows are of one shape, slid by offset 1;
+otherwise its windows take its place in the sequence of constraints. Each
+maximal run of two or more constraints of one shape in that sequence is
+written as one ``<group>``: the first of them renamed to ``%0``, ``%1``,
+... as the template, and each one's distinct ids as an ``<args>``.
+
+A ``<group>`` or ``<slide>`` reads its template once
+(``_template_reader``). An ``<intension>`` template's expression is parsed
+once with each ``%k`` as a placeholder, which must be a whole operand, and
+each ``<args>`` entry binds a variable id or an integer into it. Any other
+template is instantiated by substituting its text, and its subtrees
+without a placeholder are shared, not copied.
+
+Each distinct table is parsed once per call, and written once per run of
+its extensions. ``parse_instance`` keys every ``<supports>``/``<conflicts>``
+body by polarity, arity and whitespace-normalised text, so extensions that
+repeat it (plain, in a ``<group>`` or in the windows of a ``<slide>``)
+share one ``Table``, read and checked at its first occurrence.
+``write_instance`` renders each distinct ``Table``'s body once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 import xml.parsers.expat
 from typing import Any, Callable, NamedTuple, Union
@@ -40,6 +55,7 @@ from .errors import (
     SourceLocation,
     UnknownVariableError,
     UnsupportedFeatureError,
+    XcspError,
     XmlSyntaxError,
 )
 from .model import (
@@ -91,18 +107,17 @@ _RANGE_CAP = 1 << 20
 
 
 class _Node:
-    __slots__ = ("tag", "attrib", "loc", "children", "text_parts")
+    """An element: its tag, attributes, location, children and its text,
+    whitespace-normalised once, when the element closes."""
+
+    __slots__ = ("tag", "attrib", "loc", "children", "text")
 
     def __init__(self, tag: str, attrib: dict[str, str], loc: SourceLocation):
         self.tag = tag
         self.attrib = attrib
         self.loc = loc
         self.children: list[_Node] = []
-        self.text_parts: list[str] = []
-
-    @property
-    def text(self) -> str:
-        return " ".join("".join(self.text_parts).split())
+        self.text = ""
 
     def child(self, tag: str) -> "_Node | None":
         for c in self.children:
@@ -118,6 +133,7 @@ def _parse_xml(text: str) -> _Node:
     parser = xml.parsers.expat.ParserCreate()
     root: list[_Node] = []
     stack: list[_Node] = []
+    parts: list[list[str]] = []  # the text chunks of each open element
 
     def loc() -> SourceLocation:
         return SourceLocation(parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
@@ -129,13 +145,14 @@ def _parse_xml(text: str) -> _Node:
         else:
             root.append(node)
         stack.append(node)
+        parts.append([])
 
     def end(tag):
-        stack.pop()
+        stack.pop().text = " ".join("".join(parts.pop()).split())
 
     def chardata(data):
-        if stack:
-            stack[-1].text_parts.append(data)
+        if parts:
+            parts[-1].append(data)
 
     parser.StartElementHandler = start
     parser.EndElementHandler = end
@@ -642,17 +659,21 @@ def _parse_array(node: _Node) -> list[Variable]:
 
 
 def _substitute(node: _Node, args: list[str]) -> _Node:
-    """Clone a template element, replacing %k placeholders in text."""
-
-    def sub_text(t: str) -> str:
-        if "%..." in t:
+    """The template element with each %k of its text replaced by
+    ``args[k]``; a subtree without a ``%`` is returned itself, so its text
+    (a table body, say) is normalised, keyed and read once per template."""
+    text = node.text
+    if "%" in text:
+        if "%..." in text:
             raise UnsupportedFeatureError("group remaining-args placeholder '%...'", node.loc)
         # callers pass at least ``_template_arity(node)`` ids
-        return _PLACEHOLDER_RE.sub(lambda m: args[int(m.group(1))], t)
-
-    clone = _Node(node.tag, dict(node.attrib), node.loc)
-    clone.text_parts = [sub_text(t) for t in node.text_parts]
-    clone.children = [_substitute(c, args) for c in node.children]
+        text = _PLACEHOLDER_RE.sub(lambda m: args[int(m.group(1))], text)
+    children = [_substitute(c, args) for c in node.children]
+    if text is node.text and all(map(operator.is_, children, node.children)):
+        return node
+    clone = _Node(node.tag, node.attrib, node.loc)
+    clone.text = text
+    clone.children = children
     return clone
 
 
@@ -665,19 +686,113 @@ def _parse_constraint_item(node: _Node, known: set[str], tables: dict) -> list[C
     if node.tag == "group":
         template, args_nodes = _template_and_args(node, "args")
         arity = _template_arity(template)
+        read = _template_reader(template, known, tables, _parse_constraint_item)
         out = []
         for an in args_nodes:
             args = an.text.split()
             # too few ids would leave a placeholder unfilled, so they are
-            # refused unexpanded; extra ids after expansion, so that a `%`
-            # before non-ASCII digits, which the arity does not count, fails
-            # as an unsupported expression first
+            # refused unread; extra ids after the read, so that a `%` before
+            # non-ASCII digits, which the arity does not count, fails as an
+            # unsupported expression first
             if len(args) >= arity:
-                out.extend(_parse_constraint_item(_substitute(template, args), known, tables))
+                out.extend(read(args, an))
             if len(args) != arity:
                 raise XmlSyntaxError(f"<args> holds {len(args)} ids for a template of arity {arity}", an.loc)
         return out
     return [_parse_constraint(node, known, tables)]
+
+
+def _template_reader(template: _Node, known: set[str], tables: dict, parse) -> Callable[[list[str], _Node], list]:
+    """The reader of a ``<group>``'s or ``<slide>``'s template: a function
+    of one instance's ids and the element that lists them, giving the
+    constraints that ``parse`` (``_parse_constraint_item`` or a list of one
+    ``_parse_constraint``) reads from the template's text with those ids
+    put in for its placeholders.
+
+    An ``<intension>`` template is read once, at its first instance, each
+    ``%k`` as a placeholder (``_intension_shape``); an instance binds each
+    placeholder to its id (a ``VarRef``) or integer (an ``IntConst``) and
+    builds the ``Intension``. Any other template is read per instance from
+    ``_substitute``. An instance that the intension shape cannot give is
+    refused with the error its substituted text reads with; when that text
+    reads, because an entry is an expression or a placeholder is no whole
+    operand, with the shape's own error."""
+    if template.tag != "intension":
+        return lambda args, at: parse(_substitute(template, args), known, tables)
+    shape = None
+
+    def read(args: list[str], at: _Node) -> list:
+        nonlocal shape
+        try:
+            if shape is None:
+                shape = _intension_shape(template, known, tables)
+            expression, placeholders, loc = shape
+            c = Intension(_bind(expression, {name: _operand(args[k], at) for name, k in placeholders.items()}))
+            for vid in c.scope:
+                _known_id(vid, known, loc)
+            return [c]
+        except XcspError:
+            parse(_substitute(template, args), known, tables)
+            raise
+
+    return read
+
+
+class _Declared:
+    """The declared ids and a template's placeholder names, as the ids an
+    intension template is read once against."""
+
+    __slots__ = ("known", "names")
+
+    def __init__(self, known: set[str], names):
+        self.known = known
+        self.names = names
+
+    def __contains__(self, vid: str) -> bool:
+        return vid in self.names or vid in self.known
+
+
+def _intension_shape(template: _Node, known: set[str], tables: dict):
+    """``(expression, placeholders, location)`` of an ``<intension>``
+    template: its expression with each ``%k`` read as the id ``{stem}{k}``,
+    where no text of the template holds ``stem``; ``placeholders`` maps the
+    ids it holds to their ``k``; ``location`` is the element that holds the
+    expression. A placeholder must be a whole operand."""
+    texts = " ".join(n.text for n in (template, *template.children))
+    stem = "_"
+    while stem in texts:
+        stem += "_"
+    names = [f"{stem}{k}" for k in range(_template_arity(template))]
+    placeholders = {name: k for k, name in enumerate(names)}
+    try:
+        c = _parse_constraint(_substitute(template, names), _Declared(known, placeholders), tables)
+    except XcspError:
+        c = None
+    if c is None or any(stem in vid and vid not in placeholders for vid in c.scope):
+        raise UnsupportedFeatureError("intension template whose placeholder is no whole operand", template.loc)
+    # the template read, it holds its expression as text or in one <function>
+    holder = template.children[0] if template.children else template
+    return c.expr, {name: placeholders[name] for name in c.scope if name in placeholders}, holder.loc
+
+
+def _operand(tok: str, at: _Node) -> _expr.Expr:
+    """An ``<args>`` entry as an intension operand: a variable id, or an
+    integer of the expression grammar, which has no ``+`` sign."""
+    if ID_RE.fullmatch(tok):
+        return _expr.VarRef(tok)
+    value = None if tok.startswith("+") else _expr.int64(tok)
+    if value is None:
+        raise XmlSyntaxError(f"<args> entry {tok!r} is no variable id or integer", at.loc)
+    return _expr.IntConst(value)
+
+
+def _bind(e: _expr.Expr, operands: dict) -> _expr.Expr:
+    """``e`` with each variable named in ``operands`` replaced by its operand."""
+    if isinstance(e, _expr.Op):
+        return _expr.Op(e.kind, tuple([_bind(child, operands) for child in e.children]))
+    if isinstance(e, _expr.VarRef):
+        return operands.get(e.var_id, e)
+    return e
 
 
 def _template_and_args(node: _Node, args_tag: str) -> tuple[_Node, list[_Node]]:
@@ -742,9 +857,10 @@ def _parse_constraint(node: _Node, known: set[str], tables: dict) -> Constraint:
         arity = _template_arity(template)
         if arity < 1 or arity > len(scope):
             raise XmlSyntaxError("slide template arity does not fit list", node.loc)
+        read = _template_reader(template, known, tables, lambda n, k, t: [_parse_constraint(n, k, t)])
         windows = []
         for i in range(len(scope) - arity + 1):
-            windows.append(_parse_constraint(_substitute(template, scope[i : i + arity]), known, tables))
+            windows.extend(read(scope[i : i + arity], lists[0]))
         return Slide(tuple(windows))
 
     if tag in _BY_TAG:
@@ -763,7 +879,10 @@ def _parse_table(polarity: str, arity: int, text: str, loc: SourceLocation) -> T
             else:
                 rows.extend((v,) for v in _values(tok, loc))
     else:
-        rows = [tuple(_tuple_entry(part, loc) for part in parts) for parts in _split_tuples(text, polarity, loc)]
+        tuples = _split_tuples(text, polarity, loc)
+        # each distinct entry is read once, in order of first occurrence
+        entries = {part: _tuple_entry(part, loc) for part in dict.fromkeys(p for parts in tuples for p in parts)}
+        rows = [tuple(map(entries.__getitem__, parts)) for parts in tuples]
         for row in rows:
             if len(row) != arity:
                 raise XmlSyntaxError(f"tuple {row} does not match arity {arity}", loc)
@@ -771,10 +890,7 @@ def _parse_table(polarity: str, arity: int, text: str, loc: SourceLocation) -> T
 
 
 def _template_arity(node: _Node) -> int:
-    best = -1
-    for part in node.text_parts:
-        for m in _PLACEHOLDER_RE.finditer(part):
-            best = max(best, int(m.group(1)))
+    best = max((int(m.group(1)) for m in _PLACEHOLDER_RE.finditer(node.text)), default=-1)
     for child in node.children:
         best = max(best, _template_arity(child) - 1)
     return best + 1
@@ -868,9 +984,7 @@ def write_instance(instance: Instance) -> str:
     _write_variables(w, instance.variables)
     w.close("</variables>")
     w.open("<constraints>")
-    bodies: dict[Table, str] = {}  # table -> its rendered <supports>/<conflicts> body
-    for c in instance.constraints:
-        _write_constraint(w, c, bodies)
+    _write_constraints(w, instance.constraints)
     w.close("</constraints>")
     if instance.objective is not None:
         w.open("<objectives>")
@@ -957,9 +1071,41 @@ def _write_array(w: _Writer, stem: str, dims, cells):
     w.close("</array>")
 
 
+def _write_constraints(w: _Writer, constraints) -> None:
+    """Write a sequence of constraints in one walk (``_written``): each
+    maximal run of two or more constraints of one ``_shape`` as one
+    ``<group>``, whose template is the first of them renamed (``_renamed``)
+    and whose ``<args>`` are each one's ids; every other constraint as
+    itself."""
+    bodies: dict[Table, str] = {}  # table -> its rendered <supports>/<conflicts> body
+    # a constraint without a shape is a run of its own: no two object() are equal
+    for _, run in itertools.groupby(_written(constraints), lambda item: item[1][0] if item[1] else object()):
+        (c, shape), *rest = run
+        if not rest:
+            _write_constraint(w, c, bodies)
+            continue
+        w.open("<group>")
+        _write_constraint(w, _renamed(c, shape[1]), bodies)
+        for _, (_, ids) in ((c, shape), *rest):
+            w.leaf("args", " ".join(ids))
+        w.close("</group>")
+
+
+def _written(constraints):
+    """``(constraint, its _shape)`` of each constraint as written: a slide
+    that is no template (``_slide_template``) is replaced by its windows, in
+    turn, so the reader reads them back as constraints of the sequence."""
+    for c in constraints:
+        if isinstance(c, Slide) and _slide_template(c) is None:
+            yield from _written(c.windows)
+        else:
+            yield c, _shape(c)
+
+
 def _write_constraint(w: _Writer, c: Constraint, bodies: dict):
-    """Write one constraint; an extension's table body is rendered once per
-    distinct table and kept in ``bodies``."""
+    """Write one constraint, a slide only as its template; an extension's
+    table body is rendered once per distinct table and kept in
+    ``bodies``."""
     layout = _LAYOUTS.get(type(c))
     if layout is not None:
         _write_layout(w, layout, c)
@@ -972,7 +1118,11 @@ def _write_constraint(w: _Writer, c: Constraint, bodies: dict):
         w.leaf(c.table.polarity, body)
         w.close("</extension>")
     elif isinstance(c, Slide):
-        _write_slide(w, c, bodies)
+        seq, template = _slide_template(c)
+        w.open("<slide>")
+        w.leaf("list", " ".join(seq))
+        _write_constraint(w, template, bodies)
+        w.close("</slide>")
     else:
         raise InvariantViolationError([f"cannot serialize {type(c).__name__}"])
 
@@ -986,47 +1136,43 @@ def _table_body(table: Table) -> str:
     return _format_tuples(table.rows)
 
 
-def _write_slide(w: _Writer, c: Slide, bodies: dict):
-    """Write the windows' one template over the sliding list, or each window
-    as its own constraint when they are not one template slid by offset 1."""
-    found = _slide_template(c)
-    if found is None:
-        for win in c.windows:
-            _write_constraint(w, win, bodies)
-        return
-    seq, template = found
-    w.open("<slide>")
-    w.leaf("list", " ".join(seq))
-    _write_constraint(w, template, bodies)
-    w.close("</slide>")
+def _shape(c):
+    """``(key, ids)`` of a constraint that a ``<group>`` or ``<slide>`` can
+    write from one template, else None. Constraints of one key differ only
+    in their distinct ids: intensions of one ``Intension.template``, or
+    extensions of one table and one repeat pattern of their scope."""
+    if isinstance(c, Intension):
+        return (Intension, c.template), c.scope
+    if isinstance(c, Extension):
+        ids = tuple(dict.fromkeys(c.scope))
+        return (c.table, tuple(map(ids.index, c.scope))), ids
+    return None
+
+
+def _renamed(c, ids):
+    """``c`` with each of its ``ids`` renamed to the placeholder of its
+    position, ``%0``, ``%1``, ..."""
+    mapping = {v: f"%{k}" for k, v in enumerate(ids)}
+    if isinstance(c, Intension):
+        return Intension(_rename_expr(c.expr, mapping))
+    return Extension(tuple(mapping[v] for v in c.scope), c.table)
 
 
 def _slide_template(c: Slide):
-    """``(list, template)`` when the windows are one extension or intension
-    slid by offset 1 over ``list``: extensions of one table and one repeat
-    pattern, or intensions of one ``Intension.template``. The template is
-    the first window, its variables renamed to the placeholders ``%0``,
-    ``%1``, ...; else None."""
-    scopes = c.scopes
-    if not scopes or not scopes[0]:
+    """``(list, template)`` when the windows are of one ``_shape`` slid by
+    offset 1 over ``list``; the template is the first window, renamed
+    (``_renamed``). Else None."""
+    shapes = [_shape(win) for win in c.windows]
+    if not shapes or shapes[0] is None or not shapes[0][1]:
         return None
-    arity = len(scopes[0])
-    seq = list(scopes[0])
-    for s in scopes[1:]:
-        if len(s) != arity or s[:-1] != tuple(seq[len(seq) - arity + 1 :]):
+    key, first = shapes[0]
+    arity = len(first)
+    seq = list(first)
+    for shape in shapes[1:]:
+        if shape is None or shape[0] != key or shape[1][:-1] != tuple(seq[len(seq) - arity + 1 :]):
             return None
-        seq.append(s[-1])
-    first, mapping = c.windows[0], {v: f"%{k}" for k, v in enumerate(scopes[0])}
-    if isinstance(first, Intension):
-        template = Intension(_rename_expr(first.expr, mapping))
-        keys = {w.template if isinstance(w, Intension) else None for w in c.windows}
-    elif isinstance(first, Extension):
-        template = Extension(tuple(mapping[v] for v in first.scope), first.table)
-        keys = {(tuple(map(scope.index, w.scope)), w.table) if isinstance(w, Extension) else None
-                for w, scope in zip(c.windows, scopes)}
-    else:
-        return None
-    return (seq, template) if len(keys) == 1 else None
+        seq.append(shape[1][-1])
+    return seq, _renamed(c.windows[0], first)
 
 
 def _rename_expr(e, mapping):

@@ -85,14 +85,13 @@ class Variable:
 
 
 def _norm_rows(rows):
-    seen = set()
-    out = []
-    for row in rows:
-        t = tuple(row)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    out.sort(key=lambda row: tuple((1, 0) if v == STAR else (0, v) for v in row))
+    """The distinct rows, sorted with ints first and STAR last at each
+    position; rows of ints alone sort as themselves."""
+    out = list(dict.fromkeys(map(tuple, rows)))
+    if any(STAR in row for row in out):
+        out.sort(key=lambda row: tuple((1, 0) if v == STAR else (0, v) for v in row))
+    else:
+        out.sort()
     return tuple(out)
 
 
@@ -525,21 +524,29 @@ def _operand_violations(e: Expr):
         yield from _operand_violations(child)
 
 
-def _intension_violations(c: Intension, tables: dict):
+def _intension_violations(c: Intension, memo: dict):
+    """``memo`` maps ``(Intension, template)`` to the operand violations of
+    the expressions of that ``Intension.template``, which are the same for
+    each of them, so the validating call walks each distinct template
+    once."""
     if not is_boolean(c.expr):
         yield "NotBoolean", "intension root must be a relational or logical operator"
-    yield from _operand_violations(c.expr)
+    key = (Intension, c.template)
+    operands = memo.get(key)
+    if operands is None:
+        operands = memo[key] = list(_operand_violations(c.expr))
+    yield from operands
 
 
-def _extension_violations(c: Extension, tables: dict):
-    """``tables`` maps ``id(table)`` to the table's row violations, so the
+def _extension_violations(c: Extension, memo: dict):
+    """``memo`` maps ``id(table)`` to the table's row violations, so the
     validating call walks each distinct table's rows once."""
     table = c.table
     if table.arity != len(c.scope):
         yield "ScopeMismatch", f"table arity {table.arity} != scope length {len(c.scope)}"
-    rows = tables.get(id(table))
+    rows = memo.get(id(table))
     if rows is None:
-        rows = tables[id(table)] = [
+        rows = memo[id(table)] = [
             f"row {row} does not have {table.arity} entries" for row in table.rows if len(row) != table.arity
         ]
     for detail in rows:
@@ -548,7 +555,7 @@ def _extension_violations(c: Extension, tables: dict):
         yield "BadPolarity", f"unknown polarity {table.polarity!r}"
 
 
-def _regular_violations(c: Regular, tables: dict):
+def _regular_violations(c: Regular, memo: dict):
     automaton = c.automaton
     delta_keys = [(q, s) for q, s, _ in automaton.transitions]
     if len(delta_keys) != len(set(delta_keys)):
@@ -568,7 +575,7 @@ def _regular_violations(c: Regular, tables: dict):
             yield "UnreachableFinal", f"final state {f!r} unreachable from start"
 
 
-def _cardinality_violations(c: Cardinality, tables: dict):
+def _cardinality_violations(c: Cardinality, memo: dict):
     if len(c.values) != len(c.occurs):
         yield "LengthMismatch", "values and occurs lengths differ"
     if len(set(c.values)) < len(c.values):
@@ -581,9 +588,10 @@ def _cardinality_violations(c: Cardinality, tables: dict):
 class _Kind(NamedTuple):
     """One constraint class: the attributes that hold its variable ids, in
     order of first appearance; its satisfaction check ``(c, assignment)``;
-    its well-formedness check ``(c, tables)``, which yields ``(code,
-    detail)`` pairs (``tables`` is the validating call's per-table memo,
-    see ``_extension_violations``)."""
+    its well-formedness check ``(c, memo)``, which yields ``(code,
+    detail)`` pairs (``memo`` is the validating call's memo of the checks
+    that constraints share: per table, see ``_extension_violations``, and
+    per intension template, see ``_intension_violations``)."""
 
     vars: tuple[str, ...]
     satisfied: Callable[..., bool]
@@ -595,30 +603,30 @@ _KINDS = {
     Intension: _Kind(("scope",), lambda c, a: evaluate(c.expr, a.bindings) != 0, _intension_violations),
     Extension: _Kind(("scope",), _extension_satisfied, _extension_violations),
     Regular: _Kind(("scope",), lambda c, a: c.automaton.accepts([a[v] for v in c.scope]), _regular_violations),
-    AllDifferent: _Kind(("scope",), lambda c, a: _distinct([a[v] for v in c.scope]), lambda c, tables: ()),
+    AllDifferent: _Kind(("scope",), lambda c, a: _distinct([a[v] for v in c.scope]), lambda c, memo: ()),
     AllDifferentMatrix: _Kind(
         ("grid",),
         lambda c, a: all(_distinct([a[v] for v in line]) for line in (*c.grid, *zip(*c.grid))),
-        lambda c, tables: _ragged(c.grid, "matrix"),
+        lambda c, memo: _ragged(c.grid, "matrix"),
     ),
     Ordered: _Kind(
-        ("scope",), lambda c, a: _chained(c.operator, [a[v] for v in c.scope]), lambda c, tables: _order(c)
+        ("scope",), lambda c, a: _chained(c.operator, [a[v] for v in c.scope]), lambda c, memo: _order(c)
     ),
     Lex: _Kind(
         ("rows",),
         lambda c, a: _chained(c.operator, [[a[v] for v in row] for row in c.rows]),
-        lambda c, tables: (*_order(c), *_ragged(c.rows, "lex")),
+        lambda c, memo: (*_order(c), *_ragged(c.rows, "lex")),
     ),
     LexMatrix: _Kind(
         ("grid",),
         lambda c, a: _chained(c.operator, [[a[v] for v in row] for row in c.grid])
         and _chained(c.operator, [[a[v] for v in col] for col in zip(*c.grid)]),
-        lambda c, tables: (*_order(c), *_ragged(c.grid, "matrix")),
+        lambda c, memo: (*_order(c), *_ragged(c.grid, "matrix")),
     ),
     Sum: _Kind(
         ("scope", "coeffs", "condition"),
         lambda c, a: c.condition.holds(sum(_value(k, a) * a[v] for k, v in zip(c.coeffs, c.scope)), a.bindings),
-        lambda c, tables: (
+        lambda c, memo: (
             *_unless(len(c.coeffs) == len(c.scope), "LengthMismatch", "coeffs length differs from scope length"),
             *_condition_violations(c.condition),
         ),
@@ -626,32 +634,32 @@ _KINDS = {
     Count: _Kind(
         ("scope", "condition"),
         lambda c, a: c.condition.holds(sum(1 for v in c.scope if a[v] in c.values), a.bindings),
-        lambda c, tables: _condition_violations(c.condition),
+        lambda c, memo: _condition_violations(c.condition),
     ),
     Cardinality: _Kind(("scope",), _cardinality_satisfied, _cardinality_violations),
     Element: _Kind(
         ("list_vars", "index", "value"),
         _element_satisfied,
-        lambda c, tables: _unless(c.list_vars, "LengthMismatch", "element list is empty"),
+        lambda c, memo: _unless(c.list_vars, "LengthMismatch", "element list is empty"),
     ),
     Channel: _Kind(
         ("list_a", "list_b"),
         _channel_satisfied,
-        lambda c, tables: _unless(
+        lambda c, memo: _unless(
             len(c.list_a) == len(c.list_b), "LengthMismatch", "channel lists have differing lengths"
         ),
     ),
     NoOverlap: _Kind(
         ("boxes",),
         _no_overlap_satisfied,
-        lambda c, tables: _unless(
+        lambda c, memo: _unless(
             len(c.origins) == len(c.lengths), "LengthMismatch", "origins and lengths differ in item count"
         ),
     ),
     Cumulative: _Kind(
         ("origins",),
         _cumulative_satisfied,
-        lambda c, tables: (
+        lambda c, memo: (
             *_unless(
                 len(c.origins) == len(c.lengths) == len(c.heights),
                 "LengthMismatch",
@@ -660,16 +668,16 @@ _KINDS = {
             *_unless(all(k >= 0 for k in (*c.lengths, *c.heights)), "BadBounds", "negative task length or height"),
         ),
     ),
-    Circuit: _Kind(("scope",), lambda c, a: _circuit_satisfied([a[v] for v in c.scope]), lambda c, tables: ()),
+    Circuit: _Kind(("scope",), lambda c, a: _circuit_satisfied([a[v] for v in c.scope]), lambda c, memo: ()),
     Instantiation: _Kind(
         ("scope",),
         _instantiation_satisfied,
-        lambda c, tables: _unless(len(c.scope) == len(c.values), "LengthMismatch", "scope and values lengths differ"),
+        lambda c, memo: _unless(len(c.scope) == len(c.values), "LengthMismatch", "scope and values lengths differ"),
     ),
     Slide: _Kind(
         ("scopes",),
         lambda c, a: all(constraint_satisfied(w, a) for w in c.windows),
-        lambda c, tables: [v for w in c.windows for v in _KINDS[type(w)].violations(w, tables)],
+        lambda c, memo: [v for w in c.windows for v in _KINDS[type(w)].violations(w, memo)],
     ),
 }
 
@@ -770,7 +778,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
         if any(x >= y for x, y in zip(vals, vals[1:])):
             report.append(Violation("UnorderedDomain", v.id, "domain values not strictly ascending"))
 
-    tables: dict = {}  # id(table) -> its row violations, see _extension_violations
+    memo: dict = {}  # the checks constraints share, see _Kind
     for idx, c in enumerate(instance.constraints):
         where = f"constraint {idx}"
         try:
@@ -781,7 +789,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
         for vid in scope:
             if vid not in ids:
                 report.append(Violation("UnknownVariable", where, f"references undeclared variable {vid!r}"))
-        report.extend(Violation(code, where, detail) for code, detail in _KINDS[type(c)].violations(c, tables))
+        report.extend(Violation(code, where, detail) for code, detail in _KINDS[type(c)].violations(c, memo))
 
     obj = instance.objective
     if instance.kind not in ("CSP", "COP"):

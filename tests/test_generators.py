@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import itertools
 import random
+from xml.etree import ElementTree
 
 import pytest
 
@@ -646,38 +647,77 @@ def test_roundtrip_through_xml(request_):
     assert write_instance(parse_instance(text)) == text
 
 
-# sha256 of each request's canonical XML: a refactor of the generators or
-# of the expression builder must write every instance byte for byte as before
+def _template_key(c):
+    """What constraints written from one template share: an intension's
+    ``Intension.template``, an extension's table and the repeat pattern of
+    its scope; None for any other constraint."""
+    if isinstance(c, Intension):
+        return "intension", c.template
+    if isinstance(c, Extension):
+        ids = list(dict.fromkeys(c.scope))
+        return "extension", c.table, tuple(ids.index(v) for v in c.scope)
+    return None
+
+
+@pytest.mark.parametrize("request_", ALL_REQUESTS, ids=lambda r: f"{r.problem_id}-{r.variant or 'base'}")
+def test_each_run_of_one_template_is_a_group_whose_table_is_written_once(request_):
+    """Every maximal run of two or more constraints of one template is one
+    ``<group>``, whose ``<args>`` are the run's members, and nothing else is
+    grouped. A table body is written once per run of its extensions: once
+    per ``<group>``, ``<slide>`` or lone ``<extension>``."""
+    from xcspkit.io import parse_instance
+
+    text = write_instance(build(request_))
+    constraints = parse_instance(text).constraints
+    runs: list[list] = []  # [first constraint, length] per run
+    for previous, c in zip((None, *constraints), constraints):
+        key = _template_key(c)
+        if runs and key is not None and key == _template_key(previous):
+            runs[-1][1] += 1
+        else:
+            runs.append([c, 1])
+    root = ElementTree.fromstring(text)
+    children = list(root.find("constraints"))
+    assert [len(child.findall("args")) if child.tag == "group" else 1 for child in children] == [n for _, n in runs]
+    assert all(child.tag != "group" or len(child.findall("args")) >= 2 for child in children)
+    bodies = [body for tag in ("supports", "conflicts") for body in root.iter(tag)]
+    windows = [(c.windows if isinstance(c, Slide) else (c,))[0] for c, _ in runs]
+    assert len(bodies) == sum(isinstance(w, Extension) for w in windows)
+
+
+# sha256 of each request's canonical XML: a refactor of the generators, of
+# the expression builder or of the writer must write every instance byte for
+# byte as before
 WRITTEN_DIGESTS = {
     "auction-cnt": "307dffc31382a2787c52b18ac202eece3c3a1c2fe69d63e4f1f419e5c1aedb66",
     "auction-sum": "c9b187d8160b3b9cb412a79998979632794e5e6738e07f4ce445b4dafd282324",
-    "bacp-m1": "7020a21b58159b34a2e3fcbcab4b6a53f2dfb70a66b28a54245cb5d968644ebf",
-    "bacp-m2": "24bda6adbc8fb664d195542510de95895b87e73858acdb8b5cf6a082582891d2",
+    "bacp-m1": "33c2044aeedcc264368aafa121401ab339090d9c0991bd5009231dcee2f70c86",
+    "bacp-m2": "2c5658d1558f468dfb476af9eb83d463843502c8ab29deaf6532e595e739a800",
     "bibd-base": "91afa490951ccfae9ebc1a088e2d1990aa132cb53603dd658b8bc2969ba58b19",
-    "car_sequencing-base": "d54d796225f2df0e94b0f454161d097aed41831185ddd4d946e8062c6d5f2448",
+    "car_sequencing-base": "1db1e24f2f0cef79d1fc745c602e6bceed3f537b0cd2fad9e9d0bc5165659b6c",
     "coloured_queens-base": "0ce565750d36f43f785222369f73b167ae2aa0b56b0335c6a1e108e9aafad1a3",
-    "dubois-base": "e77e92bb8799bbf9523224ad1b46ec6e1b25f02a21d2521d747ab5af8c217709",
-    "golomb_ruler-base": "4f7507a9668f96da681c6eade73b84e59dea14a65567832df8b78fd38b4a3649",
-    "graceful_graph-base": "e28dc0a08413c403b95e60106baa9a8889d5a4c8d3008a084d30d2c2a0ab9b1a",
-    "graph_coloring-base": "f7a466b66c404abcec971a406e30aa94b14d410481a4f9511295abb2c3b56446",
+    "dubois-base": "a182513bf7ec12c2f0a7ae90ef10c3578816fdbb1cb80e77dfbe66e2761d52bb",
+    "golomb_ruler-base": "78ca4c7b890dc4803afd277fa04d177a4e961594a6082cc20c4f0afc1c91e57c",
+    "graceful_graph-base": "8e024de54be7b1dbd4ec4b8d1b0a129249e021ca3436c081e00165380904dc11",
+    "graph_coloring-base": "7c68b89ccde0d3edba932a24e4f9200c08ef1497cca2ccb4e33d9be07666e2e9",
     "knapsack-base": "63fa96458040d7d6d09ea6b6945f35e3eb7d4b3cf65408e3ebb9c7b0a580c49f",
     "langford-base": "a4a559a1b92270c368d7c047e9f7391dbce917144a756886d79131ff06e1cd59",
-    "low_autocorrelation-base": "79fbbcc107f32ae38fd13050c437588cccf78c1a12cd5487e6884dd0d883cfe6",
-    "magic_hexagon-base": "d65ad3cc04069ec1837b849beb21c98f5c2b9029861ff81826202e9e7065895e",
+    "low_autocorrelation-base": "e2f8a506a214c4f5c346906fff6940c1da50a72f3a47b8686e768d9e1378c2d9",
+    "magic_hexagon-base": "681ac8abd19adfb77af8c3d877511259c0ab410cf32194649a37f700cc1b01e7",
     "magic_square-base": "e91b6a346dbb6224be242982f12d8148b32fcb9a4cb5a588ec82cf21ec93054f",
     "mario-base": "bf64573c31f63b2dcbe830b5ca940d30e16cb02c280a711bdd9cf8685a505c98",
-    "mistery_shopper-base": "4b5ec1cebbf12dce4a3b4617c0a01f846b776c7af491d85da5f48dc766a2a601",
-    "peacable_armies-m1": "5927d3639c28e55198a698910090ef09ed8b1e29b68129978395d263348606a1",
-    "peacable_armies-m2": "5a2d71bae4524f88e9a35aa90996184614485e05a56dc3b4bbdca37ec4352441",
-    "quadratic_assignment-base": "9ca74d041cfda09da7534a602678571d56b6e60a0f8f2fb9996a66f96461c4e8",
-    "rcpsp-base": "d7aefbe1d8af599565a889437c78bd5fcc8d501f9e427e93ec5ca52fc4885034",
-    "social_golfers-base": "f0cd4c70fd36eb2117747086a81d8e9e472f3f9bd351d04332ce0c3621c58fb0",
-    "sports_scheduling-base": "dc2fc8a9aac97f4e9a843f74fc01d225b8efb1e16bbf8c40260e5f079542f816",
-    "still_life-base": "bcf66d4d4cf33edb14de05a4e44cebd0f0d5cf20735eec66fc84a7d4199dd986",
-    "strip_packing-base": "4aea39ec27429b0cc41420c897e26a4c60c9dd474191eae319d9c8c917e10d34",
-    "subgraph_isomorphism-base": "dd13cef91e2d51522ec56db2edbd31ac6b4272c68b1e09a6569b359f21d503bf",
-    "sum_coloring-base": "5fc0f3575b801a108303b259e71d121d1e927d4f299c64a3cf30e70c233b78ec",
-    "travelling_salesman-base": "1c6ea49f6cd7f6007fb56ee3f701f2c40e2b495404091c5aca6bce59a34c6857",
+    "mistery_shopper-base": "37ea3a7d68243e294a6515ef1c024a6e63b1eacec4e9aae6cb2b83b8e0457d75",
+    "peacable_armies-m1": "49cba452dadd8e096d552257c029f842e0043350d491295c5744b116ffde8ce7",
+    "peacable_armies-m2": "8ab9a3b2b5bfb1f2a11b1a26e763b410b7d9876b81fd11c259ce26d5523a94dc",
+    "quadratic_assignment-base": "7bc40571dac640658ae131562c77b712df345a3e7786c1c62a10b8c462f7b877",
+    "rcpsp-base": "7d05f81af55c1e1751601a602002dbacd8e9150fb8f13d71123092a39ea4ba11",
+    "social_golfers-base": "d6d7b975ed0dda982dbe65890e0b40dc1a187ebeb94641ae80b599360067a0f9",
+    "sports_scheduling-base": "b437381c4a147839f8b0fd4be4f9f6f9bea4badf7b4fc60971d570912bba978a",
+    "still_life-base": "811ee78e757bedc58922401411702572905982f47e37eb0a020d8d3349c7f5c7",
+    "strip_packing-base": "ccfbe0207532aaf833a022d28a68bb6cfc60be5293157d021c6f099e8e6f2ae7",
+    "subgraph_isomorphism-base": "b3916ce8665b6602df3c2d765dc0db647047c298299a892f03f5a2760a604940",
+    "sum_coloring-base": "533663f45b5a0c3ab5ae5dcdb7d2a53d982763c1cab72565bb60ffdf87af2cbc",
+    "travelling_salesman-base": "472c6d881aa997117cbecc17ae333ba050d971f2d07a28c85dadf318fb26ade4",
 }
 
 

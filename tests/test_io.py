@@ -180,6 +180,116 @@ def test_group_args_hold_exactly_the_template_arity(template, first, line):
     assert err.value.location.line == line
 
 
+def _group_of(template: str, *args: str, slide: bool = False) -> str:
+    """A document over x[0..2] in 0..4 and y in 0..1 whose one ``<group>``
+    holds ``template`` on line 4 and each ``<args>`` on a line of its own
+    from line 5; with ``slide``, a ``<slide>`` whose ``<list>`` is the one
+    args."""
+    if slide:
+        (ids,) = args
+        body = ["<constraints> <slide>", f"<list> {ids} </list>", template, "</slide> </constraints>"]
+    else:
+        body = ["<constraints> <group>", template, *(f"<args> {a} </args>" for a in args), "</group> </constraints>"]
+    return "\n".join([
+        '<instance format="XCSP3" type="CSP">',
+        '<variables> <array id="x" size="[3]"> 0..4 </array> <var id="y"> 0 1 </var> </variables>',
+        body[0],
+        *body[1:],
+        "</instance>",
+    ])
+
+
+_LT = "<intension> lt(%0,%1) </intension>"
+
+# each group or slide of an intension template, and what the substitution
+# reader that expanded each <args> as text read from it: the expressions of
+# its constraints, or the error class, message and line it refused it with
+_GROUP_READS = {
+    "ids": (_group_of(_LT, "x[0] x[1]", "x[1] y"), ["lt(x[0],x[1])", "lt(x[1],y)"]),
+    "integers": (_group_of(_LT, "x[0] 3", "-2 x[1]", "007 -0"), ["lt(x[0],3)", "lt(-2,x[1])", "lt(7,0)"]),
+    "int64-extremes": (
+        _group_of(_LT, f"x[0] {INT64_MAX}", f"{-INT64_MAX - 1} x[1]"),
+        [f"lt(x[0],{INT64_MAX})", f"lt({-INT64_MAX - 1},x[1])"],
+    ),
+    "repeated-id": (_group_of(_LT, "x[0] x[0]"), ["lt(x[0],x[0])"]),
+    "placeholder-twice": (_group_of("<intension> eq(%0,add(%0,%1)) </intension>", "x[2] 0"), ["eq(x[2],add(x[2],0))"]),
+    "literal-id-and-constant": (_group_of("<intension> le(add(%1,y),3) </intension>", "q x[1]"), ["le(add(x[1],y),3)"]),
+    "function-child": (
+        _group_of("<intension> <function> ne(%0,%1) </function> </intension>", "x[0] y", "y x[2]"),
+        ["ne(x[0],y)", "ne(y,x[2])"],
+    ),
+    "slide": (_group_of(_LT, "x[0] x[1] x[2]", slide=True), ["lt(x[0],x[1])", "lt(x[1],x[2])"]),
+    "no-args": (_group_of("<intension> lt(%0,%) </intension>"), []),
+    "unknown-id": (_group_of(_LT, "x[0] x[1]", "x[1] q"), (UnknownVariableError, "unknown variable 'q'", 4)),
+    "unknown-literal-before-unknown-arg": (
+        _group_of("<intension> lt(q,%0) </intension>", "z"),
+        (UnknownVariableError, "unknown variable 'q'", 4),
+    ),
+    "not-an-id": (_group_of(_LT, "x[0] -x"), (UnknownVariableError, "unknown variable '-x'", 4)),
+    "arabic-indic-arg": (_group_of(_LT, "x[0] ٣"), (UnknownVariableError, "unknown variable '٣'", 4)),
+    "plus-sign": (_group_of(_LT, "x[0] +4"), (UnsupportedFeatureError, "bad character '\\+' in 'lt\\(x\\[0\\],\\+4\\)'", 4)),
+    "above-int64": (
+        _group_of(_LT, "x[0] 99999999999999999999"),
+        (UnsupportedFeatureError, "'99999999999999999999' is outside the 64-bit integers", 4),
+    ),
+    "too-few-ids": (_group_of(_LT, "x[0] x[1]", "x[0]"), (XmlSyntaxError, "<args> holds 1 ids for a template of arity 2", 6)),
+    "too-many-ids": (
+        _group_of(_LT, "x[0] x[1] x[2]"),
+        (XmlSyntaxError, "<args> holds 3 ids for a template of arity 2", 5),
+    ),
+    "too-many-ids-one-unknown": (
+        _group_of(_LT, "q x[1] x[2]"),
+        (UnknownVariableError, "unknown variable 'q'", 4),
+    ),
+    "too-few-ids-before-a-broken-template": (
+        _group_of("<intension> lt(%0,%1,) </intension>", "x[0]"),
+        (XmlSyntaxError, "<args> holds 1 ids for a template of arity 2", 5),
+    ),
+    "remaining-args": (
+        _group_of("<intension> eq(%...) </intension>", "x[0] x[1]"),
+        (UnsupportedFeatureError, "group remaining-args placeholder '%...'", 4),
+    ),
+    "arabic-indic-placeholder": (
+        _group_of("<intension> lt(%0,%٠) </intension>", "x[0] x[1]"),
+        (UnsupportedFeatureError, "bad character '%' in 'lt\\(x\\[0\\],%٠\\)'", 4),
+    ),
+    "broken-template": (
+        _group_of("<intension> lt(%0,%1 </intension>", "x[0] x[1]"),
+        (UnsupportedFeatureError, "missing '\\)' in 'lt\\(x\\[0\\],x\\[1\\]'", 4),
+    ),
+    "text-beside-function": (
+        _group_of("<intension> lt(%0,%1) <function> eq(%0,%1) </function> </intension>", "x[0] x[1]"),
+        (XmlSyntaxError, "<intension> has text 'lt\\(x\\[0\\],x\\[1\\]\\)' beside its child elements", 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_GROUP_READS))
+def test_an_intension_template_reads_as_its_substituted_text(case):
+    """An intension template is read once and each ``<args>`` binds its ids
+    and integers into it. What it reads, and each refusal's class, message
+    and line, are those of reading each ``<args>``'s substituted text."""
+    text, expected = _GROUP_READS[case]
+    if isinstance(expected, list):
+        constraints = parse_instance(text).constraints
+        windows = constraints[0].windows if case == "slide" else constraints
+        assert list(windows) == [Intension(parse_expr(e)) for e in expected]
+        return
+    error, message, line = expected
+    with pytest.raises(error, match=message) as err:
+        parse_instance(text)
+    assert err.value.location.line == line
+
+
+def test_an_args_entry_that_is_no_id_or_integer_is_refused():
+    """An ``<args>`` entry binds a variable id or an integer. One that holds
+    an expression, which reading the substituted text would take, is
+    refused at its ``<args>``."""
+    with pytest.raises(XmlSyntaxError, match="<args> entry 'add\\(x\\[0\\],y\\)' is no variable id or integer") as err:
+        parse_instance(_group_of(_LT, "x[1] x[2]", "add(x[0],y) x[1]"))
+    assert err.value.location.line == 6
+
+
 def _sum_with_condition(condition: str) -> str:
     return f"""
     <instance format="XCSP3" type="CSP">
@@ -395,6 +505,38 @@ def test_sliding_windows_of_two_templates_are_written_one_by_one(instance):
     written = write_instance(instance)
     assert "<slide>" not in written
     assert parse_instance(written).constraints == instance.constraints[0].windows
+
+
+def test_a_slide_that_is_no_template_joins_the_groups_beside_it():
+    """The windows of a slide that is no template are written as constraints
+    of the sequence, so they join a run of their template around them and
+    the text reads back as the flattened sequence, byte-stable."""
+    x = [f"x[{i}]" for i in range(4)]
+    pair = supports(2, [(0, 1), (1, 2), (2, 3)])
+    sums = [Sum((x[i], x[i + 1]), (1, 1), Condition("le", 5)) for i in range(2)]
+    less = [Intension(parse_expr(f"lt({a},{b})")) for a, b in ((x[0], x[1]), (x[1], x[2]), (x[3], x[0]), (x[2], x[3]))]
+    slid = Slide((Extension((x[1], x[2]), pair), Extension((x[2], x[3]), pair)))
+    instance = Instance(
+        "CSP",
+        tuple(Variable(v, Domain.rng(0, 3)) for v in x),
+        (
+            less[0],
+            Slide((less[1], less[2])),  # not slid by offset 1
+            less[3],
+            Slide(tuple(sums)),
+            Extension((x[0], x[1]), pair),
+            Extension((x[2], x[0]), pair),
+            slid,
+            Extension((x[3], x[0]), pair),
+        ),
+    )
+    written = write_instance(instance)
+    assert written.count("<group>") == 2 and written.count("<args>") == 6
+    assert written.count("<slide>") == 1 and written.count("<sum>") == 2
+    assert "<args> x[3] x[0] </args>" in written and "<args> x[2] x[0] </args>" in written
+    back = parse_instance(written)
+    assert back.constraints == (*less, *sums, *instance.constraints[4:])
+    assert write_instance(back) == written
 
 
 def test_intension_reads_a_function_child():

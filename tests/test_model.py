@@ -17,7 +17,7 @@ from xcspkit.errors import (
     NotAnOptimizationInstanceError,
     UnboundVariableError,
 )
-from xcspkit.expr import OPS, IntConst, Op, VarRef, compile_expr, const, evaluate, op, parse_expr, var
+from xcspkit.expr import OPS, IntConst, Op, VarRef, compile_expr, evaluate, op, parse_expr
 from xcspkit.io import parse_instance, write_instance
 from xcspkit.model import (
     _KINDS,
@@ -76,20 +76,20 @@ def test_op_reads_ints_as_constants_and_strings_as_variables():
 
 class TestEvaluateExpr:
     def test_dist(self):
-        assert evaluate(op("dist", const(3), const(7)), {}) == 4
+        assert evaluate(op("dist", 3, 7), {}) == 4
 
     def test_eq_add(self):
-        e = op("eq", op("add", var("x"), var("y")), var("z"))
+        e = op("eq", op("add", "x", "y"), "z")
         assert evaluate(e, dict(x=1, y=2, z=3)) == 1
         assert evaluate(e, dict(x=1, y=2, z=4)) == 0
 
     def test_implication_false_antecedent(self):
-        e = op("imp", op("eq", var("x"), const(0)), op("ne", var("y"), const(0)))
+        e = op("imp", op("eq", "x", 0), op("ne", "y", 0))
         assert evaluate(e, dict(x=1, y=0)) == 1
 
     def test_unbound(self):
         with pytest.raises(UnboundVariableError):
-            evaluate(var("q"), {})
+            evaluate(VarRef("q"), {})
 
     def test_parse_roundtrip(self):
         e = parse_expr("imp(eq(x,0),ne(y[2],0))")
@@ -171,7 +171,7 @@ def _random_expr(rng, names, depth, boolean=False):
     as model validation requires, and sometimes integer ones, which they read
     as truth values (0 is false)."""
     if not boolean and (depth <= 0 or rng.random() < 0.3):
-        return var(rng.choice(names)) if rng.random() < 0.7 else const(rng.randint(-3, 3))
+        return VarRef(rng.choice(names)) if rng.random() < 0.7 else IntConst(rng.randint(-3, 3))
     sorts = ("rel", "logic") if depth > 0 else ("rel",)
     kind = rng.choice([k for k, spec in OPS.items() if not boolean or spec.sort in sorts])
     spec = OPS[kind]
@@ -187,9 +187,9 @@ class TestOperatorTable:
     @pytest.mark.parametrize("kind,operands,expected", OPERATOR_CASES)
     def test_literal_semantics(self, kind, operands, expected):
         names = [f"a{i}" for i in range(len(operands))]
-        e = op(kind, *(var(n) for n in names))
+        e = op(kind, *names)
         assert evaluate(e, dict(zip(names, operands))) == expected
-        assert evaluate(op(kind, *(const(v) for v in operands)), {}) == expected
+        assert evaluate(op(kind, *operands), {}) == expected
         position = {n: i for i, n in enumerate(names)}
         assert compile_expr(e, position, bounds=False)(operands) == expected
         assert compile_expr(e, position, bounds=True)([(v, v) for v in operands]) == (expected, expected)
@@ -410,7 +410,7 @@ class TestValidation:
         assert "BoundOverflow" in codes
 
     @pytest.mark.parametrize(
-        "root", [op("add", var("a"), const(1)), const(1), var("a")], ids=["integer-operator", "constant", "variable"]
+        "root", [op("add", "a", 1), IntConst(1), VarRef("a")], ids=["integer-operator", "constant", "variable"]
     )
     def test_nonboolean_intension_root(self, root):
         """An intension over any root constructs; an instance refuses a
@@ -654,7 +654,7 @@ class TestCheckerTotality:
                     names[:2],
                     Automaton("s", (("s", 0, "s"), ("s", 1, "t"), ("t", 0, "t")), ("t",)),
                 ),
-                Intension(op("le", op("add", var(names[0]), var(names[1])), var(names[2]))),
+                Intension(op("le", op("add", names[0], names[1]), names[2])),
                 Slide((Extension((names[0], names[1]), supports(2, [(0, 0)])),)),
             ]
             c = cands[trial % len(cands)]
@@ -668,8 +668,8 @@ _SHARED = supports(2, [(0, 1), (2,), (1, 2, 3)])
 _TWINS = {
     Intension: (
         Intension(parse_expr("add(x[0],x[1])")),
-        Intension(op("and", var("x[0]"), op("le", var("x[1]"), var("u")))),
-        Intension(op("add", op("not", op("add", var("x[0]"), const(1))), const(1))),
+        Intension(op("and", "x[0]", op("le", "x[1]", "u"))),
+        Intension(op("add", op("not", op("add", "x[0]", 1)), 1)),
     ),
     Extension: (
         Extension(("x[0]", "x[1]", "x[2]"), supports(2, [(0, 1)])),
@@ -1043,3 +1043,53 @@ def test_an_intension_keeps_the_scope_and_template_of_the_walks_it_replaced():
         assert c.template == template and repr(c.template) == repr(template)
         count += 1
     assert count > 2000
+
+
+def _reference_operand_violations(e):
+    """The operand check as it walked every node of every intension at
+    each validation, before it was worked out once per template."""
+    if not isinstance(e, Op):
+        return
+    if OPS[e.kind].sort == "logic":
+        for child in e.children:
+            if not (isinstance(child, Op) and OPS[child.kind].sort != "int"):
+                yield "NotBoolean", f"{e.kind} requires boolean operands, got {type(child).__name__}"
+    for child in e.children:
+        yield from _reference_operand_violations(child)
+
+
+def test_an_intension_report_is_that_of_the_walk_it_replaced():
+    """One memo, as one validating call keeps, holds one operand report per
+    distinct template, and every intension's report, a random expression's
+    non-boolean operands of ``and``, ``or`` and ``not`` included, is the one
+    the walk over its own expression gives."""
+    check = _KINDS[Intension].violations
+    memo: dict = {}
+    templates = set()
+    refused = 0
+    for expression in _expressions_to_compare():
+        c = Intension(expression)
+        expected = list(_reference_operand_violations(expression))
+        if not (isinstance(expression, Op) and OPS[expression.kind].sort != "int"):
+            expected.insert(0, ("NotBoolean", "intension root must be a relational or logical operator"))
+        assert list(check(c, memo)) == expected
+        assert list(check(c, {})) == expected
+        templates.add(c.template)
+        refused += bool(expected)
+    assert len(memo) == len(templates) and refused > 100
+
+
+def test_table_rows_sort_as_the_keyed_sort_with_and_without_star():
+    """Rows without a STAR sort as themselves; the order and the dedupe are
+    those of the sort keyed on ints first and STAR last at each position."""
+    rng = random.Random(2024)
+    for trial in range(400):
+        arity = rng.randint(1, 4)
+        star = trial % 2 == 1
+        rows = [
+            tuple(STAR if star and rng.random() < 0.2 else rng.randint(-3, 3) for _ in range(arity))
+            for _ in range(rng.randint(0, 40))
+        ]
+        distinct = list(dict.fromkeys(rows))
+        keyed = sorted(distinct, key=lambda row: tuple((1, 0) if v == STAR else (0, v) for v in row))
+        assert Table(arity, "supports", tuple(rows)).rows == tuple(keyed)

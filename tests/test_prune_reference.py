@@ -39,7 +39,7 @@ from xcspkit.engine.propagators import (
     make_propagators,
 )
 from xcspkit.engine.search import solve
-from xcspkit.expr import compile_expr, const, op, parse_expr, var
+from xcspkit.expr import IntConst, VarRef, compile_expr, op, parse_expr
 from xcspkit.model import AllDifferent, Cardinality, Condition, Count, Domain, Instance, Intension, Sum, Variable
 
 # -- reference passes
@@ -542,7 +542,7 @@ def _random_side(rng, leaf, depth):
     if kind == "neg":
         return op("neg", _random_side(rng, leaf, depth - 1))
     if kind == "mul":
-        factors = [const(rng.randint(-3, 3)), _random_side(rng, leaf, depth - 1)]
+        factors = [IntConst(rng.randint(-3, 3)), _random_side(rng, leaf, depth - 1)]
         rng.shuffle(factors)
         return op("mul", *factors)
     arity = 2 if kind == "sub" else rng.randint(2, 3)
@@ -558,8 +558,8 @@ def _random_linear(rng, names, repeats):
 
     def leaf():
         if rng.random() < 0.25 or not (repeats or unused):
-            return const(rng.randint(-4, 4))
-        return var(rng.choice(names) if repeats else unused.pop())
+            return IntConst(rng.randint(-4, 4))
+        return VarRef(rng.choice(names) if repeats else unused.pop())
 
     kind = rng.choice(("eq", "ne", "lt", "le", "gt", "ge"))
     return op(kind, _random_side(rng, leaf, 3), _random_side(rng, leaf, 3))
@@ -643,7 +643,7 @@ def test_a_linear_intension_beyond_64_bits_keeps_interval_filtering():
     beyond the 64-bit sums the Sum pass's infinite bounds are sized for:
     that pass would round ``x <= 0`` to ``x = 0`` and lose ``x = -1``."""
     store = DomainStore([Variable("x", Domain((-1, *range(9001))))])
-    expression = op("le", op("mul", *(const(2**62) for _ in range(5)), var("x")), const(0))
+    expression = op("le", op("mul", *(2**62 for _ in range(5)), "x"), 0)
     (prop,) = make_propagators([Intension(expression)], store)
     assert prop.linear is None and prop.bounds_fn is not None
     assert _fixpoint(prop.propagate, store) == [[-1, 0]]
