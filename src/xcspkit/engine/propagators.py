@@ -96,7 +96,6 @@ from ..model import (
     NoOverlap,
     Ordered,
     Regular,
-    Slide,
     STAR,
     Sum,
     _KINDS,
@@ -375,15 +374,11 @@ class IntensionProp(Propagator):
         else:
             self.fn = _x.compile_expr(expression, position, bounds=False)
             self.residues = [[None] * len(d) for d in domains]
-            # always true while _TABLE_CAP >= _SCAN_CAP; with a lower table
-            # cap, it keeps a relation that never leaves the residual pass
-            # idempotent
-            if math.prod(map(len, domains)) > _SCAN_CAP:
-                linear = _linear_sum(expression)
-                if linear is not None and _within_int64(linear, store):
-                    self.linear = _sum_terms(linear, store)
-                else:
-                    self.bounds_fn = _x.compile_expr(expression, position, bounds=True)
+            linear = _linear_sum(expression)
+            if linear is not None and _within_int64(linear, store):
+                self.linear = _sum_terms(linear, store)
+            else:
+                self.bounds_fn = _x.compile_expr(expression, position, bounds=True)
         self.idempotent = self.bounds_fn is None and self.linear is None
 
     def propagate(self, store: DomainStore) -> bool:
@@ -1366,16 +1361,13 @@ class LexPairProp(Propagator):
 
 
 def _primitives(c):
-    """The model constraints, one per propagator, that enforce ``c``: a
-    slide's windows, an allDifferent per matrix row then column, a 2-row
-    lex per adjacent pair of rows (a matrix's rows, then its columns). An
-    intension without variables is a constant verdict: the count of no
-    variable, which is at least 0 and never at least 1."""
+    """The model constraints, one per propagator, that enforce ``c``: an
+    allDifferent per matrix row then column, a 2-row lex per adjacent pair
+    of rows (a matrix's rows, then its columns). An intension without
+    variables is a constant verdict: the count of no variable, which is at
+    least 0 and never at least 1."""
     if isinstance(c, Intension) and not c.scope:
         yield Count((), (), Condition("ge", 0 if _x.evaluate(c.expr, {}) else 1))
-    elif isinstance(c, Slide):
-        for w in c.windows:
-            yield from _primitives(w)
     elif isinstance(c, AllDifferentMatrix):
         for line in (*c.grid, *zip(*c.grid)):
             yield AllDifferent(tuple(line))

@@ -18,7 +18,6 @@ from ..model import (
     Intension,
     LexMatrix,
     Objective,
-    Slide,
     Sum,
     conflicts,
     supports,
@@ -309,10 +308,10 @@ def gen_still_life(n: int, drop_tags=()) -> Instance:
     b.post(Instantiation(tuple(x[i][n + 1] for i in range(size)), (0,) * size))
 
     triple = conflicts(3, [(1, 1, 1)])
-    b.post(Slide(tuple(Extension((x[1][j], x[1][j + 1], x[1][j + 2]), triple) for j in range(n))))
-    b.post(Slide(tuple(Extension((x[n][j], x[n][j + 1], x[n][j + 2]), triple) for j in range(n))))
-    b.post(Slide(tuple(Extension((x[i][1], x[i + 1][1], x[i + 2][1]), triple) for i in range(n))))
-    b.post(Slide(tuple(Extension((x[i][n], x[i + 1][n], x[i + 2][n]), triple) for i in range(n))))
+    # three live cells in a line next to the dead border would give birth in it
+    for line in (x[1], x[n], [row[1] for row in x], [row[n] for row in x]):
+        for k in range(n):
+            b.post(Extension(tuple(line[k : k + 3]), triple))
 
     life = supports(10, still_life_support_rows())
     for i in range(1, n + 1):

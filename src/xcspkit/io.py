@@ -2,8 +2,9 @@
 
 The writer emits one fixed form (declaration order, ``a..b`` run
 compression, lexicographically sorted tuples, 2-space indentation); the
-parser accepts that form plus ordinary whitespace variation, ``<group>``
-and ``<block>`` wrappers, and compact ``<slide>`` templates.
+parser accepts that form plus ordinary whitespace variation, and reads
+each ``<group>``, ``<block>`` and ``<slide>`` as the constraints it stands
+for: a slide's windows, in order, each its own constraint.
 
 ``_LAYOUTS`` is the one description of each constraint element's XML
 layout: its tag, its children in canonical order with how each reads and
@@ -13,16 +14,14 @@ place.
 ``intension`` is an inline row, read from its text or one ``<function>``;
 its reader checks the ``Intension.scope`` of the constraint it builds
 against the declared ids. Only ``extension`` (its shared tables, below)
-and ``slide`` are explicit cases.
+is an explicit case.
 
-The canonical form writes each template once. Constraints of one shape
-(``_shape``) are intensions of one ``Intension.template``, or extensions
-of one table and one repeat pattern of their scope. A slide is written as
-a template only when its windows are of one shape, slid by offset 1;
-otherwise its windows take its place in the sequence of constraints. Each
-maximal run of two or more constraints of one shape in that sequence is
-written as one ``<group>``: the first of them renamed to ``%0``, ``%1``,
-... as the template, and each one's distinct ids as an ``<args>``.
+The canonical form writes each template once, and ``<group>`` is its one
+template form. Constraints of one shape (``_shape``) are intensions of one
+``Intension.template``, or extensions of one table and one repeat pattern
+of their scope. Each maximal run of two or more constraints of one shape
+is written as one ``<group>``: the first of them renamed to ``%0``,
+``%1``, ... as the template, and each one's distinct ids as an ``<args>``.
 
 A ``<group>`` or ``<slide>`` reads its template once
 (``_template_reader``). An ``<intension>`` template's expression is parsed
@@ -85,7 +84,6 @@ from .model import (
     Objective,
     Ordered,
     Regular,
-    Slide,
     Sum,
     Table,
     Variable,
@@ -699,15 +697,37 @@ def _parse_constraint_item(node: _Node, known: set[str], tables: dict) -> list[C
             if len(args) != arity:
                 raise XmlSyntaxError(f"<args> holds {len(args)} ids for a template of arity {arity}", an.loc)
         return out
-    return [_parse_constraint(node, known, tables)]
+    return _parse_windows(node, known, tables)
+
+
+def _parse_windows(node: _Node, known: set[str], tables: dict) -> list[Constraint]:
+    """A constraint element as the constraints it stands for: a
+    ``<slide>``'s windows, in order, each read from its template with the
+    ids of the window in turn; any other element as its one constraint. A
+    slide's template is a constraint element or a slide."""
+    if node.tag != "slide":
+        return [_parse_constraint(node, known, tables)]
+    _check_attributes(node)
+    template, lists = _template_and_args(node, "list")
+    if len(lists) != 1:
+        raise XmlSyntaxError(f"<slide> needs exactly one <list>, got {len(lists)}", node.loc)
+    scope = _parse_var_list(lists[0].text, known, lists[0].loc)
+    arity = _template_arity(template)
+    if arity < 1 or arity > len(scope):
+        raise XmlSyntaxError("slide template arity does not fit list", node.loc)
+    read = _template_reader(template, known, tables, _parse_windows)
+    windows = []
+    for i in range(len(scope) - arity + 1):
+        windows.extend(read(scope[i : i + arity], lists[0]))
+    return windows
 
 
 def _template_reader(template: _Node, known: set[str], tables: dict, parse) -> Callable[[list[str], _Node], list]:
     """The reader of a ``<group>``'s or ``<slide>``'s template: a function
     of one instance's ids and the element that lists them, giving the
-    constraints that ``parse`` (``_parse_constraint_item`` or a list of one
-    ``_parse_constraint``) reads from the template's text with those ids
-    put in for its placeholders.
+    constraints that ``parse`` (``_parse_constraint_item`` or
+    ``_parse_windows``) reads from the template's text with those ids put
+    in for its placeholders.
 
     An ``<intension>`` template is read once, at its first instance, each
     ``%k`` as a placeholder (``_intension_shape``); an instance binds each
@@ -825,13 +845,19 @@ _ONLY_VALUE = {
 }
 
 
-def _parse_constraint(node: _Node, known: set[str], tables: dict) -> Constraint:
-    """One constraint element; an extension takes its Table from
-    ``tables`` when its body was read before."""
+def _check_attributes(node: _Node) -> None:
+    """Refuse an attribute of ``node`` or of a child that ``_ONLY_VALUE``
+    gives another value."""
     for n in (node, *node.children):
         for name, value in n.attrib.items():
             if _ONLY_VALUE.get((n.tag, name), value) != value:
                 raise UnsupportedFeatureError(f'<{n.tag} {name}="{value}">', n.loc)
+
+
+def _parse_constraint(node: _Node, known: set[str], tables: dict) -> Constraint:
+    """One constraint element; an extension takes its Table from
+    ``tables`` when its body was read before."""
+    _check_attributes(node)
     tag = node.tag
     if tag == "extension":
         groups = _group_children(node, _EXTENSION_CHILDREN)
@@ -848,20 +874,6 @@ def _parse_constraint(node: _Node, known: set[str], tables: dict) -> Constraint:
         if table is None:
             table = tables[key] = _parse_table(*key, body.loc)
         return Extension(tuple(scope), table)
-
-    if tag == "slide":
-        template, lists = _template_and_args(node, "list")
-        if len(lists) != 1:
-            raise XmlSyntaxError(f"<slide> needs exactly one <list>, got {len(lists)}", node.loc)
-        scope = _parse_var_list(lists[0].text, known, lists[0].loc)
-        arity = _template_arity(template)
-        if arity < 1 or arity > len(scope):
-            raise XmlSyntaxError("slide template arity does not fit list", node.loc)
-        read = _template_reader(template, known, tables, lambda n, k, t: [_parse_constraint(n, k, t)])
-        windows = []
-        for i in range(len(scope) - arity + 1):
-            windows.extend(read(scope[i : i + arity], lists[0]))
-        return Slide(tuple(windows))
 
     if tag in _BY_TAG:
         return _read_layout(node, known)
@@ -1072,14 +1084,14 @@ def _write_array(w: _Writer, stem: str, dims, cells):
 
 
 def _write_constraints(w: _Writer, constraints) -> None:
-    """Write a sequence of constraints in one walk (``_written``): each
-    maximal run of two or more constraints of one ``_shape`` as one
-    ``<group>``, whose template is the first of them renamed (``_renamed``)
-    and whose ``<args>`` are each one's ids; every other constraint as
-    itself."""
+    """Write a sequence of constraints in one walk: each maximal run of
+    two or more constraints of one ``_shape`` as one ``<group>``, whose
+    template is the first of them renamed (``_renamed``) and whose
+    ``<args>`` are each one's ids; every other constraint as itself."""
     bodies: dict[Table, str] = {}  # table -> its rendered <supports>/<conflicts> body
     # a constraint without a shape is a run of its own: no two object() are equal
-    for _, run in itertools.groupby(_written(constraints), lambda item: item[1][0] if item[1] else object()):
+    shaped = ((c, _shape(c)) for c in constraints)
+    for _, run in itertools.groupby(shaped, lambda item: item[1][0] if item[1] else object()):
         (c, shape), *rest = run
         if not rest:
             _write_constraint(w, c, bodies)
@@ -1091,21 +1103,9 @@ def _write_constraints(w: _Writer, constraints) -> None:
         w.close("</group>")
 
 
-def _written(constraints):
-    """``(constraint, its _shape)`` of each constraint as written: a slide
-    that is no template (``_slide_template``) is replaced by its windows, in
-    turn, so the reader reads them back as constraints of the sequence."""
-    for c in constraints:
-        if isinstance(c, Slide) and _slide_template(c) is None:
-            yield from _written(c.windows)
-        else:
-            yield c, _shape(c)
-
-
 def _write_constraint(w: _Writer, c: Constraint, bodies: dict):
-    """Write one constraint, a slide only as its template; an extension's
-    table body is rendered once per distinct table and kept in
-    ``bodies``."""
+    """Write one constraint; an extension's table body is rendered once
+    per distinct table and kept in ``bodies``."""
     layout = _LAYOUTS.get(type(c))
     if layout is not None:
         _write_layout(w, layout, c)
@@ -1117,12 +1117,6 @@ def _write_constraint(w: _Writer, c: Constraint, bodies: dict):
             body = bodies[c.table] = _table_body(c.table)
         w.leaf(c.table.polarity, body)
         w.close("</extension>")
-    elif isinstance(c, Slide):
-        seq, template = _slide_template(c)
-        w.open("<slide>")
-        w.leaf("list", " ".join(seq))
-        _write_constraint(w, template, bodies)
-        w.close("</slide>")
     else:
         raise InvariantViolationError([f"cannot serialize {type(c).__name__}"])
 
@@ -1137,10 +1131,10 @@ def _table_body(table: Table) -> str:
 
 
 def _shape(c):
-    """``(key, ids)`` of a constraint that a ``<group>`` or ``<slide>`` can
-    write from one template, else None. Constraints of one key differ only
-    in their distinct ids: intensions of one ``Intension.template``, or
-    extensions of one table and one repeat pattern of their scope."""
+    """``(key, ids)`` of a constraint that a ``<group>`` can write from one
+    template, else None. Constraints of one key differ only in their
+    distinct ids: intensions of one ``Intension.template``, or extensions
+    of one table and one repeat pattern of their scope."""
     if isinstance(c, Intension):
         return (Intension, c.template), c.scope
     if isinstance(c, Extension):
@@ -1156,23 +1150,6 @@ def _renamed(c, ids):
     if isinstance(c, Intension):
         return Intension(_rename_expr(c.expr, mapping))
     return Extension(tuple(mapping[v] for v in c.scope), c.table)
-
-
-def _slide_template(c: Slide):
-    """``(list, template)`` when the windows are of one ``_shape`` slid by
-    offset 1 over ``list``; the template is the first window, renamed
-    (``_renamed``). Else None."""
-    shapes = [_shape(win) for win in c.windows]
-    if not shapes or shapes[0] is None or not shapes[0][1]:
-        return None
-    key, first = shapes[0]
-    arity = len(first)
-    seq = list(first)
-    for shape in shapes[1:]:
-        if shape is None or shape[0] != key or shape[1][:-1] != tuple(seq[len(seq) - arity + 1 :]):
-            return None
-        seq.append(shape[1][-1])
-    return seq, _renamed(c.windows[0], first)
 
 
 def _rename_expr(e, mapping):

@@ -105,7 +105,14 @@ class Table:
     rows: tuple[tuple, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _norm_rows(self.rows))
+        rows = _norm_rows(self.rows)
+        object.__setattr__(self, "rows", rows)
+        # a table keys the memos of the build and the writer, so it hashes
+        # its rows once
+        object.__setattr__(self, "_hash", hash((self.arity, self.polarity, rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def matches(self, values: Sequence[int]) -> bool:
         """True iff some row matches (STAR matches any value)."""
@@ -311,16 +318,6 @@ class Instantiation:
     values: tuple[int, ...]
 
 
-@record
-class Slide:
-    windows: tuple["Constraint", ...]
-
-    @property
-    def scopes(self) -> tuple[tuple[str, ...], ...]:
-        """Each window's ``constraint_scope``."""
-        return tuple(constraint_scope(w) for w in self.windows)
-
-
 Constraint = Union[
     Intension,
     Extension,
@@ -339,7 +336,6 @@ Constraint = Union[
     Cumulative,
     Circuit,
     Instantiation,
-    Slide,
 ]
 
 
@@ -674,11 +670,6 @@ _KINDS = {
         _instantiation_satisfied,
         lambda c, memo: _unless(len(c.scope) == len(c.values), "LengthMismatch", "scope and values lengths differ"),
     ),
-    Slide: _Kind(
-        ("scopes",),
-        lambda c, a: all(constraint_satisfied(w, a) for w in c.windows),
-        lambda c, memo: [v for w in c.windows for v in _KINDS[type(w)].violations(w, memo)],
-    ),
 }
 
 
@@ -819,8 +810,8 @@ def validate_instance(instance: Instance) -> list[Violation]:
 
 
 def _validate_overflow(instance: Instance) -> list[Violation]:
-    """A ``Sum``, a slide's ``Sum`` window or a sum objective whose value
-    can leave the 64-bit range."""
+    """A ``Sum`` or a sum objective whose value can leave the 64-bit
+    range."""
     bound = {v.id: max(abs(v.domain.lb), abs(v.domain.ub)) for v in instance.variables if v.domain.values}
 
     def overflows(coeffs, scope) -> bool:
@@ -831,8 +822,7 @@ def _validate_overflow(instance: Instance) -> list[Violation]:
 
     report = []
     for idx, c in enumerate(instance.constraints):
-        windows = c.windows if isinstance(c, Slide) else (c,)
-        if any(isinstance(w, Sum) and overflows(w.coeffs, w.scope) for w in windows):
+        if isinstance(c, Sum) and overflows(c.coeffs, c.scope):
             report.append(Violation("BoundOverflow", f"constraint {idx}", "sum can exceed 64-bit range"))
     obj = instance.objective
     if obj is not None and obj.kind == "sum" and overflows(obj.weights, obj.scope):

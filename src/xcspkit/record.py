@@ -15,9 +15,10 @@ class:
 - ``_fields``, the field names in order.
 
 A record is frozen unless declared ``@record(frozen=False)``. A frozen
-record hashes as the tuple of its fields and raises ``AttributeError`` on
-any assignment or deletion; its ``__post_init__`` sets a field with
-``object.__setattr__``. A mutable record is assignable and unhashable.
+record hashes as the tuple of its fields, unless its class body defines
+``__hash__``, and raises ``AttributeError`` on any assignment or deletion;
+its ``__post_init__`` sets a field with ``object.__setattr__``. A mutable
+record is assignable and unhashable.
 
 The standard library's class generator that it replaces cost every
 ``solve`` about 35 ms of start-up: its import pulls in ``inspect``, ``ast``
@@ -72,7 +73,8 @@ def record(cls=None, /, *, frozen: bool = True):
     cls.__eq__ = _eq
     cls.__repr__ = _repr
     if frozen:
-        cls.__hash__ = _hash
+        if cls.__dict__.get("__hash__") is None:
+            cls.__hash__ = _hash
         cls.__setattr__ = cls.__delattr__ = _refuse
     else:
         cls.__hash__ = None

@@ -248,7 +248,6 @@ def test_oracle_equivalence_suite():
     from tiny_instances import ALL_KINDS
     from xcspkit.harness import verify as _verify
     from xcspkit.model import assignment_cost, constraint_kind
-    from xcspkit.model import Slide as _Slide
 
     t0 = time.perf_counter()
     rng = random.Random(20180708)
@@ -257,7 +256,7 @@ def test_oracle_equivalence_suite():
     for _ in range(1000):
         inst = random_instance(rng, max_vars=6, max_dom=5)
         for c in inst.constraints:
-            kinds_seen.add("slide" if isinstance(c, _Slide) else constraint_kind(c))
+            kinds_seen.add(constraint_kind(c))
         count, best, _ = brute_force(inst)
         stripped = Instance("CSP", inst.variables, inst.constraints, None, inst.decision_variables)
         enum = enumerate_all(stripped, config=SearchConfig(time_limit=60))
@@ -280,7 +279,7 @@ def test_oracle_equivalence_suite():
     expected_kinds = {
         "extension", "intension", "sum", "count", "allDifferent", "allDifferentMatrix",
         "ordered", "lex", "lexMatrix", "element", "instantiation", "circuit",
-        "cumulative", "regular", "cardinality", "channel", "noOverlap", "slide",
+        "cumulative", "regular", "cardinality", "channel", "noOverlap",
     }
     assert kinds_seen == expected_kinds
     _report("oracle-equivalence-1000", time.perf_counter() - t0, 300.0)

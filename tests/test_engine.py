@@ -19,7 +19,7 @@ from xcspkit.engine import (
     propagate_to_fixpoint,
     solve,
 )
-from xcspkit import expr
+from xcspkit import expr, model
 from xcspkit.engine import propagators, search
 from xcspkit.engine.propagators import _SCAN_CAP, IntensionProp, TableProp, _defined_variable, make_propagators
 from xcspkit.engine.search import _CLEAN, PropagationEngine, _Search, _improving
@@ -57,7 +57,6 @@ from xcspkit.model import (
     Objective,
     Ordered,
     STAR,
-    Slide,
     Sum,
     Table,
     Variable,
@@ -1041,10 +1040,32 @@ def test_compact_tables_over_one_table_and_equal_domains_share_their_masks():
     assert negated[0][0] | negated[0][1] == (1 << 7) - 1
 
 
+def test_building_still_life_hashes_the_rows_of_each_table_once(monkeypatch):
+    """A table keys the build memo of each of its extensions and the
+    writer's memo of its bodies, so its rows are hashed once, when it is
+    made, and not once per extension: through generation, writing, parsing
+    and the propagator build of still-life-12."""
+    hashes: dict[int, int] = {}
+
+    class Rows(tuple):
+        def __hash__(self):
+            hashes[id(self)] = hashes.get(id(self), 0) + 1
+            return tuple.__hash__(self)
+
+    norm = model._norm_rows
+    monkeypatch.setattr(model, "_norm_rows", lambda rows: Rows(norm(rows)))
+    generated = gen_still_life(12)
+    parsed = parse_instance(write_instance(generated))
+    tables = {}
+    for instance in (generated, parsed):
+        props = make_propagators(instance.constraints, DomainStore(instance.variables))
+        tables.update((id(p.constraint.table), p.constraint.table) for p in props if isinstance(p, TableProp))
+    assert len(tables) == 4 and all(type(t.rows) is Rows for t in tables.values())
+    assert [hashes.get(id(t.rows), 0) for t in tables.values()] == [1, 1, 1, 1]
+
+
 def _with_equal_copies(c):
     """``c`` with every table replaced by an equal but distinct Table."""
-    if isinstance(c, Slide):
-        return Slide(tuple(_with_equal_copies(w) for w in c.windows))
     if isinstance(c, Extension):
         return Extension(c.scope, Table(c.table.arity, c.table.polarity, c.table.rows))
     return c

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import brute_force
 from xcspkit import generators
+from xcspkit.engine import enumerate_all
 from xcspkit.errors import BadParameterError, NonIntegralMagicError, SchemaMismatchError, UnknownVariantError
 from xcspkit.generators import PROBLEMS, ProblemData, build
 from xcspkit.generators.academic import (
@@ -46,10 +47,11 @@ from xcspkit.model import (
     Extension,
     Intension,
     Objective,
-    Slide,
     Sum,
+    conflicts,
     constraint_kind,
     constraint_satisfied,
+    supports,
     validate_instance,
 )
 
@@ -405,11 +407,17 @@ class TestStillLife:
         assert set(table.rows) == expected
         assert len(expected) < 1536
 
-    def test_slide_groups(self):
+    def test_border_windows_are_one_group(self):
+        """The 4n windows of three border cells are posted in turn, so they
+        are one run of one template and written as one ``<group>``."""
         inst = gen_still_life(3)
-        slides = [c for c in inst.constraints if isinstance(c, Slide)]
-        assert len(slides) == 4
-        assert all(len(s.windows) == 3 for s in slides)
+        windows = [c for c in inst.constraints if isinstance(c, Extension) and c.table.arity == 3]
+        assert len(windows) == 12
+        assert {c.table for c in windows} == {conflicts(3, [(1, 1, 1)])}
+        first = inst.constraints.index(windows[0])
+        assert list(inst.constraints[first : first + 12]) == windows
+        groups = ElementTree.fromstring(write_instance(inst)).find("constraints").findall("group")
+        assert [len(g.findall("args")) for g in groups if g.find("extension/conflicts") is not None] == [12]
 
 
 class TestTsp:
@@ -540,6 +548,37 @@ class TestCatalogStructure:
         a = Assignment({"x[0]": 0, "x[1]": 1, "x[2]": 2})
         assert all(constraint_satisfied(c, a) for c in inst.constraints)
 
+    def test_subgraph_isomorphism_with_self_loops(self):
+        """A pattern loop may only go to a target loop (a unary supports
+        table), and a pattern node to no target node of a lower degree (the
+        ``red`` unary conflicts): the count is that of brute force over the
+        injective maps, with and without the redundant tables."""
+        data = {
+            "nPatternNodes": 3,
+            "nTargetNodes": 5,
+            "patternEdges": [[0, 0], [0, 1], [1, 2]],
+            "targetEdges": [[0, 0], [2, 2], [0, 1], [1, 2], [2, 3], [3, 4]],
+        }
+        full = gen_subgraph_isomorphism(data)
+        plain = gen_subgraph_isomorphism(data, drop_tags=("red",))
+        unary = [(c.scope, c.table) for c in full.constraints if isinstance(c, Extension) and c.table.arity == 1]
+        # node 4 is a leaf, and pattern nodes 0 and 1 have degree 2
+        assert unary == [
+            (("x[0]",), supports(1, [(0,), (2,)])),
+            (("x[0]",), conflicts(1, [(4,)])),
+            (("x[1]",), conflicts(1, [(4,)])),
+        ]
+        assert len(full.constraints) - len(plain.constraints) == 2
+        edges = {frozenset(e) for e in data["targetEdges"]}
+        expected = sum(
+            all(frozenset((f[a], f[b])) in edges for a, b in data["patternEdges"])
+            for f in itertools.permutations(range(5), 3)
+        )
+        assert expected == 3
+        for inst in (full, plain):
+            assert brute_force(inst)[0] == expected
+            assert enumerate_all(inst).count == expected
+
 
 ALL_REQUESTS = [
     ProblemData("auction", AUCTION_DATA, "cnt"),
@@ -574,8 +613,7 @@ ALL_REQUESTS = [
 ]
 
 # Catalog rows (union across model variants). Magic Square drops
-# `instantiation` because competition instances carry no clues; Still
-# Life's slide groups count as their member extension constraints.
+# `instantiation` because competition instances carry no clues.
 EXPECTED_MIX = {
     "auction": {"count", "sum"},
     "bacp": {"intension", "extension", "count", "sum"},
@@ -607,13 +645,7 @@ EXPECTED_MIX = {
 
 
 def _mix(instance):
-    kinds = set()
-    for c in instance.constraints:
-        if isinstance(c, Slide):
-            kinds.update(constraint_kind(w) for w in c.windows)
-        else:
-            kinds.add(constraint_kind(c))
-    return kinds
+    return {constraint_kind(c) for c in instance.constraints}
 
 
 @pytest.mark.parametrize("request_", ALL_REQUESTS, ids=lambda r: f"{r.problem_id}-{r.variant or 'base'}")
@@ -664,7 +696,7 @@ def test_each_run_of_one_template_is_a_group_whose_table_is_written_once(request
     """Every maximal run of two or more constraints of one template is one
     ``<group>``, whose ``<args>`` are the run's members, and nothing else is
     grouped. A table body is written once per run of its extensions: once
-    per ``<group>``, ``<slide>`` or lone ``<extension>``."""
+    per ``<group>`` or lone ``<extension>``."""
     from xcspkit.io import parse_instance
 
     text = write_instance(build(request_))
@@ -681,8 +713,7 @@ def test_each_run_of_one_template_is_a_group_whose_table_is_written_once(request
     assert [len(child.findall("args")) if child.tag == "group" else 1 for child in children] == [n for _, n in runs]
     assert all(child.tag != "group" or len(child.findall("args")) >= 2 for child in children)
     bodies = [body for tag in ("supports", "conflicts") for body in root.iter(tag)]
-    windows = [(c.windows if isinstance(c, Slide) else (c,))[0] for c, _ in runs]
-    assert len(bodies) == sum(isinstance(w, Extension) for w in windows)
+    assert len(bodies) == sum(isinstance(c, Extension) for c, _ in runs)
 
 
 # sha256 of each request's canonical XML: a refactor of the generators, of
@@ -713,7 +744,7 @@ WRITTEN_DIGESTS = {
     "rcpsp-base": "7d05f81af55c1e1751601a602002dbacd8e9150fb8f13d71123092a39ea4ba11",
     "social_golfers-base": "d6d7b975ed0dda982dbe65890e0b40dc1a187ebeb94641ae80b599360067a0f9",
     "sports_scheduling-base": "b437381c4a147839f8b0fd4be4f9f6f9bea4badf7b4fc60971d570912bba978a",
-    "still_life-base": "811ee78e757bedc58922401411702572905982f47e37eb0a020d8d3349c7f5c7",
+    "still_life-base": "ddbdc0f3d04ea7a5b4d81791b3eeb9500f066707ac6b98cff9a4a78a5c1f7b11",
     "strip_packing-base": "ccfbe0207532aaf833a022d28a68bb6cfc60be5293157d021c6f099e8e6f2ae7",
     "subgraph_isomorphism-base": "b3916ce8665b6602df3c2d765dc0db647047c298299a892f03f5a2760a604940",
     "sum_coloring-base": "533663f45b5a0c3ab5ae5dcdb7d2a53d982763c1cab72565bb60ffdf87af2cbc",

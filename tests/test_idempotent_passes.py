@@ -2,7 +2,9 @@
 stores, after a call that holds, a second call holds and changes no
 domain. A constant-result ``Element`` also stays a no-op after any removal
 of values outside its ``value_watch``. The engine skips a call only when
-these hold."""
+these hold. An intension's residual pass holds them too, although an
+intension above the table cap is never flagged idempotent: it also holds
+the Sum pass or the bounds closure that its product calls for."""
 
 import random
 
@@ -96,7 +98,7 @@ def test_a_second_call_prunes_nothing(case, seed, monkeypatch):
         # the offset pass needs interval initial domains
         store = _store(rng, rng.randint(3, 7), range(-1, 3), 4, holes=case != "offset-intension")
         (prop,) = make_propagators([_CASES[case](rng, store)], store)
-        assert isinstance(prop, cls) and prop.idempotent and shape(prop)
+        assert isinstance(prop, cls) and prop.idempotent is (case != "residual-intension") and shape(prop)
         mark = len(store._trail)
         if not prop.propagate(store):
             continue

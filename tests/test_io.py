@@ -54,7 +54,6 @@ from xcspkit.model import (
     Objective,
     Ordered,
     Regular,
-    Slide,
     Sum,
     Variable,
     conflicts,
@@ -181,10 +180,10 @@ def test_group_args_hold_exactly_the_template_arity(template, first, line):
 
 
 def _group_of(template: str, *args: str, slide: bool = False) -> str:
-    """A document over x[0..2] in 0..4 and y in 0..1 whose one ``<group>``
-    holds ``template`` on line 4 and each ``<args>`` on a line of its own
-    from line 5; with ``slide``, a ``<slide>`` whose ``<list>`` is the one
-    args."""
+    """A document over x[0..2] in 0..4 and y, x_1 and y__2 in 0..1 whose
+    one ``<group>`` holds ``template`` on line 4 and each ``<args>`` on a
+    line of its own from line 5; with ``slide``, a ``<slide>`` whose
+    ``<list>`` is the one args."""
     if slide:
         (ids,) = args
         body = ["<constraints> <slide>", f"<list> {ids} </list>", template, "</slide> </constraints>"]
@@ -192,7 +191,8 @@ def _group_of(template: str, *args: str, slide: bool = False) -> str:
         body = ["<constraints> <group>", template, *(f"<args> {a} </args>" for a in args), "</group> </constraints>"]
     return "\n".join([
         '<instance format="XCSP3" type="CSP">',
-        '<variables> <array id="x" size="[3]"> 0..4 </array> <var id="y"> 0 1 </var> </variables>',
+        '<variables> <array id="x" size="[3]"> 0..4 </array> <var id="y"> 0 1 </var>'
+        ' <var id="x_1"> 0 1 </var> <var id="y__2"> 0 1 </var> </variables>',
         body[0],
         *body[1:],
         "</instance>",
@@ -219,6 +219,11 @@ _GROUP_READS = {
         ["ne(x[0],y)", "ne(y,x[2])"],
     ),
     "slide": (_group_of(_LT, "x[0] x[1] x[2]", slide=True), ["lt(x[0],x[1])", "lt(x[1],x[2])"]),
+    # the placeholders are read as ids that no text of the template holds
+    "ids-with-underscores": (
+        _group_of("<intension> le(add(%0,x_1),add(%1,y__2)) </intension>", "x[0] x[1]", "x_1 y__2", "y__2 4"),
+        ["le(add(x[0],x_1),add(x[1],y__2))", "le(add(x_1,x_1),add(y__2,y__2))", "le(add(y__2,x_1),add(4,y__2))"],
+    ),
     "no-args": (_group_of("<intension> lt(%0,%) </intension>"), []),
     "unknown-id": (_group_of(_LT, "x[0] x[1]", "x[1] q"), (UnknownVariableError, "unknown variable 'q'", 4)),
     "unknown-literal-before-unknown-arg": (
@@ -271,9 +276,7 @@ def test_an_intension_template_reads_as_its_substituted_text(case):
     and line, are those of reading each ``<args>``'s substituted text."""
     text, expected = _GROUP_READS[case]
     if isinstance(expected, list):
-        constraints = parse_instance(text).constraints
-        windows = constraints[0].windows if case == "slide" else constraints
-        assert list(windows) == [Intension(parse_expr(e)) for e in expected]
+        assert list(parse_instance(text).constraints) == [Intension(parse_expr(e)) for e in expected]
         return
     error, message, line = expected
     with pytest.raises(error, match=message) as err:
@@ -425,7 +428,7 @@ def test_block_flattening():
     assert len(inst.constraints) == 2
 
 
-def test_slide_compact_form_expands():
+def test_slide_compact_form_reads_as_its_windows():
     text = """
     <instance format="XCSP3" type="CSP">
       <variables> <array id="x" size="[4]"> 0 1 </array> </variables>
@@ -441,101 +444,106 @@ def test_slide_compact_form_expands():
     </instance>
     """
     inst = parse_instance(text)
-    (c,) = inst.constraints
-    assert isinstance(c, Slide)
-    assert len(c.windows) == 2
-    assert c.windows[0].scope == ("x[0]", "x[1]", "x[2]")
-    assert c.windows[1].scope == ("x[1]", "x[2]", "x[3]")
+    assert [c.scope for c in inst.constraints] == [("x[0]", "x[1]", "x[2]"), ("x[1]", "x[2]", "x[3]")]
+    assert all(isinstance(c, Extension) and c.table == conflicts(3, [(1, 1, 1)]) for c in inst.constraints)
 
 
-def _slide_over(template: str, extra: str = "") -> str:
+def _slide_over(template: str, extra: str = "", group: bool = False) -> str:
+    """A document over x[0..3] whose one ``<slide>`` slides ``template``
+    over them; with ``group``, the ``<group>`` of that template whose
+    ``<args>`` are the slide's windows."""
+    if group:
+        args = " ".join(f"<args> x[{i}] x[{i + 1}] </args>" for i in range(3))
+        constraint = f"<group> {template} {args} </group>"
+    else:
+        constraint = f"<slide> <list> x[0] x[1] x[2] x[3] </list> {template} </slide>"
     return f"""
     <instance format="XCSP3" type="CSP">
       <variables> <array id="x" size="[4]"> 0..3 </array> {extra} </variables>
       <constraints>
-        <slide> <list> x[0] x[1] x[2] x[3] </list> {template} </slide>
+        {constraint}
       </constraints>
     </instance>
     """
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        _slide_over("<sum> <list> %0 %1 </list> <coeffs> 1 2 </coeffs> <condition> (le,5) </condition> </sum>"),
-        _slide_over("<allDifferent> %0 %1 </allDifferent>"),
-        _slide_over("<intension> le(add(%0,%1),z) </intension>", '<var id="z"> 4 </var>'),
-        _slide_over("<intension> lt(%1,%0) </intension>"),
-    ],
-    ids=["sum", "allDifferent", "fixed-variable", "reversed"],
-)
-def test_slide_that_is_no_template_writes_each_window(text):
-    """A slide whose windows are not one extension or intension template
-    slid by offset 1 is written as its windows, each its own constraint."""
-    (slide,) = parse_instance(text).constraints
-    written = write_instance(parse_instance(text))
+_SLID_TEMPLATES = {
+    "sum": ("<sum> <list> %0 %1 </list> <coeffs> 1 2 </coeffs> <condition> (le,5) </condition> </sum>", ""),
+    "allDifferent": ("<allDifferent> %0 %1 </allDifferent>", ""),
+    "fixed-variable": ("<intension> le(add(%0,%1),z) </intension>", '<var id="z"> 4 </var>'),
+    "reversed": ("<intension> lt(%1,%0) </intension>", ""),
+    "extension": ("<extension> <list> %0 %1 %0 </list> <supports> (0,1,0)(2,3,2) </supports> </extension>", ""),
+}
+
+
+@pytest.mark.parametrize("case", list(_SLID_TEMPLATES))
+def test_a_slide_reads_as_the_group_of_its_windows(case):
+    """A slide is read as its windows, in order, each its own constraint:
+    as the ``<group>`` of its template whose ``<args>`` are the windows.
+    Written, it reads back as them, byte-stable, with no ``<slide>``."""
+    template, extra = _SLID_TEMPLATES[case]
+    instance = parse_instance(_slide_over(template, extra))
+    windows = instance.constraints
+    assert len(windows) == 3
+    assert windows == parse_instance(_slide_over(template, extra, group=True)).constraints
+    written = write_instance(instance)
     assert "<slide>" not in written
     back = parse_instance(written)
-    assert back.constraints == slide.windows
+    assert back.constraints == windows
     assert write_instance(back) == written
 
 
-def _sliding(*windows) -> Instance:
-    return Instance("CSP", tuple(Variable(f"x[{i}]", Domain.rng(0, 3)) for i in range(4)), (Slide(windows),))
+def _in_turn(*constraints) -> Instance:
+    return Instance("CSP", tuple(Variable(f"x[{i}]", Domain.rng(0, 3)) for i in range(4)), constraints)
 
 
 @pytest.mark.parametrize(
     "instance",
     [
-        _sliding(Intension(parse_expr("le(add(x[0],x[1]),1)")), Intension(parse_expr("le(add(x[1],x[2]),2)"))),
-        _sliding(Intension(parse_expr("le(x[0],x[1])")), Intension(parse_expr("lt(x[1],x[2])"))),
-        _sliding(Intension(parse_expr("le(x[0],x[1])")), Intension(parse_expr("le(add(x[1],x[1]),x[2])"))),
-        _sliding(Intension(parse_expr("le(x[0],x[1])")), Extension(("x[1]", "x[2]"), supports(2, [(0, 1)]))),
-        _sliding(
+        _in_turn(Intension(parse_expr("le(add(x[0],x[1]),1)")), Intension(parse_expr("le(add(x[1],x[2]),2)"))),
+        _in_turn(Intension(parse_expr("le(x[0],x[1])")), Intension(parse_expr("lt(x[1],x[2])"))),
+        _in_turn(Intension(parse_expr("le(x[0],x[1])")), Intension(parse_expr("le(add(x[1],x[1]),x[2])"))),
+        _in_turn(Intension(parse_expr("le(x[0],x[1])")), Extension(("x[1]", "x[2]"), supports(2, [(0, 1)]))),
+        _in_turn(
             Extension(("x[0]", "x[1]", "x[1]"), supports(3, [(0, 1, 1)])),
             Extension(("x[1]", "x[2]", "x[1]"), supports(3, [(0, 1, 1)])),
         ),
     ],
     ids=["constants", "operators", "repeat-pattern", "intension-and-extension", "extension-repeat-pattern"],
 )
-def test_sliding_windows_of_two_templates_are_written_one_by_one(instance):
-    """Windows whose scopes slide by offset 1 but whose templates differ,
-    in a constant, an operator, a repeated variable or their kind, are
-    written as their windows and read back as such."""
+def test_constraints_of_two_templates_are_written_one_by_one(instance):
+    """Constraints whose scopes slide by offset 1 but whose templates
+    differ, in a constant, an operator, a repeated variable or their kind,
+    are written one by one and read back as such."""
     written = write_instance(instance)
-    assert "<slide>" not in written
-    assert parse_instance(written).constraints == instance.constraints[0].windows
+    assert "<group>" not in written
+    assert parse_instance(written).constraints == instance.constraints
 
 
-def test_a_slide_that_is_no_template_joins_the_groups_beside_it():
-    """The windows of a slide that is no template are written as constraints
-    of the sequence, so they join a run of their template around them and
-    the text reads back as the flattened sequence, byte-stable."""
-    x = [f"x[{i}]" for i in range(4)]
-    pair = supports(2, [(0, 1), (1, 2), (2, 3)])
-    sums = [Sum((x[i], x[i + 1]), (1, 1), Condition("le", 5)) for i in range(2)]
-    less = [Intension(parse_expr(f"lt({a},{b})")) for a, b in ((x[0], x[1]), (x[1], x[2]), (x[3], x[0]), (x[2], x[3]))]
-    slid = Slide((Extension((x[1], x[2]), pair), Extension((x[2], x[3]), pair)))
-    instance = Instance(
-        "CSP",
-        tuple(Variable(v, Domain.rng(0, 3)) for v in x),
-        (
-            less[0],
-            Slide((less[1], less[2])),  # not slid by offset 1
-            less[3],
-            Slide(tuple(sums)),
-            Extension((x[0], x[1]), pair),
-            Extension((x[2], x[0]), pair),
-            slid,
-            Extension((x[3], x[0]), pair),
-        ),
-    )
-    written = write_instance(instance)
-    assert written.count("<group>") == 2 and written.count("<args>") == 6
-    assert written.count("<slide>") == 1 and written.count("<sum>") == 2
-    assert "<args> x[3] x[0] </args>" in written and "<args> x[2] x[0] </args>" in written
+def test_a_slide_joins_the_group_beside_it():
+    """The windows of a ``<slide>`` are constraints of the sequence, so
+    they join a run of their template around them: written, the document's
+    intensions are one ``<group>``, and the text reads back as the windows
+    in turn, byte-stable."""
+    text = """
+    <instance format="XCSP3" type="CSP">
+      <variables> <array id="x" size="[4]"> 0..3 </array> </variables>
+      <constraints>
+        <intension> lt(x[2],x[0]) </intension>
+        <slide> <list> x[0] x[1] x[2] x[3] </list> <intension> lt(%0,%1) </intension> </slide>
+        <intension> lt(x[3],x[0]) </intension>
+        <slide> <list> x[0] x[1] x[2] </list> <intension> lt(%1,%0) </intension> </slide>
+      </constraints>
+    </instance>
+    """
+    expected = ["lt(x[2],x[0])", "lt(x[0],x[1])", "lt(x[1],x[2])", "lt(x[2],x[3])", "lt(x[3],x[0])", "lt(x[1],x[0])",
+                "lt(x[2],x[1])"]
+    constraints = parse_instance(text).constraints
+    assert list(constraints) == [Intension(parse_expr(e)) for e in expected]
+    written = write_instance(parse_instance(text))
+    assert written.count("<group>") == 1 and written.count("<args>") == 7 and "<slide>" not in written
     back = parse_instance(written)
-    assert back.constraints == (*less, *sums, *instance.constraints[4:])
+    assert back.constraints == constraints
     assert write_instance(back) == written
 
 
@@ -666,25 +674,13 @@ def _kitchen_sink_instance() -> Instance:
         Cumulative((x[0], x[1]), (2, 3), (1, 2), 2),
         Circuit((x[0], x[1], x[2])),
         Instantiation((x[0], x[1]), (0, 3)),
-        Slide(
-            (
-                Extension((x[0], x[1]), conflicts(2, [(1, 1)])),
-                Extension((x[1], x[2]), conflicts(2, [(1, 1)])),
-                Extension((x[2], x[3]), conflicts(2, [(1, 1)])),
-            )
-        ),
-        Slide(
-            (
-                Intension(parse_expr("le(x[0],x[1])")),
-                Intension(parse_expr("le(x[1],x[2])")),
-            )
-        ),
-        Slide(
-            (
-                Extension((x[1],), supports(1, [(1,), (2,)])),
-                Extension((x[2],), supports(1, [(1,), (2,)])),
-            )
-        ),
+        Extension((x[0], x[1]), conflicts(2, [(1, 1)])),
+        Extension((x[1], x[2]), conflicts(2, [(1, 1)])),
+        Extension((x[2], x[3]), conflicts(2, [(1, 1)])),
+        Intension(parse_expr("le(x[0],x[1])")),
+        Intension(parse_expr("le(x[1],x[2])")),
+        Extension((x[1],), supports(1, [(1,), (2,)])),
+        Extension((x[2],), supports(1, [(1,), (2,)])),
     ]
     objective = Objective("maximize", "sum", (x[0], x[1]), (3, 4))
     return Instance("COP", tuple(variables), tuple(cs), objective, (x[0], x[1]))
@@ -704,14 +700,12 @@ def test_canonical_stability_kitchen_sink():
 
 
 def test_every_constraint_class_has_one_layout_or_explicit_case():
-    explicit = {Extension: "extension", Slide: "slide"}
+    explicit = {Extension: "extension"}
     classes = set(typing.get_args(Constraint))
     assert set(_LAYOUTS).isdisjoint(explicit)
     assert set(_LAYOUTS) | set(explicit) == classes
     assert set(explicit.values()).isdisjoint(layout.tag for layout in _LAYOUTS.values())
-    sink = _kitchen_sink_instance().constraints
-    windows = [w for c in sink if isinstance(c, Slide) for w in c.windows]
-    assert {type(c) for c in sink} | {type(w) for w in windows} == classes
+    assert {type(c) for c in _kitchen_sink_instance().constraints} == classes
 
 
 @pytest.mark.parametrize(
@@ -1043,12 +1037,12 @@ def test_a_repeated_table_text_parses_to_one_table():
       </constraints>
     </instance>
     """
-    plain, spread, negated, ternary, grouped, other_grouped, slide = parse_instance(text).constraints
+    plain, spread, negated, ternary, grouped, other_grouped, *windows = parse_instance(text).constraints
     pair = plain.table
     assert pair == supports(2, [(0, 1), (1, 2)])
     assert all(c.table is pair for c in (spread, grouped, other_grouped))
-    assert [w.scope for w in slide.windows] == [("x[0]", "x[1]"), ("x[1]", "x[2]"), ("x[2]", "x[3]")]
-    assert all(w.table is negated.table for w in slide.windows)
+    assert [w.scope for w in windows] == [("x[0]", "x[1]"), ("x[1]", "x[2]"), ("x[2]", "x[3]")]
+    assert all(w.table is negated.table for w in windows)
     assert negated.table == conflicts(2, [(0, 1), (1, 2)])
     assert len({id(c.table) for c in (plain, negated, ternary)}) == 3
 
@@ -1079,9 +1073,8 @@ def test_still_life_8_roundtrips_byte_for_byte():
     text = write_instance(gen_still_life(8))
     parsed = parse_instance(text)
     assert write_instance(parsed) == text
-    # 64 cells share the neighbourhood table; the border slides share another
-    tables = [w.table for c in parsed.constraints for w in (c.windows if isinstance(c, Slide) else (c,))
-              if isinstance(w, Extension)]
+    # 64 cells share the neighbourhood table; the border windows share another
+    tables = [c.table for c in parsed.constraints if isinstance(c, Extension)]
     assert len(tables) == 64 + 4 * 8
     assert len({id(t) for t in tables}) == 2
 

@@ -45,7 +45,6 @@ from xcspkit.model import (
     Objective,
     Ordered,
     Regular,
-    Slide,
     Sum,
     Table,
     Variable,
@@ -335,12 +334,6 @@ class TestConstraintSatisfied:
         assert constraint_satisfied(c, asg(a=1, b=2))
         assert not constraint_satisfied(c, asg(a=1, b=3))
 
-    def test_slide(self):
-        w1 = Extension(("a", "b"), conflicts(2, [(1, 1)]))
-        w2 = Extension(("b", "c"), conflicts(2, [(1, 1)]))
-        c = Slide((w1, w2))
-        assert constraint_satisfied(c, asg(a=1, b=0, c=1))
-        assert not constraint_satisfied(c, asg(a=0, b=1, c=1))
 
 
 class TestAssignmentCost:
@@ -455,6 +448,46 @@ def test_coeffs_on_an_objective_other_than_a_sum_are_refused(objective):
     assert [(v.code, v.where, v.detail) for v in report] == [
         ("BadObjective", "objective", f"a {objective.kind!r} objective takes no coeffs"),
     ]
+
+
+_XY = (Variable("x", Domain.rng(0, 3)), Variable("y", Domain.rng(0, 3)))
+
+
+@pytest.mark.parametrize(
+    "fields, violation",
+    [
+        (("CSP", (Variable("x", Domain((2, 1))),), ()), ("UnorderedDomain", "x", "domain values not strictly ascending")),
+        (
+            ("COP", _XY, (), Objective("minimize", "sum", ("x", "q"))),
+            ("UnknownVariable", "objective", "references undeclared variable 'q'"),
+        ),
+        (
+            ("COP", _XY, (), Objective("minimize", "sum", ("x", "y"), (1,))),
+            ("LengthMismatch", "objective", "coeffs length differs from scope length"),
+        ),
+        (
+            ("COP", _XY, (), Objective("maximize", "variable", ("x", "y"))),
+            ("LengthMismatch", "objective", "variable objective needs exactly one variable"),
+        ),
+        (("CSP", _XY, (), None, ("x", "q")), ("UnknownVariable", "annotations", "decision variable 'q' not declared")),
+        (
+            ("COP", _XY, (), Objective("minimize", "sum", ("x", "y"), (2**62, 2**62))),
+            ("BoundOverflow", "objective", "sum can exceed 64-bit range"),
+        ),
+        (("CSP", _XY, (_XY[0],)), ("UnknownConstraint", "constraint 0", "unknown constraint Variable")),
+    ],
+    ids=[
+        "unordered-domain",
+        "objective-unknown-variable",
+        "objective-coeffs-length",
+        "variable-objective-length",
+        "annotations-unknown-variable",
+        "objective-overflow",
+        "unknown-constraint",
+    ],
+)
+def test_a_refused_instance_reports_each_fault_with_its_place_and_detail(fields, violation):
+    assert [(v.code, v.where, v.detail) for v in refusal(*fields)] == [violation]
 
 
 class TestRecord:
@@ -610,19 +643,6 @@ class TestTableProperties:
                 a = Assignment(binding)
                 assert constraint_satisfied(Channel(la, lb), a) == constraint_satisfied(Channel(lb, la), a)
 
-    def test_slide_decomposition(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            n = rng.randint(3, 5)
-            scope = tuple(f"v{i}" for i in range(n))
-            windows = tuple(
-                Extension((scope[i], scope[i + 1]), _random_table(rng, 2, 3, "supports")) for i in range(n - 1)
-            )
-            c = Slide(windows)
-            binding = {v: rng.randrange(3) for v in scope}
-            a = Assignment(binding)
-            assert constraint_satisfied(c, a) == all(constraint_satisfied(w, a) for w in windows)
-
 
 class TestCheckerTotality:
     """Every catalog member yields a boolean on any total assignment."""
@@ -655,7 +675,6 @@ class TestCheckerTotality:
                     Automaton("s", (("s", 0, "s"), ("s", 1, "t"), ("t", 0, "t")), ("t",)),
                 ),
                 Intension(op("le", op("add", names[0], names[1]), names[2])),
-                Slide((Extension((names[0], names[1]), supports(2, [(0, 0)])),)),
             ]
             c = cands[trial % len(cands)]
             assert constraint_satisfied(c, a) in (True, False)
@@ -732,19 +751,13 @@ _TWINS = {
     ),
     Circuit: (Circuit(("x[0]", "u", "x[1]", "u")),),
     Instantiation: (Instantiation(("x[0]", "x[1]"), (0,)), Instantiation(("u",), (0, 1))),
-    Slide: (
-        Slide((Extension(("x[0]", "x[1]"), _SHARED), Extension(("x[1]", "x[2]"), _SHARED))),
-        Slide((Sum(("x[0]", "u"), (1,), Condition("in", 2)), Intension(parse_expr("add(x[1],u)")))),
-        Slide((Extension(("x[0]",), supports(1, [(0,)])), Variable("x[0]", Domain.rng(0, 1)))),
-        Variable("x[0]", Domain.rng(0, 1)),
-    ),
 }
 
 #: class -> (scopes of the sink's constraints of that class, their kind,
 #: the report on an instance of the class's twins as (code, where, detail))
 _PINNED = {
     Intension: (
-        [('x[0]', 'x[1]', 'z')],
+        [('x[0]', 'x[1]', 'z'), ('x[0]', 'x[1]'), ('x[1]', 'x[2]')],
         'intension',
         [
             ('NotBoolean', 'constraint 0', 'intension root must be a relational or logical operator'),
@@ -755,7 +768,7 @@ _PINNED = {
         ],
     ),
     Extension: (
-        [('x[0]', 'x[1]'), ('x[0]',)],
+        [('x[0]', 'x[1]'), ('x[0]',), ('x[0]', 'x[1]'), ('x[1]', 'x[2]'), ('x[2]', 'x[3]'), ('x[1]',), ('x[2]',)],
         'extension',
         [
             ('ScopeMismatch', 'constraint 0', 'table arity 2 != scope length 3'),
@@ -925,22 +938,6 @@ _PINNED = {
             ('LengthMismatch', 'constraint 1', 'scope and values lengths differ'),
         ],
     ),
-    Slide: (
-        [('x[0]', 'x[1]', 'x[2]', 'x[3]'), ('x[0]', 'x[1]', 'x[2]'), ('x[1]', 'x[2]')],
-        'slide',
-        [
-            ('ScopeMismatch', 'constraint 0', 'row (1, 2, 3) does not have 2 entries'),
-            ('ScopeMismatch', 'constraint 0', 'row (2,) does not have 2 entries'),
-            ('ScopeMismatch', 'constraint 0', 'row (1, 2, 3) does not have 2 entries'),
-            ('ScopeMismatch', 'constraint 0', 'row (2,) does not have 2 entries'),
-            ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
-            ('LengthMismatch', 'constraint 1', 'coeffs length differs from scope length'),
-            ('BadCondition', 'constraint 1', "operator 'in' requires an interval rhs"),
-            ('NotBoolean', 'constraint 1', 'intension root must be a relational or logical operator'),
-            ('UnknownConstraint', 'constraint 2', 'unknown constraint Variable'),
-            ('UnknownConstraint', 'constraint 3', 'unknown constraint Variable'),
-        ],
-    ),
 }
 
 
@@ -962,18 +959,23 @@ def test_every_constraint_class_has_one_catalogue_row():
         constraint_kind(Variable("a", Domain.rng(0, 1)))
 
 
-def test_sum_windows_of_a_slide_are_checked_for_overflow():
+def test_sum_windows_of_a_slide_are_each_checked_for_overflow():
     big = 2**63 - 1
     text = f"""<instance format="XCSP3" type="CSP">
     <variables> <array id="x" size="[3]"> 0..3 </array> </variables>
     <constraints> <slide> <list> x[0] x[1] x[2] </list>
       <sum> <list> %0 %1 </list> <coeffs> {big} {big} </coeffs> <condition> (le,5) </condition> </sum>
     </slide> </constraints> </instance>"""
-    with pytest.raises(InvariantViolationError, match="BoundOverflow at constraint 0"):
+    with pytest.raises(InvariantViolationError) as err:
         parse_instance(text)
+    assert [(v.code, v.where) for v in err.value.report] == [
+        ("BoundOverflow", "constraint 0"),
+        ("BoundOverflow", "constraint 1"),
+    ]
+    assert err.value.location.line == 3
     variables = tuple(Variable(f"x[{i}]", Domain.rng(0, 3)) for i in range(3))
     windows = (Sum(("x[0]", "x[1]"), (big, big), Condition("le", 5)), Sum(("x[1]", "x[2]"), (1, 1), Condition("le", 5)))
-    assert [(v.code, v.where, v.detail) for v in refusal("CSP", variables, (Slide(windows), Slide(windows[1:])))] == [
+    assert [(v.code, v.where, v.detail) for v in refusal("CSP", variables, windows)] == [
         ("BoundOverflow", "constraint 0", "sum can exceed 64-bit range")
     ]
 
@@ -998,11 +1000,7 @@ def _reference_template(expression, position):
 
 
 def _intensions(constraints):
-    for c in constraints:
-        if isinstance(c, Intension):
-            yield c
-        elif isinstance(c, Slide):
-            yield from _intensions(c.windows)
+    return (c for c in constraints if isinstance(c, Intension))
 
 
 def _random_expression(rng, depth):

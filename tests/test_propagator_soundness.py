@@ -25,7 +25,6 @@ from xcspkit.model import (
     Lex,
     LexMatrix,
     STAR,
-    Slide,
     Table,
     Variable,
     constraint_satisfied,
@@ -168,7 +167,7 @@ def test_gac_on_star_rows():
 
 
 def test_every_constraint_class_has_one_propagator_row_or_is_split():
-    split = {Slide, AllDifferentMatrix, LexMatrix}
+    split = {AllDifferentMatrix, LexMatrix}
     classes = set(typing.get_args(Constraint))
     assert set(_PROPAGATORS).isdisjoint(split)
     assert set(_PROPAGATORS) | split == classes

@@ -27,7 +27,6 @@ from xcspkit.model import (
     Objective,
     Ordered,
     Regular,
-    Slide,
     Sum,
     Table,
     Variable,
@@ -38,7 +37,7 @@ SPACE_CAP = 4000
 SMALL_KINDS = (
     "extension", "intension", "sum", "count", "alldiff", "ordered",
     "element", "instantiation", "circuit", "cumulative", "regular",
-    "cardinality", "lex", "slide",
+    "cardinality", "lex",
 )
 WIDE_KINDS = ("alldiffmatrix", "lexmatrix", "channel", "nooverlap")
 ALL_KINDS = SMALL_KINDS + WIDE_KINDS
@@ -197,12 +196,6 @@ def random_constraint(rng, names, domains, kind=None):
         cells = pick(4)
         lengths = tuple((rng.randint(0, 2), rng.randint(1, 2)) for _ in range(2))
         return NoOverlap(((cells[0], cells[1]), (cells[2], cells[3])), lengths)
-    if kind == "slide":
-        k = min(n, rng.randint(3, 4))
-        scope = pick(k)
-        table = _rand_table(rng, scope[:2], domains, "supports")
-        windows = tuple(Extension((scope[i], scope[i + 1]), table) for i in range(k - 1))
-        return Slide(windows)
     raise AssertionError(kind)
 
 
