@@ -24,10 +24,11 @@ Counting has one pass, ``_count_bounds`` then ``_count_prune``, over
 per value; Boussemart et al., arXiv:2009.00514), and an intension without
 variables is split into the constant ``Count`` of no variable.
 
-A relation fixes its pass when it is built. A supports table, a
-conflicts table over at most ``_COMPLEMENT_CAP`` tuples and an intension
-with at most ``_TABLE_CAP`` rows, at any arity, are compact tables: every
-call is ``_ct_filter`` over read-only support masks. Such an intension
+A relation fixes its pass when it is built. A table of either polarity
+and an intension with at most ``_TABLE_CAP`` rows, at any arity, are
+compact tables: every call is ``_ct_filter`` over read-only masks of the
+relation's rows, supports for an intension, and for a table its own rows,
+which a conflicts table's call reads as conflicts. Such an intension
 that reads ``t = u + k`` or ``t = u + v + k`` over interval domains is the
 exception: its call shifts the domain masks (``_offset_pass``) and prunes
 exactly as the table would, with no masks built and nothing compiled. One
@@ -36,13 +37,13 @@ memo per ``make_propagators`` call, handed to the two relation builders
 relations: an extension keys it by (table, initial domains, the scope's
 repeat pattern), a tabled intension by (``Intension.template``, initial
 domains).
-A larger conflicts table gets ``_residual``, the residual-support pass
-over a predicate on tuples, and so does a larger intension while its live
-product is at most ``_SCAN_CAP``. Above that, a larger intension that
-compares two linear sides, and whose sum stays in the 64-bit range, is
-pruned as the primitive it is, by the bounds pass of its equivalent
-``Sum`` (XCSP3-core, Boussemart et al., arXiv:2009.00514); any other one
-is filtered value by value through a bounds closure. An intension picks
+A larger intension gets ``_residual``, the residual-support pass over a
+predicate on tuples, while its live product is at most ``_SCAN_CAP``.
+Above that, a larger intension that compares two linear sides, and whose
+sum stays in the 64-bit range, is pruned as the primitive it is, by the
+bounds pass of its equivalent ``Sum`` (XCSP3-core, Boussemart et al.,
+arXiv:2009.00514); any other one is filtered value by value through a
+bounds closure. An intension picks
 its pass from its row count before it builds anything, and compiles
 (``expr.compile_expr``) only the closures that pass reads: a tabled one
 the closure that enumerates its rows, only when the memo lacks its
@@ -109,8 +110,6 @@ from .domains import DomainStore
 # from an intension
 INF = 2**256
 
-# conflicts tables are complemented into supports up to this tuple count
-_COMPLEMENT_CAP = 100_000
 # exact support scan for intension constraints up to this domain product
 _SCAN_CAP = 2048
 # an intension's relation is a compact table up to this row count
@@ -137,14 +136,23 @@ class Propagator:
 # Extension
 
 
-def _ct_filter(store: DomainStore, scope, supports) -> bool:
-    """One compact-table pass: intersect per-value row masks, prune values
-    with no surviving row."""
+def _ct_filter(store: DomainStore, scope, rows, distinct=None) -> bool:
+    """One compact-table pass over per-position, per-value row masks
+    (Demeulenaere et al., CP 2016): the valid rows are those whose every
+    value is live. Without ``distinct`` the rows are supports: a value with
+    no valid row dies, and the call fails when no row is valid. Given the
+    scope's distinct variables ``distinct``, the rows are conflicts, no two
+    the same tuple (Verhaeghe, Lecoutre and Schaus, AAAI 2017): a value
+    dies when its valid rows number the tuples over the other distinct
+    variables' domains, and the call fails when the valid rows number all
+    tuples; with no valid row it holds. The sizes are read once, at the
+    start of the call. Either way the call fails before any removal, and
+    otherwise removes the dead values in scope order."""
     valid = -1
     masks = store.masks
     for i, x in enumerate(scope):
         mask = masks[x]
-        per_value = supports[i]
+        per_value = rows[i]
         union = 0
         while mask:
             low = mask & -mask
@@ -152,16 +160,29 @@ def _ct_filter(store: DomainStore, scope, supports) -> bool:
             mask ^= low
         valid &= union
         if not valid:
+            return distinct is not None
+    if distinct is not None:
+        size = {x: masks[x].bit_count() for x in distinct}
+        total = math.prod(size.values())
+        if valid.bit_count() == total:
             return False
     for i, x in enumerate(scope):
         mask = masks[x]
-        per_value = supports[i]
+        per_value = rows[i]
         dead = 0
-        while mask:
-            low = mask & -mask
-            if not per_value[low.bit_length() - 1] & valid:
-                dead |= low
-            mask ^= low
+        if distinct is None:
+            while mask:
+                low = mask & -mask
+                if not per_value[low.bit_length() - 1] & valid:
+                    dead |= low
+                mask ^= low
+        else:
+            count = total // size[x]
+            while mask:
+                low = mask & -mask
+                if (per_value[low.bit_length() - 1] & valid).bit_count() == count:
+                    dead |= low
+                mask ^= low
         if dead and not store.remove_bits(x, dead):
             return False
     return True
@@ -227,20 +248,6 @@ def _residual(store: DomainStore, scope, allowed, residues) -> bool:
     return all(store.keep_bits(x, bits) for x, bits in zip(scope, keep))
 
 
-def _matching_none(rows):
-    """Whether a tuple of values matches none of the rows: the rows without
-    STAR are looked up in a set, the rows with one are matched one by one."""
-    plain = {row for row in rows if STAR not in row}
-    starred = [row for row in rows if STAR in row]
-
-    def allowed(combo) -> bool:
-        return combo not in plain and not any(
-            all(e == STAR or e == v for e, v in zip(row, combo)) for row in starred
-        )
-
-    return allowed
-
-
 def _one_value_per_variable(rows, first):
     """The rows that give each variable of the scope one value, where
     position i's variable first appears at position ``first[i]``; a STAR
@@ -255,20 +262,21 @@ def _one_value_per_variable(rows, first):
 
 
 class TableProp(Propagator):
-    """GAC over a table, its pass fixed at build. A supports table, and a
-    conflicts table over at most ``_COMPLEMENT_CAP`` tuples complemented
-    into supports over the initial domains, get the compact-table pass
-    (stateless: the valid row set is rebuilt from current domains on every
-    call); the masks come from, or go into, the build call's memo
-    ``masks``, keyed by the table, the initial domains and the scope's
-    repeat pattern. A larger conflicts table gets the residual pass.
+    """GAC over a table by the compact-table pass (``_ct_filter``), over
+    the masks of its own rows in either polarity. The pass is stateless:
+    the valid row set is rebuilt from current domains on every call. The
+    masks, ``supports`` whatever the polarity, come from, or go into, the
+    build call's memo ``masks``, keyed by the table, the initial domains
+    and the scope's repeat pattern, and are read-only. A conflicts table expands each STAR over its position's
+    initial domain when it is built, so that each row is one tuple, and the
+    pass reads it with the scope's distinct variables ``distinct``.
 
-    A scope may repeat a variable: only the rows and tuples that give it
-    one value count, so the pass is GAC over the scope's variables. Either
-    pass is idempotent: every value it keeps has a support whose values it
-    keeps too."""
+    A scope may repeat a variable: only the rows that give it one value
+    count, so the pass is GAC over the scope's variables. No two rows are
+    one tuple. The pass is idempotent: every value it keeps has an allowed
+    tuple whose values it keeps too."""
 
-    __slots__ = ("supports", "allowed", "residues")
+    __slots__ = ("supports", "distinct")
 
     def __init__(self, c: Extension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
@@ -276,32 +284,21 @@ class TableProp(Propagator):
         table, scope = c.table, self.scope
         domains = tuple(store.init_values[x] for x in scope)
         first = tuple(map(scope.index, scope))
-        repeats = first != tuple(range(len(scope)))
+        self.distinct = tuple(dict.fromkeys(scope)) if table.polarity == "conflicts" else None
         self.supports = masks.get((table, domains, first))
-        self.allowed = self.residues = None
         if self.supports is not None:
             return
         rows = table.rows
-        if table.polarity == "conflicts":
-            allowed = _matching_none(rows)
-            if math.prod(map(len, domains)) > _COMPLEMENT_CAP:
-                if repeats:
-                    matching_none = allowed
-
-                    def allowed(combo) -> bool:
-                        return all(combo[f] == v for f, v in zip(first, combo)) and matching_none(combo)
-
-                self.allowed, self.residues = allowed, [[None] * len(d) for d in domains]
-                return
-            rows = filter(allowed, itertools.product(*domains))
-        if repeats:
+        if self.distinct is not None:
+            rows = itertools.chain.from_iterable(
+                itertools.product(*(d if e == STAR else (e,) for d, e in zip(domains, row))) for row in rows
+            )
+        if first != tuple(range(len(scope))):
             rows = _one_value_per_variable(rows, first)
-        self.supports = masks[table, domains, first] = _support_masks(store, scope, rows)
+        self.supports = masks[table, domains, first] = _support_masks(store, scope, dict.fromkeys(rows))
 
     def propagate(self, store: DomainStore) -> bool:
-        if self.supports is not None:
-            return _ct_filter(store, self.scope, self.supports)
-        return _residual(store, self.scope, self.allowed, self.residues)
+        return _ct_filter(store, self.scope, self.supports, self.distinct)
 
 
 # ---------------------------------------------------------------------------

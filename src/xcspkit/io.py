@@ -23,7 +23,8 @@ of their scope. Each maximal run of two or more constraints of one shape
 is written as one ``<group>``: the first of them renamed to ``%0``,
 ``%1``, ... as the template, and each one's distinct ids as an ``<args>``.
 
-A ``<group>`` or ``<slide>`` reads its template once
+A ``<group>``'s or ``<slide>``'s template is one constraint element: a
+``<group>``, ``<slide>`` or ``<block>`` there is refused. It is read once
 (``_template_reader``). An ``<intension>`` template's expression is parsed
 once with each ``%k`` as a placeholder, which must be a whole operand, and
 each ``<args>`` entry binds a variable id or an integer into it. Any other
@@ -684,7 +685,7 @@ def _parse_constraint_item(node: _Node, known: set[str], tables: dict) -> list[C
     if node.tag == "group":
         template, args_nodes = _template_and_args(node, "args")
         arity = _template_arity(template)
-        read = _template_reader(template, known, tables, _parse_constraint_item)
+        read = _template_reader(template, known, tables)
         out = []
         for an in args_nodes:
             args = an.text.split()
@@ -693,7 +694,7 @@ def _parse_constraint_item(node: _Node, known: set[str], tables: dict) -> list[C
             # non-ASCII digits, which the arity does not count, fails as an
             # unsupported expression first
             if len(args) >= arity:
-                out.extend(read(args, an))
+                out.append(read(args, an))
             if len(args) != arity:
                 raise XmlSyntaxError(f"<args> holds {len(args)} ids for a template of arity {arity}", an.loc)
         return out
@@ -704,7 +705,7 @@ def _parse_windows(node: _Node, known: set[str], tables: dict) -> list[Constrain
     """A constraint element as the constraints it stands for: a
     ``<slide>``'s windows, in order, each read from its template with the
     ids of the window in turn; any other element as its one constraint. A
-    slide's template is a constraint element or a slide."""
+    slide's template is one constraint element (``_template_and_args``)."""
     if node.tag != "slide":
         return [_parse_constraint(node, known, tables)]
     _check_attributes(node)
@@ -715,19 +716,18 @@ def _parse_windows(node: _Node, known: set[str], tables: dict) -> list[Constrain
     arity = _template_arity(template)
     if arity < 1 or arity > len(scope):
         raise XmlSyntaxError("slide template arity does not fit list", node.loc)
-    read = _template_reader(template, known, tables, _parse_windows)
+    read = _template_reader(template, known, tables)
     windows = []
     for i in range(len(scope) - arity + 1):
-        windows.extend(read(scope[i : i + arity], lists[0]))
+        windows.append(read(scope[i : i + arity], lists[0]))
     return windows
 
 
-def _template_reader(template: _Node, known: set[str], tables: dict, parse) -> Callable[[list[str], _Node], list]:
+def _template_reader(template: _Node, known: set[str], tables: dict) -> Callable[[list[str], _Node], Constraint]:
     """The reader of a ``<group>``'s or ``<slide>``'s template: a function
     of one instance's ids and the element that lists them, giving the
-    constraints that ``parse`` (``_parse_constraint_item`` or
-    ``_parse_windows``) reads from the template's text with those ids put
-    in for its placeholders.
+    constraint that ``_parse_constraint`` reads from the template's text
+    with those ids put in for its placeholders.
 
     An ``<intension>`` template is read once, at its first instance, each
     ``%k`` as a placeholder (``_intension_shape``); an instance binds each
@@ -738,10 +738,10 @@ def _template_reader(template: _Node, known: set[str], tables: dict, parse) -> C
     reads, because an entry is an expression or a placeholder is no whole
     operand, with the shape's own error."""
     if template.tag != "intension":
-        return lambda args, at: parse(_substitute(template, args), known, tables)
+        return lambda args, at: _parse_constraint(_substitute(template, args), known, tables)
     shape = None
 
-    def read(args: list[str], at: _Node) -> list:
+    def read(args: list[str], at: _Node) -> Constraint:
         nonlocal shape
         try:
             if shape is None:
@@ -750,9 +750,9 @@ def _template_reader(template: _Node, known: set[str], tables: dict, parse) -> C
             c = Intension(_bind(expression, {name: _operand(args[k], at) for name, k in placeholders.items()}))
             for vid in c.scope:
                 _known_id(vid, known, loc)
-            return [c]
+            return c
         except XcspError:
-            parse(_substitute(template, args), known, tables)
+            _parse_constraint(_substitute(template, args), known, tables)
             raise
 
     return read
@@ -817,11 +817,16 @@ def _bind(e: _expr.Expr, operands: dict) -> _expr.Expr:
 
 def _template_and_args(node: _Node, args_tag: str) -> tuple[_Node, list[_Node]]:
     """The one template child of a ``<group>`` or ``<slide>`` and its
-    ``<args_tag>`` children, which give the template's arguments."""
+    ``<args_tag>`` children, which give the template's arguments. The
+    template is one constraint element: a ``<group>``, ``<slide>`` or
+    ``<block>`` is refused there."""
     templates = [child for child in node.children if child.tag != args_tag]
     if len(templates) != 1:
         raise XmlSyntaxError(f"<{node.tag}> needs one template, got {len(templates)}", node.loc)
-    return templates[0], node.all(args_tag)
+    template = templates[0]
+    if template.tag in ("group", "slide", "block"):
+        raise UnsupportedFeatureError(f"<{template.tag}> as the template of a <{node.tag}>", template.loc)
+    return template, node.all(args_tag)
 
 
 def _require(node: _Node, tag: str) -> _Node:
@@ -1146,18 +1151,9 @@ def _shape(c):
 def _renamed(c, ids):
     """``c`` with each of its ``ids`` renamed to the placeholder of its
     position, ``%0``, ``%1``, ..."""
-    mapping = {v: f"%{k}" for k, v in enumerate(ids)}
     if isinstance(c, Intension):
-        return Intension(_rename_expr(c.expr, mapping))
-    return Extension(tuple(mapping[v] for v in c.scope), c.table)
-
-
-def _rename_expr(e, mapping):
-    if isinstance(e, _expr.VarRef):
-        return _expr.VarRef(mapping.get(e.var_id, e.var_id))
-    if isinstance(e, _expr.Op):
-        return _expr.Op(e.kind, tuple(_rename_expr(ch, mapping) for ch in e.children))
-    return e
+        return Intension(_bind(c.expr, {v: _expr.VarRef(f"%{k}") for k, v in enumerate(ids)}))
+    return Extension(tuple(f"%{ids.index(v)}" for v in c.scope), c.table)
 
 
 def _write_objective(w: _Writer, obj: Objective):

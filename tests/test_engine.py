@@ -480,7 +480,8 @@ def _intension_above_the_table_cap(text, size):
 
 
 def _conflicts_above_the_complement_cap(rng):
-    """Three 50-value domains (125,000 tuples): the first value of x is
+    """Three 50-value domains (125,000 tuples, above the 100,000 up to
+    which a conflicts table was once complemented): the first value of x is
     forbidden with every (y, z), two STAR rows forbid more slices, and
     about half of all tuples are forbidden one by one, so that values of
     narrowed domains often lose their last support."""
@@ -500,9 +501,9 @@ def _conflicts_above_the_complement_cap(rng):
 
 def _conflicts_on_a_repeated_scope_above_the_complement_cap(rng):
     """Scope (x, y, x, z) over three 20-value domains (160,000 tuples of
-    positions): about half of the tuples that give x one value, a row that
-    gives x two values, and STAR rows, one of which forbids x[2] through
-    the second x position only."""
+    positions, also above that old cap): about half of the tuples that
+    give x one value, a row that gives x two values, and STAR rows, one of
+    which forbids x[2] through the second x position only."""
     domains = [tuple(sorted(rng.sample(range(-30, 31), 20))) for _ in "xyz"]
     x, y, z = domains
     rows = [(a, b, a, c) for a, b, c in itertools.product(*domains) if rng.random() < 0.5]
@@ -534,10 +535,10 @@ def _conflicts_on_a_repeated_scope_above_the_complement_cap(rng):
 )
 def test_intension_gac_pass_above_the_table_cap_equals_brute_force(seed, build):
     """A relation with more than _TABLE_CAP rows (10,000 for eq(z, f(x, y))
-    over x and y; 15,625 for the full product) builds no table, nor does a
-    conflicts table over more than _COMPLEMENT_CAP tuples: residual
-    supports give the same GAC pass, and the first call on the initial
-    domains is quick."""
+    over x and y; 15,625 for the full product) builds no table: residual
+    supports give the same GAC pass. A conflicts table over more than
+    100,000 tuples is a compact table over its own rows, as every table is.
+    Either way the first call on the initial domains is quick."""
     rng = random.Random(seed)
     variables, constraint, allowed = build(rng)
     n = len(variables)
@@ -565,7 +566,25 @@ def test_intension_gac_pass_above_the_table_cap_equals_brute_force(seed, build):
             assert [set(store.values(x)) for x in range(n)] == expected
         store.pop()
     assert outcomes == {True, False}
-    assert prop.supports is None and prop.residues is not None
+    if isinstance(prop, TableProp):
+        assert prop.supports is not None and prop.distinct is not None
+    else:
+        assert prop.supports is None and prop.residues is not None
+
+
+def test_conflicts_are_masked_over_their_own_rows():
+    """``x != y`` over 0..399 as 400 conflicts builds masks of its 400 rows,
+    not of the 159,600 tuples of its complement; once x is fixed, its
+    fixpoint is that of brute force."""
+    variables = [Variable(n, Domain.rng(0, 399)) for n in "xy"]
+    c = Extension(("x", "y"), conflicts(2, [(v, v) for v in range(400)]))
+    store = DomainStore(variables)
+    (prop,) = make_propagators([c], store)
+    assert max(m.bit_length() for per_value in prop.supports for m in per_value) <= 400
+    store.assign(0, 123)
+    assert prop.propagate(store) and prop.idempotent
+    expected = _brute_force_gac(lambda combo: combo[0] != combo[1], store)
+    assert [set(store.values(x)) for x in range(2)] == expected == [{123}, set(range(400)) - {123}]
 
 
 def test_a_wide_intension_above_the_table_cap_is_gac_at_a_small_live_product():
@@ -1036,8 +1055,8 @@ def test_compact_tables_over_one_table_and_equal_domains_share_their_masks():
     # a scope that repeats a variable keeps only the rows that give it one value
     assert repeated is not same and repeated == [[0, 0], [0, 0]]
     assert wider is not same and wider != same
-    # the conflicts table is shared as its complement: 7 rows over {0,1}^3
-    assert negated[0][0] | negated[0][1] == (1 << 7) - 1
+    # the conflicts table is shared as its one row (1, 1, 1)
+    assert negated == [[0, 1], [0, 1], [0, 1]]
 
 
 def test_building_still_life_hashes_the_rows_of_each_table_once(monkeypatch):

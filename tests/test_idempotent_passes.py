@@ -57,7 +57,7 @@ def _random_element(rng, store, constant):
 
 _CASES = {
     "compact-table": lambda rng, store: _random_table(rng, store, rng.choice(("supports", "conflicts"))),
-    "residual-table": lambda rng, store: _random_table(rng, store, "conflicts"),
+    "conflicts-table": lambda rng, store: _random_table(rng, store, "conflicts"),
     "tabled-intension": _random_intension,
     "offset-intension": lambda rng, store: _random_offset(rng, store.names),
     "residual-intension": _random_intension,
@@ -68,7 +68,7 @@ _CASES = {
 # the pass each case must get, and the cap set to 0 to force the residual one
 _SHAPES = {
     "compact-table": (TableProp, lambda p: p.supports is not None, None),
-    "residual-table": (TableProp, lambda p: p.residues is not None, "_COMPLEMENT_CAP"),
+    "conflicts-table": (TableProp, lambda p: p.distinct is not None, None),
     "tabled-intension": (IntensionProp, lambda p: p.supports is not None, None),
     "offset-intension": (IntensionProp, lambda p: p.offset is not None, None),
     "residual-intension": (IntensionProp, lambda p: p.residues is not None, "_TABLE_CAP"),

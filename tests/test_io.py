@@ -284,6 +284,24 @@ def test_an_intension_template_reads_as_its_substituted_text(case):
     assert err.value.location.line == line
 
 
+_NESTED = {
+    "slide": "<slide> <list> %0 %1 %2 </list> <intension> lt(%0,%1) </intension> </slide>",
+    "group": "<group> <intension> lt(%0,%1) </intension> <args> %0 %1 </args> </group>",
+    "block": "<block> <intension> lt(%0,%1) </intension> </block>",
+}
+
+
+@pytest.mark.parametrize("outer", ["group", "slide"])
+@pytest.mark.parametrize("inner", list(_NESTED))
+def test_a_template_is_one_constraint_element(outer, inner):
+    """A ``<group>``, ``<slide>`` or ``<block>`` as the template of a
+    ``<group>`` or ``<slide>`` is refused at the template, on line 4 of a
+    group and line 5 of a slide."""
+    with pytest.raises(UnsupportedFeatureError, match=f"^unsupported feature: <{inner}> as the template of a <{outer}>") as err:
+        parse_instance(_group_of(_NESTED[inner], "x[0] x[1] x[2]", slide=outer == "slide"))
+    assert err.value.location.line == {"group": 4, "slide": 5}[outer]
+
+
 def test_an_args_entry_that_is_no_id_or_integer_is_refused():
     """An ``<args>`` entry binds a variable id or an integer. One that holds
     an expression, which reading the substituted text would take, is

@@ -36,11 +36,25 @@ from xcspkit.engine.propagators import (
     CountProp,
     IntensionProp,
     SumProp,
+    TableProp,
     make_propagators,
 )
 from xcspkit.engine.search import solve
 from xcspkit.expr import IntConst, VarRef, compile_expr, op, parse_expr
-from xcspkit.model import AllDifferent, Cardinality, Condition, Count, Domain, Instance, Intension, Sum, Variable
+from xcspkit.model import (
+    STAR,
+    AllDifferent,
+    Cardinality,
+    Condition,
+    Count,
+    Domain,
+    Extension,
+    Instance,
+    Intension,
+    Sum,
+    Variable,
+    conflicts,
+)
 
 # -- reference passes
 
@@ -712,3 +726,90 @@ def test_an_offset_past_every_domain_fails_at_the_root(k):
     assert prop.offset is not None
     out = solve(Instance("CSP", variables, (c,)))
     assert (out.status, out.stats.nodes) == ("UNSAT", 0)
+
+
+# -- conflicts tables: the pass over the conflict rows against the complement
+
+
+def _matching_none(rows):
+    """Whether a tuple of values matches none of the rows: the rows without
+    STAR are looked up in a set, the rows with one are matched one by one."""
+    plain = {row for row in rows if STAR not in row}
+    starred = [row for row in rows if STAR in row]
+
+    def allowed(combo) -> bool:
+        return combo not in plain and not any(
+            all(e == STAR or e == v for e, v in zip(row, combo)) for row in starred
+        )
+
+    return allowed
+
+
+def _one_value_per_variable(rows, first):
+    """The rows that give each variable of the scope one value, where
+    position i's variable first appears at position ``first[i]``."""
+    for row in rows:
+        value = {}
+        for f, e in zip(first, row):
+            if value.setdefault(f, e) != e:
+                break
+        else:
+            yield row
+
+
+def _support_masks(store, scope, rows):
+    """Per-position, per-value-bit row masks of rows over the initial
+    domains."""
+    supports = [[0] * len(store.init_values[x]) for x in scope]
+    for r, row in enumerate(rows):
+        for per_value, x, v in zip(supports, scope, row):
+            per_value[store.pos[x][v]] |= 1 << r
+    return supports
+
+
+def reference_complement_masks(store, scope, table):
+    """The support masks of a conflicts table's complement over the initial
+    domains, keeping only the tuples that give a repeated variable one
+    value."""
+    tuples = filter(_matching_none(table.rows), itertools.product(*(store.init_values[x] for x in scope)))
+    return _support_masks(store, scope, _one_value_per_variable(tuples, list(map(scope.index, scope))))
+
+
+def _random_conflicts(rng, store):
+    """A conflicts table over 1 to 4 positions (a variable may repeat) of
+    up to 16 rows, each entry a STAR about one time in seven, else a value
+    of the position's initial domain or one just outside it."""
+    scope = tuple(rng.choice(store.names) for _ in range(rng.randint(1, 4)))
+    domains = [store.init_values[store.index[v]] for v in scope]
+    rows = {
+        tuple(
+            STAR if rng.random() < 0.15 else rng.choice(d) if rng.random() < 0.9 else rng.choice((d[0] - 1, d[-1] + 1))
+            for d in domains
+        )
+        for _ in range(rng.randint(1, 16))
+    }
+    return Extension(scope, conflicts(len(scope), sorted(rows, key=str)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_conflicts_call_prunes_as_the_complement(seed):
+    """Stores of 2 to 4 variables over at most 4 values, many narrowed or
+    assigned: over 500 random conflicts tables, one call over the table's
+    own rows leaves the same domains, trail, touched list and return value
+    as the compact table over its complement. Some calls fail, more than 25
+    hold and prune nothing, and more than 25 prune."""
+    rng = random.Random(f"conflicts-{seed}")
+    outcomes = set()
+    quiet = pruned = 0
+    for _ in range(500):
+        store = _store(rng, rng.randint(2, 4), range(-1, 2), 3)
+        c = _random_conflicts(rng, store)
+        (prop,) = make_propagators([c], store)
+        assert isinstance(prop, TableProp) and prop.idempotent
+        supports = reference_complement_masks(store, prop.scope, c.table)
+        expected = _one_call(prop, store, lambda p, s: reference_ct_filter(s, p.scope, supports))
+        assert _one_call(prop, store, TableProp.propagate) == expected, c
+        outcomes.add(expected[0])
+        quiet += expected[0] and not expected[2]
+        pruned += bool(expected[2])
+    assert outcomes == {True, False} and quiet > 25 and pruned > 25
