@@ -44,14 +44,6 @@ class XmlSyntaxError(XcspError):
         self.location = location
 
 
-class UnknownVariableError(XcspError):
-    def __init__(self, var_id: str, location: SourceLocation | None = None):
-        where = f" ({location})" if location else ""
-        super().__init__(f"unknown variable {var_id!r}{where}")
-        self.var_id = var_id
-        self.location = location
-
-
 class UnsupportedFeatureError(XcspError):
     def __init__(self, feature: str, location: SourceLocation | None = None):
         where = f" ({location})" if location else ""

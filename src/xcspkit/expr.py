@@ -267,11 +267,11 @@ def parse_expr(text: str) -> Expr:
             raise ExprSyntaxError(f"unexpected end of expression in {text!r}")
         tok = tokens[pos]
         pos += 1
-        if INT_RE.fullmatch(tok):
-            value = int(tok)
-            if not -INT64_MAX - 1 <= value <= INT64_MAX:
-                raise ExprSyntaxError(f"{tok!r} is outside the 64-bit integers")
+        value = int64(tok)
+        if value is not None:
             return IntConst(value)
+        if INT_RE.fullmatch(tok):
+            raise ExprSyntaxError(f"{tok!r} is outside the 64-bit integers")
         if tok in "(),":
             raise ExprSyntaxError(f"unexpected {tok!r} in {text!r}")
         if pos < len(tokens) and tokens[pos] == "(":

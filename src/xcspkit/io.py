@@ -6,15 +6,20 @@ parser accepts that form plus ordinary whitespace variation, and reads
 each ``<group>``, ``<block>`` and ``<slide>`` as the constraints it stands
 for: a slide's windows, in order, each its own constraint.
 
+The reader checks how a document is spelled and nested: each token (an
+id, an integer, a range, a condition operator) and which children each
+element takes. What an id refers to and which fields must agree (every
+id declared, a tuple as long as its scope, an instantiation's values as
+many as its list) is the model's check, made once, when the ``Instance``
+is built; ``parse_instance`` locates its first violation in the document.
+
 ``_LAYOUTS`` is the one description of each constraint element's XML
 layout: its tag, its children in canonical order with how each reads and
 formats, and how they map to the fields of the model record. The reader
 and the writer are walks over it, so a constraint element is added in one
 place.
-``intension`` is an inline row, read from its text or one ``<function>``;
-its reader checks the ``Intension.scope`` of the constraint it builds
-against the declared ids. Only ``extension`` (its shared tables, below)
-is an explicit case.
+``intension`` is an inline row, read from its text or one ``<function>``.
+Only ``extension`` (its shared tables, below) is an explicit case.
 
 The canonical form writes each template once, and ``<group>`` is its one
 template form. Constraints of one shape (``_shape``) are intensions of one
@@ -53,7 +58,6 @@ from .errors import (
     InvariantViolationError,
     LengthMismatchError,
     SourceLocation,
-    UnknownVariableError,
     UnsupportedFeatureError,
     XcspError,
     XmlSyntaxError,
@@ -181,14 +185,11 @@ def _parse_ints(text: str, loc: SourceLocation) -> list[int]:
     return out
 
 
-def _parse_var_list(text: str, known: set[str], loc: SourceLocation) -> list[str]:
-    out = []
-    for tok in text.split():
+def _parse_var_list(text: str, loc: SourceLocation) -> list[str]:
+    out = text.split()
+    for tok in out:
         if not ID_RE.fullmatch(tok):
             raise XmlSyntaxError(f"bad variable id {tok!r}", loc)
-        if tok not in known:
-            raise UnknownVariableError(tok, loc)
-        out.append(tok)
     return out
 
 
@@ -202,12 +203,10 @@ def _split_tuples(text: str, tag: str, loc: SourceLocation) -> list[list[str]]:
 
 
 def _int(tok: str, loc: SourceLocation) -> int | None:
-    """The integer ``tok`` (``expr.INT_RE``), which must be a 64-bit one;
+    """The integer ``tok`` (``expr.int64``), which must be a 64-bit one;
     None when ``tok`` is no integer."""
-    if not _expr.INT_RE.fullmatch(tok):
-        return None
-    value = int(tok)
-    if not -_expr.INT64_MAX - 1 <= value <= _expr.INT64_MAX:
+    value = _expr.int64(tok)
+    if value is None and _expr.INT_RE.fullmatch(tok):
         raise XmlSyntaxError(f"{tok!r} is outside the 64-bit integers", loc)
     return value
 
@@ -240,23 +239,17 @@ def _values(tok: str, loc: SourceLocation) -> range:
     return range(lo, hi + 1)
 
 
-def _known_id(tok: str, known: set[str], loc: SourceLocation) -> str:
-    if tok not in known:
-        raise UnknownVariableError(tok, loc)
-    return tok
-
-
-def _term(tok: str, known: set[str], loc: SourceLocation) -> Union[int, str]:
-    """An integer or a declared variable id."""
+def _term(tok: str, loc: SourceLocation) -> Union[int, str]:
+    """An integer or a variable id."""
     value = _int(tok, loc)
     if value is not None:
         return value
     if not ID_RE.fullmatch(tok):
         raise XmlSyntaxError(f"bad token {tok!r}", loc)
-    return _known_id(tok, known, loc)
+    return tok
 
 
-def _parse_condition(text: str, known: set[str], loc: SourceLocation) -> Condition:
+def _parse_condition(text: str, loc: SourceLocation) -> Condition:
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise XmlSyntaxError(f"bad condition {text!r}", loc)
@@ -266,7 +259,7 @@ def _parse_condition(text: str, known: set[str], loc: SourceLocation) -> Conditi
     op, rhs_text = parts
     if op not in CONDITION_OPERATORS:
         raise XmlSyntaxError(f"bad condition operator {op!r}", loc)
-    return Condition(op, _bounds(rhs_text, loc) if _RANGE_RE.fullmatch(rhs_text) else _term(rhs_text, known, loc))
+    return Condition(op, _bounds(rhs_text, loc) if _RANGE_RE.fullmatch(rhs_text) else _term(rhs_text, loc))
 
 
 def _compress_ints(values) -> str:
@@ -294,7 +287,7 @@ class _Codec(NamedTuple):
     """How a child element's text (and attributes) reads to a value and
     formats back."""
 
-    read: Callable[[_Node, set[str]], Any]  # (child, declared ids) -> value
+    read: Callable[[_Node], Any]  # child -> value
     fmt: Callable[[Any], str]
     attrs: Callable[[Any], str] = lambda value: ""
 
@@ -309,8 +302,7 @@ class _Child(NamedTuple):
 class _Layout(NamedTuple):
     """A constraint element: its tag and its children in canonical order.
     ``pack`` maps the children's values to the constraint and ``unpack``
-    back; both default to the record's fields in order. ``pack`` raises
-    ``ValueError`` for values that do not fit together. An ``inline`` layout
+    back; both default to the record's fields in order. An ``inline`` layout
     has one child, written as the element's own text and read from it when
     the element has no children."""
 
@@ -322,55 +314,46 @@ class _Layout(NamedTuple):
 
 
 def _tuple_list(read_entry):
-    """Reader of ``(a,b)(c,d)`` text; ``read_entry(parts, node, known)`` reads
-    the stripped parts of one tuple."""
+    """Reader of ``(a,b)(c,d)`` text; ``read_entry(parts, node)`` reads the
+    stripped parts of one tuple."""
 
-    def read(node: _Node, known: set[str]) -> tuple:
-        return tuple(read_entry(parts, node, known) for parts in _split_tuples(node.text, node.tag, node.loc))
+    def read(node: _Node) -> tuple:
+        return tuple(read_entry(parts, node) for parts in _split_tuples(node.text, node.tag, node.loc))
 
     return read
 
 
-def _transition(parts, node, known):
+def _transition(parts, node):
     if len(parts) != 3 or _int(parts[1], node.loc) is None:
         raise XmlSyntaxError(f"bad transition ({','.join(parts)})", node.loc)
     return parts[0], int(parts[1]), parts[2]
 
 
-def _pair(parts, node, known):
+def _pair(parts, node):
     if len(parts) != 2:
         raise XmlSyntaxError(f"expected (x,y) pairs, got ({','.join(parts)})", node.loc)
-    return tuple(_term(p, known, node.loc) for p in parts)
+    return tuple(_term(p, node.loc) for p in parts)
 
 
-def _origin(parts, node, known):
-    row = _pair(parts, node, known)
+def _origin(parts, node):
+    row = _pair(parts, node)
     if any(isinstance(e, int) for e in row):
         raise XmlSyntaxError("noOverlap origins must be variables", node.loc)
     return row
 
 
-def _read_limit(node: _Node, known: set[str]) -> int:
-    cond = _parse_condition(node.text, known, node.loc)
+def _read_limit(node: _Node) -> int:
+    cond = _parse_condition(node.text, node.loc)
     if cond.operator != "le" or not isinstance(cond.rhs, int):
         raise UnsupportedFeatureError("cumulative condition other than (le,k)", node.loc)
     return cond.rhs
 
 
-def _read_intension(node: _Node, known: set[str]) -> Intension:
+def _read_intension(node: _Node) -> Intension:
     try:
-        c = Intension(_expr.parse_expr(node.text))
+        return Intension(_expr.parse_expr(node.text))
     except _expr.ExprSyntaxError as exc:
         raise UnsupportedFeatureError(f"intension form ({exc})", node.loc) from None
-    for vid in c.scope:
-        _known_id(vid, known, node.loc)
-    return c
-
-
-def _instantiation(scope, values) -> Instantiation:
-    if len(values) != len(scope):
-        raise ValueError("instantiation list/values length mismatch")
-    return Instantiation(scope, values)
 
 
 def _format_ints(values) -> str:
@@ -390,25 +373,24 @@ def _format_condition(cond: Condition) -> str:
     return f"({cond.operator},{body})"
 
 
-_VARS = _Codec(lambda n, known: tuple(_parse_var_list(n.text, known, n.loc)), " ".join)
-_INTS = _Codec(lambda n, known: tuple(_parse_ints(n.text, n.loc)), _format_ints)
-_TERMS = _Codec(lambda n, known: tuple(_term(t, known, n.loc) for t in n.text.split()), _format_ints)
-_WORD = _Codec(lambda n, known: n.text, str)
-_WORDS = _Codec(lambda n, known: tuple(n.text.split()), " ".join)
-_ID = _Codec(lambda n, known: _known_id(n.text, known, n.loc), str)
-_INT_OR_ID = _Codec(lambda n, known: _term(n.text, known, n.loc), str)
-_CONDITION = _Codec(lambda n, known: _parse_condition(n.text, known, n.loc), _format_condition)
+_VARS = _Codec(lambda n: tuple(_parse_var_list(n.text, n.loc)), " ".join)
+_INTS = _Codec(lambda n: tuple(_parse_ints(n.text, n.loc)), _format_ints)
+_TERMS = _Codec(lambda n: tuple(_term(t, n.loc) for t in n.text.split()), _format_ints)
+_WORD = _Codec(lambda n: n.text, str)
+_WORDS = _Codec(lambda n: tuple(n.text.split()), " ".join)
+_INT_OR_ID = _Codec(lambda n: _term(n.text, n.loc), str)
+_CONDITION = _Codec(lambda n: _parse_condition(n.text, n.loc), _format_condition)
 _LIMIT = _Codec(_read_limit, lambda limit: f"(le,{limit})")
 _OCCURS = _Codec(
-    lambda n, known: tuple(_bounds(tok, n.loc) for tok in n.text.split()),
+    lambda n: tuple(_bounds(tok, n.loc) for tok in n.text.split()),
     lambda occurs: " ".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in occurs),
 )
 _CLOSED_INTS = _Codec(
-    lambda n, known: (_INTS.read(n, known), n.attrib.get("closed", "false") == "true"),
+    lambda n: (_INTS.read(n), n.attrib.get("closed", "false") == "true"),
     lambda values: _format_ints(values[0]),
     lambda values: f' closed="{"true" if values[1] else "false"}"',
 )
-_MATRIX = _Codec(_tuple_list(lambda parts, n, known: tuple(_known_id(p, known, n.loc) for p in parts)), _format_tuples)
+_MATRIX = _Codec(_tuple_list(lambda parts, n: tuple(parts)), _format_tuples)
 _TRANSITIONS = _Codec(_tuple_list(_transition), _format_tuples)
 _ORIGINS = _Codec(_tuple_list(_origin), _format_tuples)
 _PAIRS = _Codec(_tuple_list(_pair), _format_tuples)
@@ -440,7 +422,7 @@ _LAYOUTS: dict[type, _Layout] = {
         lambda scope, values, occurs: Cardinality(scope, values[0], occurs, values[1]),
         lambda c: (c.scope, (c.values, c.closed), c.occurs),
     ),
-    Element: _Layout("element", (_Child("list", _VARS), _Child("index", _ID), _Child("value", _INT_OR_ID))),
+    Element: _Layout("element", (_Child("list", _VARS), _Child("index", _WORD), _Child("value", _INT_OR_ID))),
     Channel: _Layout(
         "channel",
         (_Child("list", _VARS, least=2, most=2),),
@@ -453,7 +435,7 @@ _LAYOUTS: dict[type, _Layout] = {
         (_Child("origins", _VARS), _Child("lengths", _INTS), _Child("heights", _INTS), _Child("condition", _LIMIT)),
     ),
     Circuit: _Layout("circuit", (_Child("list", _VARS),), inline=True),
-    Instantiation: _Layout("instantiation", (_Child("list", _VARS), _Child("values", _INTS)), _instantiation),
+    Instantiation: _Layout("instantiation", (_Child("list", _VARS), _Child("values", _INTS))),
 }
 
 # tag -> (class, layout) in table order; a tag with several layouts picks the
@@ -478,7 +460,7 @@ def _group_children(node: _Node, most: dict[str, int | None]) -> dict[str, list[
     return groups
 
 
-def _read_layout(node: _Node, known: set[str]) -> Constraint:
+def _read_layout(node: _Node) -> Constraint:
     candidates = _BY_TAG[node.tag]
     present = {child.tag for child in node.children}
     cls, layout = next((entry for entry in candidates if entry[1].children[0].tag in present), candidates[0])
@@ -492,12 +474,9 @@ def _read_layout(node: _Node, known: set[str]) -> Constraint:
         nodes = groups[spec.tag]
         if len(nodes) < spec.least:
             raise XmlSyntaxError(f"<{node.tag}> needs {spec.least} <{spec.tag}>, got {len(nodes)}", node.loc)
-        reads = tuple(spec.codec.read(n, known) for n in nodes)
+        reads = tuple(spec.codec.read(n) for n in nodes)
         values.append(reads if spec.most != 1 else reads[0] if reads else None)
-    try:
-        return (layout.pack or cls)(*values)
-    except ValueError as exc:
-        raise XmlSyntaxError(str(exc), node.loc) from None
+    return (layout.pack or cls)(*values)
 
 
 def _write_layout(w: _Writer, layout: _Layout, c: Constraint) -> None:
@@ -534,44 +513,43 @@ def parse_instance(text: str) -> Instance:
     if vars_node is None:
         raise XmlSyntaxError("missing <variables>", root.loc)
     variables = _parse_variables(vars_node)
-    known = {v.id for v in variables}
 
     constraints: list[Constraint] = []
     tables: dict[tuple, Table] = {}  # (polarity, arity, body text) -> its one Table
     ctrs_node = root.child("constraints")
     if ctrs_node is not None:
         for child in ctrs_node.children:
-            constraints.extend(_parse_constraint_item(child, known, tables))
+            constraints.extend(_parse_constraint_item(child, tables))
 
     objective = None
     obj_node = root.child("objectives")
     if obj_node is not None:
-        objective = _parse_objective(obj_node, known)
+        objective = _parse_objective(obj_node)
 
     decision: tuple[str, ...] = ()
     ann_node = root.child("annotations")
     if ann_node is not None:
         dec = ann_node.child("decision")
         if dec is not None:
-            decision = tuple(_parse_var_list(dec.text, known, dec.loc))
+            decision = tuple(_parse_var_list(dec.text, dec.loc))
 
     try:
         return Instance(kind, tuple(variables), tuple(constraints), objective, decision)
     except InvariantViolationError as exc:
-        node = _violation_node(root, exc.report[0], known)
+        node = _violation_node(root, exc.report[0], {v.id for v in variables})
         raise InvariantViolationError(exc.report, node.loc if node else None) from None
 
 
 def _violation_node(root: _Node, violation: Violation, known: set[str]) -> _Node | None:
     """The element behind a violation's ``where`` (see :class:`Violation`):
     for a declared id the ``<var>`` or ``<array>`` that declares it, the
-    second one for ``DuplicateVariable``; for ``constraint i`` the
-    ``<constraints>`` child that read constraint ``i`` (a ``<group>``,
-    ``<slide>`` or ``<block>`` is one child); the objective's
-    ``<minimize>``/``<maximize>``; the root for ``instance``; ``<decision>``
-    for ``annotations``. Declarations and children are read again, so only
-    a refused document pays for it. None for an element the document
-    lacks."""
+    second one for ``DuplicateVariable``; for ``constraint i`` the element
+    that reads it: its own, the ``<args>`` of a ``<group>`` member, the
+    ``<list>`` of a ``<slide>``'s window or the ``<block>`` that holds it;
+    the objective's ``<minimize>``/``<maximize>``; the root for
+    ``instance``; ``<decision>`` for ``annotations``. Declarations and
+    children are read again, so only a refused document pays for it. None
+    for an element the document lacks."""
     where = violation.where
     if where in known:
         declared = [
@@ -592,9 +570,12 @@ def _violation_node(root: _Node, violation: Violation, known: set[str]) -> _Node
     if where.startswith("constraint "):
         idx = int(where.split()[1])
         for child in section.children:
-            idx -= len(_parse_constraint_item(child, known, {}))
-            if idx < 0:
-                return child
+            count = len(_parse_constraint_item(child, {}))
+            if idx < count:
+                if child.tag == "group":
+                    return child.all("args")[idx]
+                return child.child("list") if child.tag == "slide" else child
+            idx -= count
     return None
 
 
@@ -676,16 +657,16 @@ def _substitute(node: _Node, args: list[str]) -> _Node:
     return clone
 
 
-def _parse_constraint_item(node: _Node, known: set[str], tables: dict) -> list[Constraint]:
+def _parse_constraint_item(node: _Node, tables: dict) -> list[Constraint]:
     if node.tag == "block":
         out = []
         for child in node.children:
-            out.extend(_parse_constraint_item(child, known, tables))
+            out.extend(_parse_constraint_item(child, tables))
         return out
     if node.tag == "group":
         template, args_nodes = _template_and_args(node, "args")
         arity = _template_arity(template)
-        read = _template_reader(template, known, tables)
+        read = _template_reader(template, tables)
         out = []
         for an in args_nodes:
             args = an.text.split()
@@ -698,32 +679,32 @@ def _parse_constraint_item(node: _Node, known: set[str], tables: dict) -> list[C
             if len(args) != arity:
                 raise XmlSyntaxError(f"<args> holds {len(args)} ids for a template of arity {arity}", an.loc)
         return out
-    return _parse_windows(node, known, tables)
+    return _parse_windows(node, tables)
 
 
-def _parse_windows(node: _Node, known: set[str], tables: dict) -> list[Constraint]:
+def _parse_windows(node: _Node, tables: dict) -> list[Constraint]:
     """A constraint element as the constraints it stands for: a
     ``<slide>``'s windows, in order, each read from its template with the
     ids of the window in turn; any other element as its one constraint. A
     slide's template is one constraint element (``_template_and_args``)."""
     if node.tag != "slide":
-        return [_parse_constraint(node, known, tables)]
+        return [_parse_constraint(node, tables)]
     _check_attributes(node)
     template, lists = _template_and_args(node, "list")
     if len(lists) != 1:
         raise XmlSyntaxError(f"<slide> needs exactly one <list>, got {len(lists)}", node.loc)
-    scope = _parse_var_list(lists[0].text, known, lists[0].loc)
+    scope = _parse_var_list(lists[0].text, lists[0].loc)
     arity = _template_arity(template)
     if arity < 1 or arity > len(scope):
         raise XmlSyntaxError("slide template arity does not fit list", node.loc)
-    read = _template_reader(template, known, tables)
+    read = _template_reader(template, tables)
     windows = []
     for i in range(len(scope) - arity + 1):
         windows.append(read(scope[i : i + arity], lists[0]))
     return windows
 
 
-def _template_reader(template: _Node, known: set[str], tables: dict) -> Callable[[list[str], _Node], Constraint]:
+def _template_reader(template: _Node, tables: dict) -> Callable[[list[str], _Node], Constraint]:
     """The reader of a ``<group>``'s or ``<slide>``'s template: a function
     of one instance's ids and the element that lists them, giving the
     constraint that ``_parse_constraint`` reads from the template's text
@@ -738,46 +719,28 @@ def _template_reader(template: _Node, known: set[str], tables: dict) -> Callable
     reads, because an entry is an expression or a placeholder is no whole
     operand, with the shape's own error."""
     if template.tag != "intension":
-        return lambda args, at: _parse_constraint(_substitute(template, args), known, tables)
+        return lambda args, at: _parse_constraint(_substitute(template, args), tables)
     shape = None
 
     def read(args: list[str], at: _Node) -> Constraint:
         nonlocal shape
         try:
             if shape is None:
-                shape = _intension_shape(template, known, tables)
-            expression, placeholders, loc = shape
-            c = Intension(_bind(expression, {name: _operand(args[k], at) for name, k in placeholders.items()}))
-            for vid in c.scope:
-                _known_id(vid, known, loc)
-            return c
+                shape = _intension_shape(template)
+            expression, placeholders = shape
+            return Intension(_bind(expression, {name: _operand(args[k], at) for name, k in placeholders.items()}))
         except XcspError:
-            _parse_constraint(_substitute(template, args), known, tables)
+            _parse_constraint(_substitute(template, args), tables)
             raise
 
     return read
 
 
-class _Declared:
-    """The declared ids and a template's placeholder names, as the ids an
-    intension template is read once against."""
-
-    __slots__ = ("known", "names")
-
-    def __init__(self, known: set[str], names):
-        self.known = known
-        self.names = names
-
-    def __contains__(self, vid: str) -> bool:
-        return vid in self.names or vid in self.known
-
-
-def _intension_shape(template: _Node, known: set[str], tables: dict):
-    """``(expression, placeholders, location)`` of an ``<intension>``
-    template: its expression with each ``%k`` read as the id ``{stem}{k}``,
-    where no text of the template holds ``stem``; ``placeholders`` maps the
-    ids it holds to their ``k``; ``location`` is the element that holds the
-    expression. A placeholder must be a whole operand."""
+def _intension_shape(template: _Node):
+    """``(expression, placeholders)`` of an ``<intension>`` template: its
+    expression with each ``%k`` read as the id ``{stem}{k}``, where no text
+    of the template holds ``stem``; ``placeholders`` maps the ids it holds
+    to their ``k``. A placeholder must be a whole operand."""
     texts = " ".join(n.text for n in (template, *template.children))
     stem = "_"
     while stem in texts:
@@ -785,14 +748,12 @@ def _intension_shape(template: _Node, known: set[str], tables: dict):
     names = [f"{stem}{k}" for k in range(_template_arity(template))]
     placeholders = {name: k for k, name in enumerate(names)}
     try:
-        c = _parse_constraint(_substitute(template, names), _Declared(known, placeholders), tables)
+        c = _parse_constraint(_substitute(template, names), {})
     except XcspError:
         c = None
     if c is None or any(stem in vid and vid not in placeholders for vid in c.scope):
         raise UnsupportedFeatureError("intension template whose placeholder is no whole operand", template.loc)
-    # the template read, it holds its expression as text or in one <function>
-    holder = template.children[0] if template.children else template
-    return c.expr, {name: placeholders[name] for name in c.scope if name in placeholders}, holder.loc
+    return c.expr, {name: placeholders[name] for name in c.scope if name in placeholders}
 
 
 def _operand(tok: str, at: _Node) -> _expr.Expr:
@@ -859,7 +820,7 @@ def _check_attributes(node: _Node) -> None:
                 raise UnsupportedFeatureError(f'<{n.tag} {name}="{value}">', n.loc)
 
 
-def _parse_constraint(node: _Node, known: set[str], tables: dict) -> Constraint:
+def _parse_constraint(node: _Node, tables: dict) -> Constraint:
     """One constraint element; an extension takes its Table from
     ``tables`` when its body was read before."""
     _check_attributes(node)
@@ -869,7 +830,7 @@ def _parse_constraint(node: _Node, known: set[str], tables: dict) -> Constraint:
         if not groups["list"]:
             raise XmlSyntaxError("<extension> missing <list>", node.loc)
         lst = groups["list"][0]
-        scope = _parse_var_list(lst.text, known, lst.loc)
+        scope = _parse_var_list(lst.text, lst.loc)
         bodies = groups["supports"] + groups["conflicts"]
         if len(bodies) != 1:
             raise XmlSyntaxError("<extension> needs exactly one of <supports>/<conflicts>", node.loc)
@@ -881,7 +842,7 @@ def _parse_constraint(node: _Node, known: set[str], tables: dict) -> Constraint:
         return Extension(tuple(scope), table)
 
     if tag in _BY_TAG:
-        return _read_layout(node, known)
+        return _read_layout(node)
     raise UnsupportedFeatureError(tag, node.loc)
 
 
@@ -900,9 +861,6 @@ def _parse_table(polarity: str, arity: int, text: str, loc: SourceLocation) -> T
         # each distinct entry is read once, in order of first occurrence
         entries = {part: _tuple_entry(part, loc) for part in dict.fromkeys(p for parts in tuples for p in parts)}
         rows = [tuple(map(entries.__getitem__, parts)) for parts in tuples]
-        for row in rows:
-            if len(row) != arity:
-                raise XmlSyntaxError(f"tuple {row} does not match arity {arity}", loc)
     return Table(arity, polarity, tuple(rows))
 
 
@@ -913,7 +871,7 @@ def _template_arity(node: _Node) -> int:
     return best + 1
 
 
-def _parse_objective(node: _Node, known: set[str]) -> Objective:
+def _parse_objective(node: _Node) -> Objective:
     bodies = [c for c in node.children if c.tag in ("minimize", "maximize")]
     if len(bodies) != 1:
         raise XmlSyntaxError("<objectives> must hold exactly one minimize/maximize", node.loc)
@@ -921,14 +879,11 @@ def _parse_objective(node: _Node, known: set[str]) -> Objective:
     sense = body.tag
     otype = body.attrib.get("type")
     if otype is None:
-        vid = body.text
-        if vid not in known:
-            raise UnknownVariableError(vid, body.loc)
-        return Objective(sense, "variable", (vid,))
+        return Objective(sense, "variable", (body.text,))
     if otype not in ("sum", "maximum"):
         raise UnsupportedFeatureError(f"objective type {otype!r}", body.loc)
     lst = _require(body, "list")
-    scope = tuple(_parse_var_list(lst.text, known, lst.loc))
+    scope = tuple(_parse_var_list(lst.text, lst.loc))
     coeffs: tuple[int, ...] = ()
     coeffs_node = body.child("coeffs")
     if coeffs_node is not None:

@@ -7,7 +7,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_io import DUPLICATE_CELL, DUPLICATE_VAR, EMPTY_OBJECTIVE_VAR, EMPTY_VAR, SHORT_COEFFS, WEIGHTED_MAXIMUM
+from test_io import (
+    DUPLICATE_CELL,
+    DUPLICATE_VAR,
+    EMPTY_OBJECTIVE_VAR,
+    EMPTY_VAR,
+    SHORT_COEFFS,
+    UNDECLARED_ID,
+    WEIGHTED_MAXIMUM,
+)
 
 import xcspkit
 from xcspkit.cli import main
@@ -214,8 +222,16 @@ class TestSolveCommand:
             (DUPLICATE_VAR, "DuplicateVariable at x: variable id declared twice (line 3, column 1)"),
             (EMPTY_VAR, "EmptyDomain at x: domain has no values (line 3, column 3)"),
             (DUPLICATE_CELL, "DuplicateVariable at a[1]: variable id declared twice (line 3, column 1)"),
+            (UNDECLARED_ID, "UnknownVariable at constraint 0: references undeclared variable 'q' (line 4, column 1)"),
         ],
-        ids=["objective", "constraint", "variable-declared-twice", "variable-without-values", "array-cell-declared-again"],
+        ids=[
+            "objective",
+            "constraint",
+            "variable-declared-twice",
+            "variable-without-values",
+            "array-cell-declared-again",
+            "undeclared-variable",
+        ],
     )
     def test_a_model_check_refusal_names_its_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "refused.xml"

@@ -13,7 +13,6 @@ from xcspkit.errors import (
     InvariantViolationError,
     LengthMismatchError,
     SourceLocation,
-    UnknownVariableError,
     UnsupportedFeatureError,
     XcspError,
     XmlSyntaxError,
@@ -117,9 +116,12 @@ def test_unknown_variable_in_constraint():
       <constraints> <allDifferent> x yy </allDifferent> </constraints>
     </instance>
     """
-    with pytest.raises(UnknownVariableError) as err:
+    with pytest.raises(InvariantViolationError) as err:
         parse_instance(text)
-    assert err.value.var_id == "yy"
+    assert [str(v) for v in err.value.report] == [
+        "UnknownVariable at constraint 0: references undeclared variable 'yy'"
+    ]
+    assert err.value.location == SourceLocation(4, 21)
 
 
 def test_unsupported_elements_are_named():
@@ -201,9 +203,9 @@ def _group_of(template: str, *args: str, slide: bool = False) -> str:
 
 _LT = "<intension> lt(%0,%1) </intension>"
 
-# each group or slide of an intension template, and what the substitution
-# reader that expanded each <args> as text read from it: the expressions of
-# its constraints, or the error class, message and line it refused it with
+# each group or slide of an intension template, and what it reads: the
+# expressions of its constraints, or the error class, message and line it
+# is refused with; a model refusal is located at the <args> of the member
 _GROUP_READS = {
     "ids": (_group_of(_LT, "x[0] x[1]", "x[1] y"), ["lt(x[0],x[1])", "lt(x[1],y)"]),
     "integers": (_group_of(_LT, "x[0] 3", "-2 x[1]", "007 -0"), ["lt(x[0],3)", "lt(-2,x[1])", "lt(7,0)"]),
@@ -225,13 +227,19 @@ _GROUP_READS = {
         ["le(add(x[0],x_1),add(x[1],y__2))", "le(add(x_1,x_1),add(y__2,y__2))", "le(add(y__2,x_1),add(4,y__2))"],
     ),
     "no-args": (_group_of("<intension> lt(%0,%) </intension>"), []),
-    "unknown-id": (_group_of(_LT, "x[0] x[1]", "x[1] q"), (UnknownVariableError, "unknown variable 'q'", 4)),
+    "unknown-id": (
+        _group_of(_LT, "x[0] x[1]", "x[1] q"),
+        (InvariantViolationError, "^UnknownVariable at constraint 1: references undeclared variable 'q'", 6),
+    ),
     "unknown-literal-before-unknown-arg": (
         _group_of("<intension> lt(q,%0) </intension>", "z"),
-        (UnknownVariableError, "unknown variable 'q'", 4),
+        (InvariantViolationError, "^UnknownVariable at constraint 0: references undeclared variable 'q'", 5),
     ),
-    "not-an-id": (_group_of(_LT, "x[0] -x"), (UnknownVariableError, "unknown variable '-x'", 4)),
-    "arabic-indic-arg": (_group_of(_LT, "x[0] ٣"), (UnknownVariableError, "unknown variable '٣'", 4)),
+    "not-an-id": (_group_of(_LT, "x[0] -x"), (XmlSyntaxError, "<args> entry '-x' is no variable id or integer", 5)),
+    "arabic-indic-arg": (
+        _group_of(_LT, "x[0] ٣"),
+        (XmlSyntaxError, "<args> entry '٣' is no variable id or integer", 5),
+    ),
     "plus-sign": (_group_of(_LT, "x[0] +4"), (UnsupportedFeatureError, "bad character '\\+' in 'lt\\(x\\[0\\],\\+4\\)'", 4)),
     "above-int64": (
         _group_of(_LT, "x[0] 99999999999999999999"),
@@ -244,7 +252,7 @@ _GROUP_READS = {
     ),
     "too-many-ids-one-unknown": (
         _group_of(_LT, "q x[1] x[2]"),
-        (UnknownVariableError, "unknown variable 'q'", 4),
+        (XmlSyntaxError, "<args> holds 3 ids for a template of arity 2", 5),
     ),
     "too-few-ids-before-a-broken-template": (
         _group_of("<intension> lt(%0,%1,) </intension>", "x[0]"),
@@ -272,8 +280,11 @@ _GROUP_READS = {
 @pytest.mark.parametrize("case", list(_GROUP_READS))
 def test_an_intension_template_reads_as_its_substituted_text(case):
     """An intension template is read once and each ``<args>`` binds its ids
-    and integers into it. What it reads, and each refusal's class, message
-    and line, are those of reading each ``<args>``'s substituted text."""
+    and integers into it. What it reads is what each ``<args>``'s
+    substituted text reads. A refusal of the reader is that of the
+    substituted text when that text is refused, else the binding's own, at
+    its ``<args>``; the model check refuses what the reader takes, such as
+    an undeclared id, at the ``<args>`` of the member it names."""
     text, expected = _GROUP_READS[case]
     if isinstance(expected, list):
         assert list(parse_instance(text).constraints) == [Intension(parse_expr(e)) for e in expected]
@@ -811,11 +822,6 @@ _REFUSALS = {
                 " <heights> 1 1 </heights>\n<condition> (lt,2) </condition> </cumulative> </constraints>"),
         UnsupportedFeatureError, 4, "cumulative condition other than",
     ),
-    "instantiation-lengths": (
-        _over_x("<constraints> <instantiation> <list> x[0] x[1] </list>\n<values> 1 </values>"
-                " </instantiation> </constraints>"),
-        XmlSyntaxError, 3, "instantiation list/values length mismatch",
-    ),
     "missing-child": (
         _over_x("<constraints> <sum> <list> x[0] x[1] </list>\n</sum> </constraints>"),
         XmlSyntaxError, 3, "<sum> needs 1 <condition>, got 0",
@@ -901,7 +907,14 @@ _MODEL_REFUSALS = {
         ),
         ["LengthMismatch", "LengthMismatch"],
         4,
-        1,
+        96,
+    ),
+    "instantiation-lengths": (
+        _over_x("<constraints> <instantiation> <list> x[0] x[1] </list>\n<values> 1 </values>"
+                " </instantiation> </constraints>"),
+        ["LengthMismatch"],
+        3,
+        15,
     ),
     "instance": (_over_x("<objectives> <minimize> x[0] </minimize> </objectives>"), ["KindMismatch"], 1, 1),
     "variable-declared-twice": (DUPLICATE_VAR, ["DuplicateVariable"], 3, 1),
@@ -914,7 +927,8 @@ _MODEL_REFUSALS = {
 def test_a_model_check_refusal_is_reported_at_its_element(case):
     """The report is that of the model check, and the error adds the line
     of the element behind its first violation: a constraint's own element,
-    or its ``<group>``; the ``<maximize>``; the ``<instance>``; the
+    or the ``<args>`` of a ``<group>`` member; the ``<maximize>``; the
+    ``<instance>``; the
     ``<var>`` or ``<array>`` that declares a variable, the later one for a
     variable declared twice."""
     text, codes, line, column = _MODEL_REFUSALS[case]
@@ -923,6 +937,75 @@ def test_a_model_check_refusal_is_reported_at_its_element(case):
     assert [v.code for v in err.value.report] == codes
     assert err.value.location == SourceLocation(line, column)
     assert str(err.value) == "; ".join(map(str, err.value.report)) + f" (line {line}, column {column})"
+
+
+def _naming_q(element: str) -> str:
+    """A document over x[0..2] whose one constraint ``element``, on line
+    4, names the undeclared ``q``."""
+    return _over_x(f"<constraints>\n{element}\n</constraints>")
+
+
+# a document over x[0..2] in 0..2 that names the undeclared q, one per place
+# the reader reads an id, and the line of the element the refusal names
+UNDECLARED_ID = _naming_q("<allDifferent> x[0] q </allDifferent>")
+_UNDECLARED_IDS = {
+    "list": (_naming_q("<allDifferent> <list> x[0] q </list> </allDifferent>"), 4),
+    "inline-list": (UNDECLARED_ID, 4),
+    "matrix": (_naming_q("<allDifferent> <matrix> (x[0],x[1])(x[2],q) </matrix> </allDifferent>"), 4),
+    "element-index": (
+        _naming_q("<element> <list> x[0] x[1] </list> <index> q </index> <value> 1 </value> </element>"),
+        4,
+    ),
+    "element-value": (
+        _naming_q("<element> <list> x[0] x[1] </list> <index> x[2] </index> <value> q </value> </element>"),
+        4,
+    ),
+    "sum-coeffs": (
+        _naming_q("<sum> <list> x[0] x[1] </list> <coeffs> 1 q </coeffs> <condition> (le,3) </condition> </sum>"),
+        4,
+    ),
+    "condition-rhs": (_naming_q("<sum> <list> x[0] x[1] </list> <condition> (le,q) </condition> </sum>"), 4),
+    "noOverlap-origins": (
+        _naming_q("<noOverlap> <origins> (x[0],q) </origins> <lengths> (1,1) </lengths> </noOverlap>"),
+        4,
+    ),
+    "noOverlap-lengths": (
+        _naming_q("<noOverlap> <origins> (x[0],x[1]) </origins> <lengths> (1,q) </lengths> </noOverlap>"),
+        4,
+    ),
+    "cumulative-origins": (
+        _naming_q(
+            "<cumulative> <origins> x[0] q </origins> <lengths> 1 1 </lengths> <heights> 1 1 </heights>"
+            " <condition> (le,2) </condition> </cumulative>"
+        ),
+        4,
+    ),
+    "channel-first-list": (_naming_q("<channel> <list> x[0] q </list> <list> x[1] x[2] </list> </channel>"), 4),
+    "channel-second-list": (_naming_q("<channel> <list> x[1] x[2] </list> <list> x[0] q </list> </channel>"), 4),
+    "extension-list": (_naming_q("<extension> <list> x[0] q </list> <supports> (0,1) </supports> </extension>"), 4),
+    "intension": (_naming_q("<intension> lt(x[0],q) </intension>"), 4),
+    "group-args": (_naming_q("<group> <intension> lt(%0,%1) </intension>\n<args> x[0] q </args> </group>"), 5),
+    "slide-list": (_naming_q("<slide>\n<list> x[0] x[1] q </list> <intension> lt(%0,%1) </intension> </slide>"), 5),
+    "variable-objective": (_over_x("<objectives>\n<minimize> q </minimize>\n</objectives>", "COP"), 4),
+    "list-objective": (
+        _over_x('<objectives>\n<minimize type="sum"> <list> x[0] q </list> </minimize>\n</objectives>', "COP"),
+        4,
+    ),
+    "decision": (_over_x("<annotations>\n<decision> x[0] q </decision>\n</annotations>"), 4),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNDECLARED_IDS))
+def test_the_model_check_sees_every_id_the_reader_reads(case):
+    """The reader takes any well-spelled id; the model check refuses an
+    undeclared one wherever it is read, and the refusal is located at the
+    element that reads it."""
+    text, line = _UNDECLARED_IDS[case]
+    with pytest.raises(InvariantViolationError) as err:
+        parse_instance(text)
+    first = err.value.report[0]
+    assert first.code == "UnknownVariable" and "variable 'q'" in first.detail
+    assert err.value.location.line == line
 
 
 # a CSP document whose empty variable is named as the objective section
@@ -1066,11 +1149,16 @@ def test_a_repeated_table_text_parses_to_one_table():
 
 
 @pytest.mark.parametrize(
-    "body, message",
-    [("(0,1)(1,q)", "bad tuple entry 'q'"), ("(0,1)(1,2,0)", r"tuple \(1, 2, 0\) does not match arity 2")],
+    "body, error, message, line",
+    [
+        ("(0,1)(1,q)", XmlSyntaxError, "bad tuple entry 'q'", 5),
+        ("(0,1)(1,2,0)", InvariantViolationError, r"^ScopeMismatch at constraint 0: row \(1, 2, 0\) does not", 4),
+    ],
     ids=["bad-entry", "bad-arity"],
 )
-def test_a_bad_tuple_in_a_repeated_table_is_reported_at_its_first_location(body, message):
+def test_a_bad_tuple_in_a_repeated_table_is_reported_at_its_first_location(body, error, message, line):
+    """A bad entry is the reader's refusal, at the first body; a tuple of
+    another arity the model's, at the first ``<extension>``."""
     text = "\n".join([
         '<instance format="XCSP3" type="CSP">',
         '<variables> <array id="x" size="[4]"> 0..2 </array> </variables>',
@@ -1082,9 +1170,9 @@ def test_a_bad_tuple_in_a_repeated_table_is_reported_at_its_first_location(body,
         "</constraints>",
         "</instance>",
     ])
-    with pytest.raises(XmlSyntaxError, match=message) as err:
+    with pytest.raises(error, match=message) as err:
         parse_instance(text)
-    assert (err.value.location.line, err.value.location.column) == (5, 1)
+    assert (err.value.location.line, err.value.location.column) == (line, 1)
 
 
 def test_still_life_8_roundtrips_byte_for_byte():
@@ -1179,10 +1267,10 @@ def test_every_integer_io_reads_is_a_64_bit_one(site):
     "text, error",
     [
         # a superscript two passes ``isdigit`` but is no integer, so it is a name
-        (_THREE_VARS.format("<intension> eq(x,\u00b2) </intension>"), UnknownVariableError),
+        (_THREE_VARS.format("<intension> eq(x,\u00b2) </intension>"), InvariantViolationError),
         # an Arabic-Indic three is a digit to ``int`` but not to the XCSP3 grammar
         (_ONE_VAR.format(domain="\u0663", supports="0"), XmlSyntaxError),
-        (_THREE_VARS.format("<intension> eq(x,\u0663) </intension>"), UnknownVariableError),
+        (_THREE_VARS.format("<intension> eq(x,\u0663) </intension>"), InvariantViolationError),
     ],
     ids=["superscript-in-intension", "arabic-indic-in-domain", "arabic-indic-in-intension"],
 )
