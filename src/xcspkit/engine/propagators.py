@@ -13,10 +13,9 @@ in ``_PROPAGATORS``. A propagator watches the constraint's distinct
 variables (``model.constraint_scope``), except for a class whose only
 variable attribute is ``scope`` (its ``model._KINDS`` row): that propagator
 watches ``constraint.scope`` exactly as given, repeats included, because it
-reads the scope position by position. An intension's is its
-``Intension.scope``, which it works out once when it is built, with its
-positional template ``Intension.template``; the engine reads both and
-walks no expression for them.
+reads the scope position by position. An intension is its positional
+template ``Intension.template`` over its ``Intension.scope``, and the
+engine reads the template by position: no expression is kept to walk.
 
 Counting has one pass, ``_count_bounds`` then ``_count_prune``, over
 (variable, counted-values mask) pairs. ``CountProp`` runs it once,
@@ -307,11 +306,11 @@ class TableProp(Propagator):
 
 def _defined_variable(c: Intension):
     """``(t, e)`` when the intension is ``eq(z, e)`` or ``eq(e, z)`` for a
-    variable ``z``, at scope position ``t``, that ``e`` does not mention,
-    else ``(None, None)``; read from its template."""
+    variable ``z``, at scope position ``t``, that the template ``e`` does
+    not mention, else ``(None, None)``."""
     if isinstance(c.template, tuple) and c.template[0] == "eq":
-        for (t, other), e in zip((c.template[1:], c.template[:0:-1]), c.expr.children[::-1]):
-            if type(t) is int and not _x.mentions(other, t):
+        for t, e in (c.template[1:], c.template[:0:-1]):
+            if type(t) is int and not _x.mentions(e, t):
                 return t, e
     return None, None
 
@@ -325,12 +324,11 @@ class IntensionProp(Propagator):
     call, so it is idempotent. Its masks are shared through the build
     call's memo ``masks`` under its positional template
     (``Intension.template``: the expression with each variable replaced by
-    its position in ``Intension.scope``, both worked out once when the
-    intension is built) and initial domains; they are read-only, so
-    nothing is trailed. Its rows are enumerated only
+    its position in ``Intension.scope``) and initial domains; they are
+    read-only, so nothing is trailed. Its rows are enumerated only
     when the memo lacks the relation, by the one closure it then compiles:
-    ``e``'s, which computes ``z`` from the other positions, or the
-    expression's, which filters the full product. One that reads
+    ``e``'s, which computes ``z`` from the other positions of a row, or the
+    template's, which filters the full product. One that reads
     ``t = u + k`` or ``t = u + v + k`` over interval domains
     (``_unit_offset``) builds no table and compiles nothing: its ``offset``
     pass (``_offset_pass``) is the same GAC pass, by shifting masks.
@@ -350,32 +348,32 @@ class IntensionProp(Propagator):
 
     def __init__(self, c: Intension, key, store: DomainStore, masks: dict):
         super().__init__(c, key, store)
-        scope, expression = self.scope, c.expr
-        position = {v: i for i, v in enumerate(c.scope)}
+        scope, template = self.scope, c.template
         domains = tuple(store.init_values[x] for x in scope)
         self.fn = self.bounds_fn = self.linear = self.supports = self.residues = self.offset = None
         t, e = _defined_variable(c)
         rest = domains if t is None else domains[:t] + domains[t + 1 :]
         if math.prod(map(len, rest)) <= _TABLE_CAP:
-            self.offset = _unit_offset(expression, position, domains)
+            self.offset = _unit_offset(template, c.scope, domains)
             if self.offset is None:
-                relation = (c.template, domains)
+                relation = (template, domains)
                 if relation not in masks:
                     if t is None:
-                        rows = filter(_x.compile_expr(expression, position, bounds=False), itertools.product(*domains))
+                        rows = filter(_x.compile_expr(template, bounds=False), itertools.product(*domains))
                     else:
-                        f = _x.compile_expr(e, {v: i - (i > t) for v, i in position.items() if i != t}, bounds=False)
-                        rows = (r[:t] + (f(r),) + r[t:] for r in itertools.product(*rest))
+                        # e reads the other positions of a row whose position t is a stand-in
+                        f = _x.compile_expr(e, bounds=False)
+                        rows = (r[:t] + (f(r),) + r[t + 1 :] for r in itertools.product(*rest[:t], (None,), *rest[t:]))
                     masks[relation] = _support_masks(store, scope, rows)
                 self.supports = masks[relation]
         else:
-            self.fn = _x.compile_expr(expression, position, bounds=False)
+            self.fn = _x.compile_expr(template, bounds=False)
             self.residues = [[None] * len(d) for d in domains]
-            linear = _linear_sum(expression)
+            linear = _linear_sum(template, c.scope)
             if linear is not None and _within_int64(linear, store):
                 self.linear = _sum_terms(linear, store)
             else:
-                self.bounds_fn = _x.compile_expr(expression, position, bounds=True)
+                self.bounds_fn = _x.compile_expr(template, bounds=True)
         self.idempotent = self.bounds_fn is None and self.linear is None
 
     def propagate(self, store: DomainStore) -> bool:
@@ -404,9 +402,9 @@ class IntensionProp(Propagator):
         return True
 
 
-def _unit_offset(expression, position, domains):
+def _unit_offset(template, scope, domains):
     """``(s, t, u, v)`` of the offset pass (``_offset_pass``) when the
-    expression's ``Sum`` (``_linear_sum``) reads ``t = u + k`` or
+    template's ``Sum`` (``_linear_sum``) reads ``t = u + k`` or
     ``t = u + v + k``: an ``eq`` with a coefficient of 1 or -1 on each of
     its two or three variables (scope positions; ``v`` is None for two),
     where every initial domain is an interval, so that a value's bit is its
@@ -414,13 +412,13 @@ def _unit_offset(expression, position, domains):
     from the bits of ``u``, plus those of ``v``, to the bits of ``t``,
     clamped to the widths of the domains: a wider shift leaves no bit,
     whatever its size."""
-    if len(position) not in (2, 3) or any(not d or d[-1] - d[0] != len(d) - 1 for d in domains):
+    if len(scope) not in (2, 3) or any(not d or d[-1] - d[0] != len(d) - 1 for d in domains):
         return None
-    linear = _linear_sum(expression)
+    linear = _linear_sum(template, scope)
     if linear is None or linear.condition.operator != "eq":
         return None
     coeffs = dict(zip(linear.scope, linear.coeffs))
-    signs = [coeffs.get(name, 0) for name in position]
+    signs = [coeffs.get(name, 0) for name in scope]
     # t is the one variable whose sign the others do not share
     t = next((i for i, a in enumerate(signs) if signs.count(a) == 1), None)
     if t is None or not set(signs) <= {1, -1}:
@@ -477,25 +475,24 @@ def _offset_pass(store: DomainStore, scope, s, t, u, v) -> bool:
     return True
 
 
-def _linear(expression):
-    """``(coefficients, constant)`` of an integer expression made of
-    variables, constants, ``add``, ``sub``, ``neg`` and ``mul`` with at most
-    one operand that is not constant: per variable, its coefficient summed
-    over its occurrences; None for any other expression."""
-    if isinstance(expression, _x.IntConst):
-        return {}, expression.value
-    if isinstance(expression, _x.VarRef):
-        return {expression.var_id: 1}, 0
-    if expression.kind not in ("add", "sub", "neg", "mul"):
+def _linear(template):
+    """``(coefficients, constant)`` of an integer template made of
+    positions, constants, ``add``, ``sub``, ``neg`` and ``mul`` with at most
+    one operand that is not constant: per position, its coefficient summed
+    over its occurrences; None for any other template."""
+    if not isinstance(template, tuple):
+        return ({template: 1}, 0) if type(template) is int else ({}, template.value)
+    kind = template[0]
+    if kind not in ("add", "sub", "neg", "mul"):
         return None
-    parts = [_linear(e) for e in expression.children]
+    parts = [_linear(e) for e in template[1:]]
     if None in parts:
         return None
-    if expression.kind == "add":
+    if kind == "add":
         return _added(parts)
-    if expression.kind == "sub":
+    if kind == "sub":
         return _added([parts[0], _scaled(parts[1], -1)])
-    if expression.kind == "neg":
+    if kind == "neg":
         return _scaled(parts[0], -1)
     varying = [part for part in parts if part[0]]
     if len(varying) > 1:
@@ -517,21 +514,22 @@ def _scaled(part, factor):
     return {v: factor * a for v, a in coeffs.items()}, factor * k
 
 
-def _linear_sum(expression) -> Sum | None:
-    """The ``Sum`` equivalent to a comparison of two linear sides
-    (``_linear``): one term per variable with a coefficient other than 0,
-    the constants moved to the right-hand side; None for any other
-    expression. One term per variable, not per occurrence, keeps the pass
-    at least as strong as interval filtering when a variable repeats:
-    ``eq(add(x, x), 1)`` is ``2x = 1``, which no integer satisfies."""
-    if not (isinstance(expression, _x.Op) and _x.OPS[expression.kind].sort == "rel"):
+def _linear_sum(template, scope) -> Sum | None:
+    """The ``Sum`` over ``scope``'s variables equivalent to a comparison of
+    two linear sides (``_linear``): one term per variable with a
+    coefficient other than 0, the constants moved to the right-hand side;
+    None for any other template. One term per variable, not per
+    occurrence, keeps the pass at least as strong as interval filtering
+    when a variable repeats: ``eq(add(x, x), 1)`` is ``2x = 1``, which no
+    integer satisfies."""
+    if not (isinstance(template, tuple) and _x.OPS[template[0]].sort == "rel"):
         return None
-    left, right = (_linear(e) for e in expression.children)
+    left, right = (_linear(e) for e in template[1:])
     if left is None or right is None:
         return None
     coeffs, k = _added([left, _scaled(right, -1)])
-    scope = tuple(v for v, a in coeffs.items() if a)
-    return Sum(scope, tuple(coeffs[v] for v in scope), Condition(expression.kind, -k))
+    positions = [i for i, a in coeffs.items() if a]
+    return Sum(tuple(scope[i] for i in positions), tuple(coeffs[i] for i in positions), Condition(template[0], -k))
 
 
 def _within_int64(c: Sum, store: DomainStore) -> bool:
@@ -1364,7 +1362,7 @@ def _primitives(c):
     variables is a constant verdict: the count of no variable, which is at
     least 0 and never at least 1."""
     if isinstance(c, Intension) and not c.scope:
-        yield Count((), (), Condition("ge", 0 if _x.evaluate(c.expr, {}) else 1))
+        yield Count((), (), Condition("ge", 0 if _x.evaluate(c.template, ()) else 1))
     elif isinstance(c, AllDifferentMatrix):
         for line in (*c.grid, *zip(*c.grid)):
             yield AllDifferent(tuple(line))

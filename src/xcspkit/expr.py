@@ -1,20 +1,22 @@
-"""Expression trees for intensional constraints.
+"""Expressions and templates of intensional constraints.
 
-Nodes are immutable; relational and logical operators evaluate to 0/1
-integers so booleans can appear inside arithmetic (e.g. ``add(b, w)`` over
-0/1 terms).
+An expression is a tree of immutable nodes (``IntConst``, ``VarRef``,
+``Op``), as ``parse_expr`` reads it and the generators build it with
+``op``. A template is the form the model keeps: the expression with each
+variable replaced by its position in a scope and each operator by
+``(kind, *children)``; a constant stays an ``IntConst``, so it never
+equals a position. ``scope_and_template`` is the one walk from the first
+to the second, and ``model.Intension.of`` the one place that runs it.
+Relational and logical operators evaluate to 0/1 integers so booleans can
+appear inside arithmetic (e.g. ``add(b, w)`` over 0/1 terms).
 
 ``OPS`` is the one operator table: each kind's arity, value function and
 interval function, so an XCSP3-core operator is added in exactly one place.
-Two walks read it. The checker's ``evaluate`` interprets the tree over a
-binding by name. ``compile_expr`` is the engine's one compiler: it turns the
-tree into a positional closure, of values from each ``apply`` or of bounds
-``(lo, hi)`` from each ``interval``.
-
-``scope_and_template`` is the one walk that finds an expression's
-variables: ``model.Intension`` runs it once, when it is built, and keeps
-the scope and the positional template that the model, the engine and the
-writer read.
+Every other walk reads a template over the values (or names) of its
+scope, by position. The checker's ``evaluate`` interprets it; the engine's
+one compiler, ``compile_expr``, turns it into a positional closure, of
+values from each ``apply`` or of bounds ``(lo, hi)`` from each
+``interval``; ``format_expr`` writes it over its scope's names.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
-from .errors import ArityMismatchError, UnboundVariableError
+from .errors import ArityMismatchError
 from .record import record
 
 Expr = Union["IntConst", "VarRef", "Op"]
@@ -35,10 +37,13 @@ Interval = tuple[int, int]
 #: the one integer grammar of instance and solver text, ASCII digits only:
 #: ``int`` reads other digits too, and ``isdigit`` some that ``int`` refuses
 INT_RE = re.compile(r"[+-]?[0-9]+")
+#: the one identifier grammar, matched whole (``fullmatch``): a stem and its
+#: ``[i]`` indices, ASCII digits only
+ID_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)((?:\[[0-9]+\])*)")
 #: XCSP3 integers are 64-bit
 INT64_MAX = 2**63 - 1
 #: the deepest operator nesting ``parse_expr`` accepts; the checker, the
-#: validator and the compiler all recurse over the tree
+#: validator and the compiler all recurse over the template
 MAX_DEPTH = 100
 
 
@@ -203,37 +208,33 @@ def mentions(template: Template, i: int) -> bool:
     return any(mentions(child, i) for child in template[1:]) if isinstance(template, tuple) else template == i
 
 
-def is_boolean(expr: Expr) -> bool:
-    return isinstance(expr, Op) and OPS[expr.kind].sort != "int"
+def is_boolean(template: Template) -> bool:
+    return isinstance(template, tuple) and OPS[template[0]].sort != "int"
 
 
-def evaluate(expr: Expr, binding: Mapping[str, int]) -> int:
-    """Evaluate an expression; boolean results are 1 (true) / 0 (false)."""
-    if isinstance(expr, IntConst):
-        return expr.value
-    if isinstance(expr, VarRef):
-        try:
-            return binding[expr.var_id]
-        except KeyError:
-            raise UnboundVariableError(expr.var_id) from None
-    return OPS[expr.kind].apply(*[evaluate(child, binding) for child in expr.children])
+def evaluate(template: Template, values: Sequence[int]) -> int:
+    """The value of a template whose position ``i`` holds ``values[i]``;
+    boolean results are 1 (true) / 0 (false)."""
+    if isinstance(template, tuple):
+        return OPS[template[0]].apply(*[evaluate(child, values) for child in template[1:]])
+    return values[template] if type(template) is int else template.value
 
 
-def compile_expr(expr: Expr, position: Mapping[str, int], *, bounds: bool) -> Callable[[Sequence], Any]:
-    """Compile to a function of a sequence whose entry ``position[v]`` stands
-    for variable ``v``. Without ``bounds`` the entries are values and the
+def compile_expr(template: Template, *, bounds: bool) -> Callable[[Sequence], Any]:
+    """Compile to a function of a sequence whose entry ``i`` stands for
+    position ``i``. Without ``bounds`` the entries are values and the
     function gives the value (``OPS[kind].apply``); with ``bounds`` they are
     ``(lo, hi)`` pairs and it gives bounds that contain every value
     (``OPS[kind].interval``), a constant being ``(v, v)``. Closures are
     specialised by arity, as both run in the engine's inner loops."""
-    if isinstance(expr, IntConst):
-        value = (expr.value, expr.value) if bounds else expr.value
+    if type(template) is int:
+        return operator.itemgetter(template)
+    if not isinstance(template, tuple):
+        value = (template.value, template.value) if bounds else template.value
         return lambda t: value
-    if isinstance(expr, VarRef):
-        return operator.itemgetter(position[expr.var_id])
-    spec = OPS[expr.kind]
+    spec = OPS[template[0]]
     f = spec.interval if bounds else spec.apply
-    kids = [compile_expr(child, position, bounds=bounds) for child in expr.children]
+    kids = [compile_expr(child, bounds=bounds) for child in template[1:]]
     if len(kids) == 1:
         (a,) = kids
         return lambda t: f(a(t))
@@ -243,17 +244,20 @@ def compile_expr(expr: Expr, position: Mapping[str, int], *, bounds: bool) -> Ca
     return lambda t: f(*[k(t) for k in kids])
 
 
-def format_expr(expr: Expr) -> str:
-    """Render in functional prefix syntax, e.g. ``eq(add(x,y),z)``."""
-    if isinstance(expr, IntConst):
-        return str(expr.value)
-    if isinstance(expr, VarRef):
-        return expr.var_id
-    return f"{expr.kind}({','.join(format_expr(c) for c in expr.children)})"
+def format_expr(template: Template, names: Sequence[str]) -> str:
+    """Render in functional prefix syntax over the names of the positions,
+    e.g. ``eq(add(x,y),z)``."""
+    if isinstance(template, tuple):
+        return f"{template[0]}({','.join(format_expr(child, names) for child in template[1:])})"
+    return names[template] if type(template) is int else str(template.value)
 
 
 class ExprSyntaxError(ValueError):
     pass
+
+
+class BadIdError(ExprSyntaxError):
+    """A name of an expression that is no ``ID_RE`` id."""
 
 
 def parse_expr(text: str) -> Expr:
@@ -291,6 +295,8 @@ def parse_expr(text: str) -> Expr:
                 return Op(tok, tuple(children))
             except ArityMismatchError as exc:
                 raise ExprSyntaxError(str(exc)) from None
+        if not ID_RE.fullmatch(tok):
+            raise BadIdError(f"bad variable id {tok!r}")
         return VarRef(tok)
 
     node = parse_node(0)

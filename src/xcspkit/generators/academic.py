@@ -56,7 +56,7 @@ def gen_langford(n: int) -> Instance:
     for i in range(n):
         b.post(Element(tuple(v), p[2 * i + 1], i + 1))
     for i in range(n):
-        b.post(Intension(eq(p[2 * i], add(i + 2, p[2 * i + 1]))))
+        b.post(Intension.of(eq(p[2 * i], add(i + 2, p[2 * i + 1]))))
     return b.instance()
 
 
@@ -73,7 +73,7 @@ def gen_golomb_ruler(n: int, decision_vars: bool = True) -> Instance:
     b.post(AllDifferent(tuple(y[i, j] for i in range(n) for j in range(i + 1, n))))
     for i in range(n):
         for j in range(i + 1, n):
-            b.post(Intension(eq(x[j], add(x[i], y[i, j]))))
+            b.post(Intension.of(eq(x[j], add(x[i], y[i, j]))))
     objective = Objective("minimize", "variable", (x[n - 1],))
     return b.instance(objective, x if decision_vars else ())
 
@@ -94,12 +94,12 @@ def gen_low_autocorrelation(n: int) -> Instance:
     ]
     for k in range(n - 1):
         for i in range(n - k - 1):
-            b.post(Intension(eq(y[k, i], mul(x[i], x[i + k + 1]))))
+            b.post(Intension.of(eq(y[k, i], mul(x[i], x[i + k + 1]))))
     for k in range(n - 1):
         row = tuple(y[k, i] for i in range(n - k - 1))
         b.post(Sum(row, (1,) * len(row), Condition("eq", c[k])))
     for k in range(n - 1):
-        b.post(Intension(eq(s[k], mul(c[k], c[k]))))
+        b.post(Intension.of(eq(s[k], mul(c[k], c[k]))))
     objective = Objective("minimize", "sum", tuple(s))
     return b.instance(objective)
 
@@ -150,7 +150,7 @@ def gen_magic_hexagon(n: int, s: int, drop_tags=()) -> Instance:
         (x[0][0], x[n - 1][0]),
         (x[0][n - 1], x[n - 1][0]),
     ):
-        b.post(Intension(lt(lhs, rhs)), "sym")
+        b.post(Intension.of(lt(lhs, rhs)), "sym")
     return b.instance()
 
 
@@ -206,7 +206,7 @@ def gen_social_golfers(n_groups: int, group_size: int, n_weeks: int, drop_tags=(
         for w2 in range(w1 + 1, n_weeks):
             for p1 in range(n_players):
                 for p2 in range(p1 + 1, n_players):
-                    b.post(Intension(lor(ne(x[w1][p1], x[w1][p2]), ne(x[w2][p1], x[w2][p2]))))
+                    b.post(Intension.of(lor(ne(x[w1][p1], x[w1][p2]), ne(x[w2][p1], x[w2][p2]))))
     b.post(Instantiation(tuple(x[0]), tuple(p // group_size for p in range(n_players))), "sym")
     for k in range(group_size):
         if n_weeks > 1:
@@ -259,7 +259,7 @@ def gen_sports_scheduling(n_teams: int, drop_tags=()) -> Instance:
     for p in range(n_periods):
         b.post(Cardinality((*h[p], hd[p], ad[p], *a[p]), teams, ((2, 2),) * n_teams))
     for p in range(n_periods):
-        b.post(Intension(lt(hd[p], ad[p])), "sym")
+        b.post(Intension.of(lt(hd[p], ad[p])), "sym")
     return b.instance()
 
 
@@ -320,13 +320,13 @@ def gen_still_life(n: int, drop_tags=()) -> Instance:
             b.post(Extension(neighborhood + (w[i][j],), life))
 
     for j in range(1, n + 1):
-        b.post(Intension(eq(add(w[0][j], x[1][j]), 1)))
+        b.post(Intension.of(eq(add(w[0][j], x[1][j]), 1)))
     for j in range(1, n + 1):
-        b.post(Intension(eq(add(w[n + 1][j], x[n][j]), 1)))
+        b.post(Intension.of(eq(add(w[n + 1][j], x[n][j]), 1)))
     for i in range(1, n + 1):
-        b.post(Intension(eq(add(w[i][0], x[i][1]), 1)))
+        b.post(Intension.of(eq(add(w[i][0], x[i][1]), 1)))
     for i in range(1, n + 1):
-        b.post(Intension(eq(add(w[i][n + 1], x[i][n]), 1)))
+        b.post(Intension.of(eq(add(w[i][n + 1], x[i][n]), 1)))
 
     for i in range(size):
         if i == 0:
@@ -336,7 +336,7 @@ def gen_still_life(n: int, drop_tags=()) -> Instance:
         b.post(Sum(scope, (1,) * len(scope), Condition("eq", ws[i])))
     b.post(Sum((z, ws[n + 1]), (4, 1), Condition("eq", 2 * n * n + 4 * n)))
     for i in range(n + 1):
-        b.post(Intension(ge(sub(ws[n + 1], ws[i]), 2 * ((n - i) // 3) + n // 3)), "red")
+        b.post(Intension.of(ge(sub(ws[n + 1], ws[i]), 2 * ((n - i) // 3) + n // 3)), "red")
 
     return b.instance(Objective("maximize", "variable", (z,)))
 
@@ -361,10 +361,10 @@ def gen_graceful_graph(k: int, p: int) -> Instance:
     for i in range(p):
         for j1 in range(k):
             for j2 in range(j1 + 1, k):
-                b.post(Intension(eq(ce[i, j1, j2], dist(cn[i][j1], cn[i][j2]))))
+                b.post(Intension.of(eq(ce[i, j1, j2], dist(cn[i][j1], cn[i][j2]))))
     for i in range(p - 1):
         for j in range(k):
-            b.post(Intension(eq(cp[i][j], dist(cn[i][j], cn[i + 1][j]))))
+            b.post(Intension.of(eq(cp[i][j], dist(cn[i][j], cn[i + 1][j]))))
     return b.instance()
 
 
@@ -384,10 +384,10 @@ def gen_peacable_armies(n: int, variant: str = "m1") -> Instance:
                 for i2 in range(n):
                     for j2 in range(n):
                         if i1 == i2 and j1 == j2:
-                            b.post(Intension(le(add(bq[i1][j1], wq[i1][j1]), 1)))
+                            b.post(Intension.of(le(add(bq[i1][j1], wq[i1][j1]), 1)))
                         elif (i1 < i2 or (i1 == i2 and j1 < j2)) and aligned(i1, j1, i2, j2):
-                            b.post(Intension(le(add(bq[i1][j1], wq[i2][j2]), 1)))
-                            b.post(Intension(le(add(wq[i1][j1], bq[i2][j2]), 1)))
+                            b.post(Intension.of(le(add(bq[i1][j1], wq[i2][j2]), 1)))
+                            b.post(Intension.of(le(add(wq[i1][j1], bq[i2][j2]), 1)))
         flat_b = tuple(c for row in bq for c in row)
         flat_w = tuple(c for row in wq for c in row)
         b.post(Sum(flat_b + flat_w, (1,) * (n * n) + (-1,) * (n * n), Condition("eq", 0)))
@@ -403,11 +403,11 @@ def gen_peacable_armies(n: int, variant: str = "m1") -> Instance:
                 for i2 in range(n):
                     for j2 in range(n):
                         if (i1 < i2 or (i1 == i2 and j1 < j2)) and aligned(i1, j1, i2, j2):
-                            b.post(Intension(ne(add(x[i1][j1], x[i2][j2]), 3)))
+                            b.post(Intension.of(ne(add(x[i1][j1], x[i2][j2]), 3)))
         flat = tuple(c for row in x for c in row)
         b.post(Count(flat, (1,), Condition("eq", nb)))
         b.post(Count(flat, (2,), Condition("eq", nw)))
-        b.post(Intension(eq(nb, nw)))
+        b.post(Intension.of(eq(nb, nw)))
         return b.instance(Objective("maximize", "variable", (nb,)))
 
     from ..errors import UnknownVariantError

@@ -87,7 +87,7 @@ def gen_bacp(data: dict, variant: str = "m1", decision_vars: bool = True) -> Ins
     else:
         for c in range(n_courses):
             for p in range(n_periods):
-                b.post(Intension(imp(eq(s[c], p), eq(cp[c][p], credits[c]))))
+                b.post(Intension.of(imp(eq(s[c], p), eq(cp[c][p], credits[c]))))
         for c in range(n_courses):
             b.post(Sum(tuple(cp[c]), (1,) * n_periods, Condition("eq", credits[c])))
     for p in range(n_periods):
@@ -95,7 +95,7 @@ def gen_bacp(data: dict, variant: str = "m1", decision_vars: bool = True) -> Ins
     for p in range(n_periods):
         b.post(Sum(tuple(cp[c][p] for c in range(n_courses)), (1,) * n_courses, Condition("eq", cr[p])))
     for before, after in prerequisites:
-        b.post(Intension(lt(s[before], s[after])))
+        b.post(Intension.of(lt(s[before], s[after])))
     objective = Objective("minimize", "maximum", tuple(cr))
     return b.instance(objective, s if decision_vars else ())
 
@@ -139,7 +139,7 @@ def gen_graph_coloring(data: dict) -> Instance:
     b = Builder()
     x = [b.var(f"x[{i}]", Domain.rng(0, n_colors - 1)) for i in range(n_nodes)]
     for u, v in edges:
-        b.post(Intension(ne(x[u], x[v])))
+        b.post(Intension.of(ne(x[u], x[v])))
     return b.instance(Objective("minimize", "maximum", tuple(x)))
 
 
@@ -150,7 +150,7 @@ def gen_sum_coloring(data: dict) -> Instance:
     b = Builder()
     c = [b.var(f"c[{i}]", Domain.rng(0, n_nodes - 1)) for i in range(n_nodes)]
     for u, v in edges:
-        b.post(Intension(ne(c[u], c[v])))
+        b.post(Intension.of(ne(c[u], c[v])))
     return b.instance(Objective("minimize", "sum", tuple(c)))
 
 
@@ -177,9 +177,9 @@ def gen_mario(data: dict) -> Instance:
     b.post(Sum(tuple(f), (1,) * n, Condition("le", fuel_limit)))
     for i in range(n):
         if i not in (mario, luigi):
-            b.post(Intension(iff(eq(s[i], i), eq(g[i], 0))))
+            b.post(Intension.of(iff(eq(s[i], i), eq(g[i], 0))))
     b.post(Circuit(tuple(s)))
-    b.post(Intension(eq(s[luigi], mario)))
+    b.post(Intension.of(eq(s[luigi], mario)))
     return b.instance(Objective("maximize", "sum", tuple(g)))
 
 
@@ -231,7 +231,7 @@ def gen_mistery_shopper(data: dict, drop_tags=()) -> Instance:
     if n_dummy > 0:
         for w in range(n_weeks):
             for i in range(n_visitees, n - 1):
-                b.post(Intension(lt(vr[i][w], vr[i + 1][w])), "sym")
+                b.post(Intension.of(lt(vr[i][w], vr[i + 1][w])), "sym")
     return b.instance()
 
 
@@ -270,7 +270,7 @@ def gen_rcpsp(data: dict) -> Instance:
     ]
     for i, job in enumerate(jobs):
         for successor in job["successors"]:
-            b.post(Intension(le(add(s[i], job["duration"]), s[successor])))
+            b.post(Intension.of(le(add(s[i], job["duration"]), s[successor])))
     for j, capacity in enumerate(capacities):
         indexes = [i for i in range(n_jobs) if jobs[i]["requiredQuantities"][j] > 0]
         if indexes:
@@ -298,9 +298,9 @@ def gen_strip_packing(data: dict) -> Instance:
     h = [b.var(f"h[{i}]", Domain.of(items[i]["width"], items[i]["height"])) for i in range(n)]
     r = [b.var(f"r[{i}]", Domain.rng(0, 1)) for i in range(n)]
     for i in range(n):
-        b.post(Intension(le(add(x[i], w[i]), width)))
+        b.post(Intension.of(le(add(x[i], w[i]), width)))
     for i in range(n):
-        b.post(Intension(le(add(y[i], h[i]), height)))
+        b.post(Intension.of(le(add(y[i], h[i]), height)))
     for i in range(n):
         wi, hi = items[i]["width"], items[i]["height"]
         b.post(Extension((r[i], w[i], h[i]), supports(3, [(0, wi, hi), (1, hi, wi)])))

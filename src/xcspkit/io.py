@@ -8,7 +8,10 @@ for: a slide's windows, in order, each its own constraint.
 
 The reader checks how a document is spelled and nested: each token (an
 id, an integer, a range, a condition operator) and which children each
-element takes. What an id refers to and which fields must agree (every
+element takes. Every id it reads, an intension's names included, is read
+through ``expr.ID_RE`` (``_id``, and ``expr.parse_expr`` for names), and a
+misspelled one is refused as ``bad variable id`` at the element that
+reads it. What an id refers to and which fields must agree (every
 id declared, a tuple as long as its scope, an instantiation's values as
 many as its list) is the model's check, made once, when the ``Instance``
 is built; ``parse_instance`` locates its first violation in the document.
@@ -18,23 +21,28 @@ layout: its tag, its children in canonical order with how each reads and
 formats, and how they map to the fields of the model record. The reader
 and the writer are walks over it, so a constraint element is added in one
 place.
-``intension`` is an inline row, read from its text or one ``<function>``.
-Only ``extension`` (its shared tables, below) is an explicit case.
+``intension`` is an inline row, read from its text or one ``<function>``
+into its template and scope (``Intension.of``), and written as its
+template over its scope's names. Only ``extension`` (its shared tables,
+below) is an explicit case.
 
 The canonical form writes each template once, and ``<group>`` is its one
 template form. Constraints of one shape (``_shape``) are intensions of one
 ``Intension.template``, or extensions of one table and one repeat pattern
 of their scope. Each maximal run of two or more constraints of one shape
 is written as one ``<group>``: the first of them renamed to ``%0``,
-``%1``, ... as the template, and each one's distinct ids as an ``<args>``.
+``%1``, ... as the template (an intension's template over the scope
+``%0``, ``%1``, ...), and each one's distinct ids as an ``<args>``.
 
 A ``<group>``'s or ``<slide>``'s template is one constraint element: a
 ``<group>``, ``<slide>`` or ``<block>`` there is refused. It is read once
-(``_template_reader``). An ``<intension>`` template's expression is parsed
-once with each ``%k`` as a placeholder, which must be a whole operand, and
-each ``<args>`` entry binds a variable id or an integer into it. Any other
-template is instantiated by substituting its text, and its subtrees
-without a placeholder are shared, not copied.
+(``_template_reader``). An ``<intension>`` template is read once into its
+template and the placeholder each position stands for, and a placeholder
+must be a whole operand. A member whose ``<args>`` are distinct ids is
+that template over them: no expression is built or walked per member. A
+repeated id or an integer entry folds the template once per pattern of
+entries. Any other template is instantiated by substituting its text, and
+its subtrees without a placeholder are shared, not copied.
 
 Each distinct table is parsed once per call, and written once per run of
 its extensions. ``parse_instance`` keys every ``<supports>``/``<conflicts>``
@@ -64,7 +72,6 @@ from .errors import (
 )
 from .model import (
     CONDITION_OPERATORS,
-    ID_RE,
     STAR,
     AllDifferent,
     AllDifferentMatrix,
@@ -185,12 +192,16 @@ def _parse_ints(text: str, loc: SourceLocation) -> list[int]:
     return out
 
 
+def _id(tok: str, loc: SourceLocation) -> str:
+    """A variable id (``expr.ID_RE``): the one reader of every id a
+    document names, whatever element names it."""
+    if not _expr.ID_RE.fullmatch(tok):
+        raise XmlSyntaxError(f"bad variable id {tok!r}", loc)
+    return tok
+
+
 def _parse_var_list(text: str, loc: SourceLocation) -> list[str]:
-    out = text.split()
-    for tok in out:
-        if not ID_RE.fullmatch(tok):
-            raise XmlSyntaxError(f"bad variable id {tok!r}", loc)
-    return out
+    return [_id(tok, loc) for tok in text.split()]
 
 
 def _split_tuples(text: str, tag: str, loc: SourceLocation) -> list[list[str]]:
@@ -242,11 +253,7 @@ def _values(tok: str, loc: SourceLocation) -> range:
 def _term(tok: str, loc: SourceLocation) -> Union[int, str]:
     """An integer or a variable id."""
     value = _int(tok, loc)
-    if value is not None:
-        return value
-    if not ID_RE.fullmatch(tok):
-        raise XmlSyntaxError(f"bad token {tok!r}", loc)
-    return tok
+    return _id(tok, loc) if value is None else value
 
 
 def _parse_condition(text: str, loc: SourceLocation) -> Condition:
@@ -351,7 +358,9 @@ def _read_limit(node: _Node) -> int:
 
 def _read_intension(node: _Node) -> Intension:
     try:
-        return Intension(_expr.parse_expr(node.text))
+        return Intension.of(_expr.parse_expr(node.text))
+    except _expr.BadIdError as exc:
+        raise XmlSyntaxError(str(exc), node.loc) from None
     except _expr.ExprSyntaxError as exc:
         raise UnsupportedFeatureError(f"intension form ({exc})", node.loc) from None
 
@@ -377,6 +386,7 @@ _VARS = _Codec(lambda n: tuple(_parse_var_list(n.text, n.loc)), " ".join)
 _INTS = _Codec(lambda n: tuple(_parse_ints(n.text, n.loc)), _format_ints)
 _TERMS = _Codec(lambda n: tuple(_term(t, n.loc) for t in n.text.split()), _format_ints)
 _WORD = _Codec(lambda n: n.text, str)
+_ID = _Codec(lambda n: _id(n.text, n.loc), str)
 _WORDS = _Codec(lambda n: tuple(n.text.split()), " ".join)
 _INT_OR_ID = _Codec(lambda n: _term(n.text, n.loc), str)
 _CONDITION = _Codec(lambda n: _parse_condition(n.text, n.loc), _format_condition)
@@ -390,11 +400,11 @@ _CLOSED_INTS = _Codec(
     lambda values: _format_ints(values[0]),
     lambda values: f' closed="{"true" if values[1] else "false"}"',
 )
-_MATRIX = _Codec(_tuple_list(lambda parts, n: tuple(parts)), _format_tuples)
+_MATRIX = _Codec(_tuple_list(lambda parts, n: tuple(_id(p, n.loc) for p in parts)), _format_tuples)
 _TRANSITIONS = _Codec(_tuple_list(_transition), _format_tuples)
 _ORIGINS = _Codec(_tuple_list(_origin), _format_tuples)
 _PAIRS = _Codec(_tuple_list(_pair), _format_tuples)
-_INTENSION = _Codec(_read_intension, lambda c: _expr.format_expr(c.expr))
+_INTENSION = _Codec(_read_intension, lambda c: _expr.format_expr(c.template, c.scope))
 
 _LAYOUTS: dict[type, _Layout] = {
     Intension: _Layout("intension", (_Child("function", _INTENSION),), lambda c: c, lambda c: (c,), inline=True),
@@ -422,7 +432,7 @@ _LAYOUTS: dict[type, _Layout] = {
         lambda scope, values, occurs: Cardinality(scope, values[0], occurs, values[1]),
         lambda c: (c.scope, (c.values, c.closed), c.occurs),
     ),
-    Element: _Layout("element", (_Child("list", _VARS), _Child("index", _WORD), _Child("value", _INT_OR_ID))),
+    Element: _Layout("element", (_Child("list", _VARS), _Child("index", _ID), _Child("value", _INT_OR_ID))),
     Channel: _Layout(
         "channel",
         (_Child("list", _VARS, least=2, most=2),),
@@ -711,69 +721,87 @@ def _template_reader(template: _Node, tables: dict) -> Callable[[list[str], _Nod
     with those ids put in for its placeholders.
 
     An ``<intension>`` template is read once, at its first instance, each
-    ``%k`` as a placeholder (``_intension_shape``); an instance binds each
-    placeholder to its id (a ``VarRef``) or integer (an ``IntConst``) and
-    builds the ``Intension``. Any other template is read per instance from
-    ``_substitute``. An instance that the intension shape cannot give is
-    refused with the error its substituted text reads with; when that text
-    reads, because an entry is an expression or a placeholder is no whole
-    operand, with the shape's own error."""
+    ``%k`` as a placeholder (``_intension_shape``), into its
+    ``Intension.template`` and the entry each position of its scope takes.
+    An instance whose entries are distinct ids is that template over them;
+    one with a repeated id or an integer takes the template folded by the
+    pattern of its entries (``_fold``), once per pattern. So no expression
+    is built or walked per instance. Any other template is read per
+    instance from ``_substitute``. An instance that the intension shape
+    cannot give is refused with the error its substituted text reads with.
+    When that text reads, because a placeholder is no whole operand or an
+    entry is an expression, it is refused with the shape's error, at the
+    template, or the entry's, at its ``<args>``; and with the entry's when
+    the text is refused only for a misspelled id that the entry makes."""
     if template.tag != "intension":
         return lambda args, at: _parse_constraint(_substitute(template, args), tables)
     shape = None
+    folded: dict[tuple, _expr.Template] = {}  # pattern of entries -> the template it folds to
 
     def read(args: list[str], at: _Node) -> Constraint:
         nonlocal shape
         try:
-            if shape is None:
-                shape = _intension_shape(template)
-            expression, placeholders = shape
-            return Intension(_bind(expression, {name: _operand(args[k], at) for name, k in placeholders.items()}))
+            shape = shape or _intension_shape(template)
+            operands = [_operand(args[k] if type(k) is int else k, at) for k in shape[1]]
         except XcspError:
-            _parse_constraint(_substitute(template, args), tables)
+            try:
+                _parse_constraint(_substitute(template, args), tables)
+            except XmlSyntaxError:
+                # once the shape reads, that is a misspelled id an entry makes
+                if shape is None:
+                    raise
             raise
+        ids = tuple(dict.fromkeys(o for o in operands if type(o) is str))
+        if len(ids) == len(operands):
+            return Intension(shape[0], ids)
+        pattern = tuple(ids.index(o) if type(o) is str else o for o in operands)
+        if pattern not in folded:
+            folded[pattern] = _fold(shape[0], pattern)
+        return Intension(folded[pattern], ids)
 
     return read
 
 
-def _intension_shape(template: _Node):
-    """``(expression, placeholders)`` of an ``<intension>`` template: its
-    expression with each ``%k`` read as the id ``{stem}{k}``, where no text
-    of the template holds ``stem``; ``placeholders`` maps the ids it holds
-    to their ``k``. A placeholder must be a whole operand."""
+def _intension_shape(template: _Node) -> tuple[_expr.Template, tuple]:
+    """``(t, entries)`` of an ``<intension>`` template: ``t`` is the
+    ``Intension.template`` of its text with each ``%k`` read as the id
+    ``{stem}{k}``, where ``stem`` is ``x`` and as many ``_`` as make it a
+    text that no text of the template holds; ``entries`` gives per position
+    of its scope the ``k`` of its placeholder, or the id the template
+    itself names there. A placeholder must be a whole operand."""
     texts = " ".join(n.text for n in (template, *template.children))
-    stem = "_"
+    stem = "x"
     while stem in texts:
         stem += "_"
-    names = [f"{stem}{k}" for k in range(_template_arity(template))]
-    placeholders = {name: k for k, name in enumerate(names)}
+    placeholders = {f"{stem}{k}": k for k in range(_template_arity(template))}
     try:
-        c = _parse_constraint(_substitute(template, names), {})
+        c = _parse_constraint(_substitute(template, list(placeholders)), {})
     except XcspError:
         c = None
     if c is None or any(stem in vid and vid not in placeholders for vid in c.scope):
         raise UnsupportedFeatureError("intension template whose placeholder is no whole operand", template.loc)
-    return c.expr, {name: placeholders[name] for name in c.scope if name in placeholders}
+    return c.template, tuple(placeholders.get(vid, vid) for vid in c.scope)
 
 
-def _operand(tok: str, at: _Node) -> _expr.Expr:
+def _operand(tok: str, at: _Node) -> Union[str, _expr.IntConst]:
     """An ``<args>`` entry as an intension operand: a variable id, or an
     integer of the expression grammar, which has no ``+`` sign."""
-    if ID_RE.fullmatch(tok):
-        return _expr.VarRef(tok)
+    if _expr.ID_RE.fullmatch(tok):
+        return tok
     value = None if tok.startswith("+") else _expr.int64(tok)
     if value is None:
         raise XmlSyntaxError(f"<args> entry {tok!r} is no variable id or integer", at.loc)
     return _expr.IntConst(value)
 
 
-def _bind(e: _expr.Expr, operands: dict) -> _expr.Expr:
-    """``e`` with each variable named in ``operands`` replaced by its operand."""
-    if isinstance(e, _expr.Op):
-        return _expr.Op(e.kind, tuple([_bind(child, operands) for child in e.children]))
-    if isinstance(e, _expr.VarRef):
-        return operands.get(e.var_id, e)
-    return e
+def _fold(template: _expr.Template, pattern: tuple) -> _expr.Template:
+    """``template`` with each position ``i`` replaced by ``pattern[i]``: the
+    position of its entry among an instance's distinct ids, or its
+    ``IntConst``. Positions and the distinct ids are both numbered by first
+    appearance, so this is the template of the instance's expression."""
+    if isinstance(template, tuple):
+        return (template[0], *[_fold(child, pattern) for child in template[1:]])
+    return pattern[template] if type(template) is int else template
 
 
 def _template_and_args(node: _Node, args_tag: str) -> tuple[_Node, list[_Node]]:
@@ -879,7 +907,7 @@ def _parse_objective(node: _Node) -> Objective:
     sense = body.tag
     otype = body.attrib.get("type")
     if otype is None:
-        return Objective(sense, "variable", (body.text,))
+        return Objective(sense, "variable", (_id(body.text, body.loc),))
     if otype not in ("sum", "maximum"):
         raise UnsupportedFeatureError(f"objective type {otype!r}", body.loc)
     lst = _require(body, "list")
@@ -905,9 +933,7 @@ def parse_solution(text: str) -> Assignment:
     ids = lst.text.split()
     seen = set()
     for vid in ids:
-        if not ID_RE.fullmatch(vid):
-            raise XmlSyntaxError(f"bad variable id {vid!r}", lst.loc)
-        if vid in seen:
+        if _id(vid, lst.loc) in seen:
             raise XmlSyntaxError(f"variable {vid!r} listed twice", lst.loc)
         seen.add(vid)
     values = []
@@ -998,7 +1024,7 @@ class _Writer:
 
 
 def _split_id(vid: str):
-    m = ID_RE.fullmatch(vid)
+    m = _expr.ID_RE.fullmatch(vid)
     stem = m.group(1)
     indices = tuple(int(x) for x in _SIZE_RE.findall(m.group(2)))
     return stem, indices
@@ -1107,7 +1133,7 @@ def _renamed(c, ids):
     """``c`` with each of its ``ids`` renamed to the placeholder of its
     position, ``%0``, ``%1``, ..."""
     if isinstance(c, Intension):
-        return Intension(_bind(c.expr, {v: _expr.VarRef(f"%{k}") for k, v in enumerate(ids)}))
+        return Intension(c.template, tuple(f"%{k}" for k in range(len(ids))))
     return Extension(tuple(f"%{ids.index(v)}" for v in c.scope), c.table)
 
 

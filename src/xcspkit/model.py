@@ -15,16 +15,15 @@ holds the attributes that carry its variable ids, its satisfaction check
 and its well-formedness check. ``constraint_scope``,
 ``constraint_satisfied`` and ``validate_instance`` read the row, so a
 class's semantics live in one place; ``io._LAYOUTS`` holds its XML layout
-and ``engine.propagators._PROPAGATORS`` its propagator. An intension's
-variable attribute is its ``scope``, like every positional row's: an
-``Intension`` works out its scope and positional template once, when it is
-built (``expr.scope_and_template``), and nothing walks its expression for
-them again.
+and ``engine.propagators._PROPAGATORS`` its propagator. An ``Intension``
+is its positional template and its scope, like every positional row's
+variable attribute: ``Intension.of`` is the one walk from an expression to
+the two (``expr.scope_and_template``), and every reader, the checker
+included, reads the template by position.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from . import expr as _expr
@@ -34,15 +33,11 @@ from .errors import (
     ScopeMismatchError,
     UnboundVariableError,
 )
-from .expr import INT64_MAX, Expr, evaluate, is_boolean
+from .expr import ID_RE, INT64_MAX, Expr, Template, evaluate, is_boolean
 from .record import record
 
 #: Wildcard table entry matching any domain value.
 STAR = "*"
-
-#: the one identifier grammar, matched whole (``fullmatch``): a stem and its
-#: ``[i]`` indices, ASCII digits only
-ID_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)((?:\[[0-9]+\])*)")
 
 
 @record
@@ -195,15 +190,19 @@ class Automaton:
 
 @record
 class Intension:
-    """A constraint that the expression ``expr`` holds. Its ``scope`` and
-    positional ``template`` (``expr.scope_and_template``) are worked out
-    once, here; ``expr`` stays the one field, so equality, hashing and repr
-    read it alone."""
+    """A constraint that an expression holds, kept as its positional
+    ``template`` over its ``scope`` (``expr.scope_and_template``). Two
+    expressions are equal exactly when their templates and scopes are, so
+    equality and hashing keep the expression's meaning."""
 
-    expr: Expr
+    template: Template
+    scope: tuple[str, ...]
 
-    def __post_init__(self):
-        self.__dict__["scope"], self.__dict__["template"] = _expr.scope_and_template(self.expr)
+    @staticmethod
+    def of(expression: Expr) -> "Intension":
+        """The intension of an expression: its one walk."""
+        scope, template = _expr.scope_and_template(expression)
+        return Intension(template, scope)
 
 
 @record
@@ -509,29 +508,30 @@ def _condition_violations(cond: Condition):
         yield "BadCondition", "operator 'in' requires an interval rhs"
 
 
-def _operand_violations(e: Expr):
-    if not isinstance(e, _expr.Op):
+#: the expression node that a template entry stands for, as a report names it
+_NODES = {int: "VarRef", _expr.IntConst: "IntConst", tuple: "Op"}
+
+
+def _operand_violations(t: Template):
+    if not isinstance(t, tuple):
         return
-    if _expr.OPS[e.kind].sort == "logic":
-        for child in e.children:
+    if _expr.OPS[t[0]].sort == "logic":
+        for child in t[1:]:
             if not is_boolean(child):
-                yield "NotBoolean", f"{e.kind} requires boolean operands, got {type(child).__name__}"
-    for child in e.children:
+                yield "NotBoolean", f"{t[0]} requires boolean operands, got {_NODES[type(child)]}"
+    for child in t[1:]:
         yield from _operand_violations(child)
 
 
 def _intension_violations(c: Intension, memo: dict):
-    """``memo`` maps ``(Intension, template)`` to the operand violations of
-    the expressions of that ``Intension.template``, which are the same for
-    each of them, so the validating call walks each distinct template
-    once."""
-    if not is_boolean(c.expr):
-        yield "NotBoolean", "intension root must be a relational or logical operator"
+    """``memo`` maps ``(Intension, template)`` to the violations of that
+    ``Intension.template``, so the validating call walks each distinct
+    template once."""
     key = (Intension, c.template)
-    operands = memo.get(key)
-    if operands is None:
-        operands = memo[key] = list(_operand_violations(c.expr))
-    yield from operands
+    if key not in memo:
+        root = _unless(is_boolean(c.template), "NotBoolean", "intension root must be a relational or logical operator")
+        memo[key] = [*root, *_operand_violations(c.template)]
+    return memo[key]
 
 
 def _extension_violations(c: Extension, memo: dict):
@@ -596,7 +596,7 @@ class _Kind(NamedTuple):
 
 #: the constraint catalogue, one row per class
 _KINDS = {
-    Intension: _Kind(("scope",), lambda c, a: evaluate(c.expr, a.bindings) != 0, _intension_violations),
+    Intension: _Kind(("scope",), lambda c, a: evaluate(c.template, [a[v] for v in c.scope]) != 0, _intension_violations),
     Extension: _Kind(("scope",), _extension_satisfied, _extension_violations),
     Regular: _Kind(("scope",), lambda c, a: c.automaton.accepts([a[v] for v in c.scope]), _regular_violations),
     AllDifferent: _Kind(("scope",), lambda c, a: _distinct([a[v] for v in c.scope]), lambda c, memo: ()),

@@ -125,7 +125,7 @@ class TestPropagateToFixpoint:
         variables = (Variable("x", Domain.rng(0, 3)),)
         store = DomainStore(variables)
         cs = (
-            Intension(parse_expr("le(x,2)")),
+            Intension.of(parse_expr("le(x,2)")),
             Extension(("x",), supports(1, [(3,)])),
         )
         assert propagate_to_fixpoint(store, cs) in (0, 1)
@@ -198,7 +198,7 @@ class TestPropagateToFixpoint:
         assert propagate_to_fixpoint(store, (Ordered(("x", "y"), "le"),)) is None
         assert store.domain_list(1) == [0, 2 * 10**18]
         huge = Domain((-5 * 10**18, *range(100)))
-        for c in (Sum(("x", "y"), (1, 1), Condition("le", 5)), Intension(parse_expr("le(add(x,y),5)"))):
+        for c in (Sum(("x", "y"), (1, 1), Condition("le", 5)), Intension.of(parse_expr("le(add(x,y),5)"))):
             store = DomainStore((Variable("x", huge), Variable("y", huge)))
             assert propagate_to_fixpoint(store, (c,)) is None
             assert store.min_value(0) == -5 * 10**18
@@ -258,7 +258,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("text, count", [("eq(1,1)", 3), ("lt(2,1)", 0), ("ne(add(3,1),4)", 0), ("le(abs(-2),mul(2,1))", 3)])
     def test_a_variable_free_intension_is_a_constant_verdict(self, text, count):
-        inst = make([Variable("x", Domain.rng(0, 2))], [Intension(parse_expr(text))])
+        inst = make([Variable("x", Domain.rng(0, 2))], [Intension.of(parse_expr(text))])
         assert enumerate_all(inst).count == count
         assert solve(inst).status == ("SAT" if count else "UNSAT")
 
@@ -276,7 +276,7 @@ class TestSolve:
         inst = Instance(
             "CSP",
             (Variable("x", Domain.rng(0, 3)), Variable("y", Domain.rng(0, 3))),
-            (Intension(parse_expr("eq(y,x)")),),
+            (Intension.of(parse_expr("eq(y,x)")),),
             None,
             ("x",),
         )
@@ -306,7 +306,7 @@ class TestOptimize:
     def test_unsat_cop(self):
         inst = make(
             [Variable("x", Domain.rng(0, 1)), Variable("y", Domain.rng(0, 1))],
-            [Intension(parse_expr("lt(x,y)")), Intension(parse_expr("lt(y,x)"))],
+            [Intension.of(parse_expr("lt(x,y)")), Intension.of(parse_expr("lt(y,x)"))],
             Objective("minimize", "variable", ("x",)),
         )
         assert optimize(inst).status == "UNSAT"
@@ -316,7 +316,7 @@ class TestEnumerate:
     def test_two_vars_ne(self):
         inst = make(
             [Variable("x", Domain.rng(0, 1)), Variable("y", Domain.rng(0, 1))],
-            [Intension(parse_expr("ne(x,y)"))],
+            [Intension.of(parse_expr("ne(x,y)"))],
         )
         out = enumerate_all(inst)
         assert (out.count, out.exact) == (2, True)
@@ -431,8 +431,9 @@ def _brute_force_gac(allowed, store):
 
 def _holds(text, names):
     """Whether the expression holds on a tuple of values of ``names``."""
-    expr = parse_expr(text)
-    return lambda combo: evaluate(expr, dict(zip(names, combo)))
+    c = Intension.of(parse_expr(text))
+    at = [names.index(v) for v in c.scope]
+    return lambda combo: evaluate(c.template, [combo[i] for i in at])
 
 
 @pytest.mark.parametrize("text, functional", SCAN_EXPRESSIONS)
@@ -441,14 +442,14 @@ def test_intension_gac_pass_equals_brute_force(text, functional):
     the GAC pass on every call, whatever the live product, by a table built
     with the propagator that survives every pop."""
     rng = random.Random(text)
-    names = list(Intension(parse_expr(text)).scope)
+    names = list(Intension.of(parse_expr(text)).scope)
     size = 50 if len(names) == 2 else 13  # initial product above _SCAN_CAP
     store = DomainStore(
         [Variable(n, Domain(tuple(sorted(rng.sample(range(-40, 41), size))))) for n in names]
     )
-    (prop,) = make_propagators([Intension(parse_expr(text))], store)
+    (prop,) = make_propagators([Intension.of(parse_expr(text))], store)
     masks = prop.supports
-    assert masks is not None and (_defined_variable(Intension(parse_expr(text)))[0] is not None) == functional
+    assert masks is not None and (_defined_variable(Intension.of(parse_expr(text)))[0] is not None) == functional
     outcomes, products = set(), set()
     for _ in range(30):
         store.push()
@@ -472,9 +473,9 @@ def test_intension_gac_pass_equals_brute_force(text, functional):
 
 def _intension_above_the_table_cap(text, size):
     def build(rng):
-        names = list(Intension(parse_expr(text)).scope)
+        names = list(Intension.of(parse_expr(text)).scope)
         variables = [Variable(n, Domain(tuple(sorted(rng.sample(range(-60, 61), size))))) for n in names]
-        return variables, Intension(parse_expr(text)), _holds(text, names)
+        return variables, Intension.of(parse_expr(text)), _holds(text, names)
 
     return text, build
 
@@ -637,18 +638,18 @@ def test_social_golfers_intensions_share_one_table():
 
 
 def _compiled_roots(monkeypatch):
-    """The ``(expression, bounds)`` pairs that ``expr.compile_expr`` is
+    """The ``(template, bounds)`` pairs that ``expr.compile_expr`` is
     called on from outside itself, in call order; its recursive calls go
     through the patched name too, so no root means no call at all."""
     roots, depth = [], [0]
     compile_expr = expr.compile_expr
 
-    def counted(e, position, *, bounds):
+    def counted(e, *, bounds):
         if not depth[0]:
             roots.append((e, bounds))
         depth[0] += 1
         try:
-            return compile_expr(e, position, bounds=bounds)
+            return compile_expr(e, bounds=bounds)
         finally:
             depth[0] -= 1
 
@@ -682,9 +683,9 @@ def test_a_build_compiles_one_expression_per_relation_the_memo_builds(generate, 
     ids=["labs-40", "social-golfers-4-4-4"],
 )
 def test_a_build_walks_no_expression(generate, relations, monkeypatch):
-    """An intension works out its scope and positional template once, when
-    it is built, so building its propagator walks its expression for
-    neither; the memo still builds one set of masks per relation."""
+    """An intension is its positional template and its scope, so building
+    its propagator walks no expression; the memo still builds one set of
+    masks per relation."""
     instance = generate()
     walks = []
     scope_and_template = expr.scope_and_template
@@ -694,7 +695,7 @@ def test_a_build_walks_no_expression(generate, relations, monkeypatch):
     monkeypatch.setattr(propagators, "_support_masks", lambda *args: built.append(args) or support_masks(*args))
     make_propagators(instance.constraints, DomainStore(instance.variables))
     assert walks == [] and len(built) == relations
-    Intension(expr.VarRef("x"))  # the counter does see a construction's walk
+    Intension.of(expr.VarRef("x"))  # the counter does see a construction's walk
     assert len(walks) == 1
 
 
@@ -706,12 +707,12 @@ def test_a_build_walks_no_expression(generate, relations, monkeypatch):
 def test_an_intension_above_the_table_cap_compiles_the_closures_its_passes_read(text, size, passes, monkeypatch):
     """Above ``_TABLE_CAP`` rows and ``_SCAN_CAP`` tuples, the residual
     pass reads the value closure and the Sum pass reads terms built from
-    the expression, so a linear intension compiles its value closure only;
+    the template, so a linear intension compiles its value closure only;
     interval filtering reads the bounds closure too."""
     roots = _compiled_roots(monkeypatch)
     variables, constraint, _ = _intension_above_the_table_cap(text, size)[1](random.Random(text))
     (prop,) = make_propagators([constraint], DomainStore(variables))
-    assert roots == [(constraint.expr, bounds) for bounds in passes]
+    assert roots == [(constraint.template, bounds) for bounds in passes]
     assert prop.fn is not None and (prop.linear is not None) == (len(passes) == 1)
 
 
@@ -749,7 +750,7 @@ def test_intensions_share_masks_only_over_one_relation(texts, shared):
     domains are equal, and each pass stays GAC against brute force."""
     rng = random.Random(str(texts))
     store = DomainStore([Variable(n, Domain(tuple(d))) for n, d in _XYZW.items()])
-    props = make_propagators([Intension(parse_expr(text)) for text in texts], store)
+    props = make_propagators([Intension.of(parse_expr(text)) for text in texts], store)
     assert all(p.supports is not None for p in props)
     assert (props[0].supports is props[1].supports) == shared
     for prop, text in zip(props, texts):
@@ -781,7 +782,7 @@ def test_unit_linear_equalities_take_the_offset_pass(text, holes, offset):
     rng = random.Random(text)
     domains = {**_XYZW, **holes}
     store = DomainStore([Variable(n, Domain(tuple(d))) for n, d in domains.items()])
-    (prop,) = make_propagators([Intension(parse_expr(text))], store)
+    (prop,) = make_propagators([Intension.of(parse_expr(text))], store)
     assert (prop.offset is not None, prop.supports is not None) == (offset, not offset)
     _gac_on_random_stores(prop, text, store, rng)
 

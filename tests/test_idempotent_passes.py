@@ -42,7 +42,7 @@ _INTENSIONS = (
 
 def _random_intension(rng, store):
     a, b, c = rng.sample(store.names, 3)
-    return Intension(parse_expr(rng.choice(_INTENSIONS).format(a, b, c, k=rng.randint(-2, 6))))
+    return Intension.of(parse_expr(rng.choice(_INTENSIONS).format(a, b, c, k=rng.randint(-2, 6))))
 
 
 def _random_element(rng, store, constant):
@@ -150,6 +150,6 @@ def test_intension_is_idempotent_without_interval_filtering(text, built):
     may leave a prune for a second call."""
     variables = [Variable(name, Domain.rng(0, 2)) for name in ("a", "b", "i", "v")]
     store = DomainStore(variables + [Variable(name, Domain.rng(0, 49)) for name in ("x", "y", "z")])
-    (prop,) = make_propagators([Intension(parse_expr(text))], store)
+    (prop,) = make_propagators([Intension.of(parse_expr(text))], store)
     passes = [name for name in ("supports", "offset", "linear", "bounds_fn") if getattr(prop, name) is not None]
     assert (passes, prop.idempotent) == ([built], built in ("supports", "offset"))

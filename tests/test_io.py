@@ -2,11 +2,13 @@
 locations, and round-trip identity on hand-built instances."""
 
 import random
+import re
 import time
 import typing
 
 import pytest
 
+import xcspkit.expr
 import xcspkit.io
 from helpers import mutant, refusal
 from xcspkit.errors import (
@@ -151,8 +153,8 @@ def test_group_expansion():
     """
     inst = parse_instance(text)
     assert len(inst.constraints) == 2
-    assert inst.constraints[0] == Intension(parse_expr("lt(x[0],x[1])"))
-    assert inst.constraints[1] == Intension(parse_expr("lt(x[1],x[2])"))
+    assert inst.constraints[0] == Intension.of(parse_expr("lt(x[0],x[1])"))
+    assert inst.constraints[1] == Intension.of(parse_expr("lt(x[1],x[2])"))
 
 
 @pytest.mark.parametrize(
@@ -279,15 +281,16 @@ _GROUP_READS = {
 
 @pytest.mark.parametrize("case", list(_GROUP_READS))
 def test_an_intension_template_reads_as_its_substituted_text(case):
-    """An intension template is read once and each ``<args>`` binds its ids
-    and integers into it. What it reads is what each ``<args>``'s
-    substituted text reads. A refusal of the reader is that of the
-    substituted text when that text is refused, else the binding's own, at
-    its ``<args>``; the model check refuses what the reader takes, such as
-    an undeclared id, at the ``<args>`` of the member it names."""
+    """An intension template is read once and each ``<args>`` puts its ids
+    and integers in for its placeholders. What it reads is what each
+    ``<args>``'s substituted text reads. A refusal of the reader is that of
+    the substituted text when that text is refused, else the entry's own,
+    at its ``<args>``; so is a misspelled id that only an entry makes. The
+    model check refuses what the reader takes, such as an undeclared id,
+    at the ``<args>`` of the member it names."""
     text, expected = _GROUP_READS[case]
     if isinstance(expected, list):
-        assert list(parse_instance(text).constraints) == [Intension(parse_expr(e)) for e in expected]
+        assert list(parse_instance(text).constraints) == [Intension.of(parse_expr(e)) for e in expected]
         return
     error, message, line = expected
     with pytest.raises(error, match=message) as err:
@@ -313,8 +316,74 @@ def test_a_template_is_one_constraint_element(outer, inner):
     assert err.value.location.line == {"group": 4, "slide": 5}[outer]
 
 
+def _walks(monkeypatch) -> list:
+    """The expressions that ``expr.scope_and_template`` walks from now on."""
+    walks: list = []
+    scope_and_template = xcspkit.expr.scope_and_template
+    monkeypatch.setattr(xcspkit.expr, "scope_and_template", lambda e: walks.append(e) or scope_and_template(e))
+    return walks
+
+
+@pytest.mark.parametrize(
+    "generate, members",
+    [(lambda: gen_low_autocorrelation(40), 819), (lambda: gen_social_golfers(4, 4, 4), 720)],
+    ids=["labs-40", "social-golfers-4-4-4"],
+)
+def test_a_canonical_group_walks_its_template_and_no_member(generate, members, monkeypatch):
+    """Reading a written instance walks one expression per ``<intension>``
+    element, a group template or a plain intension, and none per group
+    member: each member is its group's template over its ``<args>``."""
+    instance = generate()
+    text = write_instance(instance)
+    walks = _walks(monkeypatch)
+    assert parse_instance(text) == instance
+    assert sum(isinstance(c, Intension) for c in instance.constraints) == members
+    assert len(walks) <= text.count("<intension>") < members / 10
+
+
+# (document, distinct patterns of its members' entries): a repeated id or
+# an integer folds the template once per pattern
+_FOLDS = {
+    "repeated-id": (_GROUP_READS["repeated-id"][0], 1),
+    "integers": (_GROUP_READS["integers"][0], 3),
+    "placeholder-twice": (_GROUP_READS["placeholder-twice"][0], 1),
+    "patterns-repeated": (_group_of(_LT, "x[0] x[0]", "x[0] 3", "y y", "x[2] 4", "x[1] 3", "x[1] y"), 3),
+    "literal-id-repeated": (_group_of("<intension> le(add(%0,y),3) </intension>", "y", "x[0]", "y"), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_FOLDS))
+def test_a_group_template_is_walked_once_and_folded_once_per_pattern(case, monkeypatch):
+    """A template is walked once, and members with a repeated id or an
+    integer fold it (``io._fold``) once per distinct pattern of entries,
+    to the intensions their substituted texts read to."""
+    text, patterns = _FOLDS[case]
+    folds, depth = [], [0]
+    fold = xcspkit.io._fold
+
+    def counted(template, pattern):
+        if not depth[0]:
+            folds.append(pattern)
+        depth[0] += 1
+        try:
+            return fold(template, pattern)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(xcspkit.io, "_fold", counted)
+    walks = _walks(monkeypatch)
+    constraints = parse_instance(text).constraints
+    assert len(walks) == 1 and len(folds) == len(set(folds)) == patterns
+    template = re.search("<intension> (.*) </intension>", text)[1]
+    texts = [
+        re.sub("%([0-9]+)", lambda m: args.split()[int(m[1])], template)
+        for args in re.findall("<args> (.*) </args>", text)
+    ]
+    assert constraints == tuple(Intension.of(parse_expr(t)) for t in texts)
+
+
 def test_an_args_entry_that_is_no_id_or_integer_is_refused():
-    """An ``<args>`` entry binds a variable id or an integer. One that holds
+    """An ``<args>`` entry is a variable id or an integer. One that holds
     an expression, which reading the substituted text would take, is
     refused at its ``<args>``."""
     with pytest.raises(XmlSyntaxError, match="<args> entry 'add\\(x\\[0\\],y\\)' is no variable id or integer") as err:
@@ -529,10 +598,10 @@ def _in_turn(*constraints) -> Instance:
 @pytest.mark.parametrize(
     "instance",
     [
-        _in_turn(Intension(parse_expr("le(add(x[0],x[1]),1)")), Intension(parse_expr("le(add(x[1],x[2]),2)"))),
-        _in_turn(Intension(parse_expr("le(x[0],x[1])")), Intension(parse_expr("lt(x[1],x[2])"))),
-        _in_turn(Intension(parse_expr("le(x[0],x[1])")), Intension(parse_expr("le(add(x[1],x[1]),x[2])"))),
-        _in_turn(Intension(parse_expr("le(x[0],x[1])")), Extension(("x[1]", "x[2]"), supports(2, [(0, 1)]))),
+        _in_turn(Intension.of(parse_expr("le(add(x[0],x[1]),1)")), Intension.of(parse_expr("le(add(x[1],x[2]),2)"))),
+        _in_turn(Intension.of(parse_expr("le(x[0],x[1])")), Intension.of(parse_expr("lt(x[1],x[2])"))),
+        _in_turn(Intension.of(parse_expr("le(x[0],x[1])")), Intension.of(parse_expr("le(add(x[1],x[1]),x[2])"))),
+        _in_turn(Intension.of(parse_expr("le(x[0],x[1])")), Extension(("x[1]", "x[2]"), supports(2, [(0, 1)]))),
         _in_turn(
             Extension(("x[0]", "x[1]", "x[1]"), supports(3, [(0, 1, 1)])),
             Extension(("x[1]", "x[2]", "x[1]"), supports(3, [(0, 1, 1)])),
@@ -568,7 +637,7 @@ def test_a_slide_joins_the_group_beside_it():
     expected = ["lt(x[2],x[0])", "lt(x[0],x[1])", "lt(x[1],x[2])", "lt(x[2],x[3])", "lt(x[3],x[0])", "lt(x[1],x[0])",
                 "lt(x[2],x[1])"]
     constraints = parse_instance(text).constraints
-    assert list(constraints) == [Intension(parse_expr(e)) for e in expected]
+    assert list(constraints) == [Intension.of(parse_expr(e)) for e in expected]
     written = write_instance(parse_instance(text))
     assert written.count("<group>") == 1 and written.count("<args>") == 7 and "<slide>" not in written
     back = parse_instance(written)
@@ -584,7 +653,7 @@ def test_intension_reads_a_function_child():
     </instance>
     """
     inst = parse_instance(text)
-    assert inst.constraints == (Intension(parse_expr("ne(x,y)")),)
+    assert inst.constraints == (Intension.of(parse_expr("ne(x,y)")),)
     written = write_instance(inst)
     assert "<intension> ne(x,y) </intension>" in written
     assert write_instance(parse_instance(written)) == written
@@ -676,7 +745,7 @@ def _kitchen_sink_instance() -> Instance:
     x = [f"x[{i}]" for i in range(4)]
     grid = (("y[0][0]", "y[0][1]"), ("y[1][0]", "y[1][1]"))
     cs = [
-        Intension(parse_expr("eq(add(x[0],x[1]),z)")),
+        Intension.of(parse_expr("eq(add(x[0],x[1]),z)")),
         Extension((x[0], x[1]), supports(2, [(0, 1), (2, STAR)])),
         Extension((x[0],), conflicts(1, [(1,), (3,)])),
         Regular(
@@ -706,8 +775,8 @@ def _kitchen_sink_instance() -> Instance:
         Extension((x[0], x[1]), conflicts(2, [(1, 1)])),
         Extension((x[1], x[2]), conflicts(2, [(1, 1)])),
         Extension((x[2], x[3]), conflicts(2, [(1, 1)])),
-        Intension(parse_expr("le(x[0],x[1])")),
-        Intension(parse_expr("le(x[1],x[2])")),
+        Intension.of(parse_expr("le(x[0],x[1])")),
+        Intension.of(parse_expr("le(x[1],x[2])")),
         Extension((x[1],), supports(1, [(1,), (2,)])),
         Extension((x[2],), supports(1, [(1,), (2,)])),
     ]
@@ -1008,6 +1077,37 @@ def test_the_model_check_sees_every_id_the_reader_reads(case):
     assert err.value.location.line == line
 
 
+# each document of _UNDECLARED_IDS with ``3q`` in place of ``q``, and a few
+# more misspellings: the document, the line of the element that reads the
+# id, and the id the refusal names
+_MISSPELLED_IDS = {
+    **{case: (re.sub(r"\bq\b", "3q", text), line, "3q") for case, (text, line) in _UNDECLARED_IDS.items()},
+    "element-index-integer": (
+        _naming_q("<element> <list> x[0] x[1] </list> <index> 3 </index> <value> 1 </value> </element>"),
+        4,
+        "3",
+    ),
+    "variable-objective-integer": (_over_x("<objectives>\n<minimize> 3 </minimize>\n</objectives>", "COP"), 4, "3"),
+    "intension-negated-name": (_naming_q("<intension> eq(x[0],-x[1]) </intension>"), 4, "-x[1]"),
+    "intension-function": (_naming_q("<intension> <function>\neq(x[0],3y) </function> </intension>"), 4, "3y"),
+    "group-template": (_naming_q("<group> <intension> lt(%0,-x[1]) </intension>\n<args> x[0] </args> </group>"), 4, "-x[1]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSPELLED_IDS))
+def test_the_reader_refuses_a_misspelled_id_wherever_it_reads_one(case):
+    """Every id the reader reads, an intension's names included, is read
+    through ``expr.ID_RE``: a misspelled one is refused by the reader with
+    one class and message, located at the element that reads it. A group's
+    ``<args>`` entry, which may be an integer too, says so."""
+    text, line, bad = _MISSPELLED_IDS[case]
+    message = f"<args> entry {bad!r} is no variable id or integer" if case == "group-args" else f"bad variable id {bad!r}"
+    with pytest.raises(XmlSyntaxError) as err:
+        parse_instance(text)
+    assert str(err.value) == f"{message} ({err.value.location})"
+    assert err.value.location.line == line
+
+
 # a CSP document whose empty variable is named as the objective section
 EMPTY_OBJECTIVE_VAR = (
     '<instance format="XCSP3" type="CSP">\n<variables> <var id="objective"> </var> </variables>\n</instance>'
@@ -1266,11 +1366,11 @@ def test_every_integer_io_reads_is_a_64_bit_one(site):
 @pytest.mark.parametrize(
     "text, error",
     [
-        # a superscript two passes ``isdigit`` but is no integer, so it is a name
-        (_THREE_VARS.format("<intension> eq(x,\u00b2) </intension>"), InvariantViolationError),
+        # a superscript two passes ``isdigit`` but is no integer, and no id
+        (_THREE_VARS.format("<intension> eq(x,\u00b2) </intension>"), XmlSyntaxError),
         # an Arabic-Indic three is a digit to ``int`` but not to the XCSP3 grammar
         (_ONE_VAR.format(domain="\u0663", supports="0"), XmlSyntaxError),
-        (_THREE_VARS.format("<intension> eq(x,\u0663) </intension>"), InvariantViolationError),
+        (_THREE_VARS.format("<intension> eq(x,\u0663) </intension>"), XmlSyntaxError),
     ],
     ids=["superscript-in-intension", "arabic-indic-in-domain", "arabic-indic-in-intension"],
 )
@@ -1345,7 +1445,7 @@ _TOKEN_ALPHABET = "ax9_0[]()-,  \t\n\x0b\x1c\u00a0\u2003é中\u00b2\u0663\u0301+
 
 def test_the_tokenizer_splits_as_the_character_loop_it_replaced():
     texts = [
-        format_expr(c.expr)
+        format_expr(c.template, c.scope)
         for instance in (gen_low_autocorrelation(40), gen_social_golfers(4, 4, 4))
         for c in instance.constraints
         if isinstance(c, Intension)

@@ -17,7 +17,7 @@ from xcspkit.errors import (
     NotAnOptimizationInstanceError,
     UnboundVariableError,
 )
-from xcspkit.expr import OPS, IntConst, Op, VarRef, compile_expr, evaluate, op, parse_expr
+from xcspkit.expr import OPS, IntConst, Op, VarRef, compile_expr, evaluate, format_expr, op, parse_expr
 from xcspkit.io import parse_instance, write_instance
 from xcspkit.model import (
     _KINDS,
@@ -73,26 +73,35 @@ def test_op_reads_ints_as_constants_and_strings_as_variables():
             op(kind, *operands)
 
 
+def _value(e, binding):
+    """The value of an expression over a binding by name: its template
+    evaluated over the values of its scope."""
+    c = Intension.of(e)
+    return evaluate(c.template, [binding[v] for v in c.scope])
+
+
 class TestEvaluateExpr:
     def test_dist(self):
-        assert evaluate(op("dist", 3, 7), {}) == 4
+        assert _value(op("dist", 3, 7), {}) == 4
 
     def test_eq_add(self):
         e = op("eq", op("add", "x", "y"), "z")
-        assert evaluate(e, dict(x=1, y=2, z=3)) == 1
-        assert evaluate(e, dict(x=1, y=2, z=4)) == 0
+        assert _value(e, dict(x=1, y=2, z=3)) == 1
+        assert _value(e, dict(x=1, y=2, z=4)) == 0
 
     def test_implication_false_antecedent(self):
         e = op("imp", op("eq", "x", 0), op("ne", "y", 0))
-        assert evaluate(e, dict(x=1, y=0)) == 1
+        assert _value(e, dict(x=1, y=0)) == 1
 
     def test_unbound(self):
-        with pytest.raises(UnboundVariableError):
-            evaluate(VarRef("q"), {})
+        """The checker reads the value of each scope variable from the
+        assignment, which refuses one it does not bind."""
+        with pytest.raises(UnboundVariableError, match="'q'"):
+            constraint_satisfied(Intension.of(op("eq", "q", 0)), asg())
 
     def test_parse_roundtrip(self):
         e = parse_expr("imp(eq(x,0),ne(y[2],0))")
-        assert evaluate(e, {"x": 0, "y[2]": 5}) == 1
+        assert _value(e, {"x": 0, "y[2]": 5}) == 1
 
     @pytest.mark.parametrize(
         "text,binding,expected",
@@ -108,7 +117,7 @@ class TestEvaluateExpr:
         ],
     )
     def test_operators(self, text, binding, expected):
-        assert evaluate(parse_expr(text), binding) == expected
+        assert _value(parse_expr(text), binding) == expected
 
 
 
@@ -187,11 +196,11 @@ class TestOperatorTable:
     def test_literal_semantics(self, kind, operands, expected):
         names = [f"a{i}" for i in range(len(operands))]
         e = op(kind, *names)
-        assert evaluate(e, dict(zip(names, operands))) == expected
-        assert evaluate(op(kind, *operands), {}) == expected
-        position = {n: i for i, n in enumerate(names)}
-        assert compile_expr(e, position, bounds=False)(operands) == expected
-        assert compile_expr(e, position, bounds=True)([(v, v) for v in operands]) == (expected, expected)
+        assert _value(e, dict(zip(names, operands))) == expected
+        assert _value(op(kind, *operands), {}) == expected
+        template = Intension.of(e).template
+        assert compile_expr(template, bounds=False)(operands) == expected
+        assert compile_expr(template, bounds=True)([(v, v) for v in operands]) == (expected, expected)
 
     def test_interval_contains_every_value(self):
         rng = random.Random(4242)
@@ -202,16 +211,17 @@ class TestOperatorTable:
             for n in names:
                 lo = rng.randint(-3, 2)
                 box[n] = (lo, lo + rng.randint(0, 3))
-            position = {n: i for i, n in enumerate(names)}
-            fn = compile_expr(e, position, bounds=False)
-            bounds_fn = compile_expr(e, position, bounds=True)
-            lo, hi = bounds_fn([box[n] for n in names])
+            c = Intension.of(e)
+            fn = compile_expr(c.template, bounds=False)
+            bounds_fn = compile_expr(c.template, bounds=True)
+            lo, hi = bounds_fn([box[n] for n in c.scope])
             for values in itertools.product(*(range(box[n][0], box[n][1] + 1) for n in names)):
                 binding = dict(zip(names, values))
-                value = evaluate(e, binding)
+                value = _value(e, binding)
+                point = [binding[n] for n in c.scope]
                 assert lo <= value <= hi, (e, box, binding)
-                assert fn(values) == value, (e, binding)
-                assert bounds_fn([(v, v) for v in values]) == (value, value), (e, binding)
+                assert fn(point) == value, (e, binding)
+                assert bounds_fn([(v, v) for v in point]) == (value, value), (e, binding)
 
 class TestConstraintSatisfied:
     def test_alldifferent(self):
@@ -408,7 +418,7 @@ class TestValidation:
     def test_nonboolean_intension_root(self, root):
         """An intension over any root constructs; an instance refuses a
         root that is not boolean with one report."""
-        c = Intension(root)
+        c = Intension.of(root)
         report = refusal("CSP", (Variable("a", Domain.rng(0, 1)),), (c,))
         assert [(v.code, v.where, v.detail) for v in report] == [
             ("NotBoolean", "constraint 0", "intension root must be a relational or logical operator")
@@ -674,7 +684,7 @@ class TestCheckerTotality:
                     names[:2],
                     Automaton("s", (("s", 0, "s"), ("s", 1, "t"), ("t", 0, "t")), ("t",)),
                 ),
-                Intension(op("le", op("add", names[0], names[1]), names[2])),
+                Intension.of(op("le", op("add", names[0], names[1]), names[2])),
             ]
             c = cands[trial % len(cands)]
             assert constraint_satisfied(c, a) in (True, False)
@@ -686,9 +696,9 @@ class TestCheckerTotality:
 _SHARED = supports(2, [(0, 1), (2,), (1, 2, 3)])
 _TWINS = {
     Intension: (
-        Intension(parse_expr("add(x[0],x[1])")),
-        Intension(op("and", "x[0]", op("le", "x[1]", "u"))),
-        Intension(op("add", op("not", op("add", "x[0]", 1)), 1)),
+        Intension.of(parse_expr("add(x[0],x[1])")),
+        Intension.of(op("and", "x[0]", op("le", "x[1]", "u"))),
+        Intension.of(op("add", op("not", op("add", "x[0]", 1)), 1)),
     ),
     Extension: (
         Extension(("x[0]", "x[1]", "x[2]"), supports(2, [(0, 1)])),
@@ -1003,6 +1013,13 @@ def _intensions(constraints):
     return (c for c in constraints if isinstance(c, Intension))
 
 
+def _reference_expression(template, scope):
+    """The expression that a template over a scope stands for."""
+    if isinstance(template, tuple):
+        return Op(template[0], tuple(_reference_expression(t, scope) for t in template[1:]))
+    return VarRef(scope[template]) if type(template) is int else template
+
+
 def _random_expression(rng, depth):
     """An expression over four names and the constants -1..4, so that
     variables repeat and constants equal positions; any kind of any arity
@@ -1024,7 +1041,7 @@ def _expressions_to_compare():
     instances.append(gen_social_golfers(4, 4, 4))
     for instance in instances:
         for c in _intensions(instance.constraints):
-            yield c.expr
+            yield _reference_expression(c.template, c.scope)
     rng = random.Random(31)
     for _ in range(500):
         yield _random_expression(rng, 4)
@@ -1032,15 +1049,25 @@ def _expressions_to_compare():
 
 
 def test_an_intension_keeps_the_scope_and_template_of_the_walks_it_replaced():
+    """``Intension.of`` gives the scope and template of the reference walks;
+    two intensions, and their hashes, are equal exactly when their
+    expressions are; and each intension's text, written over its scope,
+    reads back to an equal intension."""
     count = 0
+    by_expression: dict = {}
     for expression in _expressions_to_compare():
-        c = Intension(expression)
+        c = Intension.of(expression)
         scope = tuple(dict.fromkeys(_reference_vars(expression)))
         template = _reference_template(expression, {v: i for i, v in enumerate(scope)})
         assert c.scope == scope and constraint_scope(c) == scope
         assert c.template == template and repr(c.template) == repr(template)
+        first = by_expression.setdefault(expression, c)
+        assert first == c and hash(first) == hash(c)
+        assert Intension.of(parse_expr(format_expr(c.template, c.scope))) == c
         count += 1
     assert count > 2000
+    intensions = list(by_expression.values())
+    assert len(set(intensions)) == len({hash(c) for c in intensions}) == len(by_expression) > 1000
 
 
 def _reference_operand_violations(e):
@@ -1066,7 +1093,7 @@ def test_an_intension_report_is_that_of_the_walk_it_replaced():
     templates = set()
     refused = 0
     for expression in _expressions_to_compare():
-        c = Intension(expression)
+        c = Intension.of(expression)
         expected = list(_reference_operand_violations(expression))
         if not (isinstance(expression, Op) and OPS[expression.kind].sort != "int"):
             expected.insert(0, ("NotBoolean", "intension root must be a relational or logical operator"))

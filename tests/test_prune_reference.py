@@ -626,19 +626,19 @@ def test_a_linear_intension_reaches_the_fixpoint_of_interval_filtering(repeats, 
     for _ in range(400):
         store = _store(rng, rng.randint(1, 4), range(-6, 5), 8)
         expression = _random_linear(rng, store.names, repeats)
-        (prop,) = make_propagators([Intension(expression)], store)
+        c = Intension.of(expression)
+        (prop,) = make_propagators([c], store)
         if not prop.scope:
             continue
         assert isinstance(prop, IntensionProp) and prop.linear is not None and not prop.idempotent
-        position = {store.names[x]: i for i, x in enumerate(prop.scope)}
         store.push()
         got = _fixpoint(prop.propagate, store)
         store.pop()
         store.push()
-        bounds_fn = compile_expr(expression, position, bounds=True)
+        bounds_fn = compile_expr(c.template, bounds=True)
         expected = _fixpoint(lambda s: reference_interval_filter(bounds_fn, prop.scope, s), store)
         store.pop()
-        gac = _gac(compile_expr(expression, position, bounds=False), prop.scope, store)
+        gac = _gac(compile_expr(c.template, bounds=False), prop.scope, store)
         pruned += got is not None and got != [store.domain_list(x) for x in range(len(store.names))]
         assert _within(gac, got), expression
         if repeats:
@@ -658,7 +658,7 @@ def test_a_linear_intension_beyond_64_bits_keeps_interval_filtering():
     that pass would round ``x <= 0`` to ``x = 0`` and lose ``x = -1``."""
     store = DomainStore([Variable("x", Domain((-1, *range(9001))))])
     expression = op("le", op("mul", *(2**62 for _ in range(5)), "x"), 0)
-    (prop,) = make_propagators([Intension(expression)], store)
+    (prop,) = make_propagators([Intension.of(expression)], store)
     assert prop.linear is None and prop.bounds_fn is not None
     assert _fixpoint(prop.propagate, store) == [[-1, 0]]
 
@@ -682,7 +682,7 @@ def _random_offset(rng, names):
     ±10**18."""
     far = rng.choice((-1, 1)) * rng.choice((rng.randint(9, 30), 10**18))
     k = far if rng.random() < 0.1 else rng.randint(-4, 4)
-    return Intension(parse_expr(rng.choice(_OFFSETS).format(*rng.sample(names, 3), k=k)))
+    return Intension.of(parse_expr(rng.choice(_OFFSETS).format(*rng.sample(names, 3), k=k)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -704,8 +704,7 @@ def test_one_offset_call_prunes_as_the_compact_table(seed):
             continue
         store.touched.clear()
         domains = [store.init_values[x] for x in prop.scope]
-        position = {store.names[x]: i for i, x in enumerate(prop.scope)}
-        rows = filter(compile_expr(c.expr, position, bounds=False), itertools.product(*domains))
+        rows = filter(compile_expr(c.template, bounds=False), itertools.product(*domains))
         supports = propagators._support_masks(store, prop.scope, rows)
         expected = _one_call(prop, store, lambda p, s: reference_ct_filter(s, p.scope, supports))
         assert _one_call(prop, store, IntensionProp.propagate) == expected, c
@@ -720,7 +719,7 @@ def test_an_offset_past_every_domain_fails_at_the_root(k):
     """An empty relation, as its table was: the shift is clamped, so no
     int of 10**18 bits is built."""
     variables = (Variable("x", Domain.rng(0, 5)), Variable("y", Domain.rng(0, 5)))
-    c = Intension(parse_expr(f"eq(x,add(y,{k}))"))
+    c = Intension.of(parse_expr(f"eq(x,add(y,{k}))"))
     store = DomainStore(variables)
     (prop,) = make_propagators([c], store)
     assert prop.offset is not None

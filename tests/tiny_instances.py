@@ -126,7 +126,7 @@ def random_constraint(rng, names, domains, kind=None):
         scope = pick(rng.randint(1, 3))
         return Extension(scope, _rand_table(rng, scope, domains, rng.choice(("supports", "conflicts"))))
     if kind == "intension":
-        return Intension(_rand_bool(rng, names, 2))
+        return Intension.of(_rand_bool(rng, names, 2))
     if kind == "sum":
         scope = pick(rng.randint(2, 4))
         if rng.random() < 0.15 and n > len(scope):
