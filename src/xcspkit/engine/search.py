@@ -182,11 +182,10 @@ def _improving(objective: Objective, best: int, values) -> Constraint:
 
 
 class _Search:
-    def __init__(self, instance: Instance, config: SearchConfig, mode: str, cap=None, on_bound=None):
+    def __init__(self, instance: Instance, config: SearchConfig, mode: str, on_bound=None):
         self.instance = instance
         self.config = config
         self.mode = mode  # sat | count | optimize
-        self.cap = cap
         self.on_bound = on_bound
         self.store = store = DomainStore(instance.variables)
         props = make_propagators(instance.constraints, store)
@@ -280,8 +279,6 @@ class _Search:
                         count += 1
                         if witness is None:
                             witness = self._witness()
-                        if self.cap is not None and count >= self.cap:
-                            return finish(False)
                     else:
                         witness = self._witness()
                         best = objective_value(self.instance.objective, witness)
@@ -337,8 +334,8 @@ def optimize(instance: Instance, config: SearchConfig | None = None, on_bound=No
     return _Search(instance, config or SearchConfig(), "optimize", on_bound=on_bound).run()
 
 
-def enumerate_all(instance: Instance, cap: int = 10**9, config: SearchConfig | None = None) -> EnumerationResult:
-    """Count distinct solutions, stopping at ``cap``. The instance is valid
-    by construction, so only its kind is checked."""
+def enumerate_all(instance: Instance, config: SearchConfig | None = None) -> EnumerationResult:
+    """Count distinct solutions, to exhaustion or the time limit. The
+    instance is valid by construction, so only its kind is checked."""
     _require_kind(instance, "CSP")
-    return _Search(instance, config or SearchConfig(), "count", cap=cap).run()
+    return _Search(instance, config or SearchConfig(), "count").run()

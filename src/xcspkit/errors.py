@@ -26,10 +26,6 @@ class UnboundVariableError(XcspError):
         self.var_id = var_id
 
 
-class ArityMismatchError(XcspError):
-    pass
-
-
 class ScopeMismatchError(XcspError):
     pass
 

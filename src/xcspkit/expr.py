@@ -1,12 +1,16 @@
 """Expressions and templates of intensional constraints.
 
-An expression is a tree of immutable nodes (``IntConst``, ``VarRef``,
-``Op``), as ``parse_expr`` reads it and the generators build it with
-``op``. A template is the form the model keeps: the expression with each
-variable replaced by its position in a scope and each operator by
-``(kind, *children)``; a constant stays an ``IntConst``, so it never
-equals a position. ``scope_and_template`` is the one walk from the first
-to the second, and ``model.Intension.of`` the one place that runs it.
+An expression is a tree of plain tuples, as ``parse_expr`` reads it and
+the generators build it with ``op``: an operator node is ``(kind,
+*operands)``, and an operand is a node, a variable id (a ``str``) or an
+integer constant (an ``int``). A template is the form the model keeps: the
+expression with each variable id replaced by its position in a scope and
+each constant by its ``IntConst``, so a constant never equals a position.
+``scope_and_template`` is the one walk from the first to the second, and
+``model.Intension.of`` the one place that runs it. Neither ``op`` nor the
+walk checks anything: the model checks each distinct template once (its
+operators and their arities by ``operator_error``, its nodes and its
+positions), and ``parse_expr`` refuses a text by the same rule.
 Relational and logical operators evaluate to 0/1 integers so booleans can
 appear inside arithmetic (e.g. ``add(b, w)`` over 0/1 terms).
 
@@ -26,10 +30,10 @@ import operator
 import re
 from typing import Any, Callable, NamedTuple, Sequence, Union
 
-from .errors import ArityMismatchError
 from .record import record
 
-Expr = Union["IntConst", "VarRef", "Op"]
+#: an expression: an operator node ``(kind, *operands)``, a variable id or an int
+Expr = Union[str, int, tuple]
 #: an expression over scope positions (``scope_and_template``)
 Template = Union[int, "IntConst", tuple]
 Interval = tuple[int, int]
@@ -40,6 +44,9 @@ INT_RE = re.compile(r"[+-]?[0-9]+")
 #: the one identifier grammar, matched whole (``fullmatch``): a stem and its
 #: ``[i]`` indices, ASCII digits only
 ID_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)((?:\[[0-9]+\])*)")
+#: a ``<group>`` or ``<slide>`` template's ``%k`` placeholder, a name that
+#: ``parse_expr`` reads when asked
+PLACEHOLDER_RE = re.compile(r"%([0-9]+)")
 #: XCSP3 integers are 64-bit
 INT64_MAX = 2**63 - 1
 #: the deepest operator nesting ``parse_expr`` accepts; the checker, the
@@ -159,45 +166,38 @@ class IntConst:
     value: int
 
 
-@record
-class VarRef:
-    var_id: str
+def operator_error(kind: str, n: int) -> str | None:
+    """Why ``kind`` over ``n`` operands is no operator of ``OPS`` at its
+    arity, or None when it is: the one rule of texts and of templates."""
+    spec = OPS.get(kind)
+    if spec is None:
+        return f"unknown operator {kind!r}"
+    lo, hi = spec.min_arity, spec.max_arity
+    if n < lo or (hi is not None and n > hi):
+        return f"operator {kind!r} takes {lo}{'+' if hi is None else ''} operands, got {n}"
+    return None
 
 
-@record
-class Op:
-    kind: str
-    children: tuple[Expr, ...]
-
-    def __post_init__(self):
-        spec = OPS.get(self.kind)
-        if spec is None:
-            raise ArityMismatchError(f"unknown operator {self.kind!r}")
-        lo, hi = spec.min_arity, spec.max_arity
-        n = len(self.children)
-        if n < lo or (hi is not None and n > hi):
-            raise ArityMismatchError(f"operator {self.kind!r} takes {lo}{'+' if hi is None else ''} operands, got {n}")
-
-
-def op(kind: str, *operands: int | str | Expr) -> Op:
-    """The one expression builder: the ``kind`` node over ``operands``, where
-    an int is an ``IntConst``, a str a ``VarRef`` and an ``Expr`` is kept."""
-    children = [IntConst(x) if isinstance(x, int) else VarRef(x) if isinstance(x, str) else x for x in operands]
-    return Op(kind, tuple(children))
+def op(kind: str, *operands: Expr) -> tuple:
+    """The one expression builder: the ``kind`` node over ``operands``,
+    each a node, a variable id or an int constant."""
+    return (kind, *operands)
 
 
 def scope_and_template(expression: Expr) -> tuple[tuple[str, ...], Template]:
     """The one walk that finds an expression's variables. The scope is its
     distinct variable ids in order of first appearance; the template is
-    the expression with each variable replaced by its position in the
-    scope and each operator by ``(kind, *children)``. A constant stays an
-    ``IntConst``, so it never equals a position."""
+    the expression with each id replaced by its position in the scope and
+    each int by its ``IntConst``, so a constant never equals a position.
+    Any other leaf is kept, for the model to refuse."""
     position: dict[str, int] = {}
 
     def walk(e):
-        if isinstance(e, Op):
-            return (e.kind, *map(walk, e.children))
-        return position.setdefault(e.var_id, len(position)) if isinstance(e, VarRef) else e
+        if type(e) is tuple:
+            return (*e[:1], *map(walk, e[1:]))
+        if type(e) is str:
+            return position.setdefault(e, len(position))
+        return IntConst(e) if type(e) is int else e
 
     template = walk(expression)
     return tuple(position), template
@@ -206,10 +206,6 @@ def scope_and_template(expression: Expr) -> tuple[tuple[str, ...], Template]:
 def mentions(template: Template, i: int) -> bool:
     """Whether a template holds scope position ``i``."""
     return any(mentions(child, i) for child in template[1:]) if isinstance(template, tuple) else template == i
-
-
-def is_boolean(template: Template) -> bool:
-    return isinstance(template, tuple) and OPS[template[0]].sort != "int"
 
 
 def evaluate(template: Template, values: Sequence[int]) -> int:
@@ -260,8 +256,10 @@ class BadIdError(ExprSyntaxError):
     """A name of an expression that is no ``ID_RE`` id."""
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse functional prefix syntax (the only accepted intension form)."""
+def parse_expr(text: str, placeholders: bool = False) -> Expr:
+    """Parse functional prefix syntax (the only accepted intension form).
+    A name is a variable id (``ID_RE``), or with ``placeholders`` also a
+    ``%k`` placeholder, which a ``<group>`` or ``<slide>`` template names."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -273,7 +271,7 @@ def parse_expr(text: str) -> Expr:
         pos += 1
         value = int64(tok)
         if value is not None:
-            return IntConst(value)
+            return value
         if INT_RE.fullmatch(tok):
             raise ExprSyntaxError(f"{tok!r} is outside the 64-bit integers")
         if tok in "(),":
@@ -284,20 +282,20 @@ def parse_expr(text: str) -> Expr:
             if depth == MAX_DEPTH:
                 raise ExprSyntaxError(f"operators nested deeper than {MAX_DEPTH}")
             pos += 1
-            children = [parse_node(depth + 1)]
+            node = [tok, parse_node(depth + 1)]
             while pos < len(tokens) and tokens[pos] == ",":
                 pos += 1
-                children.append(parse_node(depth + 1))
+                node.append(parse_node(depth + 1))
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ExprSyntaxError(f"missing ')' in {text!r}")
             pos += 1
-            try:
-                return Op(tok, tuple(children))
-            except ArityMismatchError as exc:
-                raise ExprSyntaxError(str(exc)) from None
-        if not ID_RE.fullmatch(tok):
+            wrong = operator_error(tok, len(node) - 1)
+            if wrong:
+                raise ExprSyntaxError(wrong)
+            return tuple(node)
+        if not (ID_RE.fullmatch(tok) or placeholders and PLACEHOLDER_RE.fullmatch(tok)):
             raise BadIdError(f"bad variable id {tok!r}")
-        return VarRef(tok)
+        return tok
 
     node = parse_node(0)
     if pos != len(tokens):
@@ -305,10 +303,11 @@ def parse_expr(text: str) -> Expr:
     return node
 
 
-#: the first character that no token starts or continues with
-_BAD_CHAR_RE = re.compile(r"[^\s(),\w\[\]-]")
+#: the first character that no token starts or continues with: a ``%``
+#: only begins the ASCII digits of a placeholder
+_BAD_CHAR_RE = re.compile(r"[^\s(),\w\[\]%-]|%(?![0-9])")
 #: a token: punctuation, a lone or leading ``-``, or a name or number
-_TOKEN_RE = re.compile(r"[(),]|-[\w\[\]]*|[\w\[\]]+")
+_TOKEN_RE = re.compile(r"[(),]|-[\w\[\]%]*|[\w\[\]%]+")
 
 
 def _tokenize(text: str) -> list[str]:

@@ -102,8 +102,15 @@ def _pct(numerator: int, denominator: int) -> int:
     return (200 * numerator + denominator) // (2 * denominator)
 
 
-def _ties_best(r: RunRecord, best_bound: dict[str, int]) -> bool:
-    return r.status in CLAIMS_WITH_BOUND and r.bound is not None and r.bound == best_bound[r.instance_id]
+def _scorer(senses: dict[str, str]):
+    """The one rule of which of two bounds is better: the function of a
+    record to its bound's score under its instance's sense (minimize when
+    absent), lower being better."""
+    return lambda r: -r.bound if senses.get(r.instance_id) == "maximize" else r.bound
+
+
+def _ties_best(r: RunRecord, best: dict[str, RunRecord]) -> bool:
+    return r.status in CLAIMS_WITH_BOUND and r.bound is not None and r.bound == best[r.instance_id].bound
 
 
 def _demote_contradictions(records: list[RunRecord], senses: dict[str, str]) -> list[RunRecord]:
@@ -112,10 +119,7 @@ def _demote_contradictions(records: list[RunRecord], senses: dict[str, str]) -> 
     claim on their instance is false. An OPTIMUM and a verified bound
     strictly better than it under the instance's sense (minimize when
     absent) contradict each other, and both are demoted."""
-
-    def score(r: RunRecord) -> int:  # lower is better
-        return -r.bound if senses.get(r.instance_id) == "maximize" else r.bound
-
+    score = _scorer(senses)
     witnessed: set[str] = set()
     best: dict[str, int] = {}  # per instance, the best verified bound's score
     worst_optimum: dict[str, int] = {}  # and the worst OPTIMUM's
@@ -184,15 +188,14 @@ def score_track(
         seen.add(pair)
     everyone = _demote_contradictions(everyone, senses or {})
     solvers: dict[str, list[RunRecord]] = {}
-    best_bound: dict[str, int] = {}
+    best: dict[str, RunRecord] = {}  # per instance, the record of the best bound
     for r in everyone:
         solvers.setdefault(r.solver_id, []).append(r)
         if r.status in CLAIMS_WITH_BOUND and r.bound is not None:
-            pick = min if (senses or {}).get(r.instance_id, "minimize") == "minimize" else max
-            best_bound[r.instance_id] = pick(best_bound.get(r.instance_id, r.bound), r.bound)
+            best[r.instance_id] = min(best.get(r.instance_id, r), r, key=_scorer(senses or {}))
 
     def tally(recs) -> dict[str, int]:
-        return {name: len({r.instance_id for r in recs if hit(r, best_bound)}) for name, hit in _TALLIES[mode].items()}
+        return {name: len({r.instance_id for r in recs if hit(r, best)}) for name, hit in _TALLIES[mode].items()}
 
     score_of = "best_known_count" if rank_by_best else "solved_count"
     vbs_counts = tally(everyone)

@@ -35,14 +35,17 @@ is written as one ``<group>``: the first of them renamed to ``%0``,
 ``%0``, ``%1``, ...), and each one's distinct ids as an ``<args>``.
 
 A ``<group>``'s or ``<slide>``'s template is one constraint element: a
-``<group>``, ``<slide>`` or ``<block>`` there is refused. It is read once
-(``_template_reader``). An ``<intension>`` template is read once into its
-template and the placeholder each position stands for, and a placeholder
-must be a whole operand. A member whose ``<args>`` are distinct ids is
-that template over them: no expression is built or walked per member. A
-repeated id or an integer entry folds the template once per pattern of
-entries. Any other template is instantiated by substituting its text, and
-its subtrees without a placeholder are shared, not copied.
+``<group>``, ``<slide>`` or ``<block>`` there is refused, and so is a
+``%...`` placeholder. An ``<intension>`` template is read once, as
+written (``_template_reader``): its expression names each ``%k`` as a
+name of the same tree, so its ``Intension`` is the template over a scope
+of placeholders and the ids it names itself. Each member's ``<args>``
+entries are read once, each an id or an integer, at that ``<args>``; a
+member whose placeholders take distinct ids is the template over them, so
+no expression is built or walked per member, and a repeated id or an
+integer entry folds the template once per pattern of entries. Any other
+template is instantiated by substituting its text, and its subtrees
+without a placeholder are shared, not copied.
 
 Each distinct table is parsed once per call, and written once per run of
 its extensions. ``parse_instance`` keys every ``<supports>``/``<conflicts>``
@@ -67,7 +70,6 @@ from .errors import (
     LengthMismatchError,
     SourceLocation,
     UnsupportedFeatureError,
-    XcspError,
     XmlSyntaxError,
 )
 from .model import (
@@ -105,8 +107,6 @@ from .model import (
 _RANGE_RE = re.compile(rf"({_expr.INT_RE.pattern})\.\.({_expr.INT_RE.pattern})")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 _SIZE_RE = re.compile(r"\[([0-9]+)\]")
-# a group template's %k placeholder
-_PLACEHOLDER_RE = re.compile(r"%([0-9]+)")
 # the most values one range of a domain or of a unary table may list, and
 # the most cells of an array
 _RANGE_CAP = 1 << 20
@@ -356,9 +356,9 @@ def _read_limit(node: _Node) -> int:
     return cond.rhs
 
 
-def _read_intension(node: _Node) -> Intension:
+def _read_intension(node: _Node, placeholders: bool = False) -> Intension:
     try:
-        return Intension.of(_expr.parse_expr(node.text))
+        return Intension.of(_expr.parse_expr(node.text, placeholders))
     except _expr.BadIdError as exc:
         raise XmlSyntaxError(str(exc), node.loc) from None
     except _expr.ExprSyntaxError as exc:
@@ -453,6 +453,10 @@ _LAYOUTS: dict[type, _Layout] = {
 _BY_TAG: dict[str, list[tuple[type, _Layout]]] = {}
 for _cls, _layout in _LAYOUTS.items():
     _BY_TAG.setdefault(_layout.tag, []).append((_cls, _layout))
+# an ``<intension>`` template of a ``<group>`` or ``<slide>``, whose
+# expression may name ``%k`` placeholders
+_TEMPLATE = _Child("function", _INTENSION._replace(read=lambda n: _read_intension(n, placeholders=True)))
+_INTENSION_TEMPLATE = [(Intension, _LAYOUTS[Intension]._replace(children=(_TEMPLATE,)))]
 
 
 def _group_children(node: _Node, most: dict[str, int | None]) -> dict[str, list[_Node]]:
@@ -470,8 +474,10 @@ def _group_children(node: _Node, most: dict[str, int | None]) -> dict[str, list[
     return groups
 
 
-def _read_layout(node: _Node) -> Constraint:
-    candidates = _BY_TAG[node.tag]
+def _read_layout(node: _Node, candidates=None) -> Constraint:
+    """The constraint of ``node`` under the first of ``candidates`` (by
+    default its tag's ``(class, layout)`` pairs) whose first child it has."""
+    candidates = candidates or _BY_TAG[node.tag]
     present = {child.tag for child in node.children}
     cls, layout = next((entry for entry in candidates if entry[1].children[0].tag in present), candidates[0])
     groups = _group_children(node, {spec.tag: spec.most for spec in layout.children})
@@ -654,10 +660,8 @@ def _substitute(node: _Node, args: list[str]) -> _Node:
     (a table body, say) is normalised, keyed and read once per template."""
     text = node.text
     if "%" in text:
-        if "%..." in text:
-            raise UnsupportedFeatureError("group remaining-args placeholder '%...'", node.loc)
         # callers pass at least ``_template_arity(node)`` ids
-        text = _PLACEHOLDER_RE.sub(lambda m: args[int(m.group(1))], text)
+        text = _expr.PLACEHOLDER_RE.sub(lambda m: args[int(m.group(1))], text)
     children = [_substitute(c, args) for c in node.children]
     if text is node.text and all(map(operator.is_, children, node.children)):
         return node
@@ -717,70 +721,41 @@ def _parse_windows(node: _Node, tables: dict) -> list[Constraint]:
 def _template_reader(template: _Node, tables: dict) -> Callable[[list[str], _Node], Constraint]:
     """The reader of a ``<group>``'s or ``<slide>``'s template: a function
     of one instance's ids and the element that lists them, giving the
-    constraint that ``_parse_constraint`` reads from the template's text
-    with those ids put in for its placeholders.
+    constraint that the template stands for with those ids put in for its
+    placeholders.
 
-    An ``<intension>`` template is read once, at its first instance, each
-    ``%k`` as a placeholder (``_intension_shape``), into its
-    ``Intension.template`` and the entry each position of its scope takes.
-    An instance whose entries are distinct ids is that template over them;
-    one with a repeated id or an integer takes the template folded by the
-    pattern of its entries (``_fold``), once per pattern. So no expression
-    is built or walked per instance. Any other template is read per
-    instance from ``_substitute``. An instance that the intension shape
-    cannot give is refused with the error its substituted text reads with.
-    When that text reads, because a placeholder is no whole operand or an
-    entry is an expression, it is refused with the shape's error, at the
-    template, or the entry's, at its ``<args>``; and with the entry's when
-    the text is refused only for a misspelled id that the entry makes."""
+    An ``<intension>`` template is read once, as written, at its first
+    instance, each ``%k`` a name of its expression (``_INTENSION_TEMPLATE``):
+    its ``Intension`` is the template over a scope of placeholders and of
+    the ids that the template names itself. Each instance's entries are
+    read once, each an id or an integer, at the element that lists them
+    (``_operand``). An instance whose placeholders take distinct ids is
+    that template over them; one with a repeated id or an integer takes
+    the template folded by the pattern of its entries (``_fold``), once
+    per pattern. So no expression is built or walked per instance. Any
+    other template is read per instance from ``_substitute``."""
     if template.tag != "intension":
         return lambda args, at: _parse_constraint(_substitute(template, args), tables)
-    shape = None
+    shape = slots = None
     folded: dict[tuple, _expr.Template] = {}  # pattern of entries -> the template it folds to
 
     def read(args: list[str], at: _Node) -> Constraint:
-        nonlocal shape
-        try:
-            shape = shape or _intension_shape(template)
-            operands = [_operand(args[k] if type(k) is int else k, at) for k in shape[1]]
-        except XcspError:
-            try:
-                _parse_constraint(_substitute(template, args), tables)
-            except XmlSyntaxError:
-                # once the shape reads, that is a misspelled id an entry makes
-                if shape is None:
-                    raise
-            raise
+        nonlocal shape, slots
+        if shape is None:
+            shape = _read_layout(template, _INTENSION_TEMPLATE)
+            # per position of the scope, the k of its %k, or the id it names
+            slots = [int(v[1:]) if v[0] == "%" else v for v in shape.scope]
+        entries = [_operand(tok, at) for tok in args]
+        operands = [entries[k] if type(k) is int else k for k in slots]
         ids = tuple(dict.fromkeys(o for o in operands if type(o) is str))
         if len(ids) == len(operands):
-            return Intension(shape[0], ids)
+            return Intension(shape.template, ids)
         pattern = tuple(ids.index(o) if type(o) is str else o for o in operands)
         if pattern not in folded:
-            folded[pattern] = _fold(shape[0], pattern)
+            folded[pattern] = _fold(shape.template, pattern)
         return Intension(folded[pattern], ids)
 
     return read
-
-
-def _intension_shape(template: _Node) -> tuple[_expr.Template, tuple]:
-    """``(t, entries)`` of an ``<intension>`` template: ``t`` is the
-    ``Intension.template`` of its text with each ``%k`` read as the id
-    ``{stem}{k}``, where ``stem`` is ``x`` and as many ``_`` as make it a
-    text that no text of the template holds; ``entries`` gives per position
-    of its scope the ``k`` of its placeholder, or the id the template
-    itself names there. A placeholder must be a whole operand."""
-    texts = " ".join(n.text for n in (template, *template.children))
-    stem = "x"
-    while stem in texts:
-        stem += "_"
-    placeholders = {f"{stem}{k}": k for k in range(_template_arity(template))}
-    try:
-        c = _parse_constraint(_substitute(template, list(placeholders)), {})
-    except XcspError:
-        c = None
-    if c is None or any(stem in vid and vid not in placeholders for vid in c.scope):
-        raise UnsupportedFeatureError("intension template whose placeholder is no whole operand", template.loc)
-    return c.template, tuple(placeholders.get(vid, vid) for vid in c.scope)
 
 
 def _operand(tok: str, at: _Node) -> Union[str, _expr.IntConst]:
@@ -788,7 +763,7 @@ def _operand(tok: str, at: _Node) -> Union[str, _expr.IntConst]:
     integer of the expression grammar, which has no ``+`` sign."""
     if _expr.ID_RE.fullmatch(tok):
         return tok
-    value = None if tok.startswith("+") else _expr.int64(tok)
+    value = None if tok.startswith("+") else _int(tok, at.loc)
     if value is None:
         raise XmlSyntaxError(f"<args> entry {tok!r} is no variable id or integer", at.loc)
     return _expr.IntConst(value)
@@ -893,7 +868,11 @@ def _parse_table(polarity: str, arity: int, text: str, loc: SourceLocation) -> T
 
 
 def _template_arity(node: _Node) -> int:
-    best = max((int(m.group(1)) for m in _PLACEHOLDER_RE.finditer(node.text)), default=-1)
+    """One more than the largest ``k`` of a ``%k`` in a template's texts;
+    a ``%...`` placeholder is refused."""
+    if "%..." in node.text:
+        raise UnsupportedFeatureError("group remaining-args placeholder '%...'", node.loc)
+    best = max((int(m.group(1)) for m in _expr.PLACEHOLDER_RE.finditer(node.text)), default=-1)
     for child in node.children:
         best = max(best, _template_arity(child) - 1)
     return best + 1

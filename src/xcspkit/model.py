@@ -11,20 +11,25 @@ report is empty. So the parser, the writer, the search and the checkers
 take any ``Instance`` as valid, and check it no more.
 
 ``_KINDS`` is the one constraint catalogue: a row per constraint class
-holds the attributes that carry its variable ids, its satisfaction check
-and its well-formedness check. ``constraint_scope``,
-``constraint_satisfied`` and ``validate_instance`` read the row, so a
-class's semantics live in one place; ``io._LAYOUTS`` holds its XML layout
-and ``engine.propagators._PROPAGATORS`` its propagator. An ``Intension``
-is its positional template and its scope, like every positional row's
-variable attribute: ``Intension.of`` is the one walk from an expression to
-the two (``expr.scope_and_template``), and every reader, the checker
-included, reads the template by position.
+holds the attributes that carry its variable ids (in ``_TERMS``, integers
+too), its satisfaction check and its well-formedness check.
+``constraint_scope``, ``constraint_satisfied`` and ``validate_instance``
+read the row, so a class's semantics live in one place; ``io._LAYOUTS``
+holds its XML layout and ``engine.propagators._PROPAGATORS`` its
+propagator. An entry of those attributes that is no id (nor an integer
+where ``_TERMS`` allows one) is refused as ``BadEntry``. An ``Intension`` is
+its positional template and its scope, like every positional row's
+variable attribute: ``Intension.of`` is the one walk from an expression
+(``expr``'s tuple tree) to the two (``expr.scope_and_template``), and
+every reader, the checker included, reads the template by position. The
+validator is the one check of a template, made once per distinct
+template: its operators, their arities and sorts, its nodes, and its
+positions, which must be exactly those of a scope of distinct ids.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import expr as _expr
 from .errors import (
@@ -33,7 +38,7 @@ from .errors import (
     ScopeMismatchError,
     UnboundVariableError,
 )
-from .expr import ID_RE, INT64_MAX, Expr, Template, evaluate, is_boolean
+from .expr import ID_RE, INT64_MAX, Expr, IntConst, Template, evaluate
 from .record import record
 
 #: Wildcard table entry matching any domain value.
@@ -193,7 +198,9 @@ class Intension:
     """A constraint that an expression holds, kept as its positional
     ``template`` over its ``scope`` (``expr.scope_and_template``). Two
     expressions are equal exactly when their templates and scopes are, so
-    equality and hashing keep the expression's meaning."""
+    equality and hashing keep the expression's meaning. Built directly,
+    the two are checked when an ``Instance`` holds them
+    (``_intension_violations``)."""
 
     template: Template
     scope: tuple[str, ...]
@@ -508,30 +515,49 @@ def _condition_violations(cond: Condition):
         yield "BadCondition", "operator 'in' requires an interval rhs"
 
 
-#: the expression node that a template entry stands for, as a report names it
-_NODES = {int: "VarRef", _expr.IntConst: "IntConst", tuple: "Op"}
+def _sort(t) -> str | None:
+    """The sort of a template node: its operator's, ``int`` for a position
+    or a constant, None for any other node."""
+    if type(t) is tuple:
+        return _expr.OPS[t[0]].sort if t and t[0] in _expr.OPS else None
+    return "int" if type(t) in (int, IntConst) else None
 
 
-def _operand_violations(t: Template):
-    if not isinstance(t, tuple):
-        return
-    if _expr.OPS[t[0]].sort == "logic":
+def _node_violations(t: Template, positions: set):
+    """The violations of a template node and of the nodes below it; the
+    positions it holds are added to ``positions``."""
+    if type(t) is int:
+        positions.add(t)
+    elif type(t) is tuple and t:
+        wrong = _expr.operator_error(t[0], len(t) - 1)
+        if wrong:
+            yield "BadOperator", wrong
+        elif _expr.OPS[t[0]].sort == "logic":
+            for child in t[1:]:
+                if _sort(child) == "int":
+                    yield "NotBoolean", f"{t[0]} requires boolean operands, got an integer one"
         for child in t[1:]:
-            if not is_boolean(child):
-                yield "NotBoolean", f"{t[0]} requires boolean operands, got {_NODES[type(child)]}"
-    for child in t[1:]:
-        yield from _operand_violations(child)
+            yield from _node_violations(child, positions)
+    elif not (type(t) is IntConst and type(t.value) is int):
+        yield "BadNode", f"{t!r} is no position, IntConst or operator"
 
 
 def _intension_violations(c: Intension, memo: dict):
     """``memo`` maps ``(Intension, template)`` to the violations of that
-    ``Intension.template``, so the validating call walks each distinct
-    template once."""
+    ``Intension.template`` and the count of its positions when they are
+    ``0..count-1`` (else -1), so the validating call walks each distinct
+    template once. The positions must be exactly ``0..len(scope)-1``, over
+    a scope of distinct ids."""
     key = (Intension, c.template)
     if key not in memo:
-        root = _unless(is_boolean(c.template), "NotBoolean", "intension root must be a relational or logical operator")
-        memo[key] = [*root, *_operand_violations(c.template)]
-    return memo[key]
+        positions: set = set()
+        root = _unless(_sort(c.template) != "int", "NotBoolean", "intension root must be a relational or logical operator")
+        found = [*root, *_node_violations(c.template, positions)]
+        memo[key] = found, len(positions) if positions == set(range(len(positions))) else -1
+    found, size = memo[key]
+    if size == len(c.scope) == len(set(c.scope)):
+        return found
+    return [*found, ("ScopeMismatch", f"the template's positions are not those of a scope of distinct ids {c.scope}")]
 
 
 def _extension_violations(c: Extension, memo: dict):
@@ -587,11 +613,18 @@ class _Kind(NamedTuple):
     its well-formedness check ``(c, memo)``, which yields ``(code,
     detail)`` pairs (``memo`` is the validating call's memo of the checks
     that constraints share: per table, see ``_extension_violations``, and
-    per intension template, see ``_intension_violations``)."""
+    per intension template, see ``_intension_violations``). Each entry of
+    ``vars`` is an id, or an integer in one of ``_TERMS`` (``_entries``)."""
 
     vars: tuple[str, ...]
     satisfied: Callable[..., bool]
     violations: Callable[..., Iterable[tuple[str, str]]]
+
+
+#: the attributes of ``_Kind.vars`` whose entries may be integers too: a
+#: sum's coefficients, a condition's right-hand side, an element's value and
+#: a noOverlap's boxes (their lengths)
+_TERMS = frozenset({"coeffs", "condition", "value", "boxes"})
 
 
 #: the constraint catalogue, one row per class
@@ -648,8 +681,9 @@ _KINDS = {
     NoOverlap: _Kind(
         ("boxes",),
         _no_overlap_satisfied,
-        lambda c, memo: _unless(
-            len(c.origins) == len(c.lengths), "LengthMismatch", "origins and lengths differ in item count"
+        lambda c, memo: (
+            *_unless(len(c.origins) == len(c.lengths), "LengthMismatch", "origins and lengths differ in item count"),
+            *_unless(all(isinstance(v, str) for v in _leaves(c.origins)), "BadEntry", "an origins entry is no variable id"),
         ),
     ),
     Cumulative: _Kind(
@@ -680,24 +714,37 @@ def _kind(c) -> _Kind:
         raise TypeError(f"unknown constraint {type(c).__name__}") from None
 
 
-def _ids(value) -> Iterator[str]:
-    """Variable ids in an attribute that a ``_KINDS`` row names, repeats
-    included: the strings of nested tuples and a condition's variable rhs."""
-    if isinstance(value, str):
-        yield value
-    elif isinstance(value, tuple):
-        for item in value:
-            if isinstance(item, str):
-                yield item
-            else:
-                yield from _ids(item)
-    elif isinstance(value, Condition):
-        yield from _ids(value.rhs)
+def _leaves(value) -> Sequence:
+    """The entries of an attribute that a ``_KINDS`` row names, repeats
+    included: the leaves of nested tuples and a condition's rhs. A tuple
+    that nests nothing is its own leaves."""
+    if isinstance(value, Condition):
+        return _leaves(value.rhs)
+    if not isinstance(value, tuple):
+        return (value,)
+    if {tuple, Condition}.isdisjoint(map(type, value)):
+        return value
+    return [leaf for item in value for leaf in _leaves(item)]
+
+
+def _entries(c: Constraint, kind: _Kind) -> tuple[dict, list[str]]:
+    """The variable ids of ``kind.vars``, in order of first appearance, and
+    why each entry there that is no id, nor an int in one of ``_TERMS``, is
+    refused."""
+    ids: dict = {}
+    bad = []
+    for name in kind.vars:
+        for v in _leaves(getattr(c, name)):
+            if isinstance(v, str):
+                ids[v] = None
+            elif not (name in _TERMS and isinstance(v, int)):
+                bad.append(f"{name} entry {v!r} is no variable id{' or integer' if name in _TERMS else ''}")
+    return ids, bad
 
 
 def constraint_scope(c: Constraint) -> tuple[str, ...]:
     """Referenced variable ids, in order of first appearance."""
-    return tuple(dict.fromkeys(v for name in _kind(c).vars for v in _ids(getattr(c, name))))
+    return tuple(_entries(c, _kind(c))[0])
 
 
 def constraint_kind(c: Constraint) -> str:
@@ -773,14 +820,19 @@ def validate_instance(instance: Instance) -> list[Violation]:
     for idx, c in enumerate(instance.constraints):
         where = f"constraint {idx}"
         try:
-            scope = constraint_scope(c)
+            kind = _kind(c)
         except TypeError as exc:
             report.append(Violation("UnknownConstraint", where, str(exc)))
             continue
+        scope, bad = _entries(c, kind)
         for vid in scope:
             if vid not in ids:
                 report.append(Violation("UnknownVariable", where, f"references undeclared variable {vid!r}"))
-        report.extend(Violation(code, where, detail) for code, detail in _KINDS[type(c)].violations(c, memo))
+        # a constraint whose entries are no ids is checked no further
+        if bad:
+            report.extend(Violation("BadEntry", where, detail) for detail in bad)
+        else:
+            report.extend(Violation(code, where, detail) for code, detail in kind.violations(c, memo))
 
     obj = instance.objective
     if instance.kind not in ("CSP", "COP"):

@@ -223,7 +223,7 @@ _GROUP_READS = {
         ["ne(x[0],y)", "ne(y,x[2])"],
     ),
     "slide": (_group_of(_LT, "x[0] x[1] x[2]", slide=True), ["lt(x[0],x[1])", "lt(x[1],x[2])"]),
-    # the placeholders are read as ids that no text of the template holds
+    # ids beside placeholders in one template
     "ids-with-underscores": (
         _group_of("<intension> le(add(%0,x_1),add(%1,y__2)) </intension>", "x[0] x[1]", "x_1 y__2", "y__2 4"),
         ["le(add(x[0],x_1),add(x[1],y__2))", "le(add(x_1,x_1),add(y__2,y__2))", "le(add(y__2,x_1),add(4,y__2))"],
@@ -242,10 +242,28 @@ _GROUP_READS = {
         _group_of(_LT, "x[0] ٣"),
         (XmlSyntaxError, "<args> entry '٣' is no variable id or integer", 5),
     ),
-    "plus-sign": (_group_of(_LT, "x[0] +4"), (UnsupportedFeatureError, "bad character '\\+' in 'lt\\(x\\[0\\],\\+4\\)'", 4)),
+    "plus-sign": (_group_of(_LT, "x[0] +4"), (XmlSyntaxError, "<args> entry '\\+4' is no variable id or integer", 5)),
     "above-int64": (
         _group_of(_LT, "x[0] 99999999999999999999"),
-        (UnsupportedFeatureError, "'99999999999999999999' is outside the 64-bit integers", 4),
+        (XmlSyntaxError, "'99999999999999999999' is outside the 64-bit integers", 5),
+    ),
+    # an entry is read whether or not the template names its placeholder
+    "unused-placeholder-entry": (
+        _group_of("<intension> le(add(%1,y),3) </intension>", "3q x[1]"),
+        (XmlSyntaxError, "<args> entry '3q' is no variable id or integer", 5),
+    ),
+    # a placeholder is a whole name
+    "placeholder-in-id": (
+        _group_of("<intension> lt(x[%0],%1) </intension>", "1 y"),
+        (XmlSyntaxError, "bad variable id 'x\\[%0\\]'", 4),
+    ),
+    "negated-placeholder": (
+        _group_of("<intension> lt(-%0,%1) </intension>", "x[0] y"),
+        (XmlSyntaxError, "bad variable id '-%0'", 4),
+    ),
+    "placeholder-outside-template": (
+        _group_of("<intension> lt(%0,1) </intension>").replace(" <group>", "").replace("</group> ", ""),
+        (XmlSyntaxError, "bad variable id '%0'", 4),
     ),
     "too-few-ids": (_group_of(_LT, "x[0] x[1]", "x[0]"), (XmlSyntaxError, "<args> holds 1 ids for a template of arity 2", 6)),
     "too-many-ids": (
@@ -266,28 +284,29 @@ _GROUP_READS = {
     ),
     "arabic-indic-placeholder": (
         _group_of("<intension> lt(%0,%٠) </intension>", "x[0] x[1]"),
-        (UnsupportedFeatureError, "bad character '%' in 'lt\\(x\\[0\\],%٠\\)'", 4),
+        (UnsupportedFeatureError, "bad character '%' in 'lt\\(%0,%٠\\)'", 4),
     ),
     "broken-template": (
         _group_of("<intension> lt(%0,%1 </intension>", "x[0] x[1]"),
-        (UnsupportedFeatureError, "missing '\\)' in 'lt\\(x\\[0\\],x\\[1\\]'", 4),
+        (UnsupportedFeatureError, "missing '\\)' in 'lt\\(%0,%1'", 4),
     ),
     "text-beside-function": (
         _group_of("<intension> lt(%0,%1) <function> eq(%0,%1) </function> </intension>", "x[0] x[1]"),
-        (XmlSyntaxError, "<intension> has text 'lt\\(x\\[0\\],x\\[1\\]\\)' beside its child elements", 4),
+        (XmlSyntaxError, "<intension> has text 'lt\\(%0,%1\\)' beside its child elements", 4),
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(_GROUP_READS))
 def test_an_intension_template_reads_as_its_substituted_text(case):
-    """An intension template is read once and each ``<args>`` puts its ids
-    and integers in for its placeholders. What it reads is what each
-    ``<args>``'s substituted text reads. A refusal of the reader is that of
-    the substituted text when that text is refused, else the entry's own,
-    at its ``<args>``; so is a misspelled id that only an entry makes. The
-    model check refuses what the reader takes, such as an undeclared id,
-    at the ``<args>`` of the member it names."""
+    """An intension template is read once, as written, and each ``<args>``
+    puts its ids and integers in for its placeholders. What it reads is
+    what each ``<args>``'s substituted text reads. The template's text is
+    refused at the template, quoted as written, and a ``%k`` is a whole
+    name there and nowhere else; every entry is read as an id or an
+    integer and refused at its ``<args>``. The model check refuses what the
+    reader takes, such as an undeclared id, at the ``<args>`` of the member
+    it names."""
     text, expected = _GROUP_READS[case]
     if isinstance(expected, list):
         assert list(parse_instance(text).constraints) == [Intension.of(parse_expr(e)) for e in expected]
@@ -1398,7 +1417,7 @@ def _nested(depth: int) -> str:
 
 
 def test_an_expression_nested_beyond_the_depth_cap_is_refused():
-    assert parse_expr(_nested(MAX_DEPTH)).kind == "neg"
+    assert parse_expr(_nested(MAX_DEPTH))[0] == "neg"
     with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
         parse_expr(_nested(MAX_DEPTH + 1))
     with pytest.raises(UnsupportedFeatureError, match="nested deeper"):
@@ -1407,7 +1426,7 @@ def test_an_expression_nested_beyond_the_depth_cap_is_refused():
 
 def _reference_tokenize(text: str) -> list[str]:
     """The character loop that the tokenizer's two regular expressions
-    replaced."""
+    replaced; a ``%`` is a name's character before an ASCII digit."""
     tokens: list[str] = []
     i = 0
     while i < len(text):
@@ -1421,7 +1440,7 @@ def _reference_tokenize(text: str) -> list[str]:
             j = i
             if ch == "-":
                 j += 1
-            while j < len(text) and (text[j].isalnum() or text[j] in "_[]"):
+            while j < len(text) and (text[j].isalnum() or text[j] in "_[]" or text[j : j + 2] in _PLACEHOLDER_STARTS):
                 j += 1
             if j == i:
                 raise ExprSyntaxError(f"bad character {ch!r} in {text!r}")
@@ -1437,10 +1456,12 @@ def _tokens_or_error(tokenize, text):
         return str(exc)
 
 
+_PLACEHOLDER_STARTS = {f"%{d}" for d in range(10)}
+
 # ASCII token characters, Unicode spaces, letters, digits that only
 # ``isalnum`` knows (superscript two, Arabic-Indic three), a combining
-# accent and characters no token holds
-_TOKEN_ALPHABET = "ax9_0[]()-,  \t\n\x0b\x1c\u00a0\u2003é中\u00b2\u0663\u0301+.$;"
+# accent and characters no token holds, and the placeholder sign
+_TOKEN_ALPHABET = "ax9_0[]()-,  \t\n\x0b\x1c\u00a0\u2003é中\u00b2\u0663\u0301+.$;%"
 
 
 def test_the_tokenizer_splits_as_the_character_loop_it_replaced():

@@ -12,12 +12,11 @@ from test_io import _kitchen_sink_instance
 from xcspkit.engine import DomainStore, make_propagators
 from xcspkit.engine.search import SearchStats
 from xcspkit.errors import (
-    ArityMismatchError,
     InvariantViolationError,
     NotAnOptimizationInstanceError,
     UnboundVariableError,
 )
-from xcspkit.expr import OPS, IntConst, Op, VarRef, compile_expr, evaluate, format_expr, op, parse_expr
+from xcspkit.expr import OPS, IntConst, compile_expr, evaluate, format_expr, op, parse_expr
 from xcspkit.io import parse_instance, write_instance
 from xcspkit.model import (
     _KINDS,
@@ -62,15 +61,17 @@ def asg(**bindings):
     return Assignment(bindings)
 
 
-def test_op_reads_ints_as_constants_and_strings_as_variables():
+def test_op_builds_the_tuple_tree_that_parse_expr_reads():
+    """An expression is a tuple ``(kind, *operands)`` over ids and int
+    constants, whether built or read; ``op`` checks nothing, so a bad
+    operator or arity is built, and refused by the model."""
     inner = op("add", "x", 1)
-    assert inner == Op("add", (VarRef("x"), IntConst(1)))
+    assert inner == ("add", "x", 1) == parse_expr("add(x,1)")
     outer = op("le", inner, "y[0]")
-    assert outer.children[0] is inner and outer.children[1] == VarRef("y[0]")
-    assert op("neg", -3) == Op("neg", (IntConst(-3),))
+    assert outer[1] is inner and outer == parse_expr("le(add(x,1),y[0])")
+    assert op("neg", -3) == ("neg", -3) == parse_expr("neg(-3)")
     for kind, operands in [("eq", (1,)), ("sub", ("x", "y", 1)), ("not", ()), ("nope", ("x",))]:
-        with pytest.raises(ArityMismatchError):
-            op(kind, *operands)
+        assert op(kind, *operands) == (kind, *operands)
 
 
 def _value(e, binding):
@@ -179,7 +180,7 @@ def _random_expr(rng, names, depth, boolean=False):
     as model validation requires, and sometimes integer ones, which they read
     as truth values (0 is false)."""
     if not boolean and (depth <= 0 or rng.random() < 0.3):
-        return VarRef(rng.choice(names)) if rng.random() < 0.7 else IntConst(rng.randint(-3, 3))
+        return rng.choice(names) if rng.random() < 0.7 else rng.randint(-3, 3)
     sorts = ("rel", "logic") if depth > 0 else ("rel",)
     kind = rng.choice([k for k, spec in OPS.items() if not boolean or spec.sort in sorts])
     spec = OPS[kind]
@@ -413,7 +414,7 @@ class TestValidation:
         assert "BoundOverflow" in codes
 
     @pytest.mark.parametrize(
-        "root", [op("add", "a", 1), IntConst(1), VarRef("a")], ids=["integer-operator", "constant", "variable"]
+        "root", [op("add", "a", 1), 1, "a"], ids=["integer-operator", "constant", "variable"]
     )
     def test_nonboolean_intension_root(self, root):
         """An intension over any root constructs; an instance refuses a
@@ -500,6 +501,54 @@ def test_a_refused_instance_reports_each_fault_with_its_place_and_detail(fields,
     assert [(v.code, v.where, v.detail) for v in refusal(*fields)] == [violation]
 
 
+_POSITIONS = "the template's positions are not those of a scope of distinct ids {}"
+
+
+@pytest.mark.parametrize(
+    "constraint, violation",
+    [
+        (Intension(("nope", 0, 1), ("x", "y")), ("BadOperator", "unknown operator 'nope'")),
+        (Intension(("lt", 0), ("x",)), ("BadOperator", "operator 'lt' takes 2 operands, got 1")),
+        (Intension(("eq", 0, 1), ("x",)), ("ScopeMismatch", _POSITIONS.format(("x",)))),
+        (Intension(("eq", 0, IntConst(1)), ("x", "y")), ("ScopeMismatch", _POSITIONS.format(("x", "y")))),
+        (Intension(("eq", 0, 1), ("x", "x")), ("ScopeMismatch", _POSITIONS.format(("x", "x")))),
+        (Intension(("eq", 0, "y"), ("x",)), ("BadNode", "'y' is no position, IntConst or operator")),
+        (Intension(("eq", 0, IntConst(1.5)), ("x",)), ("BadNode", "IntConst(value=1.5) is no position, IntConst or operator")),
+        (Intension(("not", ()), ()), ("BadNode", "() is no position, IntConst or operator")),
+    ],
+    ids=[
+        "unknown-operator", "wrong-arity", "position-outside-scope", "unused-position", "repeated-id",
+        "id-node", "float-constant", "empty-node",
+    ],
+)
+def test_a_directly_built_intension_is_checked_as_its_template(constraint, violation):
+    """The model is the one check of a template: an intension built without
+    ``Intension.of`` is refused unless its operators, their arities, its
+    nodes and its positions over a scope of distinct ids are sound."""
+    assert [(v.code, v.where, v.detail) for v in refusal("CSP", _XY, (constraint,))] == [
+        (violation[0], "constraint 0", violation[1])
+    ]
+
+
+@pytest.mark.parametrize(
+    "constraint, detail",
+    [
+        (AllDifferent(("x", 3)), "scope entry 3 is no variable id"),
+        (Sum((3,), (1,), Condition("le", 5)), "scope entry 3 is no variable id"),
+        (Sum(("x",), (1.5,), Condition("le", 5)), "coeffs entry 1.5 is no variable id or integer"),
+        (Element(("x", 5), "x", 1), "list_vars entry 5 is no variable id"),
+        (NoOverlap((("x", 1),), ((1, 1),)), "an origins entry is no variable id"),
+    ],
+    ids=["alldifferent", "sum-scope", "sum-coeffs", "element", "nooverlap-origins"],
+)
+def test_an_entry_that_holds_a_variable_is_an_id(constraint, detail):
+    """An entry of an attribute that holds variable ids is an id, or an
+    integer where the class allows a constant there."""
+    assert [(v.code, v.where, v.detail) for v in refusal("CSP", _XY, (constraint,))] == [
+        ("BadEntry", "constraint 0", detail)
+    ]
+
+
 class TestRecord:
     """The semantics of ``record``, which every model class is declared with."""
 
@@ -507,7 +556,7 @@ class TestRecord:
         assert AllDifferent(("x", "y")) != (("x", "y"),)
         assert (("x", "y"),) != AllDifferent(("x", "y"))
         assert AllDifferent(("x", "y")) != Circuit(("x", "y"))
-        assert VarRef("x") != IntConst("x")
+        assert IntConst(1) != 1 and IntConst(1) != (1,)
         assert AllDifferent(("x", "y")) == AllDifferent(("x", "y"))
 
     def test_equal_frozen_records_hash_equal_and_are_one_dict_key(self):
@@ -550,10 +599,9 @@ class TestRecord:
         with pytest.raises(TypeError):
             Objective("minimize", "sum")
 
-    def test_the_repr_of_an_op_tree_is_pinned(self):
-        assert repr(op("le", op("add", "x", 1), "y")) == (
-            "Op(kind='le', children=(Op(kind='add', children=(VarRef(var_id='x'), IntConst(value=1))),"
-            " VarRef(var_id='y')))"
+    def test_the_repr_of_an_intension_is_pinned(self):
+        assert repr(Intension.of(op("le", op("add", "x", 1), "y"))) == (
+            "Intension(template=('le', ('add', 0, IntConst(value=1)), 1), scope=('x', 'y'))"
         )
 
 
@@ -772,9 +820,9 @@ _PINNED = {
         [
             ('NotBoolean', 'constraint 0', 'intension root must be a relational or logical operator'),
             ('UnknownVariable', 'constraint 1', "references undeclared variable 'u'"),
-            ('NotBoolean', 'constraint 1', 'and requires boolean operands, got VarRef'),
+            ('NotBoolean', 'constraint 1', 'and requires boolean operands, got an integer one'),
             ('NotBoolean', 'constraint 2', 'intension root must be a relational or logical operator'),
-            ('NotBoolean', 'constraint 2', 'not requires boolean operands, got Op'),
+            ('NotBoolean', 'constraint 2', 'not requires boolean operands, got an integer one'),
         ],
     ),
     Extension: (
@@ -996,17 +1044,17 @@ def test_sum_windows_of_a_slide_are_each_checked_for_overflow():
 
 
 def _reference_vars(expression):
-    if isinstance(expression, VarRef):
-        yield expression.var_id
-    elif isinstance(expression, Op):
-        for child in expression.children:
+    if isinstance(expression, str):
+        yield expression
+    elif isinstance(expression, tuple):
+        for child in expression[1:]:
             yield from _reference_vars(child)
 
 
 def _reference_template(expression, position):
-    if isinstance(expression, Op):
-        return (expression.kind, *(_reference_template(e, position) for e in expression.children))
-    return position[expression.var_id] if isinstance(expression, VarRef) else expression
+    if isinstance(expression, tuple):
+        return (expression[0], *(_reference_template(e, position) for e in expression[1:]))
+    return position[expression] if isinstance(expression, str) else IntConst(expression)
 
 
 def _intensions(constraints):
@@ -1016,8 +1064,8 @@ def _intensions(constraints):
 def _reference_expression(template, scope):
     """The expression that a template over a scope stands for."""
     if isinstance(template, tuple):
-        return Op(template[0], tuple(_reference_expression(t, scope) for t in template[1:]))
-    return VarRef(scope[template]) if type(template) is int else template
+        return (template[0], *(_reference_expression(t, scope) for t in template[1:]))
+    return scope[template] if type(template) is int else template.value
 
 
 def _random_expression(rng, depth):
@@ -1025,11 +1073,11 @@ def _random_expression(rng, depth):
     variables repeat and constants equal positions; any kind of any arity
     its row allows, whatever the sorts of its operands."""
     if depth == 0 or rng.random() < 0.3:
-        return VarRef(rng.choice("wxyz")) if rng.random() < 0.6 else IntConst(rng.randint(-1, 4))
+        return rng.choice("wxyz") if rng.random() < 0.6 else rng.randint(-1, 4)
     kind = rng.choice(sorted(OPS))
     spec = OPS[kind]
     arity = rng.randint(spec.min_arity, spec.max_arity or 4)
-    return Op(kind, tuple(_random_expression(rng, depth - 1) for _ in range(arity)))
+    return (kind, *(_random_expression(rng, depth - 1) for _ in range(arity)))
 
 
 def _expressions_to_compare():
@@ -1045,7 +1093,7 @@ def _expressions_to_compare():
     rng = random.Random(31)
     for _ in range(500):
         yield _random_expression(rng, 4)
-    yield from (VarRef("x"), IntConst(0), IntConst(1), parse_expr("eq(x,0)"), parse_expr("add(x,y,x,1,0)"))
+    yield from ("x", 0, 1, parse_expr("eq(x,0)"), parse_expr("add(x,y,x,1,0)"))
 
 
 def test_an_intension_keeps_the_scope_and_template_of_the_walks_it_replaced():
@@ -1073,13 +1121,13 @@ def test_an_intension_keeps_the_scope_and_template_of_the_walks_it_replaced():
 def _reference_operand_violations(e):
     """The operand check as it walked every node of every intension at
     each validation, before it was worked out once per template."""
-    if not isinstance(e, Op):
+    if not isinstance(e, tuple):
         return
-    if OPS[e.kind].sort == "logic":
-        for child in e.children:
-            if not (isinstance(child, Op) and OPS[child.kind].sort != "int"):
-                yield "NotBoolean", f"{e.kind} requires boolean operands, got {type(child).__name__}"
-    for child in e.children:
+    if OPS[e[0]].sort == "logic":
+        for child in e[1:]:
+            if not (isinstance(child, tuple) and OPS[child[0]].sort != "int"):
+                yield "NotBoolean", f"{e[0]} requires boolean operands, got an integer one"
+    for child in e[1:]:
         yield from _reference_operand_violations(child)
 
 
@@ -1095,7 +1143,7 @@ def test_an_intension_report_is_that_of_the_walk_it_replaced():
     for expression in _expressions_to_compare():
         c = Intension.of(expression)
         expected = list(_reference_operand_violations(expression))
-        if not (isinstance(expression, Op) and OPS[expression.kind].sort != "int"):
+        if not (isinstance(expression, tuple) and OPS[expression[0]].sort != "int"):
             expected.insert(0, ("NotBoolean", "intension root must be a relational or logical operator"))
         assert list(check(c, memo)) == expected
         assert list(check(c, {})) == expected

@@ -40,7 +40,7 @@ from xcspkit.engine.propagators import (
     make_propagators,
 )
 from xcspkit.engine.search import solve
-from xcspkit.expr import IntConst, VarRef, compile_expr, op, parse_expr
+from xcspkit.expr import compile_expr, op, parse_expr
 from xcspkit.model import (
     STAR,
     AllDifferent,
@@ -556,7 +556,7 @@ def _random_side(rng, leaf, depth):
     if kind == "neg":
         return op("neg", _random_side(rng, leaf, depth - 1))
     if kind == "mul":
-        factors = [IntConst(rng.randint(-3, 3)), _random_side(rng, leaf, depth - 1)]
+        factors = [rng.randint(-3, 3), _random_side(rng, leaf, depth - 1)]
         rng.shuffle(factors)
         return op("mul", *factors)
     arity = 2 if kind == "sub" else rng.randint(2, 3)
@@ -572,8 +572,8 @@ def _random_linear(rng, names, repeats):
 
     def leaf():
         if rng.random() < 0.25 or not (repeats or unused):
-            return IntConst(rng.randint(-4, 4))
-        return VarRef(rng.choice(names) if repeats else unused.pop())
+            return rng.randint(-4, 4)
+        return rng.choice(names) if repeats else unused.pop()
 
     kind = rng.choice(("eq", "ne", "lt", "le", "gt", "ge"))
     return op(kind, _random_side(rng, leaf, 3), _random_side(rng, leaf, 3))

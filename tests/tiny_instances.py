@@ -3,7 +3,6 @@ cross-check the engine against the generate-and-test oracle."""
 
 import random
 
-from xcspkit.expr import IntConst, Op, VarRef
 from xcspkit.model import (
     STAR,
     AllDifferent,
@@ -46,26 +45,26 @@ ALL_KINDS = SMALL_KINDS + WIDE_KINDS
 def _rand_arith(rng, names, depth):
     if depth <= 0 or rng.random() < 0.4:
         if rng.random() < 0.7:
-            return VarRef(rng.choice(names))
-        return IntConst(rng.randint(-3, 4))
+            return rng.choice(names)
+        return rng.randint(-3, 4)
     kind = rng.choice(("add", "sub", "mul", "dist", "neg", "abs"))
     if kind in ("neg", "abs"):
-        return Op(kind, (_rand_arith(rng, names, depth - 1),))
+        return (kind, _rand_arith(rng, names, depth - 1))
     if kind in ("add", "mul"):
         k = rng.randint(2, 3)
-        return Op(kind, tuple(_rand_arith(rng, names, depth - 1) for _ in range(k)))
-    return Op(kind, (_rand_arith(rng, names, depth - 1), _rand_arith(rng, names, depth - 1)))
+        return (kind, *(_rand_arith(rng, names, depth - 1) for _ in range(k)))
+    return (kind, _rand_arith(rng, names, depth - 1), _rand_arith(rng, names, depth - 1))
 
 
 def _rand_bool(rng, names, depth):
     if depth <= 0 or rng.random() < 0.6:
         kind = rng.choice(("eq", "ne", "lt", "le", "gt", "ge"))
-        return Op(kind, (_rand_arith(rng, names, 1), _rand_arith(rng, names, 1)))
+        return (kind, _rand_arith(rng, names, 1), _rand_arith(rng, names, 1))
     kind = rng.choice(("and", "or", "xor", "iff", "imp", "not"))
     if kind == "not":
-        return Op(kind, (_rand_bool(rng, names, depth - 1),))
+        return (kind, _rand_bool(rng, names, depth - 1))
     k = rng.randint(2, 3) if kind in ("and", "or") else 2
-    return Op(kind, tuple(_rand_bool(rng, names, depth - 1) for _ in range(k)))
+    return (kind, *(_rand_bool(rng, names, depth - 1) for _ in range(k)))
 
 
 def _rand_condition(rng, names, small=6):
